@@ -16,9 +16,11 @@ sigma_ij with |sigma| + r|d sigma| + r^2|dd sigma| = O(r^-tau).  Families:
   phi = 1 + m/(2r) + eps * Y_{l,m_order} * r^-tau_extra; the angular
   perturbation leaves the total mass unchanged for l >= 1.
 
-Derivative jets (g, dg, ddg) are closed-form analytic per family; finite
-differences appear only in the test suite as an independent oracle.  The
-rotating family is generated symbolically once per process and cached.
+Every family has the form g = B I + F x (x) x + E w (x) w with w = (-y, x, 0)
+and closed-form scalars B, F, E; their exact jets come from product-rule
+arithmetic, and one assembly turns them into (g, dg, ddg).  Finite
+differences and symbolic derivations appear only in the test suite as
+independent oracles.
 
 Index conventions: ``dg[i, j, k] = d_k g_ij``; ``ddg[i, j, k, l] =
 d_k d_l g_ij``; batched arrays carry a leading node axis.
@@ -121,59 +123,135 @@ class AFMetric:
 
 
 # ---------------------------------------------------------------------------
+# Scalar jets and the closed-form assembly
+# ---------------------------------------------------------------------------
+
+
+class _Jet:
+    """A scalar field at N points: value v (N,), gradient d (N,3), Hessian h (N,3,3).
+
+    Arithmetic follows the product and chain rules, so a closed form
+    written with these objects carries its exact first and second
+    derivatives.  Plain numbers act as constants.
+    """
+
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, v, d, h):
+        self.v, self.d, self.h = v, d, h
+
+    @classmethod
+    def constant(cls, c, n):
+        return cls(np.full(n, float(c)), np.zeros((n, 3)), np.zeros((n, 3, 3)))
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v + other.v, self.d + other.d, self.h + other.h)
+        return _Jet(self.v + other, self.d, self.h)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d, -self.h)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(other * self.v, other * self.d, other * self.h)
+        cross = self.d[:, :, None] * other.d[:, None, :]
+        return _Jet(
+            self.v * other.v,
+            self.d * other.v[:, None] + self.v[:, None] * other.d,
+            self.h * other.v[:, None, None]
+            + self.v[:, None, None] * other.h
+            + cross
+            + cross.transpose(0, 2, 1),
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * other**-1.0
+
+    def __rtruediv__(self, other):
+        return other * self**-1.0
+
+    def __pow__(self, p):
+        d1 = p * self.v ** (p - 1.0)
+        d2 = p * (p - 1.0) * self.v ** (p - 2.0)
+        return _Jet(
+            self.v**p,
+            d1[:, None] * self.d,
+            d1[:, None, None] * self.h
+            + d2[:, None, None] * self.d[:, :, None] * self.d[:, None, :],
+        )
+
+
+def _coordinates(points):
+    """Jets of the Cartesian coordinates x, y, z and of the radius r."""
+    n = len(points)
+    eye = np.eye(3)
+    zero = np.zeros((n, 3, 3))
+    x, y, z = (_Jet(points[:, i], np.broadcast_to(eye[i], (n, 3)), zero) for i in range(3))
+    r = np.linalg.norm(points, axis=1)
+    nhat = points / r[:, None]
+    nn = nhat[:, :, None] * nhat[:, None, :]
+    return x, y, z, _Jet(r, nhat, (eye - nn) / r[:, None, None])
+
+
+# d_k w_i for the rotation field w = (-y, x, 0)
+_ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _assemble(points, B, F=None, E=None):
+    """(g, dg, ddg) of g = B I + F x (x) x + E w (x) w from scalar jets.
+
+    Every catalog metric has this form; F and E default to zero.
+    """
+    eye = np.eye(3)
+    g = B.v[:, None, None] * eye
+    dg = np.einsum("nk,ij->nijk", B.d, eye)
+    ddg = np.einsum("nkl,ij->nijkl", B.h, eye)
+    for S, V in ((F, eye), (E, _ROTATION)):
+        if S is None:
+            continue
+        # v = V x has the constant Jacobian d_k v_i = V_ik
+        v = points @ V.T
+        vv = v[:, :, None] * v[:, None, :]
+        dvv = np.einsum("ik,nj->nijk", V, v) + np.einsum("ni,jk->nijk", v, V)
+        ddvv = np.einsum("ik,jl->ijkl", V, V) + np.einsum("il,jk->ijkl", V, V)
+        g += S.v[:, None, None] * vv
+        dg += np.einsum("nk,nij->nijk", S.d, vv) + S.v[:, None, None, None] * dvv
+        ddg += (
+            np.einsum("nkl,nij->nijkl", S.h, vv)
+            + np.einsum("nk,nijl->nijkl", S.d, dvv)
+            + np.einsum("nl,nijk->nijkl", S.d, dvv)
+            + S.v[:, None, None, None, None] * ddvv
+        )
+    return g, dg, ddg
+
+
+# ---------------------------------------------------------------------------
 # Family constructors
 # ---------------------------------------------------------------------------
 
 
-def _euclidean_jets(points):
-    n = len(points)
-    g = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    return g, np.zeros((n, 3, 3, 3)), np.zeros((n, 3, 3, 3, 3))
-
-
 def euclidean() -> AFMetric:
-    return AFMetric("euclidean", {}, 1.0, 0.0, _euclidean_jets, 0.0)
+    def jets(points):
+        return _assemble(points, _Jet.constant(1.0, len(points)))
 
-
-def _conformal_jets(points, phi_fn):
-    """g = phi^4 delta from (phi, grad phi, hess phi) at the points."""
-    phi, dphi, ddphi = phi_fn(points)
-    n = len(points)
-    eye = np.eye(3)
-    g = (phi**4)[:, None, None] * eye[None]
-    # d_k g_ij = 4 phi^3 phi_k delta_ij
-    dcoef = 4.0 * phi**3
-    dg = np.einsum("n,nk,ij->nijk", dcoef, dphi, eye)
-    # d_k d_l g_ij = (12 phi^2 phi_k phi_l + 4 phi^3 phi_kl) delta_ij
-    hcoef = np.einsum("n,nk,nl->nkl", 12.0 * phi**2, dphi, dphi) + np.einsum(
-        "n,nkl->nkl", dcoef, ddphi
-    )
-    ddg = np.einsum("nkl,ij->nijkl", hcoef, eye)
-    return g, dg, ddg
-
-
-def _monopole_phi(points, m):
-    """phi = 1 + m/(2r) with gradient and Hessian."""
-    r = np.linalg.norm(points, axis=1)
-    phi = 1.0 + m / (2.0 * r)
-    dphi = -(m / 2.0) * points / r[:, None] ** 3
-    eye = np.eye(3)
-    ddphi = -(m / 2.0) * (
-        eye[None] / r[:, None, None] ** 3
-        - 3.0 * np.einsum("nk,nl->nkl", points, points) / r[:, None, None] ** 5
-    )
-    return phi, dphi, ddphi
+    return AFMetric("euclidean", {}, 1.0, 0.0, jets, 0.0)
 
 
 def schwarzschild_isotropic(m: float) -> AFMetric:
     if m <= 0:
         raise ValueError("mass must be positive")
 
-    def phi_fn(points):
-        return _monopole_phi(points, m)
-
     def jets(points):
-        return _conformal_jets(points, phi_fn)
+        r = _coordinates(points)[3]
+        return _assemble(points, (1.0 + (m / 2.0) / r) ** 4)
 
     return AFMetric("schwarzschild_isotropic", {"m": m}, 1.0, m, jets, m)
 
@@ -199,39 +277,19 @@ def conformal_perturbed(
     if tau_extra <= 0.5:
         raise ValueError("tau_extra must exceed 1/2 for a finite mass")
     S = real_solid_harmonic(l, m_order)
-    Sg = S.gradient()
-    Sh = [[S.derivative(i).derivative(j) for j in range(3)] for i in range(3)]
+    dS = S.gradient()
+    ddS = [P.gradient() for P in dS]
     beta = l + tau_extra  # Y r^-tau_extra = S(x) r^-beta
 
-    def phi_fn(points):
-        phi, dphi, ddphi = _monopole_phi(points, m)
-        r = np.linalg.norm(points, axis=1)
-        rb = r ** (-beta)
-        s = S(points)
-        sg = np.stack([Sg[k](points) for k in range(3)], axis=-1)
-        sh = np.stack(
-            [np.stack([Sh[i][j](points) for j in range(3)], axis=-1) for i in range(3)],
-            axis=-2,
-        )
-        phi = phi + eps * s * rb
-        dphi = dphi + eps * (
-            sg * rb[:, None] - beta * s[:, None] * points * (r ** (-beta - 2))[:, None]
-        )
-        eye = np.eye(3)
-        rb2 = (r ** (-beta - 2))[:, None, None]
-        rb4 = (r ** (-beta - 4))[:, None, None]
-        xx = np.einsum("nk,nl->nkl", points, points)
-        sx = np.einsum("nk,nl->nkl", sg, points)
-        ddphi = ddphi + eps * (
-            sh * rb[:, None, None]
-            - beta * (sx + sx.transpose(0, 2, 1)) * rb2
-            - beta * s[:, None, None] * eye[None] * rb2
-            + beta * (beta + 2.0) * s[:, None, None] * xx * rb4
-        )
-        return phi, dphi, ddphi
-
     def jets(points):
-        return _conformal_jets(points, phi_fn)
+        s = _Jet(
+            S(points),
+            np.stack([P(points) for P in dS], axis=-1),
+            np.stack([np.stack([P(points) for P in row], axis=-1) for row in ddS], axis=-2),
+        )
+        r = _coordinates(points)[3]
+        phi = 1.0 + (m / 2.0) / r + eps * s * r ** (-beta)
+        return _assemble(points, phi**4)
 
     params = {"m": m, "eps": eps, "l": l, "m_order": m_order, "tau_extra": tau_extra}
     return AFMetric(
@@ -245,129 +303,36 @@ def schwarzschild_standard(m: float) -> AFMetric:
         raise ValueError("mass must be positive")
 
     def jets(points):
-        npts = len(points)
-        r = np.linalg.norm(points, axis=1)
-        n = points / r[:, None]
-        u = 2.0 * m / (r - 2.0 * m)
-        up = -2.0 * m / (r - 2.0 * m) ** 2
-        upp = 4.0 * m / (r - 2.0 * m) ** 3
-        eye = np.eye(3)
-        nn = np.einsum("ni,nj->nij", n, n)
-        # N[i,k] = d_k n_i = (delta_ik - n_i n_k)/r
-        N = (eye[None] - nn) / r[:, None, None]
-        g = eye[None] + u[:, None, None] * nn
-        # d_k (n_i n_j) = N_ik n_j + n_i N_jk
-        dnn = np.einsum("nik,nj->nijk", N, n) + np.einsum("ni,njk->nijk", n, N)
-        dg = np.einsum("n,nk,nij->nijk", up, n, nn) + u[:, None, None, None] * dnn
-        # d_l N_ik = -(N_il n_k + n_i N_kl + N_ik n_l)/r
-        dN = (
-            -(
-                np.einsum("nil,nk->nikl", N, n)
-                + np.einsum("ni,nkl->nikl", n, N)
-                + np.einsum("nik,nl->nikl", N, n)
-            )
-            / r[:, None, None, None]
-        )
-        # d_l dnn_ijk
-        ddnn = (
-            np.einsum("nikl,nj->nijkl", dN, n)
-            + np.einsum("nik,njl->nijkl", N, N)
-            + np.einsum("nil,njk->nijkl", N, N)
-            + np.einsum("ni,njkl->nijkl", n, dN)
-        )
-        ddg = (
-            np.einsum("n,nk,nl,nij->nijkl", upp, n, n, nn)
-            + np.einsum("n,nkl,nij->nijkl", up, N, nn)
-            + np.einsum("n,nk,nijl->nijkl", up, n, dnn)
-            + np.einsum("n,nl,nijk->nijkl", up, n, dnn)
-            + u[:, None, None, None, None] * ddnn
-        )
-        return g, dg, ddg
+        r = _coordinates(points)[3]
+        one = _Jet.constant(1.0, len(points))
+        return _assemble(points, one, F=2.0 * m / ((r - 2.0 * m) * r * r))
 
     return AFMetric("schwarzschild_standard", {"m": m}, 1.0, 4.0 * m, jets, m)
 
 
-_KERR_CACHE: dict = {}
-
-
-def _kerr_lambdified():
-    """Jet evaluators for the rotating slice, generated symbolically once.
-
-    The metric is written in the axis-regular closed form
-    g = B I + (A - B) n (x) n + E M, with
+def kerr_slice(m: float, a: float) -> AFMetric:
+    """Constant-time slice in the axis-regular closed form
+    g = B I + (A - B) n (x) n + E w (x) w, with
     Sigma = r^2 + a^2 z^2 / r^2, Delta = r^2 - 2 m r + a^2,
     A = Sigma/Delta, B = Sigma/r^2, E = a^2 (Sigma + 2 m r)/(Sigma r^4),
-    M = (-y, x, 0) (x) (-y, x, 0); every scalar is rational in (x, y, z),
-    so the expressions are smooth away from the excluded ball, poles
-    included.
+    w = (-y, x, 0); every scalar is smooth away from the excluded ball,
+    poles included.
     """
-    if "fn" in _KERR_CACHE:
-        return _KERR_CACHE["fn"]
-    import sympy as sp
-
-    x, y, z, m, a = sp.symbols("x y z m a", real=True)
-    xv = (x, y, z)
-    r2 = x * x + y * y + z * z
-    r = sp.sqrt(r2)
-    Sigma = r2 + a * a * z * z / r2
-    Delta = r2 - 2 * m * r + a * a
-    A = Sigma / Delta
-    B = Sigma / r2
-    E = a * a * (Sigma + 2 * m * r) / (Sigma * r2 * r2)
-    w = sp.Matrix([-y, x, 0])
-    n = sp.Matrix([x, y, z]) / r
-    gmat = B * sp.eye(3) + (A - B) * (n * n.T) + E * (w * w.T)
-
-    exprs = []
-    index = []
-    for i in range(3):
-        for j in range(i, 3):
-            gij = gmat[i, j]
-            exprs.append(gij)
-            index.append(("g", i, j))
-            for k in range(3):
-                dk = sp.diff(gij, xv[k])
-                exprs.append(dk)
-                index.append(("dg", i, j, k))
-                for l in range(k, 3):
-                    exprs.append(sp.diff(dk, xv[l]))
-                    index.append(("ddg", i, j, k, l))
-    f = sp.lambdify((x, y, z, m, a), exprs, modules="numpy", cse=True)
-    _KERR_CACHE["fn"] = (f, index)
-    return _KERR_CACHE["fn"]
-
-
-def kerr_slice(m: float, a: float) -> AFMetric:
     if m <= 0:
         raise ValueError("mass must be positive")
     if abs(a) >= m:
         raise ValueError("need |a| < m for a regular horizon")
-    f, index = _kerr_lambdified()
     r_plus = m + np.sqrt(m * m - a * a)
 
     def jets(points):
-        npts = len(points)
-        vals = f(points[:, 0], points[:, 1], points[:, 2], m, a)
-        g = np.zeros((npts, 3, 3))
-        dg = np.zeros((npts, 3, 3, 3))
-        ddg = np.zeros((npts, 3, 3, 3, 3))
-        for val, idx in zip(vals, index):
-            val = np.broadcast_to(val, (npts,))
-            if idx[0] == "g":
-                _, i, j = idx
-                g[:, i, j] = val
-                g[:, j, i] = val
-            elif idx[0] == "dg":
-                _, i, j, k = idx
-                dg[:, i, j, k] = val
-                dg[:, j, i, k] = val
-            else:
-                _, i, j, k, l = idx
-                ddg[:, i, j, k, l] = val
-                ddg[:, j, i, k, l] = val
-                ddg[:, i, j, l, k] = val
-                ddg[:, j, i, l, k] = val
-        return g, dg, ddg
+        x, y, z, r = _coordinates(points)
+        r2 = x * x + y * y + z * z
+        Sigma = r2 + a * a * z * z / r2
+        Delta = r2 - 2.0 * m * r + a * a
+        B = Sigma / r2
+        F = (Sigma / Delta - B) / r2
+        E = a * a * (Sigma + 2.0 * m * r) / (Sigma * r2 * r2)
+        return _assemble(points, B, F, E)
 
     return AFMetric("kerr_slice", {"m": m, "a": a}, 1.0, 2.0 * r_plus, jets, m)
 
@@ -402,16 +367,6 @@ def parse_metric(text: str) -> AFMetric:
             raise ValueError(f"unknown parameter {key!r} for family {family!r}")
         params[key] = int(val) if key in ("l", "m_order") else float(val)
     return factory(**params)
-
-
-def evaluate_jet(metric: AFMetric, x: np.ndarray) -> MetricJet:
-    """Metric jet at one point (raises inside the exclusion radius)."""
-    return metric.jet(x)
-
-
-def evaluate_jets(metric: AFMetric, points: np.ndarray) -> JetBatch:
-    """Batched metric jets at an (N, 3) array of points."""
-    return metric.jets(points)
 
 
 # ---------------------------------------------------------------------------

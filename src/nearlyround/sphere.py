@@ -360,7 +360,7 @@ def center_gauge(
     pts = grid.unit_vectors.reshape(-1, 3)
 
     def gauged(b):
-        if np.allclose(b, 0.0):
+        if not np.any(b):
             return u
         moved = mobius_map(pts, b)
         theta = np.arccos(np.clip(moved[:, 2], -1.0, 1.0))

@@ -37,7 +37,7 @@ __all__ = [
     "NearlyRoundReport",
     "second_form_transform_residual",
     "distance_hessian_residual",
-    "DistanceHessianCheck",
+    "distance_hessian_spot_check",
     "mean_curvature_expansion_residual",
     "divergence_identity_gap",
     "mean_curvature_integral_residual",
@@ -532,14 +532,6 @@ def second_form_transform_residual(
     return float(np.abs(res).max())
 
 
-@dataclass(frozen=True)
-class DistanceHessianCheck:
-    """Algebraic and brute-force residuals of the distance Hessian split."""
-
-    algebraic: float
-    spot_check: float
-
-
 def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
     """Signed Euclidean distances from query points to the surface.
 
@@ -562,7 +554,7 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
         d = X - y
         g1 = -2.0 * np.einsum("qi,qi->q", d, yt)
         g2 = -2.0 * np.einsum("qi,qi->q", d, yp)
-        if max(np.abs(g1).max(), np.abs(g2).max()) <= 1e-13 * scale:
+        if max(np.abs(g1).max(), np.abs(g2).max()) <= 1e-13 * scale**2:
             break
         ytt = np.stack([v[3] for v in vals], axis=-1)
         ytp = np.stack([v[4] for v in vals], axis=-1)
@@ -582,45 +574,52 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
     return sign * np.linalg.norm(d, axis=1)
 
 
-def distance_hessian_residual(
-    s: Immersion,
-    fd_hat: FundamentalData | None = None,
-    spot_nodes: int = 8,
-    step_scale: float = 1e-4,
-) -> DistanceHessianCheck:
-    """Check the split of the distance Hessian on the surface.
-
-    Algebraic part: the ambient extension of the flat second form equals
-    its tracefree part plus (H/2) times the tangential projector --
-    frame algebra, residual at roundoff.  Spot check: central finite
-    differences of the true signed point-to-surface distance at a few
-    nodes reproduce the same matrix.
-    """
-    grid = s.grid
+def _ambient_second_forms(s: Immersion, fd_hat: FundamentalData | None):
+    """Flat normal, second form and its tracefree part as ambient fields, and H."""
     fd = fd_hat or fundamental_forms(s)
     if fd.ambient != "euclidean":
         raise ValueError("distance Hessian check needs the flat-ambient data")
-    N = grid.n_nodes
+    N = s.grid.n_nodes
     nhat, T = _euclidean_normal(s)
     hinv = fd.induced_metric_inv.reshape(N, 2, 2)
     E = np.einsum("nab,nbi->nai", hinv, T)  # flat dual frame
-    A = fd.second_form.reshape(N, 2, 2)
-    Aring = fd.tracefree_second_form.reshape(N, 2, 2)
-    H = fd.mean_curvature.reshape(N)
-    A_amb = np.einsum("nab,nai,nbj->nij", A, E, E)
-    Aring_amb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
-    proj = np.eye(3)[None] - np.einsum("ni,nj->nij", nhat, nhat)
-    algebraic = float(
-        np.abs(A_amb - Aring_amb - 0.5 * H[:, None, None] * proj).max()
+    A_amb, Aring_amb = (
+        np.einsum("nab,nai,nbj->nij", form.reshape(N, 2, 2), E, E)
+        for form in (fd.second_form, fd.tracefree_second_form)
     )
+    return nhat, A_amb, Aring_amb, fd.mean_curvature.reshape(N)
 
-    # brute-force spot check against the actual distance function;
+
+def distance_hessian_residual(
+    s: Immersion, fd_hat: FundamentalData | None = None
+) -> float:
+    """Check the split of the distance Hessian on the surface.
+
+    The ambient extension of the flat second form equals its tracefree
+    part plus (H/2) times the tangential projector -- frame algebra,
+    residual at roundoff.  distance_hessian_spot_check is the brute-force
+    reference for the same matrix.
+    """
+    nhat, A_amb, Aring_amb, H = _ambient_second_forms(s, fd_hat)
+    proj = np.eye(3)[None] - np.einsum("ni,nj->nij", nhat, nhat)
+    return float(np.abs(A_amb - Aring_amb - 0.5 * H[:, None, None] * proj).max())
+
+
+def distance_hessian_spot_check(s: Immersion) -> float:
+    """Brute-force gap between the distance Hessian and the flat second form.
+
+    Central finite differences (step 1e-4 of the smallest radius) of the
+    true signed point-to-surface distance at 8 nodes, against the ambient
+    extension of the flat second form; max entrywise gap.
+    """
+    grid = s.grid
+    A_amb = _ambient_second_forms(s, None)[1]
     # 19 offsets per node (center, 6 axis, 12 mixed), one batched solve
-    picks = np.linspace(0, N - 1, spot_nodes, dtype=int)
+    picks = np.linspace(0, grid.n_nodes - 1, 8, dtype=int)
     th_nodes = np.repeat(grid.theta, grid.nphi)
     ph_nodes = np.tile(grid.phi, grid.ntheta)
     r_ref = float(np.linalg.norm(s.points, axis=1).min())
-    h = step_scale * r_ref
+    h = 1e-4 * r_ref
     eye = np.eye(3)
     offsets = [np.zeros(3)]
     offsets += [sgn * h * eye[i] for i in range(3) for sgn in (+1, -1)]
@@ -648,7 +647,7 @@ def distance_hessian_residual(
                    + rho[k, base + 3]) / (4 * h**2)
             hess[i, j] = hess[j, i] = val
         spot = max(spot, float(np.abs(hess - A_amb[n]).max()))
-    return DistanceHessianCheck(algebraic=algebraic, spot_check=spot)
+    return spot
 
 
 def _identity_pieces(s: Immersion, metric, fd_hat=None, fd=None):

@@ -276,9 +276,9 @@ def test_exact_identity_suite(capsys, std, kerr):
                     )
     g16 = nr.build_grid(16)
     s = nr.coordinate_sphere(20.0, g16)
-    check = surf.distance_hessian_residual(s)
-    if check.algebraic > 1e-10:
-        failures.append(f"distance-Hessian algebraic residual {check.algebraic:.3e} > 1e-10")
+    algebraic = surf.distance_hessian_residual(s)
+    if algebraic > 1e-10:
+        failures.append(f"distance-Hessian algebraic residual {algebraic:.3e} > 1e-10")
     _verdict(capsys, "Exact-identity suite (divergence, transform, Hessian, Gauss-Bonnet)", failures)
 
 

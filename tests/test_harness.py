@@ -308,6 +308,18 @@ def test_fit_rate_json_cleans_nonfinite():
     assert payload["fittable"] is False
 
 
+@pytest.mark.parametrize("m_order", [1, -1])
+def test_run_masses_small_center_gauge_step(m_order):
+    # the centring step at r=40 and r=80 is about 1e-9; the gauge must
+    # still move the moments instead of stalling
+    cfg = nr.StudyConfig(
+        metric="schwarzschild_standard m=1", family="radial-perturbed",
+        schedule=(20.0, 40.0, 80.0), band_limit=12, amplitude=0.1, l=3,
+        m_order=m_order,
+    )
+    assert nr.run_masses(cfg).hard_failures == ()
+
+
 # ------------------------------------------------------------ run_verify
 
 
@@ -431,6 +443,17 @@ def test_cli_verify_exit_codes(capsys):
     assert bad == 1
     out = capsys.readouterr().out
     assert "injected" in out
+
+
+def test_cli_verify_kerr_l24(capsys):
+    code = main(
+        [
+            "verify", "--metric", "kerr_slice m=1 a=0.5",
+            "--schedule", "20,40,80", "--band-limit", "24",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
 
 
 def test_cli_embed_writes_mesh_and_summary(tmp_path, capsys):

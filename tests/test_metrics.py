@@ -1,5 +1,9 @@
 """Metric catalog: jets, curvature, decay, and total-mass flux integrals."""
 
+import functools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,6 +59,46 @@ def sympy_isotropic_christoffel(m, point):
                 ) / 2
                 Gam[k, i, j] = float(expr.subs(subs))
     return Gam
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_kerr_lambdified():
+    """Symbolic derivation of the rotating slice, differentiated componentwise.
+
+    g = B I + (A - B) n (x) n + E w (x) w with Sigma = r^2 + a^2 z^2 / r^2,
+    Delta = r^2 - 2 m r + a^2, A = Sigma/Delta, B = Sigma/r^2,
+    E = a^2 (Sigma + 2 m r)/(Sigma r^4) and w = (-y, x, 0).
+    """
+    import sympy as sp
+
+    x, y, z, m, a = sp.symbols("x y z m a", real=True)
+    xv = (x, y, z)
+    r2 = x * x + y * y + z * z
+    r = sp.sqrt(r2)
+    Sigma = r2 + a * a * z * z / r2
+    Delta = r2 - 2 * m * r + a * a
+    A = Sigma / Delta
+    B = Sigma / r2
+    E = a * a * (Sigma + 2 * m * r) / (Sigma * r2 * r2)
+    w = sp.Matrix([-y, x, 0])
+    n = sp.Matrix([x, y, z]) / r
+    g = B * sp.eye(3) + (A - B) * (n * n.T) + E * (w * w.T)
+    comps = [g[i, j] for i in range(3) for j in range(3)]
+    d1 = [sp.diff(c, v) for c in comps for v in xv]
+    d2 = [sp.diff(c, v) for c in d1 for v in xv]
+    return sp.lambdify((x, y, z, m, a), comps + d1 + d2, modules="numpy", cse=True)
+
+
+def sympy_kerr_jets(m, a, points):
+    """(g, dg, ddg) of kerr_slice m a from the symbolic derivation."""
+    n = len(points)
+    vals = _sympy_kerr_lambdified()(*points.T, m, a)
+    flat = np.stack([np.broadcast_to(v, (n,)) for v in vals], axis=-1)
+    return (
+        flat[:, :9].reshape(n, 3, 3),
+        flat[:, 9:36].reshape(n, 3, 3, 3),
+        flat[:, 36:].reshape(n, 3, 3, 3, 3),
+    )
 
 
 def perturbed_scalar_curvature_closed_form(metric, points):
@@ -229,6 +273,34 @@ def test_kerr_deviation_decay():
         sups.append(r * np.abs(jb.sigma).max())
     assert max(sups) <= 2.5  # frozen: measured 2.22 at the tightest shell
     assert max(sups) / min(sups) <= 1.2
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_kerr_jets_match_symbolic_oracle(a):
+    kerr = M.kerr_slice(1.0, a)
+    s = np.sqrt(0.5)
+    axes = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-s, s, 0]])
+    for r in (5.0, 20.0, 640.0):
+        pts = np.vstack([shell_points(r, 20, seed=16), r * axes])
+        got = kerr.jets(pts)
+        want = sympy_kerr_jets(1.0, a, pts)
+        for field, exact in zip((got.g, got.dg, got.ddg), want):
+            assert np.max(np.abs(field - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_catalog_jets_need_no_sympy():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import nearlyround as nr\n"
+        "for spec in ('euclidean', 'schwarzschild_isotropic m=1',\n"
+        "             'schwarzschild_standard m=1', 'kerr_slice m=1 a=0.5',\n"
+        "             'conformal_perturbed m=1 eps=0.1'):\n"
+        "    nr.parse_metric(spec).jets(np.array([[3.0, 4.0, 12.0]]))\n"
+        "sys.exit('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "sympy was imported"
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES[1:], ids=lambda m: m.family)
