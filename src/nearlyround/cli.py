@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -35,7 +36,7 @@ from .harness import (
     run_masses,
     run_verify,
 )
-from .metrics import PointInsideExclusionRadius, UnknownMetricFamily, adm_mass, parse_metric
+from .metrics import PointInsideExclusionRadius, adm_mass, parse_metric
 from .sphere import build_grid
 from .surfaces import (
     DegenerateInducedMetric,
@@ -51,7 +52,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
 
-_CONFIG_ERRORS = (ConfigError, UnknownMetricFamily, PointInsideExclusionRadius)
+_CONFIG_ERRORS = (ConfigError, PointInsideExclusionRadius)
 _SOLVER_ERRORS = (
     RegimeViolation,
     UniformizationError,
@@ -131,8 +132,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    metric = parse_metric(args.metric)
-    grid = build_grid(args.band_limit)
+    for name in ("radius", "tol", "pde_tol"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    try:
+        metric = parse_metric(args.metric)
+        grid = build_grid(args.band_limit)
+    except ValueError as exc:
+        raise ConfigError(f"bad embed input: {exc}") from exc
     s = coordinate_sphere(args.radius, grid)
     fd = fundamental_forms(s, metric)
     e = embed(s, fd, tol=args.tol, pde_tol=args.pde_tol)
@@ -158,9 +166,12 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_adm(args) -> int:
-    metric = parse_metric(args.metric)
-    radii = tuple(float(r) for r in args.schedule.replace(",", " ").split())
-    est = adm_mass(metric, radii, args.band_limit)
+    try:
+        metric = parse_metric(args.metric)
+        radii = tuple(float(r) for r in args.schedule.replace(",", " ").split())
+        est = adm_mass(metric, radii, args.band_limit)
+    except ValueError as exc:
+        raise ConfigError(f"bad adm input: {exc}") from exc
     payload = {
         "value": est.value,
         "rate": est.rate,

@@ -25,7 +25,6 @@ from .sphere import (
     coeff_degrees,
     coeff_index,
     conformal_moments,
-    normalized_legendre,
     synth_at,
     synthesize,
 )
@@ -59,6 +58,10 @@ class SelfIntersectionError(RuntimeError):
 
 class EmbeddabilityError(ValueError):
     """A profile pair admits no surface of revolution."""
+
+
+# degree-one coefficient slots in x, y, z order
+_IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +195,7 @@ def uniformize(
     u = synthesize(grid, c)
     diag = UniformizationDiagnostics(
         mean_part=float(abs(c[0]) / np.sqrt(4.0 * np.pi)),
-        first_harmonic=np.array(
-            [c[coeff_index(1, 1)], c[coeff_index(1, -1)], c[coeff_index(1, 0)]]
-        ),
+        first_harmonic=c[_IDX1],
         higher_norm=float(np.sqrt(np.sum(c[ls >= 2] ** 2))),
         curvature_deviation=deviation,
         residual=sup,
@@ -214,8 +215,21 @@ def _frobenius(h: np.ndarray) -> np.ndarray:
     return np.sqrt(h[..., 0, 0] ** 2 + 2.0 * h[..., 0, 1] ** 2 + h[..., 1, 1] ** 2)
 
 
-# degree-one coefficient slots in x, y, z order
-_IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
+def _metric_mismatch(yt: np.ndarray, yp: np.ndarray, h: np.ndarray):
+    """Gap between the metric of node tangents (yt, yp) and the target h.
+
+    yt and yp are (n_nodes, 3), h is (..., 2, 2) over the same nodes.
+    Returns the (tt, tp, pp) component differences, each (n_nodes,), and
+    the sup over nodes of their Frobenius size relative to that of h.
+    """
+    h = h.reshape(-1, 2, 2)
+    dtt = np.einsum("nk,nk->n", yt, yt) - h[:, 0, 0]
+    dtp = np.einsum("nk,nk->n", yt, yp) - h[:, 0, 1]
+    dpp = np.einsum("nk,nk->n", yp, yp) - h[:, 1, 1]
+    mis = np.sqrt(dtt**2 + 2.0 * dtp**2 + dpp**2)
+    return (dtt, dtp, dpp), float(np.max(mis / _frobenius(h)))
+
+
 _ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -255,11 +269,7 @@ def solve_embedding(
         )
     N = grid.n_nodes
     Kc = grid.n_coeffs
-    htt = h[..., 0, 0].ravel()
-    htp = h[..., 0, 1].ravel()
-    hpp = h[..., 1, 1].ravel()
-    hscale = _frobenius(h).ravel()
-    if np.min(hscale) <= 0.0:
+    if np.min(_frobenius(h)) <= 0.0:
         raise ValueError("target metric vanishes at a node")
 
     Dt = grid.dtheta_matrix
@@ -276,19 +286,13 @@ def solve_embedding(
     def state(cm):
         yt = Dt @ cm
         yp = Dp @ cm
-        ett = np.einsum("nk,nk->n", yt, yt)
-        etp = np.einsum("nk,nk->n", yt, yp)
-        epp = np.einsum("nk,nk->n", yp, yp)
+        (dtt, dtp, dpp), rel = _metric_mismatch(yt, yp, h)
         gauge = np.empty(6)
         gauge[:3] = cm[0, :]
         M = cm[_IDX1, :]
         for r, (a, b) in enumerate(_ROT_PAIRS):
             gauge[3 + r] = M[a, b] - M[b, a]
-        R = np.concatenate(
-            [sw * (ett - htt), sw * (etp - htp), sw * (epp - hpp), gauge]
-        )
-        mis = np.sqrt((ett - htt) ** 2 + 2.0 * (etp - htp) ** 2 + (epp - hpp) ** 2)
-        rel = float(np.max(mis / hscale))
+        R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge])
         return R, yt, yp, rel
 
     def jacobian(yt, yp):
@@ -385,11 +389,12 @@ def embed_axisymmetric(
     cE = analyze(grid, np.repeat(E[:, None], grid.nphi, axis=1))
     cf2 = analyze(grid, np.repeat((G / st**2)[:, None], grid.nphi, axis=1))
 
+    profiles = np.column_stack([cE, cf2])
+
     def slope_sq(th):
         th = np.asarray(th, dtype=float)
-        zeros = np.zeros_like(th)
-        e_val = synth_at(cE, th, zeros)
-        f2, f2t, _ = synth_at(cf2, th, zeros, nderiv=1)
+        f, ft, _ = synth_at(profiles, th, 0.0, nderiv=1)
+        e_val, f2, f2t = f[:, 0], f[:, 1], ft[:, 1]
         f_val = np.sqrt(np.clip(f2, 1e-300, None))
         rp = f2t / (2.0 * f_val) * np.sin(th) + f_val * np.cos(th)
         return e_val - rp**2, f2
@@ -472,18 +477,9 @@ class IsometricEmbedding:
 
 
 def _node_metric_mismatch(grid: SphereGrid, imm: Immersion, h: np.ndarray) -> float:
-    c = np.column_stack([analyze(grid, imm.Y[..., k]) for k in range(3)])
-    yt = grid.dtheta_matrix @ c
-    yp = grid.dphi_matrix @ c
-    ett = np.einsum("nk,nk->n", yt, yt)
-    etp = np.einsum("nk,nk->n", yt, yp)
-    epp = np.einsum("nk,nk->n", yp, yp)
-    mis = np.sqrt(
-        (ett - h[..., 0, 0].ravel()) ** 2
-        + 2.0 * (etp - h[..., 0, 1].ravel()) ** 2
-        + (epp - h[..., 1, 1].ravel()) ** 2
-    )
-    return float(np.max(mis / _frobenius(h).ravel()))
+    c = np.column_stack(imm.component_coeffs())
+    _, rel = _metric_mismatch(grid.dtheta_matrix @ c, grid.dphi_matrix @ c, h)
+    return rel
 
 
 def embed(
@@ -611,34 +607,11 @@ def minkowski_residuals(e: IsometricEmbedding, tau: float = 1.0) -> MinkowskiRes
     )
 
 
-def _synth_many(coeffs: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate stacked harmonic expansions on an outer-product grid.
-
-    coeffs has shape (n_coeffs, ncomp); the result (ntheta, nphi, ncomp).
-    """
-    Kc, ncomp = coeffs.shape
-    L = int(round(np.sqrt(Kc))) - 1
-    P = normalized_legendre(L, np.cos(theta))
-    r2 = np.sqrt(2.0)
-    out = np.zeros((len(theta), len(phi), ncomp))
-    for m in range(L + 1):
-        lidx = np.arange(m, L + 1)
-        Pm = P[lidx, m]
-        if m == 0:
-            out += np.einsum("ln,lc->nc", Pm, coeffs[lidx * (lidx + 1)])[:, None, :]
-            continue
-        ac = r2 * np.einsum("ln,lc->nc", Pm, coeffs[lidx * (lidx + 1) + m])
-        bs = r2 * np.einsum("ln,lc->nc", Pm, coeffs[lidx * (lidx + 1) - m])
-        out += ac[:, None, :] * np.cos(m * phi)[None, :, None]
-        out += bs[:, None, :] * np.sin(m * phi)[None, :, None]
-    return out
-
-
 def _tetrahedron_volume(coeffs: np.ndarray, level: int) -> float:
     """Signed volume of the faceted surface resampled at `level` bands."""
     theta = np.linspace(0.0, np.pi, level + 1)
     phi = 2.0 * np.pi * np.arange(2 * level) / (2 * level)
-    V = _synth_many(coeffs, theta, phi)
+    V = synth_at(coeffs, theta[:, None], phi[None, :])
     A = V[:-1]
     B = V[1:]
     C = np.roll(B, -1, axis=1)
@@ -669,7 +642,7 @@ def volume_cross_check(e, levels: tuple[int, int] = (128, 256)) -> VolumeCheck:
         imm = e
         data = fundamental_forms(imm)
         v_div = data.integrate(np.einsum("tpk,tpk->tp", imm.Y, data.normal)) / 3.0
-    c = np.column_stack([analyze(imm.grid, imm.Y[..., k]) for k in range(3)])
+    c = np.column_stack(imm.component_coeffs())
     coarse = _tetrahedron_volume(c, levels[0])
     fine = _tetrahedron_volume(c, levels[1])
     r = (levels[1] / levels[0]) ** 2
@@ -714,8 +687,8 @@ def write_embedding_obj(target, path) -> None:
     """
     imm = target.image if isinstance(target, IsometricEmbedding) else target
     grid = imm.grid
-    c = np.column_stack([analyze(grid, imm.Y[..., k]) for k in range(3)])
-    poles = _synth_many(c, np.array([0.0, np.pi]), np.array([0.0]))[:, 0, :]
+    c = np.column_stack(imm.component_coeffs())
+    poles = synth_at(c, np.array([0.0, np.pi]), 0.0)
     nt, nph = grid.shape
 
     def vid(i, j):

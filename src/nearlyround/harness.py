@@ -100,6 +100,11 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple(float(r) for r in self.schedule))
+        if not all(math.isfinite(r) for r in self.schedule):
+            raise ConfigError(f"schedule radii must be finite: {self.schedule}")
+        for name in ("amplitude", "decay", "tol", "pde_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if len(self.schedule) < 3:
             raise ConfigError("schedule needs at least three radii")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):

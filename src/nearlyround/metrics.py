@@ -366,6 +366,8 @@ def parse_metric(text: str) -> AFMetric:
         if key not in names:
             raise ValueError(f"unknown parameter {key!r} for family {family!r}")
         params[key] = int(val) if key in ("l", "m_order") else float(val)
+        if not np.isfinite(params[key]):
+            raise ValueError(f"parameter {key!r} must be finite, got {val!r}")
     return factory(**params)
 
 
@@ -525,6 +527,8 @@ def adm_mass(
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3:
         raise ValueError("need at least three radii to fit the flux model")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     fluxes = tuple(

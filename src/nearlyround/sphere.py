@@ -4,6 +4,12 @@ Gauss-Legendre x uniform-phi grids, real orthonormal spherical harmonics,
 forward/inverse transforms with analytic angular derivatives, the conformal
 (Mobius) dilations of the round sphere, and the center-of-mass gauge fix.
 
+`synth_at` is the one off-grid evaluator: one coefficient vector or a
+(K, ncomp) stack, at theta and phi arrays that broadcast against each other
+(scattered points, or an outer mesh from theta[:, None] and phi[None, :]).
+It contracts over l against the Legendre table of theta, then over m against
+cos/sin(m phi).  The grid's dense basis matrices share that table and layout.
+
 Conventions
 -----------
 * Grid: band limit L gives L+1 Gauss-Legendre nodes in cos(theta) and 2L+2
@@ -58,18 +64,21 @@ def normalized_legendre(L: int, mu: np.ndarray) -> np.ndarray:
 
 
 def normalized_legendre_dtheta(L: int, mu: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """d/dtheta of the normalized associated Legendre table `p` at mu."""
+    """d/dtheta of the normalized associated Legendre table `p` at mu.
+
+    dPbar_l^m/dtheta = (l mu Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta) with
+    c_lm = sqrt((2l+1)/(2l-1) (l^2 - m^2)); entries with m > l stay 0.
+    """
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
-    dp = np.zeros_like(p)
     inv_s = 1.0 / np.where(s == 0.0, 1.0, s)
-    for m in range(0, L + 1):
-        for l in range(m, L + 1):
-            if l == 0:
-                continue
-            c = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - m * m))
-            pm1 = p[l - 1, m] if l - 1 >= m else 0.0
-            dp[l, m] = (l * mu * p[l, m] - c * pm1) * inv_s
+    tail = (1,) * mu.ndim
+    l = np.arange(1, L + 1).reshape((L, 1) + tail)
+    m = np.arange(L + 1).reshape((1, L + 1) + tail)
+    lower = m <= l
+    c = np.sqrt(np.where(lower, (2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - m * m), 0.0))
+    dp = np.zeros_like(p)
+    dp[1:] = np.where(lower, (l * mu * p[1:] - c * p[:-1]) * inv_s, 0.0)
     return dp
 
 
@@ -139,33 +148,31 @@ class SphereGrid:
         Rows are flattened nodes (theta-major), columns coefficients.
         """
         if "basis" not in self._cache:
-            L = self.L
-            K = self.n_coeffs
-            p = normalized_legendre(L, self.mu)
-            dp = normalized_legendre_dtheta(L, self.mu, p)
-            cos_m = np.cos(np.outer(np.arange(L + 1), self.phi))
-            sin_m = np.sin(np.outer(np.arange(L + 1), self.phi))
-            S = np.empty((self.n_nodes, K))
-            Dt = np.empty_like(S)
-            Dp = np.empty_like(S)
-            r2 = np.sqrt(2.0)
-            for l in range(L + 1):
-                for m in range(-l, l + 1):
-                    k = coeff_index(l, m)
-                    am = abs(m)
-                    if m == 0:
-                        trig, dtrig = np.ones(self.nphi), np.zeros(self.nphi)
-                        fac = 1.0
-                    elif m > 0:
-                        trig, dtrig = cos_m[m], -m * sin_m[m]
-                        fac = r2
-                    else:
-                        trig, dtrig = sin_m[am], am * cos_m[am]
-                        fac = r2
-                    S[:, k] = fac * np.outer(p[l, am], trig).ravel()
-                    Dt[:, k] = fac * np.outer(dp[l, am], trig).ravel()
-                    Dp[:, k] = fac * np.outer(p[l, am], dtrig).ravel()
-            self._cache["basis"] = (S, Dt, Dp)
+            ls, ms = coeff_degrees(self.L)
+            am = np.abs(ms)
+            p = normalized_legendre(self.L, self.mu)
+            dp = normalized_legendre_dtheta(self.L, self.mu, p)
+            mphi = np.outer(np.arange(self.L + 1), self.phi)
+            cos_m, sin_m = np.cos(mphi), np.sin(mphi)
+            sine = (ms < 0)[:, None]
+            # (K, nphi) rows: cos(m phi) for m >= 0, sin(|m| phi) for m < 0,
+            # and their phi derivatives
+            trig = np.where(sine, sin_m[am], cos_m[am])
+            dtrig = -ms[:, None] * np.where(sine, cos_m[am], sin_m[am])
+            fac = np.where(ms == 0, 1.0, np.sqrt(2.0))
+
+            def columns(leg, rows):
+                # node-major (ntheta, nphi, K), so the (N, K) reshape is a view
+                out = np.empty(self.shape + (len(ms),))
+                np.multiply(leg[ls, am].T[:, None, :], rows.T, out=out)
+                out *= fac
+                return out.reshape(self.n_nodes, -1)
+
+            self._cache["basis"] = (
+                columns(p, trig),
+                columns(dp, trig),
+                columns(p, dtrig),
+            )
         return self._cache["basis"]
 
     @property
@@ -231,65 +238,59 @@ def synth_at(
     phi: np.ndarray,
     nderiv: int = 0,
 ):
-    """Evaluate a harmonic expansion (and derivatives) at arbitrary points.
+    """Evaluate harmonic expansions (and derivatives) at arbitrary points.
+
+    `coeffs` is one expansion (K,) or a stack of them (K, ncomp).  `theta`
+    and `phi` broadcast against each other: two (n,) arrays give n scattered
+    points, theta[:, None] with phi[None, :] an outer mesh.  Each output has
+    the broadcast shape, plus a trailing ncomp axis for stacked input.
 
     Returns f for nderiv=0; (f, f_theta, f_phi) for nderiv=1; and
     (f, f_t, f_p, f_tt, f_tp, f_pp) for nderiv=2.
     """
-    K = len(coeffs)
+    coeffs = np.asarray(coeffs, dtype=float)
+    K = coeffs.shape[0]
     L = int(round(np.sqrt(K))) - 1
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    stacked = coeffs.reshape(K, -1)
+    ls, ms = coeff_degrees(L)
+    # (cos | sin, l, |m|, component) table of the normalized amplitudes
+    table = np.zeros((2, L + 1, L + 1, stacked.shape[1]))
+    table[(ms < 0).astype(int), ls, np.abs(ms)] = (
+        np.where(ms == 0, 1.0, np.sqrt(2.0))[:, None] * stacked
+    )
     mu = np.cos(theta)
     p = normalized_legendre(L, mu)
-    dp = normalized_legendre_dtheta(L, mu, p) if nderiv >= 1 else None
-    npts = theta.shape[0]
-    f = np.zeros(npts)
-    ft = np.zeros(npts) if nderiv >= 1 else None
-    fp = np.zeros(npts) if nderiv >= 1 else None
-    ftt = np.zeros(npts) if nderiv >= 2 else None
-    ftp = np.zeros(npts) if nderiv >= 2 else None
-    fpp = np.zeros(npts) if nderiv >= 2 else None
+    legendre = [p]
+    if nderiv >= 1:
+        legendre.append(normalized_legendre_dtheta(L, mu, p))
+    # 0..L along the l axis of the Legendre table (l, m, theta...) and along
+    # the m axis of the l-contracted amplitudes (m, component, theta...)
+    m = np.arange(L + 1.0).reshape((L + 1, 1) + (1,) * theta.ndim)
+    if nderiv >= 2:
+        # the l(l+1) term of the associated Legendre ODE, before the l-sum
+        legendre.append(m * (m + 1.0) * p)
+    q = np.einsum("slmc,dlm...->dsmc...", table, np.stack(legendre))
+
+    def dphi(a):
+        # d/dphi maps (cos, sin) amplitudes (a_c, a_s) to (m a_s, -m a_c)
+        return np.stack([m * a[1], -m * a[0]])
+
+    rows = [q[0]]
+    if nderiv >= 1:
+        rows += [q[1], dphi(q[0])]
     if nderiv >= 2:
         s = np.sin(theta)
         cot = np.cos(theta) / s
         inv_s2 = 1.0 / (s * s)
-    r2 = np.sqrt(2.0)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            c = coeffs[coeff_index(l, m)]
-            if c == 0.0:
-                continue
-            am = abs(m)
-            if m == 0:
-                trig = np.ones(npts)
-                dtrig = np.zeros(npts)
-                fac = 1.0
-            elif m > 0:
-                trig = np.cos(m * phi)
-                dtrig = -m * np.sin(m * phi)
-                fac = r2
-            else:
-                trig = np.sin(am * phi)
-                dtrig = am * np.cos(am * phi)
-                fac = r2
-            base = fac * p[l, am]
-            f += c * base * trig
-            if nderiv >= 1:
-                dbase = fac * dp[l, am]
-                ft += c * dbase * trig
-                fp += c * base * dtrig
-            if nderiv >= 2:
-                # Associated Legendre ODE gives the second theta derivative.
-                d2base = -cot * dbase - (l * (l + 1.0) - am * am * inv_s2) * base
-                ftt += c * d2base * trig
-                ftp += c * dbase * dtrig
-                fpp += c * base * (-(am * am) * trig)
-    if nderiv == 0:
-        return f
-    if nderiv == 1:
-        return f, ft, fp
-    return f, ft, fp, ftt, ftp, fpp
+        rows += [-cot * q[1] - q[2] + m * m * inv_s2 * q[0], dphi(q[1]), -m * m * q[0]]
+    mphi = np.multiply.outer(np.arange(L + 1.0), phi)
+    trig = np.stack([np.cos(mphi), np.sin(mphi)])
+    out = np.einsum("esmc...,sm...->e...c", np.stack(rows), trig)
+    if coeffs.ndim == 1:
+        out = out[..., 0]
+    return out[0] if nderiv == 0 else tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,9 @@ class NearlyRoundReport:
 
 
 _GROWTH_FACTOR = 1.5
-_GROWTH_FLOOR = 1e-8  # roundoff-scale constants never flag
+# Roundoff never flags.  For the trace-free constant the floor is relative:
+# sup|Aring| + r sup|grad Aring| below 1e-8 sup|A| is roundoff.
+_GROWTH_FLOOR = 1e-8
 
 
 def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
@@ -469,6 +471,9 @@ def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
         "second_form_constant",
     )
     sups = {k: max(getattr(row, k) for row in rows) for k in names}
+    last = rows[-1]
+    floors = dict.fromkeys(names, _GROWTH_FLOOR)
+    floors["tracefree_constant"] *= last.r**tau * last.second_form_constant
     flagged = []
     for k in names:
         series = [getattr(row, k) for row in rows]
@@ -476,7 +481,7 @@ def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
         if (
             increasing
             and series[-1] > _GROWTH_FACTOR * series[0]
-            and series[-1] > _GROWTH_FLOOR
+            and series[-1] > floors[k]
         ):
             flagged.append(k)
     ratios = [row.area_ratio for row in rows]
@@ -542,23 +547,17 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
     """
     from .sphere import synth_at
 
-    cc = s.component_coeffs()
+    cc = np.column_stack(s.component_coeffs())
     th = np.array(th0, dtype=float).copy()
     ph = np.array(ph0, dtype=float).copy()
     scale = max(1.0, float(np.linalg.norm(X, axis=1).max()))
     for _ in range(50):
-        vals = [synth_at(c, th, ph, nderiv=2) for c in cc]
-        y = np.stack([v[0] for v in vals], axis=-1)
-        yt = np.stack([v[1] for v in vals], axis=-1)
-        yp = np.stack([v[2] for v in vals], axis=-1)
+        y, yt, yp, ytt, ytp, ypp = synth_at(cc, th, ph, nderiv=2)
         d = X - y
         g1 = -2.0 * np.einsum("qi,qi->q", d, yt)
         g2 = -2.0 * np.einsum("qi,qi->q", d, yp)
         if max(np.abs(g1).max(), np.abs(g2).max()) <= 1e-13 * scale**2:
             break
-        ytt = np.stack([v[3] for v in vals], axis=-1)
-        ytp = np.stack([v[4] for v in vals], axis=-1)
-        ypp = np.stack([v[5] for v in vals], axis=-1)
         h11 = 2.0 * (np.einsum("qi,qi->q", yt, yt) - np.einsum("qi,qi->q", d, ytt))
         h12 = 2.0 * (np.einsum("qi,qi->q", yt, yp) - np.einsum("qi,qi->q", d, ytp))
         h22 = 2.0 * (np.einsum("qi,qi->q", yp, yp) - np.einsum("qi,qi->q", d, ypp))

@@ -425,6 +425,29 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["masses", "--schedule", "10,20,nan"],
+        ["masses", "--metric", "schwarzschild_isotropic m=nan"],
+        ["masses", "--tol", "inf"],
+        ["embed", "--metric", "schwarzschild_isotropic m=1", "--radius", "nan"],
+        ["embed", "--metric", "schwarzschild_isotropic m=1", "--radius", "40", "--tol", "inf"],
+        ["embed", "--metric", "schwarzschild_isotropic m=1", "--radius", "40", "--band-limit", "0"],
+        ["adm", "--metric", "schwarzschild_isotropic m=1", "--schedule", "80,40,160"],
+        ["adm", "--metric", "schwarzschild_isotropic m=abc", "--schedule", "40,80,160"],
+    ],
+    ids=[
+        "masses-schedule-nan", "masses-metric-nan", "masses-tol-inf",
+        "embed-radius-nan", "embed-tol-inf", "embed-band-limit-0",
+        "adm-schedule-unsorted", "adm-metric-abc",
+    ],
+)
+def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
+    assert main(argv) == 2
+    capsys.readouterr()
+
+
 def test_cli_exit_code_solver_failure(capsys):
     code = main(["embed", "--metric", "kerr_slice m=1 a=0.5", "--radius", "40", "--tol", "1e-16"])
     assert code == 3

@@ -254,6 +254,20 @@ def test_synth_at_matches_grid_synthesis():
     th = np.repeat(grid.theta, grid.nphi)
     ph = np.tile(grid.phi, grid.ntheta)
     assert np.max(np.abs(synth_at(c, th, ph) - synthesize(grid, c).ravel())) <= 1e-12
+    # stacked (K, 3) coefficients on the broadcast grid mesh, one meridian
+    # as an outer probe, and both poles
+    cs = rng.normal(size=(grid.n_coeffs, 3))
+    mesh = synth_at(cs, grid.theta[:, None], grid.phi[None, :])
+    meridian = synth_at(cs, grid.theta[:, None], grid.phi[None, 3:4])
+    poles = synth_at(cs, np.array([0.0, np.pi]), 0.7)
+    assert mesh.shape == grid.shape + (3,) and meridian.shape == (grid.ntheta, 1, 3)
+    assert poles.shape == (2, 3)
+    for k in range(3):
+        assert np.max(np.abs(mesh[..., k] - synthesize(grid, cs[:, k]))) <= 1e-12
+        assert np.max(np.abs(mesh[..., k].ravel() - synth_at(cs[:, k], th, ph))) <= 1e-12
+        assert np.max(np.abs(meridian[:, 0, k] - mesh[:, 3, k])) <= 1e-12
+        pole_1d = synth_at(cs[:, k], np.array([0.0, np.pi]), np.array([0.7, 0.7]))
+        assert np.max(np.abs(poles[:, k] - pole_1d)) <= 1e-12
 
 
 def test_synth_gradient_matches_pointwise_derivatives():

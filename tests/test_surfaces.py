@@ -430,6 +430,21 @@ def test_diagnostics_violating_family(grid16, catalog):
     assert rep.rows[-1].tracefree_constant > 2.0 * rep.rows[0].tracefree_constant
 
 
+@pytest.mark.parametrize("name", ["iso", "std", "kerr"])
+def test_diagnostics_coordinate_spheres_unflagged_at_l32(catalog, name):
+    # Aring vanishes exactly on Schwarzschild coordinate spheres; its
+    # roundoff grows with L, and at L=32 the r^(1+tau)-scaled series
+    # climbs monotonically past 1e-8 without being a violation
+    metric = catalog[name]
+    grid = build_grid(32)
+    members = []
+    for r in (20.0, 40.0, 80.0):
+        s = surf.coordinate_sphere(r, grid)
+        members.append((s, surf.fundamental_forms(s, metric)))
+    rep = surf.nearly_round_diagnostics(members, metric.tau)
+    assert rep.flagged == ()
+
+
 def test_diagnostics_needs_three(grid16):
     s = surf.coordinate_sphere(1.0, grid16)
     fd = surf.fundamental_forms(s)
