@@ -8,6 +8,14 @@ components.  Surfaces of revolution bypass the iteration through an exact
 profile quadrature.  `embed` chains the pieces: normalize by the best-fit
 radius, uniformize, solve, rescale, and report the support function, mean
 curvature, and enclosed volume of the image.
+
+Both Newton iterations are matrix free: each linear step is solved by
+preconditioned conjugate gradients (`_pcg`) from products with the grid's
+basis matrices, and no Jacobian is formed.  The preconditioners are the
+linearizations about the unit round sphere, which the normalized surfaces
+approach: the diagonal -l(l+1) + 2 for the conformal factor, and for the
+metric match the normal matrix of the round embedding, factored once per
+grid in its eight parity blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .sphere import (
     SphereGrid,
@@ -62,6 +70,33 @@ class EmbeddabilityError(ValueError):
 
 # degree-one coefficient slots in x, y, z order
 _IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
+
+
+def _pcg(apply, rhs: np.ndarray, precondition) -> np.ndarray:
+    """Preconditioned conjugate gradients for a symmetric positive definite
+    operator, from zero.
+
+    `apply` and `precondition` map arrays of rhs's shape to the same shape.
+    Stops once the residual norm is 1e-12 times that of `rhs`, or after as
+    many iterations as `rhs` has entries.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    stop = 1e-12 * np.linalg.norm(rhs)
+    z = precondition(r)
+    p = z
+    rz = np.vdot(r, z)
+    for _ in range(rhs.size):
+        if np.linalg.norm(r) <= stop:
+            break
+        q = apply(p)
+        alpha = rz / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        z = precondition(r)
+        rz, rz_old = np.vdot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +147,12 @@ def uniformize(
     when K is an exactly attainable curvature field and is otherwise
     quadratically small in the deviation.
 
+    Each Newton step is solved matrix free (see `_uniformize_step`), by
+    conjugate gradients preconditioned with the round-sphere linearization
+    Delta + 2, which is diagonal in harmonic space.  Once the coefficient
+    residual is at roundoff while the nodal residual stays above `tol`, the
+    curvature field is not resolved at this band limit and the solve stops.
+
     Returns (u, diagnostics) with u sampled at the nodes.
     """
     K = np.asarray(curvature, dtype=float)
@@ -126,9 +167,6 @@ def uniformize(
 
     ls, _ = coeff_degrees(grid.L)
     lam = -(ls * (ls + 1.0))
-    S = grid.synthesis_matrix
-    # analysis as a matrix so the Jacobian can be assembled densely
-    A = S.T * grid.weights.ravel()[None, :]
     e0 = np.zeros(grid.n_coeffs)
     e0[0] = np.sqrt(4.0 * np.pi)
     keep = np.flatnonzero(ls != 1)
@@ -137,12 +175,12 @@ def uniformize(
     def parts(cv):
         u = synthesize(grid, cv)
         f = K * np.exp(2.0 * u)
-        rc = lam * cv + A @ f.ravel() - e0
+        rc = lam * cv + analyze(grid, f) - e0
         return rc, f
 
     def node_residual(cv, f):
         field = synthesize(grid, lam * cv) + f - 1.0
-        cres = A @ field.ravel()
+        cres = analyze(grid, field)
         kernel = np.zeros_like(cres)
         kernel[deg1] = cres[deg1]
         proj = field - synthesize(grid, kernel)
@@ -150,6 +188,7 @@ def uniformize(
 
     c = np.zeros(grid.n_coeffs)
     rc, f = parts(c)
+    floor = 1e-13 * max(1.0, float(np.max(np.abs(K))))
     best = np.inf
     n_iter = 0
     while True:
@@ -157,19 +196,19 @@ def uniformize(
         best = min(best, sup)
         if sup <= tol:
             break
+        if np.max(np.abs(rc[keep])) <= floor:
+            # further Newton steps only stir roundoff
+            raise UniformizationError(
+                f"discrete system solved to roundoff but the nodal "
+                f"residual {sup:.3g} sits above the target {tol:.3g}; "
+                f"the curvature field is not resolved at band limit {grid.L}"
+            )
         if n_iter >= max_iter:
             raise UniformizationError(
                 f"no convergence after {max_iter} Newton steps "
                 f"(best residual {best:.3g}, target {tol:.3g})"
             )
-        J = np.diag(lam) + 2.0 * (A * f.ravel()[None, :]) @ S
-        Jr = J[np.ix_(keep, keep)]
-        try:
-            red = np.linalg.solve(Jr, -rc[keep])
-        except np.linalg.LinAlgError:
-            red = np.linalg.lstsq(Jr, -rc[keep], rcond=None)[0]
-        step = np.zeros_like(c)
-        step[keep] = red
+        step = _uniformize_step(grid, f, rc)
         norm0 = np.linalg.norm(rc[keep])
         t = 1.0
         for _ in range(15):
@@ -180,13 +219,6 @@ def uniformize(
                 break
             t *= 0.5
         else:
-            floor = 1e-13 * max(1.0, float(np.max(np.abs(K))))
-            if np.max(np.abs(rc[keep])) <= floor:
-                raise UniformizationError(
-                    f"discrete system solved to roundoff but the nodal "
-                    f"residual {sup:.3g} sits above the target {tol:.3g}; "
-                    f"the curvature field is not resolved at band limit {grid.L}"
-                )
             raise UniformizationError(
                 f"line search stalled at residual {sup:.3g} (target {tol:.3g})"
             )
@@ -203,6 +235,29 @@ def uniformize(
         iterations=n_iter,
     )
     return u, diag
+
+
+def _uniformize_step(grid: SphereGrid, f: np.ndarray, rc: np.ndarray) -> np.ndarray:
+    """Newton step of `uniformize` off degree one, at e^{2u} K = f.
+
+    The reduced Jacobian Jr v = lam v + 2 analyze(f synthesize(v)), restricted
+    to degrees l != 1, is symmetric but indefinite, so Jr s = -rc is solved
+    through Jr^2 s = -Jr rc with the round-sphere diagonal (lam + 2)^2 as
+    preconditioner.  The step is zero in degree one.
+    """
+    ls, _ = coeff_degrees(grid.L)
+    lam = -(ls * (ls + 1.0))
+    deg1 = ls == 1
+    inv_round = np.zeros(grid.n_coeffs)
+    inv_round[~deg1] = 1.0 / (lam[~deg1] + 2.0) ** 2
+
+    def jr(v):
+        out = lam * v + 2.0 * analyze(grid, f * synthesize(grid, v))
+        out[deg1] = 0.0
+        return out
+
+    b = np.where(deg1, 0.0, -rc)
+    return _pcg(lambda v: jr(jr(v)), jr(b), lambda r: inv_round * r)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +288,117 @@ def _metric_mismatch(yt: np.ndarray, yp: np.ndarray, h: np.ndarray):
 _ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def _gauge_rows(n_coeffs: int) -> np.ndarray:
+    """The six linear gauge conditions on a (n_coeffs, 3) coefficient block,
+    as a (6, 3 n_coeffs) matrix against its row-major flattening.
+
+    Rows 0-2 pin the constant coefficient of each component (translations);
+    rows 3-5 the antisymmetric part of the degree-one block (rotations).
+    """
+    G = np.zeros((6, n_coeffs, 3))
+    G[[0, 1, 2], 0, [0, 1, 2]] = 1.0
+    for r, (a, b) in enumerate(_ROT_PAIRS):
+        G[3 + r, _IDX1[a], b] = 1.0
+        G[3 + r, _IDX1[b], a] = -1.0
+    return G.reshape(6, -1)
+
+
+def _parity_labels(L: int) -> np.ndarray:
+    """Parity class, 0..7, of each entry of a (n_coeffs, 3) coefficient block.
+
+    The three parities are the equatorial reflection z -> -z, the azimuthal
+    reflection y -> -y and the half turn about the z axis, each acting on
+    the harmonic and on the position component together.  The round
+    sphere's metric linearization commutes with all three, so its normal
+    matrix has no entries between classes.
+    """
+    ls, ms = coeff_degrees(L)
+    l, m = ls[:, None], ms[:, None]
+    comp = np.arange(3)[None, :]
+    equatorial = ((l + m) % 2 == 1) ^ (comp == 2)
+    reflection = (m < 0) ^ (comp == 1)
+    charge = (m + (comp != 2)) % 2 == 1
+    return 4 * equatorial + 2 * reflection + charge
+
+
+def _round_normal_blocks(grid: SphereGrid):
+    """Cholesky factors of J0^T J0, the Gauss-Newton normal matrix of the
+    unit round embedding (Y = x, gauge rows included), one per non-empty
+    parity class of `_parity_labels`.
+
+    Returns (flat indices into the row-major (n_coeffs, 3) block, factor)
+    pairs.  The factors depend only on the grid and are cached on it.
+    """
+    if "round_normal" not in grid._cache:
+        # x, y, z are sqrt(4 pi / 3) times the degree-one harmonics
+        c0 = np.zeros((grid.n_coeffs, 3))
+        c0[_IDX1, [0, 1, 2]] = np.sqrt(4.0 * np.pi / 3.0)
+        Dt = grid.dtheta_matrix
+        Dp = grid.dphi_matrix
+        yt, yp = Dt @ c0, Dp @ c0
+        sw = np.sqrt(grid.weights.ravel())[:, None]
+        gauge = _gauge_rows(grid.n_coeffs)
+        labels = _parity_labels(grid.L).ravel()
+        blocks = []
+        for label in range(8):
+            idx = np.flatnonzero(labels == label)
+            if idx.size == 0:
+                continue
+            j, k = np.divmod(idx, 3)
+            dt, dp = Dt[:, j], Dp[:, j]
+            cols = np.concatenate([
+                2.0 * sw * yt[:, k] * dt,
+                sw * (yp[:, k] * dt + yt[:, k] * dp),
+                2.0 * sw * yp[:, k] * dp,
+                gauge[:, idx],
+            ])
+            blocks.append((idx, cho_factor(cols.T @ cols, check_finite=False)))
+        grid._cache["round_normal"] = blocks
+    return grid._cache["round_normal"]
+
+
+def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Gauss-Newton step of `solve_embedding`: the least-squares solution s
+    of J s = -R, as an (n_coeffs, 3) coefficient block.
+
+    J linearizes the residual (the weighted tt, tp, pp metric gaps at the
+    nodes, then the six gauge conditions) about the node tangents yt, yp.
+    The normal equations J^T J s = -J^T R are solved by conjugate gradients
+    on products with J and J^T, each a few products with the grid's
+    derivative matrices, preconditioned by the round-sphere normal matrix.
+    """
+    N = grid.n_nodes
+    Dt = grid.dtheta_matrix
+    Dp = grid.dphi_matrix
+    sw = np.sqrt(grid.weights.ravel())
+    gauge = _gauge_rows(grid.n_coeffs)
+    blocks = _round_normal_blocks(grid)
+
+    def jac(v):
+        vt = Dt @ v
+        vp = Dp @ v
+        return np.concatenate([
+            2.0 * sw * np.einsum("nk,nk->n", yt, vt),
+            sw * (np.einsum("nk,nk->n", yt, vp) + np.einsum("nk,nk->n", yp, vt)),
+            2.0 * sw * np.einsum("nk,nk->n", yp, vp),
+            gauge @ v.ravel(),
+        ])
+
+    def jac_t(r):
+        rtt, rtp, rpp = ((sw * r[i * N : (i + 1) * N])[:, None] for i in range(3))
+        out = Dt.T @ (2.0 * rtt * yt + rtp * yp) + Dp.T @ (rtp * yt + 2.0 * rpp * yp)
+        return out + (gauge.T @ r[3 * N :]).reshape(out.shape)
+
+    def precondition(r):
+        flat = r.ravel()
+        z = np.empty_like(flat)
+        for idx, factor in blocks:
+            z[idx] = cho_solve(factor, flat[idx], check_finite=False)
+        return z.reshape(r.shape)
+
+    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), precondition)
+
+
 def solve_embedding(
     grid: SphereGrid,
     target_metric: np.ndarray,
@@ -253,6 +419,12 @@ def solve_embedding(
     symmetrizing the 3x3 block of degree-one coefficients, so the solution
     is a single representative of the rigid-motion orbit.
 
+    Each Gauss-Newton step solves its normal equations matrix free, by
+    conjugate gradients on products with J and J^T, to a relative residual
+    of 1e-12.  The preconditioner is the normal matrix of the unit round
+    embedding, which the normalized surface approaches; it is factored once
+    per grid, in eight parity blocks, and cached on the grid.
+
     The starting point is exp(log_factor) times the round embedding unless
     an explicit `seed` immersion is supplied.
 
@@ -267,14 +439,13 @@ def solve_embedding(
         raise ValueError(
             f"target metric shape {h.shape} does not match grid {grid.shape}"
         )
-    N = grid.n_nodes
-    Kc = grid.n_coeffs
     if np.min(_frobenius(h)) <= 0.0:
         raise ValueError("target metric vanishes at a node")
 
     Dt = grid.dtheta_matrix
     Dp = grid.dphi_matrix
     sw = np.sqrt(grid.weights.ravel())
+    gauge = _gauge_rows(grid.n_coeffs)
 
     if seed is not None:
         Y0 = seed.Y
@@ -287,42 +458,15 @@ def solve_embedding(
         yt = Dt @ cm
         yp = Dp @ cm
         (dtt, dtp, dpp), rel = _metric_mismatch(yt, yp, h)
-        gauge = np.empty(6)
-        gauge[:3] = cm[0, :]
-        M = cm[_IDX1, :]
-        for r, (a, b) in enumerate(_ROT_PAIRS):
-            gauge[3 + r] = M[a, b] - M[b, a]
-        R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge])
+        R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge @ cm.ravel()])
         return R, yt, yp, rel
-
-    def jacobian(yt, yp):
-        J = np.zeros((3 * N + 6, 3 * Kc))
-        for k in range(3):
-            cols = slice(k * Kc, (k + 1) * Kc)
-            J[0:N, cols] = 2.0 * sw[:, None] * Dt * yt[:, k][:, None]
-            J[N : 2 * N, cols] = sw[:, None] * (
-                Dt * yp[:, k][:, None] + Dp * yt[:, k][:, None]
-            )
-            J[2 * N : 3 * N, cols] = 2.0 * sw[:, None] * Dp * yp[:, k][:, None]
-            J[3 * N + k, k * Kc] = 1.0
-        for r, (a, b) in enumerate(_ROT_PAIRS):
-            J[3 * N + 3 + r, b * Kc + _IDX1[a]] = 1.0
-            J[3 * N + 3 + r, a * Kc + _IDX1[b]] = -1.0
-        return J
 
     R, yt, yp, rel = state(c)
     best = rel
     for _ in range(max_iter):
         if rel <= tol:
             break
-        J = jacobian(yt, yp)
-        g = J.T @ R
-        JtJ = J.T @ J
-        try:
-            step = -cho_solve(cho_factor(JtJ, check_finite=False), g, check_finite=False)
-        except LinAlgError:
-            step = np.linalg.lstsq(J, -R, rcond=None)[0]
-        step = step.reshape(3, Kc).T
+        step = _embedding_step(grid, yt, yp, R)
         norm0 = np.linalg.norm(R)
         t = 1.0
         for _ in range(15):

@@ -206,8 +206,18 @@ def family_surfaces(config: StudyConfig, grid, metric) -> list:
         coeffs = np.zeros(grid.n_coeffs)
         coeffs[coeff_index(config.l, config.m_order)] = 1.0
         ylm = synthesize(grid, coeffs)
-        for r in config.schedule:
-            profile = r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
+        profiles = [
+            r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
+            for r in config.schedule
+        ]
+        # checked before any row runs, so no row fails inside the metric
+        r_min = min(float(np.min(profile)) for profile in profiles)
+        if r_min <= metric.exclusion_radius:
+            raise ConfigError(
+                f"perturbed surfaces reach radius {r_min:.3f}, inside the "
+                f"exclusion radius {metric.exclusion_radius:.3f} of {config.metric!r}"
+            )
+        for r, profile in zip(config.schedule, profiles):
             members.append((r, immerse_radial(None, profile, grid)))
     else:
         # coordinate-spheres, and axisym-kerr which differs only in its

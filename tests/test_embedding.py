@@ -10,12 +10,14 @@ to a rigid motion).
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import nearlyround as nr
 from nearlyround import embedding as emb
 from nearlyround.sphere import (
     analyze,
     center_gauge,
+    coeff_degrees,
     coeff_index,
     conformal_moments,
     laplace_beltrami,
@@ -82,6 +84,68 @@ def round_metric(grid, radius=1.0):
     h[..., 0, 0] = radius**2
     h[..., 1, 1] = (radius * np.sin(grid.theta)[:, None]) ** 2
     return h
+
+
+_ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
+_IDX1 = [coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)]
+
+
+def dense_metric_jacobian(grid, yt, yp):
+    """The (3N+6) x 3K Jacobian of the solve_embedding residual, assembled
+    densely with component-major columns (k * K + coefficient index)."""
+    N, Kc = grid.n_nodes, grid.n_coeffs
+    Dt, Dp = grid.dtheta_matrix, grid.dphi_matrix
+    sw = np.sqrt(grid.weights.ravel())
+    J = np.zeros((3 * N + 6, 3 * Kc))
+    for k in range(3):
+        cols = slice(k * Kc, (k + 1) * Kc)
+        J[0:N, cols] = 2.0 * sw[:, None] * Dt * yt[:, k][:, None]
+        J[N : 2 * N, cols] = sw[:, None] * (Dt * yp[:, k][:, None] + Dp * yt[:, k][:, None])
+        J[2 * N : 3 * N, cols] = 2.0 * sw[:, None] * Dp * yp[:, k][:, None]
+        J[3 * N + k, k * Kc] = 1.0
+    for r, (a, b) in enumerate(_ROT_PAIRS):
+        J[3 * N + 3 + r, b * Kc + _IDX1[a]] = 1.0
+        J[3 * N + 3 + r, a * Kc + _IDX1[b]] = -1.0
+    return J
+
+
+def embedding_state(grid, h, Y):
+    """Node tangents and the weighted residual of solve_embedding at Y."""
+    c = np.column_stack([analyze(grid, Y[..., k]) for k in range(3)])
+    yt, yp = grid.dtheta_matrix @ c, grid.dphi_matrix @ c
+    (dtt, dtp, dpp), _ = emb._metric_mismatch(yt, yp, h)
+    M = c[_IDX1, :]
+    gauge = [*c[0, :], *(M[a, b] - M[b, a] for a, b in _ROT_PAIRS)]
+    sw = np.sqrt(grid.weights.ravel())
+    return yt, yp, np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge])
+
+
+def dense_embedding_step(grid, yt, yp, R):
+    """Gauss-Newton step by Cholesky of the dense J^T J, as a (K, 3) block."""
+    J = dense_metric_jacobian(grid, yt, yp)
+    step = -cho_solve(cho_factor(J.T @ J), J.T @ R)
+    return step.reshape(3, grid.n_coeffs).T
+
+
+def dense_uniformize_step(grid, f, rc):
+    """uniformize's Newton step off degree one from its dense K x K Jacobian."""
+    ls, _ = coeff_degrees(grid.L)
+    lam = -(ls * (ls + 1.0))
+    S = grid.synthesis_matrix
+    A = S.T * grid.weights.ravel()[None, :]
+    J = np.diag(lam) + 2.0 * (A * f.ravel()[None, :]) @ S
+    keep = np.flatnonzero(ls != 1)
+    step = np.zeros(grid.n_coeffs)
+    step[keep] = np.linalg.solve(J[np.ix_(keep, keep)], -rc[keep])
+    return step
+
+
+def jittered(grid, seed=11, size=0.002):
+    """A smooth random log-radius field of sup size about `size`."""
+    rng = np.random.default_rng(seed)
+    return size * synthesize(
+        grid, rng.normal(0.0, 1.0, grid.n_coeffs) / (1.0 + np.arange(grid.n_coeffs))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -157,23 +221,43 @@ def test_uniformize_manufactured_recovery(L):
     assert np.max(np.abs(ug - ug_star)) <= 1e-10
 
 
+def normalized_lumpy_curvature(grid):
+    s = lumpy_surface(grid)
+    fd = fundamental_forms(s)
+    r0 = nr.best_fit_sphere(fd, s).radius
+    return fd.gauss_curvature * r0**2
+
+
 def test_uniformize_underresolved_curvature_raises(g16, g24):
     # a generic surface's curvature is not band limited; at L=16 the nodal
     # residual floor sits near 2e-8, far above the default target
-    def normalized_curvature(grid):
-        s = lumpy_surface(grid)
-        fd = fundamental_forms(s)
-        r0 = nr.best_fit_sphere(fd, s).radius
-        return fd.gauss_curvature * r0**2
-
     with pytest.raises(emb.UniformizationError, match="not resolved"):
-        emb.uniformize(g16, normalized_curvature(g16))
-    _, d16 = emb.uniformize(g16, normalized_curvature(g16), tol=1e-7)
-    _, d24 = emb.uniformize(g24, normalized_curvature(g24))
+        emb.uniformize(g16, normalized_lumpy_curvature(g16))
+    _, d16 = emb.uniformize(g16, normalized_lumpy_curvature(g16), tol=1e-7)
+    _, d24 = emb.uniformize(g24, normalized_lumpy_curvature(g24))
     assert d24.residual <= 1e-10
     # the degree-one defect is a property of the data, not the resolution
     assert d16.kernel_defect == pytest.approx(d24.kernel_defect, rel=1e-2)
     assert 1e-5 < d24.kernel_defect < 1e-3
+
+
+@pytest.mark.parametrize("case", ["lumpy", "jittered", "round"])
+@pytest.mark.parametrize("L", [8, 16])
+def test_uniformize_step_matches_dense_oracle(L, case):
+    # lumpy curvature at u = 0 (the first step), lumpy curvature at a
+    # jittered u, and constant curvature at a jittered u
+    grid = nr.build_grid(L)
+    K = np.ones(grid.shape) if case == "round" else normalized_lumpy_curvature(grid)
+    u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.05)
+    ls, _ = coeff_degrees(L)
+    f = K * np.exp(2.0 * u)
+    rc = -(ls * (ls + 1.0)) * analyze(grid, u) + analyze(grid, f)
+    rc[0] -= np.sqrt(4.0 * np.pi)
+    dense = dense_uniformize_step(grid, f, rc)
+    step = emb._uniformize_step(grid, f, rc)
+    assert np.max(np.abs(dense)) > 1e-3
+    assert np.all(step[ls == 1] == 0.0)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_uniformize_norm_tracks_curvature_deviation(kerr_sweep):
@@ -207,11 +291,7 @@ def test_solve_embedding_unique_up_to_rigid_motion(g16):
     s = lumpy_surface(g16)
     h = fundamental_forms(s).induced_metric
     base, _ = emb.solve_embedding(g16, h)
-    rng = np.random.default_rng(11)
-    jitter = 0.002 * synthesize(
-        g16, rng.normal(0.0, 1.0, g16.n_coeffs) / (1.0 + np.arange(g16.n_coeffs))
-    )
-    seed = Immersion(g16, np.exp(jitter)[..., None] * g16.unit_vectors)
+    seed = Immersion(g16, np.exp(jittered(g16))[..., None] * g16.unit_vectors)
     other, _ = emb.solve_embedding(g16, h, seed=seed)
     _, rms = emb.rigid_align(g16, other.Y, base.Y)
     assert rms <= 1e-6
@@ -228,6 +308,46 @@ def test_solve_embedding_gauge_is_pinned(g16):
     idx = [coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)]
     M = c[idx, :]
     assert np.max(np.abs(M - M.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["lumpy", "jittered", "round"])
+@pytest.mark.parametrize("L", [8, 16])
+def test_embedding_step_matches_dense_oracle(L, case):
+    # the lumpy metric from the round start (solve_embedding's first step
+    # without a log factor) and from a jittered start, and the round metric
+    # from a jittered start
+    grid = nr.build_grid(L)
+    h = round_metric(grid) if case == "round" else fundamental_forms(lumpy_surface(grid)).induced_metric
+    u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.02)
+    yt, yp, R = embedding_state(grid, h, np.exp(u)[..., None] * grid.unit_vectors)
+    dense = dense_embedding_step(grid, yt, yp, R)
+    step = emb._embedding_step(grid, yt, yp, R)
+    assert np.max(np.abs(dense)) > 1e-3
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 8, 16])
+def test_round_normal_matrix_is_block_diagonal_by_parity(L):
+    grid = nr.build_grid(L)
+    x = grid.unit_vectors
+    c0 = np.column_stack([analyze(grid, x[..., k]) for k in range(3)])
+    J0 = dense_metric_jacobian(grid, grid.dtheta_matrix @ c0, grid.dphi_matrix @ c0)
+    # reorder columns to the row-major (K, 3) flattening the solver uses
+    K = grid.n_coeffs
+    J0 = J0[:, (np.arange(3)[None, :] * K + np.arange(K)[:, None]).ravel()]
+    normal = J0.T @ J0
+    labels = emb._parity_labels(L).ravel()
+    same = labels[:, None] == labels[None, :]
+    assert np.max(np.abs(normal[~same])) <= 1e-13 * np.max(np.abs(normal))
+    present = np.unique(labels)
+    assert len(present) == (7 if L == 1 else 8)
+    blocks = emb._round_normal_blocks(grid)
+    assert [len(idx) for idx, _ in blocks] == [np.sum(labels == b) for b in present]
+    for idx, factor in blocks:
+        block = normal[np.ix_(idx, idx)]
+        assert np.min(np.linalg.eigvalsh(block)) > 0.0
+        inv_block = cho_solve(factor, np.eye(len(idx)))
+        assert np.max(np.abs(inv_block @ block - np.eye(len(idx)))) <= 1e-9
 
 
 def test_solve_embedding_reports_nonconvergence(g16):
@@ -326,6 +446,25 @@ def test_embed_cross_validates_axisymmetric_route(g16, kerr, kerr_sweep):
     assert e_gen.metric_residual <= 1e-8
     _, rms = emb.rigid_align(g16, e_gen.image.Y, kerr_sweep[40.0].image.Y)
     assert rms <= 1e-6
+
+
+def test_matrix_free_steps_off_regime_match_dense_oracle(monkeypatch):
+    # decay 0: the bump keeps its relative size at every radius, so the
+    # surfaces never approach the round sphere the preconditioners model
+    cfg = nr.StudyConfig(
+        metric="schwarzschild_standard m=1", family="radial-perturbed",
+        schedule=(20.0, 40.0, 80.0), band_limit=16, amplitude=0.05, l=2,
+        m_order=1, decay=0.0,
+    )
+    rows = nr.run_masses(cfg).rows
+    for row in rows:
+        assert row.flags == ()
+        assert row.embed_residual <= cfg.tol
+    monkeypatch.setattr(emb, "_embedding_step", dense_embedding_step)
+    monkeypatch.setattr(emb, "_uniformize_step", dense_uniformize_step)
+    dense_rows = nr.run_masses(cfg).rows
+    for row, dense in zip(rows, dense_rows):
+        assert row.brown_york == pytest.approx(dense.brown_york, rel=1e-12, abs=0.0)
 
 
 def test_embed_perturbed_family_decay(pert_sweep):

@@ -333,6 +333,15 @@ def test_run_verify_kerr_all_pass():
     assert "extrapolated" in adm.note
 
 
+@pytest.mark.parametrize("L", [16, 24, 32])
+@pytest.mark.parametrize("metric", ["kerr_slice m=1 a=0.5", "schwarzschild_standard m=1"])
+def test_run_verify_passes_across_band_limits(metric, L):
+    cfg = nr.StudyConfig(metric=metric, schedule=(20.0, 40.0, 80.0), band_limit=L)
+    report = nr.run_verify(cfg)
+    assert tuple(c.name for c in report.checks) == CHECK_NAMES
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
 def test_run_verify_underresolved_flagged():
     # near-field spheres at a deliberately coarse band limit: the
     # curvature tail check must fire rather than silently pass
@@ -436,11 +445,15 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
         ["embed", "--metric", "schwarzschild_isotropic m=1", "--radius", "40", "--band-limit", "0"],
         ["adm", "--metric", "schwarzschild_isotropic m=1", "--schedule", "80,40,160"],
         ["adm", "--metric", "schwarzschild_isotropic m=abc", "--schedule", "40,80,160"],
+        # the l=2 bump at amplitude 0.9 dips to r = 3.58 < 4 at r = 5
+        ["masses", "--metric", "schwarzschild_standard m=1", "--family", "radial-perturbed",
+         "--l", "2", "--m-order", "0", "--amplitude", "0.9", "--decay", "0",
+         "--schedule", "5,10,20", "--band-limit", "8"],
     ],
     ids=[
         "masses-schedule-nan", "masses-metric-nan", "masses-tol-inf",
         "embed-radius-nan", "embed-tol-inf", "embed-band-limit-0",
-        "adm-schedule-unsorted", "adm-metric-abc",
+        "adm-schedule-unsorted", "adm-metric-abc", "masses-perturbed-inside-exclusion",
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
