@@ -1,8 +1,13 @@
 """Command-line front end: masses, verify, embed, adm, rate.
 
 Data goes to standard output or the --out file; progress and errors go
-to the log on standard error.  Exit codes: 0 success, 1 verification
-check failure, 2 configuration error, 3 solver failure.
+to the log on standard error.  Exit codes: 0 success; 1 a verification
+check failed; 2 configuration error, a ConfigError: the input is bad;
+3 solver failure, a SolverError: the input is valid but some number
+could not be produced (a mass row that is flagged or failed, a verify
+table whose only failures are checks that could not be computed).  Both
+error classes are NearlyRoundErrors (see nearlyround.errors); any other
+exception is a defect of the program and is not caught.
 """
 
 from __future__ import annotations
@@ -15,35 +20,25 @@ import logging
 import math
 import sys
 
-import numpy as np
-
 from .embedding import (
-    EmbeddabilityError,
-    EmbeddingError,
-    RegimeViolation,
-    SelfIntersectionError,
-    UniformizationError,
     embed,
     minkowski_residuals,
     volume_cross_check,
     write_embedding_obj,
 )
+from .errors import ConfigError, NearlyRoundError
 from .harness import (
-    ConfigError,
+    RowFailure,
     StudyConfig,
+    _parse_schedule,
     fit_rate,
     load_config,
     run_masses,
     run_verify,
 )
-from .metrics import PointInsideExclusionRadius, adm_mass, parse_metric
+from .metrics import adm_mass, parse_metric
 from .sphere import build_grid
-from .surfaces import (
-    DegenerateInducedMetric,
-    NonConvexSurface,
-    coordinate_sphere,
-    fundamental_forms,
-)
+from .surfaces import coordinate_sphere, fundamental_forms
 
 log = logging.getLogger("nearlyround")
 
@@ -51,18 +46,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
-
-_CONFIG_ERRORS = (ConfigError, PointInsideExclusionRadius)
-_SOLVER_ERRORS = (
-    RegimeViolation,
-    UniformizationError,
-    EmbeddingError,
-    SelfIntersectionError,
-    EmbeddabilityError,
-    DegenerateInducedMetric,
-    NonConvexSurface,
-    np.linalg.LinAlgError,
-)
 
 
 def _add_study_args(p: argparse.ArgumentParser):
@@ -116,11 +99,13 @@ def _cmd_masses(args) -> int:
     log.info("mass sweep: %s, %s, radii %s", config.metric, config.family, config.schedule)
     report = run_masses(config)
     _emit(report.render(), config.out)
-    if report.hard_failures:
-        for failure in report.hard_failures:
-            log.error("row r=%g failed: %s", failure.r_label, failure.error)
-        return EXIT_SOLVER_FAILURE
-    return EXIT_OK
+    code = EXIT_OK
+    for row in report.rows:
+        problem = row.error if isinstance(row, RowFailure) else ";".join(row.flags)
+        if problem:
+            log.error("row r=%g failed: %s", row.r_label, problem)
+            code = EXIT_SOLVER_FAILURE
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -136,11 +121,8 @@ def _cmd_embed(args) -> int:
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be positive and finite, got {value}")
-    try:
-        metric = parse_metric(args.metric)
-        grid = build_grid(args.band_limit)
-    except ValueError as exc:
-        raise ConfigError(f"bad embed input: {exc}") from exc
+    metric = parse_metric(args.metric)
+    grid = build_grid(args.band_limit)
     s = coordinate_sphere(args.radius, grid)
     fd = fundamental_forms(s, metric)
     e = embed(s, fd, tol=args.tol, pde_tol=args.pde_tol)
@@ -166,12 +148,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_adm(args) -> int:
-    try:
-        metric = parse_metric(args.metric)
-        radii = tuple(float(r) for r in args.schedule.replace(",", " ").split())
-        est = adm_mass(metric, radii, args.band_limit)
-    except ValueError as exc:
-        raise ConfigError(f"bad adm input: {exc}") from exc
+    metric = parse_metric(args.metric)
+    est = adm_mass(metric, _parse_schedule(args.schedule), args.band_limit)
     payload = {
         "value": est.value,
         "rate": est.rate,
@@ -192,7 +170,7 @@ def _read_series(path: str, column: str):
         payload = json.loads(text)
         rows = payload["rows"]
         pairs = [
-            (row["r"], row[column])
+            (float(row["r"]), float(row[column]))
             for row in rows
             if row.get(column) is not None
         ]
@@ -216,7 +194,7 @@ def _cmd_rate(args) -> int:
         pairs, reference = _read_series(args.input, args.column)
     except OSError as exc:
         raise ConfigError(f"cannot read report {args.input!r}: {exc}") from exc
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed report {args.input!r}: {exc}") from exc
     m_infinity = args.m_inf if args.m_inf is not None else reference
     if m_infinity is None:
@@ -277,10 +255,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG_ERROR
-    except _SOLVER_ERRORS as exc:
+    except NearlyRoundError as exc:
         log.error("solver failure: %s", exc)
         return EXIT_SOLVER_FAILURE
 

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.linalg import cho_factor, cho_solve
 
+from .errors import SolverError
 from .sphere import (
     SphereGrid,
     analyze,
@@ -44,15 +45,15 @@ from .surfaces import (
 )
 
 
-class RegimeViolation(ValueError):
+class RegimeViolation(SolverError):
     """Input data sits outside the nearly round regime the solvers assume."""
 
 
-class UniformizationError(RuntimeError):
+class UniformizationError(SolverError):
     """The conformal factor solve did not reach the requested residual."""
 
 
-class EmbeddingError(RuntimeError):
+class EmbeddingError(SolverError):
     """The metric matching iteration stalled; carries the best residual."""
 
     def __init__(self, message: str, residual: float):
@@ -60,13 +61,20 @@ class EmbeddingError(RuntimeError):
         self.residual = residual
 
 
-class SelfIntersectionError(RuntimeError):
+class SelfIntersectionError(SolverError):
     """The candidate embedding folds back through itself."""
 
 
-class EmbeddabilityError(ValueError):
+class EmbeddabilityError(SolverError):
     """A profile pair admits no surface of revolution."""
 
+
+# sup |K - 1| beyond which the normalized curvature is not nearly round
+_REGIME_BOUND = 0.5
+# relative phi variation below which data counts as a surface of revolution
+_AXISYM_TOL = 1e-10
+# Newton steps allowed to the conformal factor solve
+_UNIFORMIZE_MAX_ITER = 30
 
 # degree-one coefficient slots in x, y, z order
 _IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
@@ -130,14 +138,12 @@ def uniformize(
     grid: SphereGrid,
     curvature: np.ndarray,
     *,
-    regime_bound: float = 0.5,
     tol: float = 1e-10,
-    max_iter: int = 30,
 ):
     """Solve  Delta u + K e^{2u} = 1  on the unit sphere for the log factor.
 
     `curvature` samples K at the grid nodes; it must stay within
-    `regime_bound` of 1 in sup norm or the solve refuses to start.  The
+    _REGIME_BOUND of 1 in sup norm or the solve refuses to start.  The
     degree-one harmonics span the near-kernel of the linearization
     Delta + 2 K e^{2u}, and the degree-one component of the equation is
     structurally obstructed for a fixed parametrization, so the solve runs
@@ -159,10 +165,10 @@ def uniformize(
     if K.shape != grid.shape:
         raise ValueError(f"curvature shape {K.shape} does not match grid {grid.shape}")
     deviation = float(np.max(np.abs(K - 1.0)))
-    if deviation > regime_bound:
+    if deviation > _REGIME_BOUND:
         raise RegimeViolation(
             f"curvature deviates from 1 by {deviation:.3g} "
-            f"(regime bound {regime_bound:.3g}); normalize the metric first"
+            f"(regime bound {_REGIME_BOUND:.3g}); normalize the metric first"
         )
 
     ls, _ = coeff_degrees(grid.L)
@@ -203,9 +209,9 @@ def uniformize(
                 f"residual {sup:.3g} sits above the target {tol:.3g}; "
                 f"the curvature field is not resolved at band limit {grid.L}"
             )
-        if n_iter >= max_iter:
+        if n_iter >= _UNIFORMIZE_MAX_ITER:
             raise UniformizationError(
-                f"no convergence after {max_iter} Newton steps "
+                f"no convergence after {_UNIFORMIZE_MAX_ITER} Newton steps "
                 f"(best residual {best:.3g}, target {tol:.3g})"
             )
         step = _uniformize_step(grid, f, rc)
@@ -629,23 +635,21 @@ def _node_metric_mismatch(grid: SphereGrid, imm: Immersion, h: np.ndarray) -> fl
 def embed(
     s: Immersion,
     fd: FundamentalData | None = None,
-    ambient=None,
+    fd_hat: FundamentalData | None = None,
     *,
     tol: float = 1e-8,
     pde_tol: float = 1e-10,
-    regime_bound: float = 0.5,
-    axisym_tol: float = 1e-10,
     force_general: bool = False,
-    max_iter: int = 30,
 ) -> IsometricEmbedding:
     """Embed the induced metric of `s` isometrically into Euclidean space.
 
-    `fd` carries the metric to realize; it is computed from `ambient` when
-    omitted.  The pipeline normalizes by the best-fit radius of the
-    Euclidean shape of `s`, solves for the conformal log factor matching
-    the intrinsic curvature, records the centering gauge, and then matches
-    the first fundamental form, through the revolution route when the data
-    is phi independent (within axisym_tol, unless force_general) and by
+    `fd` carries the metric to realize, the flat one of `s` when omitted;
+    `fd_hat` is the flat-ambient data of `s`, computed when omitted.  The
+    pipeline normalizes by the best-fit radius of the Euclidean shape of
+    `s`, solves for the conformal log factor matching the intrinsic
+    curvature, records the centering gauge, and then matches the first
+    fundamental form, through the revolution route when the data is phi
+    independent (within _AXISYM_TOL, unless force_general) and by
     Gauss-Newton otherwise.  The image is rescaled to physical size.
 
     `tol` bounds the metric match, `pde_tol` the nodal residual of the
@@ -657,31 +661,30 @@ def embed(
     underlying steps.
     """
     grid = s.grid
+    if fd_hat is None:
+        fd_hat = fd if fd is not None and fd.ambient == "euclidean" else fundamental_forms(s)
     if fd is None:
-        fd = fundamental_forms(s, ambient)
-    fd_hat = fd if fd.ambient == "euclidean" else fundamental_forms(s)
+        fd = fd_hat
     r0 = best_fit_sphere(fd_hat, s).radius
 
     h = fd.induced_metric / r0**2
-    u, udiag = uniformize(
-        grid, fd.gauss_curvature * r0**2, regime_bound=regime_bound, tol=pde_tol
-    )
+    u, udiag = uniformize(grid, fd.gauss_curvature * r0**2, tol=pde_tol)
     gauged, b = center_gauge(grid, u)
     gauge_moment = float(np.max(np.abs(conformal_moments(grid, gauged))))
 
     scale = float(np.max(np.abs(h)))
     variation = float(np.max(np.abs(h - h[:, :1, :, :])))
     offdiag = float(np.max(np.abs(h[..., 0, 1])))
-    if variation <= axisym_tol * scale and offdiag <= axisym_tol * scale and not force_general:
+    if variation <= _AXISYM_TOL * scale and offdiag <= _AXISYM_TOL * scale and not force_general:
         img = embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
         rel = _node_metric_mismatch(grid, img, h)
         method = "axisymmetric"
         if rel > tol:
             # profile quadrature hit its accuracy floor; polish in place
-            img, rel = solve_embedding(grid, h, seed=img, tol=tol, max_iter=max_iter)
+            img, rel = solve_embedding(grid, h, seed=img, tol=tol)
             method = "axisymmetric+newton"
     else:
-        img, rel = solve_embedding(grid, h, log_factor=u, tol=tol, max_iter=max_iter)
+        img, rel = solve_embedding(grid, h, log_factor=u, tol=tol)
         method = "general"
 
     image = Immersion(grid, r0 * img.Y)

@@ -9,6 +9,10 @@ slopes from any (r, mass) series.
 
 Reports carry no timestamps and format floats by shortest round trip, so
 identical configurations produce byte-identical output.
+
+A row or check that ends in a NearlyRoundError (see nearlyround.errors) is
+reported as failed and the study goes on; any other exception is a defect
+of the program and propagates.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ except PackageNotFoundError:  # running from a source tree without install
     _package_version = "unknown"
 
 from .embedding import embed, minkowski_residuals
+from .errors import ConfigError, NearlyRoundError
 from .mass import MassValues, assemble_mass_row
-from .metrics import UnknownMetricFamily, adm_mass, parse_metric
+from .metrics import adm_mass, parse_metric
 from .sphere import analyze, build_grid, coeff_degrees, coeff_index, synthesize
 from .surfaces import (
     best_fit_sphere,
@@ -45,7 +50,6 @@ from .surfaces import (
 )
 
 __all__ = [
-    "ConfigError",
     "MassReport",
     "RateFit",
     "RowFailure",
@@ -61,18 +65,6 @@ __all__ = [
 _FAMILIES = ("coordinate-spheres", "radial-perturbed", "axisym-kerr")
 
 CSV_COLUMNS = ("r", "area", "hawking", "brown_york", "adm_reference", "embed_residual", "flags")
-
-
-class ConfigError(ValueError):
-    """The study configuration is malformed or inconsistent."""
-
-
-class _FlaggedRoundness(Exception):
-    """Internal: carries diagnostic flags out of the roundness check."""
-
-    def __init__(self, flagged):
-        super().__init__("; ".join(flagged))
-        self.flagged = tuple(flagged)
 
 
 @dataclass(frozen=True)
@@ -179,10 +171,7 @@ def load_config(path: str) -> dict:
 
 
 def _metric_for(config: StudyConfig):
-    try:
-        metric = parse_metric(config.metric)
-    except (UnknownMetricFamily, ValueError) as exc:
-        raise ConfigError(f"bad metric spec {config.metric!r}: {exc}") from exc
+    metric = parse_metric(config.metric)
     if config.family == "axisym-kerr" and metric.family != "kerr_slice":
         raise ConfigError(
             f"family axisym-kerr needs a kerr_slice metric, got {metric.family}"
@@ -341,7 +330,7 @@ def run_masses(config: StudyConfig) -> MassReport:
                     pde_tol=config.pde_tol,
                 )
             )
-        except (ValueError, RuntimeError) as exc:
+        except NearlyRoundError as exc:
             rows.append(RowFailure(r_label=r, error=f"{type(exc).__name__}: {exc}"))
     return MassReport(config=config, rows=tuple(rows), adm_reference=float(adm_reference))
 
@@ -409,13 +398,18 @@ def fit_rate(series, m_infinity: float) -> RateFit:
 
 @dataclass(frozen=True)
 class VerifyCheck:
-    """One named verification: a measured number against its tolerance."""
+    """One named verification: a measured number against its tolerance.
+
+    A check whose computation ended in a NearlyRoundError is not computed;
+    its value is inf and its note names the error.
+    """
 
     name: str
     value: float
     tolerance: float
     passed: bool
     note: str = ""
+    computed: bool = True
 
 
 @dataclass(frozen=True)
@@ -429,7 +423,12 @@ class VerifyReport:
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.passed else 1
+        """0 when every check passed, 1 when a computed check failed, and 3
+        when the only failures are checks that could not be computed."""
+        failed = [c for c in self.checks if not c.passed]
+        if not failed:
+            return 0
+        return 1 if any(c.computed for c in failed) else 3
 
     def to_table(self) -> str:
         lines = [f"{'check':<28} {'measured':>13} {'tolerance':>10}  verdict"]
@@ -476,24 +475,29 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
 
     checks = []
 
-    def add(name, value, tolerance, note=""):
+    def add(name, value, tolerance, note="", computed=True):
         checks.append(
             VerifyCheck(
                 name=name, value=float(value), tolerance=float(tolerance),
-                passed=bool(value <= tolerance), note=note,
+                passed=bool(value <= tolerance), note=note, computed=computed,
             )
+        )
+
+    def add_failed(name, tolerance, exc):
+        add(
+            name, math.inf, tolerance, computed=False,
+            note=f"computation failed: {type(exc).__name__}: {exc}",
         )
 
     def add_measured(name, fn, tolerance):
         # a check whose computation breaks is a failed check, not an
         # aborted table; violating families must still produce a report
         try:
-            add(name, fn(), tolerance)
-        except (ValueError, RuntimeError) as exc:
-            add(
-                name, math.inf, tolerance,
-                note=f"computation failed: {type(exc).__name__}: {exc}",
-            )
+            value = fn()
+        except NearlyRoundError as exc:
+            add_failed(name, tolerance, exc)
+        else:
+            add(name, value, tolerance)
 
     add_measured(
         "gauss-bonnet",
@@ -534,21 +538,12 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
         100.0,
     )
 
-    def count_roundness_flags():
-        diag = nearly_round_diagnostics([(s, fd) for _, s, _, fd in data], metric.tau)
-        if diag.flagged:
-            raise _FlaggedRoundness(diag.flagged)
-        return 0.0
-
     try:
-        add("roundness-flags", count_roundness_flags(), 0.0)
-    except _FlaggedRoundness as exc:
-        add("roundness-flags", float(len(exc.flagged)), 0.0, note="; ".join(exc.flagged))
-    except (ValueError, RuntimeError) as exc:
-        add(
-            "roundness-flags", math.inf, 0.0,
-            note=f"computation failed: {type(exc).__name__}: {exc}",
-        )
+        diag = nearly_round_diagnostics([(s, fd) for _, s, _, fd in data], metric.tau)
+    except NearlyRoundError as exc:
+        add_failed("roundness-flags", 0.0, exc)
+    else:
+        add("roundness-flags", len(diag.flagged), 0.0, note="; ".join(diag.flagged))
 
     add_measured(
         "spectral-resolution",
@@ -564,8 +559,8 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     embed_note = ""
     for r, s, fd_hat, fd in data:
         try:
-            e = embed(s, fd, tol=config.tol, pde_tol=config.pde_tol)
-        except (ValueError, RuntimeError) as exc:
+            e = embed(s, fd, fd_hat, tol=config.tol, pde_tol=config.pde_tol)
+        except NearlyRoundError as exc:
             embed_worst = math.inf
             mink1 = mink2 = math.inf
             embed_note = f"embedding failed at r={r:g}: {type(exc).__name__}"
@@ -574,9 +569,10 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
         embed_worst = max(embed_worst, e.metric_residual)
         mink1 = max(mink1, mk.first_identity)
         mink2 = max(mink2, mk.second_identity)
-    add("embedding-residual", embed_worst, config.tol, note=embed_note)
-    add("minkowski-first", mink1, 1e-6, note=embed_note)
-    add("minkowski-second", mink2, 1e-6, note=embed_note)
+    embedded = not embed_note
+    add("embedding-residual", embed_worst, config.tol, embed_note, embedded)
+    add("minkowski-first", mink1, 1e-6, embed_note, embedded)
+    add("minkowski-second", mink2, 1e-6, embed_note, embedded)
 
     if metric.known_mass is None:
         add("adm-agreement", 0.0, 1.0, note="metric has no mass reference; skipped")

@@ -9,6 +9,11 @@ converged embedding and positive Gauss curvature.
 Both integrals use the quadrature rule of the source surface; the
 embedded reference curvature is read off at the shared parameter nodes,
 never reinterpolated.
+
+assemble_mass_row degrades a row instead of raising when the embedding
+leg ends in a SolverError (see nearlyround.errors): the Hawking value
+stays, Brown-York is absent and the row is flagged with the error class.
+Bad input (ConfigError) and defects of the program propagate.
 """
 
 from __future__ import annotations
@@ -18,23 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, SolverError
 from .surfaces import (
-    DegenerateInducedMetric,
     FundamentalData,
     Immersion,
-    NonConvexSurface,
     best_fit_sphere,
     fundamental_forms,
 )
-from .embedding import (
-    EmbeddabilityError,
-    EmbeddingError,
-    IsometricEmbedding,
-    RegimeViolation,
-    SelfIntersectionError,
-    UniformizationError,
-    embed,
-)
+from .embedding import IsometricEmbedding, RegimeViolation, embed
 
 __all__ = [
     "MassValues",
@@ -44,19 +40,6 @@ __all__ = [
 ]
 
 _SIXTEEN_PI = 16.0 * math.pi
-
-# Embedding failures that degrade a mass row instead of aborting a sweep.
-# Convexity and degeneracy failures inside the pipeline belong here too:
-# the Hawking side of the row is still well defined.
-_EMBED_FAILURES = (
-    RegimeViolation,
-    UniformizationError,
-    EmbeddingError,
-    SelfIntersectionError,
-    EmbeddabilityError,
-    NonConvexSurface,
-    DegenerateInducedMetric,
-)
 
 
 def hawking_mass(fd: FundamentalData) -> float:
@@ -140,16 +123,14 @@ def assemble_mass_row(
     r_label: float | None = None,
     tol: float = 1e-8,
     pde_tol: float = 1e-10,
-    regime_bound: float = 0.5,
-    force_general: bool = False,
-    max_iter: int = 30,
 ) -> MassValues:
     """Evaluate both masses of one surface and package them as a row.
 
     Computes the fundamental forms in the ambient, the Hawking mass, and
-    the isometric embedding with its Brown-York mass.  An embedding
-    failure leaves brown_york/embed_residual as None and adds a marker to
-    flags rather than raising, so sweeps can continue past bad radii.
+    the isometric embedding with its Brown-York mass.  A SolverError of the
+    embedding leaves brown_york/embed_residual as None and adds the marker
+    embedding-failed:<class> to flags rather than raising, so sweeps can
+    continue past bad radii.
 
     adm_reference defaults to the ambient's known mass; r_label defaults
     to the best-fit sphere radius of the Euclidean shape.
@@ -160,7 +141,7 @@ def assemble_mass_row(
         r_label = best_fit_sphere(fd_flat, s).radius
     if adm_reference is None:
         if ambient.known_mass is None:
-            raise ValueError(
+            raise ConfigError(
                 "ambient metric has no known mass; pass adm_reference explicitly"
             )
         adm_reference = float(ambient.known_mass)
@@ -171,16 +152,8 @@ def assemble_mass_row(
     residual = None
     flags: list[str] = []
     try:
-        e = embed(
-            s,
-            fd,
-            tol=tol,
-            pde_tol=pde_tol,
-            regime_bound=regime_bound,
-            force_general=force_general,
-            max_iter=max_iter,
-        )
-    except _EMBED_FAILURES as exc:
+        e = embed(s, fd, tol=tol, pde_tol=pde_tol)
+    except SolverError as exc:
         flags.append(f"embedding-failed:{type(exc).__name__}")
     else:
         residual = e.metric_residual

@@ -33,16 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solid_harmonics import real_solid_harmonic
+from .errors import ConfigError
 from .sphere import SphereGrid
 
 
-class PointInsideExclusionRadius(ValueError):
+class PointInsideExclusionRadius(ConfigError):
     """A jet was requested inside the metric's excluded ball."""
 
 
-class UnknownMetricFamily(ValueError):
-    pass
+class UnknownMetricFamily(ConfigError):
+    """The metric specification names no family of the catalog."""
 
 
 class QuadratureUnderresolved(UserWarning):
@@ -201,6 +201,32 @@ def _coordinates(points):
     return x, y, z, _Jet(r, nhat, (eye - nn) / r[:, None, None])
 
 
+def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
+    """r^l Y_{l,m} from the coordinate jets x, y, z: a harmonic polynomial.
+
+    These are the recurrences of sphere.normalized_legendre multiplied
+    through by r^l: (x + i y)^|m| carries sin^|m| theta times cos or
+    sin(|m| phi), and the three-term recurrence in the degree, with
+    r cos theta = z and r^2 = x^2 + y^2 + z^2, the rest.  Normalization and
+    signs match the sphere module (sqrt(2) cos / sin for m > 0 / m < 0).
+    """
+    am = abs(m)
+    re, im = _Jet.constant(1.0, len(x.v)), 0.0
+    c = np.sqrt(1.0 / (4.0 * np.pi))
+    for k in range(1, am + 1):
+        re, im = re * x - im * y, re * y + im * x
+        c *= np.sqrt((2.0 * k + 1.0) / (2.0 * k))
+    r2 = x * x + y * y + z * z
+    prev, radial = 0.0, c  # the factors of degree n - 2 and n - 1 below
+    for n in range(am + 1, l + 1):
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - am * am))
+        b = np.sqrt(((n - 1.0) ** 2 - am * am) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        prev, radial = radial, a * (z * radial - b * (r2 * prev))
+    if m == 0:
+        return re * radial
+    return np.sqrt(2.0) * ((re if m > 0 else im) * radial)
+
+
 # d_k w_i for the rotation field w = (-y, x, 0)
 _ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
@@ -247,7 +273,7 @@ def euclidean() -> AFMetric:
 
 def schwarzschild_isotropic(m: float) -> AFMetric:
     if m <= 0:
-        raise ValueError("mass must be positive")
+        raise ConfigError("mass must be positive")
 
     def jets(points):
         r = _coordinates(points)[3]
@@ -269,25 +295,18 @@ def conformal_perturbed(
     mass stays m.  Decay order is min(1, tau_extra).
     """
     if m <= 0:
-        raise ValueError("mass must be positive")
+        raise ConfigError("mass must be positive")
     if l < 1:
-        raise ValueError("perturbation degree l must be >= 1")
+        raise ConfigError("perturbation degree l must be >= 1")
     if abs(m_order) > l:
-        raise ValueError("|m_order| must be <= l")
+        raise ConfigError("|m_order| must be <= l")
     if tau_extra <= 0.5:
-        raise ValueError("tau_extra must exceed 1/2 for a finite mass")
-    S = real_solid_harmonic(l, m_order)
-    dS = S.gradient()
-    ddS = [P.gradient() for P in dS]
-    beta = l + tau_extra  # Y r^-tau_extra = S(x) r^-beta
+        raise ConfigError("tau_extra must exceed 1/2 for a finite mass")
+    beta = l + tau_extra  # Y r^-tau_extra = (r^l Y) r^-beta
 
     def jets(points):
-        s = _Jet(
-            S(points),
-            np.stack([P(points) for P in dS], axis=-1),
-            np.stack([np.stack([P(points) for P in row], axis=-1) for row in ddS], axis=-2),
-        )
-        r = _coordinates(points)[3]
+        x, y, z, r = _coordinates(points)
+        s = _solid_harmonic(x, y, z, l, m_order)
         phi = 1.0 + (m / 2.0) / r + eps * s * r ** (-beta)
         return _assemble(points, phi**4)
 
@@ -300,7 +319,7 @@ def conformal_perturbed(
 def schwarzschild_standard(m: float) -> AFMetric:
     """Areal-radius form g = delta + u(r) n (x) n with u = 2m/(r-2m)."""
     if m <= 0:
-        raise ValueError("mass must be positive")
+        raise ConfigError("mass must be positive")
 
     def jets(points):
         r = _coordinates(points)[3]
@@ -319,9 +338,9 @@ def kerr_slice(m: float, a: float) -> AFMetric:
     poles included.
     """
     if m <= 0:
-        raise ValueError("mass must be positive")
+        raise ConfigError("mass must be positive")
     if abs(a) >= m:
-        raise ValueError("need |a| < m for a regular horizon")
+        raise ConfigError("need |a| < m for a regular horizon")
     r_plus = m + np.sqrt(m * m - a * a)
 
     def jets(points):
@@ -361,13 +380,16 @@ def parse_metric(text: str) -> AFMetric:
     params = {}
     for tok in kv:
         if "=" not in tok:
-            raise ValueError(f"malformed parameter {tok!r} (expected key=value)")
+            raise ConfigError(f"malformed parameter {tok!r} (expected key=value)")
         key, val = tok.split("=", 1)
         if key not in names:
-            raise ValueError(f"unknown parameter {key!r} for family {family!r}")
-        params[key] = int(val) if key in ("l", "m_order") else float(val)
+            raise ConfigError(f"unknown parameter {key!r} for family {family!r}")
+        try:
+            params[key] = int(val) if key in ("l", "m_order") else float(val)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {val!r} for parameter {key!r}") from exc
         if not np.isfinite(params[key]):
-            raise ValueError(f"parameter {key!r} must be finite, got {val!r}")
+            raise ConfigError(f"parameter {key!r} must be finite, got {val!r}")
     return factory(**params)
 
 
@@ -526,11 +548,11 @@ def adm_mass(
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3:
-        raise ValueError("need at least three radii to fit the flux model")
+        raise ConfigError("need at least three radii to fit the flux model")
     if not np.all(np.isfinite(radii)):
-        raise ValueError("radii must be finite")
+        raise ConfigError("radii must be finite")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
+        raise ConfigError("radii must be strictly increasing")
     fluxes = tuple(
         adm_surface_integral(metric, r, band_limit, check_resolution=False)
         for r in radii

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, SolverError
+
 
 def coeff_index(l: int, m: int) -> int:
     """Flat index of the (l, m) coefficient."""
@@ -94,7 +96,7 @@ class SphereGrid:
 
     def __post_init__(self):
         if self.L < 1:
-            raise ValueError("band limit must be >= 1")
+            raise ConfigError(f"band limit must be >= 1, got {self.L}")
         mu, wgl = np.polynomial.legendre.leggauss(self.L + 1)
         order = np.argsort(-mu)  # theta increasing from north to south
         self.mu = mu[order]
@@ -344,17 +346,18 @@ def conformal_moments(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
     return np.array([grid.integrate(e2u * x[..., i]) for i in range(3)])
 
 
-def center_gauge(
-    grid: SphereGrid,
-    u: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-):
+# moment size at which the conformal measure counts as centered, and the
+# Newton steps allowed to get there
+_GAUGE_TOL = 1e-10
+_GAUGE_MAX_ITER = 50
+
+
+def center_gauge(grid: SphereGrid, u: np.ndarray):
     """Compose u with a conformal dilation so the e^{2u} measure is centered.
 
     Finds b with int e^{2u'} x_i = 0 for u' = u o Phi_b + w_b and returns
     (u', b).  Damped Newton with a finite-difference Jacobian; raises
-    RuntimeError if the moment norm cannot be driven below tol.
+    SolverError if the moment norm cannot be driven below _GAUGE_TOL.
     """
     u = np.asarray(u, dtype=float)
     coeffs = analyze(grid, u)
@@ -374,8 +377,8 @@ def center_gauge(
 
     b = np.zeros(3)
     res = moments(b)
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
+    for _ in range(_GAUGE_MAX_ITER):
+        if np.max(np.abs(res)) <= _GAUGE_TOL:
             ug = gauged(b)
             return ug, b
         h = 1e-6
@@ -384,7 +387,10 @@ def center_gauge(
             e = np.zeros(3)
             e[j] = h
             jac[:, j] = (moments(b + e) - moments(b - e)) / (2.0 * h)
-        step = np.linalg.solve(jac, -res)
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"center gauge: singular moment Jacobian ({exc})") from exc
         lam = 1.0
         for _ in range(12):
             b_new = b + lam * step
@@ -397,7 +403,7 @@ def center_gauge(
                 break
             lam *= 0.5
         else:
-            raise RuntimeError("center gauge: damped Newton stalled")
-    if np.max(np.abs(res)) <= tol:
+            raise SolverError("center gauge: damped Newton stalled")
+    if np.max(np.abs(res)) <= _GAUGE_TOL:
         return gauged(b), b
-    raise RuntimeError("center gauge: no convergence within iteration budget")
+    raise SolverError("center gauge: no convergence within iteration budget")

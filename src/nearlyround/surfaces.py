@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as mcat
+from .errors import SolverError
 from .sphere import SphereGrid, analyze, synth_gradient
 
 __all__ = [
@@ -45,11 +46,11 @@ __all__ = [
 ]
 
 
-class DegenerateInducedMetric(ValueError):
+class DegenerateInducedMetric(SolverError):
     """The sampled surface has a non-positive induced metric somewhere."""
 
 
-class NonConvexSurface(ValueError):
+class NonConvexSurface(SolverError):
     """An operation requiring positive mean curvature met H <= 0."""
 
 
@@ -563,11 +564,11 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
         h22 = 2.0 * (np.einsum("qi,qi->q", yp, yp) - np.einsum("qi,qi->q", d, ypp))
         det = h11 * h22 - h12 * h12
         if np.any(det <= 0):
-            raise RuntimeError("nearest-point Hessian lost positivity")
+            raise SolverError("nearest-point Hessian lost positivity")
         th = th + (-g1 * h22 + g2 * h12) / det
         ph = ph + (-g2 * h11 + g1 * h12) / det
     else:
-        raise RuntimeError("nearest-point search did not converge")
+        raise SolverError("nearest-point search did not converge")
     nrm = np.cross(yt, yp)
     sign = np.where(np.einsum("qi,qi->q", d, nrm) >= 0.0, 1.0, -1.0)
     return sign * np.linalg.norm(d, axis=1)

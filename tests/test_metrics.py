@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nearlyround import metrics as M
-from nearlyround.solid_harmonics import real_solid_harmonic
+from nearlyround.sphere import coeff_index, synth_at
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,9 @@ def perturbed_scalar_curvature_closed_form(metric, points):
     p = metric.params
     m, eps, l, mo, t = p["m"], p["eps"], p["l"], p["m_order"], p["tau_extra"]
     r = np.linalg.norm(points, axis=1)
-    S = real_solid_harmonic(int(l), int(mo))
-    Y = S(points) * r ** (-l)
+    coeffs = np.zeros((l + 1) ** 2)
+    coeffs[coeff_index(l, mo)] = 1.0
+    Y = synth_at(coeffs, np.arccos(points[:, 2] / r), np.arctan2(points[:, 1], points[:, 0]))
     lap_phi = eps * (t * (t - 1) - l * (l + 1)) * Y * r ** (-t - 2)
     phi = 1 + m / (2 * r) + eps * Y * r ** (-t)
     return -8.0 * phi**-5 * lap_phi

@@ -1,37 +1,46 @@
-"""Polynomial harmonics: the independent cross-check of the spectral basis.
+"""Solid harmonics r^l Y_lm as jets: the independent cross-check of the basis.
 
-real_solid_harmonic builds Y_lm * r^l as an explicit polynomial through
-monomial recurrences; the sphere module builds the same functions through
-Legendre recurrences.  Agreement of the two routes validates both.
+metrics._solid_harmonic builds r^l Y_lm with its gradient and Hessian from
+Cartesian recurrences and product-rule jet arithmetic; the sphere module
+builds Y_lm through Legendre recurrences in theta.  Agreement of the two
+routes validates both.  sympy builds the same polynomials from the
+textbook formula and differentiates them, an oracle for the jet's
+gradient and Hessian.
 """
 
 import numpy as np
 import pytest
 
-from nearlyround.solid_harmonics import Polynomial3, real_solid_harmonic
+from nearlyround import metrics as M
 from nearlyround.sphere import build_grid, coeff_index, synthesize
+
+
+def solid(points, l, m):
+    x, y, z, _ = M._coordinates(np.atleast_2d(points))
+    return M._solid_harmonic(x, y, z, l, m)
 
 
 def test_agrees_with_spectral_basis_on_unit_sphere():
     grid = build_grid(10)
-    xyz = grid.unit_vectors
+    xyz = grid.unit_vectors.reshape(-1, 3)
     for l in range(9):
         for m in range(-l, l + 1):
-            poly = real_solid_harmonic(l, m)(xyz)
+            jet = solid(xyz, l, m).v.reshape(grid.shape)
             coeffs = np.zeros(grid.n_coeffs)
             coeffs[coeff_index(l, m)] = 1.0
             spectral = synthesize(grid, coeffs)
-            assert np.max(np.abs(poly - spectral)) <= 1e-13, (l, m)
+            assert np.max(np.abs(jet - spectral)) <= 1e-13, (l, m)
 
 
 def test_polynomials_are_harmonic():
+    # the Hessian is trace free: r^l Y_lm solves the flat Laplace equation
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(30, 3)) * 2.0
-    for l, m in [(1, 0), (2, -1), (3, 3), (4, -2), (5, 0), (6, 4)]:
-        S = real_solid_harmonic(l, m)
-        lap = sum((S.derivative(i).derivative(i)(pts) for i in range(3)))
-        scale = np.max(np.abs(S(pts))) + 1.0
-        assert np.max(np.abs(lap)) <= 1e-12 * scale, (l, m)
+    for l, m in [(1, 0), (2, -1), (3, 3), (4, -2), (5, 0), (6, 4), (8, -7)]:
+        S = solid(pts, l, m)
+        lap = np.trace(S.h, axis1=1, axis2=2)
+        scale = np.max(np.abs(S.h)) + 1.0
+        assert np.max(np.abs(lap)) <= 1e-13 * scale, (l, m)
 
 
 def test_homogeneity_degree_l():
@@ -39,37 +48,58 @@ def test_homogeneity_degree_l():
     pts = rng.normal(size=(20, 3))
     t = 1.7
     for l, m in [(1, 1), (2, 0), (3, -2), (5, 4)]:
-        S = real_solid_harmonic(l, m)
-        assert np.allclose(S(t * pts), t**l * S(pts), rtol=1e-13), (l, m)
+        S, St = solid(pts, l, m), solid(t * pts, l, m)
+        assert np.allclose(St.v, t**l * S.v, rtol=1e-13), (l, m)
+        assert np.allclose(St.d, t ** (l - 1) * S.d, rtol=1e-13), (l, m)
+        # Euler's relation for a degree-l homogeneous function
+        assert np.allclose(np.einsum("ni,ni->n", pts, S.d), l * S.v, rtol=1e-12), (l, m)
 
 
 def test_orthonormal_under_sphere_quadrature():
     grid = build_grid(12)
-    xyz = grid.unit_vectors
+    xyz = grid.unit_vectors.reshape(-1, 3)
+    w = grid.weights.ravel()
     pairs = [((3, 2), (3, 2), 1.0), ((3, 2), (2, 1), 0.0), ((4, -3), (4, -3), 1.0),
              ((4, -3), (4, 3), 0.0), ((1, 0), (3, 0), 0.0)]
     for (l1, m1), (l2, m2), want in pairs:
-        f = real_solid_harmonic(l1, m1)(xyz) * real_solid_harmonic(l2, m2)(xyz)
-        assert abs(grid.integrate(f) - want) <= 1e-12
+        f = solid(xyz, l1, m1).v * solid(xyz, l2, m2).v
+        assert abs(np.sum(w * f) - want) <= 1e-12
 
 
-def test_gradient_matches_finite_differences():
+def sympy_solid_harmonic(sp, x, y, z, l, m):
+    """r^l Y_lm from the textbook formula: with P_l^m = (1 - mu^2)^(m/2)
+    d^m P_l / dmu^m (no Condon-Shortley phase), r^l P_l^|m|(z/r) e^{i|m|phi}
+    is (x + i y)^|m| r^(l-|m|) P_l^(|m|)(z/r), a polynomial."""
+    am = abs(m)
+    mu = sp.Symbol("mu")
+    r = sp.sqrt(x**2 + y**2 + z**2)
+    radial = sp.expand(r ** (l - am) * sp.diff(sp.legendre(l, mu), mu, am).subs(mu, z / r))
+    sectoral = sp.expand((x + sp.I * y) ** am)
+    angular = sp.re(sectoral) if m >= 0 else sp.im(sectoral)
+    norm = sp.sqrt((2 * l + 1) / (4 * sp.pi) * sp.factorial(l - am) / sp.factorial(l + am))
+    return (norm if m == 0 else sp.sqrt(2) * norm) * angular * radial
+
+
+def test_gradient_and_hessian_match_sympy():
+    sp = pytest.importorskip("sympy")
+    x, y, z = sp.symbols("x y z", real=True)
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(25, 3)) * 1.5
-    h = 1e-3
-    for l, m in [(2, 2), (3, -1), (4, 0)]:
-        S = real_solid_harmonic(l, m)
-        grad = S.gradient()
-        for k in range(3):
-            pp2, pp1 = pts.copy(), pts.copy()
-            pm1, pm2 = pts.copy(), pts.copy()
-            pp2[:, k] += 2 * h
-            pp1[:, k] += h
-            pm1[:, k] -= h
-            pm2[:, k] -= 2 * h
-            fd = (-S(pp2) + 8 * S(pp1) - 8 * S(pm1) + S(pm2)) / (12 * h)
-            scale = 1.0 + np.max(np.abs(fd))
-            assert np.max(np.abs(grad[k](pts) - fd)) <= 1e-10 * scale, (l, m, k)
+    n = len(pts)
+
+    def evaluate(expr):
+        return np.broadcast_to(sp.lambdify((x, y, z), expr, "numpy")(*pts.T), (n,))
+
+    for l, m in [(2, 2), (3, -1), (4, 0), (5, -3), (6, 5)]:
+        poly = sympy_solid_harmonic(sp, x, y, z, l, m)
+        grad = [sp.diff(poly, v) for v in (x, y, z)]
+        want_v = evaluate(poly)
+        want_d = np.stack([evaluate(g) for g in grad], axis=-1)
+        want_h = np.stack([np.stack([evaluate(sp.diff(g, v)) for v in (x, y, z)], axis=-1)
+                           for g in grad], axis=-2)
+        S = solid(pts, l, m)
+        for got, want in ((S.v, want_v), (S.d, want_d), (S.h, want_h)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (l, m)
 
 
 def test_known_closed_forms():
@@ -86,21 +116,10 @@ def test_known_closed_forms():
         (2, -2): np.sqrt(15 / (4 * np.pi)) * x * y,
     }
     for (l, m), want in cases.items():
-        got = real_solid_harmonic(l, m)(pts)
+        got = solid(pts, l, m).v
         assert np.max(np.abs(got - want)) <= 1e-13, (l, m)
-
-
-def test_polynomial_arithmetic():
-    p = Polynomial3({(1, 0, 0): 2.0})  # 2x
-    q = Polynomial3({(0, 1, 0): 3.0})  # 3y
-    pts = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 4.0]])
-    assert np.allclose((p + q)(pts), 2 * pts[:, 0] + 3 * pts[:, 1])
-    assert np.allclose((p * q)(pts), 6 * pts[:, 0] * pts[:, 1])
-    assert np.allclose((p * 0.5)(pts), pts[:, 0])
-    assert np.allclose(p.derivative(0)(pts), 2.0)
-    assert np.max(np.abs(p.derivative(1)(pts))) == 0.0
 
 
 def test_invalid_order_rejected():
     with pytest.raises(ValueError):
-        real_solid_harmonic(2, 5)
+        M.conformal_perturbed(1.0, 0.1, l=2, m_order=5)
