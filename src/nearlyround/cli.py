@@ -53,7 +53,7 @@ def _add_study_args(p: argparse.ArgumentParser):
     p.add_argument("--metric", help='metric spec, e.g. "kerr_slice m=1 a=0.5"')
     p.add_argument(
         "--family",
-        help="coordinate-spheres | radial-perturbed | axisym-kerr",
+        help="coordinate-spheres | radial-perturbed",
     )
     p.add_argument("--schedule", help="comma-separated radii, e.g. 10,20,40")
     p.add_argument("--band-limit", dest="band_limit", type=int)
@@ -168,14 +168,17 @@ def _read_series(path: str, column: str):
         text = fh.read()
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        rows = payload["rows"]
+        rows, metadata = payload["rows"], payload["metadata"]
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise ConfigError(f"report {path!r}: rows must be a list of objects")
+        if not isinstance(metadata, dict):
+            raise ConfigError(f"report {path!r}: metadata must be an object")
         pairs = [
             (float(row["r"]), float(row[column]))
             for row in rows
             if row.get(column) is not None
         ]
-        reference = payload["metadata"]["adm_reference"]
-        return pairs, reference
+        return pairs, metadata["adm_reference"]
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise ConfigError(f"report {path!r} has no column {column!r}")

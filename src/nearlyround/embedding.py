@@ -458,7 +458,7 @@ def solve_embedding(
     else:
         u = np.zeros(grid.shape) if log_factor is None else np.asarray(log_factor)
         Y0 = np.exp(u)[..., None] * grid.unit_vectors
-    c = np.column_stack([analyze(grid, Y0[..., k]) for k in range(3)])
+    c = analyze(grid, Y0)
 
     def state(cm):
         yt = Dt @ cm
@@ -536,10 +536,9 @@ def embed_axisymmetric(
         raise EmbeddabilityError("profiles must be strictly positive")
 
     st = np.sin(grid.theta)
-    cE = analyze(grid, np.repeat(E[:, None], grid.nphi, axis=1))
-    cf2 = analyze(grid, np.repeat((G / st**2)[:, None], grid.nphi, axis=1))
-
-    profiles = np.column_stack([cE, cf2])
+    # E and G / sin^2 as one (ntheta, nphi, 2) stack, constant in phi
+    pair = np.repeat(np.stack([E, G / st**2], axis=-1)[:, None], grid.nphi, axis=1)
+    profiles = analyze(grid, pair)
 
     def slope_sq(th):
         th = np.asarray(th, dtype=float)
@@ -627,7 +626,7 @@ class IsometricEmbedding:
 
 
 def _node_metric_mismatch(grid: SphereGrid, imm: Immersion, h: np.ndarray) -> float:
-    c = np.column_stack(imm.component_coeffs())
+    c = imm.component_coeffs()
     _, rel = _metric_mismatch(grid.dtheta_matrix @ c, grid.dphi_matrix @ c, h)
     return rel
 
@@ -789,7 +788,7 @@ def volume_cross_check(e, levels: tuple[int, int] = (128, 256)) -> VolumeCheck:
         imm = e
         data = fundamental_forms(imm)
         v_div = data.integrate(np.einsum("tpk,tpk->tp", imm.Y, data.normal)) / 3.0
-    c = np.column_stack(imm.component_coeffs())
+    c = imm.component_coeffs()
     coarse = _tetrahedron_volume(c, levels[0])
     fine = _tetrahedron_volume(c, levels[1])
     r = (levels[1] / levels[0]) ** 2
@@ -834,8 +833,7 @@ def write_embedding_obj(target, path) -> None:
     """
     imm = target.image if isinstance(target, IsometricEmbedding) else target
     grid = imm.grid
-    c = np.column_stack(imm.component_coeffs())
-    poles = synth_at(c, np.array([0.0, np.pi]), 0.0)
+    poles = synth_at(imm.component_coeffs(), np.array([0.0, np.pi]), 0.0)
     nt, nph = grid.shape
 
     def vid(i, j):

@@ -62,7 +62,7 @@ __all__ = [
     "run_verify",
 ]
 
-_FAMILIES = ("coordinate-spheres", "radial-perturbed", "axisym-kerr")
+_FAMILIES = ("coordinate-spheres", "radial-perturbed")
 
 CSV_COLUMNS = ("r", "area", "hawking", "brown_york", "adm_reference", "embed_residual", "flags")
 
@@ -73,7 +73,7 @@ class StudyConfig:
 
     The schedule must be strictly increasing with at least three radii;
     the band limit at least 8.  amplitude/l/m_order/decay shape the
-    radial-perturbed family and are ignored by the other two.
+    radial-perturbed family and are ignored by coordinate-spheres.
     """
 
     metric: str = "schwarzschild_isotropic m=1"
@@ -143,7 +143,7 @@ class StudyConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
         config = cls(**kwargs)
-        _metric_for(config)  # fail fast on a bad metric spec
+        parse_metric(config.metric)  # fail fast on a bad metric spec
         return config
 
 
@@ -168,15 +168,6 @@ def load_config(path: str) -> dict:
             key, value = body.split("=", 1)
             mapping[key.strip()] = value.strip()
     return mapping
-
-
-def _metric_for(config: StudyConfig):
-    metric = parse_metric(config.metric)
-    if config.family == "axisym-kerr" and metric.family != "kerr_slice":
-        raise ConfigError(
-            f"family axisym-kerr needs a kerr_slice metric, got {metric.family}"
-        )
-    return metric
 
 
 def family_surfaces(config: StudyConfig, grid, metric) -> list:
@@ -209,8 +200,6 @@ def family_surfaces(config: StudyConfig, grid, metric) -> list:
         for r, profile in zip(config.schedule, profiles):
             members.append((r, immerse_radial(None, profile, grid)))
     else:
-        # coordinate-spheres, and axisym-kerr which differs only in its
-        # metric constraint (checked above)
         for r in config.schedule:
             members.append((r, coordinate_sphere(r, grid)))
     return members
@@ -254,50 +243,32 @@ class MassReport:
             },
         }
 
+    def _row_values(self, row) -> dict:
+        """The cells of one row by column, in CSV_COLUMNS order; flags a list."""
+        values = dict.fromkeys(CSV_COLUMNS)
+        if isinstance(row, RowFailure):
+            values.update(
+                r=row.r_label, adm_reference=self.adm_reference,
+                flags=[f"row-failed:{row.error}"],
+            )
+        else:
+            values.update(
+                r=row.r_label, area=row.area, hawking=row.hawking,
+                brown_york=row.brown_york, adm_reference=row.adm_reference,
+                embed_residual=row.embed_residual, flags=list(row.flags),
+            )
+        return values
+
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            if isinstance(row, RowFailure):
-                cells = [
-                    _fmt(row.r_label), "", "", "", _fmt(self.adm_reference), "",
-                    f"row-failed:{row.error}",
-                ]
-            else:
-                cells = [
-                    _fmt(row.r_label),
-                    _fmt(row.area),
-                    _fmt(row.hawking),
-                    _fmt(row.brown_york),
-                    _fmt(row.adm_reference),
-                    _fmt(row.embed_residual),
-                    ";".join(row.flags),
-                ]
-            lines.append(",".join(cells))
+            values = self._row_values(row)
+            flags = ";".join(values.pop("flags"))
+            lines.append(",".join([_fmt(v) for v in values.values()] + [flags]))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        rows = []
-        for row in self.rows:
-            if isinstance(row, RowFailure):
-                rows.append(
-                    {
-                        "r": row.r_label, "area": None, "hawking": None,
-                        "brown_york": None, "adm_reference": self.adm_reference,
-                        "embed_residual": None, "flags": [f"row-failed:{row.error}"],
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "r": row.r_label,
-                        "area": row.area,
-                        "hawking": row.hawking,
-                        "brown_york": row.brown_york,
-                        "adm_reference": row.adm_reference,
-                        "embed_residual": row.embed_residual,
-                        "flags": list(row.flags),
-                    }
-                )
+        rows = [self._row_values(row) for row in self.rows]
         return json.dumps({"metadata": self.metadata(), "rows": rows}, indent=2) + "\n"
 
     def render(self) -> str:
@@ -314,7 +285,7 @@ def run_masses(config: StudyConfig) -> MassReport:
     Per-row failures are recorded inline and the sweep continues; rows
     keep schedule order regardless of how they are computed.
     """
-    metric = _metric_for(config)
+    metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
     adm_reference = metric.known_mass if metric.known_mass is not None else math.nan
     rows = []
@@ -461,7 +432,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     inject_failure, one seeded check is forced to fail so downstream
     plumbing of the failure path can be exercised end to end.
     """
-    metric = _metric_for(config)
+    metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
     members = family_surfaces(config, grid, metric)
     data = []
@@ -471,7 +442,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
         data.append((r, s, fd_hat, fd))
 
     def over_family(fn):
-        return max(fn(r, s, fd_hat, fd) for r, s, fd_hat, fd in data)
+        return max(fn(fd_hat, fd) for _, _, fd_hat, fd in data)
 
     checks = []
 
@@ -502,40 +473,24 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     add_measured(
         "gauss-bonnet",
         lambda: over_family(
-            lambda r, s, fh, fd: abs(fd.integrate(fd.gauss_curvature) - 4.0 * math.pi)
+            lambda fh, fd: abs(fd.integrate(fd.gauss_curvature) - 4.0 * math.pi)
         ),
         1e-8,
     )
+    add_measured("divergence-identity", lambda: over_family(divergence_identity_gap), 1e-10)
     add_measured(
-        "divergence-identity",
-        lambda: over_family(lambda r, s, fh, fd: divergence_identity_gap(s, metric, fh, fd)),
-        1e-10,
-    )
-    add_measured(
-        "curvature-transform",
-        lambda: over_family(
-            lambda r, s, fh, fd: second_form_transform_residual(s, metric, fh, fd)
-        ),
-        1e-10,
+        "curvature-transform", lambda: over_family(second_form_transform_residual), 1e-10
     )
     add_measured(
         "distance-hessian",
-        lambda: over_family(lambda r, s, fh, fd: distance_hessian_residual(s, fh)),
+        lambda: over_family(lambda fh, fd: distance_hessian_residual(fh)),
         1e-10,
     )
     add_measured(
-        "mean-curvature-expansion",
-        lambda: over_family(
-            lambda r, s, fh, fd: mean_curvature_expansion_residual(s, metric, fh, fd)
-        ),
-        50.0,
+        "mean-curvature-expansion", lambda: over_family(mean_curvature_expansion_residual), 50.0
     )
     add_measured(
-        "mean-curvature-integral",
-        lambda: over_family(
-            lambda r, s, fh, fd: mean_curvature_integral_residual(s, metric, fh, fd)
-        ),
-        100.0,
+        "mean-curvature-integral", lambda: over_family(mean_curvature_integral_residual), 100.0
     )
 
     try:
@@ -547,8 +502,8 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
 
     add_measured(
         "spectral-resolution",
-        lambda: over_family(
-            lambda r, s, fh, fd: _curvature_tail(grid, fd, best_fit_sphere(fh, s).radius)
+        lambda: max(
+            _curvature_tail(grid, fd, best_fit_sphere(fh, s).radius) for _, s, fh, fd in data
         ),
         1e-10,
     )

@@ -136,9 +136,10 @@ def assemble_mass_row(
     to the best-fit sphere radius of the Euclidean shape.
     """
     fd = fundamental_forms(s, ambient)
+    fd_hat = None
     if r_label is None:
-        fd_flat = fd if fd.ambient == "euclidean" else fundamental_forms(s)
-        r_label = best_fit_sphere(fd_flat, s).radius
+        fd_hat = fd if fd.ambient == "euclidean" else fundamental_forms(s)
+        r_label = best_fit_sphere(fd_hat, s).radius
     if adm_reference is None:
         if ambient.known_mass is None:
             raise ConfigError(
@@ -152,7 +153,7 @@ def assemble_mass_row(
     residual = None
     flags: list[str] = []
     try:
-        e = embed(s, fd, tol=tol, pde_tol=pde_tol)
+        e = embed(s, fd, fd_hat, tol=tol, pde_tol=pde_tol)
     except SolverError as exc:
         flags.append(f"embedding-failed:{type(exc).__name__}")
     else:

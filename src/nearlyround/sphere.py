@@ -18,7 +18,9 @@ Conventions
 * Real harmonics Y_{l,m}: m > 0 pairs with sqrt(2) cos(m phi), m < 0 with
   sqrt(2) sin(|m| phi), normalized so that the integral of Y^2 over the
   sphere is 1.  Coefficient index: l*(l+1) + m.
-* Scalar fields are (ntheta, nphi) arrays sampled at grid nodes.
+* Scalar fields are (ntheta, nphi) arrays sampled at grid nodes.  analyze,
+  synthesize and synth_gradient also take stacks with trailing component
+  axes, (ntheta, nphi, ...) fields and (n_coeffs, ...) coefficients.
 """
 
 from __future__ import annotations
@@ -195,33 +197,57 @@ def build_grid(L: int) -> SphereGrid:
     return SphereGrid(L)
 
 
+def _apply(matrix: np.ndarray, a: np.ndarray, lead: int) -> np.ndarray:
+    """`matrix` applied over the first `lead` axes of `a`, for each trailing
+    component: (rows,) plus the trailing axes.
+
+    A stack goes through one batched product of matrix-vector pairs, so
+    each component comes out bitwise equal to its own 1-D call.
+    """
+    if a.ndim == lead:
+        return matrix @ a.reshape(-1)
+    cols = np.ascontiguousarray(a.reshape(matrix.shape[1], -1).T)[..., None]
+    out = np.ascontiguousarray((matrix @ cols)[..., 0].T)
+    return out.reshape(matrix.shape[:1] + a.shape[lead:])
+
+
 def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
-    """Harmonic coefficients of a scalar field (exact through degree L)."""
+    """Harmonic coefficients of a field (exact through degree L).
+
+    `f` is (ntheta, nphi) or carries trailing component axes,
+    (ntheta, nphi, ...); the result is (n_coeffs,) plus the same axes.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape:
+    if f.shape[:2] != grid.shape:
         raise ValueError(
             f"field shape {f.shape} does not match grid shape {grid.shape}"
         )
-    return grid.synthesis_matrix.T @ (grid.weights * f).ravel()
+    w = grid.weights.reshape(grid.shape + (1,) * (f.ndim - 2))
+    return _apply(grid.synthesis_matrix.T, w * f, 2)
 
 
 def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Scalar field at the grid nodes from harmonic coefficients."""
+    """Field at the grid nodes from harmonic coefficients.
+
+    `coeffs` is (n_coeffs,) or a stack (n_coeffs, ...); the result is
+    (ntheta, nphi) plus the same trailing axes.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (grid.n_coeffs,):
+    if coeffs.ndim == 0 or coeffs.shape[0] != grid.n_coeffs:
         raise ValueError(
             f"{coeffs.shape[0] if coeffs.ndim == 1 else coeffs.shape} "
             f"coefficients do not match band limit {grid.L} "
             f"(expected {grid.n_coeffs})"
         )
-    return (grid.synthesis_matrix @ coeffs).reshape(grid.shape)
+    return _apply(grid.synthesis_matrix, coeffs, 1).reshape(grid.shape + coeffs.shape[1:])
 
 
 def synth_gradient(grid: SphereGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dtheta, d/dphi) fields of the synthesized function."""
-    ft = (grid.dtheta_matrix @ coeffs).reshape(grid.shape)
-    fp = (grid.dphi_matrix @ coeffs).reshape(grid.shape)
-    return ft, fp
+    """(d/dtheta, d/dphi) fields of the synthesized function or stack."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    shape = grid.shape + coeffs.shape[1:]
+    ft = _apply(grid.dtheta_matrix, coeffs, 1).reshape(shape)
+    return ft, _apply(grid.dphi_matrix, coeffs, 1).reshape(shape)
 
 
 def laplace_beltrami(coeffs: np.ndarray) -> np.ndarray:

@@ -4,8 +4,20 @@ curvature, nearly-round diagnostics, and the identity residual checks.
 A surface is a smooth immersion of the sphere sampled on a SphereGrid;
 the three Cartesian position components are the primary data and all
 differentiation acts on them (or on Cartesian components of derived
-fields) spectrally.  (theta, phi)-components of tangent tensors are
-assembled pointwise, never differentiated, so the poles cost nothing.
+fields) spectrally, one stacked transform per field.  (theta, phi)-
+components of tangent tensors are assembled pointwise, never
+differentiated, so the poles cost nothing.
+
+fundamental_forms builds the one FundamentalData record of a surface in
+an ambient: its node tangents, the ambient metric jets and decay order,
+the forms, H, K and the area.  The masses read only H, K and the area.
+tracefree_gradient(fd) computes grad Aring for the roundness diagnostics
+alone.  The identity residuals read two records of one surface, the
+flat fd_hat and the curved fd: second_form_transform_residual,
+mean_curvature_expansion_residual, divergence_identity_gap and
+mean_curvature_integral_residual take (fd_hat, fd), and
+distance_hessian_residual takes fd_hat.  None of them re-evaluates the
+metric or transforms a field.
 
 Frame conventions: tangent index a in {0, 1} is the (theta, phi)
 coordinate frame; ambient indices i, j, k are Cartesian.  The second
@@ -32,6 +44,7 @@ __all__ = [
     "immerse_radial",
     "coordinate_sphere",
     "fundamental_forms",
+    "tracefree_gradient",
     "best_fit_sphere",
     "BestFitSphere",
     "nearly_round_diagnostics",
@@ -63,14 +76,11 @@ class NonConvexSurface(SolverError):
 class Immersion:
     """A sphere immersion: grid plus the three Cartesian position fields.
 
-    Y has shape (ntheta, nphi, 3).  center/profile record the radial
-    construction y = center + profile * omega when one was used.
+    Y has shape (ntheta, nphi, 3).
     """
 
     grid: SphereGrid
     Y: np.ndarray
-    center: np.ndarray | None = None
-    profile: np.ndarray | None = None
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
@@ -86,20 +96,15 @@ class Immersion:
         """Node positions flattened to (n_nodes, 3), theta-major."""
         return self.Y.reshape(-1, 3)
 
-    def component_coeffs(self) -> list[np.ndarray]:
-        """Harmonic coefficients of the three position components."""
+    def component_coeffs(self) -> np.ndarray:
+        """Harmonic coefficients of the position, (n_coeffs, 3)."""
         if self._coeffs is None:
-            self._coeffs = [analyze(self.grid, self.Y[..., k]) for k in range(3)]
+            self._coeffs = analyze(self.grid, self.Y)
         return self._coeffs
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """(d y / d theta, d y / d phi), each (ntheta, nphi, 3)."""
-        cc = self.component_coeffs()
-        yt = np.empty(self.grid.shape + (3,))
-        yp = np.empty(self.grid.shape + (3,))
-        for k in range(3):
-            yt[..., k], yp[..., k] = synth_gradient(self.grid, cc[k])
-        return yt, yp
+        return synth_gradient(self.grid, self.component_coeffs())
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.Y, axis=-1)
@@ -116,7 +121,7 @@ def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
     if np.any(R <= 0):
         raise ValueError("radial profile must be positive")
     Y = center[None, None, :] + R[..., None] * grid.unit_vectors
-    return Immersion(grid, Y, center=center, profile=R)
+    return Immersion(grid, Y)
 
 
 def coordinate_sphere(radius: float, grid: SphereGrid, center=None) -> Immersion:
@@ -137,11 +142,16 @@ class FundamentalData:
     scalar fields have the grid shape.  area_jacobian is the ratio of
     the induced area element to the round-sphere element sin(theta)
     dtheta dphi, so integrate() multiplies by it under the grid rule.
+    points, tangents (N, 2, 3) and the ambient metric jets are per
+    flattened node; tau is the ambient decay order.
     """
 
     ambient: str
     grid: SphereGrid
     points: np.ndarray
+    tangents: np.ndarray
+    jets: mcat.JetBatch
+    tau: float
     induced_metric: np.ndarray
     induced_metric_inv: np.ndarray
     area_jacobian: np.ndarray
@@ -150,8 +160,6 @@ class FundamentalData:
     mean_curvature: np.ndarray
     tracefree_second_form: np.ndarray
     tracefree_norm: np.ndarray
-    tracefree_gradient: np.ndarray  # (..., a, b, c) = (cov deriv along a)(b, c)
-    tracefree_gradient_norm: np.ndarray
     gauss_curvature: np.ndarray
     area: float
     r_min: float
@@ -190,19 +198,6 @@ class FundamentalData:
         return 0.5 * (H - disc), 0.5 * (H + disc)
 
 
-def _spectral_gradients(grid: SphereGrid, fields: np.ndarray) -> np.ndarray:
-    """(theta, phi) derivatives of each trailing component of a field.
-
-    fields: (ntheta, nphi, m) -> output (ntheta, nphi, 2, m).
-    """
-    m = fields.shape[-1]
-    out = np.empty(grid.shape + (2, m))
-    for k in range(m):
-        c = analyze(grid, fields[..., k])
-        out[..., 0, k], out[..., 1, k] = synth_gradient(grid, c)
-    return out
-
-
 def _resolve_ambient(ambient):
     if ambient is None:
         return mcat.euclidean(), "euclidean"
@@ -226,8 +221,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     jets = metric.jets(pts)
     g = jets.g
 
-    yt, yp = s.tangents()
-    T = np.stack([yt.reshape(N, 3), yp.reshape(N, 3)], axis=1)  # (N, 2, 3)
+    T = np.stack(s.tangents(), axis=2).reshape(N, 2, 3)
     h = np.einsum("nai,nij,nbj->nab", T, g, T)
     deth = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2
     if np.any(deth <= 0.0):
@@ -245,7 +239,8 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     nu = np.linalg.solve(g, cross[:, :, None])[:, :, 0]
     nu /= np.sqrt(np.einsum("ni,nij,nj->n", nu, g, nu))[:, None]
 
-    dnu = _spectral_gradients(grid, nu.reshape(grid.shape + (3,))).reshape(N, 2, 3)
+    nu_coeffs = analyze(grid, nu.reshape(grid.shape + (3,)))
+    dnu = np.stack(synth_gradient(grid, nu_coeffs), axis=2).reshape(N, 2, 3)
     Gam = mcat.christoffel(jets)
     cov = dnu + np.einsum("nikl,nak,nl->nai", Gam, T, nu)
     A = np.einsum("nai,nij,nbj->nab", cov, g, T)
@@ -255,26 +250,6 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     Aring = A - 0.5 * H[:, None, None] * h
     ring2 = np.einsum("nab,ncd,nac,nbd->n", Aring, Aring, hinv, hinv)
     ring_norm = np.sqrt(np.clip(ring2, 0.0, None))
-
-    # tracefree gradient: extend Aring to ambient indices by the dual
-    # frame, take ambient covariant derivatives along the tangents, and
-    # contract back; this equals the intrinsic covariant derivative for
-    # tangential tensors.
-    E = np.einsum("nab,nij,nbj->nai", hinv, g, T)  # dual frame, ambient index i
-    Tamb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
-    dTamb = _spectral_gradients(grid, Tamb.reshape(grid.shape + (9,))).reshape(
-        N, 2, 3, 3
-    )
-    covT = (
-        dTamb
-        - np.einsum("nlki,nak,nlj->naij", Gam, T, Tamb)
-        - np.einsum("nlkj,nak,nil->naij", Gam, T, Tamb)
-    )
-    nabla = np.einsum("naij,nbi,ncj->nabc", covT, T, T)
-    grad2 = np.einsum(
-        "nabc,nxyz,nax,nby,ncz->n", nabla, nabla, hinv, hinv, hinv
-    )
-    ring_grad_norm = np.sqrt(np.clip(grad2, 0.0, None))
 
     detA = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
     if flat:
@@ -294,6 +269,9 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         ambient=tag,
         grid=grid,
         points=pts,
+        tangents=T,
+        jets=jets,
+        tau=metric.tau,
         induced_metric=h.reshape(shp + (2, 2)),
         induced_metric_inv=hinv.reshape(shp + (2, 2)),
         area_jacobian=J,
@@ -302,8 +280,6 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         mean_curvature=H.reshape(shp),
         tracefree_second_form=Aring.reshape(shp + (2, 2)),
         tracefree_norm=ring_norm.reshape(shp),
-        tracefree_gradient=nabla.reshape(shp + (2, 2, 2)),
-        tracefree_gradient_norm=ring_grad_norm.reshape(shp),
         gauss_curvature=K.reshape(shp),
         area=area,
         r_min=float(radii.min()),
@@ -438,6 +414,35 @@ _GROWTH_FACTOR = 1.5
 _GROWTH_FLOOR = 1e-8
 
 
+def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
+    """Covariant gradient of the tracefree second form, and its norm.
+
+    Returns (nabla, |nabla|) with nabla[..., a, b, c] the derivative along
+    a of the (b, c) component.  Aring is extended to ambient indices by the
+    dual frame, differentiated covariantly along the tangents and
+    contracted back; for tangential tensors this equals the intrinsic
+    covariant derivative.
+    """
+    grid = fd.grid
+    N = grid.n_nodes
+    T = fd.tangents
+    Gam = mcat.christoffel(fd.jets)
+    hinv = fd.induced_metric_inv.reshape(N, 2, 2)
+    E = np.einsum("nab,nij,nbj->nai", hinv, fd.jets.g, T)  # dual frame
+    Aring = fd.tracefree_second_form.reshape(N, 2, 2)
+    Tamb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
+    dTamb = synth_gradient(grid, analyze(grid, Tamb.reshape(grid.shape + (3, 3))))
+    covT = (
+        np.stack(dTamb, axis=2).reshape(N, 2, 3, 3)
+        - np.einsum("nlki,nak,nlj->naij", Gam, T, Tamb)
+        - np.einsum("nlkj,nak,nil->naij", Gam, T, Tamb)
+    )
+    nabla = np.einsum("naij,nbi,ncj->nabc", covT, T, T)
+    grad2 = np.einsum("nabc,nxyz,nax,nby,ncz->n", nabla, nabla, hinv, hinv, hinv)
+    norm = np.sqrt(np.clip(grad2, 0.0, None))
+    return nabla.reshape(grid.shape + (2, 2, 2)), norm.reshape(grid.shape)
+
+
 def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
     """Roundness constants across a family of (Immersion, FundamentalData).
 
@@ -450,9 +455,7 @@ def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
     rows = []
     for s, fd in members:
         r = fd.r_min
-        trace_sup = float(
-            (fd.tracefree_norm + r * fd.tracefree_gradient_norm).max()
-        )
+        trace_sup = float((fd.tracefree_norm + r * tracefree_gradient(fd)[1]).max())
         rows.append(
             NearlyRoundRow(
                 r=r,
@@ -500,19 +503,16 @@ def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _euclidean_normal(s: Immersion):
-    """Outward Euclidean unit normal and tangent stack at the nodes."""
-    yt, yp = s.tangents()
-    N = s.grid.n_nodes
-    T = np.stack([yt.reshape(N, 3), yp.reshape(N, 3)], axis=1)
-    cross = np.cross(T[:, 0], T[:, 1])
-    nhat = cross / np.linalg.norm(cross, axis=1)[:, None]
-    return nhat, T
+def _flat_extension(fd_hat: FundamentalData, form: np.ndarray) -> np.ndarray:
+    """A tangent 2-tensor field as an ambient (N, 3, 3) field, by the flat
+    dual frame.  Of the flat second form it is the Hessian of the Euclidean
+    distance to the surface, restricted to the surface."""
+    N = fd_hat.grid.n_nodes
+    E = np.einsum("nab,nbi->nai", fd_hat.induced_metric_inv.reshape(N, 2, 2), fd_hat.tangents)
+    return np.einsum("nab,nai,nbj->nij", form.reshape(N, 2, 2), E, E)
 
 
-def second_form_transform_residual(
-    s: Immersion, metric, fd_hat=None, fd=None
-) -> float:
+def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
     """Sup residual of the flat/curved second-form change of ambient.
 
     The flat-ambient form evaluated on tangents X, Y equals
@@ -521,13 +521,11 @@ def second_form_transform_residual(
     pure discretization error; components are measured in the
     Euclidean-normalized coordinate frame.
     """
-    fd_hat = fd_hat or fundamental_forms(s)
-    fd = fd or fundamental_forms(s, metric)
-    jets = metric.jets(s.points)
-    Gam = mcat.christoffel(jets)
-    nhat, T = _euclidean_normal(s)
-    N = len(nhat)
-    ginv = np.linalg.inv(jets.g)
+    N = fd.grid.n_nodes
+    T = fd_hat.tangents
+    nhat = fd_hat.normal.reshape(N, 3)
+    Gam = mcat.christoffel(fd.jets)
+    ginv = np.linalg.inv(fd.jets.g)
     grad_norm = np.sqrt(np.einsum("ni,nij,nj->n", nhat, ginv, nhat))
     gamma_term = np.einsum("nkij,nai,nbj,nk->nab", Gam, T, T, nhat)
     Ahat = fd_hat.second_form.reshape(N, 2, 2)
@@ -548,7 +546,7 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
     """
     from .sphere import synth_at
 
-    cc = np.column_stack(s.component_coeffs())
+    cc = s.component_coeffs()
     th = np.array(th0, dtype=float).copy()
     ph = np.array(ph0, dtype=float).copy()
     scale = max(1.0, float(np.linalg.norm(X, axis=1).max()))
@@ -574,25 +572,7 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
     return sign * np.linalg.norm(d, axis=1)
 
 
-def _ambient_second_forms(s: Immersion, fd_hat: FundamentalData | None):
-    """Flat normal, second form and its tracefree part as ambient fields, and H."""
-    fd = fd_hat or fundamental_forms(s)
-    if fd.ambient != "euclidean":
-        raise ValueError("distance Hessian check needs the flat-ambient data")
-    N = s.grid.n_nodes
-    nhat, T = _euclidean_normal(s)
-    hinv = fd.induced_metric_inv.reshape(N, 2, 2)
-    E = np.einsum("nab,nbi->nai", hinv, T)  # flat dual frame
-    A_amb, Aring_amb = (
-        np.einsum("nab,nai,nbj->nij", form.reshape(N, 2, 2), E, E)
-        for form in (fd.second_form, fd.tracefree_second_form)
-    )
-    return nhat, A_amb, Aring_amb, fd.mean_curvature.reshape(N)
-
-
-def distance_hessian_residual(
-    s: Immersion, fd_hat: FundamentalData | None = None
-) -> float:
+def distance_hessian_residual(fd_hat: FundamentalData) -> float:
     """Check the split of the distance Hessian on the surface.
 
     The ambient extension of the flat second form equals its tracefree
@@ -600,7 +580,13 @@ def distance_hessian_residual(
     residual at roundoff.  distance_hessian_spot_check is the brute-force
     reference for the same matrix.
     """
-    nhat, A_amb, Aring_amb, H = _ambient_second_forms(s, fd_hat)
+    if fd_hat.ambient != "euclidean":
+        raise ValueError("distance Hessian check needs the flat-ambient data")
+    N = fd_hat.grid.n_nodes
+    nhat = fd_hat.normal.reshape(N, 3)
+    H = fd_hat.mean_curvature.reshape(N)
+    A_amb = _flat_extension(fd_hat, fd_hat.second_form)
+    Aring_amb = _flat_extension(fd_hat, fd_hat.tracefree_second_form)
     proj = np.eye(3)[None] - np.einsum("ni,nj->nij", nhat, nhat)
     return float(np.abs(A_amb - Aring_amb - 0.5 * H[:, None, None] * proj).max())
 
@@ -613,7 +599,8 @@ def distance_hessian_spot_check(s: Immersion) -> float:
     extension of the flat second form; max entrywise gap.
     """
     grid = s.grid
-    A_amb = _ambient_second_forms(s, None)[1]
+    fd_hat = fundamental_forms(s)
+    A_amb = _flat_extension(fd_hat, fd_hat.second_form)
     # 19 offsets per node (center, 6 axis, 12 mixed), one batched solve
     picks = np.linspace(0, grid.n_nodes - 1, 8, dtype=int)
     th_nodes = np.repeat(grid.theta, grid.nphi)
@@ -650,24 +637,7 @@ def distance_hessian_spot_check(s: Immersion) -> float:
     return spot
 
 
-def _identity_pieces(s: Immersion, metric, fd_hat=None, fd=None):
-    """Shared fields for the expansion/integral residuals."""
-    fd_hat = fd_hat or fundamental_forms(s)
-    fd = fd or fundamental_forms(s, metric)
-    jets = metric.jets(s.points)
-    nhat, T = _euclidean_normal(s)
-    N = len(nhat)
-    hinv = fd_hat.induced_metric_inv.reshape(N, 2, 2)
-    E = np.einsum("nab,nbi->nai", hinv, T)
-    Ahat = fd_hat.second_form.reshape(N, 2, 2)
-    # distance Hessian restricted to the surface, ambient indices
-    rho_hess = np.einsum("nab,nai,nbj->nij", Ahat, E, E)
-    return fd_hat, fd, jets, nhat, rho_hess
-
-
-def mean_curvature_expansion_residual(
-    s: Immersion, metric, fd_hat=None, fd=None
-) -> float:
+def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
     """Scaled sup residual of the five-term flat-to-curved H expansion.
 
     H - Hhat equals (H/2) sigma(nhat, nhat) + (1/2) dsigma(nhat; nhat,
@@ -675,10 +645,11 @@ def mean_curvature_expansion_residual(
     to O(r^(-1-2tau)); the return value is sup |H - RHS| * r^(1+2tau),
     bounded along a nearly round family.
     """
-    fd_hat, fd, jets, nhat, rho_hess = _identity_pieces(s, metric, fd_hat, fd)
-    N = len(nhat)
-    sigma = jets.sigma
-    dg = jets.dg
+    N = fd.grid.n_nodes
+    nhat = fd_hat.normal.reshape(N, 3)
+    rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
+    sigma = fd.jets.sigma
+    dg = fd.jets.dg
     H = fd.mean_curvature.reshape(N)
     Hhat = fd_hat.mean_curvature.reshape(N)
     t1 = 0.5 * H * np.einsum("nij,ni,nj->n", sigma, nhat, nhat)
@@ -687,11 +658,10 @@ def mean_curvature_expansion_residual(
     t4 = -np.einsum("niji,nj->n", dg, nhat)
     t5 = 0.5 * np.einsum("njji,ni->n", dg, nhat)
     resid = H - Hhat - t1 - t2 - t3 - t4 - t5
-    r = fd.r_min
-    return float(np.abs(resid).max()) * r ** (1.0 + 2.0 * metric.tau)
+    return float(np.abs(resid).max()) * fd.r_min ** (1.0 + 2.0 * fd.tau)
 
 
-def divergence_identity_gap(s: Immersion, metric, fd_hat=None, fd=None) -> float:
+def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> float:
     """Exact integration-by-parts identity on the closed surface.
 
     The flat-measure integral of dsigma contracted with three normals
@@ -699,12 +669,13 @@ def divergence_identity_gap(s: Immersion, metric, fd_hat=None, fd=None) -> float
     Hessian term; the identity is the tangential divergence theorem, so
     the gap is pure quadrature error.
     """
-    fd_hat, fd, jets, nhat, rho_hess = _identity_pieces(s, metric, fd_hat, fd)
-    N = len(nhat)
-    sigma = jets.sigma
-    dg = jets.dg
+    N = fd.grid.n_nodes
+    nhat = fd_hat.normal.reshape(N, 3)
+    rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
+    sigma = fd.jets.sigma
+    dg = fd.jets.dg
     Hhat = fd_hat.mean_curvature.reshape(N)
-    shp = s.grid.shape
+    shp = fd.grid.shape
 
     def surf_int(field):
         return fd_hat.integrate(field.reshape(shp))
@@ -716,9 +687,7 @@ def divergence_identity_gap(s: Immersion, metric, fd_hat=None, fd=None) -> float
     return float(abs(i1 - (i2 + i3 + i4)))
 
 
-def mean_curvature_integral_residual(
-    s: Immersion, metric, fd_hat=None, fd=None
-) -> float:
+def mean_curvature_integral_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
     """Scaled residual of the integral mean-curvature comparison.
 
     The curved-measure integral of H - Hhat equals half the flat-measure
@@ -726,20 +695,20 @@ def mean_curvature_integral_residual(
     flat-measure integral of sigma : rho_hess, up to O(r^(1-2tau)); the
     return value is |LHS - RHS| * r^(2tau-1).
     """
-    fd_hat, fd, jets, nhat, rho_hess = _identity_pieces(s, metric, fd_hat, fd)
-    N = len(nhat)
-    sigma = jets.sigma
-    dg = jets.dg
+    N = fd.grid.n_nodes
+    nhat = fd_hat.normal.reshape(N, 3)
+    rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
+    sigma = fd.jets.sigma
+    dg = fd.jets.dg
     H = fd.mean_curvature.reshape(N)
     Hhat = fd_hat.mean_curvature.reshape(N)
-    shp = s.grid.shape
+    shp = fd.grid.shape
     lhs = fd.integrate((H - Hhat).reshape(shp))
     flux = np.einsum("njji,ni->n", dg, nhat) - np.einsum("niji,nj->n", dg, nhat)
     rhs = 0.5 * fd_hat.integrate(flux.reshape(shp)) - 0.5 * fd_hat.integrate(
         np.einsum("nst,nst->n", sigma, rho_hess).reshape(shp)
     )
-    r = fd.r_min
-    return float(abs(lhs - rhs)) * r ** (2.0 * metric.tau - 1.0)
+    return float(abs(lhs - rhs)) * fd.r_min ** (2.0 * fd.tau - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,8 @@ def test_exact_identity_suite(capsys, std, kerr):
             fd_hat = nr.fundamental_forms(s)
             fd = nr.fundamental_forms(s, metric)
             levels[name, L] = (
-                surf.divergence_identity_gap(s, metric, fd_hat=fd_hat, fd=fd),
-                surf.second_form_transform_residual(s, metric, fd_hat=fd_hat, fd=fd),
+                surf.divergence_identity_gap(fd_hat, fd),
+                surf.second_form_transform_residual(fd_hat, fd),
             )
             gb = abs(fd.integrate(fd.gauss_curvature) - FOUR_PI)
             if gb > 1e-8:
@@ -276,7 +276,7 @@ def test_exact_identity_suite(capsys, std, kerr):
                     )
     g16 = nr.build_grid(16)
     s = nr.coordinate_sphere(20.0, g16)
-    algebraic = surf.distance_hessian_residual(s)
+    algebraic = surf.distance_hessian_residual(nr.fundamental_forms(s))
     if algebraic > 1e-10:
         failures.append(f"distance-Hessian algebraic residual {algebraic:.3e} > 1e-10")
     _verdict(capsys, "Exact-identity suite (divergence, transform, Hessian, Gauss-Bonnet)", failures)
@@ -309,8 +309,8 @@ def test_scaled_residuals_bounded_and_violator_flagged(capsys, g16, iso, std, ke
             fd_hat = nr.fundamental_forms(s)
             fd = nr.fundamental_forms(s, metric)
             pairs.append((s, fd))
-            expansion = surf.mean_curvature_expansion_residual(s, metric, fd_hat=fd_hat, fd=fd)
-            integral = surf.mean_curvature_integral_residual(s, metric, fd_hat=fd_hat, fd=fd)
+            expansion = surf.mean_curvature_expansion_residual(fd_hat, fd)
+            integral = surf.mean_curvature_integral_residual(fd_hat, fd)
             if expansion > 50.0:
                 failures.append(f"{name} r={r}: expansion residual {expansion:.2f} > 50")
             if integral > 100.0:

@@ -97,10 +97,10 @@ def test_from_mapping_bad_metric():
         nr.StudyConfig.from_mapping({"metric": "wormhole m=1"})
 
 
-def test_from_mapping_axisym_kerr_needs_kerr():
-    with pytest.raises(nr.ConfigError, match="kerr"):
+def test_from_mapping_unknown_family():
+    with pytest.raises(nr.ConfigError, match="unknown family 'axisym-kerr'"):
         nr.StudyConfig.from_mapping(
-            {"metric": "euclidean", "family": "axisym-kerr"}
+            {"metric": "kerr_slice m=1 a=0.5", "family": "axisym-kerr"}
         )
 
 
@@ -550,6 +550,15 @@ def test_cli_rate_json_input(tmp_path, capsys):
 
 def test_cli_rate_bad_inputs(tmp_path, capsys):
     assert main(["rate", "--input", str(tmp_path / "none.csv")]) == 2
+    # well-formed JSON whose rows or metadata have the wrong type
+    for name, text in (
+        ("int-rows.json", '{"rows": [1, 2, 3], "metadata": {"adm_reference": 1.0}}'),
+        ("scalar-rows.json", '{"rows": 5, "metadata": {"adm_reference": 1.0}}'),
+        ("scalar-metadata.json", '{"rows": [], "metadata": 3}'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["rate", "--input", str(path)]) == 2, name
     with pytest.raises(SystemExit) as excinfo:
         main(["rate", "--input", "x", "--column", "bogus"])
     assert excinfo.value.code == 2

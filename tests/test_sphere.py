@@ -201,12 +201,28 @@ def test_constant_field_coefficients():
     assert np.max(np.abs(coeffs - want)) <= 1e-12
 
 
+def rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 def test_roundtrip_random_band_limited():
     grid = build_grid(16)
     rng = np.random.default_rng(7)
     c = rng.normal(size=grid.n_coeffs)
     back = analyze(grid, synthesize(grid, c))
     assert np.max(np.abs(back - c)) <= 1e-11
+    # stacked (ntheta, nphi, m) fields and (K, m) coefficients: each
+    # component matches its 1-D transform; trailing axes are kept
+    for shape in ((3,), (3, 3)):
+        cs = rng.normal(size=(grid.n_coeffs,) + shape)
+        fields = synthesize(grid, cs)
+        back = analyze(grid, fields)
+        assert fields.shape == grid.shape + shape and back.shape == cs.shape
+        assert np.max(np.abs(back - cs)) <= 1e-11
+        for k in np.ndindex(shape):
+            f_k = synthesize(grid, cs[(slice(None),) + k])
+            assert rel_gap(fields[(...,) + k], f_k) <= 1e-14
+            assert rel_gap(back[(slice(None),) + k], analyze(grid, f_k)) <= 1e-14
 
 
 def test_shape_mismatch_raises():
@@ -280,6 +296,14 @@ def test_synth_gradient_matches_pointwise_derivatives():
     _, ft2, fp2 = synth_at(c, th, ph, nderiv=1)
     assert np.max(np.abs(ft.ravel() - ft2)) <= 1e-12
     assert np.max(np.abs(fp.ravel() - fp2)) <= 1e-12
+    # a (K, 3) stack: each component matches its 1-D gradient
+    cs = rng.normal(size=(grid.n_coeffs, 3))
+    fts, fps = synth_gradient(grid, cs)
+    assert fts.shape == fps.shape == grid.shape + (3,)
+    for k in range(3):
+        ft, fp = synth_gradient(grid, cs[:, k])
+        assert rel_gap(fts[..., k], ft) <= 1e-14
+        assert rel_gap(fps[..., k], fp) <= 1e-14
 
 
 def test_first_derivatives_match_finite_differences():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nearlyround import metrics as mcat
+from nearlyround import sphere
 from nearlyround import surfaces as surf
 from nearlyround.sphere import (
     analyze,
@@ -88,6 +89,11 @@ class PermutedChart:
         dg = np.einsum("ki,lj,mc,nklm->nijc", P, P, P, base.dg)
         ddg = np.einsum("ki,lj,mc,qd,nklmq->nijcd", P, P, P, P, base.ddg)
         return mcat.JetBatch(g=g, dg=dg, ddg=ddg)
+
+
+def records(s, metric):
+    """The flat and the curved FundamentalData of one surface."""
+    return surf.fundamental_forms(s), surf.fundamental_forms(s, metric)
 
 
 def bump_field(grid, *terms):
@@ -180,7 +186,7 @@ def test_round_sphere_flat_facts(grid16):
     assert np.abs(fd.area_jacobian - r**2).max() < 1e-11
     assert abs(fd.area - 4 * np.pi * r**2) < 1e-10
     assert fd.tracefree_norm.max() < 1e-11
-    assert fd.tracefree_gradient_norm.max() < 1e-10
+    assert surf.tracefree_gradient(fd)[1].max() < 1e-10
     assert abs(fd.diameter - np.pi * r) < 1e-12
 
 
@@ -266,7 +272,7 @@ def test_codazzi_divergence_of_tracefree(lumpy10):
     grid = lumpy10.grid
     fd = surf.fundamental_forms(lumpy10)
     N = grid.n_nodes
-    nab = fd.tracefree_gradient.reshape(N, 2, 2, 2)
+    nab = surf.tracefree_gradient(fd)[0].reshape(N, 2, 2, 2)
     hinv = fd.induced_metric_inv.reshape(N, 2, 2)
     div = np.einsum("nab,nabc->nc", hinv, nab)
     Ht, Hp = synth_gradient(grid, analyze(grid, fd.mean_curvature))
@@ -277,7 +283,7 @@ def test_codazzi_divergence_of_tracefree(lumpy10):
     s24 = lumpy_surface(24)
     fd24 = surf.fundamental_forms(s24)
     N24 = s24.grid.n_nodes
-    nab = fd24.tracefree_gradient.reshape(N24, 2, 2, 2)
+    nab = surf.tracefree_gradient(fd24)[0].reshape(N24, 2, 2, 2)
     hinv = fd24.induced_metric_inv.reshape(N24, 2, 2)
     div = np.einsum("nab,nabc->nc", hinv, nab)
     Ht, Hp = synth_gradient(s24.grid, analyze(s24.grid, fd24.mean_curvature))
@@ -292,7 +298,7 @@ def test_tracefree_gradient_scaling(lumpy10):
     lam = 3.7
     fd_s = surf.fundamental_forms(surf.Immersion(lumpy10.grid, lam * lumpy10.Y))
     err = np.abs(
-        fd_s.tracefree_gradient_norm - fd.tracefree_gradient_norm / lam**2
+        surf.tracefree_gradient(fd_s)[1] - surf.tracefree_gradient(fd)[1] / lam**2
     ).max()
     assert err < 1e-13
 
@@ -308,8 +314,8 @@ def test_chart_permutation_invariance(grid16, catalog):
     fd_p = surf.fundamental_forms(s, kerr_p)
     ring = fd.tracefree_norm.max()
     assert abs(ring - fd_p.tracefree_norm.max()) < 1e-6 * ring
-    grad = fd.tracefree_gradient_norm.max()
-    assert abs(grad - fd_p.tracefree_gradient_norm.max()) < 0.02 * grad
+    grad = surf.tracefree_gradient(fd)[1].max()
+    assert abs(grad - surf.tracefree_gradient(fd_p)[1].max()) < 0.02 * grad
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +464,7 @@ def test_diagnostics_needs_three(grid16):
 
 
 def test_transform_residual_flat_degenerate(grid16, lumpy10):
-    res = surf.second_form_transform_residual(lumpy10, mcat.euclidean())
+    res = surf.second_form_transform_residual(*records(lumpy10, mcat.euclidean()))
     assert res < 1e-11
 
 
@@ -470,8 +476,8 @@ def test_transform_residual_refinement(catalog):
     # absolute floor bound.
     for name in ("std", "kerr"):
         metric = catalog[name]
-        res8 = surf.second_form_transform_residual(lumpy_surface(8), metric)
-        res16 = surf.second_form_transform_residual(lumpy_surface(16), metric)
+        res8 = surf.second_form_transform_residual(*records(lumpy_surface(8), metric))
+        res16 = surf.second_form_transform_residual(*records(lumpy_surface(16), metric))
         assert res16 < res8 / 10
         assert res16 < 1e-6
 
@@ -479,22 +485,22 @@ def test_transform_residual_refinement(catalog):
 def test_transform_residual_spheres_floor(grid16, catalog):
     for name in ("iso", "std", "kerr"):
         s = surf.coordinate_sphere(10.0, grid16)
-        assert surf.second_form_transform_residual(s, catalog[name]) < 1e-12
+        assert surf.second_form_transform_residual(*records(s, catalog[name])) < 1e-12
 
 
 def test_transform_residual_kerr_l24(catalog):
     s = surf.coordinate_sphere(40.0, build_grid(24))
-    assert surf.second_form_transform_residual(s, catalog["kerr"]) < 1e-6
+    assert surf.second_form_transform_residual(*records(s, catalog["kerr"])) < 1e-6
 
 
 def test_transform_residual_iso_refinement_floor(catalog):
     # band-limited normals put both levels at roundoff; floor-guarded
     iso = catalog["iso"]
     r16 = surf.second_form_transform_residual(
-        surf.coordinate_sphere(10.0, build_grid(16)), iso
+        *records(surf.coordinate_sphere(10.0, build_grid(16)), iso)
     )
     r32 = surf.second_form_transform_residual(
-        surf.coordinate_sphere(10.0, build_grid(32)), iso
+        *records(surf.coordinate_sphere(10.0, build_grid(32)), iso)
     )
     assert r32 < r16 / 10 or (r16 < 1e-12 and r32 < 1e-12)
 
@@ -504,7 +510,7 @@ def test_distance_hessian_round():
     for L, r in ((16, 5.0), (24, 80.0)):
         grid = build_grid(L)
         s = surf.coordinate_sphere(r, grid)
-        assert surf.distance_hessian_residual(s) < 1e-10
+        assert surf.distance_hessian_residual(surf.fundamental_forms(s)) < 1e-10
         assert surf.distance_hessian_spot_check(s) < 1e-5
         # closed form: the restricted Hessian is the tangential projector / r
         fd = surf.fundamental_forms(s)
@@ -520,7 +526,7 @@ def test_distance_hessian_round():
 
 
 def test_distance_hessian_lumpy(lumpy10):
-    assert surf.distance_hessian_residual(lumpy10) < 1e-10
+    assert surf.distance_hessian_residual(surf.fundamental_forms(lumpy10)) < 1e-10
     assert surf.distance_hessian_spot_check(lumpy10) < 1e-5
 
 
@@ -533,14 +539,14 @@ def test_expansion_residual_families(grid16, catalog):
         vals = []
         for r in (10.0, 20.0, 40.0):
             s = surf.coordinate_sphere(r, grid16)
-            vals.append(surf.mean_curvature_expansion_residual(s, metric))
+            vals.append(surf.mean_curvature_expansion_residual(*records(s, metric)))
         assert max(vals) < bounds[name], (name, vals)
         decreasing = all(b <= a for a, b in zip(vals, vals[1:]))
         assert decreasing or max(vals) / min(vals) < 1.35, (name, vals)
 
 
 def test_expansion_residual_flat_zero(grid16, lumpy10):
-    assert surf.mean_curvature_expansion_residual(lumpy10, mcat.euclidean()) < 1e-9
+    assert surf.mean_curvature_expansion_residual(*records(lumpy10, mcat.euclidean())) < 1e-9
 
 
 def test_integral_residual_families(grid16, catalog):
@@ -550,14 +556,14 @@ def test_integral_residual_families(grid16, catalog):
         vals = []
         for r in (10.0, 20.0, 40.0):
             s = surf.coordinate_sphere(r, grid16)
-            vals.append(surf.mean_curvature_integral_residual(s, metric))
+            vals.append(surf.mean_curvature_integral_residual(*records(s, metric)))
         assert max(vals) < bounds[name], (name, vals)
         decreasing = all(b <= a for a, b in zip(vals, vals[1:]))
         assert decreasing or max(vals) / min(vals) < 1.35, (name, vals)
 
 
 def test_integral_residual_flat_zero(grid16, lumpy10):
-    assert surf.mean_curvature_integral_residual(lumpy10, mcat.euclidean()) < 1e-12
+    assert surf.mean_curvature_integral_residual(*records(lumpy10, mcat.euclidean())) < 1e-12
 
 
 def test_divergence_gap_exact(grid16, catalog):
@@ -566,15 +572,46 @@ def test_divergence_gap_exact(grid16, catalog):
     # band-limit doubling (measured 2.8e-7 -> 6.4e-14)
     for name in ("iso", "std", "kerr", "pert"):
         s = surf.coordinate_sphere(20.0, grid16)
-        assert surf.divergence_identity_gap(s, catalog[name]) < 1e-12
-    gap8 = surf.divergence_identity_gap(lumpy_surface(8), catalog["std"])
-    gap16 = surf.divergence_identity_gap(lumpy_surface(16), catalog["std"])
+        assert surf.divergence_identity_gap(*records(s, catalog[name])) < 1e-12
+    gap8 = surf.divergence_identity_gap(*records(lumpy_surface(8), catalog["std"]))
+    gap16 = surf.divergence_identity_gap(*records(lumpy_surface(16), catalog["std"]))
     assert gap16 < max(gap8 / 10, 1e-12)
 
 
 def test_divergence_gap_kerr_l24(catalog):
     s = surf.coordinate_sphere(40.0, build_grid(24))
-    assert surf.divergence_identity_gap(s, catalog["kerr"]) < 1e-7
+    assert surf.divergence_identity_gap(*records(s, catalog["kerr"])) < 1e-7
+
+
+def test_identity_residuals_read_the_records(monkeypatch, catalog, lumpy10):
+    # the five residuals read what fundamental_forms built: no metric jet
+    # and no harmonic transform is evaluated inside them
+    fd_hat, fd = records(lumpy10, catalog["kerr"])
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mcat.AFMetric, "jets", counted("jets", mcat.AFMetric.jets))
+    for module in (sphere, surf):
+        for name in ("analyze", "synth_gradient"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    values = [
+        surf.second_form_transform_residual(fd_hat, fd),
+        surf.mean_curvature_expansion_residual(fd_hat, fd),
+        surf.divergence_identity_gap(fd_hat, fd),
+        surf.mean_curvature_integral_residual(fd_hat, fd),
+        surf.distance_hessian_residual(fd_hat),
+    ]
+    assert calls == []
+    assert np.all(np.isfinite(values))
+    # the counters see the evaluations that building a record makes
+    surf.fundamental_forms(surf.Immersion(lumpy10.grid, lumpy10.Y), catalog["kerr"])
+    assert {"jets", "analyze", "synth_gradient"} <= set(calls)
 
 
 # ---------------------------------------------------------------------------
