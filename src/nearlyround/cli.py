@@ -178,7 +178,8 @@ def _read_series(path: str, column: str):
             for row in rows
             if row.get(column) is not None
         ]
-        return pairs, metadata["adm_reference"]
+        reference = metadata["adm_reference"]
+        return pairs, None if reference is None else float(reference)
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise ConfigError(f"report {path!r} has no column {column!r}")
@@ -197,7 +198,7 @@ def _cmd_rate(args) -> int:
         pairs, reference = _read_series(args.input, args.column)
     except OSError as exc:
         raise ConfigError(f"cannot read report {args.input!r}: {exc}") from exc
-    except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed report {args.input!r}: {exc}") from exc
     m_infinity = args.m_inf if args.m_inf is not None else reference
     if m_infinity is None:

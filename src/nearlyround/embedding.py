@@ -10,12 +10,13 @@ radius, uniformize, solve, rescale, and report the support function, mean
 curvature, and enclosed volume of the image.
 
 Both Newton iterations are matrix free: each linear step is solved by
-preconditioned conjugate gradients (`_pcg`) from products with the grid's
-basis matrices, and no Jacobian is formed.  The preconditioners are the
-linearizations about the unit round sphere, which the normalized surfaces
-approach: the diagonal -l(l+1) + 2 for the conformal factor, and for the
-metric match the normal matrix of the round embedding, factored once per
-grid in its eight parity blocks.
+preconditioned conjugate gradients (`_pcg`) on harmonic transforms
+(`synth_gradient` and its transpose `synth_gradient_adjoint`), and no
+Jacobian is formed.  The preconditioners are the linearizations about the
+unit round sphere, which the normalized surfaces approach: the diagonal
+-l(l+1) + 2 for the conformal factor, and for the metric match the normal
+matrix of the round embedding, factored once per grid in its eight parity
+blocks from columns of the grid's dense derivative matrices.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .sphere import (
     coeff_index,
     conformal_moments,
     synth_at,
+    synth_gradient,
+    synth_gradient_adjoint,
     synthesize,
 )
 from .surfaces import (
@@ -339,9 +342,8 @@ def _round_normal_blocks(grid: SphereGrid):
         # x, y, z are sqrt(4 pi / 3) times the degree-one harmonics
         c0 = np.zeros((grid.n_coeffs, 3))
         c0[_IDX1, [0, 1, 2]] = np.sqrt(4.0 * np.pi / 3.0)
-        Dt = grid.dtheta_matrix
-        Dp = grid.dphi_matrix
-        yt, yp = Dt @ c0, Dp @ c0
+        yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, c0))
+        Dt, Dp = grid.dtheta_matrix, grid.dphi_matrix
         sw = np.sqrt(grid.weights.ravel())[:, None]
         gauge = _gauge_rows(grid.n_coeffs)
         labels = _parity_labels(grid.L).ravel()
@@ -370,19 +372,17 @@ def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndar
     J linearizes the residual (the weighted tt, tp, pp metric gaps at the
     nodes, then the six gauge conditions) about the node tangents yt, yp.
     The normal equations J^T J s = -J^T R are solved by conjugate gradients
-    on products with J and J^T, each a few products with the grid's
-    derivative matrices, preconditioned by the round-sphere normal matrix.
+    on products with J and J^T, one `synth_gradient` or
+    `synth_gradient_adjoint` each, preconditioned by the round-sphere
+    normal matrix.
     """
-    N = grid.n_nodes
-    Dt = grid.dtheta_matrix
-    Dp = grid.dphi_matrix
+    N, shape = grid.n_nodes, grid.shape + (3,)
     sw = np.sqrt(grid.weights.ravel())
     gauge = _gauge_rows(grid.n_coeffs)
     blocks = _round_normal_blocks(grid)
 
     def jac(v):
-        vt = Dt @ v
-        vp = Dp @ v
+        vt, vp = (d.reshape(N, 3) for d in synth_gradient(grid, v))
         return np.concatenate([
             2.0 * sw * np.einsum("nk,nk->n", yt, vt),
             sw * (np.einsum("nk,nk->n", yt, vp) + np.einsum("nk,nk->n", yp, vt)),
@@ -392,7 +392,8 @@ def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndar
 
     def jac_t(r):
         rtt, rtp, rpp = ((sw * r[i * N : (i + 1) * N])[:, None] for i in range(3))
-        out = Dt.T @ (2.0 * rtt * yt + rtp * yp) + Dp.T @ (rtp * yt + 2.0 * rpp * yp)
+        ft, fp = 2.0 * rtt * yt + rtp * yp, rtp * yt + 2.0 * rpp * yp
+        out = synth_gradient_adjoint(grid, ft.reshape(shape), fp.reshape(shape))
         return out + (gauge.T @ r[3 * N :]).reshape(out.shape)
 
     def precondition(r):
@@ -426,10 +427,10 @@ def solve_embedding(
     is a single representative of the rigid-motion orbit.
 
     Each Gauss-Newton step solves its normal equations matrix free, by
-    conjugate gradients on products with J and J^T, to a relative residual
-    of 1e-12.  The preconditioner is the normal matrix of the unit round
-    embedding, which the normalized surface approaches; it is factored once
-    per grid, in eight parity blocks, and cached on the grid.
+    conjugate gradients on J and J^T products (`_embedding_step`), to a
+    relative residual of 1e-12.  The preconditioner is the normal matrix of
+    the unit round embedding, which the normalized surface approaches; it
+    is factored once per grid, in eight parity blocks, and cached on it.
 
     The starting point is exp(log_factor) times the round embedding unless
     an explicit `seed` immersion is supplied.
@@ -448,8 +449,6 @@ def solve_embedding(
     if np.min(_frobenius(h)) <= 0.0:
         raise ValueError("target metric vanishes at a node")
 
-    Dt = grid.dtheta_matrix
-    Dp = grid.dphi_matrix
     sw = np.sqrt(grid.weights.ravel())
     gauge = _gauge_rows(grid.n_coeffs)
 
@@ -461,8 +460,7 @@ def solve_embedding(
     c = analyze(grid, Y0)
 
     def state(cm):
-        yt = Dt @ cm
-        yp = Dp @ cm
+        yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, cm))
         (dtt, dtp, dpp), rel = _metric_mismatch(yt, yp, h)
         R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge @ cm.ravel()])
         return R, yt, yp, rel
@@ -495,7 +493,7 @@ def solve_embedding(
             best,
         )
 
-    Y = (grid.synthesis_matrix @ c).reshape(grid.shape + (3,))
+    Y = synthesize(grid, c)
     radial = np.einsum("nk,nk->n", Y.reshape(-1, 3), np.cross(yt, yp))
     if np.min(radial) <= 0.0:
         raise SelfIntersectionError(
@@ -626,8 +624,8 @@ class IsometricEmbedding:
 
 
 def _node_metric_mismatch(grid: SphereGrid, imm: Immersion, h: np.ndarray) -> float:
-    c = imm.component_coeffs()
-    _, rel = _metric_mismatch(grid.dtheta_matrix @ c, grid.dphi_matrix @ c, h)
+    yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, imm.component_coeffs()))
+    _, rel = _metric_mismatch(yt, yp, h)
     return rel
 
 

@@ -336,24 +336,25 @@ class RateFit:
 def fit_rate(series, m_infinity: float) -> RateFit:
     """Fit the approach rate of a mass series toward its limit.
 
-    series is an iterable of (r, mass) pairs.  Differences below ten
-    machine epsilons of the limit cannot carry a rate; that case returns
-    an explicit not-fittable result instead of a garbage slope.
+    series is an iterable of (r, mass) pairs.  A flux of size r less its
+    leading part, a mass at radius r carries about eps r of roundoff: gaps
+    below 10 eps max(1, |m_inf|, r) give an explicit not-fittable result.
     """
     pts = [(float(r), float(v)) for r, v in series]
     if len(pts) < 3:
         raise ValueError("rate fit needs at least three points")
     m_infinity = float(m_infinity)
+    radii = np.array([r for r, _ in pts])
     gaps = np.array([abs(v - m_infinity) for _, v in pts])
-    floor = 10.0 * np.finfo(float).eps * max(1.0, abs(m_infinity))
-    if np.any(gaps <= floor):
+    floors = 10.0 * np.finfo(float).eps * np.maximum(max(1.0, abs(m_infinity)), radii)
+    if np.any(gaps <= floors):
         return RateFit(
             slope=math.nan, intercept=math.nan, residual=math.nan,
             m_infinity=m_infinity, n_points=len(pts), fittable=False,
-            note=f"mass differences at the machine noise floor ({floor:.1e}); "
-            "rate not fittable",
+            note=f"mass differences at the machine noise floor (up to "
+            f"{floors.max():.1e}); rate not fittable",
         )
-    logr = np.log([r for r, _ in pts])
+    logr = np.log(radii)
     logg = np.log(gaps)
     X = np.stack([logr, np.ones_like(logr)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(X, logg, rcond=None)

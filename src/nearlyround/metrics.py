@@ -434,11 +434,12 @@ def christoffel_derivative(jets: JetBatch) -> np.ndarray:
     )
 
 
-def riemann_lowered(jets: JetBatch) -> np.ndarray:
+def riemann_lowered(jets: JetBatch, Gam: np.ndarray | None = None) -> np.ndarray:
     """Covariant curvature tensor R[n, i, j, k, l] with R(X,Y,Z,W) =
     g(R(X,Y)Z, W) and the sign convention fixed so that round spheres in the
-    catalog reproduce K = 1/r^2 through the Gauss equation."""
-    Gam = christoffel(jets)
+    catalog reproduce K = 1/r^2 through the Gauss equation.  `Gam` is
+    christoffel(jets), computed here when not given."""
+    Gam = christoffel(jets) if Gam is None else Gam
     dGam = christoffel_derivative(jets)  # dGam[n, k, i, j, m] = d_m Gamma^k_ij
     # R^r_{s m q} = d_m Gamma^r_{q s} - d_q Gamma^r_{m s}
     #             + Gamma^r_{m l} Gamma^l_{q s} - Gamma^r_{q l} Gamma^l_{m s}

@@ -4,11 +4,13 @@ Gauss-Legendre x uniform-phi grids, real orthonormal spherical harmonics,
 forward/inverse transforms with analytic angular derivatives, the conformal
 (Mobius) dilations of the round sphere, and the center-of-mass gauge fix.
 
-`synth_at` is the one off-grid evaluator: one coefficient vector or a
-(K, ncomp) stack, at theta and phi arrays that broadcast against each other
-(scattered points, or an outer mesh from theta[:, None] and phi[None, :]).
-It contracts over l against the Legendre table of theta, then over m against
-cos/sin(m phi).  The grid's dense basis matrices share that table and layout.
+Every transform runs through one O(L^3) core (Driscoll & Healy 1994;
+Schaeffer, G^3 2013): coefficients scattered into a per-m amplitude table,
+one batched matrix product over m against the grid's per-m Legendre table
+(values and theta derivatives), an inverse real FFT in phi; `analyze` and
+`synth_gradient_adjoint` are its transposes.  `synth_at` shares the table
+layout and Legendre step, with an explicit phi sum at scattered points.
+SphereGrid's dense matrices are oracles built on demand.
 
 Conventions
 -----------
@@ -18,13 +20,14 @@ Conventions
 * Real harmonics Y_{l,m}: m > 0 pairs with sqrt(2) cos(m phi), m < 0 with
   sqrt(2) sin(|m| phi), normalized so that the integral of Y^2 over the
   sphere is 1.  Coefficient index: l*(l+1) + m.
-* Scalar fields are (ntheta, nphi) arrays sampled at grid nodes.  analyze,
-  synthesize and synth_gradient also take stacks with trailing component
-  axes, (ntheta, nphi, ...) fields and (n_coeffs, ...) coefficients.
+* Scalar fields are (ntheta, nphi) arrays sampled at grid nodes.  The
+  transforms also take stacks with trailing component axes, (ntheta, nphi,
+  ...) fields and (n_coeffs, ...) coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,33 +60,31 @@ def normalized_legendre(L: int, mu: np.ndarray) -> np.ndarray:
     p[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
     for m in range(1, L + 1):
         p[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * p[m - 1, m - 1]
-    for m in range(0, L):
-        p[m + 1, m] = np.sqrt(2.0 * m + 3.0) * mu * p[m, m]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[l, m] = a * (mu * p[l - 1, m] - b * p[l - 2, m])
+    for l in range(1, L + 1):
+        # all orders m < l at once; b vanishes at m = l - 1 (so at l = 1)
+        m = np.arange(l).reshape((l,) + (1,) * mu.ndim)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        p[l, :l] = a * (mu * p[l - 1, :l] - b * p[max(l - 2, 0), :l])
     return p
 
 
-def normalized_legendre_dtheta(L: int, mu: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """d/dtheta of the normalized associated Legendre table `p` at mu.
-
-    dPbar_l^m/dtheta = (l mu Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta) with
-    c_lm = sqrt((2l+1)/(2l-1) (l^2 - m^2)); entries with m > l stay 0.
-    """
-    mu = np.asarray(mu, dtype=float)
-    s = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
-    inv_s = 1.0 / np.where(s == 0.0, 1.0, s)
-    tail = (1,) * mu.ndim
-    l = np.arange(1, L + 1).reshape((L, 1) + tail)
-    m = np.arange(L + 1).reshape((1, L + 1) + tail)
-    lower = m <= l
-    c = np.sqrt(np.where(lower, (2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - m * m), 0.0))
+def normalized_legendre_dtheta(p: np.ndarray) -> np.ndarray:
+    """d/dtheta of a normalized associated Legendre table `p` (or of its
+    theta derivatives): (a_lm Pbar_l^{m-1} - b_lm Pbar_l^{m+1}) / 2, with
+    a_lm = sqrt((l+m)(l-m+1)), b_lm = sqrt((l-m)(l+m+1)), and -b_l0 Pbar_l^1
+    for m = 0.  No 1/sin(theta): regular at and near the poles."""
+    L = p.shape[0] - 1
+    tail = (1,) * (p.ndim - 2)
+    l = np.arange(L + 1.0).reshape((L + 1, 1) + tail)
+    m = np.arange(L + 1.0).reshape((1, L + 1) + tail)
+    a = np.sqrt(np.clip((l + m) * (l - m + 1.0), 0.0, None))
+    b = np.sqrt(np.clip((l - m) * (l + m + 1.0), 0.0, None))
+    b[:, 0] *= 2.0  # m = 0 has the Pbar^{m+1} term only, at full weight
     dp = np.zeros_like(p)
-    dp[1:] = np.where(lower, (l * mu * p[1:] - c * p[:-1]) * inv_s, 0.0)
-    return dp
+    dp[:, 1:] = a[:, 1:] * p[:, :-1]
+    dp[:, :-1] -= b[:, :-1] * p[:, 1:]
+    return 0.5 * dp
 
 
 @dataclass
@@ -132,13 +133,10 @@ class SphereGrid:
     def unit_vectors(self) -> np.ndarray:
         """Node directions on the unit sphere, shape (ntheta, nphi, 3)."""
         if "unit_vectors" not in self._cache:
-            st = np.sin(self.theta)[:, None]
-            ct = np.cos(self.theta)[:, None]
-            cp = np.cos(self.phi)[None, :]
-            sp = np.sin(self.phi)[None, :]
+            st, ct = np.sin(self.theta)[:, None], np.cos(self.theta)[:, None]
+            cp, sp = np.cos(self.phi), np.sin(self.phi)
             self._cache["unit_vectors"] = np.stack(
-                [st * cp, st * sp, np.broadcast_to(ct, (self.ntheta, self.nphi))],
-                axis=-1,
+                [st * cp, st * sp, np.broadcast_to(ct, self.shape)], axis=-1
             )
         return self._cache["unit_vectors"]
 
@@ -146,50 +144,30 @@ class SphereGrid:
         """Quadrature of a scalar field against the round measure."""
         return float(np.sum(self.weights * f))
 
-    def _basis_matrices(self):
-        """Synthesis matrix and its theta/phi derivative companions.
-
-        Rows are flattened nodes (theta-major), columns coefficients.
-        """
-        if "basis" not in self._cache:
-            ls, ms = coeff_degrees(self.L)
-            am = np.abs(ms)
-            p = normalized_legendre(self.L, self.mu)
-            dp = normalized_legendre_dtheta(self.L, self.mu, p)
-            mphi = np.outer(np.arange(self.L + 1), self.phi)
-            cos_m, sin_m = np.cos(mphi), np.sin(mphi)
-            sine = (ms < 0)[:, None]
-            # (K, nphi) rows: cos(m phi) for m >= 0, sin(|m| phi) for m < 0,
-            # and their phi derivatives
-            trig = np.where(sine, sin_m[am], cos_m[am])
-            dtrig = -ms[:, None] * np.where(sine, cos_m[am], sin_m[am])
-            fac = np.where(ms == 0, 1.0, np.sqrt(2.0))
-
-            def columns(leg, rows):
-                # node-major (ntheta, nphi, K), so the (N, K) reshape is a view
-                out = np.empty(self.shape + (len(ms),))
-                np.multiply(leg[ls, am].T[:, None, :], rows.T, out=out)
-                out *= fac
-                return out.reshape(self.n_nodes, -1)
-
-            self._cache["basis"] = (
-                columns(p, trig),
-                columns(dp, trig),
-                columns(p, dtrig),
-            )
-        return self._cache["basis"]
+    def _dense(self, deriv: int) -> np.ndarray:
+        """Dense (n_nodes, n_coeffs) matrix of synthesize, d/dtheta or d/dphi
+        (deriv 0, 1, 2) from explicit cos/sin rows, built on every call."""
+        ls, ms = coeff_degrees(self.L)
+        first = 0 if deriv == 1 else self.ntheta
+        leg = _legendre_rows(self)[np.abs(ms), first : first + self.ntheta, ls]
+        mphi, sine = np.outer(np.abs(ms), self.phi), (ms < 0)[:, None]
+        trig = np.where(sine, np.sin(mphi), np.cos(mphi))
+        if deriv == 2:
+            trig = -ms[:, None] * np.where(sine, np.cos(mphi), np.sin(mphi))
+        fac = np.where(ms == 0, 1.0, np.sqrt(2.0))[:, None]
+        return np.einsum("kt,kp->tpk", fac * leg, trig).reshape(self.n_nodes, -1)
 
     @property
     def synthesis_matrix(self) -> np.ndarray:
-        return self._basis_matrices()[0]
+        return self._dense(0)
 
     @property
     def dtheta_matrix(self) -> np.ndarray:
-        return self._basis_matrices()[1]
+        return self._dense(1)
 
     @property
     def dphi_matrix(self) -> np.ndarray:
-        return self._basis_matrices()[2]
+        return self._dense(2)
 
 
 def build_grid(L: int) -> SphereGrid:
@@ -197,18 +175,55 @@ def build_grid(L: int) -> SphereGrid:
     return SphereGrid(L)
 
 
-def _apply(matrix: np.ndarray, a: np.ndarray, lead: int) -> np.ndarray:
-    """`matrix` applied over the first `lead` axes of `a`, for each trailing
-    component: (rows,) plus the trailing axes.
+# ---------------------------------------------------------------------------
+# The transform core: per-m amplitudes, per-m Legendre sums, FFT in phi
+# ---------------------------------------------------------------------------
 
-    A stack goes through one batched product of matrix-vector pairs, so
-    each component comes out bitwise equal to its own 1-D call.
-    """
-    if a.ndim == lead:
-        return matrix @ a.reshape(-1)
-    cols = np.ascontiguousarray(a.reshape(matrix.shape[1], -1).T)[..., None]
-    out = np.ascontiguousarray((matrix @ cols)[..., 0].T)
-    return out.reshape(matrix.shape[:1] + a.shape[lead:])
+
+@functools.lru_cache(maxsize=None)
+def _layout(L: int):
+    """(row, part, scale, scale w_m) of each flat coefficient in the per-m
+    amplitude table ((L+1)^2, ncomp, re/im).  Row m (L+1) + l holds Z = c_{l,0}
+    (m = 0) or (c_{l,m} - i c_{l,-m}) / sqrt(2) (m > 0), so a field is
+    sum_m w_m Re(e^{i m phi} sum_l Pbar_l^m Z) with w = (1, 2, 2, ...)."""
+    ls, ms = coeff_degrees(L)
+    scale = np.where(ms == 0, 1.0, np.sign(ms) / np.sqrt(2.0))
+    return np.abs(ms) * (L + 1) + ls, (ms < 0).astype(int), scale, scale * (1.0 + (ms != 0))
+
+
+def _amplitudes(L: int, coeffs: np.ndarray) -> np.ndarray:
+    """(n_coeffs, ncomp) coefficients as the (m, l, 2 ncomp) amplitude table."""
+    row, part, scale, _ = _layout(L)
+    z = np.zeros(((L + 1) ** 2, coeffs.shape[1], 2))
+    z[row, :, part] = scale[:, None] * coeffs
+    return z.reshape(L + 1, L + 1, -1)
+
+
+def _coefficients(L: int, b: np.ndarray) -> np.ndarray:
+    """Transpose of `_amplitudes` and of the w_m of the phi sum."""
+    row, part, _, wscale = _layout(L)
+    return wscale[:, None] * b.reshape((L + 1) ** 2, -1, 2)[row, :, part]
+
+
+def _legendre_rows(grid: SphereGrid) -> np.ndarray:
+    """(m, 2 ntheta, l) table, cached: dPbar_l^m/dtheta rows, then Pbar_l^m."""
+    if "legendre" not in grid._cache:
+        p = normalized_legendre(grid.L, grid.mu)
+        pd = np.concatenate([normalized_legendre_dtheta(p), p], axis=2)
+        grid._cache["legendre"] = np.ascontiguousarray(pd.transpose(1, 2, 0))
+    return grid._cache["legendre"]
+
+
+def _to_nodes(grid: SphereGrid, q: np.ndarray) -> np.ndarray:
+    """The phi sum by inverse real FFT: (m, rows, 2 ncomp) to (rows, nphi, ncomp)."""
+    f = np.fft.irfft(q.view(complex), n=grid.nphi, axis=0, norm="forward")
+    return np.ascontiguousarray(f.transpose(1, 0, 2))
+
+
+def _from_nodes(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
+    """Transpose of `_to_nodes` less w_m: sums of f e^{-i m phi}, (m, rows, ncomp)."""
+    t = np.fft.rfft(f, axis=1)[:, : grid.L + 1]
+    return np.ascontiguousarray(t.transpose(1, 0, 2))
 
 
 def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
@@ -219,11 +234,10 @@ def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     if f.shape[:2] != grid.shape:
-        raise ValueError(
-            f"field shape {f.shape} does not match grid shape {grid.shape}"
-        )
-    w = grid.weights.reshape(grid.shape + (1,) * (f.ndim - 2))
-    return _apply(grid.synthesis_matrix.T, w * f, 2)
+        raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
+    t = _from_nodes(grid, grid.weights[:, :1, None] * f.reshape(grid.shape + (-1,)))
+    b = _legendre_rows(grid)[:, grid.ntheta :].transpose(0, 2, 1) @ t.view(float)
+    return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + f.shape[2:])
 
 
 def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -234,20 +248,30 @@ def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[0] != grid.n_coeffs:
-        raise ValueError(
-            f"{coeffs.shape[0] if coeffs.ndim == 1 else coeffs.shape} "
-            f"coefficients do not match band limit {grid.L} "
-            f"(expected {grid.n_coeffs})"
-        )
-    return _apply(grid.synthesis_matrix, coeffs, 1).reshape(grid.shape + coeffs.shape[1:])
+        raise ValueError(f"coefficients of shape {coeffs.shape} do not match band "
+                         f"limit {grid.L} (expected {grid.n_coeffs} rows)")
+    amps = _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
+    q = _legendre_rows(grid)[:, grid.ntheta :] @ amps
+    return _to_nodes(grid, q).reshape(grid.shape + coeffs.shape[1:])
 
 
 def synth_gradient(grid: SphereGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d/dtheta, d/dphi) fields of the synthesized function or stack."""
     coeffs = np.asarray(coeffs, dtype=float)
-    shape = grid.shape + coeffs.shape[1:]
-    ft = _apply(grid.dtheta_matrix, coeffs, 1).reshape(shape)
-    return ft, _apply(grid.dphi_matrix, coeffs, 1).reshape(shape)
+    q = _legendre_rows(grid) @ _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
+    q.view(complex)[:, grid.ntheta :] *= 1j * np.arange(grid.L + 1.0)[:, None, None]
+    return tuple(_to_nodes(grid, q).reshape((2,) + grid.shape + coeffs.shape[1:]))
+
+
+def synth_gradient_adjoint(grid: SphereGrid, ft: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Dt^T ft + Dp^T fp, the transpose of `synth_gradient`, without the
+    matrices.  `ft` and `fp` are (ntheta, nphi) plus the same trailing axes;
+    the result is (n_coeffs,) plus those axes.  No quadrature weights."""
+    pair = np.array([ft, fp], dtype=float)
+    t = _from_nodes(grid, pair.reshape(2 * grid.ntheta, grid.nphi, -1))
+    t[:, grid.ntheta :] *= -1j * np.arange(grid.L + 1.0)[:, None, None]
+    b = _legendre_rows(grid).transpose(0, 2, 1) @ t.view(float)
+    return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + pair.shape[3:])
 
 
 def laplace_beltrami(coeffs: np.ndarray) -> np.ndarray:
@@ -281,41 +305,21 @@ def synth_at(
     L = int(round(np.sqrt(K))) - 1
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    stacked = coeffs.reshape(K, -1)
-    ls, ms = coeff_degrees(L)
-    # (cos | sin, l, |m|, component) table of the normalized amplitudes
-    table = np.zeros((2, L + 1, L + 1, stacked.shape[1]))
-    table[(ms < 0).astype(int), ls, np.abs(ms)] = (
-        np.where(ms == 0, 1.0, np.sqrt(2.0))[:, None] * stacked
-    )
-    mu = np.cos(theta)
-    p = normalized_legendre(L, mu)
-    legendre = [p]
-    if nderiv >= 1:
-        legendre.append(normalized_legendre_dtheta(L, mu, p))
-    # 0..L along the l axis of the Legendre table (l, m, theta...) and along
-    # the m axis of the l-contracted amplitudes (m, component, theta...)
-    m = np.arange(L + 1.0).reshape((L + 1, 1) + (1,) * theta.ndim)
-    if nderiv >= 2:
-        # the l(l+1) term of the associated Legendre ODE, before the l-sum
-        legendre.append(m * (m + 1.0) * p)
-    q = np.einsum("slmc,dlm...->dsmc...", table, np.stack(legendre))
-
-    def dphi(a):
-        # d/dphi maps (cos, sin) amplitudes (a_c, a_s) to (m a_s, -m a_c)
-        return np.stack([m * a[1], -m * a[0]])
-
-    rows = [q[0]]
-    if nderiv >= 1:
-        rows += [q[1], dphi(q[0])]
-    if nderiv >= 2:
-        s = np.sin(theta)
-        cot = np.cos(theta) / s
-        inv_s2 = 1.0 / (s * s)
-        rows += [-cot * q[1] - q[2] + m * m * inv_s2 * q[0], dphi(q[1]), -m * m * q[0]]
-    mphi = np.multiply.outer(np.arange(L + 1.0), phi)
-    trig = np.stack([np.cos(mphi), np.sin(mphi)])
-    out = np.einsum("esmc...,sm...->e...c", np.stack(rows), trig)
+    legendre = [normalized_legendre(L, np.cos(theta))]
+    for _ in range(nderiv):
+        legendre.append(normalized_legendre_dtheta(legendre[-1]))
+    # the per-m Legendre step of the grid transforms, tables stacked as rows
+    table = np.stack(legendre, axis=2).reshape(L + 1, L + 1, -1)
+    q = (table.transpose(1, 2, 0) @ _amplitudes(L, coeffs.reshape(K, -1))).view(complex)
+    # (theta derivative, m, component, theta...) amplitudes of e^{i m phi}
+    q = np.moveaxis(q.reshape((L + 1, nderiv + 1) + theta.shape + (-1,)), (1, -1), (0, 2))
+    # d^n / dtheta^j dphi^(n-j) is theta-derivative j times (i m)^(n-j)
+    im = 1j * np.arange(L + 1.0).reshape((L + 1, 1) + (1,) * theta.ndim)
+    rows = [q[j] * im ** (n - j) for n in range(nderiv + 1) for j in range(n, -1, -1)]
+    # the phi step: an explicit sum over m of w_m Re(e^{i m phi} q_m)
+    m = np.arange(L + 1.0).reshape((L + 1,) + (1,) * phi.ndim)
+    wexp = np.where(m == 0, 1.0, 2.0) * np.exp(1j * m * phi)
+    out = np.einsum("emc...,m...->e...c", np.stack(rows), wexp).real
     if coeffs.ndim == 1:
         out = out[..., 0]
     return out[0] if nderiv == 0 else tuple(out)
@@ -367,9 +371,7 @@ def apply_mobius(grid: SphereGrid, f: np.ndarray, b: np.ndarray):
 
 def conformal_moments(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
     """The three first moments of the conformal measure, int e^{2u} x_i."""
-    e2u = np.exp(2.0 * u)
-    x = grid.unit_vectors
-    return np.array([grid.integrate(e2u * x[..., i]) for i in range(3)])
+    return np.einsum("tp,tpk->k", grid.weights * np.exp(2.0 * u), grid.unit_vectors)
 
 
 # moment size at which the conformal measure counts as centered, and the
@@ -405,14 +407,9 @@ def center_gauge(grid: SphereGrid, u: np.ndarray):
     res = moments(b)
     for _ in range(_GAUGE_MAX_ITER):
         if np.max(np.abs(res)) <= _GAUGE_TOL:
-            ug = gauged(b)
-            return ug, b
-        h = 1e-6
-        jac = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            jac[:, j] = (moments(b + e) - moments(b - e)) / (2.0 * h)
+            return gauged(b), b
+        h = 1e-6  # central differences along each axis
+        jac = np.column_stack([moments(b + e) - moments(b - e) for e in h * np.eye(3)]) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:

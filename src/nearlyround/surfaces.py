@@ -142,8 +142,8 @@ class FundamentalData:
     scalar fields have the grid shape.  area_jacobian is the ratio of
     the induced area element to the round-sphere element sin(theta)
     dtheta dphi, so integrate() multiplies by it under the grid rule.
-    points, tangents (N, 2, 3) and the ambient metric jets are per
-    flattened node; tau is the ambient decay order.
+    points, tangents (N, 2, 3), the ambient jets and Christoffel symbols
+    (N, 3, 3, 3) are per flattened node; tau is the ambient decay order.
     """
 
     ambient: str
@@ -151,6 +151,7 @@ class FundamentalData:
     points: np.ndarray
     tangents: np.ndarray
     jets: mcat.JetBatch
+    christoffel: np.ndarray
     tau: float
     induced_metric: np.ndarray
     induced_metric_inv: np.ndarray
@@ -255,7 +256,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     if flat:
         K = detA / deth
     else:
-        R = mcat.riemann_lowered(jets)
+        R = mcat.riemann_lowered(jets, Gam)
         sec = np.einsum("nrsmq,nr,ns,nm,nq->n", R, T[:, 0], T[:, 1], T[:, 0], T[:, 1])
         K = (sec + detA) / deth
 
@@ -271,6 +272,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         points=pts,
         tangents=T,
         jets=jets,
+        christoffel=Gam,
         tau=metric.tau,
         induced_metric=h.reshape(shp + (2, 2)),
         induced_metric_inv=hinv.reshape(shp + (2, 2)),
@@ -426,7 +428,7 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     grid = fd.grid
     N = grid.n_nodes
     T = fd.tangents
-    Gam = mcat.christoffel(fd.jets)
+    Gam = fd.christoffel
     hinv = fd.induced_metric_inv.reshape(N, 2, 2)
     E = np.einsum("nab,nij,nbj->nai", hinv, fd.jets.g, T)  # dual frame
     Aring = fd.tracefree_second_form.reshape(N, 2, 2)
@@ -524,7 +526,7 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     N = fd.grid.n_nodes
     T = fd_hat.tangents
     nhat = fd_hat.normal.reshape(N, 3)
-    Gam = mcat.christoffel(fd.jets)
+    Gam = fd.christoffel
     ginv = np.linalg.inv(fd.jets.g)
     grad_norm = np.sqrt(np.einsum("ni,nij,nj->n", nhat, ginv, nhat))
     gamma_term = np.einsum("nkij,nai,nbj,nk->nab", Gam, T, T, nhat)

@@ -8,6 +8,9 @@ a contract test: validation, determinism, exit codes, report schema.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +285,17 @@ def test_fit_rate_not_fittable_at_noise_floor():
     assert "not fittable" in fit.note
 
 
+def test_fit_rate_noise_floor_grows_with_radius():
+    # Hawking masses of Schwarzschild coordinate spheres at r = 80, 160,
+    # 320: exact up to roundoff that grows like eps r, 175, 284 and 80 eps here
+    series = [(80.0, 1.0000000000000389), (160.0, 0.999999999999937), (320.0, 0.9999999999999823)]
+    fit = nr.fit_rate(series, 1.0)
+    assert not fit.fittable
+    assert "not fittable" in fit.note
+    # a real 1/r approach far out stays fittable
+    assert nr.fit_rate([(r, 1.0 + 1e-9 * 80.0 / r) for r, _ in series], 1.0).fittable
+
+
 def test_fit_rate_noisy_series_flagged():
     rng = np.random.default_rng(0)
     radii = (10.0, 20.0, 40.0, 80.0, 160.0)
@@ -546,6 +560,40 @@ def test_cli_rate_json_input(tmp_path, capsys):
     assert main(["rate", "--input", str(report)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["slope"] + 1.0453) <= 1e-3
+
+
+def test_reports_identical_across_blas_threads():
+    # every transform sum is an FFT or a small per-m matrix product, whose
+    # summation order does not change with the OpenBLAS thread count
+    kerr = ["--metric", "kerr_slice m=1 a=0.5", "--family", "coordinate-spheres",
+            "--schedule", "20,40,80"]
+    runs = {"masses": kerr + ["--band-limit", "24"], "verify": kerr + ["--band-limit", "16"]}
+    for command, args in runs.items():
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nearlyround.cli", command, *args],
+                capture_output=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], command
+
+
+@pytest.mark.parametrize(
+    "row, reference",
+    [('{"r": null, "hawking": 1.0}', "1.0"), ('{"r": [1], "hawking": 1.0}', "1.0"),
+     ('{"r": 10.0, "hawking": 1.0}', '"abc"')],
+    ids=["null-radius", "list-radius", "text-reference"],
+)
+def test_cli_rate_wrong_cell_types(tmp_path, capsys, row, reference):
+    # a JSON report whose cells have the wrong type exits 2, not a traceback
+    path = tmp_path / "report.json"
+    path.write_text(
+        f'{{"rows": [{row}, {row}, {row}], "metadata": {{"adm_reference": {reference}}}}}'
+    )
+    assert main(["rate", "--input", str(path), "--column", "hawking"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_rate_bad_inputs(tmp_path, capsys):

@@ -16,6 +16,7 @@ from nearlyround.sphere import (
     mobius_map,
     synth_at,
     synth_gradient,
+    synth_gradient_adjoint,
     synthesize,
 )
 
@@ -225,6 +226,35 @@ def test_roundtrip_random_band_limited():
             assert rel_gap(back[(slice(None),) + k], analyze(grid, f_k)) <= 1e-14
 
 
+@pytest.mark.parametrize("L", [1, 2, 7, 16, 33, 48])
+def test_transforms_match_dense_oracle(L):
+    # the FFT x per-m Legendre core against the dense (n_nodes, n_coeffs)
+    # matrices, for one expansion and a (K, 3, 3) stack
+    grid = build_grid(L)
+    S, Dt, Dp = grid.synthesis_matrix, grid.dtheta_matrix, grid.dphi_matrix
+    rng = np.random.default_rng(L)
+    for tail in ((), (3, 3)):
+        c = rng.normal(size=(grid.n_coeffs,) + tail)
+        f, g = rng.normal(size=(2,) + grid.shape + tail)
+        c2 = c.reshape(grid.n_coeffs, -1)
+        f2, g2 = f.reshape(grid.n_nodes, -1), g.reshape(grid.n_nodes, -1)
+        ft, fp = synth_gradient(grid, c)
+        adjoint = synth_gradient_adjoint(grid, f, g)
+        pairs = [
+            (synthesize(grid, c), S @ c2),
+            (ft, Dt @ c2),
+            (fp, Dp @ c2),
+            (analyze(grid, f), S.T @ (grid.weights.reshape(-1, 1) * f2)),
+            (adjoint, Dt.T @ f2 + Dp.T @ g2),
+        ]
+        for got, oracle in pairs:
+            assert got.shape[len(got.shape) - len(tail):] == tail
+            assert rel_gap(got.reshape(oracle.shape), oracle) <= 1e-13
+        # <D v, w> = <v, D^T w> for the pair D = (d/dtheta, d/dphi)
+        lhs = np.sum(ft * f) + np.sum(fp * g)
+        assert abs(lhs - np.sum(c * adjoint)) <= 1e-13 * np.sum(np.abs(c * adjoint))
+
+
 def test_shape_mismatch_raises():
     grid = build_grid(8)
     with pytest.raises(ValueError):
@@ -342,6 +372,20 @@ def test_pointwise_evaluation_at_poles_is_finite():
     c = rng.normal(size=(6 + 1) ** 2)
     out = synth_at(c, np.array([0.0, np.pi]), np.array([0.3, 1.1]))
     assert np.all(np.isfinite(out))
+
+
+def test_theta_derivatives_exact_at_poles():
+    # f = sqrt(3 / 4 pi) x + sqrt(15 / 4 pi) xz = (a sin t + b sin 2t / 2) cos p
+    # at the poles themselves, where the Legendre tables have no 1/sin(theta)
+    # to lean on: f_t = (a cos t + b cos 2t) cos p, f_tt = -(a sin t + 2 b sin 2t) cos p
+    c = np.zeros(9)
+    c[coeff_index(1, 1)] = 1.0
+    c[coeff_index(2, 1)] = 1.0
+    a, b = np.sqrt(3 / (4 * np.pi)), np.sqrt(15 / (4 * np.pi))
+    th, ph = np.array([0.0, np.pi]), np.array([0.4, 0.4])
+    _, ft, _, ftt, _, _ = synth_at(c, th, ph, nderiv=2)
+    assert np.max(np.abs(ft - (a * np.cos(th) + b * np.cos(2 * th)) * np.cos(ph))) <= 1e-14
+    assert np.max(np.abs(ftt + (a * np.sin(th) + 2 * b * np.sin(2 * th)) * np.cos(ph))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

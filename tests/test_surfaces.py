@@ -9,10 +9,12 @@ constants from refinement and family studies (noted inline where used).
 """
 
 import csv
+import sys
 
 import numpy as np
 import pytest
 
+from nearlyround import harness
 from nearlyround import metrics as mcat
 from nearlyround import sphere
 from nearlyround import surfaces as surf
@@ -612,6 +614,31 @@ def test_identity_residuals_read_the_records(monkeypatch, catalog, lumpy10):
     # the counters see the evaluations that building a record makes
     surf.fundamental_forms(surf.Immersion(lumpy10.grid, lumpy10.Y), catalog["kerr"])
     assert {"jets", "analyze", "synth_gradient"} <= set(calls)
+
+
+def test_verify_computes_christoffel_once_per_record(monkeypatch):
+    # Gamma is built with the record and read by the transform residual,
+    # the curvature term and the tracefree gradient
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mcat, "christoffel", counted("christoffel", mcat.christoffel))
+    forms = counted("forms", surf.fundamental_forms)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nearlyround") and hasattr(module, "fundamental_forms"):
+            monkeypatch.setattr(module, "fundamental_forms", forms)
+    cfg = harness.StudyConfig(
+        metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=8
+    )
+    harness.run_verify(cfg)
+    assert calls.count("forms") > 0
+    assert calls.count("christoffel") == calls.count("forms")
 
 
 # ---------------------------------------------------------------------------
