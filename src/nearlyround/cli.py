@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict, fields
 
 from .embedding import (
     embed,
@@ -75,13 +76,10 @@ def _study_config(args) -> StudyConfig:
             mapping.update(load_config(args.config))
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    for key in (
-        "metric", "family", "schedule", "band_limit", "amplitude", "l",
-        "m_order", "decay", "tol", "pde_tol", "seed", "format", "out",
-    ):
-        value = getattr(args, key, None)
+    for f in fields(StudyConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            mapping[key] = value
+            mapping[f.name] = value
     return StudyConfig.from_mapping(mapping)
 
 
@@ -150,15 +148,7 @@ def _cmd_embed(args) -> int:
 def _cmd_adm(args) -> int:
     metric = parse_metric(args.metric)
     est = adm_mass(metric, _parse_schedule(args.schedule), args.band_limit)
-    payload = {
-        "value": est.value,
-        "rate": est.rate,
-        "coefficient": est.coefficient,
-        "residual": est.residual,
-        "radii": list(est.radii),
-        "fluxes": list(est.fluxes),
-        "known_mass": metric.known_mass,
-    }
+    payload = {**asdict(est), "known_mass": metric.known_mass}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 

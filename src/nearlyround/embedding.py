@@ -15,8 +15,9 @@ preconditioned conjugate gradients (`_pcg`) on harmonic transforms
 Jacobian is formed.  The preconditioners are the linearizations about the
 unit round sphere, which the normalized surfaces approach: the diagonal
 -l(l+1) + 2 for the conformal factor, and for the metric match the normal
-matrix of the round embedding, factored once per grid in its eight parity
-blocks from columns of the grid's dense derivative matrices.
+matrix of the round embedding.  That matrix is block diagonal by azimuthal
+charge and two reflections; its blocks are probed once per grid through
+the same J/J^T products that the solver applies, and factored together.
 """
 
 from __future__ import annotations
@@ -89,23 +90,24 @@ def _pcg(apply, rhs: np.ndarray, precondition) -> np.ndarray:
 
     `apply` and `precondition` map arrays of rhs's shape to the same shape.
     Stops once the residual norm is 1e-12 times that of `rhs`, or after as
-    many iterations as `rhs` has entries.
+    many iterations as `rhs` has entries.  Inner products are numpy sums,
+    not BLAS dot, so the iterates do not depend on the thread count.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    stop = 1e-12 * np.linalg.norm(rhs)
+    stop = 1e-12 * np.sqrt(np.sum(rhs * rhs))
     z = precondition(r)
     p = z
-    rz = np.vdot(r, z)
+    rz = np.sum(r * z)
     for _ in range(rhs.size):
-        if np.linalg.norm(r) <= stop:
+        if np.sqrt(np.sum(r * r)) <= stop:
             break
         q = apply(p)
-        alpha = rz / np.vdot(p, q)
+        alpha = rz / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
         z = precondition(r)
-        rz, rz_old = np.vdot(r, z), rz
+        rz, rz_old = np.sum(r * z), rz
         p = z + (rz / rz_old) * p
     return x
 
@@ -312,98 +314,118 @@ def _gauge_rows(n_coeffs: int) -> np.ndarray:
     return G.reshape(6, -1)
 
 
-def _parity_labels(L: int) -> np.ndarray:
-    """Parity class, 0..7, of each entry of a (n_coeffs, 3) coefficient block.
+def _charge_rotation(v: np.ndarray) -> np.ndarray:
+    """Turn each x/y pair (x_{l,m}, y_{l,-m}), m != 0, of a (n_coeffs, 3,
+    ...) block by 45 degrees into its parts of definite azimuthal charge,
+    |m| - 1 in the x slot and |m| + 1 in the y slot (x + iy has charge one).
+    The map is symmetric, orthogonal and its own inverse."""
+    K = v.shape[0]
+    _, ms = coeff_degrees(round(np.sqrt(K)) - 1)
+    k = np.flatnonzero(ms)
+    x, y, sign = 3 * k, 3 * (k - 2 * ms[k]) + 1, np.sign(ms[k])[:, None]
+    flat = v.reshape(3 * K, -1)
+    out = flat.copy()
+    out[x] = (sign * flat[x] + flat[y]) / np.sqrt(2.0)
+    out[y] = (flat[x] - sign * flat[y]) / np.sqrt(2.0)
+    return out.reshape(v.shape)
 
-    The three parities are the equatorial reflection z -> -z, the azimuthal
-    reflection y -> -y and the half turn about the z axis, each acting on
-    the harmonic and on the position component together.  The round
-    sphere's metric linearization commutes with all three, so its normal
-    matrix has no entries between classes.
-    """
+
+def _charge_labels(L: int) -> np.ndarray:
+    """Class 4 |charge| + 2 equatorial + reflection of each entry of a
+    (n_coeffs, 3) block after `_charge_rotation`; the charge is |m| - 1,
+    |m| + 1 or |m| for x, y or z.  The round sphere's metric linearization
+    commutes with the grid's turns about the z axis and with the
+    reflections z -> -z and y -> -y, so its normal matrix has no entries
+    between classes."""
     ls, ms = coeff_degrees(L)
-    l, m = ls[:, None], ms[:, None]
-    comp = np.arange(3)[None, :]
+    l, m, comp = ls[:, None], ms[:, None], np.arange(3)
     equatorial = ((l + m) % 2 == 1) ^ (comp == 2)
     reflection = (m < 0) ^ (comp == 1)
-    charge = (m + (comp != 2)) % 2 == 1
-    return 4 * equatorial + 2 * reflection + charge
+    return 4 * np.abs(np.abs(m) + [-1, 1, 0]) + 2 * equatorial + reflection
+
+
+def _metric_linearization(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray):
+    """(J, J^T) of the `solve_embedding` residual (the weighted tt, tp, pp
+    metric gaps at the nodes, then the six gauge conditions) about node
+    tangents yt, yp.  J maps a (n_coeffs, 3, ...) block to (3 n_nodes + 6,
+    ...) through one `synth_gradient`, J^T back through one
+    `synth_gradient_adjoint`; trailing axes are a stack."""
+    N, K = grid.n_nodes, grid.n_coeffs
+    sw = np.sqrt(grid.weights.reshape(N, 1))
+    gauge = _gauge_rows(K)
+
+    def jac(v):
+        vt, vp = (d.reshape(N, 3, -1) for d in synth_gradient(grid, v))
+        out = np.concatenate([
+            2.0 * sw * np.einsum("nk,nks->ns", yt, vt),
+            sw * (np.einsum("nk,nks->ns", yt, vp) + np.einsum("nk,nks->ns", yp, vt)),
+            2.0 * sw * np.einsum("nk,nks->ns", yp, vp),
+            gauge @ v.reshape(3 * K, -1),
+        ])
+        return out.reshape((-1,) + v.shape[2:])
+
+    def jac_t(r):
+        rs = r.reshape(3 * N + 6, 1, -1)
+        rtt, rtp, rpp = (sw[:, None] * rs[i * N : (i + 1) * N] for i in range(3))
+        ytt, ypp = yt[:, :, None], yp[:, :, None]
+        ft, fp = 2.0 * rtt * ytt + rtp * ypp, rtp * ytt + 2.0 * rpp * ypp
+        out = synth_gradient_adjoint(grid, *(f.reshape(grid.shape + (3, -1)) for f in (ft, fp)))
+        out += (gauge.T @ rs[3 * N :, 0]).reshape(out.shape)
+        return out.reshape((K, 3) + r.shape[1:])
+
+    return jac, jac_t
 
 
 def _round_normal_blocks(grid: SphereGrid):
-    """Cholesky factors of J0^T J0, the Gauss-Newton normal matrix of the
-    unit round embedding (Y = x, gauge rows included), one per non-empty
-    parity class of `_parity_labels`.
+    """The blocks of J0^T J0, the normal matrix of the unit round embedding
+    (Y = x, gauge rows included), after `_charge_rotation`: J0^T J0 is
+    applied once, by `_metric_linearization`, to as many probes as the
+    largest class of `_charge_labels` has entries, probe j holding a one at
+    entry j of every class.  Returns (slots, valid, blocks): slots[c, j] is
+    the flat index into the row-major (n_coeffs, 3) block of entry j of
+    class c, valid marks the entries that exist, and blocks[c] is the block
+    of class c padded with the identity."""
+    K = grid.n_coeffs
+    labels = _charge_labels(grid.L).ravel()
+    sizes = np.unique(labels, return_counts=True)[1]
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    slots = np.zeros(valid.shape, dtype=int)
+    slots[valid] = np.argsort(labels, kind="stable")
+    probes = np.zeros((3 * K, sizes.max()))
+    probes[slots[valid], np.nonzero(valid)[1]] = 1.0
+    round_tangents = synth_gradient(grid, analyze(grid, grid.unit_vectors))
+    jac, jac_t = _metric_linearization(grid, *(d.reshape(-1, 3) for d in round_tangents))
+    normal = _charge_rotation(jac_t(jac(_charge_rotation(probes.reshape(K, 3, -1)))))
+    pair = valid[:, :, None] & valid[:, None, :]
+    return slots, valid, np.where(pair, normal.reshape(3 * K, -1)[slots], np.eye(sizes.max()))
 
-    Returns (flat indices into the row-major (n_coeffs, 3) block, factor)
-    pairs.  The factors depend only on the grid and are cached on it.
-    """
+
+def _round_preconditioner(grid: SphereGrid):
+    """r -> (J0^T J0)^{-1} r on (n_coeffs, 3) blocks, cached on the grid: the
+    blocks are factored in one batched `cho_factor` call and inverted, so
+    each application is one gather, one product over the blocks and one
+    scatter between two `_charge_rotation`s."""
     if "round_normal" not in grid._cache:
-        # x, y, z are sqrt(4 pi / 3) times the degree-one harmonics
-        c0 = np.zeros((grid.n_coeffs, 3))
-        c0[_IDX1, [0, 1, 2]] = np.sqrt(4.0 * np.pi / 3.0)
-        yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, c0))
-        Dt, Dp = grid.dtheta_matrix, grid.dphi_matrix
-        sw = np.sqrt(grid.weights.ravel())[:, None]
-        gauge = _gauge_rows(grid.n_coeffs)
-        labels = _parity_labels(grid.L).ravel()
-        blocks = []
-        for label in range(8):
-            idx = np.flatnonzero(labels == label)
-            if idx.size == 0:
-                continue
-            j, k = np.divmod(idx, 3)
-            dt, dp = Dt[:, j], Dp[:, j]
-            cols = np.concatenate([
-                2.0 * sw * yt[:, k] * dt,
-                sw * (yp[:, k] * dt + yt[:, k] * dp),
-                2.0 * sw * yp[:, k] * dp,
-                gauge[:, idx],
-            ])
-            blocks.append((idx, cho_factor(cols.T @ cols, check_finite=False)))
-        grid._cache["round_normal"] = blocks
+        slots, valid, blocks = _round_normal_blocks(grid)
+        eye = np.broadcast_to(np.eye(blocks.shape[1]), blocks.shape)
+        inverse = cho_solve(cho_factor(blocks, check_finite=False), eye, check_finite=False)
+
+        def precondition(r):
+            flat = _charge_rotation(r).ravel()
+            z = np.empty_like(flat)
+            z[slots[valid]] = np.einsum("cij,cj->ci", inverse, flat[slots])[valid]
+            return _charge_rotation(z.reshape(r.shape))
+
+        grid._cache["round_normal"] = precondition
     return grid._cache["round_normal"]
 
 
 def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Gauss-Newton step of `solve_embedding`: the least-squares solution s
-    of J s = -R, as an (n_coeffs, 3) coefficient block.
-
-    J linearizes the residual (the weighted tt, tp, pp metric gaps at the
-    nodes, then the six gauge conditions) about the node tangents yt, yp.
-    The normal equations J^T J s = -J^T R are solved by conjugate gradients
-    on products with J and J^T, one `synth_gradient` or
-    `synth_gradient_adjoint` each, preconditioned by the round-sphere
-    normal matrix.
-    """
-    N, shape = grid.n_nodes, grid.shape + (3,)
-    sw = np.sqrt(grid.weights.ravel())
-    gauge = _gauge_rows(grid.n_coeffs)
-    blocks = _round_normal_blocks(grid)
-
-    def jac(v):
-        vt, vp = (d.reshape(N, 3) for d in synth_gradient(grid, v))
-        return np.concatenate([
-            2.0 * sw * np.einsum("nk,nk->n", yt, vt),
-            sw * (np.einsum("nk,nk->n", yt, vp) + np.einsum("nk,nk->n", yp, vt)),
-            2.0 * sw * np.einsum("nk,nk->n", yp, vp),
-            gauge @ v.ravel(),
-        ])
-
-    def jac_t(r):
-        rtt, rtp, rpp = ((sw * r[i * N : (i + 1) * N])[:, None] for i in range(3))
-        ft, fp = 2.0 * rtt * yt + rtp * yp, rtp * yt + 2.0 * rpp * yp
-        out = synth_gradient_adjoint(grid, ft.reshape(shape), fp.reshape(shape))
-        return out + (gauge.T @ r[3 * N :]).reshape(out.shape)
-
-    def precondition(r):
-        flat = r.ravel()
-        z = np.empty_like(flat)
-        for idx, factor in blocks:
-            z[idx] = cho_solve(factor, flat[idx], check_finite=False)
-        return z.reshape(r.shape)
-
-    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), precondition)
+    of J s = -R as an (n_coeffs, 3) block, by conjugate gradients on
+    J^T J s = -J^T R preconditioned by the round-sphere normal matrix."""
+    jac, jac_t = _metric_linearization(grid, yt, yp)
+    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner(grid))
 
 
 def solve_embedding(
@@ -429,8 +451,9 @@ def solve_embedding(
     Each Gauss-Newton step solves its normal equations matrix free, by
     conjugate gradients on J and J^T products (`_embedding_step`), to a
     relative residual of 1e-12.  The preconditioner is the normal matrix of
-    the unit round embedding, which the normalized surface approaches; it
-    is factored once per grid, in eight parity blocks, and cached on it.
+    the unit round embedding, which the normalized surface approaches; its
+    azimuthal-charge blocks are probed through the same J and J^T, factored
+    once per grid and cached on it.
 
     The starting point is exp(log_factor) times the round embedding unless
     an explicit `seed` immersion is supplied.
@@ -471,12 +494,12 @@ def solve_embedding(
         if rel <= tol:
             break
         step = _embedding_step(grid, yt, yp, R)
-        norm0 = np.linalg.norm(R)
+        norm0 = np.sqrt(np.sum(R * R))
         t = 1.0
         for _ in range(15):
             trial = c + t * step
             R_t, yt_t, yp_t, rel_t = state(trial)
-            if np.linalg.norm(R_t) < norm0:
+            if np.sqrt(np.sum(R_t * R_t)) < norm0:
                 c, R, yt, yp, rel = trial, R_t, yt_t, yp_t, rel_t
                 break
             t *= 0.5
@@ -636,7 +659,6 @@ def embed(
     *,
     tol: float = 1e-8,
     pde_tol: float = 1e-10,
-    force_general: bool = False,
 ) -> IsometricEmbedding:
     """Embed the induced metric of `s` isometrically into Euclidean space.
 
@@ -646,8 +668,8 @@ def embed(
     `s`, solves for the conformal log factor matching the intrinsic
     curvature, records the centering gauge, and then matches the first
     fundamental form, through the revolution route when the data is phi
-    independent (within _AXISYM_TOL, unless force_general) and by
-    Gauss-Newton otherwise.  The image is rescaled to physical size.
+    independent (within _AXISYM_TOL) and by Gauss-Newton otherwise.  The
+    image is rescaled to physical size.
 
     `tol` bounds the metric match, `pde_tol` the nodal residual of the
     conformal factor solve (relax the latter for curvature data that is
@@ -672,7 +694,7 @@ def embed(
     scale = float(np.max(np.abs(h)))
     variation = float(np.max(np.abs(h - h[:, :1, :, :])))
     offdiag = float(np.max(np.abs(h[..., 0, 1])))
-    if variation <= _AXISYM_TOL * scale and offdiag <= _AXISYM_TOL * scale and not force_general:
+    if variation <= _AXISYM_TOL * scale and offdiag <= _AXISYM_TOL * scale:
         img = embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
         rel = _node_metric_mismatch(grid, img, h)
         method = "axisymmetric"

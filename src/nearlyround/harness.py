@@ -116,22 +116,10 @@ class StudyConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "StudyConfig":
-        """Build a config from string values (file keys, CLI overrides)."""
-        converters = {
-            "metric": str,
-            "family": str,
-            "schedule": _parse_schedule,
-            "band_limit": int,
-            "amplitude": float,
-            "l": int,
-            "m_order": int,
-            "decay": float,
-            "tol": float,
-            "pde_tol": float,
-            "out": str,
-            "format": str,
-            "seed": int,
-        }
+        """Build a config from string values (file keys, CLI overrides); each
+        field's annotation names its converter."""
+        types = {"tuple": _parse_schedule, "int": int, "float": float}
+        converters = {f.name: types.get(f.type, str) for f in fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
             if key not in converters:

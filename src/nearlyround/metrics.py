@@ -480,6 +480,9 @@ def sectional_curvature(jets: JetBatch, e1: np.ndarray, e2: np.ndarray) -> np.nd
 # Total-mass surface integrals
 # ---------------------------------------------------------------------------
 
+# relative flux change under a doubled band limit that warns of underresolution
+_RESOLUTION_TOL = 1e-9
+
 
 def adm_surface_integral(
     metric: AFMetric,
@@ -487,7 +490,6 @@ def adm_surface_integral(
     band_limit: int = 16,
     center: np.ndarray | None = None,
     check_resolution: bool = True,
-    resolution_tol: float = 1e-9,
 ) -> float:
     """Mass flux (1/16 pi) oint (d_i g_ij - d_j g_ii) nu_j over the coordinate
     sphere of the given radius, Euclidean normal and measure."""
@@ -511,7 +513,7 @@ def adm_surface_integral(
     value = flux(band_limit)
     if check_resolution:
         refined = flux(2 * band_limit)
-        if abs(refined - value) > resolution_tol * max(1.0, abs(value)):
+        if abs(refined - value) > _RESOLUTION_TOL * max(1.0, abs(value)):
             warnings.warn(
                 f"surface integral moved {abs(refined - value):.3e} when the "
                 f"band limit doubled from {band_limit}",
@@ -531,10 +533,6 @@ class AdmEstimate:
     residual: float
     radii: tuple
     fluxes: tuple
-
-    def __iter__(self):
-        yield self.value
-        yield self.residual
 
 
 def adm_mass(

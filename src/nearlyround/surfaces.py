@@ -106,9 +106,6 @@ class Immersion:
         """(d y / d theta, d y / d phi), each (ntheta, nphi, 3)."""
         return synth_gradient(self.grid, self.component_coeffs())
 
-    def radii(self) -> np.ndarray:
-        return np.linalg.norm(self.Y, axis=-1)
-
 
 def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
     """Surface y = center + R(omega) * omega; profile scalar or field."""

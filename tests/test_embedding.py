@@ -8,6 +8,10 @@ surfaces are rigid, so matching the metric must reproduce the surface up
 to a rigid motion).
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -327,27 +331,57 @@ def test_embedding_step_matches_dense_oracle(L, case):
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16])
-def test_round_normal_matrix_is_block_diagonal_by_parity(L):
+def test_round_normal_matrix_is_block_diagonal_by_charge(L):
     grid = nr.build_grid(L)
-    x = grid.unit_vectors
-    c0 = np.column_stack([analyze(grid, x[..., k]) for k in range(3)])
+    K = grid.n_coeffs
+    Q = emb._charge_rotation(np.eye(3 * K).reshape(K, 3, 3 * K)).reshape(3 * K, 3 * K)
+    assert np.array_equal(Q, Q.T)
+    assert np.max(np.abs(Q @ Q - np.eye(3 * K))) <= 1e-15
+    c0 = analyze(grid, grid.unit_vectors)
     J0 = dense_metric_jacobian(grid, grid.dtheta_matrix @ c0, grid.dphi_matrix @ c0)
     # reorder columns to the row-major (K, 3) flattening the solver uses
-    K = grid.n_coeffs
     J0 = J0[:, (np.arange(3)[None, :] * K + np.arange(K)[:, None]).ravel()]
     normal = J0.T @ J0
-    labels = emb._parity_labels(L).ravel()
+    scale = np.max(np.abs(normal))
+    rotated = Q @ normal @ Q
+    labels = emb._charge_labels(L).ravel()
     same = labels[:, None] == labels[None, :]
-    assert np.max(np.abs(normal[~same])) <= 1e-13 * np.max(np.abs(normal))
-    present = np.unique(labels)
-    assert len(present) == (7 if L == 1 else 8)
-    blocks = emb._round_normal_blocks(grid)
-    assert [len(idx) for idx, _ in blocks] == [np.sum(labels == b) for b in present]
-    for idx, factor in blocks:
-        block = normal[np.ix_(idx, idx)]
-        assert np.min(np.linalg.eigvalsh(block)) > 0.0
-        inv_block = cho_solve(factor, np.eye(len(idx)))
-        assert np.max(np.abs(inv_block @ block - np.eye(len(idx)))) <= 1e-9
+    assert np.max(np.abs(rotated[~same])) <= 1e-13 * scale
+    slots, valid, blocks = emb._round_normal_blocks(grid)
+    assert sorted(slots[valid]) == list(range(3 * K))
+    assert valid.sum(axis=1).max() == (3 * L) // 2 + 1
+    for idx, ok, block in zip(slots, valid, blocks):
+        assert len(set(labels[idx[ok]])) == 1
+        dense = rotated[np.ix_(idx[ok], idx[ok])]
+        assert np.max(np.abs(block[np.ix_(ok, ok)] - dense)) <= 1e-13 * scale
+        assert np.array_equal(block[~ok], np.eye(len(ok))[~ok])
+    r = np.random.default_rng(L).standard_normal((K, 3))
+    z = emb._round_preconditioner(grid)(r)
+    exact = np.linalg.solve(normal, r.ravel()).reshape(K, 3)
+    assert np.linalg.norm(z - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_pcg_identical_across_blas_threads():
+    # inner products and norms of 12,675 entries, where BLAS dot splits the
+    # sum between threads
+    code = (
+        "import numpy as np\n"
+        "from nearlyround.embedding import _pcg\n"
+        "rng = np.random.default_rng(3)\n"
+        "d = 1.0 + rng.random((4225, 3))\n"
+        "apply = lambda v: d * v - 0.45 * (np.roll(v, 1) + np.roll(v, -1))\n"
+        "x = _pcg(apply, rng.standard_normal((4225, 3)), lambda r: r / d)\n"
+        "print(x.tobytes().hex())\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0]) > 12675 * 16
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_embedding_reports_nonconvergence(g16):
@@ -439,9 +473,10 @@ def test_embed_kerr_sweep_decay(kerr_sweep):
         assert e.gauge_moment <= 1e-9
 
 
-def test_embed_cross_validates_axisymmetric_route(g16, kerr, kerr_sweep):
+def test_embed_cross_validates_axisymmetric_route(g16, kerr, kerr_sweep, monkeypatch):
     s = coordinate_sphere(40.0, g16)
-    e_gen = emb.embed(s, fundamental_forms(s, kerr), force_general=True)
+    monkeypatch.setattr(emb, "_AXISYM_TOL", -1.0)  # no data counts as a revolution
+    e_gen = emb.embed(s, fundamental_forms(s, kerr))
     assert e_gen.method == "general"
     assert e_gen.metric_residual <= 1e-8
     _, rms = emb.rigid_align(g16, e_gen.image.Y, kerr_sweep[40.0].image.Y)

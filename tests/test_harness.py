@@ -564,20 +564,24 @@ def test_cli_rate_json_input(tmp_path, capsys):
 
 def test_reports_identical_across_blas_threads():
     # every transform sum is an FFT or a small per-m matrix product, whose
-    # summation order does not change with the OpenBLAS thread count
+    # summation order does not change with the OpenBLAS thread count; the
+    # lumpy study takes the general (Gauss-Newton) embedding route
     kerr = ["--metric", "kerr_slice m=1 a=0.5", "--family", "coordinate-spheres",
             "--schedule", "20,40,80"]
-    runs = {"masses": kerr + ["--band-limit", "24"], "verify": kerr + ["--band-limit", "16"]}
-    for command, args in runs.items():
+    lumpy = ["masses", "--metric", "schwarzschild_standard m=1", "--family", "radial-perturbed",
+             "--l", "3", "--m-order", "2", "--amplitude", "0.1", "--decay", "1",
+             "--schedule", "20,40,80", "--band-limit", "32"]
+    runs = [["masses", *kerr, "--band-limit", "24"], ["verify", *kerr, "--band-limit", "16"], lumpy]
+    for args in runs:
         outputs = []
         for threads in ("1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-m", "nearlyround.cli", command, *args],
+                [sys.executable, "-m", "nearlyround.cli", *args],
                 capture_output=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
                 check=True,
             )
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1], command
+        assert outputs[0] == outputs[1], args
 
 
 @pytest.mark.parametrize(

@@ -586,13 +586,6 @@ def test_adm_mass_fitted_rate():
     assert abs(est.value - 1.0) <= 1e-3
 
 
-def test_adm_estimate_unpacks_value_and_residual():
-    est = M.adm_mass(M.schwarzschild_isotropic(1.0), [50.0, 100.0, 200.0])
-    value, residual = est
-    assert value == est.value
-    assert residual == est.residual
-
-
 def test_adm_mass_schedule_validation():
     metric = M.schwarzschild_isotropic(1.0)
     with pytest.raises(ValueError):
