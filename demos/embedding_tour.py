@@ -1,12 +1,14 @@
 """Tour of the isometric-embedding pipeline on a bumpy surface.
 
 Starts from a radially perturbed sphere in the isotropic Schwarzschild
-slice, pulls its induced metric, and realizes that metric as a convex
-surface in Euclidean space: uniformize the curvature to find the round
+slice, pulls its induced metric into one FundamentalData record, and
+realizes that metric as a convex surface in Euclidean space: normalize by
+the metric's areal radius, uniformize the curvature to find the round
 conformal gauge, build a starting surface, then correct it by Newton
-iteration until the induced metrics agree.  Prints the diagnostics a
-user would look at before trusting a Brown-York number, and leaves an
-OBJ mesh of the image surface for inspection.
+iteration until the induced metrics agree.  The embedding reads the record
+alone; the metric fixes the image up to a rigid motion.  Prints the
+diagnostics a user would look at before trusting a Brown-York number, and
+leaves an OBJ mesh of the image surface for inspection.
 """
 
 import numpy as np
@@ -26,12 +28,13 @@ fd = nr.fundamental_forms(s, metric)
 
 print(f"surface: perturbed sphere, r = {r:g}, area = {fd.area:.4f}")
 # the best-fit sphere describes the coordinate shape, so it reads the
-# flat-ambient forms rather than the curved ones
-best = nr.best_fit_sphere(nr.fundamental_forms(s), s)
+# flat-ambient record rather than the curved one
+best = nr.best_fit_sphere(nr.fundamental_forms(s))
 print(f"best-fit sphere: radius {best.radius:.6f}, center offset {np.linalg.norm(best.center):.2e}")
 
-e = nr.embed(s, fd)
+e = nr.embed(fd)
 print(f"embedding route: {e.method}, metric residual {e.metric_residual:.2e}")
+print(f"areal radius sqrt(Area / 4 pi) of the metric: {e.radius:.6f}")
 
 mk = nr.minkowski_residuals(e)
 vol = nr.volume_cross_check(e)

@@ -123,7 +123,7 @@ def _cmd_embed(args) -> int:
     grid = build_grid(args.band_limit)
     s = coordinate_sphere(args.radius, grid)
     fd = fundamental_forms(s, metric)
-    e = embed(s, fd, tol=args.tol, pde_tol=args.pde_tol)
+    e = embed(fd, tol=args.tol, pde_tol=args.pde_tol)
     mk = minkowski_residuals(e, tau=metric.tau)
     vol = volume_cross_check(e)
     if args.out:

@@ -4,10 +4,12 @@ Three solvers cooperate here.  A conformal uniformization step produces the
 log factor whose conformally round metric matches a given curvature field.
 A Gauss-Newton iteration then matches the full first fundamental form at
 the grid nodes, working on the harmonic coefficients of the three position
-components.  Surfaces of revolution bypass the iteration through an exact
-profile quadrature.  `embed` chains the pieces: normalize by the best-fit
-radius, uniformize, solve, rescale, and report the support function, mean
-curvature, and enclosed volume of the image.
+components.  Surfaces of revolution get their starting surface from an
+exact profile quadrature.  `embed` chains the pieces on one
+`FundamentalData` record: normalize by the areal radius of its metric,
+uniformize, seed (profile quadrature or the conformal factor), solve,
+rescale, and report the support function, mean curvature, and enclosed
+volume of the image.
 
 Both Newton iterations are matrix free: each linear step is solved by
 preconditioned conjugate gradients (`_pcg`) on harmonic transforms
@@ -41,12 +43,7 @@ from .sphere import (
     synth_gradient_adjoint,
     synthesize,
 )
-from .surfaces import (
-    FundamentalData,
-    Immersion,
-    best_fit_sphere,
-    fundamental_forms,
-)
+from .surfaces import FundamentalData, Immersion, fundamental_forms
 
 
 class RegimeViolation(SolverError):
@@ -79,6 +76,8 @@ _REGIME_BOUND = 0.5
 _AXISYM_TOL = 1e-10
 # Newton steps allowed to the conformal factor solve
 _UNIFORMIZE_MAX_ITER = 30
+# Gauss-Newton steps allowed to the metric match
+_EMBED_MAX_ITER = 30
 
 # degree-one coefficient slots in x, y, z order
 _IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
@@ -431,11 +430,9 @@ def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndar
 def solve_embedding(
     grid: SphereGrid,
     target_metric: np.ndarray,
-    log_factor: np.ndarray | None = None,
     seed: Immersion | None = None,
     *,
     tol: float = 1e-8,
-    max_iter: int = 30,
 ):
     """Match a first fundamental form at the nodes over harmonic coefficients.
 
@@ -443,10 +440,11 @@ def solve_embedding(
     the normalized scale where the surface is close to the unit sphere.
     Three equations per node (both diagonal components and the mixed one)
     are solved for the coefficients of the three position components by
-    Gauss-Newton with a halving line search.  Translations are pinned by
-    zeroing the constant coefficient of each component, rotations by
-    symmetrizing the 3x3 block of degree-one coefficients, so the solution
-    is a single representative of the rigid-motion orbit.
+    Gauss-Newton with a halving line search, at most _EMBED_MAX_ITER
+    steps.  Translations are pinned by zeroing the constant coefficient of
+    each component, rotations by symmetrizing the 3x3 block of degree-one
+    coefficients, so the solution is a single representative of the
+    rigid-motion orbit.
 
     Each Gauss-Newton step solves its normal equations matrix free, by
     conjugate gradients on J and J^T products (`_embedding_step`), to a
@@ -455,14 +453,15 @@ def solve_embedding(
     azimuthal-charge blocks are probed through the same J and J^T, factored
     once per grid and cached on it.
 
-    The starting point is exp(log_factor) times the round embedding unless
-    an explicit `seed` immersion is supplied.
+    The iteration starts from `seed`, the unit round sphere when omitted; a
+    seed that already matches within `tol` takes no step.
 
-    Returns (immersion, relative_residual) where the residual is the sup
-    over nodes of the metric mismatch relative to the local metric size.
-    Raises EmbeddingError when the iteration stalls above `tol` (the best
-    residual seen is attached) and SelfIntersectionError when the converged
-    surface is not star shaped about the pinned centroid.
+    Returns (immersion, relative_residual, steps) where the residual is the
+    sup over nodes of the metric mismatch relative to the local metric size
+    and steps counts the Gauss-Newton steps taken.  Raises EmbeddingError
+    when the iteration stalls above `tol` (the best residual seen is
+    attached) and SelfIntersectionError when the converged surface is not
+    star shaped about the pinned centroid.
     """
     h = np.asarray(target_metric, dtype=float)
     if h.shape != grid.shape + (2, 2):
@@ -474,13 +473,7 @@ def solve_embedding(
 
     sw = np.sqrt(grid.weights.ravel())
     gauge = _gauge_rows(grid.n_coeffs)
-
-    if seed is not None:
-        Y0 = seed.Y
-    else:
-        u = np.zeros(grid.shape) if log_factor is None else np.asarray(log_factor)
-        Y0 = np.exp(u)[..., None] * grid.unit_vectors
-    c = analyze(grid, Y0)
+    c = analyze(grid, grid.unit_vectors if seed is None else seed.Y)
 
     def state(cm):
         yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, cm))
@@ -490,9 +483,14 @@ def solve_embedding(
 
     R, yt, yp, rel = state(c)
     best = rel
-    for _ in range(max_iter):
-        if rel <= tol:
-            break
+    steps = 0
+    while rel > tol:
+        if steps >= _EMBED_MAX_ITER:
+            raise EmbeddingError(
+                f"no convergence in {_EMBED_MAX_ITER} iterations "
+                f"(best residual {best:.3g}, target {tol:.3g})",
+                best,
+            )
         step = _embedding_step(grid, yt, yp, R)
         norm0 = np.sqrt(np.sum(R * R))
         t = 1.0
@@ -509,12 +507,7 @@ def solve_embedding(
                 best,
             )
         best = min(best, rel)
-    if rel > tol:
-        raise EmbeddingError(
-            f"no convergence in {max_iter} iterations "
-            f"(best residual {best:.3g}, target {tol:.3g})",
-            best,
-        )
+        steps += 1
 
     Y = synthesize(grid, c)
     radial = np.einsum("nk,nk->n", Y.reshape(-1, 3), np.cross(yt, yp))
@@ -522,7 +515,7 @@ def solve_embedding(
         raise SelfIntersectionError(
             "embedded surface is not star shaped about the pinned centroid"
         )
-    return Immersion(grid, Y), rel
+    return Immersion(grid, Y), rel, steps
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +603,8 @@ def embed_axisymmetric(
 class IsometricEmbedding:
     """A Euclidean realization of the induced metric of a sampled surface.
 
-    The image lives at physical scale (radius times the normalized solve).
+    The image lives at physical scale: radius is the areal radius of the
+    realized metric and the image that radius times the normalized solve.
     image_data holds its Euclidean fundamental forms, support the
     position-normal product X . n0, and metric_residual the sup relative
     mismatch between realized and requested first fundamental forms.
@@ -618,7 +612,6 @@ class IsometricEmbedding:
     metric and gauge the dilation parameter that centered it.
     """
 
-    source: Immersion
     radius: float
     log_factor: np.ndarray
     gauge: np.ndarray
@@ -646,30 +639,26 @@ class IsometricEmbedding:
         return self.image_data.area
 
 
-def _node_metric_mismatch(grid: SphereGrid, imm: Immersion, h: np.ndarray) -> float:
-    yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, imm.component_coeffs()))
-    _, rel = _metric_mismatch(yt, yp, h)
-    return rel
-
-
 def embed(
-    s: Immersion,
-    fd: FundamentalData | None = None,
-    fd_hat: FundamentalData | None = None,
+    fd: FundamentalData,
     *,
     tol: float = 1e-8,
     pde_tol: float = 1e-10,
 ) -> IsometricEmbedding:
-    """Embed the induced metric of `s` isometrically into Euclidean space.
+    """Embed the induced metric of a surface record isometrically into
+    Euclidean space.
 
-    `fd` carries the metric to realize, the flat one of `s` when omitted;
-    `fd_hat` is the flat-ambient data of `s`, computed when omitted.  The
-    pipeline normalizes by the best-fit radius of the Euclidean shape of
-    `s`, solves for the conformal log factor matching the intrinsic
+    `fd` carries the metric to realize, in any ambient; the metric fixes
+    the image up to a rigid motion, so nothing else of the surface is read.
+    The pipeline normalizes by the areal radius r0 = sqrt(Area / 4 pi),
+    under which the area-weighted mean of K r0^2 is exactly 1 (Gauss-
+    Bonnet), solves for the conformal log factor matching the intrinsic
     curvature, records the centering gauge, and then matches the first
-    fundamental form, through the revolution route when the data is phi
-    independent (within _AXISYM_TOL) and by Gauss-Newton otherwise.  The
-    image is rescaled to physical size.
+    fundamental form by `solve_embedding`.  Data that is phi independent
+    (within _AXISYM_TOL) is seeded by the surface of revolution of
+    `embed_axisymmetric`, and Newton steps only polish what its profile
+    quadrature left; other data is seeded by exp(u) times the round
+    embedding.  The image is rescaled to physical size.
 
     `tol` bounds the metric match, `pde_tol` the nodal residual of the
     conformal factor solve (relax the latter for curvature data that is
@@ -679,12 +668,8 @@ def embed(
     window or the image fails mean convexity, and the solver errors of the
     underlying steps.
     """
-    grid = s.grid
-    if fd_hat is None:
-        fd_hat = fd if fd is not None and fd.ambient == "euclidean" else fundamental_forms(s)
-    if fd is None:
-        fd = fd_hat
-    r0 = best_fit_sphere(fd_hat, s).radius
+    grid = fd.grid
+    r0 = float(np.sqrt(fd.area / (4.0 * np.pi)))
 
     h = fd.induced_metric / r0**2
     u, udiag = uniformize(grid, fd.gauss_curvature * r0**2, tol=pde_tol)
@@ -695,16 +680,13 @@ def embed(
     variation = float(np.max(np.abs(h - h[:, :1, :, :])))
     offdiag = float(np.max(np.abs(h[..., 0, 1])))
     if variation <= _AXISYM_TOL * scale and offdiag <= _AXISYM_TOL * scale:
-        img = embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
-        rel = _node_metric_mismatch(grid, img, h)
-        method = "axisymmetric"
-        if rel > tol:
-            # profile quadrature hit its accuracy floor; polish in place
-            img, rel = solve_embedding(grid, h, seed=img, tol=tol)
-            method = "axisymmetric+newton"
+        seed = embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
+        route = "axisymmetric"
     else:
-        img, rel = solve_embedding(grid, h, log_factor=u, tol=tol)
-        method = "general"
+        seed = Immersion(grid, np.exp(u)[..., None] * grid.unit_vectors)
+        route = "general"
+    img, _, steps = solve_embedding(grid, h, seed, tol=tol)
+    method = route + "+newton" if route == "axisymmetric" and steps else route
 
     image = Immersion(grid, r0 * img.Y)
     image_data = fundamental_forms(image)
@@ -720,7 +702,6 @@ def embed(
     metric_residual = float(np.max(diff / _frobenius(fd.induced_metric)))
 
     return IsometricEmbedding(
-        source=s,
         radius=r0,
         log_factor=gauged,
         gauge=b,

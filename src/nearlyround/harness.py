@@ -113,6 +113,8 @@ class StudyConfig:
             raise ConfigError(f"harmonic order |{self.m_order}| exceeds degree {self.l}")
         if not (self.tol > 0.0 and self.pde_tol > 0.0):
             raise ConfigError("tolerances must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "StudyConfig":
@@ -428,10 +430,10 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     for r, s in members:
         fd_hat = fundamental_forms(s)
         fd = fundamental_forms(s, metric)
-        data.append((r, s, fd_hat, fd))
+        data.append((r, fd_hat, fd))
 
     def over_family(fn):
-        return max(fn(fd_hat, fd) for _, _, fd_hat, fd in data)
+        return max(fn(fd_hat, fd) for _, fd_hat, fd in data)
 
     checks = []
 
@@ -483,7 +485,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     )
 
     try:
-        diag = nearly_round_diagnostics([(s, fd) for _, s, _, fd in data], metric.tau)
+        diag = nearly_round_diagnostics([fd for _, _, fd in data])
     except NearlyRoundError as exc:
         add_failed("roundness-flags", 0.0, exc)
     else:
@@ -492,7 +494,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     add_measured(
         "spectral-resolution",
         lambda: max(
-            _curvature_tail(grid, fd, best_fit_sphere(fh, s).radius) for _, s, fh, fd in data
+            _curvature_tail(grid, fd, best_fit_sphere(fh).radius) for _, fh, fd in data
         ),
         1e-10,
     )
@@ -501,9 +503,9 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     mink1 = 0.0
     mink2 = 0.0
     embed_note = ""
-    for r, s, fd_hat, fd in data:
+    for r, _, fd in data:
         try:
-            e = embed(s, fd, fd_hat, tol=config.tol, pde_tol=config.pde_tol)
+            e = embed(fd, tol=config.tol, pde_tol=config.pde_tol)
         except NearlyRoundError as exc:
             embed_worst = math.inf
             mink1 = mink2 = math.inf

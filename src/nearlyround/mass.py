@@ -127,19 +127,18 @@ def assemble_mass_row(
     """Evaluate both masses of one surface and package them as a row.
 
     Computes the fundamental forms in the ambient, the Hawking mass, and
-    the isometric embedding with its Brown-York mass.  A SolverError of the
-    embedding leaves brown_york/embed_residual as None and adds the marker
-    embedding-failed:<class> to flags rather than raising, so sweeps can
-    continue past bad radii.
+    the isometric embedding of that one record with its Brown-York mass.
+    A SolverError of the embedding leaves brown_york/embed_residual as None
+    and adds the marker embedding-failed:<class> to flags rather than
+    raising, so sweeps can continue past bad radii.
 
     adm_reference defaults to the ambient's known mass; r_label defaults
     to the best-fit sphere radius of the Euclidean shape.
     """
     fd = fundamental_forms(s, ambient)
-    fd_hat = None
     if r_label is None:
-        fd_hat = fd if fd.ambient == "euclidean" else fundamental_forms(s)
-        r_label = best_fit_sphere(fd_hat, s).radius
+        flat = fd if fd.ambient == "euclidean" else fundamental_forms(s)
+        r_label = best_fit_sphere(flat).radius
     if adm_reference is None:
         if ambient.known_mass is None:
             raise ConfigError(
@@ -153,7 +152,7 @@ def assemble_mass_row(
     residual = None
     flags: list[str] = []
     try:
-        e = embed(s, fd, fd_hat, tol=tol, pde_tol=pde_tol)
+        e = embed(fd, tol=tol, pde_tol=pde_tol)
     except SolverError as exc:
         flags.append(f"embedding-failed:{type(exc).__name__}")
     else:

@@ -9,15 +9,18 @@ components of tangent tensors are assembled pointwise, never
 differentiated, so the poles cost nothing.
 
 fundamental_forms builds the one FundamentalData record of a surface in
-an ambient: its node tangents, the ambient metric jets and decay order,
-the forms, H, K and the area.  The masses read only H, K and the area.
-tracefree_gradient(fd) computes grad Aring for the roundness diagnostics
-alone.  The identity residuals read two records of one surface, the
-flat fd_hat and the curved fd: second_form_transform_residual,
-mean_curvature_expansion_residual, divergence_identity_gap and
-mean_curvature_integral_residual take (fd_hat, fd), and
-distance_hessian_residual takes fd_hat.  None of them re-evaluates the
-metric or transforms a field.
+an ambient: its node positions and tangents, the ambient metric jets and
+decay order, the forms, H, K and the area.  Its consumers take the
+record alone, not the Immersion beside it: the masses read H, K and the
+area, the embedding the induced metric, K and the area, best_fit_sphere
+a flat record and nearly_round_diagnostics a family of records in one
+ambient.  tracefree_gradient(fd) computes grad Aring for the roundness
+diagnostics alone.  The identity residuals read two records of one
+surface, the flat fd_hat and the curved fd:
+second_form_transform_residual, mean_curvature_expansion_residual,
+divergence_identity_gap and mean_curvature_integral_residual take
+(fd_hat, fd), and distance_hessian_residual takes fd_hat.  None of them
+re-evaluates the metric or transforms a field.
 
 Frame conventions: tangent index a in {0, 1} is the (theta, phi)
 coordinate frame; ambient indices i, j, k are Cartesian.  The second
@@ -349,7 +352,7 @@ class BestFitSphere:
     position_spread: float  # sup |y - center - radius * normal|
 
 
-def best_fit_sphere(fd: FundamentalData, s: Immersion) -> BestFitSphere:
+def best_fit_sphere(fd: FundamentalData) -> BestFitSphere:
     """Fit radius from the mean of H and center from the position residual.
 
     Requires the flat-ambient fundamental data and H > 0 everywhere.
@@ -361,7 +364,7 @@ def best_fit_sphere(fd: FundamentalData, s: Immersion) -> BestFitSphere:
         raise NonConvexSurface("mean curvature is not positive everywhere")
     mean_H = fd.integrate(H) / fd.area
     r0 = 2.0 / mean_H
-    resid = s.Y - r0 * fd.normal
+    resid = fd.points.reshape(fd.normal.shape) - r0 * fd.normal
     center = np.array([fd.integrate(resid[..., k]) for k in range(3)]) / fd.area
     lam_lo, lam_hi = fd.principal_curvatures()
     curv_spread = float(
@@ -442,17 +445,23 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     return nabla.reshape(grid.shape + (2, 2, 2)), norm.reshape(grid.shape)
 
 
-def nearly_round_diagnostics(members, tau: float) -> NearlyRoundReport:
-    """Roundness constants across a family of (Immersion, FundamentalData).
+def nearly_round_diagnostics(records) -> NearlyRoundReport:
+    """Roundness constants across a family of FundamentalData records.
 
-    Report-only: constants are measured, never asserted here.  A constant
-    is flagged when it grows monotonically by more than 1.5x across the
-    family, the signature of a violated roundness condition.
+    The records must share one ambient, whose decay order tau scales the
+    trace-free constant.  Report-only: constants are measured, never
+    asserted here.  A constant is flagged when it grows monotonically by
+    more than 1.5x across the family, the signature of a violated
+    roundness condition.
     """
-    if len(members) < 3:
+    if len(records) < 3:
         raise ValueError("need at least three family members")
+    ambients = {fd.ambient for fd in records}
+    if len(ambients) > 1:
+        raise ValueError(f"records mix ambients: {', '.join(sorted(ambients))}")
+    tau = records[0].tau
     rows = []
-    for s, fd in members:
+    for fd in records:
         r = fd.r_min
         trace_sup = float((fd.tracefree_norm + r * tracefree_gradient(fd)[1]).max())
         rows.append(

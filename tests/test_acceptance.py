@@ -85,7 +85,7 @@ def test_brown_york_closed_form_and_rate(capsys, g16, std):
     for r in (10.0, 20.0, 40.0, 80.0):
         s = nr.coordinate_sphere(r, g16)
         fd = nr.fundamental_forms(s, std)
-        mby = nr.brown_york_mass(fd, nr.embed(s, fd))
+        mby = nr.brown_york_mass(fd, nr.embed(fd))
         closed = r * (1.0 - math.sqrt(1.0 - 2.0 / r))
         rel = abs(mby - closed) / closed
         series.append((r, mby))
@@ -218,7 +218,7 @@ def test_minkowski_identities_spectral(capsys, iso, std, kerr):
         grid = nr.build_grid(L)
         for name, metric, r in family:
             s = nr.coordinate_sphere(r, grid)
-            e = nr.embed(s, nr.fundamental_forms(s, metric))
+            e = nr.embed(nr.fundamental_forms(s, metric))
             mk = nr.minkowski_residuals(e)
             levels[name, L] = (mk.first_identity, mk.second_identity)
     for name, _, _ in family:
@@ -304,18 +304,18 @@ def test_scaled_residuals_bounded_and_violator_flagged(capsys, g16, iso, std, ke
     }
     failures = []
     for name, (metric, members) in families.items():
-        pairs = []
+        records = []
         for r, s in members:
             fd_hat = nr.fundamental_forms(s)
             fd = nr.fundamental_forms(s, metric)
-            pairs.append((s, fd))
+            records.append(fd)
             expansion = surf.mean_curvature_expansion_residual(fd_hat, fd)
             integral = surf.mean_curvature_integral_residual(fd_hat, fd)
             if expansion > 50.0:
                 failures.append(f"{name} r={r}: expansion residual {expansion:.2f} > 50")
             if integral > 100.0:
                 failures.append(f"{name} r={r}: integral residual {integral:.2f} > 100")
-        report = surf.nearly_round_diagnostics(pairs, metric.tau)
+        report = surf.nearly_round_diagnostics(records)
         if report.flagged:
             failures.append(f"{name}: unexpected roundness flags {report.flagged}")
     c = np.zeros(g16.n_coeffs)
@@ -324,8 +324,8 @@ def test_scaled_residuals_bounded_and_violator_flagged(capsys, g16, iso, std, ke
     for r in (10.0, 20.0, 40.0):
         prof = r * (1.0 + 0.3 * nr.synthesize(g16, c))
         s = nr.immerse_radial(None, prof, g16)
-        violators.append((s, nr.fundamental_forms(s, iso)))
-    report = surf.nearly_round_diagnostics(violators, iso.tau)
+        violators.append(nr.fundamental_forms(s, iso))
+    report = surf.nearly_round_diagnostics(violators)
     if "tracefree_constant" not in report.flagged:
         failures.append(f"violating family not flagged (flags: {report.flagged})")
     _verdict(capsys, "Scaled residuals bounded on round sweeps, violator flagged", failures)

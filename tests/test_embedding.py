@@ -173,7 +173,7 @@ def kerr_sweep(g16, kerr):
     out = {}
     for r in (20.0, 40.0, 80.0):
         s = coordinate_sphere(r, g16)
-        out[r] = emb.embed(s, fundamental_forms(s, kerr))
+        out[r] = emb.embed(fundamental_forms(s, kerr))
     return out
 
 
@@ -184,7 +184,7 @@ def pert_sweep(g16):
     out = {}
     for r in (20.0, 40.0, 80.0):
         s = coordinate_sphere(r, g16)
-        out[r] = emb.embed(s, fundamental_forms(s, pert))
+        out[r] = emb.embed(fundamental_forms(s, pert))
     return out
 
 
@@ -228,7 +228,7 @@ def test_uniformize_manufactured_recovery(L):
 def normalized_lumpy_curvature(grid):
     s = lumpy_surface(grid)
     fd = fundamental_forms(s)
-    r0 = nr.best_fit_sphere(fd, s).radius
+    r0 = nr.best_fit_sphere(fd).radius
     return fd.gauss_curvature * r0**2
 
 
@@ -277,7 +277,7 @@ def test_uniformize_norm_tracks_curvature_deviation(kerr_sweep):
 
 
 def test_solve_embedding_round_identity(g16):
-    imm, rel = emb.solve_embedding(g16, round_metric(g16))
+    imm, rel, _ = emb.solve_embedding(g16, round_metric(g16))
     assert rel <= 1e-12
     assert np.max(np.abs(imm.Y - g16.unit_vectors)) <= 1e-12
 
@@ -285,7 +285,7 @@ def test_solve_embedding_round_identity(g16):
 def test_solve_embedding_recovers_band_limited_surface(g16):
     s = lumpy_surface(g16)
     h = fundamental_forms(s).induced_metric
-    imm, rel = emb.solve_embedding(g16, h)
+    imm, rel, _ = emb.solve_embedding(g16, h)
     assert rel <= 1e-8
     _, rms = emb.rigid_align(g16, imm.Y, s.Y)
     assert rms <= 1e-9
@@ -294,9 +294,9 @@ def test_solve_embedding_recovers_band_limited_surface(g16):
 def test_solve_embedding_unique_up_to_rigid_motion(g16):
     s = lumpy_surface(g16)
     h = fundamental_forms(s).induced_metric
-    base, _ = emb.solve_embedding(g16, h)
+    base, _, _ = emb.solve_embedding(g16, h)
     seed = Immersion(g16, np.exp(jittered(g16))[..., None] * g16.unit_vectors)
-    other, _ = emb.solve_embedding(g16, h, seed=seed)
+    other, _, _ = emb.solve_embedding(g16, h, seed=seed)
     _, rms = emb.rigid_align(g16, other.Y, base.Y)
     assert rms <= 1e-6
 
@@ -304,7 +304,7 @@ def test_solve_embedding_unique_up_to_rigid_motion(g16):
 def test_solve_embedding_gauge_is_pinned(g16):
     s = lumpy_surface(g16)
     h = fundamental_forms(s).induced_metric
-    imm, _ = emb.solve_embedding(g16, h)
+    imm, _, _ = emb.solve_embedding(g16, h)
     c = np.column_stack([analyze(g16, imm.Y[..., k]) for k in range(3)])
     # centroid: the constant coefficient of each component vanishes
     assert np.max(np.abs(c[0, :])) <= 1e-10
@@ -384,9 +384,10 @@ def test_pcg_identical_across_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_solve_embedding_reports_nonconvergence(g16):
+def test_solve_embedding_reports_nonconvergence(g16, monkeypatch):
+    monkeypatch.setattr(emb, "_EMBED_MAX_ITER", 0)
     with pytest.raises(emb.EmbeddingError) as info:
-        emb.solve_embedding(g16, round_metric(g16, radius=2.0), max_iter=0)
+        emb.solve_embedding(g16, round_metric(g16, radius=2.0))
     assert info.value.residual > 0.1
 
 
@@ -414,7 +415,8 @@ def test_axisymmetric_oblate_curvature_match(L, k_tol, m_tol):
     h = np.zeros(grid.shape + (2, 2))
     h[..., 0, 0] = E[:, None]
     h[..., 1, 1] = G[:, None]
-    assert emb._node_metric_mismatch(grid, imm, h) <= m_tol
+    yt, yp = (d.reshape(-1, 3) for d in imm.tangents())
+    assert emb._metric_mismatch(yt, yp, h)[1] <= m_tol
 
 
 def test_axisymmetric_rejects_nonembeddable_profiles(g16):
@@ -440,7 +442,7 @@ def test_embed_schwarzschild_standard_round_data(g16):
     # so the induced metric is exactly round and everything has closed form
     std = nr.schwarzschild_standard(1.0)
     s = coordinate_sphere(10.0, g16)
-    e = emb.embed(s, fundamental_forms(s, std))
+    e = emb.embed(fundamental_forms(s, std))
     assert e.method == "axisymmetric"
     assert e.radius == pytest.approx(10.0, abs=1e-10)
     assert np.max(np.abs(e.mean_curvature - 0.2)) <= 1e-9
@@ -452,7 +454,7 @@ def test_embed_schwarzschild_standard_round_data(g16):
 def test_embed_kerr_high_resolution(g24, kerr):
     s = coordinate_sphere(40.0, g24)
     fd = fundamental_forms(s, kerr)
-    e = emb.embed(s, fd)
+    e = emb.embed(fd)
     assert e.method == "axisymmetric"
     assert e.metric_residual <= 1e-8
     # realized intrinsic curvature agrees with the requested one
@@ -473,10 +475,26 @@ def test_embed_kerr_sweep_decay(kerr_sweep):
         assert e.gauge_moment <= 1e-9
 
 
+def test_embed_polishes_a_perturbed_revolution_seed(g16, kerr, kerr_sweep, monkeypatch):
+    # a profile quadrature off by about 1e-6 relative leaves the solver
+    # Newton steps to take, and they land on the unperturbed image
+    exact = emb.embed_axisymmetric
+
+    def perturbed(grid, E, G):
+        return Immersion(grid, exact(grid, E, G).Y * np.exp(jittered(grid, size=1e-6))[..., None])
+
+    monkeypatch.setattr(emb, "embed_axisymmetric", perturbed)
+    e = emb.embed(fundamental_forms(coordinate_sphere(40.0, g16), kerr))
+    assert e.method == "axisymmetric+newton"
+    assert e.metric_residual <= 1e-8
+    _, rms = emb.rigid_align(g16, e.image.Y, kerr_sweep[40.0].image.Y)
+    assert rms <= 1e-8
+
+
 def test_embed_cross_validates_axisymmetric_route(g16, kerr, kerr_sweep, monkeypatch):
     s = coordinate_sphere(40.0, g16)
     monkeypatch.setattr(emb, "_AXISYM_TOL", -1.0)  # no data counts as a revolution
-    e_gen = emb.embed(s, fundamental_forms(s, kerr))
+    e_gen = emb.embed(fundamental_forms(s, kerr))
     assert e_gen.method == "general"
     assert e_gen.metric_residual <= 1e-8
     _, rms = emb.rigid_align(g16, e_gen.image.Y, kerr_sweep[40.0].image.Y)
@@ -529,7 +547,7 @@ def test_embed_flat_surface_roundtrip(g16):
     # embedding the induced metric of a Euclidean surface must reproduce
     # the surface itself up to a rigid motion (rigidity of convex surfaces)
     s = lumpy_surface(g16, scale=10.0)
-    e = emb.embed(s, pde_tol=1e-7)
+    e = emb.embed(fundamental_forms(s), pde_tol=1e-7)
     assert e.method == "general"
     assert e.metric_residual <= 1e-8
     _, rms = emb.rigid_align(g16, e.image.Y, s.Y)
@@ -540,7 +558,7 @@ def test_embed_requires_nearly_round_curvature(g16):
     prof = np.repeat(1.0 + 0.45 * np.cos(g16.theta)[:, None] ** 2, g16.nphi, axis=1)
     s = immerse_radial(None, prof, g16)
     with pytest.raises(emb.RegimeViolation):
-        emb.embed(s, fundamental_forms(s))
+        emb.embed(fundamental_forms(s))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +574,7 @@ def test_minkowski_identities_quadrature_exact(kerr_sweep):
 
 def test_minkowski_identities_on_general_route(g16):
     s = lumpy_surface(g16, scale=10.0)
-    e = emb.embed(s, pde_tol=1e-7)
+    e = emb.embed(fundamental_forms(s), pde_tol=1e-7)
     mk = emb.minkowski_residuals(e)
     assert mk.first_identity <= 1e-12
     assert mk.second_identity <= 1e-12
@@ -574,7 +592,7 @@ def test_claim_bounded_for_critical_decay(g16):
     claims = []
     for r in (20.0, 40.0, 80.0):
         s = coordinate_sphere(r, g16)
-        e = emb.embed(s, fundamental_forms(s, p1))
+        e = emb.embed(fundamental_forms(s, p1))
         claims.append(emb.minkowski_residuals(e, tau=1.0).claim_residual)
     assert max(claims) <= 13.0
     assert max(claims) / min(claims) <= 1.1
@@ -584,7 +602,7 @@ def test_volume_cross_check_embeddings(g16, kerr_sweep):
     vc = emb.volume_cross_check(kerr_sweep[40.0])
     assert vc.rel_gap <= 1e-6
     s = lumpy_surface(g16, scale=10.0)
-    e = emb.embed(s, pde_tol=1e-7)
+    e = emb.embed(fundamental_forms(s), pde_tol=1e-7)
     vc2 = emb.volume_cross_check(e)
     assert vc2.rel_gap <= 1e-6
 

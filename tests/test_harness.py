@@ -206,8 +206,9 @@ def test_run_masses_kerr_columns_monotone():
 
 
 def test_run_masses_partial_row():
-    # the first surface is badly non-round; its embedding leg fails while
-    # the Hawking leg still evaluates
+    # the first surface is badly non-round; its embedding leg fails (its
+    # curvature leaves the nearly round window) while the Hawking leg
+    # still evaluates
     cfg = nr.StudyConfig(
         metric="euclidean", family="radial-perturbed",
         schedule=(2.0, 20.0, 40.0), amplitude=7.0, l=2, m_order=0, decay=2.0,
@@ -217,7 +218,7 @@ def test_run_masses_partial_row():
     first, second, third = report.rows
     assert first.brown_york is None
     assert first.embed_residual is None
-    assert first.flags == ("embedding-failed:NonConvexSurface",)
+    assert first.flags == ("embedding-failed:RegimeViolation",)
     assert np.isfinite(first.hawking)
     assert second.flags == () and third.flags == ()
     assert report.hard_failures == ()
@@ -463,11 +464,14 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
         ["masses", "--metric", "schwarzschild_standard m=1", "--family", "radial-perturbed",
          "--l", "2", "--m-order", "0", "--amplitude", "0.9", "--decay", "0",
          "--schedule", "5,10,20", "--band-limit", "8"],
+        ["verify", "--metric", "euclidean", "--schedule", "10,20,40", "--seed", "-1",
+         "--inject-failure"],
     ],
     ids=[
         "masses-schedule-nan", "masses-metric-nan", "masses-tol-inf",
         "embed-radius-nan", "embed-tol-inf", "embed-band-limit-0",
         "adm-schedule-unsorted", "adm-metric-abc", "masses-perturbed-inside-exclusion",
+        "verify-seed-negative",
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, capsys):

@@ -18,11 +18,13 @@ Closed-form oracles, worked out independently of the implementation:
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import nearlyround as nr
+from nearlyround import surfaces as surf
 
 
 def schwarzschild_brown_york(r, m):
@@ -58,7 +60,7 @@ def test_hawking_flat_round_sphere_vanishes(g16, metrics):
 def test_brown_york_flat_round_sphere_vanishes(g16, metrics):
     s = nr.coordinate_sphere(3.0, g16)
     fd = nr.fundamental_forms(s, metrics["euclidean"])
-    e = nr.embed(s, fd)
+    e = nr.embed(fd)
     assert abs(nr.brown_york_mass(fd, e)) <= 1e-13
 
 
@@ -84,7 +86,7 @@ def test_brown_york_schwarzschild_standard_closed_form(g16, metrics):
     for r, digits in ((10.0, 1.0557281), (100.0, 1.0050506)):
         s = nr.coordinate_sphere(r, g16)
         fd = nr.fundamental_forms(s, metrics["std"])
-        e = nr.embed(s, fd)
+        e = nr.embed(fd)
         by = nr.brown_york_mass(fd, e)
         assert abs(by - schwarzschild_brown_york(r, 1.0)) <= 1e-12
         assert abs(by - digits) <= 1e-7
@@ -93,7 +95,7 @@ def test_brown_york_schwarzschild_standard_closed_form(g16, metrics):
 def test_brown_york_isotropic_closed_form(g16, metrics):
     s = nr.coordinate_sphere(20.0, g16)
     fd = nr.fundamental_forms(s, metrics["iso"])
-    e = nr.embed(s, fd)
+    e = nr.embed(fd)
     assert abs(nr.brown_york_mass(fd, e) - isotropic_brown_york(20.0, 1.0)) <= 1e-12
 
 
@@ -110,7 +112,7 @@ def test_brown_york_requires_positive_curvature(g16, metrics):
     fd = nr.fundamental_forms(nr.immerse_radial(None, profile, g16))
     assert fd.gauss_curvature.min() < 0.0
     s = nr.coordinate_sphere(3.0, g16)
-    e = nr.embed(s, nr.fundamental_forms(s, metrics["euclidean"]))
+    e = nr.embed(nr.fundamental_forms(s, metrics["euclidean"]))
     with pytest.raises(nr.RegimeViolation, match="positive"):
         nr.brown_york_mass(fd, e)
 
@@ -120,7 +122,7 @@ def test_brown_york_rejects_grid_mismatch(g16, metrics):
     s16 = nr.coordinate_sphere(3.0, g16)
     s24 = nr.coordinate_sphere(3.0, g24)
     fd16 = nr.fundamental_forms(s16, metrics["euclidean"])
-    e24 = nr.embed(s24, nr.fundamental_forms(s24, metrics["euclidean"]))
+    e24 = nr.embed(nr.fundamental_forms(s24, metrics["euclidean"]))
     with pytest.raises(ValueError, match="grid"):
         nr.brown_york_mass(fd16, e24)
 
@@ -235,3 +237,25 @@ def test_assemble_row_requires_mass_reference(g16, metrics):
         nr.assemble_mass_row(s, anonymous)
     row = nr.assemble_mass_row(s, anonymous, adm_reference=0.0)
     assert row.adm_reference == 0.0
+
+
+@pytest.mark.parametrize("family", ["coordinate-spheres", "radial-perturbed"])
+def test_run_masses_row_builds_two_records(monkeypatch, family):
+    # one record of the surface in its ambient, one of the embedded image:
+    # the embedding reads the first alone, so no flat record and no
+    # best-fit sphere is built for a row that carries its radius label
+    calls = []
+    for name in ("fundamental_forms", "best_fit_sphere"):
+        original = getattr(surf, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("nearlyround") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cfg = nr.StudyConfig(metric="kerr_slice m=1 a=0.5", family=family, schedule=(20.0, 40.0, 80.0))
+    rows = nr.run_masses(cfg).rows
+    assert all(row.flags == () for row in rows)
+    assert calls == ["fundamental_forms"] * (2 * len(rows))

@@ -327,7 +327,7 @@ def test_chart_permutation_invariance(grid16, catalog):
 
 def test_best_fit_round_recovery(grid16):
     s = surf.coordinate_sphere(7.0, grid16, center=(1.0, 2.0, 3.0))
-    bf = surf.best_fit_sphere(surf.fundamental_forms(s), s)
+    bf = surf.best_fit_sphere(surf.fundamental_forms(s))
     assert abs(bf.radius - 7.0) < 1e-10
     assert np.abs(bf.center - [1.0, 2.0, 3.0]).max() < 1e-10
     assert bf.curvature_spread < 1e-8
@@ -340,13 +340,13 @@ def test_best_fit_perturbed_family(grid16):
     for r in (10.0, 20.0, 40.0):
         bump = bump_field(grid16, (2, 0, 1.0))
         s = surf.immerse_radial(None, r * (1 + 0.1 / r * bump), grid16)
-        bf = surf.best_fit_sphere(surf.fundamental_forms(s), s)
+        bf = surf.best_fit_sphere(surf.fundamental_forms(s))
         assert abs(bf.radius - r) < 0.01
         assert bf.curvature_spread * r**2 < 0.5
 
 
 def test_best_fit_lumpy_report(lumpy10):
-    bf = surf.best_fit_sphere(surf.fundamental_forms(lumpy10), lumpy10)
+    bf = surf.best_fit_sphere(surf.fundamental_forms(lumpy10))
     assert abs(bf.radius - 10.0) < 0.05
     assert 0.005 < bf.curvature_spread < 0.1
     assert 0.5 < bf.position_spread < 1.5
@@ -356,14 +356,14 @@ def test_best_fit_nonconvex_raises(grid16):
     bump = bump_field(grid16, (2, 0, 1.0))
     s = surf.immerse_radial(None, 5.0 * (1 + 0.8 * bump), grid16)
     with pytest.raises(surf.NonConvexSurface):
-        surf.best_fit_sphere(surf.fundamental_forms(s), s)
+        surf.best_fit_sphere(surf.fundamental_forms(s))
 
 
 def test_best_fit_requires_flat_data(grid16, catalog):
     s = surf.coordinate_sphere(10.0, grid16)
     fd = surf.fundamental_forms(s, catalog["iso"])
     with pytest.raises(ValueError, match="flat-ambient"):
-        surf.best_fit_sphere(fd, s)
+        surf.best_fit_sphere(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +375,8 @@ def test_diagnostics_round_family(grid16):
     members = []
     for r in (1.0, 2.0, 4.0):
         s = surf.coordinate_sphere(r, grid16)
-        members.append((s, surf.fundamental_forms(s)))
-    rep = surf.nearly_round_diagnostics(members, tau=1.0)
+        members.append(surf.fundamental_forms(s))
+    rep = surf.nearly_round_diagnostics(members)
     for row in rep.rows:
         assert row.tracefree_constant < 1e-9
         assert abs(row.radial_ratio - 1.0) < 1e-12
@@ -396,12 +396,12 @@ def test_diagnostics_kerr_family(grid16, catalog):
     for r in (20.0, 40.0, 80.0):
         s = surf.coordinate_sphere(r, grid16)
         fd = surf.fundamental_forms(s, kerr)
-        members.append((s, fd))
+        members.append(fd)
         ring_consts.append(r**3 * fd.tracefree_norm.max())
         assert r**2 * np.abs(fd.mean_curvature - 2.0 / r).max() < 2.5
     assert max(ring_consts) < 0.3
     assert max(ring_consts) / min(ring_consts) < 1.2
-    rep = surf.nearly_round_diagnostics(members, kerr.tau)
+    rep = surf.nearly_round_diagnostics(members)
     assert rep.flagged == ()
     assert rep.tracefree_constant < 0.05
     assert rep.radial_ratio < 1.0 + 1e-10
@@ -415,10 +415,10 @@ def test_diagnostics_decaying_bump_family(grid16, catalog):
     flat_members, curved_members = [], []
     for r in (10.0, 20.0, 40.0):
         s = surf.immerse_radial(None, r * (1 + 0.1 / r * bump), grid16)
-        flat_members.append((s, surf.fundamental_forms(s)))
-        curved_members.append((s, surf.fundamental_forms(s, iso)))
+        flat_members.append(surf.fundamental_forms(s))
+        curved_members.append(surf.fundamental_forms(s, iso))
     for members in (flat_members, curved_members):
-        rep = surf.nearly_round_diagnostics(members, iso.tau)
+        rep = surf.nearly_round_diagnostics(members)
         assert rep.flagged == ()
         assert rep.tracefree_constant < 2.0
         assert rep.second_form_constant < 2.0
@@ -432,8 +432,8 @@ def test_diagnostics_violating_family(grid16, catalog):
     members = []
     for r in (10.0, 20.0, 40.0):
         s = surf.immerse_radial(None, r * (1 + 0.3 * bump), grid16)
-        members.append((s, surf.fundamental_forms(s, iso)))
-    rep = surf.nearly_round_diagnostics(members, iso.tau)
+        members.append(surf.fundamental_forms(s, iso))
+    rep = surf.nearly_round_diagnostics(members)
     assert "tracefree_constant" in rep.flagged
     assert rep.rows[-1].tracefree_constant > 2.0 * rep.rows[0].tracefree_constant
 
@@ -448,8 +448,8 @@ def test_diagnostics_coordinate_spheres_unflagged_at_l32(catalog, name):
     members = []
     for r in (20.0, 40.0, 80.0):
         s = surf.coordinate_sphere(r, grid)
-        members.append((s, surf.fundamental_forms(s, metric)))
-    rep = surf.nearly_round_diagnostics(members, metric.tau)
+        members.append(surf.fundamental_forms(s, metric))
+    rep = surf.nearly_round_diagnostics(members)
     assert rep.flagged == ()
 
 
@@ -457,7 +457,17 @@ def test_diagnostics_needs_three(grid16):
     s = surf.coordinate_sphere(1.0, grid16)
     fd = surf.fundamental_forms(s)
     with pytest.raises(ValueError, match="three"):
-        surf.nearly_round_diagnostics([(s, fd)], tau=1.0)
+        surf.nearly_round_diagnostics([fd])
+
+
+def test_diagnostics_rejects_mixed_ambients(grid16, catalog):
+    # the decay order that scales the trace-free constant is the ambient's
+    records = [
+        surf.fundamental_forms(surf.coordinate_sphere(r, grid16), metric)
+        for r, metric in ((10.0, None), (20.0, catalog["iso"]), (40.0, catalog["iso"]))
+    ]
+    with pytest.raises(ValueError, match="mix ambients"):
+        surf.nearly_round_diagnostics(records)
 
 
 # ---------------------------------------------------------------------------
