@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SolverError
 from .sphere import (
@@ -399,15 +398,21 @@ def _round_normal_blocks(grid: SphereGrid):
     return slots, valid, np.where(pair, normal.reshape(3 * K, -1)[slots], np.eye(sizes.max()))
 
 
+def cho_factor(blocks: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of symmetric blocks, (..., n, n).
+    Raises np.linalg.LinAlgError when a block is not positive definite."""
+    return np.linalg.cholesky(blocks)
+
+
 def _round_preconditioner(grid: SphereGrid):
     """r -> (J0^T J0)^{-1} r on (n_coeffs, 3) blocks, cached on the grid: the
-    blocks are factored in one batched `cho_factor` call and inverted, so
-    each application is one gather, one product over the blocks and one
-    scatter between two `_charge_rotation`s."""
+    blocks are factored in one batched `cho_factor` call and inverted as
+    L^-T L^-1, so each application is one gather, one product over the
+    blocks and one scatter between two `_charge_rotation`s."""
     if "round_normal" not in grid._cache:
         slots, valid, blocks = _round_normal_blocks(grid)
-        eye = np.broadcast_to(np.eye(blocks.shape[1]), blocks.shape)
-        inverse = cho_solve(cho_factor(blocks, check_finite=False), eye, check_finite=False)
+        lower_inv = np.linalg.inv(cho_factor(blocks))
+        inverse = np.swapaxes(lower_inv, 1, 2) @ lower_inv
 
         def precondition(r):
             flat = _charge_rotation(r).ravel()

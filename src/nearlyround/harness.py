@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from importlib.metadata import PackageNotFoundError, version as _dist_version
 
@@ -37,7 +36,6 @@ from .mass import MassValues, assemble_mass_row
 from .metrics import adm_mass, parse_metric
 from .sphere import analyze, build_grid, coeff_degrees, coeff_index, synthesize
 from .surfaces import (
-    best_fit_sphere,
     coordinate_sphere,
     distance_hessian_residual,
     divergence_identity_gap,
@@ -229,7 +227,7 @@ class MassReport:
             "versions": {
                 "nearlyround": _package_version,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "scipy": _dist_version("scipy"),
             },
         }
 
@@ -405,9 +403,9 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _curvature_tail(grid, fd, r0: float) -> float:
-    """Energy fraction of the scaled curvature in the top two degree bands."""
-    coeffs = analyze(grid, fd.gauss_curvature * r0**2)
+def _curvature_tail(grid, fd) -> float:
+    """Energy fraction of the curvature in the top two degree bands."""
+    coeffs = analyze(grid, fd.gauss_curvature)
     degs, _ = coeff_degrees(grid.L)
     total = float(np.linalg.norm(coeffs))
     if total == 0.0:
@@ -493,9 +491,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
 
     add_measured(
         "spectral-resolution",
-        lambda: max(
-            _curvature_tail(grid, fd, best_fit_sphere(fh).radius) for _, fh, fd in data
-        ),
+        lambda: max(_curvature_tail(grid, fd) for _, _, fd in data),
         1e-10,
     )
 

@@ -361,6 +361,35 @@ def test_round_normal_matrix_is_block_diagonal_by_charge(L):
     assert np.linalg.norm(z - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
+@pytest.mark.parametrize("L", [8, 16])
+def test_round_preconditioner_matches_scipy_cholesky(L):
+    # the preconditioner's numpy-built block inverses against scipy's
+    # cho_factor/cho_solve on the same blocks, read off in the charge basis;
+    # two backward-stable inversions agree to a small multiple of cond * eps
+    grid = nr.build_grid(L)
+    K = grid.n_coeffs
+    slots, valid, blocks = emb._round_normal_blocks(grid)
+    eye = np.eye(blocks.shape[1])
+    oracle = np.stack([cho_solve(cho_factor(b), eye) for b in blocks])
+    precondition = emb._round_preconditioner(grid)
+    columns = np.stack([precondition(e.reshape(K, 3)) for e in np.eye(3 * K)], axis=-1)
+    left = emb._charge_rotation(columns).reshape(3 * K, 3 * K)
+    rotated = emb._charge_rotation(left.T.reshape(K, 3, 3 * K)).reshape(3 * K, 3 * K).T
+    eps = np.finfo(float).eps
+    for idx, ok, normal, inverse in zip(slots, valid, blocks, oracle):
+        bound = 10.0 * np.linalg.cond(normal) * eps * np.max(np.abs(inverse))
+        block = rotated[np.ix_(idx[ok], idx[ok])]
+        assert np.max(np.abs(block - inverse[np.ix_(ok, ok)])) <= bound
+
+
+def test_cho_factor_rejects_indefinite_block():
+    blocks = np.stack([np.eye(3), np.diag([1.0, -1e-3, 1.0]), 2.0 * np.eye(3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        emb.cho_factor(blocks)
+    lower = emb.cho_factor(blocks[[0, 2]])
+    assert np.allclose(lower @ np.swapaxes(lower, 1, 2), blocks[[0, 2]], rtol=0, atol=1e-15)
+
+
 def test_pcg_identical_across_blas_threads():
     # inner products and norms of 12,675 entries, where BLAS dot splits the
     # sum between threads

@@ -588,6 +588,36 @@ def test_reports_identical_across_blas_threads():
         assert outputs[0] == outputs[1], args
 
 
+def test_masses_load_no_scipy():
+    # a fresh interpreter runs both embedding routes (the general one factors
+    # the round preconditioner, Kerr takes the revolution seed) without scipy
+    code = (
+        "import sys\n"
+        "import nearlyround as nr, nearlyround.cli\n"
+        "from nearlyround import embedding as emb\n"
+        "calls = {'cho_factor': 0, 'embed_axisymmetric': 0}\n"
+        "def counted(name):\n"
+        "    fn = getattr(emb, name)\n"
+        "    def wrapped(*args, **kwargs):\n"
+        "        calls[name] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    setattr(emb, name, wrapped)\n"
+        "for name in calls: counted(name)\n"
+        "common = dict(schedule=(20.0, 40.0, 80.0), band_limit=16)\n"
+        "lumpy = nr.run_masses(nr.StudyConfig(\n"
+        "    metric='schwarzschild_standard m=1', family='radial-perturbed', l=3,\n"
+        "    m_order=2, amplitude=0.1, decay=1.0, **common))\n"
+        "kerr = nr.run_masses(nr.StudyConfig(\n"
+        "    metric='kerr_slice m=1 a=0.5', family='coordinate-spheres', **common))\n"
+        "assert all(not row.flags for row in lumpy.rows + kerr.rows)\n"
+        "assert calls['cho_factor'] == 1 and calls['embed_axisymmetric'] == 3, calls\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "row, reference",
     [('{"r": null, "hawking": 1.0}', "1.0"), ('{"r": [1], "hawking": 1.0}', "1.0"),
