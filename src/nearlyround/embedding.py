@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.legendre import legder, legval, legvander
 
 from .errors import SolverError
 from .sphere import (
@@ -539,9 +540,11 @@ def embed_axisymmetric(
     parallel radius is R = sqrt(G); the height solves z' = -sqrt(E - R'^2)
     so the north pole sits on top and the orientation agrees with the
     round embedding.  E and G/sin^2 are the quantities that stay smooth
-    through the poles, so those two are carried spectrally and everything
-    else is evaluated from them; the height integral is a Chebyshev
-    antiderivative of the meridian slope.
+    through the poles, so those two are interpolated through their node
+    values by one degree-L Legendre series in cos(theta) (a square
+    Legendre-Vandermonde solve at the Gauss nodes, summed by Clenshaw
+    recurrence) and everything else is evaluated from them; the height
+    integral is a Chebyshev antiderivative of the meridian slope.
 
     Raises EmbeddabilityError when a profile is not positive or the
     meridian speed undershoots the parallel slope (E - R'^2 < 0 beyond
@@ -555,16 +558,17 @@ def embed_axisymmetric(
         raise EmbeddabilityError("profiles must be strictly positive")
 
     st = np.sin(grid.theta)
-    # E and G / sin^2 as one (ntheta, nphi, 2) stack, constant in phi
-    pair = np.repeat(np.stack([E, G / st**2], axis=-1)[:, None], grid.nphi, axis=1)
-    profiles = analyze(grid, pair)
+    # E and G / sin^2 as (L+1, 2) Legendre coefficients in mu = cos(theta)
+    profiles = np.linalg.solve(legvander(grid.mu, grid.L), np.stack([E, G / st**2], axis=-1))
+    f2_mu = legder(profiles[:, 1])
 
     def slope_sq(th):
         th = np.asarray(th, dtype=float)
-        f, ft, _ = synth_at(profiles, th, 0.0, nderiv=1)
-        e_val, f2, f2t = f[:, 0], f[:, 1], ft[:, 1]
+        ct, sth = np.cos(th), np.sin(th)
+        e_val, f2 = legval(ct, profiles)
+        f2t = -sth * legval(ct, f2_mu)
         f_val = np.sqrt(np.clip(f2, 1e-300, None))
-        rp = f2t / (2.0 * f_val) * np.sin(th) + f_val * np.cos(th)
+        rp = f2t / (2.0 * f_val) * sth + f_val * ct
         return e_val - rp**2, f2
 
     probe = np.linspace(0.0, np.pi, 8 * grid.L + 9)

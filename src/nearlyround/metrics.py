@@ -470,10 +470,40 @@ def scalar_curvature(metric: AFMetric, points: np.ndarray) -> np.ndarray:
     return np.einsum("nsq,nsq->n", ginv, ricci(jets))
 
 
-def sectional_curvature(jets: JetBatch, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Sectional curvature of span(e1, e2), e1 and e2 g-orthonormal."""
-    R = riemann_lowered(jets)
-    return np.einsum("nrsmq,nr,ns,nm,nq->n", R, e1, e2, e1, e2)
+def sectional_curvature(
+    jets: JetBatch, Gam: np.ndarray, X: np.ndarray, Y: np.ndarray
+) -> np.ndarray:
+    """R(X, Y, X, Y) at each point for any pair of (N, 3) vector fields: the
+    sectional curvature of span(X, Y) times |X ^ Y|^2 = g(X,X) g(Y,Y) -
+    g(X,Y)^2, in the convention of riemann_lowered.  `Gam` is
+    christoffel(jets).
+
+    The coordinate formula (Landau & Lifshitz, section 92)
+        R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km) / 2
+                 + g_np (Gam^n_kl Gam^p_im - Gam^n_km Gam^p_il)
+    is contracted with X and Y first, so only three second-derivative
+    blocks d_U d_V g and three vectors Gam(U, V), (U, V) in {(X, X), (X, Y),
+    (Y, Y)}, are formed:
+        R(X,Y,X,Y) = d_X d_Y g(X, Y) - (d_X d_X g(Y, Y) + d_Y d_Y g(X, X)) / 2
+                     + g(Gam(X,Y), Gam(X,Y)) - g(Gam(X,X), Gam(Y,Y)).
+    """
+    n = len(X)
+    # the outer products U (x) V as the three columns of one (n, 9, 3) stack
+    pairs = np.stack(
+        [U[:, :, None] * V[:, None, :] for U, V in ((X, X), (X, Y), (Y, Y))], axis=-1
+    ).reshape(n, 9, 3)
+    dd = (jets.ddg.reshape(n, 9, 9) @ pairs).reshape(n, 3, 3, 3)  # [n, i, j, pair]
+    gam = Gam.reshape(n, 3, 9) @ pairs  # [n, k, pair]
+
+    def form(M, U, V):
+        return np.einsum("nij,ni,nj->n", M, U, V)
+
+    return (
+        form(dd[..., 1], X, Y)
+        - 0.5 * (form(dd[..., 0], Y, Y) + form(dd[..., 2], X, X))
+        + form(jets.g, gam[..., 1], gam[..., 1])
+        - form(jets.g, gam[..., 0], gam[..., 2])
+    )
 
 
 # ---------------------------------------------------------------------------

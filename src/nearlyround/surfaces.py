@@ -211,8 +211,10 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     """First/second fundamental forms, H, tracefree part, K, and totals.
 
     ambient None means the flat background; otherwise an AFMetric.  The
-    Gauss curvature uses the ambient sectional-curvature correction of
-    the tangent plane, so it is intrinsic in either case.
+    Gauss curvature comes from the Gauss equation K = (R(T0, T1, T0, T1) +
+    det A) / det h, so it is intrinsic in either case; the ambient term is
+    metrics.sectional_curvature on the tangent pair, which reads the jets
+    and the record's one Gamma and forms no curvature tensor.
     """
     grid = s.grid
     metric, tag = _resolve_ambient(ambient)
@@ -256,9 +258,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     if flat:
         K = detA / deth
     else:
-        R = mcat.riemann_lowered(jets, Gam)
-        sec = np.einsum("nrsmq,nr,ns,nm,nq->n", R, T[:, 0], T[:, 1], T[:, 0], T[:, 1])
-        K = (sec + detA) / deth
+        K = (mcat.sectional_curvature(jets, Gam, T[:, 0], T[:, 1]) + detA) / deth
 
     sin_theta = np.sin(grid.theta)[:, None]
     J = np.sqrt(deth).reshape(grid.shape) / sin_theta

@@ -425,11 +425,35 @@ def test_solve_embedding_reports_nonconvergence(g16, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_axisymmetric_round_profiles_give_unit_sphere(g16):
-    E = np.ones(g16.ntheta)
-    G = np.sin(g16.theta) ** 2
-    imm = emb.embed_axisymmetric(g16, E, G)
-    assert np.max(np.abs(imm.Y - g16.unit_vectors)) <= 1e-12
+@pytest.mark.parametrize("L,tol", [(16, 1e-12), (48, 1e-13), (64, 1e-13)])
+def test_axisymmetric_round_profiles_give_unit_sphere(L, tol):
+    grid = nr.build_grid(L)
+    E = np.ones(grid.ntheta)
+    G = np.sin(grid.theta) ** 2
+    imm = emb.embed_axisymmetric(grid, E, G)
+    assert np.max(np.abs(imm.Y - grid.unit_vectors)) <= tol
+
+
+def test_axisymmetric_seed_needs_no_harmonic_transform(monkeypatch, g16):
+    # the profiles are interpolated in cos(theta) alone: no 2-D analysis
+    # and no evaluation of a full (l, m) expansion
+    calls = []
+
+    def counted(name):
+        fn = getattr(emb, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("analyze", "synth_at"):
+        monkeypatch.setattr(emb, name, counted(name))
+    st = np.sin(g16.theta)
+    imm = emb.embed_axisymmetric(g16, 1.0 + 0.2 * st**2, ((1.0 + 0.1 * st**2) * st) ** 2)
+    assert calls == []
+    assert np.all(np.isfinite(imm.Y))
 
 
 @pytest.mark.parametrize("L,k_tol,m_tol", [(16, 1e-8, 1e-8), (24, 1e-9, 1e-11)])

@@ -466,8 +466,33 @@ def test_sectional_curvature_tangent_planes():
     jets = metric.jets(pts)
     e1 = np.stack([frames[i][0] for i in range(3)])
     e2 = np.stack([frames[i][1] for i in range(3)])
-    K = M.sectional_curvature(jets, e1, e2)
+    K = M.sectional_curvature(jets, M.christoffel(jets), e1, e2)
     assert np.max(np.abs(K - 2 * m / r**3)) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [5.0, 20.0, 640.0])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        M.kerr_slice(1.0, 0.5),
+        M.kerr_slice(1.0, 0.9),
+        M.schwarzschild_standard(1.0),
+        M.schwarzschild_isotropic(1.0),
+        M.conformal_perturbed(1.0, 0.1, l=2, m_order=1, tau_extra=0.8),
+    ],
+    ids=lambda m: m.spec(),
+)
+def test_sectional_curvature_matches_riemann_contraction(metric, radius):
+    # the contracted Gauss-equation term against the full covariant tensor,
+    # on pairs that are neither unit nor orthogonal
+    rng = np.random.default_rng(int(radius))
+    pts = shell_points(radius, 40, seed=int(radius) + 1)
+    X, Y = rng.normal(size=(2, 40, 3))
+    jets = metric.jets(pts)
+    Gam = M.christoffel(jets)
+    want = np.einsum("nrsmq,nr,ns,nm,nq->n", M.riemann_lowered(jets, Gam), X, Y, X, Y)
+    got = M.sectional_curvature(jets, Gam, X, Y)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_scalar_curvature_flat_and_vacuum():

@@ -651,6 +651,28 @@ def test_verify_computes_christoffel_once_per_record(monkeypatch):
     assert calls.count("christoffel") == calls.count("forms")
 
 
+def test_fundamental_forms_contracts_the_gauss_equation(monkeypatch, catalog):
+    # K of a curved record comes from the tangent-plane contraction of the
+    # jets: one Gamma, and neither the covariant Riemann tensor nor the
+    # Christoffel derivative is formed
+    calls = []
+
+    def counted(name):
+        fn = getattr(mcat, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("christoffel", "christoffel_derivative", "riemann_lowered"):
+        monkeypatch.setattr(mcat, name, counted(name))
+    fd = surf.fundamental_forms(surf.coordinate_sphere(20.0, build_grid(12)), catalog["kerr"])
+    assert calls == ["christoffel"]
+    assert np.all(np.isfinite(fd.gauss_curvature))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
