@@ -3,10 +3,11 @@
 Starts from a radially perturbed sphere in the isotropic Schwarzschild
 slice, pulls its induced metric into one FundamentalData record, and
 realizes that metric as a convex surface in Euclidean space: normalize by
-the metric's areal radius, uniformize the curvature to find the round
-conformal gauge, build a starting surface, then correct it by Newton
-iteration until the induced metrics agree.  The embedding reads the record
-alone; the metric fixes the image up to a rigid motion.  Prints the
+the metric's areal radius, check that the curvature is nearly round, then
+correct a starting surface (this zonal bump gets the closed-form surface of
+revolution, other data the unit sphere) by Newton iteration until the
+induced metrics agree.  The embedding reads the record alone and computes
+no conformal factor; the metric fixes the image up to a rigid motion.  Prints the
 diagnostics a user would look at before trusting a Brown-York number, and
 leaves an OBJ mesh of the image surface for inspection.
 """

@@ -63,7 +63,6 @@ def _add_study_args(p: argparse.ArgumentParser):
     p.add_argument("--m-order", dest="m_order", type=int)
     p.add_argument("--decay", type=float)
     p.add_argument("--tol", type=float)
-    p.add_argument("--pde-tol", dest="pde_tol", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out", help="report file; standard output when omitted")
@@ -115,7 +114,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    for name in ("radius", "tol", "pde_tol"):
+    for name in ("radius", "tol"):
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -123,7 +122,7 @@ def _cmd_embed(args) -> int:
     grid = build_grid(args.band_limit)
     s = coordinate_sphere(args.radius, grid)
     fd = fundamental_forms(s, metric)
-    e = embed(fd, tol=args.tol, pde_tol=args.pde_tol)
+    e = embed(fd, tol=args.tol)
     mk = minkowski_residuals(e, tau=metric.tau)
     vol = volume_cross_check(e)
     if args.out:
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--band-limit", dest="band_limit", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--pde-tol", dest="pde_tol", type=float, default=1e-10)
     p.add_argument("--out", help="write the embedded surface as an OBJ mesh")
     p.set_defaults(func=_cmd_embed)
 

@@ -1,15 +1,17 @@
 """Isometric embedding of nearly round sphere metrics into Euclidean space.
 
-Three solvers cooperate here.  A conformal uniformization step produces the
-log factor whose conformally round metric matches a given curvature field.
-A Gauss-Newton iteration then matches the full first fundamental form at
-the grid nodes, working on the harmonic coefficients of the three position
-components.  Surfaces of revolution get their starting surface from an
-exact profile quadrature.  `embed` chains the pieces on one
+One solver realizes the metric: a Gauss-Newton iteration matches the full
+first fundamental form at the grid nodes, working on the harmonic
+coefficients of the three position components.  A convex sphere metric
+has one Euclidean image up to rigid motion, so the starting surface
+changes only the path to it.  `embed` runs that solve on one
 `FundamentalData` record: normalize by the areal radius of its metric,
-uniformize, seed (profile quadrature or the conformal factor), solve,
-rescale, and report the support function, mean curvature, and enclosed
-volume of the image.
+check that the curvature is nearly round, seed (the exact profile
+quadrature of a surface of revolution for phi-independent data, the unit
+sphere otherwise), solve, rescale, and report the support function, mean
+curvature, and enclosed volume of the image.  The conformal
+uniformization solver (`uniformize`) stays as a library function; no
+embedding reads it.
 
 Both Newton iterations are matrix free: each linear step is solved by
 preconditioned conjugate gradients (`_pcg`) on harmonic transforms
@@ -34,10 +36,8 @@ from .errors import SolverError
 from .sphere import (
     SphereGrid,
     analyze,
-    center_gauge,
     coeff_degrees,
     coeff_index,
-    conformal_moments,
     synth_at,
     synth_gradient,
     synth_gradient_adjoint,
@@ -81,6 +81,18 @@ _EMBED_MAX_ITER = 30
 
 # degree-one coefficient slots in x, y, z order
 _IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
+
+
+def _curvature_deviation(curvature: np.ndarray) -> float:
+    """sup |K - 1| of a curvature field on the normalized scale.  Raises
+    RegimeViolation beyond _REGIME_BOUND, where the round-sphere models of
+    the solvers no longer hold."""
+    deviation = float(np.max(np.abs(curvature - 1.0)))
+    if deviation > _REGIME_BOUND:
+        raise RegimeViolation(
+            f"curvature deviates from 1 by {deviation:.3g} (regime bound {_REGIME_BOUND:.3g})"
+        )
+    return deviation
 
 
 def _pcg(apply, rhs: np.ndarray, precondition) -> np.ndarray:
@@ -168,12 +180,7 @@ def uniformize(
     K = np.asarray(curvature, dtype=float)
     if K.shape != grid.shape:
         raise ValueError(f"curvature shape {K.shape} does not match grid {grid.shape}")
-    deviation = float(np.max(np.abs(K - 1.0)))
-    if deviation > _REGIME_BOUND:
-        raise RegimeViolation(
-            f"curvature deviates from 1 by {deviation:.3g} "
-            f"(regime bound {_REGIME_BOUND:.3g}); normalize the metric first"
-        )
+    deviation = _curvature_deviation(K)
 
     ls, _ = coeff_degrees(grid.L)
     lam = -(ls * (ls + 1.0))
@@ -617,21 +624,17 @@ class IsometricEmbedding:
     image_data holds its Euclidean fundamental forms, support the
     position-normal product X . n0, and metric_residual the sup relative
     mismatch between realized and requested first fundamental forms.
-    log_factor is the center-gauged conformal factor of the normalized
-    metric and gauge the dilation parameter that centered it.
+    method names the seed of the metric solve: "axisymmetric" (with
+    "+newton" when Gauss-Newton steps polished it) or "general".
     """
 
     radius: float
-    log_factor: np.ndarray
-    gauge: np.ndarray
     image: Immersion
     image_data: FundamentalData
     support: np.ndarray
     volume: float
     metric_residual: float
     method: str
-    diagnostics: UniformizationDiagnostics
-    gauge_moment: float
     h0_deviation: float
     support_deviation: float
 
@@ -648,43 +651,29 @@ class IsometricEmbedding:
         return self.image_data.area
 
 
-def embed(
-    fd: FundamentalData,
-    *,
-    tol: float = 1e-8,
-    pde_tol: float = 1e-10,
-) -> IsometricEmbedding:
+def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
     """Embed the induced metric of a surface record isometrically into
     Euclidean space.
 
     `fd` carries the metric to realize, in any ambient; the metric fixes
     the image up to a rigid motion, so nothing else of the surface is read.
-    The pipeline normalizes by the areal radius r0 = sqrt(Area / 4 pi),
+    The metric is normalized by the areal radius r0 = sqrt(Area / 4 pi),
     under which the area-weighted mean of K r0^2 is exactly 1 (Gauss-
-    Bonnet), solves for the conformal log factor matching the intrinsic
-    curvature, records the centering gauge, and then matches the first
-    fundamental form by `solve_embedding`.  Data that is phi independent
-    (within _AXISYM_TOL) is seeded by the surface of revolution of
-    `embed_axisymmetric`, and Newton steps only polish what its profile
-    quadrature left; other data is seeded by exp(u) times the round
-    embedding.  The image is rescaled to physical size.
+    Bonnet), and realized by one `solve_embedding` call to residual `tol`.
+    Data that is phi independent (within _AXISYM_TOL) is seeded by the
+    surface of revolution of `embed_axisymmetric`, and Newton steps only
+    polish what its profile quadrature left; other data starts from the
+    unit sphere.  The image is rescaled to physical size.
 
-    `tol` bounds the metric match, `pde_tol` the nodal residual of the
-    conformal factor solve (relax the latter for curvature data that is
-    not band limited at the working resolution).
-
-    Raises RegimeViolation when the curvature leaves the nearly round
-    window or the image fails mean convexity, and the solver errors of the
-    underlying steps.
+    Raises RegimeViolation before any solve when sup |K r0^2 - 1| exceeds
+    _REGIME_BOUND, or when the image fails mean convexity, and the solver
+    errors of the underlying steps.
     """
     grid = fd.grid
     r0 = float(np.sqrt(fd.area / (4.0 * np.pi)))
+    _curvature_deviation(fd.gauss_curvature * r0**2)
 
     h = fd.induced_metric / r0**2
-    u, udiag = uniformize(grid, fd.gauss_curvature * r0**2, tol=pde_tol)
-    gauged, b = center_gauge(grid, u)
-    gauge_moment = float(np.max(np.abs(conformal_moments(grid, gauged))))
-
     scale = float(np.max(np.abs(h)))
     variation = float(np.max(np.abs(h - h[:, :1, :, :])))
     offdiag = float(np.max(np.abs(h[..., 0, 1])))
@@ -692,7 +681,7 @@ def embed(
         seed = embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
         route = "axisymmetric"
     else:
-        seed = Immersion(grid, np.exp(u)[..., None] * grid.unit_vectors)
+        seed = None
         route = "general"
     img, _, steps = solve_embedding(grid, h, seed, tol=tol)
     method = route + "+newton" if route == "axisymmetric" and steps else route
@@ -712,16 +701,12 @@ def embed(
 
     return IsometricEmbedding(
         radius=r0,
-        log_factor=gauged,
-        gauge=b,
         image=image,
         image_data=image_data,
         support=support,
         volume=volume,
         metric_residual=metric_residual,
         method=method,
-        diagnostics=udiag,
-        gauge_moment=gauge_moment,
         h0_deviation=float(np.max(np.abs(H0 - 2.0 / r0))),
         support_deviation=float(np.max(np.abs(support - r0))),
     )

@@ -83,7 +83,6 @@ class StudyConfig:
     m_order: int = 0
     decay: float = 1.0
     tol: float = 1e-8
-    pde_tol: float = 1e-10
     out: str | None = None
     format: str = "csv"
     seed: int = 0
@@ -92,7 +91,7 @@ class StudyConfig:
         object.__setattr__(self, "schedule", tuple(float(r) for r in self.schedule))
         if not all(math.isfinite(r) for r in self.schedule):
             raise ConfigError(f"schedule radii must be finite: {self.schedule}")
-        for name in ("amplitude", "decay", "tol", "pde_tol"):
+        for name in ("amplitude", "decay", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if len(self.schedule) < 3:
@@ -109,8 +108,8 @@ class StudyConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if abs(self.m_order) > self.l:
             raise ConfigError(f"harmonic order |{self.m_order}| exceeds degree {self.l}")
-        if not (self.tol > 0.0 and self.pde_tol > 0.0):
-            raise ConfigError("tolerances must be positive")
+        if not self.tol > 0.0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -223,7 +222,7 @@ class MassReport:
             "config": cfg,
             "adm_reference": self.adm_reference,
             "columns": list(CSV_COLUMNS),
-            "tolerances": {"tol": self.config.tol, "pde_tol": self.config.pde_tol},
+            "tolerances": {"tol": self.config.tol},
             "versions": {
                 "nearlyround": _package_version,
                 "numpy": np.__version__,
@@ -286,7 +285,6 @@ def run_masses(config: StudyConfig) -> MassReport:
                     r_label=r,
                     adm_reference=metric.known_mass,
                     tol=config.tol,
-                    pde_tol=config.pde_tol,
                 )
             )
         except NearlyRoundError as exc:
@@ -501,7 +499,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     embed_note = ""
     for r, _, fd in data:
         try:
-            e = embed(fd, tol=config.tol, pde_tol=config.pde_tol)
+            e = embed(fd, tol=config.tol)
         except NearlyRoundError as exc:
             embed_worst = math.inf
             mink1 = mink2 = math.inf

@@ -122,7 +122,6 @@ def assemble_mass_row(
     adm_reference: float | None = None,
     r_label: float | None = None,
     tol: float = 1e-8,
-    pde_tol: float = 1e-10,
 ) -> MassValues:
     """Evaluate both masses of one surface and package them as a row.
 
@@ -152,7 +151,7 @@ def assemble_mass_row(
     residual = None
     flags: list[str] = []
     try:
-        e = embed(fd, tol=tol, pde_tol=pde_tol)
+        e = embed(fd, tol=tol)
     except SolverError as exc:
         flags.append(f"embedding-failed:{type(exc).__name__}")
     else:

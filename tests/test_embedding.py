@@ -18,6 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import nearlyround as nr
 from nearlyround import embedding as emb
+from nearlyround import harness, mass, sphere
 from nearlyround.sphere import (
     analyze,
     center_gauge,
@@ -81,6 +82,12 @@ def lumpy_surface(grid, scale=1.0):
     e31[coeff_index(3, 1)] = 1.0
     prof = scale * (1.0 + 0.04 * synthesize(grid, e20) + 0.03 * synthesize(grid, e31))
     return immerse_radial(None, prof, grid)
+
+
+def normalized_curvature(fd):
+    """K r0^2 of a record, r0 its areal radius: the field `embed` checks."""
+    r0 = float(np.sqrt(fd.area / (4.0 * np.pi)))
+    return fd.gauss_curvature * r0**2
 
 
 def round_metric(grid, radius=1.0):
@@ -168,24 +175,29 @@ def kerr():
 
 
 @pytest.fixture(scope="module")
-def kerr_sweep(g16, kerr):
-    """Embeddings of Kerr coordinate spheres r in {20, 40, 80} at L=16."""
-    out = {}
-    for r in (20.0, 40.0, 80.0):
-        s = coordinate_sphere(r, g16)
-        out[r] = emb.embed(fundamental_forms(s, kerr))
-    return out
+def kerr_records(g16, kerr):
+    """Kerr coordinate spheres r in {20, 40, 80} at L=16."""
+    return {r: fundamental_forms(coordinate_sphere(r, g16), kerr) for r in (20.0, 40.0, 80.0)}
 
 
 @pytest.fixture(scope="module")
-def pert_sweep(g16):
-    """General-route embeddings for a conformally perturbed metric, tau=0.6."""
+def kerr_sweep(kerr_records):
+    """Embeddings of `kerr_records`."""
+    return {r: emb.embed(fd) for r, fd in kerr_records.items()}
+
+
+@pytest.fixture(scope="module")
+def pert_records(g16):
+    """Coordinate spheres r in {20, 40, 80} of a conformally perturbed
+    metric, tau=0.6, at L=16."""
     pert = nr.conformal_perturbed(1.0, 0.2, 2, 1, 0.6)
-    out = {}
-    for r in (20.0, 40.0, 80.0):
-        s = coordinate_sphere(r, g16)
-        out[r] = emb.embed(fundamental_forms(s, pert))
-    return out
+    return {r: fundamental_forms(coordinate_sphere(r, g16), pert) for r in (20.0, 40.0, 80.0)}
+
+
+@pytest.fixture(scope="module")
+def pert_sweep(pert_records):
+    """General-route embeddings of `pert_records`."""
+    return {r: emb.embed(fd) for r, fd in pert_records.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +276,12 @@ def test_uniformize_step_matches_dense_oracle(L, case):
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
-def test_uniformize_norm_tracks_curvature_deviation(kerr_sweep):
+def test_uniformize_norm_tracks_curvature_deviation(g16, kerr_records):
     # sup|u| <= C sup|K-1| with one constant across the family
-    for e in kerr_sweep.values():
-        ratio = np.max(np.abs(e.log_factor)) / e.diagnostics.curvature_deviation
+    for fd in kerr_records.values():
+        u, diag = emb.uniformize(g16, normalized_curvature(fd))
+        gauged, _ = center_gauge(g16, u)
+        ratio = np.max(np.abs(gauged)) / diag.curvature_deviation
         assert 0.05 <= ratio <= 0.35
 
 
@@ -525,7 +539,6 @@ def test_embed_kerr_sweep_decay(kerr_sweep):
     assert supp == sorted(supp, reverse=True)
     for e in kerr_sweep.values():
         assert e.metric_residual <= 1e-8
-        assert e.gauge_moment <= 1e-9
 
 
 def test_embed_polishes_a_perturbed_revolution_seed(g16, kerr, kerr_sweep, monkeypatch):
@@ -567,7 +580,6 @@ def test_matrix_free_steps_off_regime_match_dense_oracle(monkeypatch):
         assert row.flags == ()
         assert row.embed_residual <= cfg.tol
     monkeypatch.setattr(emb, "_embedding_step", dense_embedding_step)
-    monkeypatch.setattr(emb, "_uniformize_step", dense_uniformize_step)
     dense_rows = nr.run_masses(cfg).rows
     for row, dense in zip(rows, dense_rows):
         assert row.brown_york == pytest.approx(dense.brown_york, rel=1e-12, abs=0.0)
@@ -587,20 +599,21 @@ def test_embed_perturbed_family_decay(pert_sweep):
         assert e.metric_residual <= 1e-8
 
 
-def test_normalized_bounds_share_one_constant(kerr_sweep, pert_sweep):
+def test_normalized_bounds_share_one_constant(kerr_records, kerr_sweep, pert_records, pert_sweep):
     # |X.n - 1| <= C |K-1| and |H0 - 2| <= C |K-1| on the normalized scale,
     # a single C across both families
-    for e in list(kerr_sweep.values()) + list(pert_sweep.values()):
-        dev = e.diagnostics.curvature_deviation
-        assert e.support_deviation / e.radius <= 0.5 * dev
-        assert e.h0_deviation * e.radius <= 1.2 * dev
+    for records, sweep in ((kerr_records, kerr_sweep), (pert_records, pert_sweep)):
+        for r, e in sweep.items():
+            dev = np.max(np.abs(normalized_curvature(records[r]) - 1.0))
+            assert e.support_deviation / e.radius <= 0.5 * dev
+            assert e.h0_deviation * e.radius <= 1.2 * dev
 
 
 def test_embed_flat_surface_roundtrip(g16):
     # embedding the induced metric of a Euclidean surface must reproduce
     # the surface itself up to a rigid motion (rigidity of convex surfaces)
     s = lumpy_surface(g16, scale=10.0)
-    e = emb.embed(fundamental_forms(s), pde_tol=1e-7)
+    e = emb.embed(fundamental_forms(s))
     assert e.method == "general"
     assert e.metric_residual <= 1e-8
     _, rms = emb.rigid_align(g16, e.image.Y, s.Y)
@@ -612,6 +625,31 @@ def test_embed_requires_nearly_round_curvature(g16):
     s = immerse_radial(None, prof, g16)
     with pytest.raises(emb.RegimeViolation):
         emb.embed(fundamental_forms(s))
+
+
+def test_embed_runs_no_conformal_solve(monkeypatch, g16, kerr):
+    # the metric alone fixes the image up to a rigid motion, so no route,
+    # mass row or verify table uniformizes or centres a conformal factor
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (emb.uniformize, sphere.center_gauge, sphere.conformal_moments):
+        for module in (nr, emb, sphere, mass, harness):
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
+    e_kerr = emb.embed(fundamental_forms(coordinate_sphere(40.0, g16), kerr))
+    assert calls == []
+    e_lumpy = emb.embed(fundamental_forms(lumpy_surface(g16, scale=10.0)))
+    assert (e_kerr.method, e_lumpy.method) == ("axisymmetric", "general")
+    assert nr.assemble_mass_row(lumpy_surface(g16, scale=20.0), kerr).flags == ()
+    assert nr.run_verify(nr.StudyConfig(metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0))).passed
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +665,7 @@ def test_minkowski_identities_quadrature_exact(kerr_sweep):
 
 def test_minkowski_identities_on_general_route(g16):
     s = lumpy_surface(g16, scale=10.0)
-    e = emb.embed(fundamental_forms(s), pde_tol=1e-7)
+    e = emb.embed(fundamental_forms(s))
     mk = emb.minkowski_residuals(e)
     assert mk.first_identity <= 1e-12
     assert mk.second_identity <= 1e-12
@@ -655,7 +693,7 @@ def test_volume_cross_check_embeddings(g16, kerr_sweep):
     vc = emb.volume_cross_check(kerr_sweep[40.0])
     assert vc.rel_gap <= 1e-6
     s = lumpy_surface(g16, scale=10.0)
-    e = emb.embed(fundamental_forms(s), pde_tol=1e-7)
+    e = emb.embed(fundamental_forms(s))
     vc2 = emb.volume_cross_check(e)
     assert vc2.rel_gap <= 1e-6
 
@@ -666,11 +704,11 @@ def test_volume_cross_check_plain_immersion(g16):
     assert vc.rel_gap <= 1e-8
 
 
-def test_gauge_moments_vanish_after_centering(pert_sweep):
-    for e in pert_sweep.values():
-        moments = conformal_moments(e.grid, e.log_factor)
-        assert np.max(np.abs(moments)) <= 1e-9
-        assert e.gauge_moment <= 1e-9
+def test_gauge_moments_vanish_after_centering(g16, pert_records):
+    for fd in pert_records.values():
+        u, _ = emb.uniformize(g16, normalized_curvature(fd))
+        gauged, _ = center_gauge(g16, u)
+        assert np.max(np.abs(conformal_moments(g16, gauged))) <= 1e-9
 
 
 def test_rigid_align_recovers_motion(g16):

@@ -212,7 +212,6 @@ def test_run_masses_partial_row():
     cfg = nr.StudyConfig(
         metric="euclidean", family="radial-perturbed",
         schedule=(2.0, 20.0, 40.0), amplitude=7.0, l=2, m_order=0, decay=2.0,
-        pde_tol=1e-6,
     )
     report = nr.run_masses(cfg)
     first, second, third = report.rows
@@ -222,6 +221,21 @@ def test_run_masses_partial_row():
     assert np.isfinite(first.hawking)
     assert second.flags == () and third.flags == ()
     assert report.hard_failures == ()
+
+
+def test_run_masses_off_regime_rows_converge():
+    # decay 0 keeps the bump at amplitude 0.1 at every radius; no conformal
+    # factor of it is resolved at L=16, but the metric solve needs none,
+    # and its Brown-York values agree with L=24
+    base = dict(
+        metric="schwarzschild_standard m=1", family="radial-perturbed",
+        schedule=(20.0, 40.0, 80.0), amplitude=0.1, l=2, m_order=1, decay=0.0,
+    )
+    coarse = nr.run_masses(nr.StudyConfig(band_limit=16, **base)).rows
+    fine = nr.run_masses(nr.StudyConfig(band_limit=24, **base)).rows
+    for row, ref in zip(coarse, fine):
+        assert row.flags == ()
+        assert row.brown_york == pytest.approx(ref.brown_york, rel=1e-10, abs=0.0)
 
 
 def test_report_csv_schema():
@@ -325,8 +339,7 @@ def test_fit_rate_json_cleans_nonfinite():
 
 @pytest.mark.parametrize("m_order", [1, -1])
 def test_run_masses_small_center_gauge_step(m_order):
-    # the centring step at r=40 and r=80 is about 1e-9; the gauge must
-    # still move the moments instead of stalling
+    # odd azimuthal orders of an l=3 bump at L=12: every row comes out
     cfg = nr.StudyConfig(
         metric="schwarzschild_standard m=1", family="radial-perturbed",
         schedule=(20.0, 40.0, 80.0), band_limit=12, amplitude=0.1, l=3,
@@ -373,7 +386,6 @@ def test_run_verify_violating_family_flagged():
     cfg = nr.StudyConfig(
         metric="schwarzschild_isotropic m=1", family="radial-perturbed",
         schedule=(10.0, 20.0, 40.0), amplitude=0.3, l=4, m_order=0, decay=0.0,
-        pde_tol=1e-6,
     )
     report = nr.run_verify(cfg)
     by_name = {c.name: c for c in report.checks}
@@ -446,7 +458,11 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus_key = 1\n")
     assert main(["masses", "--config", str(bad)]) == 2
-    capsys.readouterr()
+    # no conformal solve runs, so pde_tol names no configuration key
+    removed = tmp_path / "removed.cfg"
+    removed.write_text("pde_tol = 1e-6\n")
+    assert main(["masses", "--config", str(removed)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
