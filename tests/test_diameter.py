@@ -1,0 +1,162 @@
+"""Tests for the intrinsic diameter search.
+
+Oracles: all_pairs_diameter, Dijkstra from every vertex of the same
+graph, which the pole-bounded search must match to its certified
+roundoff factor; and the brute-force N x N evaluation of the pole bound.
+"""
+
+import numpy as np
+import pytest
+
+import nearlyround as nr
+from nearlyround import surfaces as surf
+from nearlyround.harness import family_surfaces
+from nearlyround.metrics import parse_metric
+
+EPS = np.finfo(float).eps
+
+
+def all_pairs_distances(grid, h):
+    """Dijkstra distances between all N + 2 vertices of the diameter graph."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    nt, nph = grid.shape
+    n = nt * nph
+    sq_t = np.sqrt(h[:, 0, 0]).reshape(nt, nph)
+    sq_p = np.sqrt(h[:, 1, 1]).reshape(nt, nph)
+    theta = grid.theta
+    dphi = 2.0 * np.pi / nph
+    node = np.arange(n).reshape(nt, nph)
+
+    rows, cols, vals = [], [], []
+    # meridian edges
+    for i in range(nt - 1):
+        L = 0.5 * (sq_t[i] + sq_t[i + 1]) * (theta[i + 1] - theta[i])
+        rows.append(node[i])
+        cols.append(node[i + 1])
+        vals.append(L)
+    # parallel edges (periodic)
+    nxt = np.roll(np.arange(nph), -1)
+    for i in range(nt):
+        L = 0.5 * (sq_p[i] + sq_p[i, nxt]) * dphi
+        rows.append(node[i])
+        cols.append(node[i, nxt])
+        vals.append(L)
+    # virtual poles
+    north, south = n, n + 1
+    rows.append(np.full(nph, north))
+    cols.append(node[0])
+    vals.append(sq_t[0] * theta[0])
+    rows.append(np.full(nph, south))
+    cols.append(node[nt - 1])
+    vals.append(sq_t[nt - 1] * (np.pi - theta[nt - 1]))
+
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    graph = coo_matrix((vals, (rows, cols)), shape=(n + 2, n + 2))
+    return dijkstra(graph, directed=False)
+
+
+def all_pairs_diameter(grid, h):
+    """The longest graph geodesic, from every vertex's distance row."""
+    dist = all_pairs_distances(grid, h)
+    return float(dist[np.isfinite(dist)].max())
+
+
+def metric_of(fd):
+    return fd.induced_metric.reshape(fd.grid.n_nodes, 2, 2)
+
+
+FAMILIES = {
+    "kerr-a0.5": dict(metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0)),
+    "kerr-a0.9": dict(metric="kerr_slice m=1 a=0.9", schedule=(20.0, 40.0, 80.0)),
+    "iso": dict(metric="schwarzschild_isotropic m=1", schedule=(20.0, 40.0, 80.0)),
+    "std": dict(metric="schwarzschild_standard m=1", schedule=(20.0, 40.0, 80.0)),
+    "lumpy-l3": dict(
+        metric="schwarzschild_standard m=1", family="radial-perturbed",
+        schedule=(20.0, 40.0, 80.0), amplitude=0.1, l=3, m_order=2, decay=1.0,
+    ),
+    "off-regime-l2": dict(
+        metric="schwarzschild_standard m=1", family="radial-perturbed",
+        schedule=(20.0, 40.0, 80.0), amplitude=0.1, l=2, m_order=1, decay=0.0,
+    ),
+    # R = r (1 + 0.3 Y_40), the family the roundness flags must catch
+    "violator-y40": dict(
+        metric="schwarzschild_isotropic m=1", family="radial-perturbed",
+        schedule=(10.0, 20.0, 40.0), amplitude=0.3, l=4, m_order=0, decay=0.0,
+    ),
+}
+
+
+def family_records(name, L):
+    config = nr.StudyConfig(band_limit=L, **FAMILIES[name])
+    metric = parse_metric(config.metric)
+    grid = nr.build_grid(L)
+    return [nr.fundamental_forms(s, metric) for _, s in family_surfaces(config, grid, metric)]
+
+
+@pytest.mark.parametrize("L", [8, 16, 24])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_diameter_certified_against_all_pairs(name, L):
+    # returned <= all-pairs <= returned (1 + 4 M eps), M = N + 2 vertices
+    for fd in family_records(name, L):
+        new = fd.diameter
+        oracle = all_pairs_diameter(fd.grid, metric_of(fd))
+        assert new <= oracle <= new * (1.0 + 4.0 * (fd.grid.n_nodes + 2) * EPS)
+
+
+def brute_pole_bound(a, b):
+    return np.minimum(a[:, None] + a, b[:, None] + b).max(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 400])
+@pytest.mark.parametrize("kind", ["random", "ties", "all-via-b", "all-via-a"])
+def test_pole_bound_matches_brute_force(n, kind):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.0, 3.0, n)
+    b = rng.uniform(0.0, 3.0, n)
+    if kind == "ties":
+        # quarter steps: every sum and difference is exact, and ties abound
+        a, b = np.round(4.0 * a) / 4.0, np.round(4.0 * b) / 4.0
+    elif kind == "all-via-b":
+        a = b + 1.0  # a - b exceeds every b - a: k = 0 for every node
+    elif kind == "all-via-a":
+        b = a + 1.0  # k = n for every node
+    np.testing.assert_array_equal(surf._pole_bound(a, b), brute_pole_bound(a, b))
+
+
+def test_pole_bound_dominates_every_eccentricity():
+    # the stop rule's premise: no source's eccentricity exceeds its pole
+    # bound by more than the roundoff of the path sums
+    fd = family_records("kerr-a0.5", 16)[0]
+    dist = all_pairs_distances(fd.grid, metric_of(fd))
+    n = fd.grid.n_nodes
+    ub = surf._pole_bound(dist[n], dist[n + 1])
+    assert np.all(dist.max(axis=1) <= ub * (1.0 + 2.0 * (n + 2) * EPS))
+
+
+def test_kerr_diameter_searches_from_the_poles_alone(monkeypatch):
+    from scipy.sparse import csgraph
+
+    calls = []
+    dijkstra = csgraph.dijkstra
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", spy)
+    grid = nr.build_grid(32)
+    fd = nr.fundamental_forms(nr.coordinate_sphere(40.0, grid), nr.kerr_slice(1.0, 0.5))
+    assert fd.diameter > 0.0
+    n = grid.n_nodes
+    assert [list(indices) for indices in calls] == [[n, n + 1]]
+    # a non-axisymmetric bump needs more sources, and names each of them
+    calls.clear()
+    fd = family_records("lumpy-l3", 16)[-1]
+    assert fd.diameter > 0.0
+    n = fd.grid.n_nodes
+    assert len(calls) > 1 and list(calls[0]) == [n, n + 1]
+    assert all(indices is not None for indices in calls)

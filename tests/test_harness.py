@@ -370,6 +370,15 @@ def test_run_verify_passes_across_band_limits(metric, L):
     assert [c.name for c in report.checks if not c.passed] == []
 
 
+def test_run_verify_kerr_passes_at_l64():
+    cfg = nr.StudyConfig(
+        metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=64
+    )
+    report = nr.run_verify(cfg)
+    assert [c.name for c in report.checks if not c.passed] == []
+    assert len(report.checks) == len(CHECK_NAMES)
+
+
 def test_run_verify_underresolved_flagged():
     # near-field spheres at a deliberately coarse band limit: the
     # curvature tail check must fire rather than silently pass

@@ -239,6 +239,15 @@ def test_degenerate_immersion_raises(grid16):
         surf.fundamental_forms(surf.Immersion(grid16, Y))
 
 
+def test_nan_immersion_raises(grid16):
+    # one NaN radius spreads through the transforms to every node; a
+    # record of it would carry area nan and a diameter read past the NaN
+    prof = np.full(grid16.shape, 10.0)
+    prof[3, 5] = np.nan
+    with pytest.raises(surf.DegenerateInducedMetric):
+        surf.fundamental_forms(surf.immerse_radial(None, prof, grid16))
+
+
 # ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------
