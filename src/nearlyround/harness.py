@@ -223,11 +223,7 @@ class MassReport:
             "adm_reference": self.adm_reference,
             "columns": list(CSV_COLUMNS),
             "tolerances": {"tol": self.config.tol},
-            "versions": {
-                "nearlyround": _package_version,
-                "numpy": np.__version__,
-                "scipy": _dist_version("scipy"),
-            },
+            "versions": {"nearlyround": _package_version, "numpy": np.__version__},
         }
 
     def _row_values(self, row) -> dict:

@@ -573,7 +573,8 @@ def adm_mass(
     """Extrapolate the mass flux against c0 + c1 r^-p with p fitted.
 
     Needs at least three strictly increasing radii outside the exclusion
-    radius.  Warns when the flux tail is not settling monotonically.
+    radius; p comes from a golden-section search on [0.25, 4] to 1e-13.
+    Warns when the flux tail is not settling monotonically.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3:
@@ -605,15 +606,17 @@ def adm_mass(
         rss = float(np.sum((X @ coef - F) ** 2))
         return coef, rss
 
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda p: solve_for(p)[1],
-        bounds=(0.25, 4.0),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    p = float(res.x)
+    lo, hi, g = 0.25, 4.0, (np.sqrt(5.0) - 1.0) / 2.0  # golden section (Kiefer, 1953)
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = solve_for(a)[1], solve_for(b)[1]
+    while hi - lo > 1e-13:
+        if fa <= fb:  # the minimum lies in [lo, b]
+            hi, b, fb, a = b, a, fa, b - g * (b - lo)
+            fa = solve_for(a)[1]
+        else:
+            lo, a, fa, b = a, b, fb, a + g * (hi - a)
+            fb = solve_for(b)[1]
+    p = 0.5 * (lo + hi)
     (c0, c1), rss = solve_for(p)
     return AdmEstimate(
         value=float(c0),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as mcat
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .sphere import SphereGrid, analyze, synth_gradient
 
 __all__ = [
@@ -118,8 +118,8 @@ def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
         R = np.full(grid.shape, float(R))
     if R.shape != grid.shape:
         raise ValueError("radial profile shape does not match the grid")
-    if np.any(R <= 0):
-        raise ValueError("radial profile must be positive")
+    if not (np.all(R > 0) and np.all(np.isfinite(R))):
+        raise ConfigError("radial profile must be positive and finite")
     Y = center[None, None, :] + R[..., None] * grid.unit_vectors
     return Immersion(grid, Y)
 
@@ -171,15 +171,11 @@ class FundamentalData:
     def diameter(self) -> float:
         """Intrinsic diameter estimate; the graph search runs on demand.
 
-        The longest geodesic of the grid graph weighted by the induced
-        metric, searched once, when first read (_graph_diameter): from
-        the two poles, then only from sources their bound leaves open.
+        The longest Dijkstra geodesic of the grid graph weighted by the
+        induced metric, searched once, when first read (_graph_diameter).
         """
         if self._diameter is None:
-            N = self.grid.n_nodes
-            self._diameter = _graph_diameter(
-                self.grid, self.induced_metric.reshape(N, 2, 2)
-            )
+            self._diameter = _graph_diameter(self.grid, self.induced_metric.reshape(-1, 2, 2))
         return self._diameter
 
     def integrate(self, f: np.ndarray) -> float:
@@ -294,7 +290,38 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     )
 
 
-_SOURCE_BLOCK = 64  # Dijkstra sources per call: memory O(_SOURCE_BLOCK * N)
+_SOURCE_BLOCK = 64  # sources per line-scan search: memory O(_SOURCE_BLOCK * N)
+
+
+def _line_scan_distances(sources, down, east, caps) -> np.ndarray:
+    """Graph distances (S, N + 2) from each source to the nodes, then poles.
+
+    down[i, j] joins nodes (i, j) and (i + 1, j), east[i, j] joins (i, j)
+    and (i, j + 1 mod nphi), caps the poles to the first and last rows.
+    Gauss-Seidel line scans relax d[v] = min(d[v], d[u] + w), a lap each
+    way round the parallels, then down and up the meridians, until no
+    entry changes.  Rows 0 and nt + 1 hold each pole as nphi copies, joined
+    by zero-length parallel edges, which add exactly.
+    """
+    nt, nph = east.shape
+    n, S, v = nt * nph, len(sources), np.asarray(sources)
+    d = np.full((nph, nt + 2, S), np.inf)
+    col, row = np.where(v < n, v % nph, 0), np.where(v < n, v // nph + 1, (v - n) * (nt + 1))
+    d[col, row, np.arange(S)] = 0.0
+    down = np.concatenate([caps[:1], down, caps[1:]])[..., None]
+    east = np.pad(east, ((1, 1), (0, 0))).T[..., None]
+    last = None
+    while last is None or not np.array_equal(d, last):
+        last = d.copy()
+        for j in range(nph):  # d[j + 1 - nph] is column j + 1 mod nphi
+            np.minimum(d[j + 1 - nph], d[j] + east[j], out=d[j + 1 - nph])
+        for j in range(nph - 1, -1, -1):
+            np.minimum(d[j], d[j + 1 - nph] + east[j], out=d[j])
+        for i in range(nt + 1):
+            np.minimum(d[:, i + 1], d[:, i] + down[i], out=d[:, i + 1])
+        for i in range(nt, -1, -1):
+            np.minimum(d[:, i], d[:, i + 1] + down[i], out=d[:, i])
+    return np.concatenate([d[:, 1:-1].transpose(2, 1, 0).reshape(S, n), d[0, [0, -1]].T], axis=1)
 
 
 def _pole_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,14 +352,21 @@ def _graph_diameter(grid: SphereGrid, h: np.ndarray) -> float:
     vertices, found without searching from every vertex (the pruning of
     Takes & Kosters, 2011, with the poles as the bounding sources):
 
-    - Dijkstra from the two poles gives the distance rows a, b, and
+    - A search from the two poles gives the distance rows a, b, and
       best = max(a, b) bounds the diameter from below.
     - A path through a pole bounds every distance, so the eccentricity
       of u is at most ub(u) = max_v min(a_u + a_v, b_u + b_v)
       (_pole_bound).
-    - Dijkstra then runs, in blocks of _SOURCE_BLOCK sources taken by
+    - Searches then run, in blocks of _SOURCE_BLOCK sources taken by
       decreasing ub, only from sources with ub(u) > best (1 + 2 M eps);
       best takes the maximum of every finished block.
+
+    Each search is label-correcting (Bellman, 1958) and returns exactly
+    Dijkstra's float distances D.  An entry of the scans is a float running
+    sum along a walk from the source; as rounding is monotone and D[v] <=
+    fl(D[u] + w) on every edge, induction along the walk gives d >= D.
+    When a sweep changes nothing, d[v] <= fl(d[u] + w) on every edge, and
+    induction down Dijkstra's tree, D[v] = fl(D[parent] + w), gives d <= D.
 
     The margin is roundoff.  With the unit roundoff e = eps/2, a float
     Dijkstra distance is a running sum of at most M - 1 positive edge
@@ -346,53 +380,21 @@ def _graph_diameter(grid: SphereGrid, h: np.ndarray) -> float:
     certified against the maximum over all pairs of the same graph:
     returned <= all-pairs <= returned (1 + 4 M eps).
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     nt, nph = grid.shape
     n = nt * nph
     sq_t = np.sqrt(h[:, 0, 0]).reshape(nt, nph)
     sq_p = np.sqrt(h[:, 1, 1]).reshape(nt, nph)
-    theta = grid.theta
-    dphi = 2.0 * np.pi / nph
-    node = np.arange(n).reshape(nt, nph)
-
-    rows, cols, vals = [], [], []
-    # meridian edges
-    for i in range(nt - 1):
-        L = 0.5 * (sq_t[i] + sq_t[i + 1]) * (theta[i + 1] - theta[i])
-        rows.append(node[i])
-        cols.append(node[i + 1])
-        vals.append(L)
-    # parallel edges (periodic)
-    nxt = np.roll(np.arange(nph), -1)
-    for i in range(nt):
-        L = 0.5 * (sq_p[i] + sq_p[i, nxt]) * dphi
-        rows.append(node[i])
-        cols.append(node[i, nxt])
-        vals.append(L)
-    # virtual poles
-    north, south = n, n + 1
-    rows.append(np.full(nph, north))
-    cols.append(node[0])
-    vals.append(sq_t[0] * theta[0])
-    rows.append(np.full(nph, south))
-    cols.append(node[nt - 1])
-    vals.append(sq_t[nt - 1] * (np.pi - theta[nt - 1]))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    graph = coo_matrix((vals, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
-
-    a, b = dijkstra(graph, directed=False, indices=[north, south])
+    down = 0.5 * (sq_t[:-1] + sq_t[1:]) * np.diff(grid.theta)[:, None]
+    east = 0.5 * (sq_p + np.roll(sq_p, -1, axis=1)) * (2.0 * np.pi / nph)
+    caps = np.stack([sq_t[0] * grid.theta[0], sq_t[-1] * (np.pi - grid.theta[-1])])
+    a, b = _line_scan_distances([n, n + 1], down, east, caps)
     best = float(max(a.max(), b.max()))
     ub = _pole_bound(a, b)
     slack = 1.0 + 2.0 * (n + 2) * np.finfo(float).eps
     todo = np.flatnonzero(ub > best * slack)
     todo = todo[np.argsort(-ub[todo], kind="stable")]
     while todo.size:
-        block = dijkstra(graph, directed=False, indices=todo[:_SOURCE_BLOCK])
+        block = _line_scan_distances(todo[:_SOURCE_BLOCK], down, east, caps)
         best = max(best, float(block.max()))
         todo = todo[_SOURCE_BLOCK:]
         todo = todo[ub[todo] > best * slack]
@@ -515,9 +517,8 @@ def nearly_round_diagnostics(records) -> NearlyRoundReport:
     asserted here.  A constant is flagged when it grows monotonically by
     more than 1.5x across the family, the signature of a violated
     roundness condition.  diameter_ratio reads each record's diameter,
-    whose pole-bounded graph search runs here, on first read; it equals
-    the all-pairs graph diameter to a relative 4 (N + 2) eps, far below
-    what a 1.5x growth flag can see.
+    searched here on first read and certified to a relative 4 (N + 2) eps
+    against all pairs, far below what a 1.5x growth flag can see.
     """
     if len(records) < 3:
         raise ValueError("need at least three family members")

@@ -1,7 +1,8 @@
 """Tests for the intrinsic diameter search.
 
-Oracles: all_pairs_diameter, Dijkstra from every vertex of the same
-graph, which the pole-bounded search must match to its certified
+Oracles: all_pairs_distances, scipy's Dijkstra from every vertex of the
+same graph, whose rows the line scans must reproduce bit for bit and
+whose maximum the pole-bounded search must match to its certified
 roundoff factor; and the brute-force N x N evaluation of the pole bound.
 """
 
@@ -97,6 +98,35 @@ def family_records(name, L):
     return [nr.fundamental_forms(s, metric) for _, s in family_surfaces(config, grid, metric)]
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """Every line-scan search of the test, as (sources, distances)."""
+    calls = []
+    scan = surf._line_scan_distances
+
+    def spy(sources, *edges):
+        calls.append((list(sources), scan(sources, *edges)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(surf, "_line_scan_distances", spy)
+    return calls
+
+
+@pytest.mark.parametrize("L", [8, 16, 24])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_line_scans_equal_dijkstra(name, L, scans):
+    # not only the diameter: every distance row searched, the two pole
+    # rows first, is Dijkstra's row bit for bit
+    for fd in family_records(name, L):
+        scans.clear()
+        assert fd.diameter > 0.0
+        n = fd.grid.n_nodes
+        dist = all_pairs_distances(fd.grid, metric_of(fd))
+        assert scans[0][0] == [n, n + 1]
+        for sources, rows in scans:
+            assert np.array_equal(rows, dist[sources])
+
+
 @pytest.mark.parametrize("L", [8, 16, 24])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_diameter_certified_against_all_pairs(name, L):
@@ -137,26 +167,16 @@ def test_pole_bound_dominates_every_eccentricity():
     assert np.all(dist.max(axis=1) <= ub * (1.0 + 2.0 * (n + 2) * EPS))
 
 
-def test_kerr_diameter_searches_from_the_poles_alone(monkeypatch):
-    from scipy.sparse import csgraph
-
-    calls = []
-    dijkstra = csgraph.dijkstra
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("indices"))
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "dijkstra", spy)
+def test_kerr_diameter_searches_from_the_poles_alone(scans):
     grid = nr.build_grid(32)
     fd = nr.fundamental_forms(nr.coordinate_sphere(40.0, grid), nr.kerr_slice(1.0, 0.5))
     assert fd.diameter > 0.0
     n = grid.n_nodes
-    assert [list(indices) for indices in calls] == [[n, n + 1]]
+    assert [sources for sources, _ in scans] == [[n, n + 1]]
     # a non-axisymmetric bump needs more sources, and names each of them
-    calls.clear()
+    scans.clear()
     fd = family_records("lumpy-l3", 16)[-1]
     assert fd.diameter > 0.0
     n = fd.grid.n_nodes
-    assert len(calls) > 1 and list(calls[0]) == [n, n + 1]
-    assert all(indices is not None for indices in calls)
+    assert len(scans) > 1 and scans[0][0] == [n, n + 1]
+    assert all(0 < len(sources) <= surf._SOURCE_BLOCK for sources, _ in scans)

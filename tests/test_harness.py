@@ -6,11 +6,14 @@ is an exact power law with slope -1 on log-log axes.  Everything else is
 a contract test: validation, determinism, exit codes, report schema.
 """
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,7 +262,7 @@ def test_report_json_schema():
     assert payload["metadata"]["columns"][0] == "r"
     assert "out" not in payload["metadata"]["config"]
     assert payload["metadata"]["adm_reference"] == 1.0
-    assert "nearlyround" in payload["metadata"]["versions"]
+    assert set(payload["metadata"]["versions"]) == {"nearlyround", "numpy"}
     assert [row["r"] for row in payload["rows"]] == [10.0, 20.0, 40.0]
 
 
@@ -613,11 +616,13 @@ def test_reports_identical_across_blas_threads():
         assert outputs[0] == outputs[1], args
 
 
-def test_masses_load_no_scipy():
+def test_masses_load_no_scipy(tmp_path):
     # a fresh interpreter runs both embedding routes (the general one factors
-    # the round preconditioner, Kerr takes the revolution seed) without scipy
+    # the round preconditioner, Kerr takes the revolution seed), then every
+    # other subcommand, without scipy
+    report = tmp_path / "lumpy.csv"
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import nearlyround as nr, nearlyround.cli\n"
         "from nearlyround import embedding as emb\n"
         "calls = {'cho_factor': 0, 'embed_axisymmetric': 0}\n"
@@ -636,11 +641,44 @@ def test_masses_load_no_scipy():
         "    metric='kerr_slice m=1 a=0.5', family='coordinate-spheres', **common))\n"
         "assert all(not row.flags for row in lumpy.rows + kerr.rows)\n"
         "assert calls['cho_factor'] == 1 and calls['embed_axisymmetric'] == 3, calls\n"
+        f"open({str(report)!r}, 'w').write(lumpy.render())\n"
+        "kerr, study = ['--metric', 'kerr_slice m=1 a=0.5'], ['--schedule', '20,40,80']\n"
+        "runs = [\n"
+        "    ['verify', *kerr, *study, '--band-limit', '16'],\n"
+        "    ['verify', '--metric', 'schwarzschild_standard m=1', '--family',\n"
+        "     'radial-perturbed', '--l', '3', '--m-order', '2', '--amplitude', '0.1',\n"
+        "     '--decay', '1', *study, '--band-limit', '16'],\n"
+        "    ['adm', *kerr, *study],\n"
+        "    ['embed', *kerr, '--radius', '40'],\n"
+        f"    ['rate', '--input', {str(report)!r}],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [nearlyround.cli.main(args) for args in runs]\n"
+        "assert codes == [0] * len(runs), codes\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every third-party module src/ imports, at module level or inside a
+    # function, is a declared runtime dependency, and numpy is the only one
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in sorted((root / "src" / "nearlyround").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"nearlyround"}
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
+    assert third_party == names == {"numpy"}
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import functools
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -609,6 +610,20 @@ def test_adm_mass_fitted_rate():
     est = M.adm_mass(M.schwarzschild_standard(1.0), [40.0, 80.0, 160.0, 320.0])
     assert abs(est.rate - 1.0) <= 0.05
     assert abs(est.value - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "radii", [(10.0, 20.0, 40.0), (10.0, 20.0, 40.0, 80.0, 160.0), (15.0, 20.0, 50.0, 70.0)]
+)
+def test_adm_mass_recovers_an_exact_power_law(radii):
+    # flux 1 + 3 r^-1.5 exactly: the fitted rate reaches the search's 1e-13
+    # bracket, so the mass and the rate come out to roundoff
+    stub = TabulatedFluxMetric(lambda r: 1.0 + 3.0 * r**-1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", M.NonMonotoneFluxTail)  # uneven steps
+        est = M.adm_mass(stub, radii)
+    assert abs(est.value - 1.0) <= 1e-12
+    assert abs(est.rate - 1.5) <= 1e-10
 
 
 def test_adm_mass_schedule_validation():

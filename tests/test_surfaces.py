@@ -18,6 +18,7 @@ from nearlyround import harness
 from nearlyround import metrics as mcat
 from nearlyround import sphere
 from nearlyround import surfaces as surf
+from nearlyround.errors import ConfigError
 from nearlyround.sphere import (
     analyze,
     build_grid,
@@ -156,6 +157,17 @@ def test_radial_profile_validation(grid16):
         surf.immerse_radial(None, np.ones(7), grid16)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_radial_profile_must_be_finite(grid16, bad):
+    # a ConfigError, so the CLI rejects the input with exit code 2
+    prof = np.full(grid16.shape, 10.0)
+    prof[3, 5] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        surf.immerse_radial(None, prof, grid16)
+    with pytest.raises(ConfigError, match="finite"):
+        surf.coordinate_sphere(bad, grid16)
+
+
 def test_immersion_node_layout(grid16):
     s = surf.coordinate_sphere(3.0, grid16)
     assert s.points.shape == (grid16.n_nodes, 3)
@@ -240,12 +252,12 @@ def test_degenerate_immersion_raises(grid16):
 
 
 def test_nan_immersion_raises(grid16):
-    # one NaN radius spreads through the transforms to every node; a
+    # one NaN node spreads through the transforms to every node; a
     # record of it would carry area nan and a diameter read past the NaN
-    prof = np.full(grid16.shape, 10.0)
-    prof[3, 5] = np.nan
+    Y = surf.coordinate_sphere(10.0, grid16).Y.copy()
+    Y[3, 5] = np.nan
     with pytest.raises(surf.DegenerateInducedMetric):
-        surf.fundamental_forms(surf.immerse_radial(None, prof, grid16))
+        surf.fundamental_forms(surf.Immersion(grid16, Y))
 
 
 # ---------------------------------------------------------------------------
