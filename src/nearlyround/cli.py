@@ -44,7 +44,6 @@ from .surfaces import coordinate_sphere, fundamental_forms
 log = logging.getLogger("nearlyround")
 
 EXIT_OK = 0
-EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
 
@@ -147,7 +146,9 @@ def _cmd_embed(args) -> int:
 def _cmd_adm(args) -> int:
     metric = parse_metric(args.metric)
     est = adm_mass(metric, _parse_schedule(args.schedule), args.band_limit)
-    payload = {**asdict(est), "known_mass": metric.known_mass}
+    # JSON has no nan: a constant flux has rate null, as in RateFit.as_dict
+    payload = {**asdict(est), "rate": est.rate if math.isfinite(est.rate) else None,
+               "known_mass": metric.known_mass}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 

@@ -792,31 +792,8 @@ def volume_cross_check(e, levels: tuple[int, int] = (128, 256)) -> VolumeCheck:
 
 
 # ---------------------------------------------------------------------------
-# Alignment and export
+# Export
 # ---------------------------------------------------------------------------
-
-
-def rigid_align(grid: SphereGrid, Y: np.ndarray, Y_ref: np.ndarray):
-    """Best rigid motion of Y onto Y_ref in the quadrature-weighted L2 sense.
-
-    Returns (aligned Y, rms distance after alignment).  Reflections are
-    excluded; only proper rotations plus translations are searched.
-    """
-    w = grid.weights.ravel()
-    w = w / w.sum()
-    A = Y.reshape(-1, 3)
-    B = Y_ref.reshape(-1, 3)
-    mu_a = w @ A
-    mu_b = w @ B
-    Ac = A - mu_a
-    Bc = B - mu_b
-    H = Ac.T @ (w[:, None] * Bc)
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    rot = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    aligned = Ac @ rot.T + mu_b
-    rms = float(np.sqrt(w @ np.sum((aligned - B) ** 2, axis=1)))
-    return aligned.reshape(Y.shape), rms
 
 
 def write_embedding_obj(target, path) -> None:

@@ -173,10 +173,15 @@ def family_surfaces(config: StudyConfig, grid, metric) -> list:
         coeffs = np.zeros(grid.n_coeffs)
         coeffs[coeff_index(config.l, config.m_order)] = 1.0
         ylm = synthesize(grid, coeffs)
-        profiles = [
-            r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
-            for r in config.schedule
-        ]
+        try:
+            profiles = [
+                r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
+                for r in config.schedule
+            ]
+        except OverflowError as exc:
+            raise ConfigError(
+                f"the perturbation r^-decay overflows on the schedule (decay {config.decay:g})"
+            ) from exc
         # checked before any row runs, so no row fails inside the metric
         r_min = min(float(np.min(profile)) for profile in profiles)
         if r_min <= metric.exclusion_radius:
@@ -514,11 +519,12 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
         add("adm-agreement", 0.0, 1.0, note="metric has no mass reference; skipped")
     else:
         est = adm_mass(metric, config.schedule, config.band_limit)
+        rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
         add(
             "adm-agreement",
             abs(est.value - metric.known_mass),
             0.05 * max(1.0, abs(metric.known_mass)),
-            note=f"extrapolated {est.value:.6f} at rate {est.rate:.2f}",
+            note=f"extrapolated {est.value:.6f}{rate}",
         )
 
     if inject_failure:

@@ -54,19 +54,6 @@ class NonMonotoneFluxTail(UserWarning):
 
 
 @dataclass(frozen=True)
-class MetricJet:
-    """Metric value and first two derivative arrays at one point."""
-
-    g: np.ndarray
-    dg: np.ndarray
-    ddg: np.ndarray
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.g - np.eye(3)
-
-
-@dataclass(frozen=True)
 class JetBatch:
     """Stacked jets at N points: g (N,3,3), dg (N,3,3,3), ddg (N,3,3,3,3)."""
 
@@ -77,9 +64,6 @@ class JetBatch:
     @property
     def sigma(self) -> np.ndarray:
         return self.g - np.eye(3)[None, :, :]
-
-    def __getitem__(self, n: int) -> MetricJet:
-        return MetricJet(self.g[n], self.dg[n], self.ddg[n])
 
 
 class AFMetric:
@@ -107,9 +91,6 @@ class AFMetric:
             )
         g, dg, ddg = self._jet_fn(points)
         return JetBatch(g, dg, ddg)
-
-    def jet(self, x: np.ndarray) -> MetricJet:
-        return self.jets(np.asarray(x, dtype=float)[None, :])[0]
 
     def __repr__(self):
         return f"AFMetric({self.spec()!r})"
@@ -411,72 +392,14 @@ def christoffel(jets: JetBatch) -> np.ndarray:
     return 0.5 * np.einsum("nkl,nlij->nkij", ginv, T)
 
 
-def christoffel_derivative(jets: JetBatch) -> np.ndarray:
-    """dGamma[n, k, i, j, m] = d_m Gamma^k_ij from the second-derivative jet."""
-    ginv = np.linalg.inv(jets.g)
-    dg, ddg = jets.dg, jets.ddg
-    T = (
-        np.einsum("nilj->nlij", dg)
-        + np.einsum("njli->nlij", dg)
-        - np.einsum("nijl->nlij", dg)
-    )
-    # dT[l, i, j, m]
-    dT = (
-        np.einsum("niljm->nlijm", ddg)
-        + np.einsum("njlim->nlijm", ddg)
-        - np.einsum("nijlm->nlijm", ddg)
-    )
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("nka,nabm,nbl->nklm", ginv, dg, ginv)
-    return 0.5 * (
-        np.einsum("nklm,nlij->nkijm", dginv, T)
-        + np.einsum("nkl,nlijm->nkijm", ginv, dT)
-    )
-
-
-def riemann_lowered(jets: JetBatch, Gam: np.ndarray | None = None) -> np.ndarray:
-    """Covariant curvature tensor R[n, i, j, k, l] with R(X,Y,Z,W) =
-    g(R(X,Y)Z, W) and the sign convention fixed so that round spheres in the
-    catalog reproduce K = 1/r^2 through the Gauss equation.  `Gam` is
-    christoffel(jets), computed here when not given."""
-    Gam = christoffel(jets) if Gam is None else Gam
-    dGam = christoffel_derivative(jets)  # dGam[n, k, i, j, m] = d_m Gamma^k_ij
-    # R^r_{s m q} = d_m Gamma^r_{q s} - d_q Gamma^r_{m s}
-    #             + Gamma^r_{m l} Gamma^l_{q s} - Gamma^r_{q l} Gamma^l_{m s}
-    # term_a[r, s, m, q] = d_m Gamma^r_{q s} = dGam[r, q, s, m]
-    term_a = np.einsum("nrqsm->nrsmq", dGam)
-    # term_b[r, s, m, q] = d_q Gamma^r_{m s} = dGam[r, m, s, q]
-    term_b = np.einsum("nrmsq->nrsmq", dGam)
-    # term_c[r, s, m, q] = Gamma^r_{m l} Gamma^l_{q s}
-    term_c = np.einsum("nrml,nlqs->nrsmq", Gam, Gam)
-    # term_d[r, s, m, q] = Gamma^r_{q l} Gamma^l_{m s}
-    term_d = np.einsum("nrql,nlms->nrsmq", Gam, Gam)
-    Rup = term_a - term_b + term_c - term_d
-    return np.einsum("nra,nasmq->nrsmq", jets.g, Rup)
-
-
-def ricci(jets: JetBatch) -> np.ndarray:
-    """Ricci tensor Ric[n, s, q]."""
-    ginv = np.linalg.inv(jets.g)
-    R = riemann_lowered(jets)
-    # Ric_{sq} = g^{rm} R_{r s m q}
-    return np.einsum("nrm,nrsmq->nsq", ginv, R)
-
-
-def scalar_curvature(metric: AFMetric, points: np.ndarray) -> np.ndarray:
-    """Scalar curvature at an (N, 3) array of points."""
-    jets = metric.jets(np.atleast_2d(points))
-    ginv = np.linalg.inv(jets.g)
-    return np.einsum("nsq,nsq->n", ginv, ricci(jets))
-
-
 def sectional_curvature(
     jets: JetBatch, Gam: np.ndarray, X: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
     """R(X, Y, X, Y) at each point for any pair of (N, 3) vector fields: the
     sectional curvature of span(X, Y) times |X ^ Y|^2 = g(X,X) g(Y,Y) -
-    g(X,Y)^2, in the convention of riemann_lowered.  `Gam` is
-    christoffel(jets).
+    g(X,Y)^2.  `Gam` is christoffel(jets).  The sign is the one under which
+    the Gauss equation K = (R(T0, T1, T0, T1) + det A) / det h gives
+    K = 1/r^2 on the round spheres of the catalog.
 
     The coordinate formula (Landau & Lifshitz, section 92)
         R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km) / 2
@@ -573,14 +496,16 @@ def adm_mass(
     """Extrapolate the mass flux against c0 + c1 r^-p with p fitted.
 
     Needs at least three strictly increasing radii outside the exclusion
-    radius; p comes from a golden-section search on [0.25, 4] to 1e-13.
-    Warns when the flux tail is not settling monotonically.
+    radius, each with a finite square (the flux carries r^2); p comes from
+    a golden-section search on [0.25, 4] to 1e-13.  A constant flux fits
+    every p, so it has no rate: rate is nan and the coefficient 0.  Warns
+    when the flux tail is not settling monotonically.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3:
         raise ConfigError("need at least three radii to fit the flux model")
-    if not np.all(np.isfinite(radii)):
-        raise ConfigError("radii must be finite")
+    if not all(np.isfinite(r * r) for r in radii):
+        raise ConfigError(f"radii and their squares must be finite: {radii}")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing")
     fluxes = tuple(
@@ -597,6 +522,11 @@ def adm_mass(
                 NonMonotoneFluxTail,
                 stacklevel=2,
             )
+    if len(set(fluxes)) == 1:
+        return AdmEstimate(
+            value=float(fluxes[0]), rate=np.nan, coefficient=0.0, residual=0.0,
+            radii=radii, fluxes=fluxes,
+        )
     r = np.asarray(radii)
     F = np.asarray(fluxes)
 

@@ -274,16 +274,6 @@ def synth_gradient_adjoint(grid: SphereGrid, ft: np.ndarray, fp: np.ndarray) -> 
     return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + pair.shape[3:])
 
 
-def laplace_beltrami(coeffs: np.ndarray) -> np.ndarray:
-    """Round-sphere Laplacian in coefficient space: eigenvalues -l(l+1)."""
-    K = len(coeffs)
-    L = int(round(np.sqrt(K))) - 1
-    if (L + 1) ** 2 != K:
-        raise ValueError("coefficient vector length is not a square")
-    ls, _ = coeff_degrees(L)
-    return -ls * (ls + 1.0) * coeffs
-
-
 def synth_at(
     coeffs: np.ndarray,
     theta: np.ndarray,
@@ -351,22 +341,6 @@ def mobius_log_factor(points: np.ndarray, b: np.ndarray) -> np.ndarray:
     beta = float(b @ b)
     t = points @ b
     return np.log((1.0 - beta) / (1.0 + beta + 2.0 * t))
-
-
-def apply_mobius(grid: SphereGrid, f: np.ndarray, b: np.ndarray):
-    """Pull a scalar field back along Phi_b.
-
-    Returns (f o Phi_b at the nodes, conformal factor field e^{2 w_b}).
-    The pullback resamples the band-limited representation of f at the
-    displaced nodes.
-    """
-    pts = grid.unit_vectors.reshape(-1, 3)
-    moved = mobius_map(pts, b)
-    theta = np.arccos(np.clip(moved[:, 2], -1.0, 1.0))
-    phi = np.arctan2(moved[:, 1], moved[:, 0])
-    pulled = synth_at(analyze(grid, f), theta, phi).reshape(grid.shape)
-    factor = np.exp(2.0 * mobius_log_factor(pts, b)).reshape(grid.shape)
-    return pulled, factor
 
 
 def conformal_moments(grid: SphereGrid, u: np.ndarray) -> np.ndarray:

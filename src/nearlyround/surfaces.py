@@ -30,7 +30,6 @@ normal, so round spheres have H = 2/r > 0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +53,9 @@ __all__ = [
     "NearlyRoundReport",
     "second_form_transform_residual",
     "distance_hessian_residual",
-    "distance_hessian_spot_check",
     "mean_curvature_expansion_residual",
     "divergence_identity_gap",
     "mean_curvature_integral_residual",
-    "write_immersion_csv",
 ]
 
 
@@ -464,15 +461,6 @@ class NearlyRoundReport:
     area_ratio_bounds: tuple
     flagged: tuple
 
-    def constants(self) -> dict:
-        return {
-            "tracefree_constant": self.tracefree_constant,
-            "radial_ratio": self.radial_ratio,
-            "diameter_ratio": self.diameter_ratio,
-            "area_ratio": self.area_ratio,
-            "second_form_constant": self.second_form_constant,
-        }
-
 
 _GROWTH_FACTOR = 1.5
 # Roundoff never flags.  For the trace-free constant the floor is relative:
@@ -651,8 +639,8 @@ def distance_hessian_residual(fd_hat: FundamentalData) -> float:
 
     The ambient extension of the flat second form equals its tracefree
     part plus (H/2) times the tangential projector -- frame algebra,
-    residual at roundoff.  distance_hessian_spot_check is the brute-force
-    reference for the same matrix.
+    residual at roundoff.  The test suite checks the same matrix by brute
+    force, with finite differences of _signed_distances.
     """
     if fd_hat.ambient != "euclidean":
         raise ValueError("distance Hessian check needs the flat-ambient data")
@@ -663,52 +651,6 @@ def distance_hessian_residual(fd_hat: FundamentalData) -> float:
     Aring_amb = _flat_extension(fd_hat, fd_hat.tracefree_second_form)
     proj = np.eye(3)[None] - np.einsum("ni,nj->nij", nhat, nhat)
     return float(np.abs(A_amb - Aring_amb - 0.5 * H[:, None, None] * proj).max())
-
-
-def distance_hessian_spot_check(s: Immersion) -> float:
-    """Brute-force gap between the distance Hessian and the flat second form.
-
-    Central finite differences (step 1e-4 of the smallest radius) of the
-    true signed point-to-surface distance at 8 nodes, against the ambient
-    extension of the flat second form; max entrywise gap.
-    """
-    grid = s.grid
-    fd_hat = fundamental_forms(s)
-    A_amb = _flat_extension(fd_hat, fd_hat.second_form)
-    # 19 offsets per node (center, 6 axis, 12 mixed), one batched solve
-    picks = np.linspace(0, grid.n_nodes - 1, 8, dtype=int)
-    th_nodes = np.repeat(grid.theta, grid.nphi)
-    ph_nodes = np.tile(grid.phi, grid.ntheta)
-    r_ref = float(np.linalg.norm(s.points, axis=1).min())
-    h = 1e-4 * r_ref
-    eye = np.eye(3)
-    offsets = [np.zeros(3)]
-    offsets += [sgn * h * eye[i] for i in range(3) for sgn in (+1, -1)]
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for i, j in pairs:
-        for si in (+1, -1):
-            for sj in (+1, -1):
-                offsets.append(h * (si * eye[i] + sj * eye[j]))
-    offsets = np.array(offsets)  # (19, 3)
-    q = len(offsets)
-    X = (s.points[picks][:, None, :] + offsets[None]).reshape(-1, 3)
-    rho = _signed_distances(
-        s, X, np.repeat(th_nodes[picks], q), np.repeat(ph_nodes[picks], q)
-    ).reshape(len(picks), q)
-
-    spot = 0.0
-    for k, n in enumerate(picks):
-        hess = np.zeros((3, 3))
-        rho0 = rho[k, 0]
-        for i in range(3):
-            hess[i, i] = (rho[k, 1 + 2 * i] - 2 * rho0 + rho[k, 2 + 2 * i]) / h**2
-        for p, (i, j) in enumerate(pairs):
-            base = 7 + 4 * p
-            val = (rho[k, base] - rho[k, base + 1] - rho[k, base + 2]
-                   + rho[k, base + 3]) / (4 * h**2)
-            hess[i, j] = hess[j, i] = val
-        spot = max(spot, float(np.abs(hess - A_amb[n]).max()))
-    return spot
 
 
 def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
@@ -783,22 +725,3 @@ def mean_curvature_integral_residual(fd_hat: FundamentalData, fd: FundamentalDat
         np.einsum("nst,nst->n", sigma, rho_hess).reshape(shp)
     )
     return float(abs(lhs - rhs)) * fd.r_min ** (2.0 * fd.tau - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def write_immersion_csv(s: Immersion, path) -> None:
-    """Node table: theta, phi, y1, y2, y3."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "y1", "y2", "y3"])
-        for i, th in enumerate(s.grid.theta):
-            for j, ph in enumerate(s.grid.phi):
-                y = s.Y[i, j]
-                writer.writerow(
-                    [f"{th:.17g}", f"{ph:.17g}"]
-                    + [f"{val:.17g}" for val in y]
-                )

@@ -507,6 +507,26 @@ def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # r ** -decay overflows a float at r = 1e300
+        ["masses", "--family", "radial-perturbed", "--l", "2", "--decay", "-300",
+         "--schedule", "10,20,1e300"],
+        # the flux integral carries r^2, which overflows at r = 1e200
+        ["adm", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e200"],
+    ],
+    ids=["masses-perturbation-overflow", "adm-radius-square-overflow"],
+)
+def test_cli_float_overflow_is_a_config_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearlyround.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+
+
 def test_cli_exit_code_solver_failure(capsys):
     code = main(["embed", "--metric", "kerr_slice m=1 a=0.5", "--radius", "40", "--tol", "1e-16"])
     assert code == 3
@@ -557,6 +577,17 @@ def test_cli_adm(capsys):
     assert code == 0
     assert abs(payload["value"] - 1.0) <= 1e-4
     assert payload["known_mass"] == 1.0
+
+
+def test_cli_adm_constant_flux_has_null_rate(capsys):
+    # every p fits a constant flux, so the JSON carries no rate, not NaN
+    assert main(["adm", "--metric", "euclidean", "--schedule", "20,40,80"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert "NaN" not in out
+    assert payload["rate"] is None
+    assert payload["coefficient"] == 0.0
+    assert payload["value"] == 0.0
 
 
 def test_cli_rate_roundtrip(tmp_path, capsys):
@@ -679,6 +710,56 @@ def test_runtime_imports_are_the_declared_dependencies():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
     assert third_party == names == {"numpy"}
+
+
+def _top_level_names(stmt) -> set:
+    """Names a module-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_every_library_name_is_read_outside_the_tests():
+    # a top-level function, class or constant of src/ that only tests read
+    # belongs in tests/.  A reference is a loaded Name or Attribute in src/,
+    # demos/ or benchmarks/, or a dotted-name string (the benchmark tracer
+    # names its probes so, e.g. "SphereGrid.synthesis_matrix"); the name's
+    # own definition and the __all__ lists do not count.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "nearlyround").glob("*.py"))
+    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+    defined = {
+        (path.stem, name)
+        for path in package if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for name in _top_level_names(stmt)
+        if not name.startswith("__")
+    }
+    readers = package + sorted((root / "demos").glob("*.py")) + sorted(
+        (root / "benchmarks").glob("*.py")
+    )
+    read = set()
+    for path in readers:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _top_level_names(stmt)
+            if "__all__" in own:
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names = {node.attr}
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = set(node.value.split(".")) if dotted.fullmatch(node.value) else set()
+                else:
+                    continue
+                read |= names - own
+    unread = sorted(f"{module}.{name}" for module, name in defined if name not in read)
+    assert unread == [], f"read by no code outside tests/: {unread}"
 
 
 @pytest.mark.parametrize(

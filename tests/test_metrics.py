@@ -102,6 +102,65 @@ def sympy_kerr_jets(m, a, points):
     )
 
 
+def christoffel_derivative(jets):
+    """dGamma[n, k, i, j, m] = d_m Gamma^k_ij from the second-derivative jet."""
+    ginv = np.linalg.inv(jets.g)
+    dg, ddg = jets.dg, jets.ddg
+    T = (
+        np.einsum("nilj->nlij", dg)
+        + np.einsum("njli->nlij", dg)
+        - np.einsum("nijl->nlij", dg)
+    )
+    # dT[l, i, j, m]
+    dT = (
+        np.einsum("niljm->nlijm", ddg)
+        + np.einsum("njlim->nlijm", ddg)
+        - np.einsum("nijlm->nlijm", ddg)
+    )
+    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
+    dginv = -np.einsum("nka,nabm,nbl->nklm", ginv, dg, ginv)
+    return 0.5 * (
+        np.einsum("nklm,nlij->nkijm", dginv, T)
+        + np.einsum("nkl,nlijm->nkijm", ginv, dT)
+    )
+
+
+def riemann_lowered(jets, Gam=None):
+    """Covariant curvature tensor R[n, i, j, k, l] with R(X,Y,Z,W) =
+    g(R(X,Y)Z, W), the sign fixed so that round spheres in the catalog
+    reproduce K = 1/r^2 through the Gauss equation: the full tensor that
+    M.sectional_curvature contracts on a pair.  `Gam` is M.christoffel(jets),
+    computed here when not given."""
+    Gam = M.christoffel(jets) if Gam is None else Gam
+    dGam = christoffel_derivative(jets)  # dGam[n, k, i, j, m] = d_m Gamma^k_ij
+    # R^r_{s m q} = d_m Gamma^r_{q s} - d_q Gamma^r_{m s}
+    #             + Gamma^r_{m l} Gamma^l_{q s} - Gamma^r_{q l} Gamma^l_{m s}
+    # term_a[r, s, m, q] = d_m Gamma^r_{q s} = dGam[r, q, s, m]
+    term_a = np.einsum("nrqsm->nrsmq", dGam)
+    # term_b[r, s, m, q] = d_q Gamma^r_{m s} = dGam[r, m, s, q]
+    term_b = np.einsum("nrmsq->nrsmq", dGam)
+    # term_c[r, s, m, q] = Gamma^r_{m l} Gamma^l_{q s}
+    term_c = np.einsum("nrml,nlqs->nrsmq", Gam, Gam)
+    # term_d[r, s, m, q] = Gamma^r_{q l} Gamma^l_{m s}
+    term_d = np.einsum("nrql,nlms->nrsmq", Gam, Gam)
+    Rup = term_a - term_b + term_c - term_d
+    return np.einsum("nra,nasmq->nrsmq", jets.g, Rup)
+
+
+def ricci(jets):
+    """Ricci tensor Ric[n, s, q]."""
+    ginv = np.linalg.inv(jets.g)
+    # Ric_{sq} = g^{rm} R_{r s m q}
+    return np.einsum("nrm,nrsmq->nsq", ginv, riemann_lowered(jets))
+
+
+def scalar_curvature(metric, points):
+    """Scalar curvature at an (N, 3) array of points."""
+    jets = metric.jets(np.atleast_2d(points))
+    ginv = np.linalg.inv(jets.g)
+    return np.einsum("nsq,nsq->n", ginv, ricci(jets))
+
+
 def perturbed_scalar_curvature_closed_form(metric, points):
     """R of a conformally flat phi^4 metric: R = -8 phi^-5 (Laplacian phi).
 
@@ -185,8 +244,8 @@ ALL_FAMILIES = [
 
 
 def test_euclidean_jet_is_flat():
-    jet = M.euclidean().jet(np.array([3.0, -1.0, 2.0]))
-    assert np.array_equal(jet.g, np.eye(3))
+    jet = M.euclidean().jets(np.array([3.0, -1.0, 2.0])[None])
+    assert np.array_equal(jet.g[0], np.eye(3))
     assert np.max(np.abs(jet.dg)) == 0.0
     assert np.max(np.abs(jet.ddg)) == 0.0
     assert np.max(np.abs(jet.sigma)) == 0.0
@@ -194,18 +253,18 @@ def test_euclidean_jet_is_flat():
 
 def test_isotropic_component_closed_form():
     # conformal factor 1 + m/(2r) = 1.1 at r=10 for m=2, so g11 = 1.1^4
-    jet = M.schwarzschild_isotropic(2.0).jet(np.array([10.0, 0.0, 0.0]))
-    assert abs(jet.g[0, 0] - 1.4641) <= 1e-14
-    assert abs(jet.g[1, 1] - 1.4641) <= 1e-14
-    assert abs(jet.g[0, 1]) == 0.0
+    g = M.schwarzschild_isotropic(2.0).jets(np.array([10.0, 0.0, 0.0])[None]).g[0]
+    assert abs(g[0, 0] - 1.4641) <= 1e-14
+    assert abs(g[1, 1] - 1.4641) <= 1e-14
+    assert abs(g[0, 1]) == 0.0
 
 
 def test_standard_radial_component_closed_form():
     m, r = 1.0, 10.0
-    jet = M.schwarzschild_standard(m).jet(np.array([r, 0.0, 0.0]))
-    assert abs(jet.g[0, 0] - 1.0 / (1.0 - 2 * m / r)) <= 1e-14
-    assert abs(jet.g[1, 1] - 1.0) <= 1e-15
-    assert abs(jet.g[2, 2] - 1.0) <= 1e-15
+    g = M.schwarzschild_standard(m).jets(np.array([r, 0.0, 0.0])[None]).g[0]
+    assert abs(g[0, 0] - 1.0 / (1.0 - 2 * m / r)) <= 1e-14
+    assert abs(g[1, 1] - 1.0) <= 1e-15
+    assert abs(g[2, 2] - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
@@ -232,11 +291,14 @@ def test_jet_symmetries_and_positivity(metric):
 
 
 def test_jet_batch_indexing():
+    # node n of a batch is the jet of the single point n
     pts = shell_points(8.0, 4, seed=12)
-    batch = M.schwarzschild_isotropic(1.0).jets(pts)
-    one = batch[2]
-    assert np.array_equal(one.g, batch.g[2])
-    assert np.array_equal(one.sigma, batch.g[2] - np.eye(3))
+    metric = M.schwarzschild_isotropic(1.0)
+    batch = metric.jets(pts)
+    one = metric.jets(pts[2][None])
+    for field in ("g", "dg", "ddg", "sigma"):
+        assert np.array_equal(getattr(one, field)[0], getattr(batch, field)[2]), field
+    assert np.array_equal(batch.sigma[2], batch.g[2] - np.eye(3))
 
 
 def test_kerr_zero_spin_limit_is_schwarzschild():
@@ -336,7 +398,7 @@ def test_exclusion_radius_enforced():
     ]
     for metric, r in cases:
         with pytest.raises(M.PointInsideExclusionRadius):
-            metric.jet(np.array([r, 0.0, 0.0]))
+            metric.jets(np.array([r, 0.0, 0.0])[None])
         # one bad point poisons a batch
         pts = np.array([[10.0, 0.0, 0.0], [r, 0.0, 0.0]])
         with pytest.raises(M.PointInsideExclusionRadius):
@@ -429,7 +491,7 @@ def test_metric_compatibility(metric):
 def test_christoffel_derivative_matches_finite_differences():
     metric = M.kerr_slice(1.0, 0.5)
     pts = shell_points(10.0, 10, seed=19)
-    dGam = M.christoffel_derivative(metric.jets(pts))
+    dGam = christoffel_derivative(metric.jets(pts))
     h = 2e-3
     for m_ax in range(3):
         e = np.zeros(3)
@@ -444,7 +506,7 @@ def test_christoffel_derivative_matches_finite_differences():
 
 def test_riemann_symmetries():
     jets = M.kerr_slice(1.0, 0.5).jets(shell_points(9.0, 10, seed=20))
-    R = M.riemann_lowered(jets)
+    R = riemann_lowered(jets)
     scale = np.max(np.abs(R)) + 1e-30
     assert np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4))) / scale <= 1e-10
     assert np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3))) / scale <= 1e-10
@@ -491,23 +553,23 @@ def test_sectional_curvature_matches_riemann_contraction(metric, radius):
     X, Y = rng.normal(size=(2, 40, 3))
     jets = metric.jets(pts)
     Gam = M.christoffel(jets)
-    want = np.einsum("nrsmq,nr,ns,nm,nq->n", M.riemann_lowered(jets, Gam), X, Y, X, Y)
+    want = np.einsum("nrsmq,nr,ns,nm,nq->n", riemann_lowered(jets, Gam), X, Y, X, Y)
     got = M.sectional_curvature(jets, Gam, X, Y)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_scalar_curvature_flat_and_vacuum():
     pts = shell_points(10.0, 20, seed=21)
-    assert np.max(np.abs(M.scalar_curvature(M.euclidean(), pts))) == 0.0
+    assert np.max(np.abs(scalar_curvature(M.euclidean(), pts))) == 0.0
     # harmonic conformal factor: the symmetric slices are scalar flat
-    assert np.max(np.abs(M.scalar_curvature(M.schwarzschild_isotropic(1.0), pts))) <= 1e-10
-    assert np.max(np.abs(M.scalar_curvature(M.schwarzschild_standard(1.0), pts))) <= 1e-10
+    assert np.max(np.abs(scalar_curvature(M.schwarzschild_isotropic(1.0), pts))) <= 1e-10
+    assert np.max(np.abs(scalar_curvature(M.schwarzschild_standard(1.0), pts))) <= 1e-10
 
 
 def test_scalar_curvature_perturbed_closed_form():
     metric = M.conformal_perturbed(1.0, 0.1, l=2, m_order=1, tau_extra=0.8)
     pts = shell_points(9.0, 40, seed=22)
-    got = M.scalar_curvature(metric, pts)
+    got = scalar_curvature(metric, pts)
     want = perturbed_scalar_curvature_closed_form(metric, pts)
     assert np.max(np.abs(got - want)) <= 1e-9 * (1 + np.max(np.abs(want)))
 
@@ -517,7 +579,7 @@ def test_scalar_curvature_kerr_decay_and_fd_cross_check():
     sups = []
     for i, r in enumerate((20.0, 40.0, 80.0)):
         pts = shell_points(r, 50, seed=3 + i)
-        Rc = M.scalar_curvature(kerr, pts)
+        Rc = scalar_curvature(kerr, pts)
         sups.append(np.abs(Rc).max() * r**4)
     assert max(sups) <= 0.02  # frozen: measured 0.0112 at the tightest shell
     assert sups[0] >= sups[1] >= sups[2]
@@ -527,8 +589,8 @@ def test_scalar_curvature_kerr_decay_and_fd_cross_check():
     dg_fd, ddg_fd = fd_jets(kerr, pts)
     fd_batch = M.JetBatch(analytic.g, dg_fd, ddg_fd)
     ginv = np.linalg.inv(fd_batch.g)
-    R_fd = np.einsum("nsq,nsq->n", ginv, M.ricci(fd_batch))
-    R_an = M.scalar_curvature(kerr, pts)
+    R_fd = np.einsum("nsq,nsq->n", ginv, ricci(fd_batch))
+    R_an = scalar_curvature(kerr, pts)
     assert np.max(np.abs(R_fd - R_an)) <= 1e-3 * np.max(np.abs(R_an))
 
 
@@ -598,6 +660,22 @@ def test_adm_mass_isotropic():
 def test_adm_mass_euclidean():
     est = M.adm_mass(M.euclidean(), [10.0, 20.0, 40.0])
     assert abs(est.value) <= 1e-12
+
+
+@pytest.mark.parametrize("flux", [0.0, 1.5])
+def test_adm_mass_constant_flux_has_no_rate(flux):
+    # every p fits a constant flux with zero residual, so no rate is reported
+    metric = M.euclidean() if flux == 0.0 else TabulatedFluxMetric(lambda r: flux)
+    est = M.adm_mass(metric, [20.0, 40.0, 80.0])
+    assert np.isnan(est.rate)
+    assert est.coefficient == 0.0
+    assert est.residual == 0.0
+    assert est.value == pytest.approx(flux, abs=1e-13)
+
+
+def test_adm_mass_rejects_radii_whose_square_overflows():
+    with pytest.raises(ValueError):
+        M.adm_mass(M.kerr_slice(1.0, 0.5), [10.0, 20.0, 1e200])
 
 
 def test_adm_mass_kerr():

@@ -6,12 +6,11 @@ import pytest
 from nearlyround.sphere import (
     SphereGrid,
     analyze,
-    apply_mobius,
     build_grid,
     center_gauge,
+    coeff_degrees,
     coeff_index,
     conformal_moments,
-    laplace_beltrami,
     mobius_log_factor,
     mobius_map,
     synth_at,
@@ -109,6 +108,28 @@ def axisymmetric_gauge_root(grid: SphereGrid, u: np.ndarray) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def apply_mobius(grid: SphereGrid, f: np.ndarray, b: np.ndarray):
+    """Pull a scalar field back along Phi_b.
+
+    Returns (f o Phi_b at the nodes, conformal factor field e^{2 w_b}).
+    The pullback resamples the band-limited representation of f at the
+    displaced nodes.
+    """
+    pts = grid.unit_vectors.reshape(-1, 3)
+    moved = mobius_map(pts, b)
+    theta = np.arccos(np.clip(moved[:, 2], -1.0, 1.0))
+    phi = np.arctan2(moved[:, 1], moved[:, 0])
+    pulled = synth_at(analyze(grid, f), theta, phi).reshape(grid.shape)
+    factor = np.exp(2.0 * mobius_log_factor(pts, b)).reshape(grid.shape)
+    return pulled, factor
+
+
+def laplace_beltrami(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Round-sphere Laplacian in coefficient space: eigenvalues -l(l+1)."""
+    ls, _ = coeff_degrees(grid.L)
+    return -ls * (ls + 1.0) * coeffs
 
 
 def fd4(f, t, h):
@@ -272,19 +293,23 @@ def test_laplacian_eigenvalues_degree_one():
     grid = build_grid(8)
     for m in (-1, 0, 1):
         c = _unit_coeff(grid, 1, m)
-        assert np.allclose(laplace_beltrami(c), -2.0 * c, atol=1e-14)
+        assert np.allclose(laplace_beltrami(grid, c), -2.0 * c, atol=1e-14)
 
 
 def test_laplacian_kills_constants():
     grid = build_grid(8)
-    assert np.max(np.abs(laplace_beltrami(_unit_coeff(grid, 0, 0)))) == 0.0
+    assert np.max(np.abs(laplace_beltrami(grid, _unit_coeff(grid, 0, 0)))) == 0.0
 
 
 def test_laplacian_pointwise_degree_five():
-    # Delta Y_{5,3} + 30 Y_{5,3} = 0 pointwise
+    # Delta Y_{5,3} = -30 Y_{5,3} pointwise, with Delta f = f_tt + cot(theta)
+    # f_t + f_pp / sin^2(theta) from the pointwise derivatives
     grid = build_grid(16)
     c = _unit_coeff(grid, 5, 3)
-    lhs = synthesize(grid, laplace_beltrami(c)) + 30.0 * synthesize(grid, c)
+    th, ph = np.repeat(grid.theta, grid.nphi), np.tile(grid.phi, grid.ntheta)
+    _, ft, _, ftt, _, fpp = synth_at(c, th, ph, nderiv=2)
+    pointwise = ftt + ft / np.tan(th) + fpp / np.sin(th) ** 2
+    lhs = synthesize(grid, laplace_beltrami(grid, c)).ravel() - pointwise
     assert np.max(np.abs(lhs)) <= 1e-11
 
 

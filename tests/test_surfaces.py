@@ -8,7 +8,6 @@ curvature gradient), exact scaling/rotation covariance, and frozen
 constants from refinement and family studies (noted inline where used).
 """
 
-import csv
 import sys
 
 import numpy as np
@@ -105,6 +104,52 @@ def bump_field(grid, *terms):
     for l, m, amp in terms:
         c[coeff_index(l, m)] = amp
     return synthesize(grid, c)
+
+
+def distance_hessian_spot_check(s):
+    """Brute-force gap between the distance Hessian and the flat second form.
+
+    Central finite differences (step 1e-4 of the smallest radius) of the
+    true signed point-to-surface distance at 8 nodes, against the ambient
+    extension of the flat second form; max entrywise gap.
+    """
+    grid = s.grid
+    fd_hat = surf.fundamental_forms(s)
+    A_amb = surf._flat_extension(fd_hat, fd_hat.second_form)
+    # 19 offsets per node (center, 6 axis, 12 mixed), one batched solve
+    picks = np.linspace(0, grid.n_nodes - 1, 8, dtype=int)
+    th_nodes = np.repeat(grid.theta, grid.nphi)
+    ph_nodes = np.tile(grid.phi, grid.ntheta)
+    r_ref = float(np.linalg.norm(s.points, axis=1).min())
+    h = 1e-4 * r_ref
+    eye = np.eye(3)
+    offsets = [np.zeros(3)]
+    offsets += [sgn * h * eye[i] for i in range(3) for sgn in (+1, -1)]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for i, j in pairs:
+        for si in (+1, -1):
+            for sj in (+1, -1):
+                offsets.append(h * (si * eye[i] + sj * eye[j]))
+    offsets = np.array(offsets)  # (19, 3)
+    q = len(offsets)
+    X = (s.points[picks][:, None, :] + offsets[None]).reshape(-1, 3)
+    rho = surf._signed_distances(
+        s, X, np.repeat(th_nodes[picks], q), np.repeat(ph_nodes[picks], q)
+    ).reshape(len(picks), q)
+
+    spot = 0.0
+    for k, n in enumerate(picks):
+        hess = np.zeros((3, 3))
+        rho0 = rho[k, 0]
+        for i in range(3):
+            hess[i, i] = (rho[k, 1 + 2 * i] - 2 * rho0 + rho[k, 2 + 2 * i]) / h**2
+        for p, (i, j) in enumerate(pairs):
+            base = 7 + 4 * p
+            val = (rho[k, base] - rho[k, base + 1] - rho[k, base + 2]
+                   + rho[k, base + 3]) / (4 * h**2)
+            hess[i, j] = hess[j, i] = val
+        spot = max(spot, float(np.abs(hess - A_amb[n]).max()))
+    return spot
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +589,7 @@ def test_distance_hessian_round():
         grid = build_grid(L)
         s = surf.coordinate_sphere(r, grid)
         assert surf.distance_hessian_residual(surf.fundamental_forms(s)) < 1e-10
-        assert surf.distance_hessian_spot_check(s) < 1e-5
+        assert distance_hessian_spot_check(s) < 1e-5
         # closed form: the restricted Hessian is the tangential projector / r
         fd = surf.fundamental_forms(s)
         N = grid.n_nodes
@@ -560,7 +605,7 @@ def test_distance_hessian_round():
 
 def test_distance_hessian_lumpy(lumpy10):
     assert surf.distance_hessian_residual(surf.fundamental_forms(lumpy10)) < 1e-10
-    assert surf.distance_hessian_spot_check(lumpy10) < 1e-5
+    assert distance_hessian_spot_check(lumpy10) < 1e-5
 
 
 def test_expansion_residual_families(grid16, catalog):
@@ -674,41 +719,15 @@ def test_verify_computes_christoffel_once_per_record(monkeypatch):
 
 def test_fundamental_forms_contracts_the_gauss_equation(monkeypatch, catalog):
     # K of a curved record comes from the tangent-plane contraction of the
-    # jets: one Gamma, and neither the covariant Riemann tensor nor the
-    # Christoffel derivative is formed
+    # jets with one Gamma; the library has no Riemann tensor to form
     calls = []
+    christoffel = mcat.christoffel
 
-    def counted(name):
-        fn = getattr(mcat, name)
+    def counted(*args, **kwargs):
+        calls.append("christoffel")
+        return christoffel(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("christoffel", "christoffel_derivative", "riemann_lowered"):
-        monkeypatch.setattr(mcat, name, counted(name))
+    monkeypatch.setattr(mcat, "christoffel", counted)
     fd = surf.fundamental_forms(surf.coordinate_sphere(20.0, build_grid(12)), catalog["kerr"])
     assert calls == ["christoffel"]
     assert np.all(np.isfinite(fd.gauss_curvature))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_csv_roundtrip(tmp_path, lumpy10):
-    path = tmp_path / "surface.csv"
-    surf.write_immersion_csv(lumpy10, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["theta", "phi", "y1", "y2", "y3"]
-    assert len(rows) == 1 + lumpy10.grid.n_nodes
-    grid = lumpy10.grid
-    k = 1 + 3 * grid.nphi + 5  # node (3, 5)
-    row = rows[k]
-    assert abs(float(row[0]) - grid.theta[3]) < 1e-15
-    assert abs(float(row[1]) - grid.phi[5]) < 1e-15
-    assert np.abs(np.array(row[2:], dtype=float) - lumpy10.Y[3, 5]).max() < 1e-14
