@@ -6,6 +6,8 @@ a Weyl isometric-embedding pipeline, Brown-York and Hawking masses, and a
 study harness that measures their convergence to the ADM mass.
 """
 
+import types
+
 from .embedding import (
     EmbeddabilityError,
     EmbeddingError,
@@ -78,64 +80,8 @@ from .surfaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFMetric",
-    "AdmEstimate",
-    "ConfigError",
-    "EmbeddabilityError",
-    "EmbeddingError",
-    "FundamentalData",
-    "Immersion",
-    "IsometricEmbedding",
-    "MassReport",
-    "MassValues",
-    "MinkowskiResiduals",
-    "NearlyRoundError",
-    "RateFit",
-    "RegimeViolation",
-    "RowFailure",
-    "SelfIntersectionError",
-    "SolverError",
-    "SphereGrid",
-    "StudyConfig",
-    "UniformizationDiagnostics",
-    "UniformizationError",
-    "VerifyCheck",
-    "VerifyReport",
-    "VolumeCheck",
-    "adm_mass",
-    "adm_surface_integral",
-    "analyze",
-    "assemble_mass_row",
-    "best_fit_sphere",
-    "brown_york_mass",
-    "build_grid",
-    "center_gauge",
-    "coeff_index",
-    "conformal_perturbed",
-    "coordinate_sphere",
-    "embed",
-    "embed_axisymmetric",
-    "euclidean",
-    "fit_rate",
-    "fundamental_forms",
-    "hawking_mass",
-    "immerse_radial",
-    "kerr_slice",
-    "load_config",
-    "minkowski_residuals",
-    "mobius_map",
-    "nearly_round_diagnostics",
-    "parse_metric",
-    "run_masses",
-    "run_verify",
-    "schwarzschild_isotropic",
-    "schwarzschild_standard",
-    "solve_embedding",
-    "synth_at",
-    "synth_gradient",
-    "synthesize",
-    "uniformize",
-    "volume_cross_check",
-    "write_embedding_obj",
-]
+# every public name imported above; the submodules are not exported
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -29,6 +29,7 @@ from .embedding import (
 )
 from .errors import ConfigError, NearlyRoundError
 from .harness import (
+    MAX_RADIUS,
     RowFailure,
     StudyConfig,
     _parse_schedule,
@@ -113,16 +114,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    for name in ("radius", "tol"):
-        value = getattr(args, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    if not 0.0 < args.radius < MAX_RADIUS:
+        raise ConfigError(
+            f"radius must be positive and below {MAX_RADIUS:.4g}, where its fourth "
+            f"power overflows, got {args.radius}"
+        )
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
     metric = parse_metric(args.metric)
     grid = build_grid(args.band_limit)
     s = coordinate_sphere(args.radius, grid)
     fd = fundamental_forms(s, metric)
     e = embed(fd, tol=args.tol)
-    mk = minkowski_residuals(e, tau=metric.tau)
+    mk = minkowski_residuals(e)
     vol = volume_cross_check(e)
     if args.out:
         write_embedding_obj(e, args.out)

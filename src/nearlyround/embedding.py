@@ -20,8 +20,10 @@ Jacobian is formed.  The preconditioners are the linearizations about the
 unit round sphere, which the normalized surfaces approach: the diagonal
 -l(l+1) + 2 for the conformal factor, and for the metric match the normal
 matrix of the round embedding.  That matrix is block diagonal by azimuthal
-charge and two reflections; its blocks are probed once per grid through
-the same J/J^T products that the solver applies, and factored together.
+charge and two reflections; its blocks are probed through the same J/J^T
+products that the solver applies and factored together, once per band
+limit: like the gauge rows and the charge index arrays, they are a table
+of L cached by `sphere.band_limit_table`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import SolverError
 from .sphere import (
     SphereGrid,
     analyze,
+    band_limit_table,
     coeff_degrees,
     coeff_index,
     synth_at,
@@ -305,19 +308,29 @@ def _metric_mismatch(yt: np.ndarray, yp: np.ndarray, h: np.ndarray):
 _ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _gauge_rows(n_coeffs: int) -> np.ndarray:
+@band_limit_table
+def _gauge_rows(L: int) -> np.ndarray:
     """The six linear gauge conditions on a (n_coeffs, 3) coefficient block,
     as a (6, 3 n_coeffs) matrix against its row-major flattening.
 
     Rows 0-2 pin the constant coefficient of each component (translations);
     rows 3-5 the antisymmetric part of the degree-one block (rotations).
     """
-    G = np.zeros((6, n_coeffs, 3))
+    G = np.zeros((6, (L + 1) ** 2, 3))
     G[[0, 1, 2], 0, [0, 1, 2]] = 1.0
     for r, (a, b) in enumerate(_ROT_PAIRS):
         G[3 + r, _IDX1[a], b] = 1.0
         G[3 + r, _IDX1[b], a] = -1.0
     return G.reshape(6, -1)
+
+
+@band_limit_table
+def _charge_pairs(L: int) -> tuple:
+    """(x, y, sign) of `_charge_rotation`: the flat indices of x_{l,m} and
+    y_{l,-m} in a row-major (n_coeffs, 3) block, m != 0, and sign(m)."""
+    _, ms = coeff_degrees(L)
+    k = np.flatnonzero(ms)
+    return 3 * k, 3 * (k - 2 * ms[k]) + 1, np.sign(ms[k])[:, None]
 
 
 def _charge_rotation(v: np.ndarray) -> np.ndarray:
@@ -326,9 +339,7 @@ def _charge_rotation(v: np.ndarray) -> np.ndarray:
     |m| - 1 in the x slot and |m| + 1 in the y slot (x + iy has charge one).
     The map is symmetric, orthogonal and its own inverse."""
     K = v.shape[0]
-    _, ms = coeff_degrees(round(np.sqrt(K)) - 1)
-    k = np.flatnonzero(ms)
-    x, y, sign = 3 * k, 3 * (k - 2 * ms[k]) + 1, np.sign(ms[k])[:, None]
+    x, y, sign = _charge_pairs(round(np.sqrt(K)) - 1)
     flat = v.reshape(3 * K, -1)
     out = flat.copy()
     out[x] = (sign * flat[x] + flat[y]) / np.sqrt(2.0)
@@ -336,6 +347,7 @@ def _charge_rotation(v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
+@band_limit_table
 def _charge_labels(L: int) -> np.ndarray:
     """Class 4 |charge| + 2 equatorial + reflection of each entry of a
     (n_coeffs, 3) block after `_charge_rotation`; the charge is |m| - 1,
@@ -358,7 +370,7 @@ def _metric_linearization(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray):
     `synth_gradient_adjoint`; trailing axes are a stack."""
     N, K = grid.n_nodes, grid.n_coeffs
     sw = np.sqrt(grid.weights.reshape(N, 1))
-    gauge = _gauge_rows(K)
+    gauge = _gauge_rows(grid.L)
 
     def jac(v):
         vt, vp = (d.reshape(N, 3, -1) for d in synth_gradient(grid, v))
@@ -412,24 +424,25 @@ def cho_factor(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(blocks)
 
 
-def _round_preconditioner(grid: SphereGrid):
-    """r -> (J0^T J0)^{-1} r on (n_coeffs, 3) blocks, cached on the grid: the
-    blocks are factored in one batched `cho_factor` call and inverted as
-    L^-T L^-1, so each application is one gather, one product over the
-    blocks and one scatter between two `_charge_rotation`s."""
-    if "round_normal" not in grid._cache:
-        slots, valid, blocks = _round_normal_blocks(grid)
-        lower_inv = np.linalg.inv(cho_factor(blocks))
-        inverse = np.swapaxes(lower_inv, 1, 2) @ lower_inv
+@band_limit_table
+def _round_inverse_blocks(L: int) -> tuple:
+    """(slots, valid, inverse) of `_round_normal_blocks` at band limit L,
+    with the blocks factored in one batched `cho_factor` call and each
+    inverted as L^-T L^-1."""
+    slots, valid, blocks = _round_normal_blocks(SphereGrid(L))
+    lower_inv = np.linalg.inv(cho_factor(blocks))
+    return slots, valid, np.swapaxes(lower_inv, 1, 2) @ lower_inv
 
-        def precondition(r):
-            flat = _charge_rotation(r).ravel()
-            z = np.empty_like(flat)
-            z[slots[valid]] = np.einsum("cij,cj->ci", inverse, flat[slots])[valid]
-            return _charge_rotation(z.reshape(r.shape))
 
-        grid._cache["round_normal"] = precondition
-    return grid._cache["round_normal"]
+def _round_preconditioner(r: np.ndarray) -> np.ndarray:
+    """(J0^T J0)^{-1} r on an (n_coeffs, 3) block: one gather, one product
+    over the blocks of `_round_inverse_blocks` and one scatter, between two
+    `_charge_rotation`s."""
+    slots, valid, inverse = _round_inverse_blocks(round(np.sqrt(r.shape[0])) - 1)
+    flat = _charge_rotation(r).ravel()
+    z = np.empty_like(flat)
+    z[slots[valid]] = np.einsum("cij,cj->ci", inverse, flat[slots])[valid]
+    return _charge_rotation(z.reshape(r.shape))
 
 
 def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -437,7 +450,7 @@ def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndar
     of J s = -R as an (n_coeffs, 3) block, by conjugate gradients on
     J^T J s = -J^T R preconditioned by the round-sphere normal matrix."""
     jac, jac_t = _metric_linearization(grid, yt, yp)
-    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner(grid))
+    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner)
 
 
 def solve_embedding(
@@ -463,8 +476,8 @@ def solve_embedding(
     conjugate gradients on J and J^T products (`_embedding_step`), to a
     relative residual of 1e-12.  The preconditioner is the normal matrix of
     the unit round embedding, which the normalized surface approaches; its
-    azimuthal-charge blocks are probed through the same J and J^T, factored
-    once per grid and cached on it.
+    azimuthal-charge blocks are probed through the same J and J^T and
+    factored once per band limit (see `_round_inverse_blocks`).
 
     The iteration starts from `seed`, the unit round sphere when omitted; a
     seed that already matches within `tol` takes no step.
@@ -485,7 +498,7 @@ def solve_embedding(
         raise ValueError("target metric vanishes at a node")
 
     sw = np.sqrt(grid.weights.ravel())
-    gauge = _gauge_rows(grid.n_coeffs)
+    gauge = _gauge_rows(grid.L)
     c = analyze(grid, grid.unit_vectors if seed is None else seed.Y)
 
     def state(cm):
@@ -719,32 +732,26 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
 
 @dataclass
 class MinkowskiResiduals:
-    """Relative gaps of the two Minkowski identities plus the scaled
-    total-mean-curvature gap against 4 pi r0 + Area / r0."""
+    """Relative gaps of the two Minkowski identities."""
 
     first_identity: float
     second_identity: float
-    claim_residual: float
 
 
-def minkowski_residuals(e: IsometricEmbedding, tau: float = 1.0) -> MinkowskiResiduals:
+def minkowski_residuals(e: IsometricEmbedding) -> MinkowskiResiduals:
     """Quadrature residuals of the Minkowski integral identities of the image.
 
     first_identity:  | oint H0 - 2 oint K X.n | / oint H0
     second_identity: | 2 Area - oint H0 X.n | / (2 Area)
-    claim_residual:  | oint H0 - 4 pi r0 - Area/r0 | * r0^(2 tau - 1)
     """
     data = e.image_data
     total_h = data.integrate(data.mean_curvature)
     kx = data.integrate(data.gauss_curvature * e.support)
     hx = data.integrate(data.mean_curvature * e.support)
     area = data.area
-    r0 = e.radius
     return MinkowskiResiduals(
         first_identity=abs(total_h - 2.0 * kx) / abs(total_h),
         second_identity=abs(2.0 * area - hx) / (2.0 * area),
-        claim_residual=abs(total_h - 4.0 * np.pi * r0 - area / r0)
-        * r0 ** (2.0 * tau - 1.0),
     )
 
 

@@ -62,6 +62,10 @@ __all__ = [
 
 _FAMILIES = ("coordinate-spheres", "radial-perturbed")
 
+# radii at or beyond this have a fourth power that overflows a float, and
+# det h = r^4 sin^2 theta on a coordinate sphere
+MAX_RADIUS = float(np.finfo(float).max) ** 0.25
+
 CSV_COLUMNS = ("r", "area", "hawking", "brown_york", "adm_reference", "embed_residual", "flags")
 
 
@@ -89,8 +93,11 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple(float(r) for r in self.schedule))
-        if not all(math.isfinite(r) for r in self.schedule):
-            raise ConfigError(f"schedule radii must be finite: {self.schedule}")
+        if not all(abs(r) < MAX_RADIUS for r in self.schedule):
+            raise ConfigError(
+                f"schedule radii must be finite and below {MAX_RADIUS:.4g}, where "
+                f"their fourth power overflows: {self.schedule}"
+            )
         for name in ("amplitude", "decay", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -506,7 +513,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
             mink1 = mink2 = math.inf
             embed_note = f"embedding failed at r={r:g}: {type(exc).__name__}"
             break
-        mk = minkowski_residuals(e, tau=metric.tau)
+        mk = minkowski_residuals(e)
         embed_worst = max(embed_worst, e.metric_residual)
         mink1 = max(mink1, mk.first_identity)
         mink2 = max(mink2, mk.second_identity)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .sphere import SphereGrid
 
 
@@ -43,6 +43,10 @@ class PointInsideExclusionRadius(ConfigError):
 
 class UnknownMetricFamily(ConfigError):
     """The metric specification names no family of the catalog."""
+
+
+class NonFiniteJets(SolverError):
+    """A jet entry overflowed a float at a point outside the exclusion radius."""
 
 
 class QuadratureUnderresolved(UserWarning):
@@ -70,7 +74,8 @@ class AFMetric:
     """Asymptotically flat metric: family tag, parameters, decay order tau.
 
     ``exclusion_radius`` is twice the natural singular radius of the family;
-    jet evaluation raises PointInsideExclusionRadius inside it.
+    jet evaluation raises PointInsideExclusionRadius inside it, and
+    NonFiniteJets where an entry overflows (the Kerr jets carry r^6).
     """
 
     def __init__(self, family, params, tau, exclusion_radius, jet_fn, known_mass):
@@ -89,7 +94,12 @@ class AFMetric:
                 f"{self.family}: point at radius {radii.min():.6g} inside "
                 f"exclusion radius {self.exclusion_radius:.6g}"
             )
-        g, dg, ddg = self._jet_fn(points)
+        with np.errstate(all="ignore"):
+            g, dg, ddg = self._jet_fn(points)
+        if not all(np.all(np.isfinite(a)) for a in (g, dg, ddg)):
+            raise NonFiniteJets(
+                f"{self.family}: metric jets overflow at radius up to {radii.max():.6g}"
+            )
         return JetBatch(g, dg, ddg)
 
     def __repr__(self):

@@ -12,6 +12,11 @@ one batched matrix product over m against the grid's per-m Legendre table
 layout and Legendre step, with an explicit phi sum at scattered points.
 SphereGrid's dense matrices are oracles built on demand.
 
+The band-limit tables (nodes, weights, Legendre rows, coefficient layout,
+and embedding's tables) are functions of the integer L, cached by L and
+read-only (`band_limit_table`).  A SphereGrid is a plain value: grids of
+one L share every table, and each table is built once per process.
+
 Conventions
 -----------
 * Grid: band limit L gives L+1 Gauss-Legendre nodes in cos(theta) and 2L+2
@@ -28,11 +33,26 @@ Conventions
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
+
+
+def band_limit_table(build):
+    """Decorator for a table that depends on the band limit alone: cache
+    `build(L)` by L with functools.cache and return its array, or each array
+    of its tuple, read-only, so no caller can change a table that every
+    grid of that L shares."""
+
+    def frozen(L: int):
+        table = build(L)
+        for array in table if isinstance(table, tuple) else (table,):
+            array.setflags(write=False)
+        return table
+
+    return functools.cache(functools.wraps(build)(frozen))
 
 
 def coeff_index(l: int, m: int) -> int:
@@ -40,11 +60,11 @@ def coeff_index(l: int, m: int) -> int:
     return l * (l + 1) + m
 
 
+@band_limit_table
 def coeff_degrees(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of l and m for each flat coefficient index, 0..(L+1)^2-1."""
-    ls = np.concatenate([np.full(2 * l + 1, l) for l in range(L + 1)])
-    ms = np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)])
-    return ls, ms
+    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    return ls, np.arange((L + 1) ** 2) - ls * (ls + 1)
 
 
 def normalized_legendre(L: int, mu: np.ndarray) -> np.ndarray:
@@ -87,27 +107,42 @@ def normalized_legendre_dtheta(p: np.ndarray) -> np.ndarray:
     return 0.5 * dp
 
 
-@dataclass
+@band_limit_table
+def _nodes(L: int) -> tuple:
+    """(mu, theta, phi, weights, unit_vectors) of the grid at band limit L,
+    theta increasing from north to south."""
+    mu, wgl = np.polynomial.legendre.leggauss(L + 1)
+    order = np.argsort(-mu)
+    mu = mu[order]
+    theta = np.arccos(mu)
+    phi = 2.0 * np.pi * np.arange(2 * L + 2) / (2 * L + 2)
+    w = wgl[order] * (2.0 * np.pi / (2 * L + 2))
+    weights = np.repeat(w[:, None], 2 * L + 2, axis=1)
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    unit = np.stack(
+        [st * np.cos(phi), st * np.sin(phi), np.broadcast_to(ct, weights.shape)], axis=-1
+    )
+    return mu, theta, phi, weights, unit
+
+
+@dataclass(frozen=True)
 class SphereGrid:
-    """Gauss-Legendre x uniform-phi quadrature grid at band limit L."""
+    """Gauss-Legendre x uniform-phi quadrature grid at band limit L; its
+    arrays are the shared read-only tables of `_nodes(L)`."""
 
     L: int
-    theta: np.ndarray = field(init=False, repr=False)
-    phi: np.ndarray = field(init=False, repr=False)
-    mu: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+
+    mu = property(lambda self: _nodes(self.L)[0], doc="cos(theta) of the node rows.")
+    theta = property(lambda self: _nodes(self.L)[1], doc="Node colatitudes.")
+    phi = property(lambda self: _nodes(self.L)[2], doc="Node longitudes.")
+    weights = property(lambda self: _nodes(self.L)[3], doc="Weights, (ntheta, nphi).")
+    unit_vectors = property(
+        lambda self: _nodes(self.L)[4], doc="Node directions, (ntheta, nphi, 3)."
+    )
 
     def __post_init__(self):
         if self.L < 1:
             raise ConfigError(f"band limit must be >= 1, got {self.L}")
-        mu, wgl = np.polynomial.legendre.leggauss(self.L + 1)
-        order = np.argsort(-mu)  # theta increasing from north to south
-        self.mu = mu[order]
-        self.theta = np.arccos(self.mu)
-        self.phi = 2.0 * np.pi * np.arange(2 * self.L + 2) / (2 * self.L + 2)
-        w = wgl[order] * (2.0 * np.pi / (2 * self.L + 2))
-        self.weights = np.repeat(w[:, None], 2 * self.L + 2, axis=1)
-        self._cache: dict = {}
 
     @property
     def ntheta(self) -> int:
@@ -129,17 +164,6 @@ class SphereGrid:
     def shape(self) -> tuple[int, int]:
         return (self.ntheta, self.nphi)
 
-    @property
-    def unit_vectors(self) -> np.ndarray:
-        """Node directions on the unit sphere, shape (ntheta, nphi, 3)."""
-        if "unit_vectors" not in self._cache:
-            st, ct = np.sin(self.theta)[:, None], np.cos(self.theta)[:, None]
-            cp, sp = np.cos(self.phi), np.sin(self.phi)
-            self._cache["unit_vectors"] = np.stack(
-                [st * cp, st * sp, np.broadcast_to(ct, self.shape)], axis=-1
-            )
-        return self._cache["unit_vectors"]
-
     def integrate(self, f: np.ndarray) -> float:
         """Quadrature of a scalar field against the round measure."""
         return float(np.sum(self.weights * f))
@@ -149,7 +173,7 @@ class SphereGrid:
         (deriv 0, 1, 2) from explicit cos/sin rows, built on every call."""
         ls, ms = coeff_degrees(self.L)
         first = 0 if deriv == 1 else self.ntheta
-        leg = _legendre_rows(self)[np.abs(ms), first : first + self.ntheta, ls]
+        leg = _legendre_rows(self.L)[np.abs(ms), first : first + self.ntheta, ls]
         mphi, sine = np.outer(np.abs(ms), self.phi), (ms < 0)[:, None]
         trig = np.where(sine, np.sin(mphi), np.cos(mphi))
         if deriv == 2:
@@ -180,7 +204,7 @@ def build_grid(L: int) -> SphereGrid:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@band_limit_table
 def _layout(L: int):
     """(row, part, scale, scale w_m) of each flat coefficient in the per-m
     amplitude table ((L+1)^2, ncomp, re/im).  Row m (L+1) + l holds Z = c_{l,0}
@@ -205,13 +229,13 @@ def _coefficients(L: int, b: np.ndarray) -> np.ndarray:
     return wscale[:, None] * b.reshape((L + 1) ** 2, -1, 2)[row, :, part]
 
 
-def _legendre_rows(grid: SphereGrid) -> np.ndarray:
-    """(m, 2 ntheta, l) table, cached: dPbar_l^m/dtheta rows, then Pbar_l^m."""
-    if "legendre" not in grid._cache:
-        p = normalized_legendre(grid.L, grid.mu)
-        pd = np.concatenate([normalized_legendre_dtheta(p), p], axis=2)
-        grid._cache["legendre"] = np.ascontiguousarray(pd.transpose(1, 2, 0))
-    return grid._cache["legendre"]
+@band_limit_table
+def _legendre_rows(L: int) -> np.ndarray:
+    """(m, 2 ntheta, l) table at the grid's nodes: dPbar_l^m/dtheta rows,
+    then Pbar_l^m."""
+    p = normalized_legendre(L, _nodes(L)[0])
+    pd = np.concatenate([normalized_legendre_dtheta(p), p], axis=2)
+    return np.ascontiguousarray(pd.transpose(1, 2, 0))
 
 
 def _to_nodes(grid: SphereGrid, q: np.ndarray) -> np.ndarray:
@@ -236,7 +260,7 @@ def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
     if f.shape[:2] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
     t = _from_nodes(grid, grid.weights[:, :1, None] * f.reshape(grid.shape + (-1,)))
-    b = _legendre_rows(grid)[:, grid.ntheta :].transpose(0, 2, 1) @ t.view(float)
+    b = _legendre_rows(grid.L)[:, grid.ntheta :].transpose(0, 2, 1) @ t.view(float)
     return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + f.shape[2:])
 
 
@@ -251,14 +275,14 @@ def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"coefficients of shape {coeffs.shape} do not match band "
                          f"limit {grid.L} (expected {grid.n_coeffs} rows)")
     amps = _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
-    q = _legendre_rows(grid)[:, grid.ntheta :] @ amps
+    q = _legendre_rows(grid.L)[:, grid.ntheta :] @ amps
     return _to_nodes(grid, q).reshape(grid.shape + coeffs.shape[1:])
 
 
 def synth_gradient(grid: SphereGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d/dtheta, d/dphi) fields of the synthesized function or stack."""
     coeffs = np.asarray(coeffs, dtype=float)
-    q = _legendre_rows(grid) @ _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
+    q = _legendre_rows(grid.L) @ _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
     q.view(complex)[:, grid.ntheta :] *= 1j * np.arange(grid.L + 1.0)[:, None, None]
     return tuple(_to_nodes(grid, q).reshape((2,) + grid.shape + coeffs.shape[1:]))
 
@@ -270,7 +294,7 @@ def synth_gradient_adjoint(grid: SphereGrid, ft: np.ndarray, fp: np.ndarray) -> 
     pair = np.array([ft, fp], dtype=float)
     t = _from_nodes(grid, pair.reshape(2 * grid.ntheta, grid.nphi, -1))
     t[:, grid.ntheta :] *= -1j * np.arange(grid.L + 1.0)[:, None, None]
-    b = _legendre_rows(grid).transpose(0, 2, 1) @ t.view(float)
+    b = _legendre_rows(grid.L).transpose(0, 2, 1) @ t.view(float)
     return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + pair.shape[3:])
 
 

@@ -510,9 +510,9 @@ def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # r ** -decay overflows a float at r = 1e300
+        # r ** -decay overflows a float at r = 1e10
         ["masses", "--family", "radial-perturbed", "--l", "2", "--decay", "-300",
-         "--schedule", "10,20,1e300"],
+         "--schedule", "10,20,1e10"],
         # the flux integral carries r^2, which overflows at r = 1e200
         ["adm", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e200"],
     ],
@@ -525,6 +525,35 @@ def test_cli_float_overflow_is_a_config_error(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "nearlyround.cli", *argv], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("command", ["masses", "verify", "embed"])
+def test_cli_rejects_radius_whose_fourth_power_overflows(command):
+    # det h = r^4 sin^2 theta on a coordinate sphere overflows at r = 1e100,
+    # where r^2 is still finite; the radius is bad input, not a solver failure
+    where = ["--radius", "1e100"] if command == "embed" else ["--schedule", "10,20,1e100"]
+    proc = _cli(command, "--metric", "kerr_slice m=1 a=0.5", *where)
+    assert proc.returncode == 2, proc.stderr
+    assert "fourth power overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_masses_row_fails_where_metric_jets_overflow():
+    # r = 1e70 passes the radius rule, but the Kerr jets carry r^6: that row
+    # fails by name and the others stand
+    proc = _cli("masses", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e70",
+                "--band-limit", "8")
+    assert proc.returncode == 3, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows[:2]] == ["", ""]
+    assert rows[2].startswith("1e+70,") and "row-failed:NonFiniteJets" in rows[2]
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_exit_code_solver_failure(capsys):
@@ -721,6 +750,22 @@ def _top_level_names(stmt) -> set:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
     return set()
+
+
+def test_no_module_touches_private_attributes_of_other_objects():
+    # a single-underscore attribute is the private state of its object: in
+    # src/ only self and cls read or write one (private module functions
+    # imported by name are not attributes and are not counted)
+    root = Path(__file__).resolve().parents[1]
+    touched = [
+        f"{path.stem}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted((root / "src" / "nearlyround").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert touched == []
 
 
 def test_every_library_name_is_read_outside_the_tests():

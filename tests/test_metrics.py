@@ -678,6 +678,17 @@ def test_adm_mass_rejects_radii_whose_square_overflows():
         M.adm_mass(M.kerr_slice(1.0, 0.5), [10.0, 20.0, 1e200])
 
 
+def test_jets_overflow_is_a_solver_error_without_warnings():
+    # outside the exclusion radius but where the Kerr jets (Sigma r^4 ~ r^6)
+    # overflow a float
+    kerr = M.kerr_slice(1.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kerr.jets(np.array([[0.0, 0.0, 1e40], [1e40, 0.0, 0.0]]))
+        with pytest.raises(M.NonFiniteJets, match="overflow"):
+            kerr.jets(np.array([[1e70, 0.0, 0.0]]))
+
+
 def test_adm_mass_kerr():
     est = M.adm_mass(M.kerr_slice(1.0, 0.5), [50.0, 100.0, 200.0])
     assert abs(est.value - 1.0) <= 1e-2

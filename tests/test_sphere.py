@@ -149,6 +149,17 @@ def test_grid_shape_and_weight_sum():
     assert abs(grid.weights.sum() - 4 * np.pi) <= 1e-13
 
 
+@pytest.mark.parametrize("L", [1, 2, 8, 33])
+def test_coeff_degrees_matches_the_loop_over_degrees(L):
+    # the vectorized table against the loop over l it replaced, and the
+    # flat index it inverts
+    ls, ms = coeff_degrees(L)
+    loop = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
+    assert ls.tolist() == [l for l, _ in loop]
+    assert ms.tolist() == [m for _, m in loop]
+    assert [coeff_index(l, m) for l, m in loop] == list(range((L + 1) ** 2))
+
+
 def test_grid_rejects_degenerate_band_limit():
     with pytest.raises(ValueError):
         SphereGrid(0)
