@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 from .embedding import (
@@ -246,18 +247,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning that writes one log line, with no source location."""
+    log.warning("warning: %s: %s", category.__name__, message)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG_ERROR
-    except NearlyRoundError as exc:
-        log.error("solver failure: %s", exc)
-        return EXIT_SOLVER_FAILURE
+    with warnings.catch_warnings():
+        warnings.showwarning = _log_warning
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            log.error("configuration error: %s", exc)
+            return EXIT_CONFIG_ERROR
+        except NearlyRoundError as exc:
+            log.error("solver failure: %s", exc)
+            return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

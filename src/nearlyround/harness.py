@@ -430,14 +430,22 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
     members = family_surfaces(config, grid, metric)
-    data = []
+    data, member_error = [], None
     for r, s in members:
-        fd_hat = fundamental_forms(s)
-        fd = fundamental_forms(s, metric)
-        data.append((r, fd_hat, fd))
+        try:
+            data.append((r, fundamental_forms(s), fundamental_forms(s, metric)))
+        except NearlyRoundError as exc:
+            member_error = member_error or exc
+
+    def family():
+        # every check reads the whole family: a member whose records
+        # failed fails each check with its error, and the table goes on
+        if member_error is not None:
+            raise member_error
+        return data
 
     def over_family(fn):
-        return max(fn(fd_hat, fd) for _, fd_hat, fd in data)
+        return max(fn(fd_hat, fd) for _, fd_hat, fd in family())
 
     checks = []
 
@@ -489,7 +497,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     )
 
     try:
-        diag = nearly_round_diagnostics([fd for _, _, fd in data])
+        diag = nearly_round_diagnostics([fd for _, _, fd in family()])
     except NearlyRoundError as exc:
         add_failed("roundness-flags", 0.0, exc)
     else:
@@ -497,7 +505,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
 
     add_measured(
         "spectral-resolution",
-        lambda: max(_curvature_tail(grid, fd) for _, _, fd in data),
+        lambda: max(_curvature_tail(grid, fd) for _, _, fd in family()),
         1e-10,
     )
 
@@ -505,19 +513,22 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     mink1 = 0.0
     mink2 = 0.0
     embed_note = ""
-    for r, _, fd in data:
-        try:
-            e = embed(fd, tol=config.tol)
-        except NearlyRoundError as exc:
-            embed_worst = math.inf
-            mink1 = mink2 = math.inf
-            embed_note = f"embedding failed at r={r:g}: {type(exc).__name__}"
-            break
-        mk = minkowski_residuals(e)
-        embed_worst = max(embed_worst, e.metric_residual)
-        mink1 = max(mink1, mk.first_identity)
-        mink2 = max(mink2, mk.second_identity)
+    try:
+        for r, _, fd in family():
+            try:
+                e = embed(fd, tol=config.tol)
+            except NearlyRoundError as exc:
+                embed_note = f"embedding failed at r={r:g}: {type(exc).__name__}"
+                break
+            mk = minkowski_residuals(e)
+            embed_worst = max(embed_worst, e.metric_residual)
+            mink1 = max(mink1, mk.first_identity)
+            mink2 = max(mink2, mk.second_identity)
+    except NearlyRoundError as exc:
+        embed_note = f"computation failed: {type(exc).__name__}: {exc}"
     embedded = not embed_note
+    if not embedded:
+        embed_worst = mink1 = mink2 = math.inf
     add("embedding-residual", embed_worst, config.tol, embed_note, embedded)
     add("minkowski-first", mink1, 1e-6, embed_note, embedded)
     add("minkowski-second", mink2, 1e-6, embed_note, embedded)
@@ -525,14 +536,19 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     if metric.known_mass is None:
         add("adm-agreement", 0.0, 1.0, note="metric has no mass reference; skipped")
     else:
-        est = adm_mass(metric, config.schedule, config.band_limit)
-        rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
-        add(
-            "adm-agreement",
-            abs(est.value - metric.known_mass),
-            0.05 * max(1.0, abs(metric.known_mass)),
-            note=f"extrapolated {est.value:.6f}{rate}",
-        )
+        tolerance = 0.05 * max(1.0, abs(metric.known_mass))
+        try:
+            est = adm_mass(metric, config.schedule, config.band_limit)
+        except NearlyRoundError as exc:
+            add_failed("adm-agreement", tolerance, exc)
+        else:
+            rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
+            add(
+                "adm-agreement",
+                abs(est.value - metric.known_mass),
+                tolerance,
+                note=f"extrapolated {est.value:.6f}{rate}",
+            )
 
     if inject_failure:
         rng = np.random.default_rng(config.seed)

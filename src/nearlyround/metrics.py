@@ -23,7 +23,10 @@ differences and symbolic derivations appear only in the test suite as
 independent oracles.
 
 Index conventions: ``dg[i, j, k] = d_k g_ij``; ``ddg[i, j, k, l] =
-d_k d_l g_ij``; batched arrays carry a leading node axis.
+d_k d_l g_ij``.  A JetBatch carries a leading node axis and C-contiguous
+arrays.  Inside, the scalar jets (_Jet) and the assembly keep the node
+axis last, so each per-node product runs its inner loop over the nodes;
+the assembled tensors are moved to node-major once.
 """
 
 from __future__ import annotations
@@ -119,11 +122,12 @@ class AFMetric:
 
 
 class _Jet:
-    """A scalar field at N points: value v (N,), gradient d (N,3), Hessian h (N,3,3).
+    """A scalar field at N points: value v (N,), gradient d (3, N), Hessian h (3, 3, N).
 
-    Arithmetic follows the product and chain rules, so a closed form
-    written with these objects carries its exact first and second
-    derivatives.  Plain numbers act as constants.
+    The node axis is last, so every product below runs its inner loop
+    over the N points.  Arithmetic follows the product and chain rules,
+    so a closed form written with these objects carries its exact first
+    and second derivatives.  Plain numbers act as constants.
     """
 
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
@@ -133,7 +137,7 @@ class _Jet:
 
     @classmethod
     def constant(cls, c, n):
-        return cls(np.full(n, float(c)), np.zeros((n, 3)), np.zeros((n, 3, 3)))
+        return cls(np.full(n, float(c)), np.zeros((3, n)), np.zeros((3, 3, n)))
 
     def __add__(self, other):
         if isinstance(other, _Jet):
@@ -151,14 +155,11 @@ class _Jet:
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return _Jet(other * self.v, other * self.d, other * self.h)
-        cross = self.d[:, :, None] * other.d[:, None, :]
+        cross = self.d[:, None] * other.d[None, :]
         return _Jet(
             self.v * other.v,
-            self.d * other.v[:, None] + self.v[:, None] * other.d,
-            self.h * other.v[:, None, None]
-            + self.v[:, None, None] * other.h
-            + cross
-            + cross.transpose(0, 2, 1),
+            self.d * other.v + self.v * other.d,
+            self.h * other.v + self.v * other.h + cross + cross.transpose(1, 0, 2),
         )
 
     __rmul__ = __mul__
@@ -174,9 +175,8 @@ class _Jet:
         d2 = p * (p - 1.0) * self.v ** (p - 2.0)
         return _Jet(
             self.v**p,
-            d1[:, None] * self.d,
-            d1[:, None, None] * self.h
-            + d2[:, None, None] * self.d[:, :, None] * self.d[:, None, :],
+            d1 * self.d,
+            d1 * self.h + d2 * self.d[:, None] * self.d[None, :],
         )
 
 
@@ -184,12 +184,12 @@ def _coordinates(points):
     """Jets of the Cartesian coordinates x, y, z and of the radius r."""
     n = len(points)
     eye = np.eye(3)
-    zero = np.zeros((n, 3, 3))
-    x, y, z = (_Jet(points[:, i], np.broadcast_to(eye[i], (n, 3)), zero) for i in range(3))
+    zero = np.zeros((3, 3, n))
+    x, y, z = (_Jet(points[:, i], np.broadcast_to(eye[i][:, None], (3, n)), zero) for i in range(3))
     r = np.linalg.norm(points, axis=1)
-    nhat = points / r[:, None]
-    nn = nhat[:, :, None] * nhat[:, None, :]
-    return x, y, z, _Jet(r, nhat, (eye - nn) / r[:, None, None])
+    nhat = points.T / r
+    nn = nhat[:, None] * nhat[None, :]
+    return x, y, z, _Jet(r, nhat, (eye[:, :, None] - nn) / r)
 
 
 def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
@@ -222,32 +222,41 @@ def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
 _ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+def _node_major(a):
+    """A node-last array as a C-contiguous array with the node axis first."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
 def _assemble(points, B, F=None, E=None):
     """(g, dg, ddg) of g = B I + F x (x) x + E w (x) w from scalar jets.
 
-    Every catalog metric has this form; F and E default to zero.
+    Every catalog metric has this form; F and E default to zero.  The
+    tensors are built node-last and returned once, node-major.
     """
-    eye = np.eye(3)
-    g = B.v[:, None, None] * eye
-    dg = np.einsum("nk,ij->nijk", B.d, eye)
-    ddg = np.einsum("nkl,ij->nijkl", B.h, eye)
-    for S, V in ((F, eye), (E, _ROTATION)):
+    eye = np.eye(3)[:, :, None]
+    g = B.v * eye
+    dg = B.d * eye[:, :, None]
+    ddg = B.h * eye[:, :, None, None]
+    for S, V in ((F, np.eye(3)), (E, _ROTATION)):
         if S is None:
             continue
         # v = V x has the constant Jacobian d_k v_i = V_ik
-        v = points @ V.T
-        vv = v[:, :, None] * v[:, None, :]
-        dvv = np.einsum("ik,nj->nijk", V, v) + np.einsum("ni,jk->nijk", v, V)
-        ddvv = np.einsum("ik,jl->ijkl", V, V) + np.einsum("il,jk->ijkl", V, V)
-        g += S.v[:, None, None] * vv
-        dg += np.einsum("nk,nij->nijk", S.d, vv) + S.v[:, None, None, None] * dvv
+        v = V @ points.T
+        vv = v[:, None] * v[None, :]
+        dvv = V[:, None, :, None] * v[None, :, None] + v[:, None, None] * V[None, :, :, None]
+        ddvv = (
+            V[:, None, :, None] * V[None, :, None, :] + V[:, None, None, :] * V[None, :, :, None]
+        )[..., None]
+        g += S.v * vv
+        dg += S.d * vv[:, :, None] + S.v * dvv
+        dS_dvv = S.d[:, None] * dvv[:, :, None]  # [i, j, k, l] = d_k S d_l vv_ij
         ddg += (
-            np.einsum("nkl,nij->nijkl", S.h, vv)
-            + np.einsum("nk,nijl->nijkl", S.d, dvv)
-            + np.einsum("nl,nijk->nijkl", S.d, dvv)
-            + S.v[:, None, None, None, None] * ddvv
+            S.h * vv[:, :, None, None]
+            + dS_dvv
+            + dS_dvv.transpose(0, 1, 3, 2, 4)
+            + S.v * ddvv
         )
-    return g, dg, ddg
+    return _node_major(g), _node_major(dg), _node_major(ddg)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +398,29 @@ def parse_metric(text: str) -> AFMetric:
 # ---------------------------------------------------------------------------
 
 
+def symmetric_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of an (N, 3, 3) stack of symmetric matrices.
+
+    The adjugate over the determinant, in closed form with the node axis
+    innermost; only the upper triangle of g is read.
+    """
+    g00, g01, g02 = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
+    g11, g12, g22 = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+    c00 = g11 * g22 - g12 * g12
+    c01 = g02 * g12 - g01 * g22
+    c02 = g01 * g12 - g02 * g11
+    c11 = g00 * g22 - g02 * g02
+    c12 = g01 * g02 - g00 * g12
+    c22 = g00 * g11 - g01 * g01
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    cof = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1)
+    return (cof / det[:, None]).reshape(-1, 3, 3)
+
+
 def christoffel(jets: JetBatch) -> np.ndarray:
     """Christoffel symbols of the second kind, Gamma[n, k, i, j] = Gamma^k_ij."""
-    ginv = np.linalg.inv(jets.g)
+    n = len(jets.g)
+    ginv = symmetric_inverse(jets.g)
     dg = jets.dg  # dg[n, i, j, k] = d_k g_ij
     # T[n, l, i, j] = d_j g_il + d_i g_jl - d_l g_ij
     T = (
@@ -399,7 +428,7 @@ def christoffel(jets: JetBatch) -> np.ndarray:
         + np.einsum("njli->nlij", dg)
         - np.einsum("nijl->nlij", dg)
     )
-    return 0.5 * np.einsum("nkl,nlij->nkij", ginv, T)
+    return 0.5 * (ginv @ T.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
 
 
 def sectional_curvature(

@@ -141,6 +141,7 @@ class FundamentalData:
     dtheta dphi, so integrate() multiplies by it under the grid rule.
     points, tangents (N, 2, 3), the ambient jets and Christoffel symbols
     (N, 3, 3, 3) are per flattened node; tau is the ambient decay order.
+    A flat record's jets and Christoffel symbols are read-only constants.
     """
 
     ambient: str
@@ -205,6 +206,14 @@ def _resolve_ambient(ambient):
     return metric, tag
 
 
+def _flat_ambient(N: int) -> tuple[mcat.JetBatch, np.ndarray]:
+    """The Euclidean jets and Christoffel symbols at N nodes, as read-only
+    constant views: g = delta, and every derivative and Gamma zero."""
+    zeros = np.broadcast_to(0.0, (N, 3, 3, 3, 3))
+    jets = mcat.JetBatch(np.broadcast_to(np.eye(3), (N, 3, 3)), zeros[..., 0], zeros)
+    return jets, zeros[..., 0]
+
+
 def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     """First/second fundamental forms, H, tracefree part, K, and totals.
 
@@ -213,17 +222,28 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     det A) / det h, so it is intrinsic in either case; the ambient term is
     metrics.sectional_curvature on the tangent pair, which reads the jets
     and the record's one Gamma and forms no curvature tensor.
+
+    A Euclidean ambient (None or the ``euclidean`` family) evaluates no
+    jets and no Christoffel symbols: h = T T^t, nu = (T0 x T1)/|T0 x T1|,
+    and K = det A / det h.  Its record still carries jets (g = delta, zero
+    derivatives) and a zero Gamma as read-only constant views, so every
+    consumer reads a flat record like a curved one.
     """
     grid = s.grid
     metric, tag = _resolve_ambient(ambient)
     flat = tag == "euclidean"
     pts = s.points
     N = len(pts)
-    jets = metric.jets(pts)
-    g = jets.g
-
     T = np.stack(s.tangents(), axis=2).reshape(N, 2, 3)
-    h = np.einsum("nai,nij,nbj->nab", T, g, T)
+    Tt = T.transpose(0, 2, 1)
+    if flat:
+        jets, Gam = _flat_ambient(N)
+        gT = T
+    else:
+        jets = metric.jets(pts)
+        Gam = mcat.christoffel(jets)
+        gT = T @ jets.g  # g symmetric: row a is g T_a
+    h = gT @ Tt
     deth = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2
     if not np.all(deth > 0.0):  # a NaN node fails this test too
         raise DegenerateInducedMetric(
@@ -237,19 +257,25 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     # outward unit normal: g^{-1} applied to the Euclidean tangent cross
     # product is g-orthogonal to both tangents and outward-pointing
     cross = np.cross(T[:, 0], T[:, 1])
-    nu = np.linalg.solve(g, cross[:, :, None])[:, :, 0]
-    nu /= np.sqrt(np.einsum("ni,nij,nj->n", nu, g, nu))[:, None]
+    if flat:
+        nu = cross / np.linalg.norm(cross, axis=1)[:, None]
+    else:
+        nu = (mcat.symmetric_inverse(jets.g) @ cross[:, :, None])[:, :, 0]
+        nu /= np.sqrt(np.einsum("ni,ni->n", nu, cross))[:, None]  # g(nu, nu) = nu . cross
 
     nu_coeffs = analyze(grid, nu.reshape(grid.shape + (3,)))
     dnu = np.stack(synth_gradient(grid, nu_coeffs), axis=2).reshape(N, 2, 3)
-    Gam = mcat.christoffel(jets)
-    cov = dnu + np.einsum("nikl,nak,nl->nai", Gam, T, nu)
-    A = np.einsum("nai,nij,nbj->nab", cov, g, T)
+    cov = dnu  # cov[a, i] = d_a nu^i + Gamma^i_kl T_a^k nu^l
+    if not flat:
+        Gnu = (Gam.reshape(N, 9, 3) @ nu[:, :, None]).reshape(N, 3, 3)
+        cov = dnu + T @ Gnu.transpose(0, 2, 1)
+    A = cov @ gT.transpose(0, 2, 1)
     A = 0.5 * (A + A.transpose(0, 2, 1))
 
     H = np.einsum("nab,nab->n", hinv, A)
     Aring = A - 0.5 * H[:, None, None] * h
-    ring2 = np.einsum("nab,ncd,nac,nbd->n", Aring, Aring, hinv, hinv)
+    P = hinv @ Aring
+    ring2 = np.einsum("nab,nba->n", P, P)  # tr(h^-1 Aring h^-1 Aring)
     ring_norm = np.sqrt(np.clip(ring2, 0.0, None))
 
     detA = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
@@ -482,17 +508,21 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     T = fd.tangents
     Gam = fd.christoffel
     hinv = fd.induced_metric_inv.reshape(N, 2, 2)
-    E = np.einsum("nab,nij,nbj->nai", hinv, fd.jets.g, T)  # dual frame
+    E = hinv @ T @ fd.jets.g  # dual frame
     Aring = fd.tracefree_second_form.reshape(N, 2, 2)
-    Tamb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
+    Tamb = E.transpose(0, 2, 1) @ Aring @ E
     dTamb = synth_gradient(grid, analyze(grid, Tamb.reshape(grid.shape + (3, 3))))
+    # GT[n, a, i, l] = Gamma^l_ki T_a^k, by the symmetry of Gamma in its lower pair
+    GT = (Gam.reshape(N, 9, 3) @ T.transpose(0, 2, 1)).reshape(N, 3, 3, 2).transpose(0, 3, 2, 1)
     covT = (
         np.stack(dTamb, axis=2).reshape(N, 2, 3, 3)
-        - np.einsum("nlki,nak,nlj->naij", Gam, T, Tamb)
-        - np.einsum("nlkj,nak,nil->naij", Gam, T, Tamb)
+        - GT @ Tamb[:, None]
+        - Tamb[:, None] @ GT.transpose(0, 1, 3, 2)
     )
-    nabla = np.einsum("naij,nbi,ncj->nabc", covT, T, T)
-    grad2 = np.einsum("nabc,nxyz,nax,nby,ncz->n", nabla, nabla, hinv, hinv, hinv)
+    nabla = T[:, None] @ covT @ T[:, None].transpose(0, 1, 3, 2)
+    # all three indices raised by h^-1: hinv_xa hinv_yb hinv_zc nabla_abc
+    raised = (hinv @ (hinv[:, None] @ nabla @ hinv[:, None]).reshape(N, 2, 4)).reshape(N, 2, 2, 2)
+    grad2 = np.einsum("nabc,nabc->n", nabla, raised)
     norm = np.sqrt(np.clip(grad2, 0.0, None))
     return nabla.reshape(grid.shape + (2, 2, 2)), norm.reshape(grid.shape)
 
@@ -570,8 +600,8 @@ def _flat_extension(fd_hat: FundamentalData, form: np.ndarray) -> np.ndarray:
     dual frame.  Of the flat second form it is the Hessian of the Euclidean
     distance to the surface, restricted to the surface."""
     N = fd_hat.grid.n_nodes
-    E = np.einsum("nab,nbi->nai", fd_hat.induced_metric_inv.reshape(N, 2, 2), fd_hat.tangents)
-    return np.einsum("nab,nai,nbj->nij", form.reshape(N, 2, 2), E, E)
+    E = fd_hat.induced_metric_inv.reshape(N, 2, 2) @ fd_hat.tangents
+    return E.transpose(0, 2, 1) @ form.reshape(N, 2, 2) @ E
 
 
 def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
@@ -587,9 +617,11 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     T = fd_hat.tangents
     nhat = fd_hat.normal.reshape(N, 3)
     Gam = fd.christoffel
-    ginv = np.linalg.inv(fd.jets.g)
+    ginv = mcat.symmetric_inverse(fd.jets.g)
     grad_norm = np.sqrt(np.einsum("ni,nij,nj->n", nhat, ginv, nhat))
-    gamma_term = np.einsum("nkij,nai,nbj,nk->nab", Gam, T, T, nhat)
+    # nhat_k Gamma^k_ij contracted with T_a^i T_b^j
+    nGam = (nhat[:, None] @ Gam.reshape(N, 3, 9)).reshape(N, 3, 3)
+    gamma_term = T @ nGam @ T.transpose(0, 2, 1)
     Ahat = fd_hat.second_form.reshape(N, 2, 2)
     A = fd.second_form.reshape(N, 2, 2)
     res = Ahat - grad_norm[:, None, None] * A - gamma_term

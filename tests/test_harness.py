@@ -556,6 +556,32 @@ def test_cli_masses_row_fails_where_metric_jets_overflow():
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+def test_cli_verify_table_survives_a_member_whose_jets_overflow():
+    # the r = 1e70 member's records fail; every check that reads it fails
+    # by name, and the table still prints with the solver-failure exit
+    proc = _cli("verify", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e70",
+                "--band-limit", "8")
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("check") and lines[-1] == "CHECK FAILURES PRESENT"
+    checks = lines[1:-1]
+    assert len(checks) == 12
+    assert all("computation failed: NonFiniteJets" in line for line in checks)
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_library_warnings_are_log_lines():
+    # adm_mass warns of a non-monotone flux tail; the user sees one log line
+    # naming the category, not a source location and a line of code
+    proc = _cli("verify", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e50",
+                "--band-limit", "8")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "verification sweep: kerr_slice m=1 a=0.5, coordinate-spheres",
+        "warning: NonMonotoneFluxTail: flux values do not approach a limit monotonically",
+    ]
+
+
 def test_cli_exit_code_solver_failure(capsys):
     code = main(["embed", "--metric", "kerr_slice m=1 a=0.5", "--radius", "40", "--tol", "1e-16"])
     assert code == 3

@@ -301,6 +301,18 @@ def test_jet_batch_indexing():
     assert np.array_equal(batch.sigma[2], batch.g[2] - np.eye(3))
 
 
+@pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
+def test_jet_batches_are_node_major_and_contiguous(metric):
+    # the jets are built node-last and handed out once with the node axis
+    # first, so consumers' reshapes (ddg as (n, 9, 9)) stay views
+    n = 17
+    jets = metric.jets(shell_points(7.0, n, seed=21))
+    for field, shape in (("g", (n, 3, 3)), ("dg", (n, 3, 3, 3)), ("ddg", (n, 3, 3, 3, 3))):
+        a = getattr(jets, field)
+        assert a.shape == shape and a.flags.c_contiguous, field
+    assert np.shares_memory(jets.ddg.reshape(n, 9, 9), jets.ddg)
+
+
 def test_kerr_zero_spin_limit_is_schwarzschild():
     pts = shell_points(15.0, 25, seed=13)
     jk = M.kerr_slice(1.0, 1e-12).jets(pts)
@@ -456,6 +468,27 @@ def test_christoffel_symmetric_lower_indices():
     jets = M.kerr_slice(1.0, 0.5).jets(shell_points(8.0, 15, seed=17))
     Gam = M.christoffel(jets)
     assert np.max(np.abs(Gam - Gam.transpose(0, 1, 3, 2))) <= 1e-15
+
+
+@pytest.mark.parametrize("radius", [5.0, 20.0, 640.0])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        M.kerr_slice(1.0, 0.5),
+        M.kerr_slice(1.0, 0.9),
+        M.conformal_perturbed(1.0, 0.2, l=3, m_order=2, tau_extra=0.7),
+    ],
+    ids=["kerr-a0.5", "kerr-a0.9", "perturbed"],
+)
+def test_symmetric_inverse_matches_lapack(metric, radius):
+    # the closed-form adjugate agrees with LAPACK's inverse to the
+    # conditioning of each matrix
+    g = metric.jets(shell_points(radius, 200, seed=22)).g
+    inv = M.symmetric_inverse(g)
+    ref = np.linalg.inv(g)
+    cond = np.linalg.cond(g)
+    err = np.max(np.abs(inv - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(err <= 10.0 * cond * np.finfo(float).eps)
 
 
 def test_christoffel_isotropic_against_symbolic_oracle():

@@ -8,6 +8,8 @@ textbook formula and differentiates them, an oracle for the jet's
 gradient and Hessian.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,11 @@ from nearlyround.sphere import build_grid, coeff_index, synthesize
 
 
 def solid(points, l, m):
+    """r^l Y_lm with value v (N,), gradient d (N, 3) and Hessian h (N, 3, 3);
+    the library's jets keep the node axis last, so it is moved first here."""
     x, y, z, _ = M._coordinates(np.atleast_2d(points))
-    return M._solid_harmonic(x, y, z, l, m)
+    S = M._solid_harmonic(x, y, z, l, m)
+    return SimpleNamespace(v=S.v, d=np.moveaxis(S.d, -1, 0), h=np.moveaxis(S.h, -1, 0))
 
 
 def test_agrees_with_spectral_basis_on_unit_sphere():

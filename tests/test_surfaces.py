@@ -371,6 +371,30 @@ def test_tracefree_gradient_scaling(lumpy10):
     assert err < 1e-13
 
 
+def test_tracefree_gradient_matches_index_contractions(lumpy10, catalog):
+    # the batched products against the same contractions written index by
+    # index; only the summation order differs
+    fd = surf.fundamental_forms(lumpy10, catalog["kerr"])
+    grid, N = fd.grid, fd.grid.n_nodes
+    T, Gam = fd.tangents, fd.christoffel
+    hinv = fd.induced_metric_inv.reshape(N, 2, 2)
+    E = np.einsum("nab,nij,nbj->nai", hinv, fd.jets.g, T)
+    Aring = fd.tracefree_second_form.reshape(N, 2, 2)
+    Tamb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
+    dTamb = synth_gradient(grid, analyze(grid, Tamb.reshape(grid.shape + (3, 3))))
+    covT = (
+        np.stack(dTamb, axis=2).reshape(N, 2, 3, 3)
+        - np.einsum("nlki,nak,nlj->naij", Gam, T, Tamb)
+        - np.einsum("nlkj,nak,nil->naij", Gam, T, Tamb)
+    )
+    nabla = np.einsum("naij,nbi,ncj->nabc", covT, T, T)
+    grad2 = np.einsum("nabc,nxyz,nax,nby,ncz->n", nabla, nabla, hinv, hinv, hinv)
+    got, norm = surf.tracefree_gradient(fd)
+    scale = np.abs(nabla).max()
+    assert np.abs(got.reshape(N, 2, 2, 2) - nabla).max() <= 1e-13 * scale
+    assert np.abs(norm.reshape(N) - np.sqrt(grad2)).max() <= 1e-13 * np.sqrt(grad2).max()
+
+
 def test_chart_permutation_invariance(grid16, catalog):
     # same geometric data computed with poles along a different axis;
     # guards the frame assembly against orientation artifacts.  sup of
@@ -693,8 +717,9 @@ def test_identity_residuals_read_the_records(monkeypatch, catalog, lumpy10):
 
 
 def test_verify_computes_christoffel_once_per_record(monkeypatch):
-    # Gamma is built with the record and read by the transform residual,
-    # the curvature term and the tracefree gradient
+    # Gamma is built with a curved record and read by the transform
+    # residual, the curvature term and the tracefree gradient; a flat
+    # record builds none
     calls = []
 
     def counted(name, fn):
@@ -704,8 +729,14 @@ def test_verify_computes_christoffel_once_per_record(monkeypatch):
 
         return wrapper
 
+    fundamental_forms = surf.fundamental_forms
+
+    def forms(s, ambient=None):
+        flat = ambient is None or ambient.family == "euclidean"
+        calls.append("flat" if flat else "curved")
+        return fundamental_forms(s, ambient)
+
     monkeypatch.setattr(mcat, "christoffel", counted("christoffel", mcat.christoffel))
-    forms = counted("forms", surf.fundamental_forms)
     for name, module in list(sys.modules.items()):
         if name.startswith("nearlyround") and hasattr(module, "fundamental_forms"):
             monkeypatch.setattr(module, "fundamental_forms", forms)
@@ -713,8 +744,49 @@ def test_verify_computes_christoffel_once_per_record(monkeypatch):
         metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=8
     )
     harness.run_verify(cfg)
-    assert calls.count("forms") > 0
-    assert calls.count("christoffel") == calls.count("forms")
+    assert calls.count("curved") == 3 and calls.count("flat") > 0
+    # each curved record's one Gamma is built inside its own call
+    built = [calls[i - 1] for i, c in enumerate(calls) if c == "christoffel"]
+    assert built == ["curved"] * 3
+
+
+@pytest.mark.parametrize("ambient", [None, mcat.euclidean()], ids=["none", "euclidean"])
+def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
+    # g = delta and Gamma = 0 are known ahead of time: a flat record calls
+    # neither the jets nor the connection, yet carries both for consumers
+    calls = []
+
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"flat record called {name}")
+
+        return wrapper
+
+    monkeypatch.setattr(mcat.AFMetric, "jets", refuse("jets"))
+    monkeypatch.setattr(mcat, "christoffel", refuse("christoffel"))
+    fd = surf.fundamental_forms(surf.coordinate_sphere(3.0, build_grid(8)), ambient)
+    assert calls == []
+    N = fd.grid.n_nodes
+    assert np.array_equal(fd.jets.g, np.broadcast_to(np.eye(3), (N, 3, 3)))
+    assert not np.any(fd.jets.dg) and not np.any(fd.jets.ddg) and not np.any(fd.christoffel)
+    assert fd.christoffel.shape == (N, 3, 3, 3)
+    grad = surf.tracefree_gradient(fd)[1]  # reads jets.g and Gamma
+    assert np.all(np.isfinite(grad))
+
+
+def test_flat_shortcut_matches_the_general_route(lumpy10):
+    # the same flat jets, taken through the curved path under another tag
+    stand_in = mcat.AFMetric("flat_stand_in", {}, 1.0, 0.0, mcat.euclidean()._jet_fn, 0.0)
+    fast = surf.fundamental_forms(lumpy10)
+    slow = surf.fundamental_forms(lumpy10, stand_in)
+    for field in (
+        "induced_metric", "normal", "second_form", "mean_curvature",
+        "tracefree_second_form", "gauss_curvature", "area_jacobian",
+    ):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert np.max(np.abs(a - b)) <= 1e-13 * (1.0 + np.max(np.abs(b))), field
+    assert abs(fast.area - slow.area) <= 1e-13 * slow.area
 
 
 def test_fundamental_forms_contracts_the_gauss_equation(monkeypatch, catalog):
