@@ -17,18 +17,12 @@ of the program and propagates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-
-from importlib.metadata import PackageNotFoundError, version as _dist_version
-
-try:
-    _package_version = _dist_version("nearlyround")
-except PackageNotFoundError:  # running from a source tree without install
-    _package_version = "unknown"
 
 from .embedding import embed, minkowski_residuals
 from .errors import ConfigError, NearlyRoundError
@@ -218,6 +212,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+@functools.cache
+def _package_version() -> str:
+    """The installed distribution's version, or "unknown" in a source tree.
+    Read on first use: importlib.metadata costs every cold start ~20 ms."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version("nearlyround")
+    except PackageNotFoundError:
+        return "unknown"
+
+
 @dataclass(frozen=True)
 class MassReport:
     """Mass table plus enough metadata to reproduce it."""
@@ -235,7 +241,7 @@ class MassReport:
             "adm_reference": self.adm_reference,
             "columns": list(CSV_COLUMNS),
             "tolerances": {"tol": self.config.tol},
-            "versions": {"nearlyround": _package_version, "numpy": np.__version__},
+            "versions": {"nearlyround": _package_version(), "numpy": np.__version__},
         }
 
     def _row_values(self, row) -> dict:

@@ -25,8 +25,11 @@ independent oracles.
 Index conventions: ``dg[i, j, k] = d_k g_ij``; ``ddg[i, j, k, l] =
 d_k d_l g_ij``.  A JetBatch carries a leading node axis and C-contiguous
 arrays.  Inside, the scalar jets (_Jet) and the assembly keep the node
-axis last, so each per-node product runs its inner loop over the nodes;
-the assembled tensors are moved to node-major once.
+axis last, so each per-node product runs its inner loop over the nodes,
+and store each symmetric index pair once, packed as the six entries of
+an upper triangle: a _Jet's Hessian is (6, N), and the assembly's ddg
+(6 kl, 6 ij, N).  The assembled tensors are unpacked and moved to
+node-major once, by one gather each.
 """
 
 from __future__ import annotations
@@ -121,8 +124,16 @@ class AFMetric:
 # ---------------------------------------------------------------------------
 
 
+# a symmetric 3x3 tensor packed as its upper triangle: entry a holds (i, j) =
+# (_PI[a], _PJ[a]), in the order 00 01 02 11 12 22; _PACK maps (i, j) back to a
+_PI, _PJ = np.triu_indices(3)
+_PACK = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_DIAG = _PACK.diagonal()
+
+
 class _Jet:
-    """A scalar field at N points: value v (N,), gradient d (3, N), Hessian h (3, 3, N).
+    """A scalar field at N points: value v (N,), gradient d (3, N) and the
+    packed symmetric Hessian h (6, N), h[a] = d_i d_j at (i, j) = (_PI[a], _PJ[a]).
 
     The node axis is last, so every product below runs its inner loop
     over the N points.  Arithmetic follows the product and chain rules,
@@ -137,7 +148,7 @@ class _Jet:
 
     @classmethod
     def constant(cls, c, n):
-        return cls(np.full(n, float(c)), np.zeros((3, n)), np.zeros((3, 3, n)))
+        return cls(np.full(n, float(c)), np.zeros((3, n)), np.zeros((6, n)))
 
     def __add__(self, other):
         if isinstance(other, _Jet):
@@ -155,11 +166,11 @@ class _Jet:
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return _Jet(other * self.v, other * self.d, other * self.h)
-        cross = self.d[:, None] * other.d[None, :]
+        cross = self.d[:, None] * other.d  # [i, j] = d_i self d_j other
         return _Jet(
             self.v * other.v,
             self.d * other.v + self.v * other.d,
-            self.h * other.v + self.v * other.h + cross + cross.transpose(1, 0, 2),
+            self.h * other.v + self.v * other.h + cross[_PI, _PJ] + cross[_PJ, _PI],
         )
 
     __rmul__ = __mul__
@@ -173,23 +184,19 @@ class _Jet:
     def __pow__(self, p):
         d1 = p * self.v ** (p - 1.0)
         d2 = p * (p - 1.0) * self.v ** (p - 2.0)
-        return _Jet(
-            self.v**p,
-            d1 * self.d,
-            d1 * self.h + d2 * self.d[:, None] * self.d[None, :],
-        )
+        # (d2 d_i) d_j, not d2 (d_i d_j): Kerr jets at r >= 1e40 sit near overflow
+        return _Jet(self.v**p, d1 * self.d, d1 * self.h + (d2 * self.d)[_PI] * self.d[_PJ])
 
 
 def _coordinates(points):
     """Jets of the Cartesian coordinates x, y, z and of the radius r."""
     n = len(points)
     eye = np.eye(3)
-    zero = np.zeros((3, 3, n))
+    zero = np.zeros((6, n))
     x, y, z = (_Jet(points[:, i], np.broadcast_to(eye[i][:, None], (3, n)), zero) for i in range(3))
     r = np.linalg.norm(points, axis=1)
     nhat = points.T / r
-    nn = nhat[:, None] * nhat[None, :]
-    return x, y, z, _Jet(r, nhat, (eye[:, :, None] - nn) / r)
+    return x, y, z, _Jet(r, nhat, (eye[_PI, _PJ][:, None] - nhat[_PI] * nhat[_PJ]) / r)
 
 
 def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
@@ -222,41 +229,54 @@ def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
 _ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _node_major(a):
-    """A node-last array as a C-contiguous array with the node axis first."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+def _node_major(packed, unpack, shape):
+    """A packed node-last accumulator as the C-contiguous node-major tensor,
+    written once by one gather."""
+    return np.take(packed.T, unpack, axis=1).reshape((-1,) + shape)
+
+
+# the row of the packed accumulators behind each entry of g, dg and ddg
+_G_UNPACK = _PACK.ravel()
+_DG_UNPACK = (_PACK[:, :, None] + 6 * np.arange(3)).ravel()
+_DDG_UNPACK = (_PACK[:, :, None, None] + 6 * _PACK).ravel()
 
 
 def _assemble(points, B, F=None, E=None):
     """(g, dg, ddg) of g = B I + F x (x) x + E w (x) w from scalar jets.
 
     Every catalog metric has this form; F and E default to zero.  The
-    tensors are built node-last and returned once, node-major.
+    tensors are accumulated in place, node-last and packed: symmetric
+    pairs (i, j) and (k, l) are stored once, g as (6, N), dg as (k, 6, N)
+    and ddg as (6 kl, 6 ij, N).  Each is then written once, node-major.
     """
-    eye = np.eye(3)[:, :, None]
-    g = B.v * eye
-    dg = B.d * eye[:, :, None]
-    ddg = B.h * eye[:, :, None, None]
+    n = len(points)
+    g, dg, ddg = np.zeros((6, n)), np.zeros((3, 6, n)), np.zeros((6, 6, n))
+    g[_DIAG], dg[:, _DIAG], ddg[:, _DIAG] = B.v, B.d[:, None], B.h[:, None]
     for S, V in ((F, np.eye(3)), (E, _ROTATION)):
         if S is None:
             continue
-        # v = V x has the constant Jacobian d_k v_i = V_ik
+        # v = V x has the constant Jacobian d_k v_i = V_ik; vv (6 ij, N),
+        # dvv (k, 6 ij, N) and the constant ddvv (6 ij, 6 kl) are its jet
         v = V @ points.T
-        vv = v[:, None] * v[None, :]
-        dvv = V[:, None, :, None] * v[None, :, None] + v[:, None, None] * V[None, :, :, None]
-        ddvv = (
-            V[:, None, :, None] * V[None, :, None, :] + V[:, None, None, :] * V[None, :, :, None]
-        )[..., None]
+        vv = v[_PI] * v[_PJ]
+        dvv = V[_PI].T[:, :, None] * v[_PJ] + v[_PI] * V[_PJ].T[:, :, None]
+        ddvv = V[_PI][:, _PI] * V[_PJ][:, _PJ] + V[_PI][:, _PJ] * V[_PJ][:, _PI]
         g += S.v * vv
-        dg += S.d * vv[:, :, None] + S.v * dvv
-        dS_dvv = S.d[:, None] * dvv[:, :, None]  # [i, j, k, l] = d_k S d_l vv_ij
-        ddg += (
-            S.h * vv[:, :, None, None]
-            + dS_dvv
-            + dS_dvv.transpose(0, 1, 3, 2, 4)
-            + S.v * ddvv
-        )
-    return _node_major(g), _node_major(dg), _node_major(ddg)
+        dg += S.d[:, None] * vv + S.v * dvv
+        # d_k d_l (S vv) = dd S vv + d_k S d_l vv + d_l S d_k vv + S dd vv,
+        # summed in that order, one (k, l) at a time into reused buffers
+        t, term = np.empty((2, 6, n))
+        for b, (k, l) in enumerate(zip(_PI, _PJ)):
+            np.multiply(S.h[b], vv, out=t)
+            t += np.multiply(S.d[k], dvv[l], out=term)
+            t += np.multiply(S.d[l], dvv[k], out=term)
+            t += np.multiply(S.v, ddvv[:, b, None], out=term)
+            ddg[b] += t
+    return (
+        _node_major(g, _G_UNPACK, (3, 3)),
+        _node_major(dg.reshape(18, n), _DG_UNPACK, (3, 3, 3)),
+        _node_major(ddg.reshape(36, n), _DDG_UNPACK, (3, 3, 3, 3)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,18 @@ forward/inverse transforms with analytic angular derivatives, the conformal
 Every transform runs through one O(L^3) core (Driscoll & Healy 1994;
 Schaeffer, G^3 2013): coefficients scattered into a per-m amplitude table,
 one batched matrix product over m against the grid's per-m Legendre table
-(values and theta derivatives), an inverse real FFT in phi; `analyze` and
-`synth_gradient_adjoint` are its transposes.  `synth_at` shares the table
-layout and Legendre step, with an explicit phi sum at scattered points.
-SphereGrid's dense matrices are oracles built on demand.
+(values and theta derivatives), then the phi sum as one matrix product
+with the grid's real DFT table; `analyze` and `synth_gradient_adjoint` are
+its transposes.  At these band limits (L <= 64) the products beat an FFT,
+whose cost here is call overhead.  `synth_at` shares the table layout and
+Legendre step, with an explicit phi sum at scattered points.  SphereGrid's
+dense matrices are oracles built on demand.
 
-The band-limit tables (nodes, weights, Legendre rows, coefficient layout,
-and embedding's tables) are functions of the integer L, cached by L and
-read-only (`band_limit_table`).  A SphereGrid is a plain value: grids of
-one L share every table, and each table is built once per process.
+The band-limit tables (nodes, weights, Legendre rows, the phi table,
+coefficient layout, and embedding's tables) are functions of the integer
+L, cached by L and read-only (`band_limit_table`).  A SphereGrid is a
+plain value: grids of one L share every table, and each table is built
+once per process.
 
 Conventions
 -----------
@@ -200,33 +203,33 @@ def build_grid(L: int) -> SphereGrid:
 
 
 # ---------------------------------------------------------------------------
-# The transform core: per-m amplitudes, per-m Legendre sums, FFT in phi
+# The transform core: per-m amplitudes, per-m Legendre sums, phi table
 # ---------------------------------------------------------------------------
 
 
 @band_limit_table
 def _layout(L: int):
-    """(row, part, scale, scale w_m) of each flat coefficient in the per-m
-    amplitude table ((L+1)^2, ncomp, re/im).  Row m (L+1) + l holds Z = c_{l,0}
-    (m = 0) or (c_{l,m} - i c_{l,-m}) / sqrt(2) (m > 0), so a field is
-    sum_m w_m Re(e^{i m phi} sum_l Pbar_l^m Z) with w = (1, 2, 2, ...)."""
+    """(m, part, l, scale) of each flat coefficient in the per-m amplitude
+    table (m, re/im, ncomp, l).  Entry (m, l) holds Z = c_{l,0} (m = 0) or
+    sqrt(2) (c_{l,m} - i c_{l,-m}) (m > 0), so a field is
+    sum_m Re(e^{i m phi} sum_l Pbar_l^m Z)."""
     ls, ms = coeff_degrees(L)
-    scale = np.where(ms == 0, 1.0, np.sign(ms) / np.sqrt(2.0))
-    return np.abs(ms) * (L + 1) + ls, (ms < 0).astype(int), scale, scale * (1.0 + (ms != 0))
+    scale = np.where(ms == 0, 1.0, np.sign(ms) / np.sqrt(2.0)) * (1.0 + (ms != 0))
+    return np.abs(ms), (ms < 0).astype(int), ls, scale
 
 
 def _amplitudes(L: int, coeffs: np.ndarray) -> np.ndarray:
-    """(n_coeffs, ncomp) coefficients as the (m, l, 2 ncomp) amplitude table."""
-    row, part, scale, _ = _layout(L)
-    z = np.zeros(((L + 1) ** 2, coeffs.shape[1], 2))
-    z[row, :, part] = scale[:, None] * coeffs
-    return z.reshape(L + 1, L + 1, -1)
+    """(n_coeffs, ncomp) coefficients as the (m, 2 ncomp, l) amplitude table."""
+    m, part, l, scale = _layout(L)
+    z = np.zeros((L + 1, 2, coeffs.shape[1], L + 1))
+    z[m, part, :, l] = scale[:, None] * coeffs
+    return z.reshape(L + 1, -1, L + 1)
 
 
 def _coefficients(L: int, b: np.ndarray) -> np.ndarray:
-    """Transpose of `_amplitudes` and of the w_m of the phi sum."""
-    row, part, _, wscale = _layout(L)
-    return wscale[:, None] * b.reshape((L + 1) ** 2, -1, 2)[row, :, part]
+    """Transpose of `_amplitudes`: (m, 2 ncomp, l) to (n_coeffs, ncomp)."""
+    m, part, l, scale = _layout(L)
+    return scale[:, None] * b.reshape(L + 1, 2, -1, L + 1)[m, part, :, l]
 
 
 @band_limit_table
@@ -238,16 +241,48 @@ def _legendre_rows(L: int) -> np.ndarray:
     return np.ascontiguousarray(pd.transpose(1, 2, 0))
 
 
+@band_limit_table
+def _phi_table(L: int) -> np.ndarray:
+    """(nphi, 2 (L+1)) real DFT table: cos(m phi_p) in column 2m and
+    -sin(m phi_p) in column 2m + 1, so row p applied to the (re, im) pairs
+    of Z is sum_m Re(e^{i m phi_p} Z_m).
+
+    The angle m phi_p is 2 pi j / nphi with j = m p mod nphi, reduced
+    exactly in integers to a first-quadrant index k and read from one
+    quarter wave sin(2 pi k / nphi) = s[4k], cos(2 pi k / nphi) = s[nphi - 4k],
+    so entries equal by symmetry are bitwise equal, cos(pi/2) is 0 and no
+    large argument reaches np.sin.
+    """
+    n = 2 * L + 2
+    j = np.outer(np.arange(n), np.arange(L + 1)) % n
+    half = np.minimum(j, n - j)  # cos is even in j, sin odd
+    k = np.minimum(half, n // 2 - half)  # cos flips sign across pi/2, sin not
+    s = np.sin(np.arange(n + 1) * (np.pi / (2 * n)))
+    cos = np.where(4 * half > n, -1.0, 1.0) * s[n - 4 * k]
+    msin = np.where(2 * j > n, 1.0, -1.0) * s[4 * k]
+    return np.stack([cos, msin], axis=-1).reshape(n, -1) + 0.0  # + 0.0 clears -0.0
+
+
 def _to_nodes(grid: SphereGrid, q: np.ndarray) -> np.ndarray:
-    """The phi sum by inverse real FFT: (m, rows, 2 ncomp) to (rows, nphi, ncomp)."""
-    f = np.fft.irfft(q.view(complex), n=grid.nphi, axis=0, norm="forward")
-    return np.ascontiguousarray(f.transpose(1, 0, 2))
+    """The phi sum, one product with `_phi_table`: (m, 2 ncomp, rows)
+    amplitudes to (rows, nphi, ncomp) fields."""
+    f = _phi_table(grid.L) @ q.reshape(2 * (grid.L + 1), -1)
+    return np.ascontiguousarray(f.reshape(grid.nphi, -1, q.shape[2]).transpose(2, 0, 1))
 
 
 def _from_nodes(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
-    """Transpose of `_to_nodes` less w_m: sums of f e^{-i m phi}, (m, rows, ncomp)."""
-    t = np.fft.rfft(f, axis=1)[:, : grid.L + 1]
-    return np.ascontiguousarray(t.transpose(1, 0, 2))
+    """Transpose of `_to_nodes`: (rows, nphi, ncomp) fields to the (re, im)
+    parts of sum_p f e^{-i m phi_p}, (m, 2 ncomp, rows)."""
+    t = _phi_table(grid.L).T @ f.transpose(1, 2, 0).reshape(grid.nphi, -1)
+    return t.reshape(grid.L + 1, -1, f.shape[0])
+
+
+def _times_im(L: int, q: np.ndarray, sign: float) -> None:
+    """Multiply (m, 2 ncomp, rows) amplitudes in place by sign i m, the
+    d/dphi of e^{sign i m phi}."""
+    pair = q.reshape(L + 1, 2, -1, q.shape[2])
+    m = sign * np.arange(L + 1.0)[:, None, None]
+    pair[:, 0], pair[:, 1] = -m * pair[:, 1], m * pair[:, 0]
 
 
 def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
@@ -260,7 +295,7 @@ def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
     if f.shape[:2] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
     t = _from_nodes(grid, grid.weights[:, :1, None] * f.reshape(grid.shape + (-1,)))
-    b = _legendre_rows(grid.L)[:, grid.ntheta :].transpose(0, 2, 1) @ t.view(float)
+    b = t @ _legendre_rows(grid.L)[:, grid.ntheta :]
     return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + f.shape[2:])
 
 
@@ -275,15 +310,16 @@ def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"coefficients of shape {coeffs.shape} do not match band "
                          f"limit {grid.L} (expected {grid.n_coeffs} rows)")
     amps = _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
-    q = _legendre_rows(grid.L)[:, grid.ntheta :] @ amps
+    q = amps @ _legendre_rows(grid.L)[:, grid.ntheta :].transpose(0, 2, 1)
     return _to_nodes(grid, q).reshape(grid.shape + coeffs.shape[1:])
 
 
 def synth_gradient(grid: SphereGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d/dtheta, d/dphi) fields of the synthesized function or stack."""
     coeffs = np.asarray(coeffs, dtype=float)
-    q = _legendre_rows(grid.L) @ _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
-    q.view(complex)[:, grid.ntheta :] *= 1j * np.arange(grid.L + 1.0)[:, None, None]
+    amps = _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
+    q = amps @ _legendre_rows(grid.L).transpose(0, 2, 1)
+    _times_im(grid.L, q[:, :, grid.ntheta :], 1.0)
     return tuple(_to_nodes(grid, q).reshape((2,) + grid.shape + coeffs.shape[1:]))
 
 
@@ -293,8 +329,8 @@ def synth_gradient_adjoint(grid: SphereGrid, ft: np.ndarray, fp: np.ndarray) -> 
     the result is (n_coeffs,) plus those axes.  No quadrature weights."""
     pair = np.array([ft, fp], dtype=float)
     t = _from_nodes(grid, pair.reshape(2 * grid.ntheta, grid.nphi, -1))
-    t[:, grid.ntheta :] *= -1j * np.arange(grid.L + 1.0)[:, None, None]
-    b = _legendre_rows(grid.L).transpose(0, 2, 1) @ t.view(float)
+    _times_im(grid.L, t[:, :, grid.ntheta :], -1.0)
+    b = t @ _legendre_rows(grid.L)
     return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + pair.shape[3:])
 
 
@@ -324,16 +360,16 @@ def synth_at(
         legendre.append(normalized_legendre_dtheta(legendre[-1]))
     # the per-m Legendre step of the grid transforms, tables stacked as rows
     table = np.stack(legendre, axis=2).reshape(L + 1, L + 1, -1)
-    q = (table.transpose(1, 2, 0) @ _amplitudes(L, coeffs.reshape(K, -1))).view(complex)
+    q = _amplitudes(L, coeffs.reshape(K, -1)) @ table.transpose(1, 0, 2)
+    q = q.reshape(L + 1, 2, -1, nderiv + 1, *theta.shape)
     # (theta derivative, m, component, theta...) amplitudes of e^{i m phi}
-    q = np.moveaxis(q.reshape((L + 1, nderiv + 1) + theta.shape + (-1,)), (1, -1), (0, 2))
+    q = np.moveaxis(q[:, 0] + 1j * q[:, 1], 2, 0)
     # d^n / dtheta^j dphi^(n-j) is theta-derivative j times (i m)^(n-j)
     im = 1j * np.arange(L + 1.0).reshape((L + 1, 1) + (1,) * theta.ndim)
     rows = [q[j] * im ** (n - j) for n in range(nderiv + 1) for j in range(n, -1, -1)]
-    # the phi step: an explicit sum over m of w_m Re(e^{i m phi} q_m)
+    # the phi step: an explicit sum over m of Re(e^{i m phi} q_m)
     m = np.arange(L + 1.0).reshape((L + 1,) + (1,) * phi.ndim)
-    wexp = np.where(m == 0, 1.0, 2.0) * np.exp(1j * m * phi)
-    out = np.einsum("emc...,m...->e...c", np.stack(rows), wexp).real
+    out = np.einsum("emc...,m...->e...c", np.stack(rows), np.exp(1j * m * phi)).real
     if coeffs.ndim == 1:
         out = out[..., 0]
     return out[0] if nderiv == 0 else tuple(out)

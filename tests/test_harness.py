@@ -382,6 +382,34 @@ def test_run_verify_kerr_passes_at_l64():
     assert len(report.checks) == len(CHECK_NAMES)
 
 
+@pytest.mark.parametrize(
+    "metric,L",
+    [
+        ("kerr_slice m=1 a=0.5", 48),
+        ("schwarzschild_standard m=1", 48),
+        ("schwarzschild_standard m=1", 64),
+        ("schwarzschild_isotropic m=1", 48),
+        ("schwarzschild_isotropic m=1", 64),
+    ],
+)
+def test_run_verify_passes_at_high_band_limits(metric, L):
+    # Kerr at L=64 is test_run_verify_kerr_passes_at_l64
+    cfg = nr.StudyConfig(metric=metric, schedule=(20.0, 40.0, 80.0), band_limit=L)
+    report = nr.run_verify(cfg)
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_verify_kerr_l16_spectral_resolution_at_roundoff():
+    # the curvature tail of resolved Kerr spheres is roundoff of the
+    # transforms: 1.1e-14 with the mirrored phi table, 1.3e-13 with a
+    # cos/sin table of the rounded products m phi
+    cfg = nr.StudyConfig(
+        metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=16
+    )
+    by_name = {c.name: c for c in nr.run_verify(cfg).checks}
+    assert by_name["spectral-resolution"].value <= 5e-14
+
+
 def test_run_verify_underresolved_flagged():
     # near-field spheres at a deliberately coarse band limit: the
     # curvature tail check must fire rather than silently pass
@@ -681,8 +709,9 @@ def test_cli_rate_json_input(tmp_path, capsys):
 
 
 def test_reports_identical_across_blas_threads():
-    # every transform sum is an FFT or a small per-m matrix product, whose
-    # summation order does not change with the OpenBLAS thread count; the
+    # every transform sum is a small per-m Legendre product or a product
+    # with the per-L phi table, whose summation order over the contracted
+    # axis does not change with the OpenBLAS thread count; the
     # lumpy study takes the general (Gauss-Newton) embedding route
     kerr = ["--metric", "kerr_slice m=1 a=0.5", "--family", "coordinate-spheres",
             "--schedule", "20,40,80"]
@@ -746,6 +775,25 @@ def test_masses_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_start_loads_no_importlib_metadata():
+    # the package version is read when a report's metadata is built, not
+    # at import: importlib.metadata costs every cold start ~20 ms
+    probe = "import sys\n{}print('importlib.metadata' in sys.modules)\n"
+    bare = subprocess.run([sys.executable, "-c", probe.format("")],
+                          capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("this interpreter loads importlib.metadata at start-up")
+    setup = (
+        "import nearlyround as nr, nearlyround.cli\n"
+        "nr.parse_metric('kerr_slice m=1 a=0.5')\n"
+        "nr.build_grid(16)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe.format(setup)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_runtime_imports_are_the_declared_dependencies():

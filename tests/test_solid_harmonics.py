@@ -19,10 +19,11 @@ from nearlyround.sphere import build_grid, coeff_index, synthesize
 
 def solid(points, l, m):
     """r^l Y_lm with value v (N,), gradient d (N, 3) and Hessian h (N, 3, 3);
-    the library's jets keep the node axis last, so it is moved first here."""
+    the library's jets keep the node axis last and pack the symmetric
+    Hessian as (6, N), so it is unpacked and the node axis moved first here."""
     x, y, z, _ = M._coordinates(np.atleast_2d(points))
     S = M._solid_harmonic(x, y, z, l, m)
-    return SimpleNamespace(v=S.v, d=np.moveaxis(S.d, -1, 0), h=np.moveaxis(S.h, -1, 0))
+    return SimpleNamespace(v=S.v, d=np.moveaxis(S.d, -1, 0), h=np.moveaxis(S.h[M._PACK], -1, 0))
 
 
 def test_agrees_with_spectral_basis_on_unit_sphere():

@@ -1,8 +1,12 @@
 """Spectral sphere substrate: quadrature, transforms, Mobius maps, gauge."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nearlyround import sphere
 from nearlyround.sphere import (
     SphereGrid,
     analyze,
@@ -258,9 +262,65 @@ def test_roundtrip_random_band_limited():
             assert rel_gap(back[(slice(None),) + k], analyze(grid, f_k)) <= 1e-14
 
 
+def fft_to_nodes(L, q):
+    """The phi sum of `sphere._to_nodes` by numpy's inverse real FFT: the
+    (m, 2 ncomp, rows) amplitudes as complex Z_m, and sum_m Re(e^{i m phi} Z_m)
+    = irfft of (Z_0, Z_1 / 2, Z_2 / 2, ...) with the forward norm."""
+    q = q.reshape(L + 1, 2, -1, q.shape[-1])
+    z = (q[:, 0] + 1j * q[:, 1]) * np.where(np.arange(L + 1) == 0, 1.0, 0.5)[:, None, None]
+    f = np.fft.irfft(z, n=2 * L + 2, axis=0, norm="forward")  # (nphi, ncomp, rows)
+    return f.transpose(2, 0, 1)
+
+
+def fft_from_nodes(L, f):
+    """`sphere._from_nodes` by numpy's real FFT: (re, im) of sum_p f e^{-i m phi_p}."""
+    t = np.fft.rfft(f, axis=1)[:, : L + 1]  # (rows, m, ncomp)
+    return np.stack([t.real, t.imag]).transpose(2, 0, 3, 1).reshape(L + 1, -1, len(f))
+
+
+@pytest.mark.parametrize("L", [1, 2, 16, 33, 64, 96])
+def test_phi_step_matches_fft_oracle(L):
+    grid = build_grid(L)
+    rng = np.random.default_rng(L)
+    for ncomp, rows in ((1, grid.ntheta), (3, 2 * grid.ntheta)):
+        q = rng.normal(size=(L + 1, 2 * ncomp, rows))
+        f = rng.normal(size=(rows, grid.nphi, ncomp))
+        assert rel_gap(sphere._to_nodes(grid, q), fft_to_nodes(L, q)) <= 1e-14
+        assert rel_gap(sphere._from_nodes(grid, f), fft_from_nodes(L, f)) <= 1e-14
+
+
+def test_phi_table_is_exactly_symmetric():
+    # one quarter wave, mirrored: cos(m (2 pi - phi)) = cos(m phi) and
+    # sin(m (2 pi - phi)) = -sin(m phi) bit for bit, and cos(pi/2) is 0
+    for L in (1, 2, 16, 33, 64):
+        table = sphere._phi_table(L).reshape(2 * L + 2, L + 1, 2)
+        mirror = table[(-np.arange(2 * L + 2)) % (2 * L + 2)]
+        assert np.array_equal(mirror[..., 0], table[..., 0])
+        assert np.array_equal(mirror[..., 1], -table[..., 1] + 0.0)
+        assert np.all(table[..., 1][:, 0] == 0.0) and np.all(np.abs(table) <= 1.0)
+        if (2 * L + 2) % 4 == 0:
+            assert table[(2 * L + 2) // 4, 1, 0] == 0.0
+
+
+def test_library_reads_no_fft():
+    # the phi step is a product with a cached table; numpy's FFT stays a
+    # test oracle
+    readers = []
+    for path in sorted(Path(sphere.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                readers.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                module = getattr(node, "module", None) or ""
+                if "fft" in module.split(".") or any("fft" in n.split(".") for n in names):
+                    readers.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert readers == []
+
+
 @pytest.mark.parametrize("L", [1, 2, 7, 16, 33, 48])
 def test_transforms_match_dense_oracle(L):
-    # the FFT x per-m Legendre core against the dense (n_nodes, n_coeffs)
+    # the per-m Legendre x phi-table core against the dense (n_nodes, n_coeffs)
     # matrices, for one expansion and a (K, 3, 3) stack
     grid = build_grid(L)
     S, Dt, Dp = grid.synthesis_matrix, grid.dtheta_matrix, grid.dphi_matrix
