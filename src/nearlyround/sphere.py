@@ -46,14 +46,19 @@ from .errors import ConfigError, SolverError
 def band_limit_table(build):
     """Decorator for a table that depends on the band limit alone: cache
     `build(L)` by L with functools.cache and return its array, or each array
-    of its tuple, read-only, so no caller can change a table that every
-    grid of that L shares."""
+    of its tuple and of the tuples nested in it, read-only, so no caller can
+    change a table that every grid of that L shares."""
+
+    def freeze(table):
+        if isinstance(table, tuple):
+            for part in table:
+                freeze(part)
+        else:
+            table.setflags(write=False)
+        return table
 
     def frozen(L: int):
-        table = build(L)
-        for array in table if isinstance(table, tuple) else (table,):
-            array.setflags(write=False)
-        return table
+        return freeze(build(L))
 
     return functools.cache(functools.wraps(build)(frozen))
 

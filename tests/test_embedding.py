@@ -11,6 +11,7 @@ to a rigid motion).
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from nearlyround.sphere import (
     coeff_degrees,
     coeff_index,
     conformal_moments,
+    synth_gradient,
     synthesize,
 )
 from nearlyround.surfaces import (
@@ -384,14 +386,15 @@ def test_round_normal_matrix_is_block_diagonal_by_charge(L):
     labels = emb._charge_labels(L).ravel()
     same = labels[:, None] == labels[None, :]
     assert np.max(np.abs(rotated[~same])) <= 1e-13 * scale
-    slots, valid, blocks = emb._round_normal_blocks(grid)
-    assert sorted(slots[valid]) == list(range(3 * K))
-    assert valid.sum(axis=1).max() == (3 * L) // 2 + 1
-    for idx, ok, block in zip(slots, valid, blocks):
-        assert len(set(labels[idx[ok]])) == 1
-        dense = rotated[np.ix_(idx[ok], idx[ok])]
-        assert np.max(np.abs(block[np.ix_(ok, ok)] - dense)) <= 1e-13 * scale
-        assert np.array_equal(block[~ok], np.eye(len(ok))[~ok])
+    groups = emb._round_normal_blocks(grid)
+    slots = np.concatenate([idx.ravel() for idx, _ in groups])
+    assert sorted(slots) == list(range(3 * K))
+    assert groups[-1][1].shape[1] == (3 * L) // 2 + 1
+    for idx, blocks in groups:
+        for members, block in zip(idx, blocks):
+            assert len(set(labels[members])) == 1
+            dense = rotated[np.ix_(members, members)]
+            assert np.max(np.abs(block - dense)) <= 1e-13 * scale
     r = np.random.default_rng(L).standard_normal((K, 3))
     z = emb._round_preconditioner(r)
     exact = np.linalg.solve(normal, r.ravel()).reshape(K, 3)
@@ -401,21 +404,83 @@ def test_round_normal_matrix_is_block_diagonal_by_charge(L):
 @pytest.mark.parametrize("L", [8, 16])
 def test_round_preconditioner_matches_scipy_cholesky(L):
     # the preconditioner's numpy-built block inverses against scipy's
-    # cho_factor/cho_solve on the same blocks, read off in the charge basis;
-    # two backward-stable inversions agree to a small multiple of cond * eps
-    grid = nr.build_grid(L)
-    K = grid.n_coeffs
-    slots, valid, blocks = emb._round_normal_blocks(grid)
-    eye = np.eye(blocks.shape[1])
-    oracle = np.stack([cho_solve(cho_factor(b), eye) for b in blocks])
-    columns = np.stack([emb._round_preconditioner(e.reshape(K, 3)) for e in np.eye(3 * K)], axis=-1)
-    left = emb._charge_rotation(columns).reshape(3 * K, 3 * K)
-    rotated = emb._charge_rotation(left.T.reshape(K, 3, 3 * K)).reshape(3 * K, 3 * K).T
+    # cho_factor/cho_solve on the same blocks, read off the table in the
+    # charge basis; two backward-stable inversions agree to a small multiple
+    # of cond * eps
+    groups = emb._round_normal_blocks(nr.build_grid(L))
+    table = emb._round_inverse_blocks(L)
     eps = np.finfo(float).eps
-    for idx, ok, normal, inverse in zip(slots, valid, blocks, oracle):
-        bound = 10.0 * np.linalg.cond(normal) * eps * np.max(np.abs(inverse))
-        block = rotated[np.ix_(idx[ok], idx[ok])]
-        assert np.max(np.abs(block - inverse[np.ix_(ok, ok)])) <= bound
+    for (idx, blocks), (slots, inverses) in zip(groups, table):
+        assert np.array_equal(idx, slots)
+        eye = np.eye(blocks.shape[1])
+        for normal, block in zip(blocks, inverses):
+            inverse = cho_solve(cho_factor(normal), eye)
+            bound = 10.0 * np.linalg.cond(normal) * eps * np.max(np.abs(inverse))
+            assert np.max(np.abs(block - inverse)) <= bound
+
+
+def pairwise_charge_rotation(v):
+    # the turn as it was written before the gather table: copy the block,
+    # then overwrite each (x_{l,m}, y_{l,-m}) pair, m != 0
+    K = v.shape[0]
+    _, ms = coeff_degrees(round(np.sqrt(K)) - 1)
+    k = np.flatnonzero(ms)
+    x, y, sign = 3 * k, 3 * (k - 2 * ms[k]) + 1, np.sign(ms[k])[:, None]
+    flat = v.reshape(3 * K, -1)
+    out = flat.copy()
+    out[x] = (sign * flat[x] + flat[y]) / np.sqrt(2.0)
+    out[y] = (flat[x] - sign * flat[y]) / np.sqrt(2.0)
+    return out.reshape(v.shape)
+
+
+@pytest.mark.parametrize("L", [16, 32, 48, 64])
+def test_charge_rotation_is_bitwise_the_pairwise_turn(L):
+    K = (L + 1) ** 2
+    rng = np.random.default_rng(L)
+    for shape in ((K, 3), (K, 3, 5)):
+        v = rng.standard_normal(shape)
+        turned = emb._charge_rotation(v)
+        assert turned.shape == shape
+        assert turned.tobytes() == pairwise_charge_rotation(v).tobytes()
+
+
+@pytest.mark.parametrize("L", [16, 32])
+def test_round_inverse_blocks_are_stored_at_their_true_sizes(L):
+    # one (slots, inverse) pair per distinct class size, no padding: the
+    # stored inverse entries are the sum of the squared class sizes
+    sizes = np.unique(emb._charge_labels(L), return_counts=True)[1]
+    table = emb._round_inverse_blocks(L)
+    assert [inverse.shape[1] for _, inverse in table] == sorted(set(sizes))
+    assert sum(inverse.size for _, inverse in table) == np.sum(sizes**2)
+    assert sum(slots.size for slots, _ in table) == 3 * (L + 1) ** 2
+    for slots, inverse in table:
+        assert inverse.shape == slots.shape + slots.shape[1:]
+
+
+@pytest.mark.parametrize("L,limit_mb", [(32, 8.0), (48, 24.0)])
+def test_round_preconditioner_build_peak_memory(L, limit_mb):
+    # the probes go through J0^T J0 in small batches, so a cold build of
+    # the table stays a few times its own size (the grid's other tables
+    # of L are built first and kept)
+    emb._round_inverse_blocks(L)
+    emb._round_inverse_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        emb._round_inverse_blocks(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
+
+
+@pytest.mark.parametrize("L", [24, 32, 48])
+def test_round_preconditioner_inverts_round_normal_matrix(L):
+    grid = nr.build_grid(L)
+    round_tangents = synth_gradient(grid, analyze(grid, grid.unit_vectors))
+    jac, jac_t = emb._metric_linearization(grid, *(d.reshape(-1, 3) for d in round_tangents))
+    r = np.random.default_rng(L).standard_normal((grid.n_coeffs, 3))
+    back = jac_t(jac(emb._round_preconditioner(r)))
+    assert np.linalg.norm(back - r) <= 2e-9 * np.linalg.norm(r)
 
 
 def test_cho_factor_rejects_indefinite_block():
@@ -438,10 +503,10 @@ def test_band_limit_tables_are_shared_and_read_only():
         "legendre rows": (sphere._legendre_rows(a.L),),
         "coeff_degrees": coeff_degrees(a.L),
         "gauge rows": (emb._gauge_rows(a.L),),
-        "preconditioner blocks": emb._round_inverse_blocks(a.L),
+        "preconditioner blocks": sum(emb._round_inverse_blocks(a.L), ()),
     }
     assert sphere._legendre_rows(b.L) is tables["legendre rows"][0]
-    assert emb._round_inverse_blocks(b.L) is tables["preconditioner blocks"]
+    assert emb._round_inverse_blocks(b.L) is emb._round_inverse_blocks(a.L)
     for arrays in tables.values():
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -467,7 +532,8 @@ def test_warm_studies_build_band_limit_tables_once(monkeypatch):
     first, second = nr.run_masses(cfg), nr.run_masses(cfg)
     assert all(not row.flags for row in first.rows)
     assert first.render() == second.render()
-    assert len(factored) == 1
+    # one batched factorisation per distinct charge-class size at L=16
+    assert len(factored) == 17
     assert sphere._legendre_rows.cache_info().misses == 1
 
 

@@ -755,7 +755,8 @@ def test_masses_load_no_scipy(tmp_path):
         "kerr = nr.run_masses(nr.StudyConfig(\n"
         "    metric='kerr_slice m=1 a=0.5', family='coordinate-spheres', **common))\n"
         "assert all(not row.flags for row in lumpy.rows + kerr.rows)\n"
-        "assert calls['cho_factor'] == 1 and calls['embed_axisymmetric'] == 3, calls\n"
+        # one factorisation per distinct charge-class size at L=16
+        "assert calls['cho_factor'] == 17 and calls['embed_axisymmetric'] == 3, calls\n"
         f"open({str(report)!r}, 'w').write(lumpy.render())\n"
         "kerr, study = ['--metric', 'kerr_slice m=1 a=0.5'], ['--schedule', '20,40,80']\n"
         "runs = [\n"
