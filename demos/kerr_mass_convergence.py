@@ -26,5 +26,8 @@ for name, column in (("m_H", [r.hawking for r in rows]),
     fit = nr.fit_rate(list(zip(radii, column)), 1.0)
     print(f"{name}: fitted slope {fit.slope:7.3f}   (gap to 1 at r=80: {abs(column[-1] - 1.0):.2e})")
 
-est = nr.adm_mass(kerr, radii)
+# the ADM flux through each sphere: its flat record's normal and measure
+# against the metric jets at its nodes
+flat = [nr.fundamental_forms(nr.coordinate_sphere(r, grid)) for r in radii]
+est = nr.adm_mass(radii, [nr.mass_flux(f, kerr.jets(f.points)) for f in flat])
 print(f"ADM flux extrapolation over r in {radii}: {est.value:.6f} (rate {est.rate:.2f})")

@@ -49,7 +49,6 @@ from .metrics import (
     AFMetric,
     AdmEstimate,
     adm_mass,
-    adm_surface_integral,
     conformal_perturbed,
     euclidean,
     kerr_slice,
@@ -75,6 +74,7 @@ from .surfaces import (
     coordinate_sphere,
     fundamental_forms,
     immerse_radial,
+    mass_flux,
     nearly_round_diagnostics,
 )
 

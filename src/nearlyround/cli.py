@@ -41,7 +41,7 @@ from .harness import (
 )
 from .metrics import adm_mass, parse_metric
 from .sphere import build_grid
-from .surfaces import coordinate_sphere, fundamental_forms
+from .surfaces import coordinate_sphere, fundamental_forms, mass_flux
 
 log = logging.getLogger("nearlyround")
 
@@ -114,12 +114,17 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
-def _cmd_embed(args) -> int:
-    if not 0.0 < args.radius < MAX_RADIUS:
+def _check_radius(radius: float):
+    """A coordinate sphere's det h carries r^4, so r must stay below MAX_RADIUS."""
+    if not 0.0 < radius < MAX_RADIUS:
         raise ConfigError(
             f"radius must be positive and below {MAX_RADIUS:.4g}, where its fourth "
-            f"power overflows, got {args.radius}"
+            f"power overflows, got {radius}"
         )
+
+
+def _cmd_embed(args) -> int:
+    _check_radius(args.radius)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"tol must be positive and finite, got {args.tol}")
     metric = parse_metric(args.metric)
@@ -150,7 +155,12 @@ def _cmd_embed(args) -> int:
 
 def _cmd_adm(args) -> int:
     metric = parse_metric(args.metric)
-    est = adm_mass(metric, _parse_schedule(args.schedule), args.band_limit)
+    radii = _parse_schedule(args.schedule)
+    for r in radii:
+        _check_radius(r)
+    grid = build_grid(args.band_limit)
+    records = [fundamental_forms(coordinate_sphere(r, grid)) for r in radii]
+    est = adm_mass(radii, [mass_flux(fh, metric.jets(fh.points)) for fh in records])
     # JSON has no nan: a constant flux has rate null, as in RateFit.as_dict
     payload = {**asdict(est), "rate": est.rate if math.isfinite(est.rate) else None,
                "known_mass": metric.known_mass}

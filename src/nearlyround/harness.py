@@ -35,6 +35,7 @@ from .surfaces import (
     divergence_identity_gap,
     fundamental_forms,
     immerse_radial,
+    mass_flux,
     mean_curvature_expansion_residual,
     mean_curvature_integral_residual,
     nearly_round_diagnostics,
@@ -336,14 +337,21 @@ class RateFit:
 def fit_rate(series, m_infinity: float) -> RateFit:
     """Fit the approach rate of a mass series toward its limit.
 
-    series is an iterable of (r, mass) pairs.  A flux of size r less its
-    leading part, a mass at radius r carries about eps r of roundoff: gaps
-    below 10 eps max(1, |m_inf|, r) give an explicit not-fittable result.
+    series is an iterable of (r, mass) pairs, with finite masses at
+    positive finite radii, and m_infinity is finite.  A flux of size r less
+    its leading part, a mass at radius r carries about eps r of roundoff:
+    gaps below 10 eps max(1, |m_inf|, r) give an explicit not-fittable
+    result.
     """
     pts = [(float(r), float(v)) for r, v in series]
     if len(pts) < 3:
-        raise ValueError("rate fit needs at least three points")
+        raise ConfigError("rate fit needs at least three points")
+    bad = [(r, v) for r, v in pts if not (0.0 < r < math.inf and math.isfinite(v))]
+    if bad:
+        raise ConfigError(f"rate fit needs finite masses at positive finite radii, got {bad[0]}")
     m_infinity = float(m_infinity)
+    if not math.isfinite(m_infinity):
+        raise ConfigError(f"the limit m_inf must be finite, got {m_infinity}")
     radii = np.array([r for r, _ in pts])
     gaps = np.array([abs(v - m_infinity) for _, v in pts])
     floors = 10.0 * np.finfo(float).eps * np.maximum(max(1.0, abs(m_infinity)), radii)
@@ -544,7 +552,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     else:
         tolerance = 0.05 * max(1.0, abs(metric.known_mass))
         try:
-            est = adm_mass(metric, config.schedule, config.band_limit)
+            est = adm_mass(config.schedule, [mass_flux(fh, fd.jets) for _, fh, fd in family()])
         except NearlyRoundError as exc:
             add_failed("adm-agreement", tolerance, exc)
         else:

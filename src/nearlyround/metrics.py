@@ -30,6 +30,9 @@ and store each symmetric index pair once, packed as the six entries of
 an upper triangle: a _Jet's Hessian is (6, N), and the assembly's ddg
 (6 kl, 6 ij, N).  The assembled tensors are unpacked and moved to
 node-major once, by one gather each.
+
+adm_mass extrapolates mass fluxes to the total mass.  It reads numbers:
+the flux of a surface is surfaces.mass_flux, over the surface's records.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .sphere import SphereGrid
 
 
 class PointInsideExclusionRadius(ConfigError):
@@ -53,10 +55,6 @@ class UnknownMetricFamily(ConfigError):
 
 class NonFiniteJets(SolverError):
     """A jet entry overflowed a float at a point outside the exclusion radius."""
-
-
-class QuadratureUnderresolved(UserWarning):
-    """Doubling the band limit moved a surface integral more than tolerance."""
 
 
 class NonMonotoneFluxTail(UserWarning):
@@ -489,50 +487,8 @@ def sectional_curvature(
 
 
 # ---------------------------------------------------------------------------
-# Total-mass surface integrals
+# Total-mass extrapolation
 # ---------------------------------------------------------------------------
-
-# relative flux change under a doubled band limit that warns of underresolution
-_RESOLUTION_TOL = 1e-9
-
-
-def adm_surface_integral(
-    metric: AFMetric,
-    radius: float,
-    band_limit: int = 16,
-    center: np.ndarray | None = None,
-    check_resolution: bool = True,
-) -> float:
-    """Mass flux (1/16 pi) oint (d_i g_ij - d_j g_ii) nu_j over the coordinate
-    sphere of the given radius, Euclidean normal and measure."""
-
-    def flux(L):
-        grid = SphereGrid(L)
-        nhat = grid.unit_vectors.reshape(-1, 3)
-        pts = radius * nhat
-        if center is not None:
-            pts = pts + np.asarray(center, dtype=float)
-        dg = metric.jets(pts).dg
-        div = np.einsum("niji->nj", dg)  # d_i g_ij
-        grad_tr = np.einsum("niij->nj", dg)  # d_j g_ii
-        integrand = np.einsum("nj,nj->n", div - grad_tr, nhat)
-        return (
-            radius**2
-            * np.sum(grid.weights.ravel() * integrand)
-            / (16.0 * np.pi)
-        )
-
-    value = flux(band_limit)
-    if check_resolution:
-        refined = flux(2 * band_limit)
-        if abs(refined - value) > _RESOLUTION_TOL * max(1.0, abs(value)):
-            warnings.warn(
-                f"surface integral moved {abs(refined - value):.3e} when the "
-                f"band limit doubled from {band_limit}",
-                QuadratureUnderresolved,
-                stacklevel=2,
-            )
-    return value
 
 
 @dataclass(frozen=True)
@@ -547,30 +503,26 @@ class AdmEstimate:
     fluxes: tuple
 
 
-def adm_mass(
-    metric: AFMetric,
-    radii,
-    band_limit: int = 16,
-) -> AdmEstimate:
-    """Extrapolate the mass flux against c0 + c1 r^-p with p fitted.
+def adm_mass(radii, fluxes) -> AdmEstimate:
+    """Extrapolate mass fluxes against c0 + c1 r^-p with p fitted.
 
-    Needs at least three strictly increasing radii outside the exclusion
-    radius, each with a finite square (the flux carries r^2); p comes from
-    a golden-section search on [0.25, 4] to 1e-13.  A constant flux fits
-    every p, so it has no rate: rate is nan and the coefficient 0.  Warns
-    when the flux tail is not settling monotonically.
+    fluxes[k] is the mass flux through the surface of radius radii[k]
+    (surfaces.mass_flux).  Needs at least three strictly increasing radii,
+    each with a finite square (the flux carries r^2), and one flux per
+    radius; p comes from a golden-section search on [0.25, 4] to 1e-13.  A
+    constant flux fits every p, so it has no rate: rate is nan and the
+    coefficient 0.  Warns when the flux tail is not settling monotonically.
     """
     radii = tuple(float(r) for r in radii)
+    fluxes = tuple(float(f) for f in fluxes)
     if len(radii) < 3:
         raise ConfigError("need at least three radii to fit the flux model")
+    if len(fluxes) != len(radii):
+        raise ConfigError(f"{len(fluxes)} fluxes for {len(radii)} radii")
     if not all(np.isfinite(r * r) for r in radii):
         raise ConfigError(f"radii and their squares must be finite: {radii}")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing")
-    fluxes = tuple(
-        adm_surface_integral(metric, r, band_limit, check_resolution=False)
-        for r in radii
-    )
     diffs = np.diff(fluxes)
     if len(diffs) >= 2:
         settling = np.all(np.abs(diffs[1:]) <= np.abs(diffs[:-1]) * (1.0 + 1e-12))

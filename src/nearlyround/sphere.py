@@ -133,6 +133,12 @@ def _nodes(L: int) -> tuple:
     return mu, theta, phi, weights, unit
 
 
+# The highest band limit a grid takes: twice the highest the tests run (64).
+# At the pole row the sectoral Legendre seed, ~ sin(theta_0)^L, is 2.6e-222
+# at L = 128 and underflows near L = 170 (subnormal 9.8e-316 there, 0 at 175).
+MAX_BAND_LIMIT = 128
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Gauss-Legendre x uniform-phi quadrature grid at band limit L; its
@@ -149,8 +155,10 @@ class SphereGrid:
     )
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ConfigError(f"band limit must be >= 1, got {self.L}")
+        if not 1 <= self.L <= MAX_BAND_LIMIT:
+            raise ConfigError(
+                f"band limit must be between 1 and {MAX_BAND_LIMIT}, got {self.L}"
+            )
 
     @property
     def ntheta(self) -> int:

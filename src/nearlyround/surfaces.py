@@ -20,7 +20,8 @@ surface, the flat fd_hat and the curved fd:
 second_form_transform_residual, mean_curvature_expansion_residual,
 divergence_identity_gap and mean_curvature_integral_residual take
 (fd_hat, fd), and distance_hessian_residual takes fd_hat.  None of them
-re-evaluates the metric or transforms a field.
+re-evaluates the metric or transforms a field.  mass_flux reads a flat
+record and the metric jets at its nodes.
 
 Frame conventions: tangent index a in {0, 1} is the (theta, phi)
 coordinate frame; ambient indices i, j, k are Cartesian.  The second
@@ -56,6 +57,7 @@ __all__ = [
     "mean_curvature_expansion_residual",
     "divergence_identity_gap",
     "mean_curvature_integral_residual",
+    "mass_flux",
 ]
 
 
@@ -735,25 +737,40 @@ def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> flo
     return float(abs(i1 - (i2 + i3 + i4)))
 
 
+def mass_flux(fd_hat: FundamentalData, jets: mcat.JetBatch) -> float:
+    """ADM mass flux (1/16 pi) oint (d_i g_ij - d_j g_ii) nhat^j dAhat.
+
+    The flat record gives the normal nhat and the measure dAhat, and jets
+    are the metric's at its nodes.  Along any exhausting family of
+    surfaces the flux tends to the ADM mass (Bartnik, CPAM 1986).
+    """
+    if fd_hat.ambient != "euclidean":
+        raise ValueError("mass flux needs the flat-ambient data")
+    N = fd_hat.grid.n_nodes
+    nhat = fd_hat.normal.reshape(N, 3)
+    dg = jets.dg
+    div = np.einsum("niji->nj", dg)  # d_i g_ij
+    grad_tr = np.einsum("niij->nj", dg)  # d_j g_ii
+    integrand = np.einsum("nj,nj->n", div - grad_tr, nhat)
+    return fd_hat.integrate(integrand.reshape(fd_hat.grid.shape)) / (16.0 * np.pi)
+
+
 def mean_curvature_integral_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
     """Scaled residual of the integral mean-curvature comparison.
 
-    The curved-measure integral of H - Hhat equals half the flat-measure
-    flux of (tr g),_j - g_ij,i against the normal minus half the
-    flat-measure integral of sigma : rho_hess, up to O(r^(1-2tau)); the
-    return value is |LHS - RHS| * r^(2tau-1).
+    The curved-measure integral of H - Hhat equals -8 pi times the mass
+    flux (mass_flux) minus half the flat-measure integral of
+    sigma : rho_hess, up to O(r^(1-2tau)); the return value is
+    |LHS - RHS| * r^(2tau-1).
     """
     N = fd.grid.n_nodes
-    nhat = fd_hat.normal.reshape(N, 3)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
     sigma = fd.jets.sigma
-    dg = fd.jets.dg
     H = fd.mean_curvature.reshape(N)
     Hhat = fd_hat.mean_curvature.reshape(N)
     shp = fd.grid.shape
     lhs = fd.integrate((H - Hhat).reshape(shp))
-    flux = np.einsum("njji,ni->n", dg, nhat) - np.einsum("niji,nj->n", dg, nhat)
-    rhs = 0.5 * fd_hat.integrate(flux.reshape(shp)) - 0.5 * fd_hat.integrate(
+    rhs = -8.0 * np.pi * mass_flux(fd_hat, fd.jets) - 0.5 * fd_hat.integrate(
         np.einsum("nst,nst->n", sigma, rho_hess).reshape(shp)
     )
     return float(abs(lhs - rhs)) * fd.r_min ** (2.0 * fd.tau - 1.0)

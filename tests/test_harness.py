@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import nearlyround as nr
+from nearlyround import harness
 from nearlyround.cli import main
 from nearlyround.harness import family_surfaces
 from nearlyround.metrics import parse_metric
@@ -399,6 +400,42 @@ def test_run_verify_passes_at_high_band_limits(metric, L):
     assert [c.name for c in report.checks if not c.passed] == []
 
 
+KERR_L16 = dict(metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=16)
+
+
+def test_run_verify_evaluates_the_jets_once_per_member(monkeypatch):
+    # the ADM flux reads the jets that the curved records hold: three
+    # members, three jet calls (the flat records evaluate none)
+    calls = []
+    jets = nr.AFMetric.jets
+
+    def counted(self, points):
+        calls.append(len(points))
+        return jets(self, points)
+
+    monkeypatch.setattr(nr.AFMetric, "jets", counted)
+    assert nr.run_verify(nr.StudyConfig(**KERR_L16)).passed
+    assert calls == [17 * 34] * 3
+
+
+def test_verify_extrapolates_the_adm_subcommand_value_bit_for_bit(monkeypatch, capsys):
+    # on coordinate spheres both read one flux formula at the same nodes
+    estimates = []
+
+    def recorded(radii, fluxes):
+        estimates.append(nr.adm_mass(radii, fluxes))
+        return estimates[-1]
+
+    monkeypatch.setattr(harness, "adm_mass", recorded)
+    assert nr.run_verify(nr.StudyConfig(**KERR_L16)).passed
+    assert main(["adm", "--metric", KERR_L16["metric"], "--schedule", "20,40,80",
+                 "--band-limit", "16"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (est,) = estimates
+    assert payload["fluxes"] == list(est.fluxes)
+    assert payload["value"] == est.value
+
+
 def test_verify_kerr_l16_spectral_resolution_at_roundoff():
     # the curvature tail of resolved Kerr spheres is roundoff of the
     # transforms: 1.1e-14 with the mirrored phi table, 1.3e-13 with a
@@ -516,6 +553,10 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
         ["embed", "--metric", "schwarzschild_isotropic m=1", "--radius", "40", "--band-limit", "0"],
         ["adm", "--metric", "schwarzschild_isotropic m=1", "--schedule", "80,40,160"],
         ["adm", "--metric", "schwarzschild_isotropic m=abc", "--schedule", "40,80,160"],
+        # a grid past the band-limit ceiling is refused before any table is built
+        ["adm", "--metric", "schwarzschild_isotropic m=1", "--schedule", "40,80,160",
+         "--band-limit", "100000000"],
+        ["masses", "--schedule", "10,20,40", "--band-limit", "100000"],
         # the l=2 bump at amplitude 0.9 dips to r = 3.58 < 4 at r = 5
         ["masses", "--metric", "schwarzschild_standard m=1", "--family", "radial-perturbed",
          "--l", "2", "--m-order", "0", "--amplitude", "0.9", "--decay", "0",
@@ -526,7 +567,8 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
     ids=[
         "masses-schedule-nan", "masses-metric-nan", "masses-tol-inf",
         "embed-radius-nan", "embed-tol-inf", "embed-band-limit-0",
-        "adm-schedule-unsorted", "adm-metric-abc", "masses-perturbed-inside-exclusion",
+        "adm-schedule-unsorted", "adm-metric-abc", "adm-band-limit-huge",
+        "masses-band-limit-huge", "masses-perturbed-inside-exclusion",
         "verify-seed-negative",
     ],
 )
@@ -541,7 +583,7 @@ def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
         # r ** -decay overflows a float at r = 1e10
         ["masses", "--family", "radial-perturbed", "--l", "2", "--decay", "-300",
          "--schedule", "10,20,1e10"],
-        # the flux integral carries r^2, which overflows at r = 1e200
+        # a coordinate sphere's det h carries r^4, which overflows at r = 1e200
         ["adm", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e200"],
     ],
     ids=["masses-perturbation-overflow", "adm-radius-square-overflow"],
@@ -896,6 +938,32 @@ def test_cli_rate_wrong_cell_types(tmp_path, capsys, row, reference):
     )
     assert main(["rate", "--input", str(path), "--column", "hawking"]) == 2
     capsys.readouterr()
+
+
+SERIES = [(10.0, 1.5), (20.0, 1.25), (40.0, 1.125)]
+
+
+@pytest.mark.parametrize(
+    "series, reference",
+    [
+        ([(10.0, "NaN"), *SERIES[1:]], "1.0"),
+        ([(10.0, "Infinity"), *SERIES[1:]], "1.0"),
+        (SERIES, "NaN"),
+        (SERIES, "Infinity"),
+        ([(0.0, 1.5), *SERIES[1:]], "1.0"),
+        ([(-10.0, 1.5), *SERIES[1:]], "1.0"),
+    ],
+    ids=["nan-cell", "inf-cell", "nan-reference", "inf-reference", "zero-radius",
+         "negative-radius"],
+)
+def test_cli_rate_rejects_nonfinite_and_nonpositive_input(tmp_path, capsys, series, reference):
+    # a fit over such pairs has no slope: it exits 2 and prints nothing,
+    # neither a "fittable" result with null slopes nor a bare NaN
+    path = tmp_path / "report.json"
+    rows = ", ".join(f'{{"r": {r}, "hawking": {v}}}' for r, v in series)
+    path.write_text(f'{{"rows": [{rows}], "metadata": {{"adm_reference": {reference}}}}}')
+    assert main(["rate", "--input", str(path), "--column", "hawking"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_rate_bad_inputs(tmp_path, capsys):
