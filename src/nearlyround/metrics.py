@@ -18,18 +18,22 @@ sigma_ij with |sigma| + r|d sigma| + r^2|dd sigma| = O(r^-tau).  Families:
 
 Every family has the form g = B I + F x (x) x + E w (x) w with w = (-y, x, 0)
 and closed-form scalars B, F, E; their exact jets come from product-rule
-arithmetic, and one assembly turns them into (g, dg, ddg).  Finite
-differences and symbolic derivations appear only in the test suite as
-independent oracles.
+arithmetic, and one assembly turns them into (g, dg) and the closed form's
+terms.  Finite differences and symbolic derivations appear only in the
+test suite as independent oracles.
 
-Index conventions: ``dg[i, j, k] = d_k g_ij``; ``ddg[i, j, k, l] =
-d_k d_l g_ij``.  A JetBatch carries a leading node axis and C-contiguous
-arrays.  Inside, the scalar jets (_Jet) and the assembly keep the node
-axis last, so each per-node product runs its inner loop over the nodes,
-and store each symmetric index pair once, packed as the six entries of
-an upper triangle: a _Jet's Hessian is (6, N), and the assembly's ddg
-(6 kl, 6 ij, N).  The assembled tensors are unpacked and moved to
-node-major once, by one gather each.
+Index convention: ``dg[i, j, k] = d_k g_ij``.  A JetBatch carries g and
+dg with a leading node axis as C-contiguous arrays, and the closed form
+itself as its terms: (B, None) for B I and (S, V) for each S (V x)(V x)^T,
+V = I for F and V the rotation generator for E, with the scalar jets S.
+No second derivative of g is assembled: sectional_curvature takes the
+three it needs from the terms by the product rule.  Inside, the scalar
+jets (_Jet) and the assembly keep the node axis last, so each per-node
+product runs its inner loop over the nodes, and store each symmetric
+index pair once, packed as the six entries of an upper triangle: a
+_Jet's Hessian is (6, N), and the assembly's g (6, N) and dg (3, 6, N).
+The assembled tensors are unpacked and moved to node-major once, by one
+gather each.
 
 adm_mass extrapolates mass fluxes to the total mass.  It reads numbers:
 the flux of a surface is surfaces.mass_flux, over the surface's records.
@@ -63,11 +67,17 @@ class NonMonotoneFluxTail(UserWarning):
 
 @dataclass(frozen=True)
 class JetBatch:
-    """Stacked jets at N points: g (N,3,3), dg (N,3,3,3), ddg (N,3,3,3,3)."""
+    """The metric at N points: g (N,3,3), dg (N,3,3,3), and its closed form.
+
+    terms is the closed form g = sum of its terms: (S, None) stands for
+    S I and (S, V) for S (V x)(V x)^T, with S a scalar _Jet (node axis
+    last) and V a constant (3, 3) matrix; points (N, 3) are the nodes x.
+    """
 
     g: np.ndarray
     dg: np.ndarray
-    ddg: np.ndarray
+    terms: tuple
+    points: np.ndarray
 
     @property
     def sigma(self) -> np.ndarray:
@@ -99,12 +109,13 @@ class AFMetric:
                 f"exclusion radius {self.exclusion_radius:.6g}"
             )
         with np.errstate(all="ignore"):
-            g, dg, ddg = self._jet_fn(points)
-        if not all(np.all(np.isfinite(a)) for a in (g, dg, ddg)):
+            g, dg, terms = self._jet_fn(points)
+        arrays = [g, dg] + [a for S, _ in terms for a in (S.v, S.d, S.h)]
+        if not all(np.all(np.isfinite(a)) for a in arrays):
             raise NonFiniteJets(
                 f"{self.family}: metric jets overflow at radius up to {radii.max():.6g}"
             )
-        return JetBatch(g, dg, ddg)
+        return JetBatch(g, dg, terms, points)
 
     def __repr__(self):
         return f"AFMetric({self.spec()!r})"
@@ -233,47 +244,40 @@ def _node_major(packed, unpack, shape):
     return np.take(packed.T, unpack, axis=1).reshape((-1,) + shape)
 
 
-# the row of the packed accumulators behind each entry of g, dg and ddg
+# the row of the packed accumulators behind each entry of g and dg; _G_UNPACK
+# also unpacks any packed symmetric (6, n) array to its full (9, n) rows
 _G_UNPACK = _PACK.ravel()
 _DG_UNPACK = (_PACK[:, :, None] + 6 * np.arange(3)).ravel()
-_DDG_UNPACK = (_PACK[:, :, None, None] + 6 * _PACK).ravel()
 
 
 def _assemble(points, B, F=None, E=None):
-    """(g, dg, ddg) of g = B I + F x (x) x + E w (x) w from scalar jets.
+    """(g, dg, terms) of g = B I + F x (x) x + E w (x) w from scalar jets.
 
-    Every catalog metric has this form; F and E default to zero.  The
-    tensors are accumulated in place, node-last and packed: symmetric
-    pairs (i, j) and (k, l) are stored once, g as (6, N), dg as (k, 6, N)
-    and ddg as (6 kl, 6 ij, N).  Each is then written once, node-major.
+    Every catalog metric has this form; F and E default to zero.  g and
+    dg are accumulated in place, node-last and packed: a symmetric pair
+    (i, j) is stored once, g as (6, N) and dg as (k, 6, N).  Each is then
+    written once, node-major.  terms is the closed form itself, for
+    JetBatch: (B, None), then (F, I) and (E, _ROTATION) where given.
     """
     n = len(points)
-    g, dg, ddg = np.zeros((6, n)), np.zeros((3, 6, n)), np.zeros((6, 6, n))
-    g[_DIAG], dg[:, _DIAG], ddg[:, _DIAG] = B.v, B.d[:, None], B.h[:, None]
+    g, dg = np.zeros((6, n)), np.zeros((3, 6, n))
+    g[_DIAG], dg[:, _DIAG] = B.v, B.d[:, None]
+    terms = [(B, None)]
     for S, V in ((F, np.eye(3)), (E, _ROTATION)):
         if S is None:
             continue
-        # v = V x has the constant Jacobian d_k v_i = V_ik; vv (6 ij, N),
-        # dvv (k, 6 ij, N) and the constant ddvv (6 ij, 6 kl) are its jet
+        # v = V x has the constant Jacobian d_k v_i = V_ik; vv (6 ij, N) and
+        # dvv (k, 6 ij, N) are its jet
         v = V @ points.T
         vv = v[_PI] * v[_PJ]
         dvv = V[_PI].T[:, :, None] * v[_PJ] + v[_PI] * V[_PJ].T[:, :, None]
-        ddvv = V[_PI][:, _PI] * V[_PJ][:, _PJ] + V[_PI][:, _PJ] * V[_PJ][:, _PI]
         g += S.v * vv
         dg += S.d[:, None] * vv + S.v * dvv
-        # d_k d_l (S vv) = dd S vv + d_k S d_l vv + d_l S d_k vv + S dd vv,
-        # summed in that order, one (k, l) at a time into reused buffers
-        t, term = np.empty((2, 6, n))
-        for b, (k, l) in enumerate(zip(_PI, _PJ)):
-            np.multiply(S.h[b], vv, out=t)
-            t += np.multiply(S.d[k], dvv[l], out=term)
-            t += np.multiply(S.d[l], dvv[k], out=term)
-            t += np.multiply(S.v, ddvv[:, b, None], out=term)
-            ddg[b] += t
+        terms.append((S, V))
     return (
         _node_major(g, _G_UNPACK, (3, 3)),
         _node_major(dg.reshape(18, n), _DG_UNPACK, (3, 3, 3)),
-        _node_major(ddg.reshape(36, n), _DDG_UNPACK, (3, 3, 3, 3)),
+        tuple(terms),
     )
 
 
@@ -435,11 +439,10 @@ def symmetric_inverse(g: np.ndarray) -> np.ndarray:
     return (cof / det[:, None]).reshape(-1, 3, 3)
 
 
-def christoffel(jets: JetBatch) -> np.ndarray:
-    """Christoffel symbols of the second kind, Gamma[n, k, i, j] = Gamma^k_ij."""
-    n = len(jets.g)
-    ginv = symmetric_inverse(jets.g)
-    dg = jets.dg  # dg[n, i, j, k] = d_k g_ij
+def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the second kind, Gamma[n, k, i, j] = Gamma^k_ij,
+    from the inverse metric ginv (N, 3, 3) and dg[n, i, j, k] = d_k g_ij."""
+    n = len(dg)
     # T[n, l, i, j] = d_j g_il + d_i g_jl - d_l g_ij
     T = (
         np.einsum("nilj->nlij", dg)
@@ -454,36 +457,74 @@ def sectional_curvature(
 ) -> np.ndarray:
     """R(X, Y, X, Y) at each point for any pair of (N, 3) vector fields: the
     sectional curvature of span(X, Y) times |X ^ Y|^2 = g(X,X) g(Y,Y) -
-    g(X,Y)^2.  `Gam` is christoffel(jets).  The sign is the one under which
-    the Gauss equation K = (R(T0, T1, T0, T1) + det A) / det h gives
-    K = 1/r^2 on the round spheres of the catalog.
+    g(X,Y)^2.  `Gam` is the Christoffel symbols of the jets.  The sign is
+    the one under which the Gauss equation K = (R(T0, T1, T0, T1) + det A)
+    / det h gives K = 1/r^2 on the round spheres of the catalog.
 
     The coordinate formula (Landau & Lifshitz, section 92)
         R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km) / 2
                  + g_np (Gam^n_kl Gam^p_im - Gam^n_km Gam^p_il)
-    is contracted with X and Y first, so only three second-derivative
-    blocks d_U d_V g and three vectors Gam(U, V), (U, V) in {(X, X), (X, Y),
-    (Y, Y)}, are formed:
+    is contracted with X and Y first, so only three second directional
+    derivatives of g and three vectors Gam(U, V), (U, V) in {(X, X),
+    (X, Y), (Y, Y)}, are formed:
         R(X,Y,X,Y) = d_X d_Y g(X, Y) - (d_X d_X g(Y, Y) + d_Y d_Y g(X, X)) / 2
                      + g(Gam(X,Y), Gam(X,Y)) - g(Gam(X,X), Gam(Y,Y)).
+    The derivatives of g come from the jets' terms (_gauss_second_derivatives).
     """
     n = len(X)
-    # the outer products U (x) V as the three columns of one (n, 9, 3) stack
-    pairs = np.stack(
-        [U[:, :, None] * V[:, None, :] for U, V in ((X, X), (X, Y), (Y, Y))], axis=-1
-    ).reshape(n, 9, 3)
-    dd = (jets.ddg.reshape(n, 9, 9) @ pairs).reshape(n, 3, 3, 3)  # [n, i, j, pair]
-    gam = Gam.reshape(n, 3, 9) @ pairs  # [n, k, pair]
-
-    def form(M, U, V):
-        return np.einsum("nij,ni,nj->n", M, U, V)
-
+    # X and Y node-last, and their outer products U (x) W for (U, W) = (X, X),
+    # (X, Y), (Y, Y), as one (pair, 9 ij, n) stack
+    xy = np.empty((2, 3, n))
+    xy[0], xy[1] = X.T, Y.T
+    outer = np.empty((3, 3, 3, n))
+    for pair, (u, w) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.multiply(xy[u][:, None], xy[w][None, :], out=outer[pair])
+    outer = outer.reshape(3, 9, n)
+    gam = Gam.reshape(n, 3, 9) @ outer.transpose(2, 1, 0).copy()  # [n, k, pair]
+    lowered = jets.g @ gam  # g(Gam(U, W), .)
     return (
-        form(dd[..., 1], X, Y)
-        - 0.5 * (form(dd[..., 0], Y, Y) + form(dd[..., 2], X, X))
-        + form(jets.g, gam[..., 1], gam[..., 1])
-        - form(jets.g, gam[..., 0], gam[..., 2])
+        _gauss_second_derivatives(jets, xy, outer)
+        + np.einsum("nk,nk->n", lowered[..., 1], gam[..., 1])
+        - np.einsum("nk,nk->n", lowered[..., 0], gam[..., 2])
     )
+
+
+def _gauss_second_derivatives(jets: JetBatch, xy: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """d_X d_Y g(X, Y) - (d_X d_X g(Y, Y) + d_Y d_Y g(X, X)) / 2, summed over
+    the jets' terms, for the fields X and Y taken as constants.  xy (2, 3, n)
+    holds X and Y node-last, outer (3, 9, n) their outer products
+    X (x) X, X (x) Y and Y (x) Y.
+
+    With S_U = U . grad S and S_UW = U^T (hess S) W, a term S I gives
+        S_XY (X.Y) - (S_XX (Y.Y) + S_YY (X.X)) / 2.
+    A term S (V x)(V x)^T, with p = (V x).X, q = (V x).Y and a_UW =
+    (V^T U).W, the derivative of (V x).U along W and constant in x, gives
+    by the product rule
+        d_X d_Y g(X, Y) = S_XY p q + S_X (a_XY q + p a_YY) + S_Y (a_XX q + p a_YX)
+                          + S (a_XX a_YY + a_XY a_YX),
+        d_X d_X g(Y, Y) = S_XX q^2 + 4 S_X a_YX q + 2 S a_YX^2,
+        d_Y d_Y g(X, X) = S_YY p^2 + 4 S_Y a_XY p + 2 S a_XY^2.
+    """
+    total = np.zeros(xy.shape[2])
+    for S, V in jets.terms:
+        s_xx, s_xy, s_yy = np.einsum("an,pan->pn", S.h[_G_UNPACK], outer)
+        if V is None:
+            (x_x, x_y), (_, y_y) = np.einsum("uin,win->uwn", xy, xy)
+            total += s_xy * x_y - 0.5 * (s_xx * y_y + s_yy * x_x)
+            continue
+        p, q = np.einsum("in,uin->un", V @ jets.points.T, xy)
+        (a_xx, a_xy), (a_yx, a_yy) = np.einsum("uin,win->uwn", xy, V @ xy)
+        s_x, s_y = np.einsum("in,uin->un", S.d, xy)
+        d_xy = (
+            s_xy * p * q
+            + s_x * (a_xy * q + p * a_yy)
+            + s_y * (a_xx * q + p * a_yx)
+            + S.v * (a_xx * a_yy + a_xy * a_yx)
+        )
+        d_xx = s_xx * q * q + 4.0 * s_x * a_yx * q + 2.0 * S.v * a_yx**2
+        d_yy = s_yy * p * p + 4.0 * s_y * a_xy * p + 2.0 * S.v * a_xy**2
+        total += d_xy - 0.5 * (d_xx + d_yy)
+    return total
 
 
 # ---------------------------------------------------------------------------

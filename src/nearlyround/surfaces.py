@@ -141,9 +141,10 @@ class FundamentalData:
     scalar fields have the grid shape.  area_jacobian is the ratio of
     the induced area element to the round-sphere element sin(theta)
     dtheta dphi, so integrate() multiplies by it under the grid rule.
-    points, tangents (N, 2, 3), the ambient jets and Christoffel symbols
-    (N, 3, 3, 3) are per flattened node; tau is the ambient decay order.
-    A flat record's jets and Christoffel symbols are read-only constants.
+    points, tangents (N, 2, 3), the ambient jets, the inverse ambient
+    metric (N, 3, 3) and the Christoffel symbols (N, 3, 3, 3) are per
+    flattened node; tau is the ambient decay order.  A flat record's jets,
+    inverse metric and Christoffel symbols are read-only constants.
     """
 
     ambient: str
@@ -151,6 +152,7 @@ class FundamentalData:
     points: np.ndarray
     tangents: np.ndarray
     jets: mcat.JetBatch
+    ambient_metric_inv: np.ndarray
     christoffel: np.ndarray
     tau: float
     induced_metric: np.ndarray
@@ -208,12 +210,13 @@ def _resolve_ambient(ambient):
     return metric, tag
 
 
-def _flat_ambient(N: int) -> tuple[mcat.JetBatch, np.ndarray]:
-    """The Euclidean jets and Christoffel symbols at N nodes, as read-only
-    constant views: g = delta, and every derivative and Gamma zero."""
-    zeros = np.broadcast_to(0.0, (N, 3, 3, 3, 3))
-    jets = mcat.JetBatch(np.broadcast_to(np.eye(3), (N, 3, 3)), zeros[..., 0], zeros)
-    return jets, zeros[..., 0]
+def _flat_ambient(pts: np.ndarray) -> tuple[mcat.JetBatch, np.ndarray, np.ndarray]:
+    """The Euclidean jets, inverse metric and Christoffel symbols at the
+    nodes, as read-only constant views: g = delta with no terms, and dg and
+    Gamma zero."""
+    eye = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+    zeros = np.broadcast_to(0.0, (len(pts), 3, 3, 3))
+    return mcat.JetBatch(eye, zeros, (), pts), eye, zeros
 
 
 def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
@@ -222,14 +225,17 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     ambient None means the flat background; otherwise an AFMetric.  The
     Gauss curvature comes from the Gauss equation K = (R(T0, T1, T0, T1) +
     det A) / det h, so it is intrinsic in either case; the ambient term is
-    metrics.sectional_curvature on the tangent pair, which reads the jets
-    and the record's one Gamma and forms no curvature tensor.
+    metrics.sectional_curvature on the tangent pair, which reads the jets'
+    closed-form terms and the record's one Gamma and forms no curvature
+    tensor.  The inverse ambient metric is formed once, for Gamma and the
+    normal, and kept on the record.
 
     A Euclidean ambient (None or the ``euclidean`` family) evaluates no
     jets and no Christoffel symbols: h = T T^t, nu = (T0 x T1)/|T0 x T1|,
     and K = det A / det h.  Its record still carries jets (g = delta, zero
-    derivatives) and a zero Gamma as read-only constant views, so every
-    consumer reads a flat record like a curved one.
+    derivative, no terms), g^-1 = delta and a zero Gamma as read-only
+    constant views, so every consumer reads a flat record like a curved
+    one.
     """
     grid = s.grid
     metric, tag = _resolve_ambient(ambient)
@@ -239,11 +245,12 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     T = np.stack(s.tangents(), axis=2).reshape(N, 2, 3)
     Tt = T.transpose(0, 2, 1)
     if flat:
-        jets, Gam = _flat_ambient(N)
+        jets, ginv, Gam = _flat_ambient(pts)
         gT = T
     else:
         jets = metric.jets(pts)
-        Gam = mcat.christoffel(jets)
+        ginv = mcat.symmetric_inverse(jets.g)
+        Gam = mcat.christoffel(ginv, jets.dg)
         gT = T @ jets.g  # g symmetric: row a is g T_a
     h = gT @ Tt
     deth = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2
@@ -262,7 +269,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     if flat:
         nu = cross / np.linalg.norm(cross, axis=1)[:, None]
     else:
-        nu = (mcat.symmetric_inverse(jets.g) @ cross[:, :, None])[:, :, 0]
+        nu = (ginv @ cross[:, :, None])[:, :, 0]
         nu /= np.sqrt(np.einsum("ni,ni->n", nu, cross))[:, None]  # g(nu, nu) = nu . cross
 
     nu_coeffs = analyze(grid, nu.reshape(grid.shape + (3,)))
@@ -298,6 +305,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         points=pts,
         tangents=T,
         jets=jets,
+        ambient_metric_inv=ginv,
         christoffel=Gam,
         tau=metric.tau,
         induced_metric=h.reshape(shp + (2, 2)),
@@ -619,7 +627,7 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     T = fd_hat.tangents
     nhat = fd_hat.normal.reshape(N, 3)
     Gam = fd.christoffel
-    ginv = mcat.symmetric_inverse(fd.jets.g)
+    ginv = fd.ambient_metric_inv
     grad_norm = np.sqrt(np.einsum("ni,nij,nj->n", nhat, ginv, nhat))
     # nhat_k Gamma^k_ij contracted with T_a^i T_b^j
     nGam = (nhat[:, None] @ Gam.reshape(N, 3, 9)).reshape(N, 3, 3)

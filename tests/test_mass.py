@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 import pytest
+from jet_oracles import RotatedChart
 
 import nearlyround as nr
 from nearlyround import surfaces as surf
@@ -212,6 +213,29 @@ def test_masses_rotation_invariant(g16, metrics):
     assert row.flags == () and row_rot.flags == ()
     assert abs(row.hawking - row_rot.hawking) <= 1e-12
     assert abs(row.brown_york - row_rot.brown_york) <= 1e-12
+
+
+def test_tilted_kerr_gives_the_untilted_masses():
+    # Kerr with its spin axis tilted by 0.7 rad is the same slice in other
+    # coordinates, and its coordinate spheres the same surfaces: the grid's
+    # poles leave the symmetry axis, so the data is not phi-independent and
+    # the embedding takes the general route, yet the masses stay the
+    # untilted ones
+    kerr = nr.kerr_slice(1.0, 0.5)
+    c, s = math.cos(0.7), math.sin(0.7)
+    tilted = RotatedChart(kerr, [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    for L in (16, 24, 32, 48):
+        grid = nr.build_grid(L)
+        for r in (20.0, 40.0, 80.0):
+            rows = []
+            for ambient in (kerr, tilted):
+                fd = nr.fundamental_forms(nr.coordinate_sphere(r, grid), ambient)
+                e = nr.embed(fd, tol=1e-12)
+                rows.append((e.method, nr.hawking_mass(fd), nr.brown_york_mass(fd, e)))
+            (route, hawking, brown_york), (tilted_route, tilted_hawking, tilted_brown_york) = rows
+            assert route.startswith("axisymmetric") and tilted_route == "general", (L, r)
+            assert abs(tilted_hawking - hawking) <= 1e-13 * hawking, (L, r)
+            assert abs(tilted_brown_york - brown_york) <= 1e-12 * brown_york, (L, r)
 
 
 def test_mass_values_validation():

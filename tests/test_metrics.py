@@ -5,11 +5,13 @@ import ast
 import functools
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from jet_oracles import RotatedChart, full_ddg
 
 from nearlyround import metrics as M
 from nearlyround.sphere import build_grid, coeff_index, synth_at
@@ -106,10 +108,14 @@ def sympy_kerr_jets(m, a, points):
     )
 
 
-def christoffel_derivative(jets):
+def connection(jets):
+    """M.christoffel of a JetBatch, through the library's inverse."""
+    return M.christoffel(M.symmetric_inverse(jets.g), jets.dg)
+
+
+def christoffel_derivative(g, dg, ddg):
     """dGamma[n, k, i, j, m] = d_m Gamma^k_ij from the second-derivative jet."""
-    ginv = np.linalg.inv(jets.g)
-    dg, ddg = jets.dg, jets.ddg
+    ginv = np.linalg.inv(g)
     T = (
         np.einsum("nilj->nlij", dg)
         + np.einsum("njli->nlij", dg)
@@ -129,14 +135,14 @@ def christoffel_derivative(jets):
     )
 
 
-def riemann_lowered(jets, Gam=None):
+def riemann_lowered(g, dg, ddg, Gam=None):
     """Covariant curvature tensor R[n, i, j, k, l] with R(X,Y,Z,W) =
     g(R(X,Y)Z, W), the sign fixed so that round spheres in the catalog
     reproduce K = 1/r^2 through the Gauss equation: the full tensor that
-    M.sectional_curvature contracts on a pair.  `Gam` is M.christoffel(jets),
-    computed here when not given."""
-    Gam = M.christoffel(jets) if Gam is None else Gam
-    dGam = christoffel_derivative(jets)  # dGam[n, k, i, j, m] = d_m Gamma^k_ij
+    M.sectional_curvature contracts on a pair.  `Gam` is the Christoffel
+    symbols of (g, dg), computed here when not given."""
+    Gam = M.christoffel(M.symmetric_inverse(g), dg) if Gam is None else Gam
+    dGam = christoffel_derivative(g, dg, ddg)  # dGam[n, k, i, j, m] = d_m Gamma^k_ij
     # R^r_{s m q} = d_m Gamma^r_{q s} - d_q Gamma^r_{m s}
     #             + Gamma^r_{m l} Gamma^l_{q s} - Gamma^r_{q l} Gamma^l_{m s}
     # term_a[r, s, m, q] = d_m Gamma^r_{q s} = dGam[r, q, s, m]
@@ -148,21 +154,43 @@ def riemann_lowered(jets, Gam=None):
     # term_d[r, s, m, q] = Gamma^r_{q l} Gamma^l_{m s}
     term_d = np.einsum("nrql,nlms->nrsmq", Gam, Gam)
     Rup = term_a - term_b + term_c - term_d
-    return np.einsum("nra,nasmq->nrsmq", jets.g, Rup)
+    return np.einsum("nra,nasmq->nrsmq", g, Rup)
 
 
-def ricci(jets):
+def riemann_contraction(g, ddg, Gam, X, Y):
+    """R(X, Y, X, Y) by the coordinate formula (Landau & Lifshitz, section 92)
+    on the full second-derivative tensor: each d_U d_W g block is the ddg
+    contraction, Gam(U, W) the connection's."""
+
+    def dd(U, W):
+        return np.einsum("nijkl,nk,nl->nij", ddg, U, W)
+
+    def gam(U, W):
+        return np.einsum("nkij,ni,nj->nk", Gam, U, W)
+
+    def form(A, U, W):
+        return np.einsum("nij,ni,nj->n", A, U, W)
+
+    return (
+        form(dd(X, Y), X, Y)
+        - 0.5 * (form(dd(X, X), Y, Y) + form(dd(Y, Y), X, X))
+        + form(g, gam(X, Y), gam(X, Y))
+        - form(g, gam(X, X), gam(Y, Y))
+    )
+
+
+def ricci(g, dg, ddg):
     """Ricci tensor Ric[n, s, q]."""
-    ginv = np.linalg.inv(jets.g)
+    ginv = np.linalg.inv(g)
     # Ric_{sq} = g^{rm} R_{r s m q}
-    return np.einsum("nrm,nrsmq->nsq", ginv, riemann_lowered(jets))
+    return np.einsum("nrm,nrsmq->nsq", ginv, riemann_lowered(g, dg, ddg))
 
 
 def scalar_curvature(metric, points):
     """Scalar curvature at an (N, 3) array of points."""
     jets = metric.jets(np.atleast_2d(points))
     ginv = np.linalg.inv(jets.g)
-    return np.einsum("nsq,nsq->n", ginv, ricci(jets))
+    return np.einsum("nsq,nsq->n", ginv, ricci(jets.g, jets.dg, full_ddg(jets)))
 
 
 def perturbed_scalar_curvature_closed_form(metric, points):
@@ -181,22 +209,6 @@ def perturbed_scalar_curvature_closed_form(metric, points):
     lap_phi = eps * (t * (t - 1) - l * (l + 1)) * Y * r ** (-t - 2)
     phi = 1 + m / (2 * r) + eps * Y * r ** (-t)
     return -8.0 * phi**-5 * lap_phi
-
-
-class RotatedChart:
-    """Pullback of a metric under a rigid rotation of the Cartesian chart."""
-
-    def __init__(self, metric, Q):
-        self.metric = metric
-        self.Q = np.asarray(Q)
-
-    def jets(self, points):
-        base = self.metric.jets(points @ self.Q)  # source points Q^T x
-        Q = self.Q
-        g = np.einsum("ki,lj,nij->nkl", Q, Q, base.g)
-        dg = np.einsum("ki,lj,mp,nijp->nklm", Q, Q, Q, base.dg)
-        ddg = np.einsum("ki,lj,mp,oq,nijpq->nklmo", Q, Q, Q, Q, base.ddg)
-        return M.JetBatch(g, dg, ddg)
 
 
 def rotation_matrix(axis, angle):
@@ -234,7 +246,7 @@ def test_euclidean_jet_is_flat():
     jet = M.euclidean().jets(np.array([3.0, -1.0, 2.0])[None])
     assert np.array_equal(jet.g[0], np.eye(3))
     assert np.max(np.abs(jet.dg)) == 0.0
-    assert np.max(np.abs(jet.ddg)) == 0.0
+    assert np.max(np.abs(full_ddg(jet))) == 0.0
     assert np.max(np.abs(jet.sigma)) == 0.0
 
 
@@ -262,7 +274,7 @@ def test_jets_match_finite_differences(metric):
     scale_d = 1.0 + np.max(np.abs(dg_fd))
     scale_dd = 1.0 + np.max(np.abs(ddg_fd))
     assert np.max(np.abs(jets.dg - dg_fd)) <= 1e-10 * scale_d
-    assert np.max(np.abs(jets.ddg - ddg_fd)) <= 1e-9 * scale_dd
+    assert np.max(np.abs(full_ddg(jets) - ddg_fd)) <= 1e-9 * scale_dd
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
@@ -271,9 +283,10 @@ def test_jet_symmetries_and_positivity(metric):
     jets = metric.jets(pts)
     assert np.max(np.abs(jets.g - jets.g.transpose(0, 2, 1))) == 0.0
     assert np.max(np.abs(jets.dg - jets.dg.transpose(0, 2, 1, 3))) == 0.0
-    # the packed assembly stores each symmetric pair once
-    assert np.array_equal(jets.ddg, jets.ddg.transpose(0, 2, 1, 3, 4))
-    assert np.array_equal(jets.ddg, jets.ddg.transpose(0, 1, 2, 4, 3))
+    # the packed rebuild stores each symmetric pair once
+    ddg = full_ddg(jets)
+    assert np.array_equal(ddg, ddg.transpose(0, 2, 1, 3, 4))
+    assert np.array_equal(ddg, ddg.transpose(0, 1, 2, 4, 3))
     assert np.min(np.linalg.eigvalsh(jets.g)) > 0.0
 
 
@@ -283,21 +296,31 @@ def test_jet_batch_indexing():
     metric = M.schwarzschild_isotropic(1.0)
     batch = metric.jets(pts)
     one = metric.jets(pts[2][None])
-    for field in ("g", "dg", "ddg", "sigma"):
+    for field in ("g", "dg", "sigma"):
         assert np.array_equal(getattr(one, field)[0], getattr(batch, field)[2]), field
+    assert np.array_equal(full_ddg(one)[0], full_ddg(batch)[2])
+    for (S1, V1), (S, V) in zip(one.terms, batch.terms, strict=True):
+        assert V1 is V or np.array_equal(V1, V)
+        for a1, a in ((S1.v, S.v), (S1.d, S.d), (S1.h, S.h)):
+            assert np.array_equal(a1[..., 0], a[..., 2])
     assert np.array_equal(batch.sigma[2], batch.g[2] - np.eye(3))
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
 def test_jet_batches_are_node_major_and_contiguous(metric):
-    # the jets are built node-last and handed out once with the node axis
-    # first, so consumers' reshapes (ddg as (n, 9, 9)) stay views
+    # g and dg are built node-last and handed out once with the node axis
+    # first, so consumers' reshapes (dg as (n, 3, 9)) stay views; the terms'
+    # scalar jets keep the node axis last
     n = 17
     jets = metric.jets(shell_points(7.0, n, seed=21))
-    for field, shape in (("g", (n, 3, 3)), ("dg", (n, 3, 3, 3)), ("ddg", (n, 3, 3, 3, 3))):
+    for field, shape in (("g", (n, 3, 3)), ("dg", (n, 3, 3, 3))):
         a = getattr(jets, field)
         assert a.shape == shape and a.flags.c_contiguous, field
-    assert np.shares_memory(jets.ddg.reshape(n, 9, 9), jets.ddg)
+    assert np.shares_memory(jets.dg.reshape(n, 3, 9), jets.dg)
+    assert jets.terms and jets.terms[0][1] is None
+    for S, V in jets.terms:
+        assert (S.v.shape, S.d.shape, S.h.shape) == ((n,), (3, n), (6, n))
+        assert V is None or V.shape == (3, 3)
 
 
 def test_kerr_zero_spin_limit_is_schwarzschild():
@@ -306,7 +329,7 @@ def test_kerr_zero_spin_limit_is_schwarzschild():
     js = M.schwarzschild_standard(1.0).jets(pts)
     assert np.max(np.abs(jk.g - js.g)) <= 1e-12
     assert np.max(np.abs(jk.dg - js.dg)) <= 1e-12
-    assert np.max(np.abs(jk.ddg - js.ddg)) <= 1e-12
+    assert np.max(np.abs(full_ddg(jk) - full_ddg(js))) <= 1e-12
 
 
 def test_kerr_axisymmetry():
@@ -347,7 +370,7 @@ def test_kerr_jets_match_symbolic_oracle(a):
         pts = np.vstack([shell_points(r, 20, seed=16), r * axes])
         got = kerr.jets(pts)
         want = sympy_kerr_jets(1.0, a, pts)
-        for field, exact in zip((got.g, got.dg, got.ddg), want):
+        for field, exact in zip((got.g, got.dg, full_ddg(got)), want):
             assert np.max(np.abs(field - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -385,7 +408,7 @@ def test_decay_audit(metric):
         jb = metric.jets(r * d)
         assert r**tau * np.abs(jb.sigma).max() <= c0m
         assert r ** (1 + tau) * np.abs(jb.dg).max() <= c1m
-        assert r ** (2 + tau) * np.abs(jb.ddg).max() <= c2m
+        assert r ** (2 + tau) * np.abs(full_ddg(jb)).max() <= c2m
 
 
 def test_exclusion_radius_enforced():
@@ -448,12 +471,12 @@ def test_parse_metric_grammar():
 
 def test_christoffel_euclidean_zero():
     jets = M.euclidean().jets(shell_points(5.0, 10, seed=16))
-    assert np.max(np.abs(M.christoffel(jets))) == 0.0
+    assert np.max(np.abs(connection(jets))) == 0.0
 
 
 def test_christoffel_symmetric_lower_indices():
     jets = M.kerr_slice(1.0, 0.5).jets(shell_points(8.0, 15, seed=17))
-    Gam = M.christoffel(jets)
+    Gam = connection(jets)
     assert np.max(np.abs(Gam - Gam.transpose(0, 1, 3, 2))) <= 1e-15
 
 
@@ -482,7 +505,7 @@ def test_christoffel_isotropic_against_symbolic_oracle():
     point = (5.0, 0.0, 0.0)
     want = sympy_isotropic_christoffel(1, point)
     jets = M.schwarzschild_isotropic(1.0).jets(np.array([point]))
-    got = M.christoffel(jets)[0]
+    got = connection(jets)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
     # frozen spot values: 2 phi_x / phi = -2/55 at this point
     assert got[0, 0, 0] == pytest.approx(-2.0 / 55.0, abs=1e-14)
@@ -499,7 +522,7 @@ def test_metric_compatibility(metric):
     # covariant derivative of g vanishes identically through the jet
     pts = shell_points(11.0, 20, seed=18)
     jets = metric.jets(pts)
-    Gam = M.christoffel(jets)
+    Gam = connection(jets)
     nabla = (
         jets.dg
         - np.einsum("nlki,nlj->nijk", Gam, jets.g)
@@ -511,22 +534,23 @@ def test_metric_compatibility(metric):
 def test_christoffel_derivative_matches_finite_differences():
     metric = M.kerr_slice(1.0, 0.5)
     pts = shell_points(10.0, 10, seed=19)
-    dGam = christoffel_derivative(metric.jets(pts))
+    jets = metric.jets(pts)
+    dGam = christoffel_derivative(jets.g, jets.dg, full_ddg(jets))
     h = 2e-3
     for m_ax in range(3):
         e = np.zeros(3)
         e[m_ax] = h
-        gp2 = M.christoffel(metric.jets(pts + 2 * e))
-        gp1 = M.christoffel(metric.jets(pts + e))
-        gm1 = M.christoffel(metric.jets(pts - e))
-        gm2 = M.christoffel(metric.jets(pts - 2 * e))
+        gp2 = connection(metric.jets(pts + 2 * e))
+        gp1 = connection(metric.jets(pts + e))
+        gm1 = connection(metric.jets(pts - e))
+        gm2 = connection(metric.jets(pts - 2 * e))
         fd = (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * h)
         assert np.max(np.abs(dGam[..., m_ax] - fd)) <= 1e-10
 
 
 def test_riemann_symmetries():
     jets = M.kerr_slice(1.0, 0.5).jets(shell_points(9.0, 10, seed=20))
-    R = riemann_lowered(jets)
+    R = riemann_lowered(jets.g, jets.dg, full_ddg(jets))
     scale = np.max(np.abs(R)) + 1e-30
     assert np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4))) / scale <= 1e-10
     assert np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3))) / scale <= 1e-10
@@ -549,7 +573,7 @@ def test_sectional_curvature_tangent_planes():
     jets = metric.jets(pts)
     e1 = np.stack([frames[i][0] for i in range(3)])
     e2 = np.stack([frames[i][1] for i in range(3)])
-    K = M.sectional_curvature(jets, M.christoffel(jets), e1, e2)
+    K = M.sectional_curvature(jets, connection(jets), e1, e2)
     assert np.max(np.abs(K - 2 * m / r**3)) <= 1e-12
 
 
@@ -572,10 +596,41 @@ def test_sectional_curvature_matches_riemann_contraction(metric, radius):
     pts = shell_points(radius, 40, seed=int(radius) + 1)
     X, Y = rng.normal(size=(2, 40, 3))
     jets = metric.jets(pts)
-    Gam = M.christoffel(jets)
-    want = np.einsum("nrsmq,nr,ns,nm,nq->n", riemann_lowered(jets, Gam), X, Y, X, Y)
+    Gam = connection(jets)
+    R = riemann_lowered(jets.g, jets.dg, full_ddg(jets), Gam)
+    want = np.einsum("nrsmq,nr,ns,nm,nq->n", R, X, Y, X, Y)
     got = M.sectional_curvature(jets, Gam, X, Y)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+CHARTS = {
+    "plain": None,
+    "rotated": rotation_matrix([1.0, 2.0, 0.5], 1.13),
+    "permuted": np.eye(3)[[2, 0, 1]].T,
+}
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+@pytest.mark.parametrize("metric", ALL_FAMILIES[:4] + ALL_FAMILIES[5:], ids=lambda m: m.family)
+def test_sectional_curvature_matches_rebuilt_tensor(metric, chart):
+    # the product-rule Gauss term of the closed form against the curvature
+    # contraction of the rebuilt ddg, on coordinate-sphere tangent pairs
+    # (orthogonal, and sheared so that X.Y != 0) over band limits and six
+    # decades of radius; rotated charts turn the terms (V -> Q V Q^T) and
+    # leave no family axis-aligned
+    ambient = metric if CHARTS[chart] is None else RotatedChart(metric, CHARTS[chart])
+    for L in (16, 24, 32, 48):
+        grid = build_grid(L)
+        for r in (20.0, 1e3, 1e6):
+            s = coordinate_sphere(r, grid)
+            X, Y = (t.reshape(-1, 3) for t in s.tangents())
+            jets = ambient.jets(s.points)
+            Gam = connection(jets)
+            ddg = full_ddg(jets)
+            for U, W in ((X, Y), (X, Y + 0.5 * X)):
+                want = riemann_contraction(jets.g, ddg, Gam, U, W)
+                got = M.sectional_curvature(jets, Gam, U, W)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (L, r)
 
 
 def test_scalar_curvature_flat_and_vacuum():
@@ -607,9 +662,8 @@ def test_scalar_curvature_kerr_decay_and_fd_cross_check():
     pts = shell_points(20.0, 5, seed=30)
     analytic = kerr.jets(pts)
     dg_fd, ddg_fd = fd_jets(kerr, pts)
-    fd_batch = M.JetBatch(analytic.g, dg_fd, ddg_fd)
-    ginv = np.linalg.inv(fd_batch.g)
-    R_fd = np.einsum("nsq,nsq->n", ginv, ricci(fd_batch))
+    ginv = np.linalg.inv(analytic.g)
+    R_fd = np.einsum("nsq,nsq->n", ginv, ricci(analytic.g, dg_fd, ddg_fd))
     R_an = scalar_curvature(kerr, pts)
     assert np.max(np.abs(R_fd - R_an)) <= 1e-3 * np.max(np.abs(R_an))
 
@@ -710,6 +764,47 @@ def test_jets_overflow_is_a_solver_error_without_warnings():
         kerr.jets(np.array([[0.0, 0.0, 1e40], [1e40, 0.0, 0.0]]))
         with pytest.raises(M.NonFiniteJets, match="overflow"):
             kerr.jets(np.array([[1e70, 0.0, 0.0]]))
+
+
+def test_kerr_jets_first_overflow_radius():
+    # the terms' scalar jets are checked with g and dg, so NonFiniteJets
+    # fires at the first decade where it fired with the assembled ddg
+    kerr = M.kerr_slice(1.0, 0.5)
+    grid = build_grid(8)
+    for k in range(40, 62):
+        kerr.jets(coordinate_sphere(10.0**k, grid).points)
+    with pytest.raises(M.NonFiniteJets):
+        kerr.jets(coordinate_sphere(1e62, grid).points)
+
+
+def test_jets_peak_memory():
+    # no fourth-rank tensor is built: g, dg and the terms' scalar jets
+    # (4.71 MiB with the assembled ddg; 2.26 MiB measured)
+    metric = M.schwarzschild_standard(1.0)
+    points = coordinate_sphere(20.0, build_grid(32)).points
+    metric.jets(points)
+    tracemalloc.start()
+    try:
+        metric.jets(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def test_library_reads_no_second_derivative_tensor():
+    # the Gauss term reads the closed form's terms; ddg lives on only in the
+    # tests, rebuilt from the terms by jet_oracles.full_ddg
+    names = []
+    for path in sorted(Path(M.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.append((path.name, node.id))
+            elif isinstance(node, ast.Attribute):
+                names.append((path.name, node.attr))
+            elif isinstance(node, ast.arg):
+                names.append((path.name, node.arg))
+    assert names and [(f, n) for f, n in names if "ddg" in n.lower()] == []
 
 
 def test_adm_mass_kerr():

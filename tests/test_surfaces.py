@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from jet_oracles import RotatedChart
 
 from nearlyround import harness
 from nearlyround import metrics as mcat
@@ -73,24 +74,15 @@ def test_oracle_internal_consistency():
     assert abs(standard_sphere_mean_curvature(1.0, 10.0) - 0.17888543819998318) < 1e-16
 
 
-class PermutedChart:
-    """Axis-permuted pullback of a metric: duck-typed AFMetric stand-in."""
+class PermutedChart(RotatedChart):
+    """Axis-permuted pullback of a metric, g'(x) = P^T g(P x) P with
+    P = I[perm]: the rotated chart of Q = P^T, terms rotated with it."""
 
     def __init__(self, base, perm):
-        self.base, self.perm = base, np.asarray(perm)
-        self.family = base.family
-        self.tau = base.tau
+        super().__init__(base, np.eye(3)[perm].T)
 
     def spec(self):
-        return self.base.spec() + " permuted"
-
-    def jets(self, pts):
-        P = np.eye(3)[self.perm]
-        base = self.base.jets(pts @ P.T)
-        g = np.einsum("ki,lj,nkl->nij", P, P, base.g)
-        dg = np.einsum("ki,lj,mc,nklm->nijc", P, P, P, base.dg)
-        ddg = np.einsum("ki,lj,mc,qd,nklmq->nijcd", P, P, P, P, base.ddg)
-        return mcat.JetBatch(g=g, dg=dg, ddg=ddg)
+        return self.metric.spec() + " permuted"
 
 
 def records(s, metric):
@@ -769,7 +761,8 @@ def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
     assert calls == []
     N = fd.grid.n_nodes
     assert np.array_equal(fd.jets.g, np.broadcast_to(np.eye(3), (N, 3, 3)))
-    assert not np.any(fd.jets.dg) and not np.any(fd.jets.ddg) and not np.any(fd.christoffel)
+    assert not np.any(fd.jets.dg) and fd.jets.terms == () and not np.any(fd.christoffel)
+    assert np.array_equal(fd.ambient_metric_inv, fd.jets.g)
     assert fd.christoffel.shape == (N, 3, 3, 3)
     grad = surf.tracefree_gradient(fd)[1]  # reads jets.g and Gamma
     assert np.all(np.isfinite(grad))
