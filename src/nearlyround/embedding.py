@@ -24,7 +24,11 @@ charge and two reflections; its blocks are probed through the same J/J^T
 products that the solver applies, a few probe columns at a time, kept at
 their true sizes and factored together per block size, once per band
 limit: like the gauge rows and the charge rotation table, they are a table
-of L cached by `sphere.band_limit_table`.
+of L cached by `sphere.band_limit_table`.  The conformal steps are solved
+to 1e-12; the metric match's are inexact Newton steps, stopped at the
+forcing term min(1e-3, rel) of the current residual rel, and the image
+keeps its metric gap so that the Brown-York mass can correct for the
+residual to first order.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ _AXISYM_TOL = 1e-10
 _UNIFORMIZE_MAX_ITER = 30
 # Gauss-Newton steps allowed to the metric match
 _EMBED_MAX_ITER = 30
+# largest relative stop of a Gauss-Newton step's conjugate gradients
+_FORCING = 1e-3
 
 # degree-one coefficient slots in x, y, z order
 _IDX1 = np.array([coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)])
@@ -99,18 +105,18 @@ def _curvature_deviation(curvature: np.ndarray) -> float:
     return deviation
 
 
-def _pcg(apply, rhs: np.ndarray, precondition) -> np.ndarray:
+def _pcg(apply, rhs: np.ndarray, precondition, rtol: float) -> np.ndarray:
     """Preconditioned conjugate gradients for a symmetric positive definite
     operator, from zero.
 
     `apply` and `precondition` map arrays of rhs's shape to the same shape.
-    Stops once the residual norm is 1e-12 times that of `rhs`, or after as
+    Stops once the residual norm is `rtol` times that of `rhs`, or after as
     many iterations as `rhs` has entries.  Inner products are numpy sums,
     not BLAS dot, so the iterates do not depend on the thread count.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    stop = 1e-12 * np.sqrt(np.sum(rhs * rhs))
+    stop = rtol * np.sqrt(np.sum(rhs * rhs))
     z = precondition(r)
     p = z
     rz = np.sum(r * z)
@@ -278,7 +284,7 @@ def _uniformize_step(grid: SphereGrid, f: np.ndarray, rc: np.ndarray) -> np.ndar
         return out
 
     b = np.where(deg1, 0.0, -rc)
-    return _pcg(lambda v: jr(jr(v)), jr(b), lambda r: inv_round * r)
+    return _pcg(lambda v: jr(jr(v)), jr(b), lambda r: inv_round * r, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +476,16 @@ def _round_preconditioner(r: np.ndarray) -> np.ndarray:
     return _charge_rotation(z.reshape(r.shape))
 
 
-def _embedding_step(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _embedding_step(
+    grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndarray, eta: float
+) -> np.ndarray:
     """Gauss-Newton step of `solve_embedding`: the least-squares solution s
     of J s = -R as an (n_coeffs, 3) block, by conjugate gradients on
-    J^T J s = -J^T R preconditioned by the round-sphere normal matrix."""
+    J^T J s = -J^T R preconditioned by the round-sphere normal matrix.  The
+    step is inexact: conjugate gradients stop once |J^T J s + J^T R| is
+    at most eta |J^T R|."""
     jac, jac_t = _metric_linearization(grid, yt, yp)
-    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner)
+    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner, eta)
 
 
 def solve_embedding(
@@ -498,11 +508,14 @@ def solve_embedding(
     rigid-motion orbit.
 
     Each Gauss-Newton step solves its normal equations matrix free, by
-    conjugate gradients on J and J^T products (`_embedding_step`), to a
-    relative residual of 1e-12.  The preconditioner is the normal matrix of
-    the unit round embedding, which the normalized surface approaches; its
-    azimuthal-charge blocks are probed through the same J and J^T and
-    factored once per band limit (see `_round_inverse_blocks`).
+    conjugate gradients on J and J^T products (`_embedding_step`), to the
+    inexact-Newton forcing term eta = min(_FORCING, rel) = min(1e-3, rel)
+    relative to the right-hand side, where rel is the current metric
+    residual: loose while the iterate is far and tight near the solution,
+    so the last step still lands on it.  The preconditioner is the normal
+    matrix of the unit round embedding, which the normalized surface
+    approaches; its azimuthal-charge blocks are probed through the same J
+    and J^T and factored once per band limit (see `_round_inverse_blocks`).
 
     The iteration starts from `seed`, the unit round sphere when omitted; a
     seed that already matches within `tol` takes no step.
@@ -542,7 +555,7 @@ def solve_embedding(
                 f"(best residual {best:.3g}, target {tol:.3g})",
                 best,
             )
-        step = _embedding_step(grid, yt, yp, R)
+        step = _embedding_step(grid, yt, yp, R, min(_FORCING, rel))
         norm0 = np.sqrt(np.sum(R * R))
         t = 1.0
         for _ in range(15):
@@ -660,8 +673,9 @@ class IsometricEmbedding:
     The image lives at physical scale: radius is the areal radius of the
     realized metric and the image that radius times the normalized solve.
     image_data holds its Euclidean fundamental forms, support the
-    position-normal product X . n0, and metric_residual the sup relative
-    mismatch between realized and requested first fundamental forms.
+    position-normal product X . n0, metric_gap the realized minus the
+    requested first fundamental form (ntheta, nphi, 2, 2) and
+    metric_residual its sup Frobenius size relative to the requested one.
     method names the seed of the metric solve: "axisymmetric" (with
     "+newton" when Gauss-Newton steps polished it) or "general".
     """
@@ -671,6 +685,7 @@ class IsometricEmbedding:
     image_data: FundamentalData
     support: np.ndarray
     volume: float
+    metric_gap: np.ndarray
     metric_residual: float
     method: str
     h0_deviation: float
@@ -734,8 +749,8 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
     if volume <= 0.0:
         raise RegimeViolation("embedded image encloses no volume")
 
-    diff = _frobenius(image_data.induced_metric - fd.induced_metric)
-    metric_residual = float(np.max(diff / _frobenius(fd.induced_metric)))
+    gap = image_data.induced_metric - fd.induced_metric
+    metric_residual = float(np.max(_frobenius(gap) / _frobenius(fd.induced_metric)))
 
     return IsometricEmbedding(
         radius=r0,
@@ -743,6 +758,7 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
         image_data=image_data,
         support=support,
         volume=volume,
+        metric_gap=gap,
         metric_residual=metric_residual,
         method=method,
         h0_deviation=float(np.max(np.abs(H0 - 2.0 / r0))),

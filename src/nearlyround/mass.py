@@ -8,7 +8,10 @@ converged embedding and positive Gauss curvature.
 
 Both integrals use the quadrature rule of the source surface; the
 embedded reference curvature is read off at the shared parameter nodes,
-never reinterpolated.
+never reinterpolated.  The embedding realizes its metric only to the
+solver's residual, so the Brown-York value carries the first-order
+correction in that metric gap (see brown_york_mass) and is exact to second
+order in it.
 
 assemble_mass_row degrades a row instead of raising when the embedding
 leg ends in a SolverError (see nearlyround.errors): the Hawking value
@@ -53,13 +56,29 @@ def hawking_mass(fd: FundamentalData) -> float:
     return float(math.sqrt(fd.area / _SIXTEEN_PI) * (_SIXTEEN_PI - flux) / _SIXTEEN_PI)
 
 
+def _raised(hinv: np.ndarray, T: np.ndarray) -> tuple:
+    """Components 00, 01, 10, 11 of h^-1 T for fields of symmetric 2x2
+    matrices, written out: a four-operand einsum costs several times more."""
+    i00, i01, i11 = hinv[..., 0, 0], hinv[..., 0, 1], hinv[..., 1, 1]
+    t00, t01, t11 = T[..., 0, 0], T[..., 0, 1], T[..., 1, 1]
+    return i00 * t00 + i01 * t01, i00 * t01 + i01 * t11, i01 * t00 + i11 * t01, i01 * t01 + i11 * t11
+
+
 def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
     """Brown-York mass: reference minus physical mean curvature, integrated.
 
     `e` must be a converged isometric embedding of the induced metric of
     the same surface on the same grid; its mean curvature plays the role
     of the Euclidean reference H0.  The functional is (1/8 pi) times the
-    integral of (H0 - H) against the physical area measure.
+    integral of (H0 - H) against the physical area measure, plus the
+    first-order term (1/16 pi) times the integral of A0^{ab} rho_ab, where
+    A0 is the image's second fundamental form with indices raised by the
+    surface's h^-1 and rho = e.metric_gap is the realized minus the
+    requested metric.  The first variation of the total mean curvature of
+    a convex surface is half the integral of <H0 h - A0, delta h> (Reilly),
+    and the image's H0 is integrated against the requested measure, so the
+    term removes the part of H0 that is linear in rho: the value is
+    exact to second order in the embedding's metric residual.
 
     Raises RegimeViolation when the Gauss curvature of the surface is not
     strictly positive (the functional is defined for convex data only)
@@ -83,7 +102,12 @@ def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
             f"grid {fd.mean_curvature.shape}; both integrands must share "
             f"one parametrization"
         )
-    return float(fd.integrate(reference - fd.mean_curvature) / (8.0 * math.pi))
+    # A0^{ab} rho_ab = tr(h^-1 A0 h^-1 rho) = P_ab Q_ba with P = h^-1 A0
+    # and Q = h^-1 rho
+    p00, p01, p10, p11 = _raised(fd.induced_metric_inv, e.image_data.second_form)
+    q00, q01, q10, q11 = _raised(fd.induced_metric_inv, e.metric_gap)
+    gap_term = p00 * q00 + p01 * q10 + p10 * q01 + p11 * q11
+    return float(fd.integrate(reference - fd.mean_curvature + 0.5 * gap_term) / (8.0 * math.pi))
 
 
 @dataclass(frozen=True)

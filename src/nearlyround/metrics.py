@@ -250,6 +250,22 @@ _G_UNPACK = _PACK.ravel()
 _DG_UNPACK = (_PACK[:, :, None] + 6 * np.arange(3)).ravel()
 
 
+def _dvv_table(V):
+    """The nonzero entries of the jet of vv for v = V x: d_k (v_i v_j) =
+    V_ik v_j + v_i V_jk is coef v[src] at (k, a), (i, j) = (_PI[a], _PJ[a]).
+    Returns (k, a, coef, src); no (k, a) has two sources for I (9 of 18
+    entries) or _ROTATION (6), the two V of the catalog."""
+    C = np.zeros((3, 6, 3))  # [k, a, src]
+    for a, (i, j) in enumerate(zip(_PI, _PJ)):
+        C[:, a, j] += V[i]
+        C[:, a, i] += V[j]
+    k, a, src = np.nonzero(C)
+    return k, a, C[k, a, src][:, None], src
+
+
+_V_TERMS = ((np.eye(3), _dvv_table(np.eye(3))), (_ROTATION, _dvv_table(_ROTATION)))
+
+
 def _assemble(points, B, F=None, E=None):
     """(g, dg, terms) of g = B I + F x (x) x + E w (x) w from scalar jets.
 
@@ -263,16 +279,18 @@ def _assemble(points, B, F=None, E=None):
     g, dg = np.zeros((6, n)), np.zeros((3, 6, n))
     g[_DIAG], dg[:, _DIAG] = B.v, B.d[:, None]
     terms = [(B, None)]
-    for S, V in ((F, np.eye(3)), (E, _ROTATION)):
+    for S, (V, (k, a, coef, src)) in zip((F, E), _V_TERMS):
         if S is None:
             continue
-        # v = V x has the constant Jacobian d_k v_i = V_ik; vv (6 ij, N) and
-        # dvv (k, 6 ij, N) are its jet
+        # v = V x has the constant Jacobian d_k v_i = V_ik; the term S vv
+        # (6 ij, N) has the derivative S.d vv + S.v dvv, and dvv is
+        # nonzero only at the entries of _dvv_table
         v = V @ points.T
         vv = v[_PI] * v[_PJ]
-        dvv = V[_PI].T[:, :, None] * v[_PJ] + v[_PI] * V[_PJ].T[:, :, None]
         g += S.v * vv
-        dg += S.d[:, None] * vv + S.v * dvv
+        t = S.d[:, None] * vv
+        t[k, a] += (coef * v[src]) * S.v
+        dg += t
         terms.append((S, V))
     return (
         _node_major(g, _G_UNPACK, (3, 3)),

@@ -1,6 +1,6 @@
 """Test-side views of the metric jets: the full second-derivative tensor
-rebuilt from a batch's closed-form terms, and a rotated chart whose jets
-rotate those terms.
+rebuilt from a batch's closed-form terms, g and dg rebuilt from them by
+dense products, and a rotated chart whose jets rotate those terms.
 
 The library assembles g and dg only and keeps the closed form g = sum of
 S I and S (V x)(V x)^T terms; the tensor ddg[n, i, j, k, l] = d_k d_l g_ij
@@ -11,7 +11,7 @@ and curvature tests compare against.
 import numpy as np
 
 from nearlyround import metrics as M
-from nearlyround.metrics import _DIAG, _PACK, _PI, _PJ
+from nearlyround.metrics import _DG_UNPACK, _DIAG, _G_UNPACK, _PACK, _PI, _PJ
 
 # the row of the packed (6 kl, 6 ij) accumulator behind each entry of ddg
 _DDG_UNPACK = (_PACK[:, :, None, None] + 6 * _PACK).ravel()
@@ -44,6 +44,29 @@ def full_ddg(jets):
             t += np.multiply(S.v, ddvv[:, b, None], out=term)
             ddg[b] += t
     return np.take(ddg.reshape(36, n).T, _DDG_UNPACK, axis=1).reshape(n, 3, 3, 3, 3)
+
+
+def dense_g_dg(jets):
+    """(g, dg) of a JetBatch rebuilt from its terms, node-major, with dvv
+    formed in full by products with the 0/+-1 pattern of each V and summed
+    as S.d vv + S.v dvv, the arithmetic that the library's table of
+    nonzero dvv rows must reproduce bit for bit."""
+    points = jets.points
+    n = len(points)
+    g, dg = np.zeros((6, n)), np.zeros((3, 6, n))
+    for S, V in jets.terms:
+        if V is None:
+            g[_DIAG], dg[:, _DIAG] = S.v, S.d[:, None]
+            continue
+        v = V @ points.T
+        vv = v[_PI] * v[_PJ]
+        dvv = V[_PI].T[:, :, None] * v[_PJ] + v[_PI] * V[_PJ].T[:, :, None]
+        g += S.v * vv
+        dg += S.d[:, None] * vv + S.v * dvv
+    return (
+        np.take(g.T, _G_UNPACK, axis=1).reshape(n, 3, 3),
+        np.take(dg.reshape(18, n).T, _DG_UNPACK, axis=1).reshape(n, 3, 3, 3),
+    )
 
 
 def rotated_jets(base, Q, points):

@@ -364,9 +364,27 @@ def test_embedding_step_matches_dense_oracle(L, case):
     u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.02)
     yt, yp, R = embedding_state(grid, h, np.exp(u)[..., None] * grid.unit_vectors)
     dense = dense_embedding_step(grid, yt, yp, R)
-    step = emb._embedding_step(grid, yt, yp, R)
+    step = emb._embedding_step(grid, yt, yp, R, 1e-12)
     assert np.max(np.abs(dense)) > 1e-3
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("case", ["lumpy", "jittered", "round"])
+@pytest.mark.parametrize("L", [8, 16])
+def test_inexact_embedding_step_meets_its_forcing_term(L, case):
+    # at the forcing term solve_embedding starts from, the step solves the
+    # normal equations of the dense Jacobian to eta relative to J^T R
+    grid = nr.build_grid(L)
+    h = round_metric(grid) if case == "round" else fundamental_forms(lumpy_surface(grid)).induced_metric
+    u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.02)
+    yt, yp, R = embedding_state(grid, h, np.exp(u)[..., None] * grid.unit_vectors)
+    J = dense_metric_jacobian(grid, yt, yp)
+    eta = emb._FORCING
+    step = emb._embedding_step(grid, yt, yp, R, eta)
+    s = step.T.ravel()  # the dense Jacobian's columns are component-major
+    gradient = J.T @ R
+    assert np.linalg.norm(J.T @ (J @ s) + gradient) <= eta * np.linalg.norm(gradient)
+    assert np.linalg.norm(step) > 0.0
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16])
@@ -546,7 +564,7 @@ def test_pcg_identical_across_blas_threads():
         "rng = np.random.default_rng(3)\n"
         "d = 1.0 + rng.random((4225, 3))\n"
         "apply = lambda v: d * v - 0.45 * (np.roll(v, 1) + np.roll(v, -1))\n"
-        "x = _pcg(apply, rng.standard_normal((4225, 3)), lambda r: r / d)\n"
+        "x = _pcg(apply, rng.standard_normal((4225, 3)), lambda r: r / d, 1e-12)\n"
         "print(x.tobytes().hex())\n"
     )
     outputs = [
@@ -558,6 +576,40 @@ def test_pcg_identical_across_blas_threads():
     ]
     assert len(outputs[0]) > 12675 * 16
     assert outputs[0] == outputs[1]
+
+
+def test_lumpy_study_conjugate_gradient_work_is_pinned():
+    # operator applications of every _pcg call over one study of the
+    # benchmark's lumpy L=32 workload per m_order; the Gauss-Newton steps
+    # stop their conjugate gradients at eta = min(1e-3, rel), where a
+    # 1e-12 stop took 33 (m_order 3) and 58 (m_order 2)
+    code = (
+        "import json, nearlyround as nr\n"
+        "from nearlyround import embedding as emb\n"
+        "pcg, applied = emb._pcg, [0]\n"
+        "def counted(apply, *args):\n"
+        "    def apply_counted(v):\n"
+        "        applied[0] += 1\n"
+        "        return apply(v)\n"
+        "    return pcg(apply_counted, *args)\n"
+        "emb._pcg = counted\n"
+        "counts = {}\n"
+        "for m_order in (2, 3):\n"
+        "    applied[0] = 0\n"
+        "    rows = nr.run_masses(nr.StudyConfig(\n"
+        "        metric='schwarzschild_standard m=1', family='radial-perturbed', l=3,\n"
+        "        m_order=m_order, amplitude=0.1, decay=1.0, schedule=(20.0, 40.0, 80.0),\n"
+        "        band_limit=32)).rows\n"
+        "    assert all(not row.flags for row in rows)\n"
+        "    counts[m_order] = applied[0]\n"
+        "print(json.dumps(counts))\n"
+    )
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.stdout.strip() == '{"2": 24, "3": 14}', threads
 
 
 def test_solve_embedding_reports_nonconvergence(g16, monkeypatch):
@@ -712,7 +764,9 @@ def test_matrix_free_steps_off_regime_match_dense_oracle(monkeypatch):
     for row in rows:
         assert row.flags == ()
         assert row.embed_residual <= cfg.tol
-    monkeypatch.setattr(emb, "_embedding_step", dense_embedding_step)
+    monkeypatch.setattr(
+        emb, "_embedding_step", lambda grid, yt, yp, R, eta: dense_embedding_step(grid, yt, yp, R)
+    )
     dense_rows = nr.run_masses(cfg).rows
     for row, dense in zip(rows, dense_rows):
         assert row.brown_york == pytest.approx(dense.brown_york, rel=1e-12, abs=0.0)

@@ -25,6 +25,7 @@ import pytest
 from jet_oracles import RotatedChart
 
 import nearlyround as nr
+from nearlyround import harness
 from nearlyround import surfaces as surf
 
 
@@ -236,6 +237,58 @@ def test_tilted_kerr_gives_the_untilted_masses():
             assert route.startswith("axisymmetric") and tilted_route == "general", (L, r)
             assert abs(tilted_hawking - hawking) <= 1e-13 * hawking, (L, r)
             assert abs(tilted_brown_york - brown_york) <= 1e-12 * brown_york, (L, r)
+
+
+def family_records(family, L):
+    """The r = 20, 40, 80 records of a general-route family: the lumpy l=3
+    bump of the benchmark (decay 1) at m_order 2 or 3, the off-regime l=2
+    bump that keeps its size (decay 0), or tilted Kerr coordinate spheres."""
+    grid = nr.build_grid(L)
+    schedule = (20.0, 40.0, 80.0)
+    if family == "tilted-kerr":
+        c, s = math.cos(0.7), math.sin(0.7)
+        tilted = RotatedChart(nr.kerr_slice(1.0, 0.5), [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        return [nr.fundamental_forms(nr.coordinate_sphere(r, grid), tilted) for r in schedule]
+    if family == "off-regime":
+        bump = dict(l=2, m_order=1, amplitude=0.05, decay=0.0)
+    else:
+        bump = dict(l=3, m_order=int(family[-1]), amplitude=0.1, decay=1.0)
+    cfg = nr.StudyConfig(
+        metric="schwarzschild_standard m=1", family="radial-perturbed", schedule=schedule,
+        band_limit=L, **bump,
+    )
+    metric = nr.parse_metric(cfg.metric)
+    return [nr.fundamental_forms(s, metric) for _, s in harness.family_surfaces(cfg, grid, metric)]
+
+
+@pytest.mark.parametrize(
+    "family,L",
+    [("lumpy-m2", 16), ("lumpy-m2", 32), ("lumpy-m3", 16), ("lumpy-m3", 32),
+     ("off-regime", 16), ("tilted-kerr", 16), ("tilted-kerr", 24)],
+)
+def test_brown_york_at_the_default_tol_matches_a_tight_solve(family, L):
+    # the first-order term in the metric gap takes out what the default
+    # tol 1e-8 leaves, where the raw value was off by up to 3e-8
+    for fd in family_records(family, L):
+        tight = nr.brown_york_mass(fd, nr.embed(fd, tol=1e-12))
+        default = nr.brown_york_mass(fd, nr.embed(fd))
+        assert abs(default - tight) <= 1e-13 * abs(tight)
+
+
+@pytest.mark.parametrize("family", ["lumpy-m2", "lumpy-m3", "tilted-kerr"])
+@pytest.mark.parametrize("L", [16, 32])
+def test_brown_york_error_is_second_order_in_the_embedding_residual(family, L):
+    # a solve stopped at tol 1e-4 leaves residuals res of 5e-8 to 1e-4;
+    # the value is then off by c res^2 with c measured at 0.1 to 19.  The
+    # off-regime family is left out: it is not nearly round, and there c
+    # reached 6.7e3 at L=32
+    residuals = []
+    for fd in family_records(family, L):
+        tight = nr.brown_york_mass(fd, nr.embed(fd, tol=1e-12))
+        e = nr.embed(fd, tol=1e-4)
+        residuals.append(e.metric_residual)
+        assert abs(nr.brown_york_mass(fd, e) - tight) <= 100.0 * e.metric_residual**2 * abs(tight)
+    assert max(residuals) >= 1e-6
 
 
 def test_mass_values_validation():

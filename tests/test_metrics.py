@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from jet_oracles import RotatedChart, full_ddg
+from jet_oracles import RotatedChart, dense_g_dg, full_ddg
 
 from nearlyround import metrics as M
 from nearlyround.sphere import build_grid, coeff_index, synth_at
@@ -321,6 +321,23 @@ def test_jet_batches_are_node_major_and_contiguous(metric):
     for S, V in jets.terms:
         assert (S.v.shape, S.d.shape, S.h.shape) == ((n,), (3, n), (6, n))
         assert V is None or V.shape == (3, 3)
+
+
+@pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
+def test_jets_equal_the_dense_assembly_bit_for_bit(metric):
+    # the library adds only the nonzero rows of dvv; the dense products
+    # with the 0/+-1 pattern of V give the same bits and the same signs of
+    # zero, on coordinate spheres (whose phi = 0 nodes have y = 0) and on
+    # the coordinate axes
+    axes = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]])
+    for L in (16, 24, 32):
+        grid = build_grid(L)
+        for r in (20.0, 1e3, 1e6):
+            points = np.vstack([coordinate_sphere(r, grid).points, r * axes])
+            jets = metric.jets(points)
+            for got, want in zip((jets.g, jets.dg), dense_g_dg(jets), strict=True):
+                assert np.array_equal(got, want), (L, r)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (L, r)
 
 
 def test_kerr_zero_spin_limit_is_schwarzschild():
