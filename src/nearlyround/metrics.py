@@ -22,18 +22,20 @@ arithmetic, and one assembly turns them into (g, dg) and the closed form's
 terms.  Finite differences and symbolic derivations appear only in the
 test suite as independent oracles.
 
-Index convention: ``dg[i, j, k] = d_k g_ij``.  A JetBatch carries g and
-dg with a leading node axis as C-contiguous arrays, and the closed form
-itself as its terms: (B, None) for B I and (S, V) for each S (V x)(V x)^T,
-V = I for F and V the rotation generator for E, with the scalar jets S.
-No second derivative of g is assembled: sectional_curvature takes the
-three it needs from the terms by the product rule.  Inside, the scalar
-jets (_Jet) and the assembly keep the node axis last, so each per-node
-product runs its inner loop over the nodes, and store each symmetric
-index pair once, packed as the six entries of an upper triangle: a
-_Jet's Hessian is (6, N), and the assembly's g (6, N) and dg (3, 6, N).
-The assembled tensors are unpacked and moved to node-major once, by one
-gather each.
+Layout: the node axis is last everywhere, so each per-node product runs
+its inner loop over the nodes, and a symmetric index pair is stored
+once, packed as the six entries of an upper triangle.  A JetBatch
+carries g as (6, N) and dg as (3, 6, N), with dg[k, a] = d_k g_ij at
+(i, j) = (_PI[a], _PJ[a]), C-contiguous as the assembly accumulates
+them, and the closed form itself as its terms: (B, None) for B I and
+(S, V) for each S (V x)(V x)^T, V = I for F and V the rotation
+generator for E, with the scalar jets S (_Jet, Hessian packed (6, N)).
+unpack turns a packed pair into a full 3x3 pair where a contraction
+needs one.  No second derivative of g is assembled: sectional_curvature
+takes the three it needs from the terms by the product rule.  The
+connection is read as its lowered symbols Gamma_l(U, W) on the vector
+pairs a caller contracts it with; the symbols of the second kind
+(christoffel) are formed only where a reader needs them all.
 
 adm_mass extrapolates mass fluxes to the total mass.  It reads numbers:
 the flux of a surface is surfaces.mass_flux, over the surface's records.
@@ -67,7 +69,9 @@ class NonMonotoneFluxTail(UserWarning):
 
 @dataclass(frozen=True)
 class JetBatch:
-    """The metric at N points: g (N,3,3), dg (N,3,3,3), and its closed form.
+    """The metric at N points, node axis last and packed: g (6, N) and dg
+    (3, 6, N), dg[k, a] = d_k g_ij at (i, j) = (_PI[a], _PJ[a]); and its
+    closed form.
 
     terms is the closed form g = sum of its terms: (S, None) stands for
     S I and (S, V) for S (V x)(V x)^T, with S a scalar _Jet (node axis
@@ -81,7 +85,8 @@ class JetBatch:
 
     @property
     def sigma(self) -> np.ndarray:
-        return self.g - np.eye(3)[None, :, :]
+        """g - delta, packed (6, N)."""
+        return self.g - DELTA
 
 
 class AFMetric:
@@ -138,6 +143,17 @@ class AFMetric:
 _PI, _PJ = np.triu_indices(3)
 _PACK = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _DIAG = _PACK.diagonal()
+DELTA = np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]])  # the identity, packed (6, 1)
+
+
+def unpack(packed: np.ndarray) -> np.ndarray:
+    """A packed symmetric pair (..., 6, N) as the full pair (..., 3, 3, N)."""
+    return packed[..., _PACK, :]
+
+
+def pack(full: np.ndarray) -> np.ndarray:
+    """The upper triangle of a symmetric pair (3, 3, ...), packed (6, ...)."""
+    return full[_PI, _PJ]
 
 
 class _Jet:
@@ -204,7 +220,7 @@ def _coordinates(points):
     zero = np.zeros((6, n))
     x, y, z = (_Jet(points[:, i], np.broadcast_to(eye[i][:, None], (3, n)), zero) for i in range(3))
     r = np.linalg.norm(points, axis=1)
-    nhat = points.T / r
+    nhat = np.ascontiguousarray(points.T) / r
     return x, y, z, _Jet(r, nhat, (eye[_PI, _PJ][:, None] - nhat[_PI] * nhat[_PJ]) / r)
 
 
@@ -238,18 +254,6 @@ def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
 _ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _node_major(packed, unpack, shape):
-    """A packed node-last accumulator as the C-contiguous node-major tensor,
-    written once by one gather."""
-    return np.take(packed.T, unpack, axis=1).reshape((-1,) + shape)
-
-
-# the row of the packed accumulators behind each entry of g and dg; _G_UNPACK
-# also unpacks any packed symmetric (6, n) array to its full (9, n) rows
-_G_UNPACK = _PACK.ravel()
-_DG_UNPACK = (_PACK[:, :, None] + 6 * np.arange(3)).ravel()
-
-
 def _dvv_table(V):
     """The nonzero entries of the jet of vv for v = V x: d_k (v_i v_j) =
     V_ik v_j + v_i V_jk is coef v[src] at (k, a), (i, j) = (_PI[a], _PJ[a]).
@@ -271,9 +275,9 @@ def _assemble(points, B, F=None, E=None):
 
     Every catalog metric has this form; F and E default to zero.  g and
     dg are accumulated in place, node-last and packed: a symmetric pair
-    (i, j) is stored once, g as (6, N) and dg as (k, 6, N).  Each is then
-    written once, node-major.  terms is the closed form itself, for
-    JetBatch: (B, None), then (F, I) and (E, _ROTATION) where given.
+    (i, j) is stored once, g as (6, N) and dg as (k, 6, N).  terms is the
+    closed form itself, for JetBatch: (B, None), then (F, I) and
+    (E, _ROTATION) where given.
     """
     n = len(points)
     g, dg = np.zeros((6, n)), np.zeros((3, 6, n))
@@ -292,11 +296,7 @@ def _assemble(points, B, F=None, E=None):
         t[k, a] += (coef * v[src]) * S.v
         dg += t
         terms.append((S, V))
-    return (
-        _node_major(g, _G_UNPACK, (3, 3)),
-        _node_major(dg.reshape(18, n), _DG_UNPACK, (3, 3, 3)),
-        tuple(terms),
-    )
+    return g, dg, tuple(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +439,9 @@ def parse_metric(text: str) -> AFMetric:
 
 
 def symmetric_inverse(g: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix of an (N, 3, 3) stack of symmetric matrices.
-
-    The adjugate over the determinant, in closed form with the node axis
-    innermost; only the upper triangle of g is read.
-    """
-    g00, g01, g02 = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
-    g11, g12, g22 = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+    """Inverse of each matrix of a packed (6, N) stack of symmetric
+    matrices, packed: the adjugate over the determinant, one row per entry."""
+    g00, g01, g02, g11, g12, g22 = g
     c00 = g11 * g22 - g12 * g12
     c01 = g02 * g12 - g01 * g22
     c02 = g01 * g12 - g02 * g11
@@ -453,64 +449,77 @@ def symmetric_inverse(g: np.ndarray) -> np.ndarray:
     c12 = g01 * g02 - g00 * g12
     c22 = g00 * g11 - g01 * g01
     det = g00 * c00 + g01 * c01 + g02 * c02
-    cof = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1)
-    return (cof / det[:, None]).reshape(-1, 3, 3)
+    return np.stack([c00, c01, c02, c11, c12, c22]) / det
+
+
+# the rows of dg, read as (18, N), behind the three terms of
+# Gamma_l,ij = (d_j g_il + d_i g_jl - d_l g_ij) / 2, each indexed [l, i, j]
+_GAMMA_ROWS = np.array([
+    [[[6 * j + _PACK[i, l] for j in range(3)] for i in range(3)] for l in range(3)],
+    [[[6 * i + _PACK[j, l] for j in range(3)] for i in range(3)] for l in range(3)],
+    [[[6 * l + _PACK[i, j] for j in range(3)] for i in range(3)] for l in range(3)],
+])
+
+
+def christoffel_lowered(dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the first kind, Gamma[l, i, j, n] = Gamma_l,ij,
+    from the packed dg (3, 6, N).  Contracted with a vector pair they are
+    the lowered symbols Gamma_l(U, W) = (d_U g_lW + d_W g_lU - d_l g(U, W)) / 2;
+    no inverse metric enters."""
+    d = dg.reshape(18, -1)
+    gam = d[_GAMMA_ROWS[0]]
+    gam += d[_GAMMA_ROWS[1]]
+    gam -= d[_GAMMA_ROWS[2]]
+    gam *= 0.5
+    return gam
 
 
 def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of the second kind, Gamma[n, k, i, j] = Gamma^k_ij,
-    from the inverse metric ginv (N, 3, 3) and dg[n, i, j, k] = d_k g_ij."""
-    n = len(dg)
-    # T[n, l, i, j] = d_j g_il + d_i g_jl - d_l g_ij
-    T = (
-        np.einsum("nilj->nlij", dg)
-        + np.einsum("njli->nlij", dg)
-        - np.einsum("nijl->nlij", dg)
-    )
-    return 0.5 * (ginv @ T.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
+    """Christoffel symbols of the second kind, Gamma[k, i, j, n] = Gamma^k_ij,
+    from the packed inverse metric ginv (6, N) and dg (3, 6, N)."""
+    return np.einsum("kln,lijn->kijn", unpack(ginv), christoffel_lowered(dg))
 
 
 def sectional_curvature(
-    jets: JetBatch, Gam: np.ndarray, X: np.ndarray, Y: np.ndarray
+    jets: JetBatch, ginv: np.ndarray, lowered: np.ndarray, X: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
-    """R(X, Y, X, Y) at each point for any pair of (N, 3) vector fields: the
+    """R(X, Y, X, Y) at each point for any pair of (3, N) vector fields: the
     sectional curvature of span(X, Y) times |X ^ Y|^2 = g(X,X) g(Y,Y) -
-    g(X,Y)^2.  `Gam` is the Christoffel symbols of the jets.  The sign is
+    g(X,Y)^2.  ginv is the packed inverse metric of the jets and lowered
+    their symbols of the first kind (christoffel_lowered).  The sign is
     the one under which the Gauss equation K = (R(T0, T1, T0, T1) + det A)
     / det h gives K = 1/r^2 on the round spheres of the catalog.
 
     The coordinate formula (Landau & Lifshitz, section 92)
         R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km) / 2
-                 + g_np (Gam^n_kl Gam^p_im - Gam^n_km Gam^p_il)
+                 + g^np (Gam_n,kl Gam_p,im - Gam_n,km Gam_p,il)
     is contracted with X and Y first, so only three second directional
-    derivatives of g and three vectors Gam(U, V), (U, V) in {(X, X),
-    (X, Y), (Y, Y)}, are formed:
+    derivatives of g and three lowered symbols Gam_l(U, W), (U, W) in
+    {(X, X), (X, Y), (Y, Y)}, are formed, and g^-1 enters only through
+    their products:
         R(X,Y,X,Y) = d_X d_Y g(X, Y) - (d_X d_X g(Y, Y) + d_Y d_Y g(X, X)) / 2
-                     + g(Gam(X,Y), Gam(X,Y)) - g(Gam(X,X), Gam(Y,Y)).
+                     + g^-1(Gam(X,Y), Gam(X,Y)) - g^-1(Gam(X,X), Gam(Y,Y)).
     The derivatives of g come from the jets' terms (_gauss_second_derivatives).
     """
-    n = len(X)
-    # X and Y node-last, and their outer products U (x) W for (U, W) = (X, X),
-    # (X, Y), (Y, Y), as one (pair, 9 ij, n) stack
-    xy = np.empty((2, 3, n))
-    xy[0], xy[1] = X.T, Y.T
+    n = X.shape[1]
+    xy = np.stack([X, Y])
+    # the outer products U (x) W for (U, W) = (X, X), (X, Y), (Y, Y)
     outer = np.empty((3, 3, 3, n))
     for pair, (u, w) in enumerate(((0, 0), (0, 1), (1, 1))):
         np.multiply(xy[u][:, None], xy[w][None, :], out=outer[pair])
-    outer = outer.reshape(3, 9, n)
-    gam = Gam.reshape(n, 3, 9) @ outer.transpose(2, 1, 0).copy()  # [n, k, pair]
-    lowered = jets.g @ gam  # g(Gam(U, W), .)
+    gam = np.einsum("lijn,pijn->pln", lowered, outer)  # [pair, l, n]
+    raised = np.einsum("lmn,pmn->pln", unpack(ginv), gam[1:])  # Gam(X,Y), Gam(Y,Y)
     return (
         _gauss_second_derivatives(jets, xy, outer)
-        + np.einsum("nk,nk->n", lowered[..., 1], gam[..., 1])
-        - np.einsum("nk,nk->n", lowered[..., 0], gam[..., 2])
+        + np.einsum("ln,ln->n", gam[1], raised[0])
+        - np.einsum("ln,ln->n", gam[0], raised[1])
     )
 
 
 def _gauss_second_derivatives(jets: JetBatch, xy: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """d_X d_Y g(X, Y) - (d_X d_X g(Y, Y) + d_Y d_Y g(X, X)) / 2, summed over
     the jets' terms, for the fields X and Y taken as constants.  xy (2, 3, n)
-    holds X and Y node-last, outer (3, 9, n) their outer products
+    holds X and Y node-last, outer (3, 3, 3, n) their outer products
     X (x) X, X (x) Y and Y (x) Y.
 
     With S_U = U . grad S and S_UW = U^T (hess S) W, a term S I gives
@@ -525,7 +534,7 @@ def _gauss_second_derivatives(jets: JetBatch, xy: np.ndarray, outer: np.ndarray)
     """
     total = np.zeros(xy.shape[2])
     for S, V in jets.terms:
-        s_xx, s_xy, s_yy = np.einsum("an,pan->pn", S.h[_G_UNPACK], outer)
+        s_xx, s_xy, s_yy = np.einsum("ijn,pijn->pn", unpack(S.h), outer)
         if V is None:
             (x_x, x_y), (_, y_y) = np.einsum("uin,win->uwn", xy, xy)
             total += s_xy * x_y - 0.5 * (s_xx * y_y + s_yy * x_x)

@@ -10,13 +10,19 @@ differentiated, so the poles cost nothing.
 
 fundamental_forms builds the one FundamentalData record of a surface in
 an ambient: its node positions and tangents, the ambient metric jets and
-decay order, the forms, H, K and the area.  Its consumers take the
-record alone, not the Immersion beside it: the masses read H, K and the
-area, the embedding the induced metric, K and the area, best_fit_sphere
-a flat record and nearly_round_diagnostics a family of records in one
-ambient.  tracefree_gradient(fd) computes grad Aring for the roundness
-diagnostics alone.  The identity residuals read two records of one
-surface, the flat fd_hat and the curved fd:
+decay order, the forms, H, K and the area.  The pointwise algebra runs on
+node-last rows, as the metric jets come (metrics): tangents (2, 3, N),
+the packed metric, its inverse and derivative, and the lowered
+Christoffel symbols read on the vector pairs the forms contract them
+with; the public 2x2 forms and scalars keep the grid shape.  Its
+consumers take the record alone, not the Immersion beside it: the masses
+read H, K and the area, the embedding the induced metric, K and the area,
+best_fit_sphere a flat record and nearly_round_diagnostics a family of
+records in one ambient.  tracefree_gradient(fd) computes grad Aring for
+the roundness diagnostics alone; it and the second-form transform
+residual are the only readers of the full Christoffel symbols, which a
+record forms when they are first read.  The identity residuals read two
+records of one surface, the flat fd_hat and the curved fd:
 second_form_transform_residual, mean_curvature_expansion_residual,
 divergence_identity_gap and mean_curvature_integral_residual take
 (fd_hat, fd), and distance_hessian_residual takes fd_hat.  None of them
@@ -141,10 +147,12 @@ class FundamentalData:
     scalar fields have the grid shape.  area_jacobian is the ratio of
     the induced area element to the round-sphere element sin(theta)
     dtheta dphi, so integrate() multiplies by it under the grid rule.
-    points, tangents (N, 2, 3), the ambient jets, the inverse ambient
-    metric (N, 3, 3) and the Christoffel symbols (N, 3, 3, 3) are per
-    flattened node; tau is the ambient decay order.  A flat record's jets,
-    inverse metric and Christoffel symbols are read-only constants.
+    points (N, 3) are the flattened nodes.  The ambient side keeps the
+    node axis last: tangents (2, 3, N), the jets (packed rows, see
+    metrics.JetBatch) and the packed inverse ambient metric (6, N).
+    christoffel, the symbols of the second kind (3, 3, 3, N), is formed
+    when first read.  tau is the ambient decay order.  A flat record's
+    jets, inverse metric and Christoffel symbols are read-only constants.
     """
 
     ambient: str
@@ -153,7 +161,6 @@ class FundamentalData:
     tangents: np.ndarray
     jets: mcat.JetBatch
     ambient_metric_inv: np.ndarray
-    christoffel: np.ndarray
     tau: float
     induced_metric: np.ndarray
     induced_metric_inv: np.ndarray
@@ -168,6 +175,7 @@ class FundamentalData:
     r_min: float
     r_max: float
     _diameter: float | None = None
+    _christoffel: np.ndarray | None = None
 
     @property
     def diameter(self) -> float:
@@ -180,15 +188,25 @@ class FundamentalData:
             self._diameter = _graph_diameter(self.grid, self.induced_metric.reshape(-1, 2, 2))
         return self._diameter
 
+    @property
+    def christoffel(self) -> np.ndarray:
+        """Gamma^k_ij as [k, i, j, n], formed once, when first read; only the
+        tracefree gradient and the second-form transform residual need it."""
+        if self._christoffel is None:
+            self._christoffel = mcat.christoffel(self.ambient_metric_inv, self.jets.dg)
+        return self._christoffel
+
     def integrate(self, f: np.ndarray) -> float:
         """Surface integral of a node field against this ambient's measure."""
         return self.grid.integrate(f * self.area_jacobian)
 
     def second_form_norm(self) -> np.ndarray:
         """Pointwise |A| in the induced metric."""
-        hinv = self.induced_metric_inv
-        A = self.second_form
-        val = np.einsum("...ab,...cd,...ac,...bd->...", A, A, hinv, hinv)
+        hinv, A = self.induced_metric_inv, self.second_form
+        val = _squared_norm(
+            (hinv[..., 0, 0], hinv[..., 0, 1], hinv[..., 1, 1]),
+            (A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]),
+        )
         return np.sqrt(np.clip(val, 0.0, None))
 
     def principal_curvatures(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,95 +228,142 @@ def _resolve_ambient(ambient):
     return metric, tag
 
 
-def _flat_ambient(pts: np.ndarray) -> tuple[mcat.JetBatch, np.ndarray, np.ndarray]:
-    """The Euclidean jets, inverse metric and Christoffel symbols at the
-    nodes, as read-only constant views: g = delta with no terms, and dg and
-    Gamma zero."""
-    eye = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
-    zeros = np.broadcast_to(0.0, (len(pts), 3, 3, 3))
-    return mcat.JetBatch(eye, zeros, (), pts), eye, zeros
+def _flat_ambient(pts: np.ndarray) -> tuple[mcat.JetBatch, np.ndarray]:
+    """The Euclidean jets and packed inverse metric at the nodes, as
+    read-only constant views: g = delta with no terms, and dg zero."""
+    n = len(pts)
+    delta = np.broadcast_to(mcat.DELTA, (6, n))
+    return mcat.JetBatch(delta, np.broadcast_to(0.0, (3, 6, n)), (), pts), delta
+
+
+def _node_last(pair: tuple, n: int) -> np.ndarray:
+    """The (d/dtheta, d/dphi) pair of (ntheta, nphi, c) fields as (2, c, n) rows."""
+    c = pair[0].shape[-1]
+    rows = np.empty((2, c, n))
+    for a, field in enumerate(pair):
+        rows[a] = field.reshape(n, c).T
+    return rows
+
+
+def _form_rows(form: np.ndarray) -> np.ndarray:
+    """A (ntheta, nphi, 2, 2) field of the record as (2, 2, N) rows."""
+    return np.ascontiguousarray(form.reshape(-1, 2, 2).transpose(1, 2, 0))
+
+
+def _extension(E: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """E^T form E: a (2, 2, N) form carried to ambient indices (3, 3, N)
+    by a (2, 3, N) frame."""
+    return np.einsum("ain,ajn->ijn", E, np.einsum("abn,bjn->ajn", form, E))
+
+
+def _quadratic(S: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """S(u, u) = u^i S_ij u^j for a (3, 3, N) field S and (3, N) rows u."""
+    return np.einsum("in,in->n", np.einsum("ijn,jn->in", S, u), u)
+
+
+def _normal_rows(fd: FundamentalData) -> np.ndarray:
+    """The record's normal as (3, N) rows."""
+    return np.ascontiguousarray(fd.normal.reshape(-1, 3).T)
+
+
+def _squared_norm(hinv: tuple, form: tuple) -> np.ndarray:
+    """tr(h^-1 F h^-1 F) = P00^2 + 2 P01 P10 + P11^2 with P = h^-1 F, for a
+    symmetric 2x2 field F, from the (00, 01, 11) components of h^-1 and F."""
+    (i00, i01, i11), (f00, f01, f11) = hinv, form
+    p00, p01 = i00 * f00 + i01 * f01, i00 * f01 + i01 * f11
+    p10, p11 = i01 * f00 + i11 * f01, i01 * f01 + i11 * f11
+    return p00**2 + 2.0 * p01 * p10 + p11**2
+
+
+def _form(f00: np.ndarray, f01: np.ndarray, f11: np.ndarray, shape: tuple) -> np.ndarray:
+    """A symmetric 2x2 field from its three rows, stacked as (*shape, 2, 2)."""
+    return np.stack([f00, f01, f01, f11], axis=-1).reshape(shape + (2, 2))
 
 
 def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     """First/second fundamental forms, H, tracefree part, K, and totals.
 
     ambient None means the flat background; otherwise an AFMetric.  The
-    Gauss curvature comes from the Gauss equation K = (R(T0, T1, T0, T1) +
-    det A) / det h, so it is intrinsic in either case; the ambient term is
-    metrics.sectional_curvature on the tangent pair, which reads the jets'
-    closed-form terms and the record's one Gamma and forms no curvature
-    tensor.  The inverse ambient metric is formed once, for Gamma and the
-    normal, and kept on the record.
+    algebra runs on node-last rows.  With T_a the tangents and nu the
+    outward unit normal, the second form is
+        A_ab = d_a nu . g T_b + Gamma_l(T_a, nu) T_b^l,
+    read from the lowered symbols (metrics.christoffel_lowered), so it
+    needs no g^-1.  The Gauss curvature comes from the Gauss equation
+    K = (R(T0, T1, T0, T1) + det A) / det h, so it is intrinsic in either
+    case; the ambient term is metrics.sectional_curvature on the tangent
+    pair, which reads the jets' closed-form terms and the lowered symbols
+    of the three tangent pairs, and forms no curvature tensor.  The
+    inverse ambient metric is formed once, for the normal and that term,
+    and kept on the record; the symbols of the second kind are not formed
+    here (FundamentalData.christoffel).
 
     A Euclidean ambient (None or the ``euclidean`` family) evaluates no
     jets and no Christoffel symbols: h = T T^t, nu = (T0 x T1)/|T0 x T1|,
     and K = det A / det h.  Its record still carries jets (g = delta, zero
     derivative, no terms), g^-1 = delta and a zero Gamma as read-only
     constant views, so every consumer reads a flat record like a curved
-    one.
+    one.  The public normal and 2x2 forms are stacked node-major once, at
+    the end.
     """
     grid = s.grid
     metric, tag = _resolve_ambient(ambient)
     flat = tag == "euclidean"
     pts = s.points
     N = len(pts)
-    T = np.stack(s.tangents(), axis=2).reshape(N, 2, 3)
-    Tt = T.transpose(0, 2, 1)
+    shp = grid.shape
+    T = _node_last(s.tangents(), N)
     if flat:
-        jets, ginv, Gam = _flat_ambient(pts)
+        jets, ginv = _flat_ambient(pts)
         gT = T
     else:
         jets = metric.jets(pts)
         ginv = mcat.symmetric_inverse(jets.g)
-        Gam = mcat.christoffel(ginv, jets.dg)
-        gT = T @ jets.g  # g symmetric: row a is g T_a
-    h = gT @ Tt
-    deth = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2
+        gT = np.einsum("ijn,ajn->ain", mcat.unpack(jets.g), T)  # g T_a
+    h = np.einsum("ain,bin->abn", T, gT)
+    h00, h01, h11 = h[0, 0], h[0, 1], h[1, 1]
+    deth = h00 * h11 - h01**2
     if not np.all(deth > 0.0):  # a NaN node fails this test too
         raise DegenerateInducedMetric(
             "induced metric is not positive definite on the grid"
         )
-    hinv = np.empty_like(h)
-    hinv[:, 0, 0] = h[:, 1, 1] / deth
-    hinv[:, 1, 1] = h[:, 0, 0] / deth
-    hinv[:, 0, 1] = hinv[:, 1, 0] = -h[:, 0, 1] / deth
+    i00, i01, i11 = h11 / deth, -h01 / deth, h00 / deth
 
     # outward unit normal: g^{-1} applied to the Euclidean tangent cross
     # product is g-orthogonal to both tangents and outward-pointing
-    cross = np.cross(T[:, 0], T[:, 1])
+    (a0, a1, a2), (b0, b1, b2) = T
+    cross = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     if flat:
-        nu = cross / np.linalg.norm(cross, axis=1)[:, None]
+        nu = cross / np.linalg.norm(cross, axis=0)
     else:
-        nu = (ginv @ cross[:, :, None])[:, :, 0]
-        nu /= np.sqrt(np.einsum("ni,ni->n", nu, cross))[:, None]  # g(nu, nu) = nu . cross
+        nu = np.einsum("ijn,jn->in", mcat.unpack(ginv), cross)
+        nu /= np.sqrt(np.einsum("in,in->n", nu, cross))  # g(nu, nu) = nu . cross
+    normal = np.ascontiguousarray(nu.T).reshape(shp + (3,))
 
-    nu_coeffs = analyze(grid, nu.reshape(grid.shape + (3,)))
-    dnu = np.stack(synth_gradient(grid, nu_coeffs), axis=2).reshape(N, 2, 3)
-    cov = dnu  # cov[a, i] = d_a nu^i + Gamma^i_kl T_a^k nu^l
+    dnu = _node_last(synth_gradient(grid, analyze(grid, normal)), N)
+    A = np.einsum("ain,bin->abn", dnu, gT)
     if not flat:
-        Gnu = (Gam.reshape(N, 9, 3) @ nu[:, :, None]).reshape(N, 3, 3)
-        cov = dnu + T @ Gnu.transpose(0, 2, 1)
-    A = cov @ gT.transpose(0, 2, 1)
-    A = 0.5 * (A + A.transpose(0, 2, 1))
+        lowered = mcat.christoffel_lowered(jets.dg)
+        # Gamma_l(T_a, nu) T_b^l
+        gam_nu = np.einsum("lin,ain->aln", np.einsum("lijn,jn->lin", lowered, nu), T)
+        A += np.einsum("aln,bln->abn", gam_nu, T)
+    A00, A01, A11 = A[0, 0], 0.5 * (A[0, 1] + A[1, 0]), A[1, 1]
 
-    H = np.einsum("nab,nab->n", hinv, A)
-    Aring = A - 0.5 * H[:, None, None] * h
-    P = hinv @ Aring
-    ring2 = np.einsum("nab,nba->n", P, P)  # tr(h^-1 Aring h^-1 Aring)
-    ring_norm = np.sqrt(np.clip(ring2, 0.0, None))
+    H = i00 * A00 + 2.0 * i01 * A01 + i11 * A11
+    R00, R01, R11 = A00 - 0.5 * H * h00, A01 - 0.5 * H * h01, A11 - 0.5 * H * h11
+    ring_norm = np.sqrt(np.clip(_squared_norm((i00, i01, i11), (R00, R01, R11)), 0.0, None))
 
-    detA = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+    detA = A00 * A11 - A01**2
     if flat:
         K = detA / deth
     else:
-        K = (mcat.sectional_curvature(jets, Gam, T[:, 0], T[:, 1]) + detA) / deth
+        K = (mcat.sectional_curvature(jets, ginv, lowered, T[0], T[1]) + detA) / deth
 
     sin_theta = np.sin(grid.theta)[:, None]
-    J = np.sqrt(deth).reshape(grid.shape) / sin_theta
+    J = np.sqrt(deth).reshape(shp) / sin_theta
     area = grid.integrate(J)
-    radii = np.linalg.norm(pts, axis=1)
+    x, y, z = pts.T
+    r2 = (x * x + y * y) + z * z  # summed as np.linalg.norm sums
 
-    shp = grid.shape
     return FundamentalData(
         ambient=tag,
         grid=grid,
@@ -306,20 +371,20 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         tangents=T,
         jets=jets,
         ambient_metric_inv=ginv,
-        christoffel=Gam,
         tau=metric.tau,
-        induced_metric=h.reshape(shp + (2, 2)),
-        induced_metric_inv=hinv.reshape(shp + (2, 2)),
+        induced_metric=_form(h00, h01, h11, shp),
+        induced_metric_inv=_form(i00, i01, i11, shp),
         area_jacobian=J,
-        normal=nu.reshape(shp + (3,)),
-        second_form=A.reshape(shp + (2, 2)),
+        normal=normal,
+        second_form=_form(A00, A01, A11, shp),
         mean_curvature=H.reshape(shp),
-        tracefree_second_form=Aring.reshape(shp + (2, 2)),
+        tracefree_second_form=_form(R00, R01, R11, shp),
         tracefree_norm=ring_norm.reshape(shp),
         gauss_curvature=K.reshape(shp),
         area=area,
-        r_min=float(radii.min()),
-        r_max=float(radii.max()),
+        r_min=float(np.sqrt(r2.min())),
+        r_max=float(np.sqrt(r2.max())),
+        _christoffel=np.broadcast_to(0.0, (3, 3, 3, N)) if flat else None,
     )
 
 
@@ -511,30 +576,30 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     a of the (b, c) component.  Aring is extended to ambient indices by the
     dual frame, differentiated covariantly along the tangents and
     contracted back; for tangential tensors this equals the intrinsic
-    covariant derivative.
+    covariant derivative.  The extension is symmetric, so its six packed
+    components are transformed.
     """
     grid = fd.grid
     N = grid.n_nodes
     T = fd.tangents
-    Gam = fd.christoffel
-    hinv = fd.induced_metric_inv.reshape(N, 2, 2)
-    E = hinv @ T @ fd.jets.g  # dual frame
-    Aring = fd.tracefree_second_form.reshape(N, 2, 2)
-    Tamb = E.transpose(0, 2, 1) @ Aring @ E
-    dTamb = synth_gradient(grid, analyze(grid, Tamb.reshape(grid.shape + (3, 3))))
-    # GT[n, a, i, l] = Gamma^l_ki T_a^k, by the symmetry of Gamma in its lower pair
-    GT = (Gam.reshape(N, 9, 3) @ T.transpose(0, 2, 1)).reshape(N, 3, 3, 2).transpose(0, 3, 2, 1)
-    covT = (
-        np.stack(dTamb, axis=2).reshape(N, 2, 3, 3)
-        - GT @ Tamb[:, None]
-        - Tamb[:, None] @ GT.transpose(0, 1, 3, 2)
-    )
-    nabla = T[:, None] @ covT @ T[:, None].transpose(0, 1, 3, 2)
-    # all three indices raised by h^-1: hinv_xa hinv_yb hinv_zc nabla_abc
-    raised = (hinv @ (hinv[:, None] @ nabla @ hinv[:, None]).reshape(N, 2, 4)).reshape(N, 2, 2, 2)
-    grad2 = np.einsum("nabc,nabc->n", nabla, raised)
+    hinv = _form_rows(fd.induced_metric_inv)
+    gT = np.einsum("ijn,bjn->bin", mcat.unpack(fd.jets.g), T)
+    E = np.einsum("abn,bin->ain", hinv, gT)  # dual frame
+    Tamb = _extension(E, _form_rows(fd.tracefree_second_form))
+    packed = mcat.pack(Tamb).T.reshape(grid.shape + (6,))
+    dTamb = mcat.unpack(_node_last(synth_gradient(grid, analyze(grid, packed)), N))
+    # GT[a, l, i] = Gamma^l_ki T_a^k, by the symmetry of Gamma in its lower pair
+    GT = np.einsum("lkin,akn->alin", fd.christoffel, T)
+    GTamb = np.einsum("alin,ljn->aijn", GT, Tamb)
+    covT = dTamb - GTamb - GTamb.transpose(0, 2, 1, 3)
+    nabla = np.einsum("bin,aicn->abcn", T, np.einsum("aijn,cjn->aicn", covT, T))
+    # all three indices raised by h^-1
+    raised = np.einsum("zcn,abcn->abzn", hinv, nabla)
+    raised = np.einsum("ybn,abzn->ayzn", hinv, raised)
+    raised = np.einsum("xan,ayzn->xyzn", hinv, raised)
+    grad2 = np.einsum("abcn,abcn->n", nabla, raised)
     norm = np.sqrt(np.clip(grad2, 0.0, None))
-    return nabla.reshape(grid.shape + (2, 2, 2)), norm.reshape(grid.shape)
+    return nabla.transpose(3, 0, 1, 2).reshape(grid.shape + (2, 2, 2)), norm.reshape(grid.shape)
 
 
 def nearly_round_diagnostics(records) -> NearlyRoundReport:
@@ -606,12 +671,11 @@ def nearly_round_diagnostics(records) -> NearlyRoundReport:
 
 
 def _flat_extension(fd_hat: FundamentalData, form: np.ndarray) -> np.ndarray:
-    """A tangent 2-tensor field as an ambient (N, 3, 3) field, by the flat
+    """A tangent 2-tensor field as an ambient (3, 3, N) field, by the flat
     dual frame.  Of the flat second form it is the Hessian of the Euclidean
     distance to the surface, restricted to the surface."""
-    N = fd_hat.grid.n_nodes
-    E = fd_hat.induced_metric_inv.reshape(N, 2, 2) @ fd_hat.tangents
-    return E.transpose(0, 2, 1) @ form.reshape(N, 2, 2) @ E
+    E = np.einsum("abn,bin->ain", _form_rows(fd_hat.induced_metric_inv), fd_hat.tangents)
+    return _extension(E, _form_rows(form))
 
 
 def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
@@ -623,20 +687,15 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     pure discretization error; components are measured in the
     Euclidean-normalized coordinate frame.
     """
-    N = fd.grid.n_nodes
     T = fd_hat.tangents
-    nhat = fd_hat.normal.reshape(N, 3)
-    Gam = fd.christoffel
-    ginv = fd.ambient_metric_inv
-    grad_norm = np.sqrt(np.einsum("ni,nij,nj->n", nhat, ginv, nhat))
+    nhat = _normal_rows(fd_hat)
+    grad_norm = np.sqrt(_quadratic(mcat.unpack(fd.ambient_metric_inv), nhat))
     # nhat_k Gamma^k_ij contracted with T_a^i T_b^j
-    nGam = (nhat[:, None] @ Gam.reshape(N, 3, 9)).reshape(N, 3, 3)
-    gamma_term = T @ nGam @ T.transpose(0, 2, 1)
-    Ahat = fd_hat.second_form.reshape(N, 2, 2)
-    A = fd.second_form.reshape(N, 2, 2)
-    res = Ahat - grad_norm[:, None, None] * A - gamma_term
-    scale = np.linalg.norm(T, axis=2)  # (N, 2) Euclidean tangent lengths
-    res = res / (scale[:, :, None] * scale[:, None, :])
+    nGam = np.einsum("kijn,kn->ijn", fd.christoffel, nhat)
+    gamma_term = np.einsum("ain,bin->abn", T, np.einsum("ijn,bjn->bin", nGam, T))
+    res = _form_rows(fd_hat.second_form) - grad_norm * _form_rows(fd.second_form) - gamma_term
+    scale = np.linalg.norm(T, axis=1)  # (2, N) Euclidean tangent lengths
+    res = res / (scale[:, None] * scale[None, :])
     return float(np.abs(res).max())
 
 
@@ -686,13 +745,11 @@ def distance_hessian_residual(fd_hat: FundamentalData) -> float:
     """
     if fd_hat.ambient != "euclidean":
         raise ValueError("distance Hessian check needs the flat-ambient data")
-    N = fd_hat.grid.n_nodes
-    nhat = fd_hat.normal.reshape(N, 3)
-    H = fd_hat.mean_curvature.reshape(N)
+    nhat = _normal_rows(fd_hat)
     A_amb = _flat_extension(fd_hat, fd_hat.second_form)
     Aring_amb = _flat_extension(fd_hat, fd_hat.tracefree_second_form)
-    proj = np.eye(3)[None] - np.einsum("ni,nj->nij", nhat, nhat)
-    return float(np.abs(A_amb - Aring_amb - 0.5 * H[:, None, None] * proj).max())
+    proj = np.eye(3)[:, :, None] - nhat[:, None] * nhat[None]
+    return float(np.abs(A_amb - Aring_amb - 0.5 * fd_hat.mean_curvature.reshape(-1) * proj).max())
 
 
 def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalData) -> float:
@@ -703,18 +760,18 @@ def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalDa
     to O(r^(-1-2tau)); the return value is sup |H - RHS| * r^(1+2tau),
     bounded along a nearly round family.
     """
-    N = fd.grid.n_nodes
-    nhat = fd_hat.normal.reshape(N, 3)
+    nhat = _normal_rows(fd_hat)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = fd.jets.sigma
-    dg = fd.jets.dg
-    H = fd.mean_curvature.reshape(N)
-    Hhat = fd_hat.mean_curvature.reshape(N)
-    t1 = 0.5 * H * np.einsum("nij,ni,nj->n", sigma, nhat, nhat)
-    t2 = 0.5 * np.einsum("nsti,ni,ns,nt->n", dg, nhat, nhat, nhat)
-    t3 = -np.einsum("nij,nij->n", sigma, rho_hess)
-    t4 = -np.einsum("niji,nj->n", dg, nhat)
-    t5 = 0.5 * np.einsum("njji,ni->n", dg, nhat)
+    sigma = mcat.unpack(fd.jets.sigma)
+    dg = mcat.unpack(fd.jets.dg)  # dg[k, i, j] = d_k g_ij
+    dgn = np.einsum("kijn,jn->kin", dg, nhat)  # (d_k g) nhat
+    H = fd.mean_curvature.reshape(-1)
+    Hhat = fd_hat.mean_curvature.reshape(-1)
+    t1 = 0.5 * H * _quadratic(sigma, nhat)
+    t2 = 0.5 * _quadratic(dgn, nhat)
+    t3 = -np.einsum("ijn,ijn->n", sigma, rho_hess)
+    t4 = -np.einsum("iin->n", dgn)
+    t5 = 0.5 * np.einsum("in,in->n", np.einsum("ijjn->in", dg), nhat)
     resid = H - Hhat - t1 - t2 - t3 - t4 - t5
     return float(np.abs(resid).max()) * fd.r_min ** (1.0 + 2.0 * fd.tau)
 
@@ -727,21 +784,21 @@ def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> flo
     Hessian term; the identity is the tangential divergence theorem, so
     the gap is pure quadrature error.
     """
-    N = fd.grid.n_nodes
-    nhat = fd_hat.normal.reshape(N, 3)
+    nhat = _normal_rows(fd_hat)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = fd.jets.sigma
-    dg = fd.jets.dg
-    Hhat = fd_hat.mean_curvature.reshape(N)
+    sigma = mcat.unpack(fd.jets.sigma)
+    dg = mcat.unpack(fd.jets.dg)  # dg[k, i, j] = d_k g_ij
+    Hhat = fd_hat.mean_curvature.reshape(-1)
     shp = fd.grid.shape
 
     def surf_int(field):
         return fd_hat.integrate(field.reshape(shp))
 
-    i1 = surf_int(np.einsum("nsti,ni,ns,nt->n", dg, nhat, nhat, nhat))
-    i2 = -surf_int(Hhat * np.einsum("nst,ns,nt->n", sigma, nhat, nhat))
-    i3 = surf_int(np.einsum("nstt,ns->n", dg, nhat))
-    i4 = surf_int(np.einsum("nst,nst->n", sigma, rho_hess))
+    dgn = np.einsum("kijn,jn->kin", dg, nhat)  # (d_k g) nhat
+    i1 = surf_int(_quadratic(dgn, nhat))
+    i2 = -surf_int(Hhat * _quadratic(sigma, nhat))
+    i3 = surf_int(np.einsum("iin->n", dgn))
+    i4 = surf_int(np.einsum("stn,stn->n", sigma, rho_hess))
     return float(abs(i1 - (i2 + i3 + i4)))
 
 
@@ -754,12 +811,10 @@ def mass_flux(fd_hat: FundamentalData, jets: mcat.JetBatch) -> float:
     """
     if fd_hat.ambient != "euclidean":
         raise ValueError("mass flux needs the flat-ambient data")
-    N = fd_hat.grid.n_nodes
-    nhat = fd_hat.normal.reshape(N, 3)
-    dg = jets.dg
-    div = np.einsum("niji->nj", dg)  # d_i g_ij
-    grad_tr = np.einsum("niij->nj", dg)  # d_j g_ii
-    integrand = np.einsum("nj,nj->n", div - grad_tr, nhat)
+    dg = mcat.unpack(jets.dg)  # dg[k, i, j] = d_k g_ij
+    div = np.einsum("iijn->jn", dg)  # d_i g_ij
+    grad_tr = np.einsum("jiin->jn", dg)  # d_j g_ii
+    integrand = np.einsum("jn,jn->n", div - grad_tr, _normal_rows(fd_hat))
     return fd_hat.integrate(integrand.reshape(fd_hat.grid.shape)) / (16.0 * np.pi)
 
 
@@ -771,14 +826,11 @@ def mean_curvature_integral_residual(fd_hat: FundamentalData, fd: FundamentalDat
     sigma : rho_hess, up to O(r^(1-2tau)); the return value is
     |LHS - RHS| * r^(2tau-1).
     """
-    N = fd.grid.n_nodes
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = fd.jets.sigma
-    H = fd.mean_curvature.reshape(N)
-    Hhat = fd_hat.mean_curvature.reshape(N)
+    sigma = mcat.unpack(fd.jets.sigma)
     shp = fd.grid.shape
-    lhs = fd.integrate((H - Hhat).reshape(shp))
+    lhs = fd.integrate(fd.mean_curvature - fd_hat.mean_curvature)
     rhs = -8.0 * np.pi * mass_flux(fd_hat, fd.jets) - 0.5 * fd_hat.integrate(
-        np.einsum("nst,nst->n", sigma, rho_hess).reshape(shp)
+        np.einsum("stn,stn->n", sigma, rho_hess).reshape(shp)
     )
     return float(abs(lhs - rhs)) * fd.r_min ** (2.0 * fd.tau - 1.0)

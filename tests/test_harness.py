@@ -981,3 +981,54 @@ def test_cli_rate_bad_inputs(tmp_path, capsys):
         main(["rate", "--input", "x", "--column", "bogus"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+SCALE_CASES = {
+    "kerr": ("kerr_slice m={m!r} a={a!r}", {}),
+    "isotropic": ("schwarzschild_isotropic m={m!r}", {}),
+    "standard": ("schwarzschild_standard m={m!r}", {}),
+    "lumpy": (
+        "schwarzschild_standard m={m!r}",
+        dict(family="radial-perturbed", l=3, m_order=2, amplitude=0.1, decay=1.0),
+    ),
+}
+
+
+def scaled_rows(case, lam):
+    """The run_masses rows of a scale case with (m, a, r) -> lam (m, a, r);
+    the bump amplitude takes lam^decay, so each surface is the scaled one."""
+    spec, bump = SCALE_CASES[case]
+    bump = dict(bump, amplitude=bump["amplitude"] * lam ** bump["decay"]) if bump else {}
+    cfg = nr.StudyConfig(
+        metric=spec.format(m=1.0 * lam, a=0.5 * lam),
+        schedule=tuple(lam * r for r in (20.0, 40.0, 80.0)), band_limit=16, **bump,
+    )
+    return cfg.tol, harness.run_masses(cfg).rows
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+def test_masses_scale_with_the_metric(case):
+    # g_{lam m, lam a}(lam x) = g_{m, a}(x): r, the ADM reference and both
+    # masses scale by lam and the area by lam^2.  lam = 2 scales every
+    # float exactly, so the rows are bit for bit the unscaled ones; at
+    # lam = 3 and 0.1 they agree to roundoff.  The embedding residual is
+    # the solver's stopping point, not a scaled quantity: off lam = 2 it
+    # is only held to the tolerance.
+    tol, base = scaled_rows(case, 1.0)
+
+    def unscaled(row, lam):
+        return (
+            row.r_label / lam, row.area / lam**2, row.hawking / lam,
+            row.brown_york / lam, row.adm_reference / lam,
+        )
+
+    for lam in (2.0, 3.0, 0.1):
+        _, rows = scaled_rows(case, lam)
+        for row, want in zip(rows, base, strict=True):
+            assert row.flags == want.flags == ()
+            got, exact = unscaled(row, lam), unscaled(want, 1.0)
+            if lam == 2.0:
+                assert got == exact and row.embed_residual == want.embed_residual, row.r_label
+            else:
+                assert np.allclose(got, exact, rtol=1e-13, atol=0.0), (lam, row.r_label)
+                assert row.embed_residual <= tol

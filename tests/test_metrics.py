@@ -11,7 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from jet_oracles import RotatedChart, dense_g_dg, full_ddg
+from jet_oracles import (
+    RotatedChart,
+    christoffel_node_major,
+    dense_g_dg,
+    full_ddg,
+    node_major,
+    riemann_contraction,
+)
 
 from nearlyround import metrics as M
 from nearlyround.sphere import build_grid, coeff_index, synth_at
@@ -31,12 +38,11 @@ def fd_jets(metric, points, h=2e-3):
     for k in range(3):
         e = np.zeros(3)
         e[k] = h
-        gp2 = metric.jets(points + 2 * e)
-        gp1 = metric.jets(points + e)
-        gm1 = metric.jets(points - e)
-        gm2 = metric.jets(points - 2 * e)
-        dg[:, :, :, k] = (-gp2.g + 8 * gp1.g - 8 * gm1.g + gm2.g) / (12 * h)
-        ddg[:, :, :, :, k] = (-gp2.dg + 8 * gp1.dg - 8 * gm1.dg + gm2.dg) / (12 * h)
+        (g2, d2), (g1, d1), (gm1, dm1), (gm2, dm2) = (
+            node_major(metric.jets(points + s * e)) for s in (2, 1, -1, -2)
+        )
+        dg[:, :, :, k] = (-g2 + 8 * g1 - 8 * gm1 + gm2) / (12 * h)
+        ddg[:, :, :, :, k] = (-d2 + 8 * d1 - 8 * dm1 + dm2) / (12 * h)
     return dg, ddg
 
 
@@ -109,8 +115,15 @@ def sympy_kerr_jets(m, a, points):
 
 
 def connection(jets):
-    """M.christoffel of a JetBatch, through the library's inverse."""
-    return M.christoffel(M.symmetric_inverse(jets.g), jets.dg)
+    """M.christoffel of a JetBatch, through the library's inverse, node-major:
+    Gamma[n, k, i, j] = Gamma^k_ij."""
+    return M.christoffel(M.symmetric_inverse(jets.g), jets.dg).transpose(3, 0, 1, 2)
+
+
+def gauss_term(jets, X, Y):
+    """M.sectional_curvature on node-major (N, 3) fields X and Y."""
+    ginv = M.symmetric_inverse(jets.g)
+    return M.sectional_curvature(jets, ginv, M.christoffel_lowered(jets.dg), X.T, Y.T)
 
 
 def christoffel_derivative(g, dg, ddg):
@@ -141,7 +154,7 @@ def riemann_lowered(g, dg, ddg, Gam=None):
     reproduce K = 1/r^2 through the Gauss equation: the full tensor that
     M.sectional_curvature contracts on a pair.  `Gam` is the Christoffel
     symbols of (g, dg), computed here when not given."""
-    Gam = M.christoffel(M.symmetric_inverse(g), dg) if Gam is None else Gam
+    Gam = christoffel_node_major(np.linalg.inv(g), dg) if Gam is None else Gam
     dGam = christoffel_derivative(g, dg, ddg)  # dGam[n, k, i, j, m] = d_m Gamma^k_ij
     # R^r_{s m q} = d_m Gamma^r_{q s} - d_q Gamma^r_{m s}
     #             + Gamma^r_{m l} Gamma^l_{q s} - Gamma^r_{q l} Gamma^l_{m s}
@@ -157,28 +170,6 @@ def riemann_lowered(g, dg, ddg, Gam=None):
     return np.einsum("nra,nasmq->nrsmq", g, Rup)
 
 
-def riemann_contraction(g, ddg, Gam, X, Y):
-    """R(X, Y, X, Y) by the coordinate formula (Landau & Lifshitz, section 92)
-    on the full second-derivative tensor: each d_U d_W g block is the ddg
-    contraction, Gam(U, W) the connection's."""
-
-    def dd(U, W):
-        return np.einsum("nijkl,nk,nl->nij", ddg, U, W)
-
-    def gam(U, W):
-        return np.einsum("nkij,ni,nj->nk", Gam, U, W)
-
-    def form(A, U, W):
-        return np.einsum("nij,ni,nj->n", A, U, W)
-
-    return (
-        form(dd(X, Y), X, Y)
-        - 0.5 * (form(dd(X, X), Y, Y) + form(dd(Y, Y), X, X))
-        + form(g, gam(X, Y), gam(X, Y))
-        - form(g, gam(X, X), gam(Y, Y))
-    )
-
-
 def ricci(g, dg, ddg):
     """Ricci tensor Ric[n, s, q]."""
     ginv = np.linalg.inv(g)
@@ -189,8 +180,8 @@ def ricci(g, dg, ddg):
 def scalar_curvature(metric, points):
     """Scalar curvature at an (N, 3) array of points."""
     jets = metric.jets(np.atleast_2d(points))
-    ginv = np.linalg.inv(jets.g)
-    return np.einsum("nsq,nsq->n", ginv, ricci(jets.g, jets.dg, full_ddg(jets)))
+    g, dg = node_major(jets)
+    return np.einsum("nsq,nsq->n", np.linalg.inv(g), ricci(g, dg, full_ddg(jets)))
 
 
 def perturbed_scalar_curvature_closed_form(metric, points):
@@ -244,7 +235,7 @@ ALL_FAMILIES = [
 
 def test_euclidean_jet_is_flat():
     jet = M.euclidean().jets(np.array([3.0, -1.0, 2.0])[None])
-    assert np.array_equal(jet.g[0], np.eye(3))
+    assert np.array_equal(node_major(jet)[0][0], np.eye(3))
     assert np.max(np.abs(jet.dg)) == 0.0
     assert np.max(np.abs(full_ddg(jet))) == 0.0
     assert np.max(np.abs(jet.sigma)) == 0.0
@@ -252,7 +243,7 @@ def test_euclidean_jet_is_flat():
 
 def test_isotropic_component_closed_form():
     # conformal factor 1 + m/(2r) = 1.1 at r=10 for m=2, so g11 = 1.1^4
-    g = M.schwarzschild_isotropic(2.0).jets(np.array([10.0, 0.0, 0.0])[None]).g[0]
+    g = node_major(M.schwarzschild_isotropic(2.0).jets(np.array([10.0, 0.0, 0.0])[None]))[0][0]
     assert abs(g[0, 0] - 1.4641) <= 1e-14
     assert abs(g[1, 1] - 1.4641) <= 1e-14
     assert abs(g[0, 1]) == 0.0
@@ -260,7 +251,7 @@ def test_isotropic_component_closed_form():
 
 def test_standard_radial_component_closed_form():
     m, r = 1.0, 10.0
-    g = M.schwarzschild_standard(m).jets(np.array([r, 0.0, 0.0])[None]).g[0]
+    g = node_major(M.schwarzschild_standard(m).jets(np.array([r, 0.0, 0.0])[None]))[0][0]
     assert abs(g[0, 0] - 1.0 / (1.0 - 2 * m / r)) <= 1e-14
     assert abs(g[1, 1] - 1.0) <= 1e-15
     assert abs(g[2, 2] - 1.0) <= 1e-15
@@ -273,7 +264,7 @@ def test_jets_match_finite_differences(metric):
     dg_fd, ddg_fd = fd_jets(metric, pts)
     scale_d = 1.0 + np.max(np.abs(dg_fd))
     scale_dd = 1.0 + np.max(np.abs(ddg_fd))
-    assert np.max(np.abs(jets.dg - dg_fd)) <= 1e-10 * scale_d
+    assert np.max(np.abs(node_major(jets)[1] - dg_fd)) <= 1e-10 * scale_d
     assert np.max(np.abs(full_ddg(jets) - ddg_fd)) <= 1e-9 * scale_dd
 
 
@@ -281,13 +272,14 @@ def test_jets_match_finite_differences(metric):
 def test_jet_symmetries_and_positivity(metric):
     pts = shell_points(9.0, 30, seed=11)
     jets = metric.jets(pts)
-    assert np.max(np.abs(jets.g - jets.g.transpose(0, 2, 1))) == 0.0
-    assert np.max(np.abs(jets.dg - jets.dg.transpose(0, 2, 1, 3))) == 0.0
+    g, dg = node_major(jets)
+    assert np.max(np.abs(g - g.transpose(0, 2, 1))) == 0.0
+    assert np.max(np.abs(dg - dg.transpose(0, 2, 1, 3))) == 0.0
     # the packed rebuild stores each symmetric pair once
     ddg = full_ddg(jets)
     assert np.array_equal(ddg, ddg.transpose(0, 2, 1, 3, 4))
     assert np.array_equal(ddg, ddg.transpose(0, 1, 2, 4, 3))
-    assert np.min(np.linalg.eigvalsh(jets.g)) > 0.0
+    assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
 def test_jet_batch_indexing():
@@ -297,26 +289,29 @@ def test_jet_batch_indexing():
     batch = metric.jets(pts)
     one = metric.jets(pts[2][None])
     for field in ("g", "dg", "sigma"):
-        assert np.array_equal(getattr(one, field)[0], getattr(batch, field)[2]), field
+        assert np.array_equal(getattr(one, field)[..., 0], getattr(batch, field)[..., 2]), field
     assert np.array_equal(full_ddg(one)[0], full_ddg(batch)[2])
     for (S1, V1), (S, V) in zip(one.terms, batch.terms, strict=True):
         assert V1 is V or np.array_equal(V1, V)
         for a1, a in ((S1.v, S.v), (S1.d, S.d), (S1.h, S.h)):
             assert np.array_equal(a1[..., 0], a[..., 2])
-    assert np.array_equal(batch.sigma[2], batch.g[2] - np.eye(3))
+    assert np.array_equal(M.unpack(batch.sigma)[..., 2], node_major(batch)[0][2] - np.eye(3))
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
 def test_jet_batches_are_node_major_and_contiguous(metric):
-    # g and dg are built node-last and handed out once with the node axis
-    # first, so consumers' reshapes (dg as (n, 3, 9)) stay views; the terms'
-    # scalar jets keep the node axis last
+    # g and dg are handed out as the assembly built them: packed node-last
+    # rows, C-contiguous, so a reshape of dg to its 18 rows stays a view;
+    # the terms' scalar jets keep the node axis last, and the radius jet's
+    # gradient is C-contiguous, so no scalar jet built from r runs strided
     n = 17
-    jets = metric.jets(shell_points(7.0, n, seed=21))
-    for field, shape in (("g", (n, 3, 3)), ("dg", (n, 3, 3, 3))):
+    points = shell_points(7.0, n, seed=21)
+    jets = metric.jets(points)
+    for field, shape in (("g", (6, n)), ("dg", (3, 6, n))):
         a = getattr(jets, field)
         assert a.shape == shape and a.flags.c_contiguous, field
-    assert np.shares_memory(jets.dg.reshape(n, 3, 9), jets.dg)
+    assert np.shares_memory(jets.dg.reshape(18, n), jets.dg)
+    assert M._coordinates(points)[3].d.flags.c_contiguous
     assert jets.terms and jets.terms[0][1] is None
     for S, V in jets.terms:
         assert (S.v.shape, S.d.shape, S.h.shape) == ((n,), (3, n), (6, n))
@@ -353,8 +348,8 @@ def test_kerr_axisymmetry():
     kerr = M.kerr_slice(1.0, 0.5)
     pts = shell_points(10.0, 20, seed=14)
     Q = rotation_matrix([0.0, 0.0, 1.0], 0.718)
-    g_rotated_pts = kerr.jets(pts @ Q.T).g
-    g_transformed = np.einsum("ki,lj,nij->nkl", Q, Q, kerr.jets(pts).g)
+    g_rotated_pts = node_major(kerr.jets(pts @ Q.T))[0]
+    g_transformed = np.einsum("ki,lj,nij->nkl", Q, Q, node_major(kerr.jets(pts))[0])
     assert np.max(np.abs(g_rotated_pts - g_transformed)) <= 1e-13
 
 
@@ -362,8 +357,8 @@ def test_kerr_equatorial_reflection():
     kerr = M.kerr_slice(1.0, 0.5)
     pts = shell_points(10.0, 20, seed=15)
     P = np.diag([1.0, 1.0, -1.0])
-    g_reflected = kerr.jets(pts @ P).g
-    g_transformed = np.einsum("ki,lj,nij->nkl", P, P, kerr.jets(pts).g)
+    g_reflected = node_major(kerr.jets(pts @ P))[0]
+    g_transformed = np.einsum("ki,lj,nij->nkl", P, P, node_major(kerr.jets(pts))[0])
     assert np.max(np.abs(g_reflected - g_transformed)) <= 1e-14
 
 
@@ -387,7 +382,7 @@ def test_kerr_jets_match_symbolic_oracle(a):
         pts = np.vstack([shell_points(r, 20, seed=16), r * axes])
         got = kerr.jets(pts)
         want = sympy_kerr_jets(1.0, a, pts)
-        for field, exact in zip((got.g, got.dg, full_ddg(got)), want):
+        for field, exact in zip((*node_major(got), full_ddg(got)), want):
             assert np.max(np.abs(field - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -510,8 +505,9 @@ def test_christoffel_symmetric_lower_indices():
 def test_symmetric_inverse_matches_lapack(metric, radius):
     # the closed-form adjugate agrees with LAPACK's inverse to the
     # conditioning of each matrix
-    g = metric.jets(shell_points(radius, 200, seed=22)).g
-    inv = M.symmetric_inverse(g)
+    jets = metric.jets(shell_points(radius, 200, seed=22))
+    g = node_major(jets)[0]
+    inv = M.unpack(M.symmetric_inverse(jets.g)).transpose(2, 0, 1)
     ref = np.linalg.inv(g)
     cond = np.linalg.cond(g)
     err = np.max(np.abs(inv - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
@@ -540,10 +536,11 @@ def test_metric_compatibility(metric):
     pts = shell_points(11.0, 20, seed=18)
     jets = metric.jets(pts)
     Gam = connection(jets)
+    g, dg = node_major(jets)
     nabla = (
-        jets.dg
-        - np.einsum("nlki,nlj->nijk", Gam, jets.g)
-        - np.einsum("nlkj,nil->nijk", Gam, jets.g)
+        dg
+        - np.einsum("nlki,nlj->nijk", Gam, g)
+        - np.einsum("nlkj,nil->nijk", Gam, g)
     )
     assert np.max(np.abs(nabla)) <= 1e-13
 
@@ -552,7 +549,7 @@ def test_christoffel_derivative_matches_finite_differences():
     metric = M.kerr_slice(1.0, 0.5)
     pts = shell_points(10.0, 10, seed=19)
     jets = metric.jets(pts)
-    dGam = christoffel_derivative(jets.g, jets.dg, full_ddg(jets))
+    dGam = christoffel_derivative(*node_major(jets), full_ddg(jets))
     h = 2e-3
     for m_ax in range(3):
         e = np.zeros(3)
@@ -567,7 +564,7 @@ def test_christoffel_derivative_matches_finite_differences():
 
 def test_riemann_symmetries():
     jets = M.kerr_slice(1.0, 0.5).jets(shell_points(9.0, 10, seed=20))
-    R = riemann_lowered(jets.g, jets.dg, full_ddg(jets))
+    R = riemann_lowered(*node_major(jets), full_ddg(jets))
     scale = np.max(np.abs(R)) + 1e-30
     assert np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4))) / scale <= 1e-10
     assert np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3))) / scale <= 1e-10
@@ -590,7 +587,7 @@ def test_sectional_curvature_tangent_planes():
     jets = metric.jets(pts)
     e1 = np.stack([frames[i][0] for i in range(3)])
     e2 = np.stack([frames[i][1] for i in range(3)])
-    K = M.sectional_curvature(jets, connection(jets), e1, e2)
+    K = gauss_term(jets, e1, e2)
     assert np.max(np.abs(K - 2 * m / r**3)) <= 1e-12
 
 
@@ -613,10 +610,9 @@ def test_sectional_curvature_matches_riemann_contraction(metric, radius):
     pts = shell_points(radius, 40, seed=int(radius) + 1)
     X, Y = rng.normal(size=(2, 40, 3))
     jets = metric.jets(pts)
-    Gam = connection(jets)
-    R = riemann_lowered(jets.g, jets.dg, full_ddg(jets), Gam)
+    R = riemann_lowered(*node_major(jets), full_ddg(jets), connection(jets))
     want = np.einsum("nrsmq,nr,ns,nm,nq->n", R, X, Y, X, Y)
-    got = M.sectional_curvature(jets, Gam, X, Y)
+    got = gauss_term(jets, X, Y)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -643,10 +639,10 @@ def test_sectional_curvature_matches_rebuilt_tensor(metric, chart):
             X, Y = (t.reshape(-1, 3) for t in s.tangents())
             jets = ambient.jets(s.points)
             Gam = connection(jets)
-            ddg = full_ddg(jets)
+            g, ddg = node_major(jets)[0], full_ddg(jets)
             for U, W in ((X, Y), (X, Y + 0.5 * X)):
-                want = riemann_contraction(jets.g, ddg, Gam, U, W)
-                got = M.sectional_curvature(jets, Gam, U, W)
+                want = riemann_contraction(g, ddg, Gam, U, W)
+                got = gauss_term(jets, U, W)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (L, r)
 
 
@@ -677,10 +673,9 @@ def test_scalar_curvature_kerr_decay_and_fd_cross_check():
     assert sups[0] >= sups[1] >= sups[2]
     # same contraction fed with finite-difference jets agrees
     pts = shell_points(20.0, 5, seed=30)
-    analytic = kerr.jets(pts)
+    g = node_major(kerr.jets(pts))[0]
     dg_fd, ddg_fd = fd_jets(kerr, pts)
-    ginv = np.linalg.inv(analytic.g)
-    R_fd = np.einsum("nsq,nsq->n", ginv, ricci(analytic.g, dg_fd, ddg_fd))
+    R_fd = np.einsum("nsq,nsq->n", np.linalg.inv(g), ricci(g, dg_fd, ddg_fd))
     R_an = scalar_curvature(kerr, pts)
     assert np.max(np.abs(R_fd - R_an)) <= 1e-3 * np.max(np.abs(R_an))
 

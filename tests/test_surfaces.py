@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from jet_oracles import RotatedChart
+from jet_oracles import RotatedChart, fundamental_forms_oracle, node_major
 
 from nearlyround import harness
 from nearlyround import metrics as mcat
@@ -140,7 +140,7 @@ def distance_hessian_spot_check(s):
             val = (rho[k, base] - rho[k, base + 1] - rho[k, base + 2]
                    + rho[k, base + 3]) / (4 * h**2)
             hess[i, j] = hess[j, i] = val
-        spot = max(spot, float(np.abs(hess - A_amb[n]).max()))
+        spot = max(spot, float(np.abs(hess - A_amb[..., n]).max()))
     return spot
 
 
@@ -368,9 +368,9 @@ def test_tracefree_gradient_matches_index_contractions(lumpy10, catalog):
     # index; only the summation order differs
     fd = surf.fundamental_forms(lumpy10, catalog["kerr"])
     grid, N = fd.grid, fd.grid.n_nodes
-    T, Gam = fd.tangents, fd.christoffel
+    T, Gam = fd.tangents.transpose(2, 0, 1), fd.christoffel.transpose(3, 0, 1, 2)
     hinv = fd.induced_metric_inv.reshape(N, 2, 2)
-    E = np.einsum("nab,nij,nbj->nai", hinv, fd.jets.g, T)
+    E = np.einsum("nab,nij,nbj->nai", hinv, node_major(fd.jets)[0], T)
     Aring = fd.tracefree_second_form.reshape(N, 2, 2)
     Tamb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
     dTamb = synth_gradient(grid, analyze(grid, Tamb.reshape(grid.shape + (3, 3))))
@@ -385,6 +385,38 @@ def test_tracefree_gradient_matches_index_contractions(lumpy10, catalog):
     scale = np.abs(nabla).max()
     assert np.abs(got.reshape(N, 2, 2, 2) - nabla).max() <= 1e-13 * scale
     assert np.abs(norm.reshape(N) - np.sqrt(grad2)).max() <= 1e-13 * np.sqrt(grad2).max()
+
+
+ORACLE_AMBIENTS = [
+    None,
+    mcat.euclidean(),
+    mcat.schwarzschild_isotropic(1.0),
+    mcat.schwarzschild_standard(1.0),
+    mcat.kerr_slice(1.0, 0.5),
+    mcat.conformal_perturbed(1.0, 0.2, 3, 2, 0.6),
+]
+
+
+@pytest.mark.parametrize("L", [8, 16, 32])
+@pytest.mark.parametrize(
+    "ambient", ORACLE_AMBIENTS, ids=lambda m: "flat" if m is None else m.family
+)
+def test_record_matches_the_stacked_matmul_oracle(ambient, L):
+    # the node-last row algebra against the stacked (N, 2|3, 3) products of
+    # jet_oracles, which take LAPACK's inverses, the full Gamma^k_ij and the
+    # full ddg, on a coordinate sphere and a lumpy l=3 surface.  The
+    # tracefree form is measured against the scale of A: on a coordinate
+    # sphere it is roundoff.
+    grid = build_grid(L)
+    lumpy = surf.immerse_radial(None, 20.0 * (1 + 0.1 * bump_field(grid, (3, 2, 1.0))), grid)
+    for s in (surf.coordinate_sphere(20.0, grid), lumpy):
+        fd = surf.fundamental_forms(s, ambient)
+        want = fundamental_forms_oracle(s, ambient)
+        scale_A = np.abs(want["second_form"]).max()
+        for field, w in want.items():
+            scale = scale_A if field == "tracefree_second_form" else np.abs(w).max()
+            err = np.abs(getattr(fd, field) - w).max()
+            assert err <= 1e-13 * scale, (field, err / scale)
 
 
 def test_chart_permutation_invariance(grid16, catalog):
@@ -709,43 +741,43 @@ def test_identity_residuals_read_the_records(monkeypatch, catalog, lumpy10):
 
 
 def test_verify_computes_christoffel_once_per_record(monkeypatch):
-    # Gamma is built with a curved record and read by the transform
-    # residual, the curvature term and the tracefree gradient; a flat
-    # record builds none
-    calls = []
+    # Gamma^k_ij is formed on a curved record's first read, by the
+    # tracefree gradient or the transform residual, at most once per
+    # record and never while a record is built; a flat record forms none
+    calls, building, records = [], [], []
+    christoffel, fundamental_forms = mcat.christoffel, surf.fundamental_forms
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    fundamental_forms = surf.fundamental_forms
+    def counted(*args, **kwargs):
+        calls.append("building" if building else "read")
+        return christoffel(*args, **kwargs)
 
     def forms(s, ambient=None):
-        flat = ambient is None or ambient.family == "euclidean"
-        calls.append("flat" if flat else "curved")
-        return fundamental_forms(s, ambient)
+        building.append(True)
+        try:
+            fd = fundamental_forms(s, ambient)
+        finally:
+            building.pop()
+        if ambient is not None and ambient.family != "euclidean":
+            records.append(fd)
+        return fd
 
-    monkeypatch.setattr(mcat, "christoffel", counted("christoffel", mcat.christoffel))
+    monkeypatch.setattr(mcat, "christoffel", counted)
     for name, module in list(sys.modules.items()):
         if name.startswith("nearlyround") and hasattr(module, "fundamental_forms"):
             monkeypatch.setattr(module, "fundamental_forms", forms)
     cfg = harness.StudyConfig(
         metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=8
     )
-    harness.run_verify(cfg)
-    assert calls.count("curved") == 3 and calls.count("flat") > 0
-    # each curved record's one Gamma is built inside its own call
-    built = [calls[i - 1] for i, c in enumerate(calls) if c == "christoffel"]
-    assert built == ["curved"] * 3
+    assert harness.run_verify(cfg).passed
+    assert len(records) == 3 and calls == ["read"] * 3
+    assert all(fd._christoffel is not None for fd in records)
 
 
 @pytest.mark.parametrize("ambient", [None, mcat.euclidean()], ids=["none", "euclidean"])
 def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
     # g = delta and Gamma = 0 are known ahead of time: a flat record calls
-    # neither the jets nor the connection, yet carries both for consumers
+    # neither the jets nor the connection, yet carries both for consumers,
+    # in the curved record's node-last layout
     calls = []
 
     def refuse(name):
@@ -757,15 +789,18 @@ def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
 
     monkeypatch.setattr(mcat.AFMetric, "jets", refuse("jets"))
     monkeypatch.setattr(mcat, "christoffel", refuse("christoffel"))
+    monkeypatch.setattr(mcat, "christoffel_lowered", refuse("christoffel_lowered"))
     fd = surf.fundamental_forms(surf.coordinate_sphere(3.0, build_grid(8)), ambient)
     assert calls == []
     N = fd.grid.n_nodes
-    assert np.array_equal(fd.jets.g, np.broadcast_to(np.eye(3), (N, 3, 3)))
-    assert not np.any(fd.jets.dg) and fd.jets.terms == () and not np.any(fd.christoffel)
+    assert np.array_equal(fd.jets.g, np.broadcast_to(mcat.DELTA, (6, N)))
+    assert fd.jets.dg.shape == (3, 6, N) and not np.any(fd.jets.dg)
+    assert fd.jets.terms == () and not np.any(fd.christoffel)
     assert np.array_equal(fd.ambient_metric_inv, fd.jets.g)
-    assert fd.christoffel.shape == (N, 3, 3, 3)
+    assert fd.christoffel.shape == (3, 3, 3, N) and fd.tangents.shape == (2, 3, N)
     grad = surf.tracefree_gradient(fd)[1]  # reads jets.g and Gamma
     assert np.all(np.isfinite(grad))
+    assert calls == []
 
 
 def test_flat_shortcut_matches_the_general_route(lumpy10):
@@ -784,7 +819,8 @@ def test_flat_shortcut_matches_the_general_route(lumpy10):
 
 def test_fundamental_forms_contracts_the_gauss_equation(monkeypatch, catalog):
     # K of a curved record comes from the tangent-plane contraction of the
-    # jets with one Gamma; the library has no Riemann tensor to form
+    # jets with the lowered symbols; no Gamma^k_ij is formed, so a mass
+    # study calls metrics.christoffel not once
     calls = []
     christoffel = mcat.christoffel
 
@@ -794,5 +830,12 @@ def test_fundamental_forms_contracts_the_gauss_equation(monkeypatch, catalog):
 
     monkeypatch.setattr(mcat, "christoffel", counted)
     fd = surf.fundamental_forms(surf.coordinate_sphere(20.0, build_grid(12)), catalog["kerr"])
-    assert calls == ["christoffel"]
+    assert calls == [] and fd._christoffel is None
     assert np.all(np.isfinite(fd.gauss_curvature))
+    for family in ("coordinate-spheres", "radial-perturbed"):
+        cfg = harness.StudyConfig(
+            metric="kerr_slice m=1 a=0.5", family=family, schedule=(20.0, 40.0, 80.0),
+            band_limit=12, l=3, amplitude=0.1, decay=1.0,
+        )
+        assert all(not row.flags for row in harness.run_masses(cfg).rows)
+    assert calls == []
