@@ -4,9 +4,8 @@ Starts from a radially perturbed sphere in the isotropic Schwarzschild
 slice, pulls its induced metric into one FundamentalData record, and
 realizes that metric as a convex surface in Euclidean space: normalize by
 the metric's areal radius, check that the curvature is nearly round, then
-correct a starting surface (this zonal bump gets the closed-form surface of
-revolution, other data the unit sphere) by Newton iteration until the
-induced metrics agree.  The embedding reads the record alone and computes
+correct the unit sphere by Gauss-Newton steps until the induced metrics
+agree.  The embedding reads the record alone and computes
 no conformal factor; the metric fixes the image up to a rigid motion.  Prints the
 diagnostics a user would look at before trusting a Brown-York number, and
 leaves an OBJ mesh of the image surface for inspection.
@@ -34,7 +33,7 @@ best = nr.best_fit_sphere(nr.fundamental_forms(s))
 print(f"best-fit sphere: radius {best.radius:.6f}, center offset {np.linalg.norm(best.center):.2e}")
 
 e = nr.embed(fd)
-print(f"embedding route: {e.method}, metric residual {e.metric_residual:.2e}")
+print(f"Gauss-Newton steps: {e.steps}, metric residual {e.metric_residual:.2e}")
 print(f"areal radius sqrt(Area / 4 pi) of the metric: {e.radius:.6f}")
 
 mk = nr.minkowski_residuals(e)

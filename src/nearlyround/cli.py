@@ -139,7 +139,7 @@ def _cmd_embed(args) -> int:
         log.info("wrote %s", args.out)
     summary = {
         "radius": e.radius,
-        "method": e.method,
+        "steps": e.steps,
         "metric_residual": e.metric_residual,
         "area": e.area,
         "volume": e.volume,

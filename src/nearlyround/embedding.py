@@ -3,15 +3,15 @@
 One solver realizes the metric: a Gauss-Newton iteration matches the full
 first fundamental form at the grid nodes, working on the harmonic
 coefficients of the three position components.  A convex sphere metric
-has one Euclidean image up to rigid motion, so the starting surface
-changes only the path to it.  `embed` runs that solve on one
-`FundamentalData` record: normalize by the areal radius of its metric,
-check that the curvature is nearly round, seed (the exact profile
-quadrature of a surface of revolution for phi-independent data, the unit
-sphere otherwise), solve, rescale, and report the support function, mean
-curvature, and enclosed volume of the image.  The conformal
-uniformization solver (`uniformize`) stays as a library function; no
-embedding reads it.
+has one Euclidean image up to rigid motion (Nirenberg, CPAM 1953), so the
+starting surface changes only the path to it.  `embed` runs that solve on
+one `FundamentalData` record: normalize by the areal radius of its metric,
+check that the curvature is nearly round, solve from the unit sphere,
+rescale, and report the support function, mean curvature, and enclosed
+volume of the image.  The conformal uniformization solver (`uniformize`)
+and the profile quadrature of a surface of revolution
+(`embed_axisymmetric`) stay as library functions; no embedding reads
+them.
 
 Both Newton iterations are matrix free: each linear step is solved by
 preconditioned conjugate gradients (`_pcg`) on harmonic transforms
@@ -23,12 +23,15 @@ matrix of the round embedding.  That matrix is block diagonal by azimuthal
 charge and two reflections; its blocks are probed through the same J/J^T
 products that the solver applies, a few probe columns at a time, kept at
 their true sizes and factored together per block size, once per band
-limit: like the gauge rows and the charge rotation table, they are a table
-of L cached by `sphere.band_limit_table`.  The conformal steps are solved
-to 1e-12; the metric match's are inexact Newton steps, stopped at the
-forcing term min(1e-3, rel) of the current residual rel, and the image
-keeps its metric gap so that the Brown-York mass can correct for the
-residual to first order.
+limit: like the gauge rows, the charge rotation table and the unit
+sphere's coefficients and tangents, they are a table of L cached by
+`sphere.band_limit_table`.  The first metric step from the unit sphere is
+therefore one preconditioner application, the exact Gauss-Newton step.
+The conformal steps are solved to 1e-12; the later metric steps are
+inexact Newton steps, stopped at the forcing term min(1e-3, max(rel,
+0.1 tol / rel)) of the current residual rel, and the image keeps its
+metric gap so that the Brown-York mass can correct for the residual to
+first order.
 """
 
 from __future__ import annotations
@@ -80,8 +83,6 @@ class EmbeddabilityError(SolverError):
 
 # sup |K - 1| beyond which the normalized curvature is not nearly round
 _REGIME_BOUND = 0.5
-# relative phi variation below which data counts as a surface of revolution
-_AXISYM_TOL = 1e-10
 # Newton steps allowed to the conformal factor solve
 _UNIFORMIZE_MAX_ITER = 30
 # Gauss-Newton steps allowed to the metric match
@@ -412,7 +413,20 @@ def _metric_linearization(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray):
 
 # probe columns per J0^T J0 application: the build's transient memory grows
 # with it, and beyond a few columns its time hardly falls
-_PROBE_BATCH = 8
+_PROBE_BATCH = 4
+
+
+@band_limit_table
+def _unit_sphere(L: int) -> tuple:
+    """(c, yt, yp) of the unit round sphere at band limit L: its (n_coeffs,
+    3) position coefficients and its node tangents, each (n_nodes, 3).  It
+    is where `solve_embedding` starts without a seed and where
+    `_round_normal_blocks` linearizes, so the round preconditioner inverts
+    the normal matrix of that start exactly."""
+    grid = SphereGrid(L)
+    c = analyze(grid, grid.unit_vectors)
+    yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, c))
+    return c, yt, yp
 
 
 def _round_normal_blocks(grid: SphereGrid) -> tuple:
@@ -432,8 +446,7 @@ def _round_normal_blocks(grid: SphereGrid) -> tuple:
     for s in np.unique(sizes):
         first = starts[sizes == s]
         groups.append((order[first[:, None] + np.arange(s)], np.empty((first.size, s, s))))
-    round_tangents = synth_gradient(grid, analyze(grid, grid.unit_vectors))
-    jac, jac_t = _metric_linearization(grid, *(d.reshape(-1, 3) for d in round_tangents))
+    jac, jac_t = _metric_linearization(grid, *_unit_sphere(grid.L)[1:])
     for j0 in range(0, sizes.max(), _PROBE_BATCH):
         j = np.arange(j0, min(j0 + _PROBE_BATCH, sizes.max()))
         cls, col = np.nonzero(sizes[:, None] > j)
@@ -488,6 +501,14 @@ def _embedding_step(
     return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner, eta)
 
 
+def _round_step(grid: SphereGrid, R: np.ndarray) -> np.ndarray:
+    """Gauss-Newton step of `solve_embedding` from the unit sphere, whose
+    J^T J is the normal matrix that `_round_preconditioner` inverts: the
+    least-squares solution of J s = -R with no conjugate gradients."""
+    _, jac_t = _metric_linearization(grid, *_unit_sphere(grid.L)[1:])
+    return -_round_preconditioner(jac_t(R))
+
+
 def solve_embedding(
     grid: SphereGrid,
     target_metric: np.ndarray,
@@ -507,22 +528,27 @@ def solve_embedding(
     coefficients, so the solution is a single representative of the
     rigid-motion orbit.
 
-    Each Gauss-Newton step solves its normal equations matrix free, by
-    conjugate gradients on J and J^T products (`_embedding_step`), to the
-    inexact-Newton forcing term eta = min(_FORCING, rel) = min(1e-3, rel)
-    relative to the right-hand side, where rel is the current metric
-    residual: loose while the iterate is far and tight near the solution,
-    so the last step still lands on it.  The preconditioner is the normal
-    matrix of the unit round embedding, which the normalized surface
-    approaches; its azimuthal-charge blocks are probed through the same J
-    and J^T and factored once per band limit (see `_round_inverse_blocks`).
-
     The iteration starts from `seed`, the unit round sphere when omitted; a
-    seed that already matches within `tol` takes no step.
+    seed that already matches within `tol` takes no step.  The
+    preconditioner is the normal matrix J0^T J0 of the unit round
+    embedding, which the normalized surface approaches; its azimuthal-
+    charge blocks are probed through the same J and J^T and factored once
+    per band limit (see `_round_inverse_blocks`).  From the unit sphere the
+    first step's normal matrix is J0^T J0 itself, so that step is one
+    preconditioner application (`_round_step`).  Every other step solves
+    its normal equations matrix free, by conjugate gradients on J and J^T
+    products (`_embedding_step`), to the inexact-Newton forcing term
+    eta = min(_FORCING, max(rel, 0.1 tol / rel)) relative to the
+    right-hand side, where rel is the current metric residual: loose while
+    the iterate is far and tight near the solution (Dembo, Eisenstat &
+    Steihaug, SINUM 1982), but on the last step, where a Newton step
+    squares rel, only as tight as lands rel a tenth under `tol` rather than
+    far past it (Eisenstat & Walker, SISC 1996).
 
     Returns (immersion, relative_residual, steps) where the residual is the
     sup over nodes of the metric mismatch relative to the local metric size
-    and steps counts the Gauss-Newton steps taken.  Raises EmbeddingError
+    and steps counts the Gauss-Newton steps taken.  The immersion carries
+    the solve's coefficients and node tangents.  Raises EmbeddingError
     when the iteration stalls above `tol` (the best residual seen is
     attached) and SelfIntersectionError when the converged surface is not
     star shaped about the pinned centroid.
@@ -537,15 +563,16 @@ def solve_embedding(
 
     sw = np.sqrt(grid.weights.ravel())
     gauge = _gauge_rows(grid.L)
-    c = analyze(grid, grid.unit_vectors if seed is None else seed.Y)
 
-    def state(cm):
-        yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, cm))
+    def state(cm, yt=None, yp=None):
+        if yt is None:
+            yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, cm))
         (dtt, dtp, dpp), rel = _metric_mismatch(yt, yp, h)
         R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge @ cm.ravel()])
         return R, yt, yp, rel
 
-    R, yt, yp, rel = state(c)
+    c, yt, yp = _unit_sphere(grid.L) if seed is None else (analyze(grid, seed.Y), None, None)
+    R, yt, yp, rel = state(c, yt, yp)
     best = rel
     steps = 0
     while rel > tol:
@@ -555,7 +582,12 @@ def solve_embedding(
                 f"(best residual {best:.3g}, target {tol:.3g})",
                 best,
             )
-        step = _embedding_step(grid, yt, yp, R, min(_FORCING, rel))
+        if seed is None and steps == 0:
+            step = _round_step(grid, R)
+        else:
+            # forcing term: loose far off, tight near the solution, and on
+            # the last step no tighter than what lands a tenth under tol
+            step = _embedding_step(grid, yt, yp, R, min(_FORCING, max(rel, 0.1 * tol / rel)))
         norm0 = np.sqrt(np.sum(R * R))
         t = 1.0
         for _ in range(15):
@@ -579,7 +611,8 @@ def solve_embedding(
         raise SelfIntersectionError(
             "embedded surface is not star shaped about the pinned centroid"
         )
-    return Immersion(grid, Y), rel, steps
+    tangents = (yt.reshape(Y.shape), yp.reshape(Y.shape))
+    return Immersion(grid, Y, c, tangents), rel, steps
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +709,8 @@ class IsometricEmbedding:
     position-normal product X . n0, metric_gap the realized minus the
     requested first fundamental form (ntheta, nphi, 2, 2) and
     metric_residual its sup Frobenius size relative to the requested one.
-    method names the seed of the metric solve: "axisymmetric" (with
-    "+newton" when Gauss-Newton steps polished it) or "general".
+    steps counts the Gauss-Newton steps of the metric solve from the unit
+    sphere.
     """
 
     radius: float
@@ -687,7 +720,7 @@ class IsometricEmbedding:
     volume: float
     metric_gap: np.ndarray
     metric_residual: float
-    method: str
+    steps: int
     h0_deviation: float
     support_deviation: float
 
@@ -712,11 +745,10 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
     the image up to a rigid motion, so nothing else of the surface is read.
     The metric is normalized by the areal radius r0 = sqrt(Area / 4 pi),
     under which the area-weighted mean of K r0^2 is exactly 1 (Gauss-
-    Bonnet), and realized by one `solve_embedding` call to residual `tol`.
-    Data that is phi independent (within _AXISYM_TOL) is seeded by the
-    surface of revolution of `embed_axisymmetric`, and Newton steps only
-    polish what its profile quadrature left; other data starts from the
-    unit sphere.  The image is rescaled to physical size.
+    Bonnet), and realized by one `solve_embedding` call from the unit
+    sphere to residual `tol`, every record alike.  The image is that
+    solve's position, coefficients and tangents scaled by r0, so no
+    transform runs twice.
 
     Raises RegimeViolation before any solve when sup |K r0^2 - 1| exceeds
     _REGIME_BOUND, or when the image fails mean convexity, and the solver
@@ -726,20 +758,10 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
     r0 = float(np.sqrt(fd.area / (4.0 * np.pi)))
     _curvature_deviation(fd.gauss_curvature * r0**2)
 
-    h = fd.induced_metric / r0**2
-    scale = float(np.max(np.abs(h)))
-    variation = float(np.max(np.abs(h - h[:, :1, :, :])))
-    offdiag = float(np.max(np.abs(h[..., 0, 1])))
-    if variation <= _AXISYM_TOL * scale and offdiag <= _AXISYM_TOL * scale:
-        seed = embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
-        route = "axisymmetric"
-    else:
-        seed = None
-        route = "general"
-    img, _, steps = solve_embedding(grid, h, seed, tol=tol)
-    method = route + "+newton" if route == "axisymmetric" and steps else route
-
-    image = Immersion(grid, r0 * img.Y)
+    img, _, steps = solve_embedding(grid, fd.induced_metric / r0**2, tol=tol)
+    image = Immersion(
+        grid, r0 * img.Y, r0 * img.coeffs, tuple(r0 * d for d in img.node_tangents)
+    )
     image_data = fundamental_forms(image)
     H0 = image_data.mean_curvature
     if np.min(H0) <= 0.0:
@@ -760,7 +782,7 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
         volume=volume,
         metric_gap=gap,
         metric_residual=metric_residual,
-        method=method,
+        steps=steps,
         h0_deviation=float(np.max(np.abs(H0 - 2.0 / r0))),
         support_deviation=float(np.max(np.abs(support - r0))),
     )

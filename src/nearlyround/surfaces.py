@@ -84,11 +84,16 @@ class NonConvexSurface(SolverError):
 class Immersion:
     """A sphere immersion: grid plus the three Cartesian position fields.
 
-    Y has shape (ntheta, nphi, 3).
+    Y has shape (ntheta, nphi, 3).  coeffs, the harmonic coefficients of Y
+    (n_coeffs, 3), and node_tangents, (dY/dtheta, dY/dphi) at the nodes,
+    are given by a caller that already holds them (the embedding solve)
+    and are otherwise transformed from Y when first read.
     """
 
     grid: SphereGrid
     Y: np.ndarray
+    coeffs: np.ndarray | None = None
+    node_tangents: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
@@ -97,7 +102,6 @@ class Immersion:
                 f"position field shape {self.Y.shape} does not match grid "
                 f"{self.grid.shape}"
             )
-        self._coeffs = None
 
     @property
     def points(self) -> np.ndarray:
@@ -106,12 +110,14 @@ class Immersion:
 
     def component_coeffs(self) -> np.ndarray:
         """Harmonic coefficients of the position, (n_coeffs, 3)."""
-        if self._coeffs is None:
-            self._coeffs = analyze(self.grid, self.Y)
-        return self._coeffs
+        if self.coeffs is None:
+            self.coeffs = analyze(self.grid, self.Y)
+        return self.coeffs
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """(d y / d theta, d y / d phi), each (ntheta, nphi, 3)."""
+        if self.node_tangents is not None:
+            return self.node_tangents
         return synth_gradient(self.grid, self.component_coeffs())
 
 

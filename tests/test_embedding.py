@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import nearlyround as nr
 from nearlyround import embedding as emb
-from nearlyround import harness, mass, sphere
+from nearlyround import harness, mass, sphere, surfaces
 from nearlyround.sphere import (
     analyze,
     center_gauge,
@@ -356,9 +356,9 @@ def test_solve_embedding_gauge_is_pinned(g16):
 @pytest.mark.parametrize("case", ["lumpy", "jittered", "round"])
 @pytest.mark.parametrize("L", [8, 16])
 def test_embedding_step_matches_dense_oracle(L, case):
-    # the lumpy metric from the round start (solve_embedding's first step
-    # without a log factor) and from a jittered start, and the round metric
-    # from a jittered start
+    # the lumpy metric from the round start (the system of solve_embedding's
+    # first step, which _round_step solves) and from a jittered start, and
+    # the round metric from a jittered start
     grid = nr.build_grid(L)
     h = round_metric(grid) if case == "round" else fundamental_forms(lumpy_surface(grid)).induced_metric
     u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.02)
@@ -521,6 +521,7 @@ def test_band_limit_tables_are_shared_and_read_only():
         "legendre rows": (sphere._legendre_rows(a.L),),
         "coeff_degrees": coeff_degrees(a.L),
         "gauge rows": (emb._gauge_rows(a.L),),
+        "unit sphere": emb._unit_sphere(a.L),
         "preconditioner blocks": sum(emb._round_inverse_blocks(a.L), ()),
     }
     assert sphere._legendre_rows(b.L) is tables["legendre rows"][0]
@@ -579,29 +580,42 @@ def test_pcg_identical_across_blas_threads():
 
 
 def test_lumpy_study_conjugate_gradient_work_is_pinned():
-    # operator applications of every _pcg call over one study of the
-    # benchmark's lumpy L=32 workload per m_order; the Gauss-Newton steps
-    # stop their conjugate gradients at eta = min(1e-3, rel), where a
-    # 1e-12 stop took 33 (m_order 3) and 58 (m_order 2)
+    # _pcg calls and their operator applications over one study of the
+    # benchmark's lumpy L=32 workload per m_order, and of its Kerr L=24
+    # workload with its embed_axisymmetric calls.  Every record starts from
+    # the unit sphere, whose first step needs no _pcg call, and the later
+    # steps stop their conjugate gradients at eta = min(1e-3, max(rel,
+    # 0.1 tol / rel)); at eta = min(1e-3, rel) from the unit sphere the
+    # lumpy studies took 6 calls and 24 (m_order 2) and 14 (m_order 3)
+    # applications, and a 1e-12 stop took 58 and 33
     code = (
         "import json, nearlyround as nr\n"
         "from nearlyround import embedding as emb\n"
-        "pcg, applied = emb._pcg, [0]\n"
+        "pcg, axisymmetric, work = emb._pcg, emb.embed_axisymmetric, [0, 0, 0]\n"
         "def counted(apply, *args):\n"
+        "    work[0] += 1\n"
         "    def apply_counted(v):\n"
-        "        applied[0] += 1\n"
+        "        work[1] += 1\n"
         "        return apply(v)\n"
         "    return pcg(apply_counted, *args)\n"
-        "emb._pcg = counted\n"
+        "def revolution(*args):\n"
+        "    work[2] += 1\n"
+        "    return axisymmetric(*args)\n"
+        "emb._pcg, emb.embed_axisymmetric = counted, revolution\n"
+        "schedule = (20.0, 40.0, 80.0)\n"
+        "studies = {\n"
+        "    m_order: dict(metric='schwarzschild_standard m=1', family='radial-perturbed',\n"
+        "                  l=3, m_order=m_order, amplitude=0.1, decay=1.0, band_limit=32)\n"
+        "    for m_order in (2, 3)\n"
+        "}\n"
+        "studies['kerr'] = dict(metric='kerr_slice m=1 a=0.5', family='coordinate-spheres',\n"
+        "                       band_limit=24)\n"
         "counts = {}\n"
-        "for m_order in (2, 3):\n"
-        "    applied[0] = 0\n"
-        "    rows = nr.run_masses(nr.StudyConfig(\n"
-        "        metric='schwarzschild_standard m=1', family='radial-perturbed', l=3,\n"
-        "        m_order=m_order, amplitude=0.1, decay=1.0, schedule=(20.0, 40.0, 80.0),\n"
-        "        band_limit=32)).rows\n"
+        "for name, fields in studies.items():\n"
+        "    work[:] = [0, 0, 0]\n"
+        "    rows = nr.run_masses(nr.StudyConfig(schedule=schedule, **fields)).rows\n"
         "    assert all(not row.flags for row in rows)\n"
-        "    counts[m_order] = applied[0]\n"
+        "    counts[name] = list(work)\n"
         "print(json.dumps(counts))\n"
     )
     for threads in ("1", "2"):
@@ -609,7 +623,8 @@ def test_lumpy_study_conjugate_gradient_work_is_pinned():
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
         )
-        assert proc.stdout.strip() == '{"2": 24, "3": 14}', threads
+        # name: [_pcg calls, operator applications, embed_axisymmetric calls]
+        assert proc.stdout.strip() == '{"2": [3, 18, 0], "3": [3, 9, 0], "kerr": [1, 1, 0]}', threads
 
 
 def test_solve_embedding_reports_nonconvergence(g16, monkeypatch):
@@ -691,11 +706,12 @@ def test_axisymmetric_rejects_bad_profiles(g16):
 
 def test_embed_schwarzschild_standard_round_data(g16):
     # the radial factor of this chart does not touch the sphere tangents,
-    # so the induced metric is exactly round and everything has closed form
+    # so the induced metric is exactly round, the unit sphere already
+    # matches it and everything has closed form
     std = nr.schwarzschild_standard(1.0)
     s = coordinate_sphere(10.0, g16)
     e = emb.embed(fundamental_forms(s, std))
-    assert e.method == "axisymmetric"
+    assert e.steps == 0
     assert e.radius == pytest.approx(10.0, abs=1e-10)
     assert np.max(np.abs(e.mean_curvature - 0.2)) <= 1e-9
     assert np.max(np.abs(e.support - 10.0)) <= 1e-9
@@ -707,7 +723,8 @@ def test_embed_kerr_high_resolution(g24, kerr):
     s = coordinate_sphere(40.0, g24)
     fd = fundamental_forms(s, kerr)
     e = emb.embed(fd)
-    assert e.method == "axisymmetric"
+    # the exact round step, then no conjugate-gradient step
+    assert e.steps == 1
     assert e.metric_residual <= 1e-8
     # realized intrinsic curvature agrees with the requested one
     assert np.max(np.abs(e.image_data.gauss_curvature - fd.gauss_curvature)) <= 1e-10
@@ -726,30 +743,78 @@ def test_embed_kerr_sweep_decay(kerr_sweep):
         assert e.metric_residual <= 1e-8
 
 
-def test_embed_polishes_a_perturbed_revolution_seed(g16, kerr, kerr_sweep, monkeypatch):
-    # a profile quadrature off by about 1e-6 relative leaves the solver
-    # Newton steps to take, and they land on the unperturbed image
-    exact = emb.embed_axisymmetric
-
-    def perturbed(grid, E, G):
-        return Immersion(grid, exact(grid, E, G).Y * np.exp(jittered(grid, size=1e-6))[..., None])
-
-    monkeypatch.setattr(emb, "embed_axisymmetric", perturbed)
-    e = emb.embed(fundamental_forms(coordinate_sphere(40.0, g16), kerr))
-    assert e.method == "axisymmetric+newton"
-    assert e.metric_residual <= 1e-8
-    _, rms = rigid_align(g16, e.image.Y, kerr_sweep[40.0].image.Y)
+def test_embed_polishes_a_perturbed_revolution_seed(g16, kerr_records, kerr_sweep):
+    # a surface of revolution off by about 1e-6 relative, given as the
+    # seed, leaves the solver Newton steps to take, and they land on the
+    # unperturbed surface, whose metric residual is roundoff (a solve to
+    # the default tol stops a tenth under it, ~1e-7 at this radius)
+    r0 = kerr_sweep[40.0].radius
+    h = kerr_records[40.0].induced_metric / r0**2
+    exact = emb.embed_axisymmetric(g16, h[:, 0, 0, 0], h[:, 0, 1, 1])
+    seed = Immersion(g16, exact.Y * np.exp(jittered(g16, size=1e-6))[..., None])
+    img, rel, steps = emb.solve_embedding(g16, h, seed, tol=1e-12)
+    assert steps >= 1
+    assert rel <= 1e-12
+    _, rms = rigid_align(g16, r0 * img.Y, r0 * exact.Y)
     assert rms <= 1e-8
 
 
-def test_embed_cross_validates_axisymmetric_route(g16, kerr, kerr_sweep, monkeypatch):
-    s = coordinate_sphere(40.0, g16)
-    monkeypatch.setattr(emb, "_AXISYM_TOL", -1.0)  # no data counts as a revolution
-    e_gen = emb.embed(fundamental_forms(s, kerr))
-    assert e_gen.method == "general"
-    assert e_gen.metric_residual <= 1e-8
-    _, rms = rigid_align(g16, e_gen.image.Y, kerr_sweep[40.0].image.Y)
-    assert rms <= 1e-6
+def test_embed_cross_validates_axisymmetric_route(kerr, monkeypatch):
+    # a convex sphere metric has one image up to rigid motion, so the unit
+    # seed and the exact surface of revolution of phi-independent data
+    # reach the same Brown-York mass
+    solve = emb.solve_embedding
+
+    def revolution_seeded(grid, h, seed=None, *, tol):
+        return solve(grid, h, emb.embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1]), tol=tol)
+
+    for L in (16, 24, 32):
+        grid = nr.build_grid(L)
+        for r in (20.0, 40.0, 80.0):
+            fd = fundamental_forms(coordinate_sphere(r, grid), kerr)
+            e = emb.embed(fd)
+            with monkeypatch.context() as patched:
+                patched.setattr(emb, "solve_embedding", revolution_seeded)
+                e_rev = emb.embed(fd)
+            assert e.metric_residual <= 1e-8 and e.steps >= 1, (L, r)
+            assert e_rev.steps == 0, (L, r)
+            by, by_rev = mass.brown_york_mass(fd, e), mass.brown_york_mass(fd, e_rev)
+            assert abs(by - by_rev) <= 1e-13 * abs(by_rev), (L, r)
+
+
+def unit_sphere_state(L):
+    """Grid, unit-sphere tangents and solve_embedding residual of the lumpy
+    metric at the unit sphere, where `_round_step` applies."""
+    grid = nr.build_grid(L)
+    h = fundamental_forms(lumpy_surface(grid)).induced_metric
+    _, yt, yp = emb._unit_sphere(L)
+    return grid, yt, yp, embedding_state(grid, h, grid.unit_vectors)[2]
+
+
+@pytest.mark.parametrize("L", [8, 16, 24])
+def test_round_step_is_the_conjugate_gradient_solve(L):
+    # at the unit sphere J^T J is the normal matrix the preconditioner
+    # inverts, so its one application is the step conjugate gradients
+    # reach.  (From L = 32 on, a 1e-12 stop runs past the first iterate and
+    # both steps move by cond(J^T J) eps, 9e-11 at L = 32.)
+    grid, yt, yp, R = unit_sphere_state(L)
+    step = emb._round_step(grid, R)
+    solved = emb._embedding_step(grid, yt, yp, R, 1e-12)
+    assert np.max(np.abs(solved)) > 1e-3
+    assert np.linalg.norm(step - solved) <= 1e-12 * np.linalg.norm(solved)
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_round_step_is_the_least_squares_step(L):
+    # against a dense least-squares solve the round step keeps the accuracy
+    # of a normal-equations solve, cond(J)^2 eps
+    grid, yt, yp, R = unit_sphere_state(L)
+    J = dense_metric_jacobian(grid, yt, yp)
+    sv = np.linalg.svd(J, compute_uv=False)
+    exact = np.linalg.lstsq(J, -R, rcond=None)[0].reshape(3, -1).T
+    step = emb._round_step(grid, R)
+    bound = (sv[0] / sv[-1]) ** 2 * np.finfo(float).eps
+    assert np.linalg.norm(step - exact) <= bound * np.linalg.norm(exact)
 
 
 def test_matrix_free_steps_off_regime_match_dense_oracle(monkeypatch):
@@ -782,7 +847,6 @@ def test_embed_perturbed_family_decay(pert_sweep):
     assert all(c <= 1.6 for c in h0)
     assert h0 == sorted(h0, reverse=True)
     for e in pert_sweep.values():
-        assert e.method == "general"
         assert e.metric_residual <= 1e-8
 
 
@@ -801,10 +865,28 @@ def test_embed_flat_surface_roundtrip(g16):
     # the surface itself up to a rigid motion (rigidity of convex surfaces)
     s = lumpy_surface(g16, scale=10.0)
     e = emb.embed(fundamental_forms(s))
-    assert e.method == "general"
     assert e.metric_residual <= 1e-8
     _, rms = rigid_align(g16, e.image.Y, s.Y)
     assert rms <= 1e-8
+
+
+def test_embed_image_carries_the_solve_coefficients_and_tangents(g16, kerr_sweep, monkeypatch):
+    # the image is the solve's position, coefficients and tangents scaled by
+    # r0, so its fundamental forms transform only the normal, and the
+    # carried fields agree with a fresh transform of its positions
+    e = kerr_sweep[40.0]
+    c = analyze(g16, e.image.Y)
+    assert np.max(np.abs(e.image.component_coeffs() - c)) <= 1e-12 * e.radius
+    for carried, fresh in zip(e.image.tangents(), synth_gradient(g16, c)):
+        assert np.max(np.abs(carried - fresh)) <= 1e-12 * e.radius
+    calls = []
+    for name in ("analyze", "synth_gradient"):
+        fn = getattr(surfaces, name)
+        monkeypatch.setattr(surfaces, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    fundamental_forms(e.image)
+    carried = len(calls)
+    fundamental_forms(Immersion(g16, e.image.Y))
+    assert (carried, len(calls) - carried) == (2, 4)
 
 
 def test_embed_requires_nearly_round_curvature(g16):
@@ -815,8 +897,9 @@ def test_embed_requires_nearly_round_curvature(g16):
 
 
 def test_embed_runs_no_conformal_solve(monkeypatch, g16, kerr):
-    # the metric alone fixes the image up to a rigid motion, so no route,
-    # mass row or verify table uniformizes or centres a conformal factor
+    # the metric alone fixes the image up to a rigid motion, so no
+    # embedding, mass row or verify table uniformizes or centres a
+    # conformal factor
     calls = []
 
     def counted(fn):
@@ -833,7 +916,7 @@ def test_embed_runs_no_conformal_solve(monkeypatch, g16, kerr):
     e_kerr = emb.embed(fundamental_forms(coordinate_sphere(40.0, g16), kerr))
     assert calls == []
     e_lumpy = emb.embed(fundamental_forms(lumpy_surface(g16, scale=10.0)))
-    assert (e_kerr.method, e_lumpy.method) == ("axisymmetric", "general")
+    assert e_kerr.steps >= 1 and e_lumpy.steps >= 1
     assert nr.assemble_mass_row(lumpy_surface(g16, scale=20.0), kerr).flags == ()
     assert nr.run_verify(nr.StudyConfig(metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0))).passed
     assert calls == []

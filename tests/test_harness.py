@@ -688,7 +688,7 @@ def test_cli_embed_writes_mesh_and_summary(tmp_path, capsys):
     code = main(["embed", "--metric", "euclidean", "--radius", "2", "--out", str(mesh)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["method"] == "axisymmetric"
+    assert payload["steps"] == 0  # round data: the unit sphere already matches
     assert abs(payload["radius"] - 2.0) <= 1e-10
     assert payload["metric_residual"] <= 1e-10
     assert mesh.read_text().startswith("#")
@@ -774,9 +774,10 @@ def test_reports_identical_across_blas_threads():
 
 
 def test_masses_load_no_scipy(tmp_path):
-    # a fresh interpreter runs both embedding routes (the general one factors
-    # the round preconditioner, Kerr takes the revolution seed), then every
-    # other subcommand, without scipy
+    # a fresh interpreter runs the embedding from the unit sphere on lumpy
+    # and Kerr records (both factor the round preconditioner once, and
+    # neither takes the revolution seed), then every other subcommand,
+    # without scipy
     report = tmp_path / "lumpy.csv"
     code = (
         "import contextlib, io, sys\n"
@@ -798,7 +799,7 @@ def test_masses_load_no_scipy(tmp_path):
         "    metric='kerr_slice m=1 a=0.5', family='coordinate-spheres', **common))\n"
         "assert all(not row.flags for row in lumpy.rows + kerr.rows)\n"
         # one factorisation per distinct charge-class size at L=16
-        "assert calls['cho_factor'] == 17 and calls['embed_axisymmetric'] == 3, calls\n"
+        "assert calls['cho_factor'] == 17 and calls['embed_axisymmetric'] == 0, calls\n"
         f"open({str(report)!r}, 'w').write(lumpy.render())\n"
         "kerr, study = ['--metric', 'kerr_slice m=1 a=0.5'], ['--schedule', '20,40,80']\n"
         "runs = [\n"

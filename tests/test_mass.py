@@ -219,9 +219,8 @@ def test_masses_rotation_invariant(g16, metrics):
 def test_tilted_kerr_gives_the_untilted_masses():
     # Kerr with its spin axis tilted by 0.7 rad is the same slice in other
     # coordinates, and its coordinate spheres the same surfaces: the grid's
-    # poles leave the symmetry axis, so the data is not phi-independent and
-    # the embedding takes the general route, yet the masses stay the
-    # untilted ones
+    # poles leave the symmetry axis, so the data is not phi-independent,
+    # yet the masses stay the untilted ones
     kerr = nr.kerr_slice(1.0, 0.5)
     c, s = math.cos(0.7), math.sin(0.7)
     tilted = RotatedChart(kerr, [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -232,9 +231,8 @@ def test_tilted_kerr_gives_the_untilted_masses():
             for ambient in (kerr, tilted):
                 fd = nr.fundamental_forms(nr.coordinate_sphere(r, grid), ambient)
                 e = nr.embed(fd, tol=1e-12)
-                rows.append((e.method, nr.hawking_mass(fd), nr.brown_york_mass(fd, e)))
-            (route, hawking, brown_york), (tilted_route, tilted_hawking, tilted_brown_york) = rows
-            assert route.startswith("axisymmetric") and tilted_route == "general", (L, r)
+                rows.append((nr.hawking_mass(fd), nr.brown_york_mass(fd, e)))
+            (hawking, brown_york), (tilted_hawking, tilted_brown_york) = rows
             assert abs(tilted_hawking - hawking) <= 1e-13 * hawking, (L, r)
             assert abs(tilted_brown_york - brown_york) <= 1e-12 * brown_york, (L, r)
 
