@@ -17,7 +17,6 @@ from .embedding import (
     SelfIntersectionError,
     UniformizationDiagnostics,
     UniformizationError,
-    VolumeCheck,
     embed,
     embed_axisymmetric,
     minkowski_residuals,

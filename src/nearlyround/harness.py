@@ -276,10 +276,6 @@ class MassReport:
     def render(self) -> str:
         return self.to_json() if self.config.format == "json" else self.to_csv()
 
-    @property
-    def hard_failures(self) -> tuple:
-        return tuple(r for r in self.rows if isinstance(r, RowFailure))
-
 
 def run_masses(config: StudyConfig) -> MassReport:
     """Evaluate the mass table of the configured family.
@@ -380,8 +376,8 @@ def fit_rate(series, m_infinity: float) -> RateFit:
 class VerifyCheck:
     """One named verification: a measured number against its tolerance.
 
-    A check whose computation ended in a NearlyRoundError is not computed;
-    its value is inf and its note names the error.
+    A check that measured nothing (see _verify_check) is not computed; its
+    value is inf and its note names the error.
     """
 
     name: str
@@ -433,136 +429,98 @@ def _curvature_tail(grid, fd) -> float:
     return float(np.linalg.norm(coeffs[degs >= grid.L - 1]) / total)
 
 
+def _verify_check(name: str, tolerance: float, measure) -> VerifyCheck:
+    """One check of the verify table from its measure, which returns (value,
+    note) with value None when nothing was measured.  A NearlyRoundError is
+    such a measure, noted "computation failed: <Class>: <message>"; a check
+    with no value is not computed, reads inf and fails."""
+    try:
+        value, note = measure()
+    except NearlyRoundError as exc:
+        value, note = None, f"computation failed: {type(exc).__name__}: {exc}"
+    computed = value is not None
+    value = float(value) if computed else math.inf
+    return VerifyCheck(
+        name=name, value=value, tolerance=float(tolerance),
+        passed=value <= tolerance, note=note, computed=computed,
+    )
+
+
 def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyReport:
     """Measure the identity residuals and diagnostics behind a mass study.
 
-    Every check is named, carries its measured value and tolerance, and
-    the report's exit code is nonzero iff any check fails.  With
-    inject_failure, one seeded check is forced to fail so downstream
-    plumbing of the failure path can be exercised end to end.
+    The table is one ordered list of (name, tolerance, measure) entries
+    under _verify_check's failure rule: a check whose measure ends in a
+    NearlyRoundError fails, not computed, and the table goes on.  Member
+    records are built up to the first that fails, whose error then fails
+    every check that reads the family.  The three embedding checks share
+    one pass, which the first failed embedding stops; they are then not
+    computed, noted "embedding failed at r=<r>: <Class>".  With
+    inject_failure, one seeded check is forced to fail so the failure path
+    can be exercised end to end.
     """
     metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
-    members = family_surfaces(config, grid, metric)
     data, member_error = [], None
-    for r, s in members:
+    for r, s in family_surfaces(config, grid, metric):
         try:
             data.append((r, fundamental_forms(s), fundamental_forms(s, metric)))
         except NearlyRoundError as exc:
-            member_error = member_error or exc
+            member_error = exc
+            break
 
     def family():
-        # every check reads the whole family: a member whose records
-        # failed fails each check with its error, and the table goes on
         if member_error is not None:
             raise member_error
         return data
 
     def over_family(fn):
-        return max(fn(fd_hat, fd) for _, fd_hat, fd in family())
+        return lambda: (max(fn(fd_hat, fd) for _, fd_hat, fd in family()), "")
 
-    checks = []
-
-    def add(name, value, tolerance, note="", computed=True):
-        checks.append(
-            VerifyCheck(
-                name=name, value=float(value), tolerance=float(tolerance),
-                passed=bool(value <= tolerance), note=note, computed=computed,
-            )
-        )
-
-    def add_failed(name, tolerance, exc):
-        add(
-            name, math.inf, tolerance, computed=False,
-            note=f"computation failed: {type(exc).__name__}: {exc}",
-        )
-
-    def add_measured(name, fn, tolerance):
-        # a check whose computation breaks is a failed check, not an
-        # aborted table; violating families must still produce a report
-        try:
-            value = fn()
-        except NearlyRoundError as exc:
-            add_failed(name, tolerance, exc)
-        else:
-            add(name, value, tolerance)
-
-    add_measured(
-        "gauss-bonnet",
-        lambda: over_family(
-            lambda fh, fd: abs(fd.integrate(fd.gauss_curvature) - 4.0 * math.pi)
-        ),
-        1e-8,
-    )
-    add_measured("divergence-identity", lambda: over_family(divergence_identity_gap), 1e-10)
-    add_measured(
-        "curvature-transform", lambda: over_family(second_form_transform_residual), 1e-10
-    )
-    add_measured(
-        "distance-hessian",
-        lambda: over_family(lambda fh, fd: distance_hessian_residual(fh)),
-        1e-10,
-    )
-    add_measured(
-        "mean-curvature-expansion", lambda: over_family(mean_curvature_expansion_residual), 50.0
-    )
-    add_measured(
-        "mean-curvature-integral", lambda: over_family(mean_curvature_integral_residual), 100.0
-    )
-
-    try:
+    def roundness():
         diag = nearly_round_diagnostics([fd for _, _, fd in family()])
-    except NearlyRoundError as exc:
-        add_failed("roundness-flags", 0.0, exc)
-    else:
-        add("roundness-flags", len(diag.flagged), 0.0, note="; ".join(diag.flagged))
+        return len(diag.flagged), "; ".join(diag.flagged)
 
-    add_measured(
-        "spectral-resolution",
-        lambda: max(_curvature_tail(grid, fd) for _, _, fd in family()),
-        1e-10,
-    )
-
-    embed_worst = 0.0
-    mink1 = 0.0
-    mink2 = 0.0
-    embed_note = ""
-    try:
+    @functools.cache
+    def embedded():
+        # one pass for the three embedding checks: the sups of the metric
+        # residual and of the two Minkowski identities, as (value, note)
+        worst = [0.0, 0.0, 0.0]
         for r, _, fd in family():
             try:
                 e = embed(fd, tol=config.tol)
             except NearlyRoundError as exc:
-                embed_note = f"embedding failed at r={r:g}: {type(exc).__name__}"
-                break
+                return [(None, f"embedding failed at r={r:g}: {type(exc).__name__}")] * 3
             mk = minkowski_residuals(e)
-            embed_worst = max(embed_worst, e.metric_residual)
-            mink1 = max(mink1, mk.first_identity)
-            mink2 = max(mink2, mk.second_identity)
-    except NearlyRoundError as exc:
-        embed_note = f"computation failed: {type(exc).__name__}: {exc}"
-    embedded = not embed_note
-    if not embedded:
-        embed_worst = mink1 = mink2 = math.inf
-    add("embedding-residual", embed_worst, config.tol, embed_note, embedded)
-    add("minkowski-first", mink1, 1e-6, embed_note, embedded)
-    add("minkowski-second", mink2, 1e-6, embed_note, embedded)
+            measured = (e.metric_residual, mk.first_identity, mk.second_identity)
+            worst = [max(w, m) for w, m in zip(worst, measured)]
+        return [(w, "") for w in worst]
 
-    if metric.known_mass is None:
-        add("adm-agreement", 0.0, 1.0, note="metric has no mass reference; skipped")
-    else:
-        tolerance = 0.05 * max(1.0, abs(metric.known_mass))
-        try:
-            est = adm_mass(config.schedule, [mass_flux(fh, fd.jets) for _, fh, fd in family()])
-        except NearlyRoundError as exc:
-            add_failed("adm-agreement", tolerance, exc)
-        else:
-            rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
-            add(
-                "adm-agreement",
-                abs(est.value - metric.known_mass),
-                tolerance,
-                note=f"extrapolated {est.value:.6f}{rate}",
-            )
+    known = metric.known_mass
+
+    def adm():
+        if known is None:
+            return 0.0, "metric has no mass reference; skipped"
+        est = adm_mass(config.schedule, [mass_flux(fh, fd.jets) for _, fh, fd in family()])
+        rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
+        return abs(est.value - known), f"extrapolated {est.value:.6f}{rate}"
+
+    entries = [
+        ("gauss-bonnet", 1e-8,
+         over_family(lambda fh, fd: abs(fd.integrate(fd.gauss_curvature) - 4.0 * math.pi))),
+        ("divergence-identity", 1e-10, over_family(divergence_identity_gap)),
+        ("curvature-transform", 1e-10, over_family(second_form_transform_residual)),
+        ("distance-hessian", 1e-10, over_family(lambda fh, fd: distance_hessian_residual(fh))),
+        ("mean-curvature-expansion", 50.0, over_family(mean_curvature_expansion_residual)),
+        ("mean-curvature-integral", 100.0, over_family(mean_curvature_integral_residual)),
+        ("roundness-flags", 0.0, roundness),
+        ("spectral-resolution", 1e-10, over_family(lambda fh, fd: _curvature_tail(grid, fd))),
+        ("embedding-residual", config.tol, lambda: embedded()[0]),
+        ("minkowski-first", 1e-6, lambda: embedded()[1]),
+        ("minkowski-second", 1e-6, lambda: embedded()[2]),
+        ("adm-agreement", 1.0 if known is None else 0.05 * max(1.0, abs(known)), adm),
+    ]
+    checks = [_verify_check(*entry) for entry in entries]
 
     if inject_failure:
         rng = np.random.default_rng(config.seed)

@@ -22,7 +22,7 @@ Bad input (ConfigError) and defects of the program propagate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .surfaces import (
     Immersion,
     best_fit_sphere,
     fundamental_forms,
+    symmetric_components,
+    trace_pairing,
 )
 from .embedding import IsometricEmbedding, RegimeViolation, embed
 
@@ -54,14 +56,6 @@ def hawking_mass(fd: FundamentalData) -> float:
     """
     flux = fd.integrate(fd.mean_curvature**2)
     return float(math.sqrt(fd.area / _SIXTEEN_PI) * (_SIXTEEN_PI - flux) / _SIXTEEN_PI)
-
-
-def _raised(hinv: np.ndarray, T: np.ndarray) -> tuple:
-    """Components 00, 01, 10, 11 of h^-1 T for fields of symmetric 2x2
-    matrices, written out: a four-operand einsum costs several times more."""
-    i00, i01, i11 = hinv[..., 0, 0], hinv[..., 0, 1], hinv[..., 1, 1]
-    t00, t01, t11 = T[..., 0, 0], T[..., 0, 1], T[..., 1, 1]
-    return i00 * t00 + i01 * t01, i00 * t01 + i01 * t11, i01 * t00 + i11 * t01, i01 * t01 + i11 * t11
 
 
 def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
@@ -102,11 +96,12 @@ def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
             f"grid {fd.mean_curvature.shape}; both integrands must share "
             f"one parametrization"
         )
-    # A0^{ab} rho_ab = tr(h^-1 A0 h^-1 rho) = P_ab Q_ba with P = h^-1 A0
-    # and Q = h^-1 rho
-    p00, p01, p10, p11 = _raised(fd.induced_metric_inv, e.image_data.second_form)
-    q00, q01, q10, q11 = _raised(fd.induced_metric_inv, e.metric_gap)
-    gap_term = p00 * q00 + p01 * q10 + p10 * q01 + p11 * q11
+    # A0^{ab} rho_ab = tr(h^-1 A0 h^-1 rho)
+    gap_term = trace_pairing(
+        symmetric_components(fd.induced_metric_inv),
+        symmetric_components(e.image_data.second_form),
+        symmetric_components(e.metric_gap),
+    )
     return float(fd.integrate(reference - fd.mean_curvature + 0.5 * gap_term) / (8.0 * math.pi))
 
 
@@ -153,7 +148,8 @@ def assemble_mass_row(
     the isometric embedding of that one record with its Brown-York mass.
     A SolverError of the embedding leaves brown_york/embed_residual as None
     and adds the marker embedding-failed:<class> to flags rather than
-    raising, so sweeps can continue past bad radii.
+    raising, so sweeps can continue past bad radii.  embed refuses any
+    record with |K r0^2 - 1| > 1/2, so brown_york_mass finds K > 0.
 
     adm_reference defaults to the ambient's known mass; r_label defaults
     to the best-fit sphere radius of the Euclidean shape.
@@ -173,19 +169,14 @@ def assemble_mass_row(
 
     brown_york = None
     residual = None
-    flags: list[str] = []
+    flags = ()
     try:
         e = embed(fd, tol=tol)
     except SolverError as exc:
-        flags.append(f"embedding-failed:{type(exc).__name__}")
+        flags = (f"embedding-failed:{type(exc).__name__}",)
     else:
         residual = e.metric_residual
-        try:
-            brown_york = brown_york_mass(fd, e)
-        except RegimeViolation:
-            # Embedding converged but the surface left the convexity
-            # window the functional needs; report the mass as absent.
-            flags.append("nonconvex-curvature")
+        brown_york = brown_york_mass(fd, e)
 
     return MassValues(
         r_label=float(r_label),
@@ -194,5 +185,5 @@ def assemble_mass_row(
         brown_york=brown_york,
         adm_reference=adm_reference,
         embed_residual=residual,
-        flags=tuple(flags),
+        flags=flags,
     )

@@ -135,9 +135,9 @@ def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
     return Immersion(grid, Y)
 
 
-def coordinate_sphere(radius: float, grid: SphereGrid, center=None) -> Immersion:
-    """The round coordinate sphere of the given radius."""
-    return immerse_radial(center, float(radius), grid)
+def coordinate_sphere(radius: float, grid: SphereGrid) -> Immersion:
+    """The round coordinate sphere of the given radius about the origin."""
+    return immerse_radial(None, float(radius), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +208,9 @@ class FundamentalData:
 
     def second_form_norm(self) -> np.ndarray:
         """Pointwise |A| in the induced metric."""
-        hinv, A = self.induced_metric_inv, self.second_form
-        val = _squared_norm(
-            (hinv[..., 0, 0], hinv[..., 0, 1], hinv[..., 1, 1]),
-            (A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]),
-        )
+        A = symmetric_components(self.second_form)
+        val = trace_pairing(symmetric_components(self.induced_metric_inv), A, A)
         return np.sqrt(np.clip(val, 0.0, None))
-
-    def principal_curvatures(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of the shape operator (smaller, larger)."""
-        H = self.mean_curvature
-        h = self.induced_metric
-        A = self.second_form
-        deth = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2
-        detA = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
-        disc = np.sqrt(np.clip(H**2 - 4.0 * detA / deth, 0.0, None))
-        return 0.5 * (H - disc), 0.5 * (H + disc)
 
 
 def _resolve_ambient(ambient):
@@ -272,13 +259,23 @@ def _normal_rows(fd: FundamentalData) -> np.ndarray:
     return np.ascontiguousarray(fd.normal.reshape(-1, 3).T)
 
 
-def _squared_norm(hinv: tuple, form: tuple) -> np.ndarray:
-    """tr(h^-1 F h^-1 F) = P00^2 + 2 P01 P10 + P11^2 with P = h^-1 F, for a
-    symmetric 2x2 field F, from the (00, 01, 11) components of h^-1 and F."""
-    (i00, i01, i11), (f00, f01, f11) = hinv, form
-    p00, p01 = i00 * f00 + i01 * f01, i00 * f01 + i01 * f11
-    p10, p11 = i01 * f00 + i11 * f01, i01 * f01 + i11 * f11
-    return p00**2 + 2.0 * p01 * p10 + p11**2
+def symmetric_components(form: np.ndarray) -> tuple:
+    """The (00, 01, 11) components of a field of symmetric 2x2 matrices."""
+    return form[..., 0, 0], form[..., 0, 1], form[..., 1, 1]
+
+
+def trace_pairing(hinv: tuple, F: tuple, G: tuple) -> np.ndarray:
+    """tr(h^-1 F h^-1 G) = P_ab Q_ba (P = h^-1 F, Q = h^-1 G) of symmetric 2x2
+    fields by (00, 01, 11) components, written out as an einsum costs more;
+    cross terms first, so G = F gives P00^2 + 2 P01 P10 + P11^2 bit for bit."""
+    i00, i01, i11 = hinv
+
+    def raised(f00, f01, f11):
+        return i00 * f00 + i01 * f01, i00 * f01 + i01 * f11, i01 * f00 + i11 * f01, i01 * f01 + i11 * f11
+
+    p00, p01, p10, p11 = P = raised(*F)
+    q00, q01, q10, q11 = P if G is F else raised(*G)
+    return p00 * q00 + (p01 * q10 + p10 * q01) + p11 * q11
 
 
 def _form(f00: np.ndarray, f01: np.ndarray, f11: np.ndarray, shape: tuple) -> np.ndarray:
@@ -356,7 +353,8 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
 
     H = i00 * A00 + 2.0 * i01 * A01 + i11 * A11
     R00, R01, R11 = A00 - 0.5 * H * h00, A01 - 0.5 * H * h01, A11 - 0.5 * H * h11
-    ring_norm = np.sqrt(np.clip(_squared_norm((i00, i01, i11), (R00, R01, R11)), 0.0, None))
+    ring = (R00, R01, R11)
+    ring_norm = np.sqrt(np.clip(trace_pairing((i00, i01, i11), ring, ring), 0.0, None))
 
     detA = A00 * A11 - A01**2
     if flat:
@@ -512,16 +510,15 @@ def _graph_diameter(grid: SphereGrid, h: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BestFitSphere:
-    """Radius/center of the osculating round sphere with deviation sups."""
+    """Radius and center of the round sphere that fits a surface."""
 
     radius: float
     center: np.ndarray
-    curvature_spread: float  # sup |principal curvature - 1/radius|
-    position_spread: float  # sup |y - center - radius * normal|
 
 
 def best_fit_sphere(fd: FundamentalData) -> BestFitSphere:
-    """Fit radius from the mean of H and center from the position residual.
+    """Fit the radius 2 / mean(H) and the center as the area mean of
+    y - radius * normal.
 
     Requires the flat-ambient fundamental data and H > 0 everywhere.
     """
@@ -534,12 +531,7 @@ def best_fit_sphere(fd: FundamentalData) -> BestFitSphere:
     r0 = 2.0 / mean_H
     resid = fd.points.reshape(fd.normal.shape) - r0 * fd.normal
     center = np.array([fd.integrate(resid[..., k]) for k in range(3)]) / fd.area
-    lam_lo, lam_hi = fd.principal_curvatures()
-    curv_spread = float(
-        max(np.abs(lam_lo - 1.0 / r0).max(), np.abs(lam_hi - 1.0 / r0).max())
-    )
-    pos_spread = float(np.linalg.norm(resid - center, axis=-1).max())
-    return BestFitSphere(float(r0), center, curv_spread, pos_spread)
+    return BestFitSphere(float(r0), center)
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,6 @@ def test_run_masses_partial_row():
     assert first.flags == ("embedding-failed:RegimeViolation",)
     assert np.isfinite(first.hawking)
     assert second.flags == () and third.flags == ()
-    assert report.hard_failures == ()
 
 
 def test_run_masses_off_regime_rows_converge():
@@ -349,7 +348,7 @@ def test_run_masses_small_center_gauge_step(m_order):
         schedule=(20.0, 40.0, 80.0), band_limit=12, amplitude=0.1, l=3,
         m_order=m_order,
     )
-    assert nr.run_masses(cfg).hard_failures == ()
+    assert all(isinstance(row, nr.MassValues) for row in nr.run_masses(cfg).rows)
 
 
 # ------------------------------------------------------------ run_verify
@@ -416,6 +415,58 @@ def test_run_verify_evaluates_the_jets_once_per_member(monkeypatch):
     monkeypatch.setattr(nr.AFMetric, "jets", counted)
     assert nr.run_verify(nr.StudyConfig(**KERR_L16)).passed
     assert calls == [17 * 34] * 3
+
+
+# counted name -> (defining module, functions); the four identity residuals
+# share one count
+VERIFY_WORK_NAMES = {
+    "fundamental_forms": ("surfaces", ("fundamental_forms",)),
+    "analyze": ("sphere", ("analyze",)),
+    "synth_gradient": ("sphere", ("synth_gradient",)),
+    "synthesize": ("sphere", ("synthesize",)),
+    "embed": ("embedding", ("embed",)),
+    "solve_embedding": ("embedding", ("solve_embedding",)),
+    "minkowski_residuals": ("embedding", ("minkowski_residuals",)),
+    "nearly_round_diagnostics": ("surfaces", ("nearly_round_diagnostics",)),
+    "_graph_diameter": ("surfaces", ("_graph_diameter",)),
+    "distance_hessian_residual": ("surfaces", ("distance_hessian_residual",)),
+    "adm_mass": ("metrics", ("adm_mass",)),
+    "identity residuals": ("surfaces", (
+        "divergence_identity_gap", "second_form_transform_residual",
+        "mean_curvature_expansion_residual", "mean_curvature_integral_residual",
+    )),
+}
+
+
+def test_verify_study_work_is_pinned(monkeypatch):
+    # the calls of one warm Kerr L=16 verify study, each counted in every
+    # module that looks the name up; the first study builds the band-limit
+    # tables, which a process builds once
+    config = nr.StudyConfig(**KERR_L16)
+    nr.run_verify(config)
+    counts = dict.fromkeys([*VERIFY_WORK_NAMES, "AFMetric.jets"], 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key, (home, names) in VERIFY_WORK_NAMES.items():
+        for name in names:
+            original = getattr(sys.modules[f"nearlyround.{home}"], name)
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("nearlyround") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(key, original))
+    monkeypatch.setattr(nr.AFMetric, "jets", counted("AFMetric.jets", nr.AFMetric.jets))
+    assert nr.run_verify(config).passed
+    assert counts == {
+        "fundamental_forms": 9, "analyze": 18, "synth_gradient": 23, "synthesize": 3,
+        "embed": 3, "solve_embedding": 3, "minkowski_residuals": 3,
+        "nearly_round_diagnostics": 1, "_graph_diameter": 3, "distance_hessian_residual": 3,
+        "adm_mass": 1, "identity residuals": 12, "AFMetric.jets": 3,
+    }
 
 
 def test_verify_extrapolates_the_adm_subcommand_value_bit_for_bit(monkeypatch, capsys):
@@ -859,6 +910,10 @@ def test_runtime_imports_are_the_declared_dependencies():
     assert third_party == names == {"numpy"}
 
 
+# a dotted name in a string, as the benchmark tracer names its probes
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
 def _top_level_names(stmt) -> set:
     """Names a module-level statement defines: a function, a class or the
     targets of an assignment."""
@@ -894,7 +949,6 @@ def test_every_library_name_is_read_outside_the_tests():
     # own definition and the __all__ lists do not count.
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "nearlyround").glob("*.py"))
-    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
     defined = {
         (path.stem, name)
         for path in package if path.name != "__init__.py"
@@ -917,11 +971,51 @@ def test_every_library_name_is_read_outside_the_tests():
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     names = {node.attr}
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names = set(node.value.split(".")) if dotted.fullmatch(node.value) else set()
+                    names = set(node.value.split(".")) if _DOTTED.fullmatch(node.value) else set()
                 else:
                     continue
                 read |= names - own
     unread = sorted(f"{module}.{name}" for module, name in defined if name not in read)
+    assert unread == [], f"read by no code outside tests/: {unread}"
+
+
+def _attribute_reads(node, own=None) -> set:
+    """Attribute names loaded under node and the parts of its dotted-name
+    strings, except where a method or property reads its own name."""
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        member = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+        names |= _attribute_reads(child, child.name if member else own)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names.add(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if _DOTTED.fullmatch(node.value):
+            names |= set(node.value.split("."))
+    return names - {own}
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    # the same rule for the methods and properties of the src/ classes,
+    # dunders excluded: a member counts as read where its name is an
+    # attribute load in src/, demos/ or benchmarks/ outside its own
+    # definition, or part of a dotted-name string
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "nearlyround").glob("*.py"))
+    defined = {
+        (path.stem, cls.name, item.name)
+        for path in package
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    }
+    readers = package + sorted((root / "demos").glob("*.py")) + sorted(
+        (root / "benchmarks").glob("*.py")
+    )
+    read = set().union(
+        *(_attribute_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in readers)
+    )
+    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
     assert unread == [], f"read by no code outside tests/: {unread}"
 
 

@@ -237,6 +237,36 @@ def test_tilted_kerr_gives_the_untilted_masses():
             assert abs(tilted_brown_york - brown_york) <= 1e-12 * brown_york, (L, r)
 
 
+def test_isotropic_and_standard_charts_give_the_same_surface():
+    # rho -> R = rho (1 + m/2 rho)^2 carries the isotropic Schwarzschild
+    # chart isometrically onto the standard one, direction by direction, so
+    # a lumpy isotropic profile and its image are one surface at the same
+    # nodes.  Measured: masses within 2.2e-14, area 5e-16, and H and K
+    # within 1.3e-13 (L=16), 6.3e-13 (L=32) and 1.5e-11 (L=48) of their
+    # sup, the pole-row roundoff that ROADMAP item 3 step 2 takes out;
+    # that change tightens the H and K bound to 1e-13
+    iso, std = nr.schwarzschild_isotropic(1.0), nr.schwarzschild_standard(1.0)
+    for L in (16, 32, 48):
+        grid = nr.build_grid(L)
+        c = np.zeros(grid.n_coeffs)
+        c[nr.coeff_index(3, 2)] = 1.0
+        y32 = nr.synthesize(grid, c)
+        for rho0 in (20.0, 40.0, 80.0):
+            rho = rho0 * (1.0 + 0.1 / rho0 * y32)
+            standard = rho * (1.0 + 0.5 / rho) ** 2
+            fd_iso, fd_std = (
+                nr.fundamental_forms(nr.immerse_radial(None, profile, grid), metric)
+                for profile, metric in ((rho, iso), (standard, std))
+            )
+            assert abs(fd_std.area - fd_iso.area) <= 1e-13 * fd_iso.area, (L, rho0)
+            for field in ("mean_curvature", "gauss_curvature"):
+                a, b = getattr(fd_iso, field), getattr(fd_std, field)
+                assert np.abs(b - a).max() <= 2e-11 * np.abs(a).max(), (L, rho0, field)
+            for mass in (nr.hawking_mass, lambda fd: nr.brown_york_mass(fd, nr.embed(fd))):
+                m_iso, m_std = mass(fd_iso), mass(fd_std)
+                assert abs(m_std - m_iso) <= 1e-13 * abs(m_iso), (L, rho0)
+
+
 def family_records(family, L):
     """The r = 20, 40, 80 records of a general-route family: the lumpy l=3
     bump of the benchmark (decay 1) at m_order 2 or 3, the off-regime l=2

@@ -269,19 +269,6 @@ def test_mean_curvature_integral_round(grid16):
     assert abs(fd.integrate(fd.mean_curvature) - 8 * np.pi * r) < 1e-9
 
 
-def test_principal_curvatures(grid16, lumpy10):
-    r = 4.0
-    fd = surf.fundamental_forms(surf.coordinate_sphere(r, grid16))
-    lo, hi = fd.principal_curvatures()
-    # umbilic points amplify roundoff by a square root in the split
-    assert np.abs(lo - 1.0 / r).max() < 1e-7
-    assert np.abs(hi - 1.0 / r).max() < 1e-7
-    fdl = surf.fundamental_forms(lumpy10)
-    lo, hi = fdl.principal_curvatures()
-    assert np.all(hi >= lo)
-    assert np.abs(lo + hi - fdl.mean_curvature).max() < 1e-12
-
-
 def test_degenerate_immersion_raises(grid16):
     Y = np.ones(grid16.shape + (3,))  # all nodes coincide
     with pytest.raises(surf.DegenerateInducedMetric):
@@ -440,30 +427,24 @@ def test_chart_permutation_invariance(grid16, catalog):
 
 
 def test_best_fit_round_recovery(grid16):
-    s = surf.coordinate_sphere(7.0, grid16, center=(1.0, 2.0, 3.0))
+    s = surf.immerse_radial((1.0, 2.0, 3.0), 7.0, grid16)
     bf = surf.best_fit_sphere(surf.fundamental_forms(s))
     assert abs(bf.radius - 7.0) < 1e-10
     assert np.abs(bf.center - [1.0, 2.0, 3.0]).max() < 1e-10
-    assert bf.curvature_spread < 1e-8
-    assert bf.position_spread < 1e-10
 
 
 def test_best_fit_perturbed_family(grid16):
-    # decaying bump: curvature spread * r^2 stays bounded (measured
-    # 0.159 across the sweep, frozen bound 0.5)
+    # a decaying bump moves the fitted radius by O(1/r)
     for r in (10.0, 20.0, 40.0):
         bump = bump_field(grid16, (2, 0, 1.0))
         s = surf.immerse_radial(None, r * (1 + 0.1 / r * bump), grid16)
         bf = surf.best_fit_sphere(surf.fundamental_forms(s))
         assert abs(bf.radius - r) < 0.01
-        assert bf.curvature_spread * r**2 < 0.5
 
 
 def test_best_fit_lumpy_report(lumpy10):
     bf = surf.best_fit_sphere(surf.fundamental_forms(lumpy10))
     assert abs(bf.radius - 10.0) < 0.05
-    assert 0.005 < bf.curvature_spread < 0.1
-    assert 0.5 < bf.position_spread < 1.5
 
 
 def test_best_fit_nonconvex_raises(grid16):
