@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import logging
-import math
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -30,11 +29,11 @@ from .embedding import (
 )
 from .errors import ConfigError, NearlyRoundError
 from .harness import (
-    MAX_RADIUS,
     RowFailure,
     StudyConfig,
-    _parse_schedule,
+    check_radii,
     fit_rate,
+    json_text,
     load_config,
     run_masses,
     run_verify,
@@ -50,28 +49,22 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
 
 
-def _add_study_args(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key = value study file; flags override it")
-    p.add_argument("--metric", help='metric spec, e.g. "kerr_slice m=1 a=0.5"')
-    p.add_argument(
-        "--family",
-        help="coordinate-spheres | radial-perturbed",
-    )
-    p.add_argument("--schedule", help="comma-separated radii, e.g. 10,20,40")
-    p.add_argument("--band-limit", dest="band_limit", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--l", type=int)
-    p.add_argument("--m-order", dest="m_order", type=int)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out", help="report file; standard output when omitted")
+def _add_config_flags(p: argparse.ArgumentParser, names=None, required=()):
+    """One flag per StudyConfig field (all of them, or those in names), taken
+    as text: StudyConfig.from_mapping converts and checks every value."""
+    for f in fields(StudyConfig):
+        if names is None or f.name in names:
+            p.add_argument(
+                "--" + f.name.replace("_", "-"), required=f.name in required,
+                help=f"config key {f.name} (default {f.default})",
+            )
 
 
 def _study_config(args) -> StudyConfig:
+    """The StudyConfig of a subcommand's flags over its --config file, if it
+    has one; a key given by neither keeps the field's default."""
     mapping: dict = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             mapping.update(load_config(args.config))
         except OSError as exc:
@@ -114,29 +107,17 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
-def _check_radius(radius: float):
-    """A coordinate sphere's det h carries r^4, so r must stay below MAX_RADIUS."""
-    if not 0.0 < radius < MAX_RADIUS:
-        raise ConfigError(
-            f"radius must be positive and below {MAX_RADIUS:.4g}, where its fourth "
-            f"power overflows, got {radius}"
-        )
-
-
 def _cmd_embed(args) -> int:
-    _check_radius(args.radius)
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
-    metric = parse_metric(args.metric)
-    grid = build_grid(args.band_limit)
-    s = coordinate_sphere(args.radius, grid)
-    fd = fundamental_forms(s, metric)
-    e = embed(fd, tol=args.tol)
+    (radius,) = check_radii([args.radius])
+    config = _study_config(args)  # the metric, band limit and tol
+    grid = build_grid(config.band_limit)
+    fd = fundamental_forms(coordinate_sphere(radius, grid), parse_metric(config.metric))
+    e = embed(fd, tol=config.tol)
     mk = minkowski_residuals(e)
-    if args.out:
-        write_embedding_obj(e, args.out)
-        log.info("wrote %s", args.out)
-    summary = {
+    if args.mesh:
+        write_embedding_obj(e, args.mesh)
+        log.info("wrote %s", args.mesh)
+    sys.stdout.write(json_text({
         "radius": e.radius,
         "steps": e.steps,
         "metric_residual": e.metric_residual,
@@ -147,23 +128,17 @@ def _cmd_embed(args) -> int:
         "support_deviation": e.support_deviation,
         "minkowski_first": mk.first_identity,
         "minkowski_second": mk.second_identity,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    }))
     return EXIT_OK
 
 
 def _cmd_adm(args) -> int:
-    metric = parse_metric(args.metric)
-    radii = _parse_schedule(args.schedule)
-    for r in radii:
-        _check_radius(r)
-    grid = build_grid(args.band_limit)
-    records = [fundamental_forms(coordinate_sphere(r, grid)) for r in radii]
-    est = adm_mass(radii, [mass_flux(fh, metric.jets(fh.points)) for fh in records])
-    # JSON has no nan: a constant flux has rate null, as in RateFit.as_dict
-    payload = {**asdict(est), "rate": est.rate if math.isfinite(est.rate) else None,
-               "known_mass": metric.known_mass}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    config = _study_config(args)  # the metric, schedule and band limit
+    metric = parse_metric(config.metric)
+    grid = build_grid(config.band_limit)
+    records = [fundamental_forms(coordinate_sphere(r, grid)) for r in config.schedule]
+    est = adm_mass(config.schedule, [mass_flux(fh, metric.jets(fh.points)) for fh in records])
+    sys.stdout.write(json_text({**asdict(est), "known_mass": metric.known_mass}))
     return EXIT_OK
 
 
@@ -209,8 +184,7 @@ def _cmd_rate(args) -> int:
         raise ConfigError("no --m-inf given and the report carries no adm_reference")
     if len(pairs) < 3:
         raise ConfigError(f"need at least three usable rows, found {len(pairs)}")
-    fit = fit_rate(pairs, m_infinity)
-    sys.stdout.write(json.dumps(fit.as_dict(), indent=2) + "\n")
+    sys.stdout.write(json_text(asdict(fit_rate(pairs, m_infinity))))
     return EXIT_OK
 
 
@@ -222,11 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("masses", help="mass table over a surface family")
-    _add_study_args(p)
+    p.add_argument("--config", help="key = value study file; flags override it")
+    _add_config_flags(p)
     p.set_defaults(func=_cmd_masses)
 
     p = sub.add_parser("verify", help="identity and diagnostic check table")
-    _add_study_args(p)
+    p.add_argument("--config", help="key = value study file; flags override it")
+    _add_config_flags(p)
     p.add_argument(
         "--inject-failure", action="store_true",
         help="force one seeded check to fail (pipeline test)",
@@ -234,17 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("embed", help="isometrically embed one coordinate sphere")
-    p.add_argument("--metric", required=True)
+    _add_config_flags(p, ("metric", "band_limit", "tol"), required=("metric",))
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--band-limit", dest="band_limit", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out", help="write the embedded surface as an OBJ mesh")
+    p.add_argument("--out", dest="mesh", help="write the embedded surface as an OBJ mesh")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("adm", help="ADM mass flux extrapolation")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--schedule", required=True, help="flux radii, e.g. 40,80,160")
-    p.add_argument("--band-limit", dest="band_limit", type=int, default=16)
+    _add_config_flags(p, ("metric", "schedule", "band_limit"), required=("metric", "schedule"))
     p.set_defaults(func=_cmd_adm)
 
     p = sub.add_parser("rate", help="fit a convergence rate from a mass report")

@@ -420,7 +420,7 @@ _PROBE_BATCH = 4
 def _unit_sphere(L: int) -> tuple:
     """(c, yt, yp) of the unit round sphere at band limit L: its (n_coeffs,
     3) position coefficients and its node tangents, each (n_nodes, 3).  It
-    is where `solve_embedding` starts without a seed and where
+    is where `solve_embedding` starts and where
     `_round_normal_blocks` linearizes, so the round preconditioner inverts
     the normal matrix of that start exactly."""
     grid = SphereGrid(L)
@@ -512,7 +512,6 @@ def _round_step(grid: SphereGrid, R: np.ndarray) -> np.ndarray:
 def solve_embedding(
     grid: SphereGrid,
     target_metric: np.ndarray,
-    seed: Immersion | None = None,
     *,
     tol: float = 1e-8,
 ):
@@ -528,14 +527,14 @@ def solve_embedding(
     coefficients, so the solution is a single representative of the
     rigid-motion orbit.
 
-    The iteration starts from `seed`, the unit round sphere when omitted; a
-    seed that already matches within `tol` takes no step.  The
-    preconditioner is the normal matrix J0^T J0 of the unit round
-    embedding, which the normalized surface approaches; its azimuthal-
-    charge blocks are probed through the same J and J^T and factored once
-    per band limit (see `_round_inverse_blocks`).  From the unit sphere the
-    first step's normal matrix is J0^T J0 itself, so that step is one
-    preconditioner application (`_round_step`).  Every other step solves
+    The iteration starts from the unit round sphere, and takes no step
+    when that already matches within `tol`.  The preconditioner is the
+    normal matrix J0^T J0 of the unit round embedding, which the
+    normalized surface approaches; its azimuthal-charge blocks are probed
+    through the same J and J^T and factored once per band limit (see
+    `_round_inverse_blocks`).  The first step's normal matrix is J0^T J0
+    itself, so that step is one preconditioner application
+    (`_round_step`).  Every other step solves
     its normal equations matrix free, by conjugate gradients on J and J^T
     products (`_embedding_step`), to the inexact-Newton forcing term
     eta = min(_FORCING, max(rel, 0.1 tol / rel)) relative to the
@@ -571,7 +570,7 @@ def solve_embedding(
         R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge @ cm.ravel()])
         return R, yt, yp, rel
 
-    c, yt, yp = _unit_sphere(grid.L) if seed is None else (analyze(grid, seed.Y), None, None)
+    c, yt, yp = _unit_sphere(grid.L)
     R, yt, yp, rel = state(c, yt, yp)
     best = rel
     steps = 0
@@ -582,7 +581,7 @@ def solve_embedding(
                 f"(best residual {best:.3g}, target {tol:.3g})",
                 best,
             )
-        if seed is None and steps == 0:
+        if steps == 0:
             step = _round_step(grid, R)
         else:
             # forcing term: loose far off, tight near the solution, and on

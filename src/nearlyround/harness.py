@@ -64,13 +64,27 @@ MAX_RADIUS = float(np.finfo(float).max) ** 0.25
 CSV_COLUMNS = ("r", "area", "hawking", "brown_york", "adm_reference", "embed_residual", "flags")
 
 
+def check_radii(radii) -> tuple:
+    """The radii as floats, each positive and below MAX_RADIUS: the one radius
+    rule of the studies and of the embed and adm subcommands."""
+    radii = tuple(float(r) for r in radii)
+    if not all(0.0 < r < MAX_RADIUS for r in radii):
+        raise ConfigError(
+            f"radii must be positive and below {MAX_RADIUS:.4g}, where their fourth "
+            f"power overflows: {radii}"
+        )
+    return radii
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything a study run needs, validated at construction.
+    """Everything a study run needs, validated at construction: the one
+    input rule of the command line, whose study flags are these fields.
 
-    The schedule must be strictly increasing with at least three radii;
-    the band limit at least 8.  amplitude/l/m_order/decay shape the
-    radial-perturbed family and are ignored by coordinate-spheres.
+    The schedule must be strictly increasing with at least three radii,
+    each under check_radii's rule; the band limit at least 8; tol positive
+    and finite.  amplitude/l/m_order/decay shape the radial-perturbed
+    family and are ignored by coordinate-spheres.
     """
 
     metric: str = "schwarzschild_isotropic m=1"
@@ -87,12 +101,7 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple(float(r) for r in self.schedule))
-        if not all(abs(r) < MAX_RADIUS for r in self.schedule):
-            raise ConfigError(
-                f"schedule radii must be finite and below {MAX_RADIUS:.4g}, where "
-                f"their fourth power overflows: {self.schedule}"
-            )
+        object.__setattr__(self, "schedule", check_radii(self.schedule))
         for name in ("amplitude", "decay", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -117,7 +126,7 @@ class StudyConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "StudyConfig":
-        """Build a config from string values (file keys, CLI overrides); each
+        """Build a config from string values (file keys, CLI flags); each
         field's annotation names its converter."""
         types = {"tuple": _parse_schedule, "int": int, "float": float}
         converters = {f.name: types.get(f.type, str) for f in fields(cls)}
@@ -213,6 +222,24 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth of its dicts, lists
+    and tuples, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def json_text(payload) -> str:
+    """payload as indented JSON text, the one JSON rule of the reports and
+    the subcommands: JSON has no nan or inf, so a non-finite float is null."""
+    return json.dumps(_finite_or_null(payload), indent=2) + "\n"
+
+
 @functools.cache
 def _package_version() -> str:
     """The installed distribution's version, or "unknown" in a source tree.
@@ -271,7 +298,7 @@ class MassReport:
 
     def to_json(self) -> str:
         rows = [self._row_values(row) for row in self.rows]
-        return json.dumps({"metadata": self.metadata(), "rows": rows}, indent=2) + "\n"
+        return json_text({"metadata": self.metadata(), "rows": rows})
 
     def render(self) -> str:
         return self.to_json() if self.config.format == "json" else self.to_csv()
@@ -314,20 +341,6 @@ class RateFit:
     n_points: int
     fittable: bool
     note: str = ""
-
-    def as_dict(self) -> dict:
-        def clean(x):
-            return x if math.isfinite(x) else None
-
-        return {
-            "slope": clean(self.slope),
-            "intercept": clean(self.intercept),
-            "residual": clean(self.residual),
-            "m_infinity": self.m_infinity,
-            "n_points": self.n_points,
-            "fittable": self.fittable,
-            "note": self.note,
-        }
 
 
 def fit_rate(series, m_infinity: float) -> RateFit:

@@ -43,6 +43,7 @@ the flux of a surface is surfaces.mass_flux, over the surface's records.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass
 
@@ -397,39 +398,45 @@ def kerr_slice(m: float, a: float) -> AFMetric:
 
 
 _FACTORIES = {
-    "euclidean": (euclidean, ()),
-    "schwarzschild_isotropic": (schwarzschild_isotropic, ("m",)),
-    "schwarzschild_standard": (schwarzschild_standard, ("m",)),
-    "kerr_slice": (kerr_slice, ("m", "a")),
-    "conformal_perturbed": (
+    f.__name__: f
+    for f in (
+        euclidean, schwarzschild_isotropic, schwarzschild_standard, kerr_slice,
         conformal_perturbed,
-        ("m", "eps", "l", "m_order", "tau_extra"),
-    ),
+    )
 }
 
 
 def parse_metric(text: str) -> AFMetric:
-    """Build a catalog metric from its text form, e.g. ``kerr_slice m=1 a=0.5``."""
+    """Build a catalog metric from its text form, e.g. ``kerr_slice m=1 a=0.5``.
+
+    The family names its constructor in _FACTORIES, whose signature is the
+    grammar: each key is a parameter, converted by its annotation (int or
+    float) and finite; a parameter without a default must be given.
+    """
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise UnknownMetricFamily("empty metric specification")
     family, kv = tokens[0], tokens[1:]
     if family not in _FACTORIES:
         raise UnknownMetricFamily(f"unknown metric family {family!r}")
-    factory, names = _FACTORIES[family]
+    factory = _FACTORIES[family]
+    grammar = inspect.signature(factory).parameters
     params = {}
     for tok in kv:
         if "=" not in tok:
             raise ConfigError(f"malformed parameter {tok!r} (expected key=value)")
         key, val = tok.split("=", 1)
-        if key not in names:
+        if key not in grammar:
             raise ConfigError(f"unknown parameter {key!r} for family {family!r}")
         try:
-            params[key] = int(val) if key in ("l", "m_order") else float(val)
+            params[key] = int(val) if grammar[key].annotation == "int" else float(val)
         except ValueError as exc:
             raise ConfigError(f"bad value {val!r} for parameter {key!r}") from exc
         if not np.isfinite(params[key]):
             raise ConfigError(f"parameter {key!r} must be finite, got {val!r}")
+    missing = [k for k, p in grammar.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise ConfigError(f"metric family {family!r} needs parameter {', '.join(map(repr, missing))}")
     return factory(**params)
 
 

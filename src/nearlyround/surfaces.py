@@ -548,16 +548,10 @@ class NearlyRoundRow:
 
 @dataclass(frozen=True)
 class NearlyRoundReport:
-    """Family sweep of the roundness constants, with growth flags."""
+    """Family sweep of the roundness constants, one row per member in
+    increasing r, with the names of the constants flagged for growth."""
 
-    tau: float
     rows: tuple
-    tracefree_constant: float
-    radial_ratio: float
-    diameter_ratio: float
-    area_ratio: float
-    second_form_constant: float
-    area_ratio_bounds: tuple
     flagged: tuple
 
 
@@ -639,7 +633,6 @@ def nearly_round_diagnostics(records) -> NearlyRoundReport:
         "area_ratio",
         "second_form_constant",
     )
-    sups = {k: max(getattr(row, k) for row in rows) for k in names}
     last = rows[-1]
     floors = dict.fromkeys(names, _GROWTH_FLOOR)
     floors["tracefree_constant"] *= last.r**tau * last.second_form_constant
@@ -653,14 +646,7 @@ def nearly_round_diagnostics(records) -> NearlyRoundReport:
             and series[-1] > floors[k]
         ):
             flagged.append(k)
-    ratios = [row.area_ratio for row in rows]
-    return NearlyRoundReport(
-        tau=tau,
-        rows=tuple(rows),
-        area_ratio_bounds=(min(ratios), max(ratios)),
-        flagged=tuple(flagged),
-        **sups,
-    )
+    return NearlyRoundReport(rows=tuple(rows), flagged=tuple(flagged))
 
 
 # ---------------------------------------------------------------------------

@@ -330,14 +330,24 @@ def test_solve_embedding_recovers_band_limited_surface(g16):
     assert rms <= 1e-9
 
 
-def test_solve_embedding_unique_up_to_rigid_motion(g16):
-    s = lumpy_surface(g16)
-    h = fundamental_forms(s).induced_metric
+@pytest.mark.parametrize("k", [1, 5, 17])
+def test_solve_embedding_rolled_target_gives_the_rolled_image(g16, kerr, k):
+    # rolling phi by k nodes permutes the nodes exactly, so the rolled target
+    # metric has the rolled image.  A convex metric has one image up to rigid
+    # motion, and the solve from the unit sphere, whose gauge the roll does
+    # not respect, must reach it; the Brown-York mass of the rolled record,
+    # the same surface, is the same number
+    s = lumpy_surface(g16, 20.0)
+    fd = fundamental_forms(s, kerr)
+    h = fd.induced_metric / 400.0
     base, _, _ = emb.solve_embedding(g16, h)
-    seed = Immersion(g16, np.exp(jittered(g16))[..., None] * g16.unit_vectors)
-    other, _, _ = emb.solve_embedding(g16, h, seed=seed)
-    _, rms = rigid_align(g16, other.Y, base.Y)
-    assert rms <= 1e-6
+    img, rel, _ = emb.solve_embedding(g16, np.roll(h, k, axis=1))
+    assert rel <= 1e-8
+    _, rms = rigid_align(g16, img.Y, np.roll(base.Y, k, axis=1))
+    assert rms <= 1e-10
+    rolled = fundamental_forms(Immersion(g16, np.roll(s.Y, k, axis=1)), kerr)
+    by, by_rolled = (mass.brown_york_mass(f, emb.embed(f)) for f in (fd, rolled))
+    assert abs(by_rolled - by) <= 1e-13 * abs(by)
 
 
 def test_solve_embedding_gauge_is_pinned(g16):
@@ -743,43 +753,19 @@ def test_embed_kerr_sweep_decay(kerr_sweep):
         assert e.metric_residual <= 1e-8
 
 
-def test_embed_polishes_a_perturbed_revolution_seed(g16, kerr_records, kerr_sweep):
-    # a surface of revolution off by about 1e-6 relative, given as the
-    # seed, leaves the solver Newton steps to take, and they land on the
-    # unperturbed surface, whose metric residual is roundoff (a solve to
-    # the default tol stops a tenth under it, ~1e-7 at this radius)
-    r0 = kerr_sweep[40.0].radius
-    h = kerr_records[40.0].induced_metric / r0**2
-    exact = emb.embed_axisymmetric(g16, h[:, 0, 0, 0], h[:, 0, 1, 1])
-    seed = Immersion(g16, exact.Y * np.exp(jittered(g16, size=1e-6))[..., None])
-    img, rel, steps = emb.solve_embedding(g16, h, seed, tol=1e-12)
-    assert steps >= 1
-    assert rel <= 1e-12
-    _, rms = rigid_align(g16, r0 * img.Y, r0 * exact.Y)
-    assert rms <= 1e-8
-
-
-def test_embed_cross_validates_axisymmetric_route(kerr, monkeypatch):
-    # a convex sphere metric has one image up to rigid motion, so the unit
-    # seed and the exact surface of revolution of phi-independent data
-    # reach the same Brown-York mass
-    solve = emb.solve_embedding
-
-    def revolution_seeded(grid, h, seed=None, *, tol):
-        return solve(grid, h, emb.embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1]), tol=tol)
-
-    for L in (16, 24, 32):
-        grid = nr.build_grid(L)
-        for r in (20.0, 40.0, 80.0):
-            fd = fundamental_forms(coordinate_sphere(r, grid), kerr)
-            e = emb.embed(fd)
-            with monkeypatch.context() as patched:
-                patched.setattr(emb, "solve_embedding", revolution_seeded)
-                e_rev = emb.embed(fd)
-            assert e.metric_residual <= 1e-8 and e.steps >= 1, (L, r)
-            assert e_rev.steps == 0, (L, r)
-            by, by_rev = mass.brown_york_mass(fd, e), mass.brown_york_mass(fd, e_rev)
-            assert abs(by - by_rev) <= 1e-13 * abs(by_rev), (L, r)
+@pytest.mark.parametrize("L", [16, 24, 32])
+def test_embed_matches_the_surface_of_revolution(kerr, L):
+    # Kerr coordinate spheres carry phi-independent metrics, whose one image
+    # up to rigid motion is the surface of revolution of the profile
+    # quadrature; the solve from the unit sphere lands on it
+    grid = nr.build_grid(L)
+    for r in (20.0, 40.0, 80.0):
+        fd = fundamental_forms(coordinate_sphere(r, grid), kerr)
+        e = emb.embed(fd, tol=1e-12)
+        h = fd.induced_metric / e.radius**2
+        exact = emb.embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
+        _, rms = rigid_align(grid, e.image.Y, e.radius * exact.Y)
+        assert e.steps >= 1 and rms <= 1e-8, (r, rms)
 
 
 def unit_sphere_state(L):

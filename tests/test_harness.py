@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -334,9 +335,12 @@ def test_fit_rate_schwarzschild_series():
 
 
 def test_fit_rate_json_cleans_nonfinite():
+    # json_text is the one JSON rule: a non-finite float is null, at any depth
     fit = nr.fit_rate([(r, 1.0) for r in (10.0, 20.0, 40.0)], 1.0)
-    payload = fit.as_dict()
-    assert payload["slope"] is None
+    text = harness.json_text({**asdict(fit), "nested": [math.inf, {"x": -math.inf}]})
+    payload = json.loads(text)
+    assert "NaN" not in text and "Infinity" not in text
+    assert payload["slope"] is None and payload["nested"] == [None, {"x": None}]
     assert payload["fittable"] is False
 
 
@@ -614,13 +618,17 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
          "--schedule", "5,10,20", "--band-limit", "8"],
         ["verify", "--metric", "euclidean", "--schedule", "10,20,40", "--seed", "-1",
          "--inject-failure"],
+        # embed and adm take StudyConfig's band-limit floor
+        ["embed", "--metric", "kerr_slice m=1 a=0.5", "--radius", "40", "--band-limit", "1"],
+        ["adm", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "20,40,80",
+         "--band-limit", "7"],
     ],
     ids=[
         "masses-schedule-nan", "masses-metric-nan", "masses-tol-inf",
         "embed-radius-nan", "embed-tol-inf", "embed-band-limit-0",
         "adm-schedule-unsorted", "adm-metric-abc", "adm-band-limit-huge",
         "masses-band-limit-huge", "masses-perturbed-inside-exclusion",
-        "verify-seed-negative",
+        "verify-seed-negative", "embed-band-limit-1", "adm-band-limit-7",
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
@@ -663,6 +671,14 @@ def test_cli_rejects_radius_whose_fourth_power_overflows(command):
     assert proc.returncode == 2, proc.stderr
     assert "fourth power overflows" in proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["masses", "verify", "adm"])
+def test_cli_names_a_missing_metric_parameter(command):
+    proc = _cli(command, "--metric", "kerr_slice m=1", "--schedule", "20,40,80")
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and "parameter 'a'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_masses_row_fails_where_metric_jets_overflow():
@@ -941,27 +957,60 @@ def test_no_module_touches_private_attributes_of_other_objects():
     assert touched == []
 
 
-def test_every_library_name_is_read_outside_the_tests():
-    # a top-level function, class or constant of src/ that only tests read
-    # belongs in tests/.  A reference is a loaded Name or Attribute in src/,
-    # demos/ or benchmarks/, or a dotted-name string (the benchmark tracer
-    # names its probes so, e.g. "SphereGrid.synthesis_matrix"); the name's
-    # own definition and the __all__ lists do not count.
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src" / "nearlyround").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "nearlyround").glob("*.py"))
+TRACER = ROOT / "benchmarks" / "tracer.py"
+
+# the src/ names and members that only a probe string of the benchmark
+# tracer reads; they go, with their probes, when the tracer retires them
+PROBE_ONLY = {
+    "embedding.uniformize",
+    "embedding.embed_axisymmetric",
+    "sphere.center_gauge",
+    "surfaces._signed_distances",
+    "sphere.SphereGrid.synthesis_matrix",
+    "sphere.SphereGrid.dtheta_matrix",
+    "sphere.SphereGrid.dphi_matrix",
+}
+
+
+def _readers(probes: bool) -> list:
+    """(path, tree, whether its dotted-name strings count) of every module
+    whose reads count: src/, demos/ and benchmarks/, the tracer's probe
+    strings only when probes is set."""
+    paths = PACKAGE + sorted((ROOT / "demos").glob("*.py")) + sorted(
+        (ROOT / "benchmarks").glob("*.py")
+    )
+    return [
+        (path, ast.parse(path.read_text(encoding="utf-8")), probes or path != TRACER)
+        for path in paths
+    ]
+
+
+def _dotted_parts(node, strings: bool) -> set:
+    """The parts of a dotted-name string constant, e.g. "SphereGrid.synthesis_matrix"."""
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if _DOTTED.fullmatch(node.value):
+            return set(node.value.split("."))
+    return set()
+
+
+def _unread_names(probes: bool = True) -> list:
+    """Top-level functions, classes and constants of src/ read nowhere
+    outside tests/.  A reference is a loaded Name or Attribute in src/,
+    demos/ or benchmarks/, or part of a dotted-name string (the benchmark
+    tracer names its probes so); the name's own definition and the
+    __all__ lists do not count."""
     defined = {
         (path.stem, name)
-        for path in package if path.name != "__init__.py"
+        for path in PACKAGE if path.name != "__init__.py"
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body
         for name in _top_level_names(stmt)
         if not name.startswith("__")
     }
-    readers = package + sorted((root / "demos").glob("*.py")) + sorted(
-        (root / "benchmarks").glob("*.py")
-    )
     read = set()
-    for path in readers:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    for _, tree, strings in _readers(probes):
+        for stmt in tree.body:
             own = _top_level_names(stmt)
             if "__all__" in own:
                 continue
@@ -970,53 +1019,64 @@ def test_every_library_name_is_read_outside_the_tests():
                     names = {node.id}
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     names = {node.attr}
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names = set(node.value.split(".")) if _DOTTED.fullmatch(node.value) else set()
                 else:
-                    continue
+                    names = _dotted_parts(node, strings)
                 read |= names - own
-    unread = sorted(f"{module}.{name}" for module, name in defined if name not in read)
-    assert unread == [], f"read by no code outside tests/: {unread}"
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
-def _attribute_reads(node, own=None) -> set:
+def _attribute_reads(node, strings: bool, own=None) -> set:
     """Attribute names loaded under node and the parts of its dotted-name
     strings, except where a method or property reads its own name."""
     names = set()
     for child in ast.iter_child_nodes(node):
         member = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
-        names |= _attribute_reads(child, child.name if member else own)
+        names |= _attribute_reads(child, strings, child.name if member else own)
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         names.add(node.attr)
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        if _DOTTED.fullmatch(node.value):
-            names |= set(node.value.split("."))
+    names |= _dotted_parts(node, strings)
     return names - {own}
 
 
-def test_every_class_member_is_read_outside_the_tests():
-    # the same rule for the methods and properties of the src/ classes,
-    # dunders excluded: a member counts as read where its name is an
-    # attribute load in src/, demos/ or benchmarks/ outside its own
-    # definition, or part of a dotted-name string
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src" / "nearlyround").glob("*.py"))
+def _unread_members(probes: bool = True) -> list:
+    """The same rule for the methods and properties of the src/ classes,
+    dunders excluded: a member counts as read where its name is an
+    attribute load outside its own definition, or part of a dotted-name
+    string."""
     defined = {
         (path.stem, cls.name, item.name)
-        for path in package
+        for path in PACKAGE
         for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(cls, ast.ClassDef)
         for item in cls.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
-    readers = package + sorted((root / "demos").glob("*.py")) + sorted(
-        (root / "benchmarks").glob("*.py")
-    )
     read = set().union(
-        *(_attribute_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in readers)
+        *(_attribute_reads(tree, strings) for _, tree, strings in _readers(probes))
     )
-    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+def test_every_library_name_is_read_outside_the_tests():
+    # a top-level function, class or constant of src/ that only tests read
+    # belongs in tests/
+    unread = _unread_names()
     assert unread == [], f"read by no code outside tests/: {unread}"
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    unread = _unread_members()
+    assert unread == [], f"read by no code outside tests/: {unread}"
+
+
+def test_no_new_name_is_read_by_a_tracer_probe_alone():
+    # a probe string of benchmarks/tracer.py counts as a read above, so dead
+    # code could hide behind one; the names and members read by nothing
+    # else may only shrink from PROBE_ONLY
+    probe_only = set(_unread_names(probes=False) + _unread_members(probes=False)) - set(
+        _unread_names() + _unread_members()
+    )
+    assert probe_only <= PROBE_ONLY, sorted(probe_only - PROBE_ONLY)
 
 
 @pytest.mark.parametrize(

@@ -474,6 +474,13 @@ def test_parse_metric_grammar():
         M.parse_metric("kerr_slice m=1 spin")
     with pytest.raises(ValueError):
         M.parse_metric("euclidean m=1")
+    # every parameter without a default is required, and named when missing
+    with pytest.raises(M.ConfigError, match="'a'"):
+        M.parse_metric("kerr_slice m=1")
+    with pytest.raises(M.ConfigError, match="'m', 'eps'"):
+        M.parse_metric("conformal_perturbed l=2")
+    with pytest.raises(M.ConfigError, match="parameter 'm_order'"):
+        M.parse_metric("conformal_perturbed m=1 eps=0.1 m_order=0.5")
 
 
 # ---------------------------------------------------------------------------
