@@ -16,17 +16,21 @@ them.
 Both Newton iterations are matrix free: each linear step is solved by
 preconditioned conjugate gradients (`_pcg`) on harmonic transforms
 (`synth_gradient` and its transpose `synth_gradient_adjoint`), and no
-Jacobian is formed.  The preconditioners are the linearizations about the
-unit round sphere, which the normalized surfaces approach: the diagonal
--l(l+1) + 2 for the conformal factor, and for the metric match the normal
-matrix of the round embedding.  That matrix is block diagonal by azimuthal
-charge and two reflections; its blocks are probed through the same J/J^T
-products that the solver applies, a few probe columns at a time, kept at
-their true sizes and factored together per block size, once per band
-limit: like the gauge rows, the charge rotation table and the unit
-sphere's coefficients and tangents, they are a table of L cached by
-`sphere.band_limit_table`.  The first metric step from the unit sphere is
-therefore one preconditioner application, the exact Gauss-Newton step.
+Jacobian is formed.  The metric match works on node-last rows throughout:
+tangents are (2, 3, n_nodes), metric gaps (3, n_nodes), and one normal
+operator J^T J (`_metric_linearization`) serves conjugate gradients and
+the preconditioner's build alike.  The preconditioners are the
+linearizations about the unit round sphere, which the normalized surfaces
+approach: the diagonal -l(l+1) + 2 for the conformal factor, and for the
+metric match the normal matrix of the round embedding.  That matrix is
+block diagonal by azimuthal charge and two reflections; its blocks are
+probed through the normal operator that the solver applies, a few probe
+columns at a time, kept at their true sizes in class order and factored
+together per block size, once per band limit: like the gauge rows, the
+class order's gathers and the unit sphere's coefficients and tangents,
+they are a table of L cached by `sphere.band_limit_table`.  The first
+metric step from the unit sphere is therefore one preconditioner
+application, the exact Gauss-Newton step.
 The conformal steps are solved to 1e-12; the later metric steps are
 inexact Newton steps, stopped at the forcing term min(1e-3, max(rel,
 0.1 tol / rel)) of the current residual rel, and the image keeps its
@@ -112,25 +116,25 @@ def _pcg(apply, rhs: np.ndarray, precondition, rtol: float) -> np.ndarray:
 
     `apply` and `precondition` map arrays of rhs's shape to the same shape.
     Stops once the residual norm is `rtol` times that of `rhs`, or after as
-    many iterations as `rhs` has entries.  Inner products are numpy sums,
-    not BLAS dot, so the iterates do not depend on the thread count.
+    many iterations as `rhs` has entries.  The residual is tested before it
+    is preconditioned, so the converged residual costs no preconditioner
+    application.  Inner products are numpy sums, not BLAS dot, so the
+    iterates do not depend on the thread count.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     stop = rtol * np.sqrt(np.sum(rhs * rhs))
-    z = precondition(r)
-    p = z
-    rz = np.sum(r * z)
+    p = rz = None
     for _ in range(rhs.size):
         if np.sqrt(np.sum(r * r)) <= stop:
             break
+        z = precondition(r)
+        rz, rz_old = np.sum(r * z), rz
+        p = z if p is None else z + (rz / rz_old) * p
         q = apply(p)
         alpha = rz / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
-        z = precondition(r)
-        rz, rz_old = np.sum(r * z), rz
-        p = z + (rz / rz_old) * p
     return x
 
 
@@ -298,76 +302,53 @@ def _frobenius(h: np.ndarray) -> np.ndarray:
     return np.sqrt(h[..., 0, 0] ** 2 + 2.0 * h[..., 0, 1] ** 2 + h[..., 1, 1] ** 2)
 
 
-def _metric_mismatch(yt: np.ndarray, yp: np.ndarray, h: np.ndarray):
-    """Gap between the metric of node tangents (yt, yp) and the target h.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean product of two (3, ...) stacks of rows."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
-    yt and yp are (n_nodes, 3), h is (..., 2, 2) over the same nodes.
-    Returns the (tt, tp, pp) component differences, each (n_nodes,), and
-    the sup over nodes of their Frobenius size relative to that of h.
+
+def _metric_mismatch(T: np.ndarray, h: np.ndarray):
+    """Gap between the metric of node tangents T and the target h.
+
+    T is (2, 3, n_nodes), the theta and phi tangent rows; h is
+    (..., 2, 2) over the same nodes.  Returns the (tt, tp, pp) component
+    differences as (3, n_nodes) rows, and the sup over nodes of their
+    Frobenius size relative to that of h.
     """
     h = h.reshape(-1, 2, 2)
-    dtt = np.einsum("nk,nk->n", yt, yt) - h[:, 0, 0]
-    dtp = np.einsum("nk,nk->n", yt, yp) - h[:, 0, 1]
-    dpp = np.einsum("nk,nk->n", yp, yp) - h[:, 1, 1]
-    mis = np.sqrt(dtt**2 + 2.0 * dtp**2 + dpp**2)
-    return (dtt, dtp, dpp), float(np.max(mis / _frobenius(h)))
+    yt, yp = T
+    gaps = np.stack(
+        [_dot(yt, yt) - h[:, 0, 0], _dot(yt, yp) - h[:, 0, 1], _dot(yp, yp) - h[:, 1, 1]]
+    )
+    mis = np.sqrt(gaps[0] ** 2 + 2.0 * gaps[1] ** 2 + gaps[2] ** 2)
+    return gaps, float(np.max(mis / _frobenius(h)))
 
 
 _ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @band_limit_table
-def _gauge_rows(L: int) -> np.ndarray:
-    """The six linear gauge conditions on a (n_coeffs, 3) coefficient block,
-    as a (6, 3 n_coeffs) matrix against its row-major flattening.
+def _gauge_rows(L: int) -> tuple:
+    """(slots, G): the six linear gauge conditions on a (n_coeffs, 3)
+    coefficient block, as a (6, 12) matrix G against the twelve entries of
+    its row-major flattening that they read, at the flat indices slots.
 
     Rows 0-2 pin the constant coefficient of each component (translations);
     rows 3-5 the antisymmetric part of the degree-one block (rotations).
     """
-    G = np.zeros((6, (L + 1) ** 2, 3))
-    G[[0, 1, 2], 0, [0, 1, 2]] = 1.0
+    slots = np.concatenate([np.arange(3), (3 * _IDX1[:, None] + np.arange(3)).ravel()])
+    G = np.zeros((6, 12))
+    G[[0, 1, 2], [0, 1, 2]] = 1.0
     for r, (a, b) in enumerate(_ROT_PAIRS):
-        G[3 + r, _IDX1[a], b] = 1.0
-        G[3 + r, _IDX1[b], a] = -1.0
-    return G.reshape(6, -1)
-
-
-@band_limit_table
-def _charge_table(L: int) -> tuple:
-    """(P, Q, A, B, C) of `_charge_rotation` on a row-major (n_coeffs, 3)
-    block, flat entry i turning to (A[i] v[P[i]] + B[i] v[Q[i]]) / C[i].
-    For m != 0 the x_{l,m} entry reads (sign(m) x_{l,m} + y_{l,-m}) / sqrt 2
-    and the y_{l,-m} entry (x_{l,m} - sign(m) y_{l,-m}) / sqrt 2; every other
-    entry is 1 v[i] + 0 v[i] over 1, itself bit for bit."""
-    _, ms = coeff_degrees(L)
-    k = np.flatnonzero(ms)
-    x, y, sign = 3 * k, 3 * (k - 2 * ms[k]) + 1, np.sign(ms[k])
-    P, Q = np.arange(3 * (L + 1) ** 2), np.arange(3 * (L + 1) ** 2)
-    A, B, C = np.ones(P.size), np.zeros(P.size), np.ones(P.size)
-    Q[x], A[x], B[x], C[x] = y, sign, 1.0, np.sqrt(2.0)
-    P[y], A[y], B[y], C[y] = x, 1.0, -sign, np.sqrt(2.0)
-    return P, Q, A, B, C
-
-
-def _charge_rotation(v: np.ndarray) -> np.ndarray:
-    """Turn each x/y pair (x_{l,m}, y_{l,-m}), m != 0, of a (n_coeffs, 3,
-    ...) block by 45 degrees into its parts of definite azimuthal charge,
-    |m| - 1 in the x slot and |m| + 1 in the y slot (x + iy has charge one),
-    by the gathers and products of `_charge_table`.  The map is symmetric,
-    orthogonal and its own inverse.  A single block is turned as one flat
-    vector, whose gathers run about three times as fast as on a (3K, 1)
-    array."""
-    K = v.shape[0]
-    P, Q, A, B, C = _charge_table(round(np.sqrt(K)) - 1)
-    flat = v.reshape((3 * K,) + v.shape[2:])
-    lift = (slice(None),) + (None,) * (v.ndim - 2)
-    return ((A[lift] * flat[P] + B[lift] * flat[Q]) / C[lift]).reshape(v.shape)
+        G[3 + r, 3 + 3 * a + b] = 1.0
+        G[3 + r, 3 + 3 * b + a] = -1.0
+    return slots, G
 
 
 @band_limit_table
 def _charge_labels(L: int) -> np.ndarray:
     """Class 4 |charge| + 2 equatorial + reflection of each entry of a
-    (n_coeffs, 3) block after `_charge_rotation`; the charge is |m| - 1,
+    (n_coeffs, 3) block after the charge rotation; the charge is |m| - 1,
     |m| + 1 or |m| for x, y or z.  The round sphere's metric linearization
     commutes with the grid's turns about the z axis and with the
     reflections z -> -z and y -> -y, so its normal matrix has no entries
@@ -379,36 +360,91 @@ def _charge_labels(L: int) -> np.ndarray:
     return 4 * np.abs(np.abs(m) + [-1, 1, 0]) + 2 * equatorial + reflection
 
 
-def _metric_linearization(grid: SphereGrid, yt: np.ndarray, yp: np.ndarray):
-    """(J, J^T) of the `solve_embedding` residual (the weighted tt, tp, pp
-    metric gaps at the nodes, then the six gauge conditions) about node
-    tangents yt, yp.  J maps a (n_coeffs, 3, ...) block to (3 n_nodes + 6,
-    ...) through one `synth_gradient`, J^T back through one
-    `synth_gradient_adjoint`; trailing axes are a stack."""
+@band_limit_table
+def _class_order(L: int) -> tuple:
+    """(into, out_of, sizes, counts): the charge rotation composed with the
+    class order, one gather each way.
+
+    The charge rotation turns each x/y pair (x_{l,m}, y_{l,-m}), m != 0, of
+    a row-major (n_coeffs, 3) block by 45 degrees into its parts of
+    definite azimuthal charge, |m| - 1 in the x slot and |m| + 1 in the y
+    slot (x + iy has charge one): flat entry i turns to (A[i] v[P[i]] +
+    B[i] v[Q[i]]) / C[i], the x_{l,m} entry reading (sign(m) x_{l,m} +
+    y_{l,-m}) / sqrt 2 and the y_{l,-m} entry (x_{l,m} - sign(m) y_{l,-m})
+    / sqrt 2, and every other entry 1 v[i] + 0 v[i] over 1, itself bit for
+    bit.  The map is symmetric, orthogonal and its own inverse.  The class
+    order lists the rotated entries by class size, then class label of
+    `_charge_labels`, then flat index, so the classes of one size s are
+    count consecutive runs of s entries.  `into` = (P, Q, A, B, C) takes a
+    block to its rotated entries in class order, and `out_of` takes
+    class-ordered entries back, the rotation applied after the inverse
+    permutation."""
+    _, ms = coeff_degrees(L)
+    k = np.flatnonzero(ms)
+    x, y, sign = 3 * k, 3 * (k - 2 * ms[k]) + 1, np.sign(ms[k])
+    P, Q = np.arange(3 * (L + 1) ** 2), np.arange(3 * (L + 1) ** 2)
+    A, B, C = np.ones(P.size), np.zeros(P.size), np.ones(P.size)
+    Q[x], A[x], B[x], C[x] = y, sign, 1.0, np.sqrt(2.0)
+    P[y], A[y], B[y], C[y] = x, 1.0, -sign, np.sqrt(2.0)
+    labels = _charge_labels(L).ravel()
+    _, inverse, per_label = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.lexsort((np.arange(labels.size), labels, per_label[inverse]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    into = (P[order], Q[order], A[order], B[order], C[order])
+    out_of = (rank[P], rank[Q], A, B, C)
+    sizes, counts = np.unique(per_label, return_counts=True)
+    return into, out_of, sizes, counts
+
+
+def _gather(table: tuple, v: np.ndarray) -> np.ndarray:
+    """(A v[P] + B v[Q]) / C along the first axis of v, for a (P, Q, A,
+    B, C) table of `_class_order`."""
+    P, Q, A, B, C = table
+    lift = (slice(None),) + (None,) * (v.ndim - 1)
+    out = A[lift] * v.take(P, axis=0)
+    out += B[lift] * v.take(Q, axis=0)
+    out /= C[lift]
+    return out
+
+
+def _metric_linearization(grid: SphereGrid, T: np.ndarray):
+    """(normal, transpose) of the `solve_embedding` residual about node
+    tangents T, (2, 3, n_nodes).
+
+    The residual is the weighted (tt, tp, pp) metric gaps at the nodes,
+    sqrt(w) (|Y_t|^2 - h_tt, Y_t . Y_p - h_tp, |Y_p|^2 - h_pp), then the
+    six gauge conditions of `_gauge_rows`.  `transpose(gaps, v)` is J^T of
+    the residual whose gap rows are `gaps`, (3, n_nodes), and whose gauge
+    part is that of the (n_coeffs, 3) block v.  `normal(v)` = J^T J v maps
+    a (n_coeffs, 3, ...) block to its own shape, trailing axes a stack:
+    one `synth_gradient` gives the products T_a . dv_b of the tangents
+    with the tangents of v, and their symmetrized pairs are the linearized
+    gaps.  Either way the gap of each tangent pair (a, b) meets the frame
+    weighted once per linearization, w (1 + [a = b]) T_b, in one
+    contraction onto row a, one `synth_gradient_adjoint` carries the rows
+    to coefficients, and the Gram matrix of the gauge rows acts on their
+    twelve entries.  No (3 n_nodes + 6) vector is formed."""
     N, K = grid.n_nodes, grid.n_coeffs
-    sw = np.sqrt(grid.weights.reshape(N, 1))
-    gauge = _gauge_rows(grid.L)
+    slots, G = _gauge_rows(grid.L)
+    gram = G.T @ G
+    w = grid.weights.reshape(1, -1)
+    frame = np.stack([[2.0 * w, w], [w, 2.0 * w]]) * T[None]  # (a, b, k, n): w (1 + [a = b]) T_b
 
-    def jac(v):
-        vt, vp = (d.reshape(N, 3, -1) for d in synth_gradient(grid, v))
-        out = np.concatenate([
-            2.0 * sw * np.einsum("nk,nks->ns", yt, vt),
-            sw * (np.einsum("nk,nks->ns", yt, vp) + np.einsum("nk,nks->ns", yp, vt)),
-            2.0 * sw * np.einsum("nk,nks->ns", yp, vp),
-            gauge @ v.reshape(3 * K, -1),
-        ])
-        return out.reshape((-1,) + v.shape[2:])
+    def pullback(pairs, v):
+        f = np.einsum("absn,abkn->aksn", pairs, frame)
+        out = synth_gradient_adjoint(grid, f.reshape(f.shape[:3] + grid.shape)).reshape(3 * K, -1)
+        out[slots] += gram @ v.reshape(3 * K, -1)[slots]
+        return out.reshape(v.shape)
 
-    def jac_t(r):
-        rs = r.reshape(3 * N + 6, 1, -1)
-        rtt, rtp, rpp = (sw[:, None] * rs[i * N : (i + 1) * N] for i in range(3))
-        ytt, ypp = yt[:, :, None], yp[:, :, None]
-        ft, fp = 2.0 * rtt * ytt + rtp * ypp, rtp * ytt + 2.0 * rpp * ypp
-        out = synth_gradient_adjoint(grid, *(f.reshape(grid.shape + (3, -1)) for f in (ft, fp)))
-        out += (gauge.T @ rs[3 * N :, 0]).reshape(out.shape)
-        return out.reshape((K, 3) + r.shape[1:])
+    def transpose(gaps, v):
+        return pullback(gaps[[[0, 1], [1, 2]], None], v)
 
-    return jac, jac_t
+    def normal(v):
+        products = np.einsum("akn,bksn->absn", T, synth_gradient(grid, v).reshape(2, 3, -1, N))
+        return pullback(products + products.swapaxes(0, 1), v)
+
+    return normal, transpose
 
 
 # probe columns per J0^T J0 application: the build's transient memory grows
@@ -418,45 +454,43 @@ _PROBE_BATCH = 4
 
 @band_limit_table
 def _unit_sphere(L: int) -> tuple:
-    """(c, yt, yp) of the unit round sphere at band limit L: its (n_coeffs,
-    3) position coefficients and its node tangents, each (n_nodes, 3).  It
-    is where `solve_embedding` starts and where
-    `_round_normal_blocks` linearizes, so the round preconditioner inverts
-    the normal matrix of that start exactly."""
+    """(c, T) of the unit round sphere at band limit L: its (n_coeffs, 3)
+    position coefficients and its node tangent rows (2, 3, n_nodes).  It is
+    where `solve_embedding` starts and where `_round_normal_blocks`
+    linearizes, so the round preconditioner inverts the normal matrix of
+    that start exactly."""
     grid = SphereGrid(L)
-    c = analyze(grid, grid.unit_vectors)
-    yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, c))
-    return c, yt, yp
+    c = analyze(grid, np.moveaxis(grid.unit_vectors, -1, 0))
+    return c, synth_gradient(grid, c).reshape(2, 3, -1)
 
 
 def _round_normal_blocks(grid: SphereGrid) -> tuple:
     """The blocks of J0^T J0, the normal matrix of the unit round embedding
-    (Y = x, gauge rows included), after `_charge_rotation`.  Probe j holds a
-    one at entry j of every class of `_charge_labels` that has one, and
-    `_metric_linearization` applies J0^T J0 to _PROBE_BATCH probes at a
-    time, each batch built as it is needed.  Returns one (slots, blocks)
-    pair per distinct class size s, in increasing s: slots (n, s) holds the
-    flat indices into the row-major (n_coeffs, 3) block of the entries of
-    the n classes of that size, blocks (n, s, s) their blocks."""
+    (Y = x, gauge rows included), after the charge rotation, in the class
+    order of `_class_order`: one (count, s, s) stack per class size s, in
+    increasing s.  Probe j holds a one at entry j of every class that has
+    one, and `_metric_linearization`'s normal operator, the one conjugate
+    gradients apply, takes _PROBE_BATCH probes at a time, each batch built
+    as it is needed."""
     K = grid.n_coeffs
-    labels = _charge_labels(grid.L).ravel()
-    order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-    groups = []
-    for s in np.unique(sizes):
-        first = starts[sizes == s]
-        groups.append((order[first[:, None] + np.arange(s)], np.empty((first.size, s, s))))
-    jac, jac_t = _metric_linearization(grid, *_unit_sphere(grid.L)[1:])
-    for j0 in range(0, sizes.max(), _PROBE_BATCH):
-        j = np.arange(j0, min(j0 + _PROBE_BATCH, sizes.max()))
-        cls, col = np.nonzero(sizes[:, None] > j)
-        probes = np.zeros((3 * K, j.size))
-        probes[order[starts[cls] + j[col]], col] = 1.0
-        normal = _charge_rotation(jac_t(jac(_charge_rotation(probes.reshape(K, 3, -1)))))
-        for slots, blocks in groups:
-            columns = blocks[:, :, j0 : j0 + j.size]
-            columns[...] = normal.reshape(3 * K, -1)[slots, : columns.shape[2]]
-    return tuple(groups)
+    into, out_of, sizes, counts = _class_order(grid.L)
+    within = np.concatenate([np.tile(np.arange(s), n) for s, n in zip(sizes, counts)])
+    blocks = [np.empty((n, s, s)) for s, n in zip(sizes, counts)]
+    normal, _ = _metric_linearization(grid, _unit_sphere(grid.L)[1])
+    for j0 in range(0, sizes[-1], _PROBE_BATCH):
+        j = np.arange(j0, min(j0 + _PROBE_BATCH, sizes[-1]))
+        probes = (within[:, None] == j).astype(float)
+        turned = _gather(out_of, probes).reshape(K, 3, -1)
+        columns = _gather(into, normal(turned).reshape(3 * K, -1))
+        start = 0
+        for stack in blocks:
+            n, s, _ = stack.shape
+            width = min(j.size, s - j0)
+            if width > 0:
+                block_rows = columns[start : start + n * s, :width]
+                stack[:, :, j0 : j0 + width] = block_rows.reshape(n, s, width)
+            start += n * s
+    return tuple(blocks)
 
 
 def cho_factor(blocks: np.ndarray) -> np.ndarray:
@@ -467,46 +501,47 @@ def cho_factor(blocks: np.ndarray) -> np.ndarray:
 
 @band_limit_table
 def _round_inverse_blocks(L: int) -> tuple:
-    """(slots, inverse) per distinct block size of `_round_normal_blocks` at
-    band limit L: the blocks of one size are factored in one batched
+    """The inverses of the `_round_normal_blocks` at band limit L, one
+    (count, s, s) stack per class size s in the class order of
+    `_class_order`: the blocks of one size are factored in one batched
     `cho_factor` call and each inverted as L^-T L^-1, so the table holds
-    the blocks at their true sizes."""
+    the entries once, at their true sizes, in the order the
+    preconditioner reads them."""
     inverses = []
-    for slots, blocks in _round_normal_blocks(SphereGrid(L)):
+    for blocks in _round_normal_blocks(SphereGrid(L)):
         lower_inv = np.linalg.inv(cho_factor(blocks))
-        inverses.append((slots, np.swapaxes(lower_inv, 1, 2) @ lower_inv))
+        inverses.append(np.swapaxes(lower_inv, 1, 2) @ lower_inv)
     return tuple(inverses)
 
 
 def _round_preconditioner(r: np.ndarray) -> np.ndarray:
-    """(J0^T J0)^{-1} r on an (n_coeffs, 3) block: per block size of
-    `_round_inverse_blocks`, one gather, one stacked product and one
-    scatter, between two `_charge_rotation`s."""
-    flat = _charge_rotation(r).ravel()
-    z = np.empty_like(flat)
-    for slots, inverse in _round_inverse_blocks(round(np.sqrt(r.shape[0])) - 1):
-        z[slots] = (inverse @ flat[slots][:, :, None])[:, :, 0]
-    return _charge_rotation(z.reshape(r.shape))
+    """(J0^T J0)^{-1} r on an (n_coeffs, 3) block: one gather into the
+    rotated class order, per class size one stacked product of
+    `_round_inverse_blocks` on a contiguous slice, written in place, and
+    one gather back."""
+    L = round(np.sqrt(r.shape[0])) - 1
+    into, out_of, _, _ = _class_order(L)
+    u = _gather(into, r.reshape(-1))
+    z = np.empty_like(u)
+    start = 0
+    for inverse in _round_inverse_blocks(L):
+        n, s, _ = inverse.shape
+        stop = start + n * s
+        np.matmul(inverse, u[start:stop].reshape(n, s, 1), out=z[start:stop].reshape(n, s, 1))
+        start = stop
+    return _gather(out_of, z).reshape(r.shape)
 
 
 def _embedding_step(
-    grid: SphereGrid, yt: np.ndarray, yp: np.ndarray, R: np.ndarray, eta: float
+    grid: SphereGrid, T: np.ndarray, gradient: np.ndarray, eta: float
 ) -> np.ndarray:
-    """Gauss-Newton step of `solve_embedding`: the least-squares solution s
-    of J s = -R as an (n_coeffs, 3) block, by conjugate gradients on
-    J^T J s = -J^T R preconditioned by the round-sphere normal matrix.  The
-    step is inexact: conjugate gradients stop once |J^T J s + J^T R| is
-    at most eta |J^T R|."""
-    jac, jac_t = _metric_linearization(grid, yt, yp)
-    return _pcg(lambda v: jac_t(jac(v)), -jac_t(R), _round_preconditioner, eta)
-
-
-def _round_step(grid: SphereGrid, R: np.ndarray) -> np.ndarray:
-    """Gauss-Newton step of `solve_embedding` from the unit sphere, whose
-    J^T J is the normal matrix that `_round_preconditioner` inverts: the
-    least-squares solution of J s = -R with no conjugate gradients."""
-    _, jac_t = _metric_linearization(grid, *_unit_sphere(grid.L)[1:])
-    return -_round_preconditioner(jac_t(R))
+    """Gauss-Newton step of `solve_embedding` at node tangents T: the
+    least-squares solution s of J s = -R as an (n_coeffs, 3) block, by
+    conjugate gradients on J^T J s = -J^T R (gradient = J^T R)
+    preconditioned by the round-sphere normal matrix.  The step is inexact:
+    conjugate gradients stop once |J^T J s + J^T R| is at most eta |J^T R|."""
+    normal, _ = _metric_linearization(grid, T)
+    return -_pcg(normal, gradient, _round_preconditioner, eta)
 
 
 def solve_embedding(
@@ -531,12 +566,12 @@ def solve_embedding(
     when that already matches within `tol`.  The preconditioner is the
     normal matrix J0^T J0 of the unit round embedding, which the
     normalized surface approaches; its azimuthal-charge blocks are probed
-    through the same J and J^T and factored once per band limit (see
-    `_round_inverse_blocks`).  The first step's normal matrix is J0^T J0
-    itself, so that step is one preconditioner application
-    (`_round_step`).  Every other step solves
-    its normal equations matrix free, by conjugate gradients on J and J^T
-    products (`_embedding_step`), to the inexact-Newton forcing term
+    through the same normal operator J^T J and factored once per band
+    limit (see `_round_inverse_blocks`).  The first step's normal matrix is
+    J0^T J0 itself, so that step is one preconditioner application.  Every
+    other step solves its normal equations matrix free, by conjugate
+    gradients on that operator (`_embedding_step`), to the inexact-Newton
+    forcing term
     eta = min(_FORCING, max(rel, 0.1 tol / rel)) relative to the
     right-hand side, where rel is the current metric residual: loose while
     the iterate is far and tight near the solution (Dembo, Eisenstat &
@@ -560,18 +595,19 @@ def solve_embedding(
     if np.min(_frobenius(h)) <= 0.0:
         raise ValueError("target metric vanishes at a node")
 
-    sw = np.sqrt(grid.weights.ravel())
-    gauge = _gauge_rows(grid.L)
+    N = grid.n_nodes
+    w = grid.weights.reshape(-1)
+    slots, G = _gauge_rows(grid.L)
 
-    def state(cm, yt=None, yp=None):
-        if yt is None:
-            yt, yp = (d.reshape(-1, 3) for d in synth_gradient(grid, cm))
-        (dtt, dtp, dpp), rel = _metric_mismatch(yt, yp, h)
-        R = np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge @ cm.ravel()])
-        return R, yt, yp, rel
+    def state(cm, T=None):
+        if T is None:
+            T = synth_gradient(grid, cm).reshape(2, 3, N)
+        gaps, rel = _metric_mismatch(T, h)
+        gauge = G @ cm.reshape(-1)[slots]
+        return gaps, T, rel, np.sum(w * np.sum(gaps * gaps, axis=0)) + np.sum(gauge * gauge)
 
-    c, yt, yp = _unit_sphere(grid.L)
-    R, yt, yp, rel = state(c, yt, yp)
+    c, T = _unit_sphere(grid.L)
+    gaps, T, rel, size = state(c, T)
     best = rel
     steps = 0
     while rel > tol:
@@ -581,19 +617,21 @@ def solve_embedding(
                 f"(best residual {best:.3g}, target {tol:.3g})",
                 best,
             )
+        gradient = _metric_linearization(grid, T)[1](gaps, c)
         if steps == 0:
-            step = _round_step(grid, R)
+            # at the unit sphere J^T J is the normal matrix the round
+            # preconditioner inverts: the exact step, with no iteration
+            step = -_round_preconditioner(gradient)
         else:
             # forcing term: loose far off, tight near the solution, and on
             # the last step no tighter than what lands a tenth under tol
-            step = _embedding_step(grid, yt, yp, R, min(_FORCING, max(rel, 0.1 * tol / rel)))
-        norm0 = np.sqrt(np.sum(R * R))
+            step = _embedding_step(grid, T, gradient, min(_FORCING, max(rel, 0.1 * tol / rel)))
         t = 1.0
         for _ in range(15):
             trial = c + t * step
-            R_t, yt_t, yp_t, rel_t = state(trial)
-            if np.sqrt(np.sum(R_t * R_t)) < norm0:
-                c, R, yt, yp, rel = trial, R_t, yt_t, yp_t, rel_t
+            gaps_t, T_t, rel_t, size_t = state(trial)
+            if size_t < size:
+                c, gaps, T, rel, size = trial, gaps_t, T_t, rel_t, size_t
                 break
             t *= 0.5
         else:
@@ -605,13 +643,11 @@ def solve_embedding(
         steps += 1
 
     Y = synthesize(grid, c)
-    radial = np.einsum("nk,nk->n", Y.reshape(-1, 3), np.cross(yt, yp))
-    if np.min(radial) <= 0.0:
+    if np.min(_dot(Y.reshape(3, N), np.cross(T[0], T[1], axis=0))) <= 0.0:
         raise SelfIntersectionError(
             "embedded surface is not star shaped about the pinned centroid"
         )
-    tangents = (yt.reshape(Y.shape), yp.reshape(Y.shape))
-    return Immersion(grid, Y, c, tangents), rel, steps
+    return Immersion(grid, Y, c, T.reshape((2, 3) + grid.shape)), rel, steps
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +718,7 @@ def embed_axisymmetric(
 
     cp = np.cos(grid.phi)[None, :]
     sp = np.sin(grid.phi)[None, :]
-    Y = np.stack(
-        [
-            R[:, None] * cp,
-            R[:, None] * sp,
-            np.repeat(z[:, None], grid.nphi, axis=1),
-        ],
-        axis=-1,
-    )
+    Y = np.stack([R[:, None] * cp, R[:, None] * sp, np.repeat(z[:, None], grid.nphi, axis=1)])
     return Immersion(grid, Y)
 
 
@@ -758,14 +787,12 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
     _curvature_deviation(fd.gauss_curvature * r0**2)
 
     img, _, steps = solve_embedding(grid, fd.induced_metric / r0**2, tol=tol)
-    image = Immersion(
-        grid, r0 * img.Y, r0 * img.coeffs, tuple(r0 * d for d in img.node_tangents)
-    )
+    image = Immersion(grid, r0 * img.Y, r0 * img.coeffs, r0 * img.node_tangents)
     image_data = fundamental_forms(image)
     H0 = image_data.mean_curvature
     if np.min(H0) <= 0.0:
         raise RegimeViolation("embedded image lost mean convexity")
-    support = np.einsum("tpk,tpk->tp", image.Y, image_data.normal)
+    support = _dot(image.Y, image_data.normal)
     volume = image_data.integrate(support) / 3.0
     if volume <= 0.0:
         raise RegimeViolation("embedded image encloses no volume")

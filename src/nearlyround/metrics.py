@@ -333,7 +333,9 @@ def conformal_perturbed(
     """phi = 1 + m/(2r) + eps Y_{l,m_order} r^-tau_extra, l >= 1.
 
     The angular term integrates away from the mass aspect, so the total
-    mass stays m.  Decay order is min(1, tau_extra).
+    mass stays m.  Decay order is min(1, tau_extra).  Y_{l,m_order} is the
+    solid harmonic evaluated on the unit-vector jets x / r, so no power
+    r^l is formed and the jets stay finite at any degree and radius.
     """
     if m <= 0:
         raise ConfigError("mass must be positive")
@@ -343,12 +345,12 @@ def conformal_perturbed(
         raise ConfigError("|m_order| must be <= l")
     if tau_extra <= 0.5:
         raise ConfigError("tau_extra must exceed 1/2 for a finite mass")
-    beta = l + tau_extra  # Y r^-tau_extra = (r^l Y) r^-beta
 
     def jets(points):
         x, y, z, r = _coordinates(points)
-        s = _solid_harmonic(x, y, z, l, m_order)
-        phi = 1.0 + (m / 2.0) / r + eps * s * r ** (-beta)
+        inv = r**-1.0
+        angular = _solid_harmonic(x * inv, y * inv, z * inv, l, m_order)
+        phi = 1.0 + (m / 2.0) / r + eps * angular * r ** (-tau_extra)
         return _assemble(points, phi**4)
 
     params = {"m": m, "eps": eps, "l": l, "m_order": m_order, "tau_extra": tau_extra}

@@ -5,20 +5,23 @@ forward/inverse transforms with analytic angular derivatives, the conformal
 (Mobius) dilations of the round sphere, and the center-of-mass gauge fix.
 
 Every transform runs through one O(L^3) core (Driscoll & Healy 1994;
-Schaeffer, G^3 2013): coefficients scattered into a per-m amplitude table,
-one batched matrix product over m against the grid's per-m Legendre table
-(values and theta derivatives), then the phi sum as one matrix product
-with the grid's real DFT table; `analyze` and `synth_gradient_adjoint` are
-its transposes.  At these band limits (L <= 64) the products beat an FFT,
-whose cost here is call overhead.  `synth_at` shares the table layout and
-Legendre step, with an explicit phi sum at scattered points.  SphereGrid's
-dense matrices are oracles built on demand.
+Schaeffer, G^3 2013): coefficients scattered into a per-m amplitude table
+through one cached flat index, one batched matrix product over m against
+the grid's per-m Legendre table (values or theta derivatives), then the
+phi sum as one matrix product with the grid's real DFT table, or with its
+phi derivative for d/dphi, both operands handed to BLAS transposed so the
+node rows come out contiguous; `analyze` and `synth_gradient_adjoint` are
+its transposes.  No step copies or reorders a field.  At these band limits
+(L <= 64) the products beat an FFT, whose cost here is call overhead.
+`synth_at` shares the table layout and Legendre step, with an explicit phi
+sum at scattered points.  SphereGrid's dense matrices are oracles built on
+demand.
 
-The band-limit tables (nodes, weights, Legendre rows, the phi table,
-coefficient layout, and embedding's tables) are functions of the integer
-L, cached by L and read-only (`band_limit_table`).  A SphereGrid is a
-plain value: grids of one L share every table, and each table is built
-once per process.
+The band-limit tables (nodes, weights, Legendre rows, the phi tables,
+and embedding's tables) are functions of the integer L, cached by L and
+read-only (`band_limit_table`); the coefficient layout is cached the same
+way per L and component count.  A SphereGrid is a plain value: grids of
+one L share every table, and each table is built once per process.
 
 Conventions
 -----------
@@ -29,8 +32,14 @@ Conventions
   sqrt(2) sin(|m| phi), normalized so that the integral of Y^2 over the
   sphere is 1.  Coefficient index: l*(l+1) + m.
 * Scalar fields are (ntheta, nphi) arrays sampled at grid nodes.  The
-  transforms also take stacks with trailing component axes, (ntheta, nphi,
-  ...) fields and (n_coeffs, ...) coefficients.
+  transforms also take stacks: fields put their component axes first,
+  (..., ntheta, nphi), so each component is one contiguous row of the
+  n_nodes = ntheta nphi nodes and a stack reshapes to (c, n_nodes) rows
+  without a copy; coefficients put them last, (n_coeffs, ...).
+  `synth_gradient` returns the pair as one (2, ..., ntheta, nphi) array,
+  which `synth_gradient_adjoint` takes back.  Node directions
+  (`SphereGrid.unit_vectors`) are points, (ntheta, nphi, 3), as are
+  `synth_at`'s outputs, with the component axis last.
 """
 
 from __future__ import annotations
@@ -188,8 +197,7 @@ class SphereGrid:
         """Dense (n_nodes, n_coeffs) matrix of synthesize, d/dtheta or d/dphi
         (deriv 0, 1, 2) from explicit cos/sin rows, built on every call."""
         ls, ms = coeff_degrees(self.L)
-        first = 0 if deriv == 1 else self.ntheta
-        leg = _legendre_rows(self.L)[np.abs(ms), first : first + self.ntheta, ls]
+        leg = _legendre_rows(self.L)[int(deriv != 1)][np.abs(ms), :, ls]
         mphi, sine = np.outer(np.abs(ms), self.phi), (ms < 0)[:, None]
         trig = np.where(sine, np.sin(mphi), np.cos(mphi))
         if deriv == 2:
@@ -216,49 +224,60 @@ def build_grid(L: int) -> SphereGrid:
 
 
 # ---------------------------------------------------------------------------
-# The transform core: per-m amplitudes, per-m Legendre sums, phi table
+# The transform core: per-m amplitudes, per-m Legendre sums, phi tables
 # ---------------------------------------------------------------------------
 
 
-@band_limit_table
-def _layout(L: int):
-    """(m, part, l, scale) of each flat coefficient in the per-m amplitude
-    table (m, re/im, ncomp, l).  Entry (m, l) holds Z = c_{l,0} (m = 0) or
-    sqrt(2) (c_{l,m} - i c_{l,-m}) (m > 0), so a field is
-    sum_m Re(e^{i m phi} sum_l Pbar_l^m Z)."""
+@functools.cache
+def _amplitude_layout(L: int, ncomp: int) -> tuple:
+    """(slots, scale) of a row-major (n_coeffs, ncomp) coefficient block in
+    the per-m amplitude table (m, re/im, ncomp, l), whose entry (m, l)
+    holds Z = c_{l,0} (m = 0) or sqrt(2) (c_{l,m} - i c_{l,-m}) (m > 0), so
+    a field is sum_m Re(e^{i m phi} sum_l Pbar_l^m Z).  slots is the flat
+    index of each entry in the table and scale its factor, both flat and
+    read-only, cached per (L, ncomp): a scatter or gather is one 1-D take
+    and one product."""
     ls, ms = coeff_degrees(L)
+    rows = (2 * np.abs(ms) + (ms < 0))[:, None] * ncomp + np.arange(ncomp)
+    slots = (rows * (L + 1) + ls[:, None]).ravel()
     scale = np.where(ms == 0, 1.0, np.sign(ms) / np.sqrt(2.0)) * (1.0 + (ms != 0))
-    return np.abs(ms), (ms < 0).astype(int), ls, scale
+    scale = np.repeat(scale, ncomp)
+    slots.setflags(write=False)
+    scale.setflags(write=False)
+    return slots, scale
 
 
 def _amplitudes(L: int, coeffs: np.ndarray) -> np.ndarray:
     """(n_coeffs, ncomp) coefficients as the (m, 2 ncomp, l) amplitude table."""
-    m, part, l, scale = _layout(L)
-    z = np.zeros((L + 1, 2, coeffs.shape[1], L + 1))
-    z[m, part, :, l] = scale[:, None] * coeffs
-    return z.reshape(L + 1, -1, L + 1)
+    ncomp = coeffs.shape[1]
+    slots, scale = _amplitude_layout(L, ncomp)
+    z = np.zeros(2 * ncomp * (L + 1) ** 2)
+    z[slots] = scale * coeffs.reshape(-1)
+    return z.reshape(L + 1, 2 * ncomp, L + 1)
 
 
 def _coefficients(L: int, b: np.ndarray) -> np.ndarray:
     """Transpose of `_amplitudes`: (m, 2 ncomp, l) to (n_coeffs, ncomp)."""
-    m, part, l, scale = _layout(L)
-    return scale[:, None] * b.reshape(L + 1, 2, -1, L + 1)[m, part, :, l]
+    ncomp = b.shape[1] // 2
+    slots, scale = _amplitude_layout(L, ncomp)
+    return (scale * b.reshape(-1).take(slots)).reshape(-1, ncomp)
 
 
 @band_limit_table
 def _legendre_rows(L: int) -> np.ndarray:
-    """(m, 2 ntheta, l) table at the grid's nodes: dPbar_l^m/dtheta rows,
-    then Pbar_l^m."""
+    """(2, m, ntheta, l) table at the grid's nodes: dPbar_l^m/dtheta, then
+    Pbar_l^m."""
     p = normalized_legendre(L, _nodes(L)[0])
-    pd = np.concatenate([normalized_legendre_dtheta(p), p], axis=2)
-    return np.ascontiguousarray(pd.transpose(1, 2, 0))
+    return np.ascontiguousarray(np.stack([normalized_legendre_dtheta(p), p]).transpose(0, 2, 3, 1))
 
 
 @band_limit_table
 def _phi_table(L: int) -> np.ndarray:
-    """(nphi, 2 (L+1)) real DFT table: cos(m phi_p) in column 2m and
-    -sin(m phi_p) in column 2m + 1, so row p applied to the (re, im) pairs
-    of Z is sum_m Re(e^{i m phi_p} Z_m).
+    """(2, nphi, 2 (L+1)) real DFT tables.  Table 0 holds cos(m phi_p) in
+    column 2m and -sin(m phi_p) in column 2m + 1, so row p applied to the
+    (re, im) pairs of Z is sum_m Re(e^{i m phi_p} Z); table 1 is its phi
+    derivative, -m sin(m phi_p) and -m cos(m phi_p), the sum of
+    Re(i m e^{i m phi_p} Z).
 
     The angle m phi_p is 2 pi j / nphi with j = m p mod nphi, reduced
     exactly in integers to a first-quadrant index k and read from one
@@ -273,78 +292,81 @@ def _phi_table(L: int) -> np.ndarray:
     s = np.sin(np.arange(n + 1) * (np.pi / (2 * n)))
     cos = np.where(4 * half > n, -1.0, 1.0) * s[n - 4 * k]
     msin = np.where(2 * j > n, 1.0, -1.0) * s[4 * k]
-    return np.stack([cos, msin], axis=-1).reshape(n, -1) + 0.0  # + 0.0 clears -0.0
+    m = np.arange(L + 1.0)
+    table, deriv = np.stack([cos, msin], axis=-1), m[:, None] * np.stack([msin, -cos], axis=-1)
+    return np.stack([table, deriv]).reshape(2, n, -1) + 0.0  # + 0.0 clears -0.0
 
 
-def _to_nodes(grid: SphereGrid, q: np.ndarray) -> np.ndarray:
-    """The phi sum, one product with `_phi_table`: (m, 2 ncomp, rows)
-    amplitudes to (rows, nphi, ncomp) fields."""
-    f = _phi_table(grid.L) @ q.reshape(2 * (grid.L + 1), -1)
-    return np.ascontiguousarray(f.reshape(grid.nphi, -1, q.shape[2]).transpose(2, 0, 1))
+def _to_nodes(table: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The phi sum: (..., 2 (L+1), rows) amplitudes to (..., rows, nphi)
+    fields, one product per `_phi_table` table.  Both operands enter BLAS
+    transposed, so the node rows come out contiguous and nothing is copied."""
+    return np.swapaxes(q, -1, -2) @ np.swapaxes(table, -1, -2)
 
 
-def _from_nodes(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
-    """Transpose of `_to_nodes`: (rows, nphi, ncomp) fields to the (re, im)
-    parts of sum_p f e^{-i m phi_p}, (m, 2 ncomp, rows)."""
-    t = _phi_table(grid.L).T @ f.transpose(1, 2, 0).reshape(grid.nphi, -1)
-    return t.reshape(grid.L + 1, -1, f.shape[0])
-
-
-def _times_im(L: int, q: np.ndarray, sign: float) -> None:
-    """Multiply (m, 2 ncomp, rows) amplitudes in place by sign i m, the
-    d/dphi of e^{sign i m phi}."""
-    pair = q.reshape(L + 1, 2, -1, q.shape[2])
-    m = sign * np.arange(L + 1.0)[:, None, None]
-    pair[:, 0], pair[:, 1] = -m * pair[:, 1], m * pair[:, 0]
+def _from_nodes(table: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Transpose of `_to_nodes`: (..., rows, nphi) fields to the (re, im)
+    parts of their phi sums, (..., 2 (L+1), rows)."""
+    return np.swapaxes(table, -1, -2) @ np.swapaxes(f, -1, -2)
 
 
 def analyze(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
     """Harmonic coefficients of a field (exact through degree L).
 
-    `f` is (ntheta, nphi) or carries trailing component axes,
-    (ntheta, nphi, ...); the result is (n_coeffs,) plus the same axes.
+    `f` is (ntheta, nphi) or a stack with leading component axes,
+    (..., ntheta, nphi); the result is (n_coeffs,) plus those axes.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape[:2] != grid.shape:
+    if f.shape[-2:] != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
-    t = _from_nodes(grid, grid.weights[:, :1, None] * f.reshape(grid.shape + (-1,)))
-    b = t @ _legendre_rows(grid.L)[:, grid.ntheta :]
-    return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + f.shape[2:])
+    rows = (grid.weights[:, :1] * f).reshape(-1, grid.nphi)
+    t = _from_nodes(_phi_table(grid.L)[0], rows)
+    b = t.reshape(grid.L + 1, -1, grid.ntheta) @ _legendre_rows(grid.L)[1]
+    return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + f.shape[:-2])
 
 
 def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Field at the grid nodes from harmonic coefficients.
 
-    `coeffs` is (n_coeffs,) or a stack (n_coeffs, ...); the result is
-    (ntheta, nphi) plus the same trailing axes.
+    `coeffs` is (n_coeffs,) or a stack (n_coeffs, ...); the result is the
+    stack's axes, then (ntheta, nphi).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[0] != grid.n_coeffs:
         raise ValueError(f"coefficients of shape {coeffs.shape} do not match band "
                          f"limit {grid.L} (expected {grid.n_coeffs} rows)")
     amps = _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
-    q = amps @ _legendre_rows(grid.L)[:, grid.ntheta :].transpose(0, 2, 1)
-    return _to_nodes(grid, q).reshape(grid.shape + coeffs.shape[1:])
+    q = amps @ np.swapaxes(_legendre_rows(grid.L)[1], 1, 2)
+    f = _to_nodes(_phi_table(grid.L)[0], q.reshape(2 * (grid.L + 1), -1))
+    return f.reshape(coeffs.shape[1:] + grid.shape)
 
 
-def synth_gradient(grid: SphereGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dtheta, d/dphi) fields of the synthesized function or stack."""
+def synth_gradient(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The (d/dtheta, d/dphi) fields of the synthesized function or stack,
+    one array (2, ..., ntheta, nphi): the theta derivative is the Legendre
+    derivative table under the phi table, the phi derivative the Legendre
+    table under the phi derivative table."""
     coeffs = np.asarray(coeffs, dtype=float)
     amps = _amplitudes(grid.L, coeffs.reshape(grid.n_coeffs, -1))
-    q = amps @ _legendre_rows(grid.L).transpose(0, 2, 1)
-    _times_im(grid.L, q[:, :, grid.ntheta :], 1.0)
-    return tuple(_to_nodes(grid, q).reshape((2,) + grid.shape + coeffs.shape[1:]))
+    q = amps @ np.swapaxes(_legendre_rows(grid.L), 2, 3)
+    f = _to_nodes(_phi_table(grid.L), q.reshape(2, 2 * (grid.L + 1), -1))
+    return f.reshape((2,) + coeffs.shape[1:] + grid.shape)
 
 
-def synth_gradient_adjoint(grid: SphereGrid, ft: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """Dt^T ft + Dp^T fp, the transpose of `synth_gradient`, without the
-    matrices.  `ft` and `fp` are (ntheta, nphi) plus the same trailing axes;
-    the result is (n_coeffs,) plus those axes.  No quadrature weights."""
-    pair = np.array([ft, fp], dtype=float)
-    t = _from_nodes(grid, pair.reshape(2 * grid.ntheta, grid.nphi, -1))
-    _times_im(grid.L, t[:, :, grid.ntheta :], -1.0)
-    b = t @ _legendre_rows(grid.L)
-    return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + pair.shape[3:])
+def synth_gradient_adjoint(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
+    """Dt^T f[0] + Dp^T f[1], the transpose of `synth_gradient`, without
+    the matrices.  `f` is (2, ..., ntheta, nphi) as synth_gradient returns
+    it; the result is (n_coeffs,) plus the stack's axes.  No quadrature
+    weights."""
+    f = np.asarray(f, dtype=float)
+    if f.shape[0] != 2 or f.shape[-2:] != grid.shape:
+        raise ValueError(f"gradient pair of shape {f.shape} does not match grid shape {grid.shape}")
+    t = _from_nodes(_phi_table(grid.L), f.reshape(2, -1, grid.nphi))
+    t = t.reshape(2, grid.L + 1, -1, grid.ntheta)
+    leg = _legendre_rows(grid.L)
+    b = t[0] @ leg[0]
+    b += t[1] @ leg[1]
+    return _coefficients(grid.L, b).reshape((grid.n_coeffs,) + f.shape[1:-2])
 
 
 def synth_at(

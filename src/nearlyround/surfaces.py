@@ -11,10 +11,13 @@ differentiated, so the poles cost nothing.
 fundamental_forms builds the one FundamentalData record of a surface in
 an ambient: its node positions and tangents, the ambient metric jets and
 decay order, the forms, H, K and the area.  The pointwise algebra runs on
-node-last rows, as the metric jets come (metrics): tangents (2, 3, N),
-the packed metric, its inverse and derivative, and the lowered
-Christoffel symbols read on the vector pairs the forms contract them
-with; the public 2x2 forms and scalars keep the grid shape.  Its
+node-last rows, as the metric jets come (metrics) and as the sphere
+module's component-first field stacks reshape without a copy: the
+position Y (3, ntheta, nphi), the tangents (2, 3, N) straight from one
+synth_gradient, the normal (3, N), the packed metric, its inverse and
+derivative, and the lowered Christoffel symbols read on the vector pairs
+the forms contract them with.  The public normal is that (3, ntheta,
+nphi) stack, and the 2x2 forms and scalars keep the grid shape.  Its
 consumers take the record alone, not the Immersion beside it: the masses
 read H, K and the area, the embedding the induced metric, K and the area,
 best_fit_sphere a flat record and nearly_round_diagnostics a family of
@@ -84,20 +87,21 @@ class NonConvexSurface(SolverError):
 class Immersion:
     """A sphere immersion: grid plus the three Cartesian position fields.
 
-    Y has shape (ntheta, nphi, 3).  coeffs, the harmonic coefficients of Y
-    (n_coeffs, 3), and node_tangents, (dY/dtheta, dY/dphi) at the nodes,
-    are given by a caller that already holds them (the embedding solve)
-    and are otherwise transformed from Y when first read.
+    Y has shape (3, ntheta, nphi), a field stack of the sphere module.
+    coeffs, the harmonic coefficients of Y (n_coeffs, 3), and
+    node_tangents, (dY/dtheta, dY/dphi) at the nodes as one (2, 3, ntheta,
+    nphi) array, are given by a caller that already holds them (the
+    embedding solve) and are otherwise transformed from Y when first read.
     """
 
     grid: SphereGrid
     Y: np.ndarray
     coeffs: np.ndarray | None = None
-    node_tangents: tuple[np.ndarray, np.ndarray] | None = None
+    node_tangents: np.ndarray | None = None
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
-        if self.Y.shape != self.grid.shape + (3,):
+        if self.Y.shape != (3,) + self.grid.shape:
             raise ValueError(
                 f"position field shape {self.Y.shape} does not match grid "
                 f"{self.grid.shape}"
@@ -105,8 +109,9 @@ class Immersion:
 
     @property
     def points(self) -> np.ndarray:
-        """Node positions flattened to (n_nodes, 3), theta-major."""
-        return self.Y.reshape(-1, 3)
+        """Node positions as (n_nodes, 3), theta-major: a view of the rows
+        of Y."""
+        return self.Y.reshape(3, -1).T
 
     def component_coeffs(self) -> np.ndarray:
         """Harmonic coefficients of the position, (n_coeffs, 3)."""
@@ -114,8 +119,8 @@ class Immersion:
             self.coeffs = analyze(self.grid, self.Y)
         return self.coeffs
 
-    def tangents(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d y / d theta, d y / d phi), each (ntheta, nphi, 3)."""
+    def tangents(self) -> np.ndarray:
+        """(d y / d theta, d y / d phi) as one (2, 3, ntheta, nphi) array."""
         if self.node_tangents is not None:
             return self.node_tangents
         return synth_gradient(self.grid, self.component_coeffs())
@@ -131,7 +136,7 @@ def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
         raise ValueError("radial profile shape does not match the grid")
     if not (np.all(R > 0) and np.all(np.isfinite(R))):
         raise ConfigError("radial profile must be positive and finite")
-    Y = center[None, None, :] + R[..., None] * grid.unit_vectors
+    Y = center[:, None, None] + R * np.moveaxis(grid.unit_vectors, -1, 0)
     return Immersion(grid, Y)
 
 
@@ -150,10 +155,11 @@ class FundamentalData:
     """Per-node surface geometry in one ambient metric.
 
     2x2 tensors are components in the (theta, phi) coordinate frame;
-    scalar fields have the grid shape.  area_jacobian is the ratio of
-    the induced area element to the round-sphere element sin(theta)
-    dtheta dphi, so integrate() multiplies by it under the grid rule.
-    points (N, 3) are the flattened nodes.  The ambient side keeps the
+    scalar fields have the grid shape and the normal is a (3, ntheta,
+    nphi) field stack.  area_jacobian is the ratio of the induced area
+    element to the round-sphere element sin(theta) dtheta dphi, so
+    integrate() multiplies by it under the grid rule.  points (N, 3) are
+    the nodes, a view of the immersion's rows.  The ambient side keeps the
     node axis last: tangents (2, 3, N), the jets (packed rows, see
     metrics.JetBatch) and the packed inverse ambient metric (6, N).
     christoffel, the symbols of the second kind (3, 3, 3, N), is formed
@@ -229,15 +235,6 @@ def _flat_ambient(pts: np.ndarray) -> tuple[mcat.JetBatch, np.ndarray]:
     return mcat.JetBatch(delta, np.broadcast_to(0.0, (3, 6, n)), (), pts), delta
 
 
-def _node_last(pair: tuple, n: int) -> np.ndarray:
-    """The (d/dtheta, d/dphi) pair of (ntheta, nphi, c) fields as (2, c, n) rows."""
-    c = pair[0].shape[-1]
-    rows = np.empty((2, c, n))
-    for a, field in enumerate(pair):
-        rows[a] = field.reshape(n, c).T
-    return rows
-
-
 def _form_rows(form: np.ndarray) -> np.ndarray:
     """A (ntheta, nphi, 2, 2) field of the record as (2, 2, N) rows."""
     return np.ascontiguousarray(form.reshape(-1, 2, 2).transpose(1, 2, 0))
@@ -252,11 +249,6 @@ def _extension(E: np.ndarray, form: np.ndarray) -> np.ndarray:
 def _quadratic(S: np.ndarray, u: np.ndarray) -> np.ndarray:
     """S(u, u) = u^i S_ij u^j for a (3, 3, N) field S and (3, N) rows u."""
     return np.einsum("in,in->n", np.einsum("ijn,jn->in", S, u), u)
-
-
-def _normal_rows(fd: FundamentalData) -> np.ndarray:
-    """The record's normal as (3, N) rows."""
-    return np.ascontiguousarray(fd.normal.reshape(-1, 3).T)
 
 
 def symmetric_components(form: np.ndarray) -> tuple:
@@ -305,8 +297,8 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     and K = det A / det h.  Its record still carries jets (g = delta, zero
     derivative, no terms), g^-1 = delta and a zero Gamma as read-only
     constant views, so every consumer reads a flat record like a curved
-    one.  The public normal and 2x2 forms are stacked node-major once, at
-    the end.
+    one.  The public 2x2 forms are stacked node-major once, at the end;
+    the normal is its node-last rows.
     """
     grid = s.grid
     metric, tag = _resolve_ambient(ambient)
@@ -314,7 +306,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     pts = s.points
     N = len(pts)
     shp = grid.shape
-    T = _node_last(s.tangents(), N)
+    T = s.tangents().reshape(2, 3, N)
     if flat:
         jets, ginv = _flat_ambient(pts)
         gT = T
@@ -340,9 +332,9 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     else:
         nu = np.einsum("ijn,jn->in", mcat.unpack(ginv), cross)
         nu /= np.sqrt(np.einsum("in,in->n", nu, cross))  # g(nu, nu) = nu . cross
-    normal = np.ascontiguousarray(nu.T).reshape(shp + (3,))
+    normal = nu.reshape((3,) + shp)
 
-    dnu = _node_last(synth_gradient(grid, analyze(grid, normal)), N)
+    dnu = synth_gradient(grid, analyze(grid, normal)).reshape(2, 3, N)
     A = np.einsum("ain,bin->abn", dnu, gT)
     if not flat:
         lowered = mcat.christoffel_lowered(jets.dg)
@@ -529,8 +521,8 @@ def best_fit_sphere(fd: FundamentalData) -> BestFitSphere:
         raise NonConvexSurface("mean curvature is not positive everywhere")
     mean_H = fd.integrate(H) / fd.area
     r0 = 2.0 / mean_H
-    resid = fd.points.reshape(fd.normal.shape) - r0 * fd.normal
-    center = np.array([fd.integrate(resid[..., k]) for k in range(3)]) / fd.area
+    resid = fd.points.T.reshape(fd.normal.shape) - r0 * fd.normal
+    center = np.array([fd.integrate(resid[k]) for k in range(3)]) / fd.area
     return BestFitSphere(float(r0), center)
 
 
@@ -578,8 +570,8 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     gT = np.einsum("ijn,bjn->bin", mcat.unpack(fd.jets.g), T)
     E = np.einsum("abn,bin->ain", hinv, gT)  # dual frame
     Tamb = _extension(E, _form_rows(fd.tracefree_second_form))
-    packed = mcat.pack(Tamb).T.reshape(grid.shape + (6,))
-    dTamb = mcat.unpack(_node_last(synth_gradient(grid, analyze(grid, packed)), N))
+    packed = mcat.pack(Tamb).reshape((6,) + grid.shape)
+    dTamb = mcat.unpack(synth_gradient(grid, analyze(grid, packed)).reshape(2, 6, N))
     # GT[a, l, i] = Gamma^l_ki T_a^k, by the symmetry of Gamma in its lower pair
     GT = np.einsum("lkin,akn->alin", fd.christoffel, T)
     GTamb = np.einsum("alin,ljn->aijn", GT, Tamb)
@@ -672,7 +664,7 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     Euclidean-normalized coordinate frame.
     """
     T = fd_hat.tangents
-    nhat = _normal_rows(fd_hat)
+    nhat = fd_hat.normal.reshape(3, -1)
     grad_norm = np.sqrt(_quadratic(mcat.unpack(fd.ambient_metric_inv), nhat))
     # nhat_k Gamma^k_ij contracted with T_a^i T_b^j
     nGam = np.einsum("kijn,kn->ijn", fd.christoffel, nhat)
@@ -729,7 +721,7 @@ def distance_hessian_residual(fd_hat: FundamentalData) -> float:
     """
     if fd_hat.ambient != "euclidean":
         raise ValueError("distance Hessian check needs the flat-ambient data")
-    nhat = _normal_rows(fd_hat)
+    nhat = fd_hat.normal.reshape(3, -1)
     A_amb = _flat_extension(fd_hat, fd_hat.second_form)
     Aring_amb = _flat_extension(fd_hat, fd_hat.tracefree_second_form)
     proj = np.eye(3)[:, :, None] - nhat[:, None] * nhat[None]
@@ -744,7 +736,7 @@ def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalDa
     to O(r^(-1-2tau)); the return value is sup |H - RHS| * r^(1+2tau),
     bounded along a nearly round family.
     """
-    nhat = _normal_rows(fd_hat)
+    nhat = fd_hat.normal.reshape(3, -1)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
     sigma = mcat.unpack(fd.jets.sigma)
     dg = mcat.unpack(fd.jets.dg)  # dg[k, i, j] = d_k g_ij
@@ -768,7 +760,7 @@ def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> flo
     Hessian term; the identity is the tangential divergence theorem, so
     the gap is pure quadrature error.
     """
-    nhat = _normal_rows(fd_hat)
+    nhat = fd_hat.normal.reshape(3, -1)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
     sigma = mcat.unpack(fd.jets.sigma)
     dg = mcat.unpack(fd.jets.dg)  # dg[k, i, j] = d_k g_ij
@@ -798,7 +790,7 @@ def mass_flux(fd_hat: FundamentalData, jets: mcat.JetBatch) -> float:
     dg = mcat.unpack(jets.dg)  # dg[k, i, j] = d_k g_ij
     div = np.einsum("iijn->jn", dg)  # d_i g_ij
     grad_tr = np.einsum("jiin->jn", dg)  # d_j g_ii
-    integrand = np.einsum("jn,jn->n", div - grad_tr, _normal_rows(fd_hat))
+    integrand = np.einsum("jn,jn->n", div - grad_tr, fd_hat.normal.reshape(3, -1))
     return fd_hat.integrate(integrand.reshape(fd_hat.grid.shape)) / (16.0 * np.pi)
 
 

@@ -181,7 +181,7 @@ def fundamental_forms_oracle(s, ambient=None):
     pts = s.points
     N = len(pts)
     shp = grid.shape
-    T = np.stack(s.tangents(), axis=2).reshape(N, 2, 3)
+    T = s.tangents().reshape(2, 3, N).transpose(2, 0, 1)
     Tt = T.transpose(0, 2, 1)
     flat = ambient is None or ambient.family == "euclidean"
     if flat:
@@ -201,8 +201,8 @@ def fundamental_forms_oracle(s, ambient=None):
     else:
         nu = (ginv @ cross[:, :, None])[:, :, 0]
         nu /= np.sqrt(np.einsum("ni,ni->n", nu, cross))[:, None]
-    dnu = np.stack(synth_gradient(grid, analyze(grid, nu.reshape(shp + (3,)))), axis=2)
-    cov = dnu.reshape(N, 2, 3)  # cov[a, i] = d_a nu^i + Gamma^i_kl T_a^k nu^l
+    dnu = synth_gradient(grid, analyze(grid, nu.T.reshape((3,) + shp)))
+    cov = dnu.reshape(2, 3, N).transpose(2, 0, 1)  # cov[a, i] = d_a nu^i + Gamma^i_kl T_a^k nu^l
     if not flat:
         Gnu = (Gam.reshape(N, 9, 3) @ nu[:, :, None]).reshape(N, 3, 3)
         cov = cov + T @ Gnu.transpose(0, 2, 1)
@@ -223,7 +223,7 @@ def fundamental_forms_oracle(s, ambient=None):
         "tracefree_second_form": Aring.reshape(shp + (2, 2)),
         "mean_curvature": H.reshape(shp),
         "gauss_curvature": K.reshape(shp),
-        "normal": nu.reshape(shp + (3,)),
+        "normal": nu.T.reshape((3,) + shp),
         "area_jacobian": J,
         "area": grid.integrate(J),
     }

@@ -84,8 +84,8 @@ def rigid_align(grid, Y, Y_ref):
     """
     w = grid.weights.ravel()
     w = w / w.sum()
-    A = Y.reshape(-1, 3)
-    B = Y_ref.reshape(-1, 3)
+    A = Y.reshape(3, -1).T
+    B = Y_ref.reshape(3, -1).T
     mu_a = w @ A
     mu_b = w @ B
     Ac = A - mu_a
@@ -96,7 +96,12 @@ def rigid_align(grid, Y, Y_ref):
     rot = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
     aligned = Ac @ rot.T + mu_b
     rms = float(np.sqrt(w @ np.sum((aligned - B) ** 2, axis=1)))
-    return aligned.reshape(Y.shape), rms
+    return aligned.T.reshape(Y.shape), rms
+
+
+def unit_rows(grid):
+    """The grid's node directions as a (3, ntheta, nphi) field stack."""
+    return np.moveaxis(grid.unit_vectors, -1, 0)
 
 
 def lumpy_surface(grid, scale=1.0):
@@ -126,10 +131,12 @@ _ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
 _IDX1 = [coeff_index(1, 1), coeff_index(1, -1), coeff_index(1, 0)]
 
 
-def dense_metric_jacobian(grid, yt, yp):
-    """The (3N+6) x 3K Jacobian of the solve_embedding residual, assembled
-    densely with component-major columns (k * K + coefficient index)."""
+def dense_metric_jacobian(grid, T):
+    """The (3N+6) x 3K Jacobian of the solve_embedding residual about node
+    tangent rows T (2, 3, N), assembled densely with component-major
+    columns (k * K + coefficient index)."""
     N, Kc = grid.n_nodes, grid.n_coeffs
+    yt, yp = T.transpose(0, 2, 1)
     Dt, Dp = grid.dtheta_matrix, grid.dphi_matrix
     sw = np.sqrt(grid.weights.ravel())
     J = np.zeros((3 * N + 6, 3 * Kc))
@@ -146,20 +153,28 @@ def dense_metric_jacobian(grid, yt, yp):
 
 
 def embedding_state(grid, h, Y):
-    """Node tangents and the weighted residual of solve_embedding at Y."""
-    c = np.column_stack([analyze(grid, Y[..., k]) for k in range(3)])
-    yt, yp = grid.dtheta_matrix @ c, grid.dphi_matrix @ c
-    (dtt, dtp, dpp), _ = emb._metric_mismatch(yt, yp, h)
+    """Node tangent rows (2, 3, N), metric gap rows (3, N), coefficients
+    (K, 3) and the weighted (3N+6) residual of solve_embedding at Y, a
+    (3, ntheta, nphi) stack, by the dense matrices."""
+    c = np.column_stack([analyze(grid, Y[k]) for k in range(3)])
+    T = np.stack([(grid.dtheta_matrix @ c).T, (grid.dphi_matrix @ c).T])
+    gaps, _ = emb._metric_mismatch(T, h)
     M = c[_IDX1, :]
     gauge = [*c[0, :], *(M[a, b] - M[b, a] for a, b in _ROT_PAIRS)]
     sw = np.sqrt(grid.weights.ravel())
-    return yt, yp, np.concatenate([sw * dtt, sw * dtp, sw * dpp, gauge])
+    return T, gaps, c, np.concatenate([sw * gaps[0], sw * gaps[1], sw * gaps[2], gauge])
 
 
-def dense_embedding_step(grid, yt, yp, R):
-    """Gauss-Newton step by Cholesky of the dense J^T J, as a (K, 3) block."""
-    J = dense_metric_jacobian(grid, yt, yp)
-    step = -cho_solve(cho_factor(J.T @ J), J.T @ R)
+def library_gradient(grid, T, gaps, c):
+    """J^T R of the library's linearization at T, as a (K, 3) block."""
+    return emb._metric_linearization(grid, T)[1](gaps, c)
+
+
+def dense_embedding_step(grid, T, gradient):
+    """Gauss-Newton step by Cholesky of the dense J^T J at tangent rows T,
+    for the gradient J^T R given as a (K, 3) block."""
+    J = dense_metric_jacobian(grid, T)
+    step = -cho_solve(cho_factor(J.T @ J), gradient.T.ravel())
     return step.reshape(3, grid.n_coeffs).T
 
 
@@ -318,7 +333,7 @@ def test_uniformize_norm_tracks_curvature_deviation(g16, kerr_records):
 def test_solve_embedding_round_identity(g16):
     imm, rel, _ = emb.solve_embedding(g16, round_metric(g16))
     assert rel <= 1e-12
-    assert np.max(np.abs(imm.Y - g16.unit_vectors)) <= 1e-12
+    assert np.max(np.abs(imm.Y - unit_rows(g16))) <= 1e-12
 
 
 def test_solve_embedding_recovers_band_limited_surface(g16):
@@ -343,9 +358,9 @@ def test_solve_embedding_rolled_target_gives_the_rolled_image(g16, kerr, k):
     base, _, _ = emb.solve_embedding(g16, h)
     img, rel, _ = emb.solve_embedding(g16, np.roll(h, k, axis=1))
     assert rel <= 1e-8
-    _, rms = rigid_align(g16, img.Y, np.roll(base.Y, k, axis=1))
+    _, rms = rigid_align(g16, img.Y, np.roll(base.Y, k, axis=2))
     assert rms <= 1e-10
-    rolled = fundamental_forms(Immersion(g16, np.roll(s.Y, k, axis=1)), kerr)
+    rolled = fundamental_forms(Immersion(g16, np.roll(s.Y, k, axis=2)), kerr)
     by, by_rolled = (mass.brown_york_mass(f, emb.embed(f)) for f in (fd, rolled))
     assert abs(by_rolled - by) <= 1e-13 * abs(by)
 
@@ -354,7 +369,7 @@ def test_solve_embedding_gauge_is_pinned(g16):
     s = lumpy_surface(g16)
     h = fundamental_forms(s).induced_metric
     imm, _, _ = emb.solve_embedding(g16, h)
-    c = np.column_stack([analyze(g16, imm.Y[..., k]) for k in range(3)])
+    c = analyze(g16, imm.Y)
     # centroid: the constant coefficient of each component vanishes
     assert np.max(np.abs(c[0, :])) <= 1e-10
     # rotations: degree-one cross-component block is symmetric
@@ -372,9 +387,10 @@ def test_embedding_step_matches_dense_oracle(L, case):
     grid = nr.build_grid(L)
     h = round_metric(grid) if case == "round" else fundamental_forms(lumpy_surface(grid)).induced_metric
     u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.02)
-    yt, yp, R = embedding_state(grid, h, np.exp(u)[..., None] * grid.unit_vectors)
-    dense = dense_embedding_step(grid, yt, yp, R)
-    step = emb._embedding_step(grid, yt, yp, R, 1e-12)
+    T, gaps, c, R = embedding_state(grid, h, np.exp(u) * unit_rows(grid))
+    J = dense_metric_jacobian(grid, T)
+    dense = dense_embedding_step(grid, T, (J.T @ R).reshape(3, -1).T)
+    step = emb._embedding_step(grid, T, library_gradient(grid, T, gaps, c), 1e-12)
     assert np.max(np.abs(dense)) > 1e-3
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -387,42 +403,58 @@ def test_inexact_embedding_step_meets_its_forcing_term(L, case):
     grid = nr.build_grid(L)
     h = round_metric(grid) if case == "round" else fundamental_forms(lumpy_surface(grid)).induced_metric
     u = np.zeros(grid.shape) if case == "lumpy" else jittered(grid, size=0.02)
-    yt, yp, R = embedding_state(grid, h, np.exp(u)[..., None] * grid.unit_vectors)
-    J = dense_metric_jacobian(grid, yt, yp)
+    T, gaps, c, R = embedding_state(grid, h, np.exp(u) * unit_rows(grid))
+    J = dense_metric_jacobian(grid, T)
     eta = emb._FORCING
-    step = emb._embedding_step(grid, yt, yp, R, eta)
-    s = step.T.ravel()  # the dense Jacobian's columns are component-major
+    # the library's J^T R is the dense one
     gradient = J.T @ R
+    library = library_gradient(grid, T, gaps, c).T.ravel()
+    assert np.linalg.norm(library - gradient) <= 1e-12 * np.linalg.norm(gradient)
+    step = emb._embedding_step(grid, T, library_gradient(grid, T, gaps, c), eta)
+    s = step.T.ravel()  # the dense Jacobian's columns are component-major
     assert np.linalg.norm(J.T @ (J @ s) + gradient) <= eta * np.linalg.norm(gradient)
     assert np.linalg.norm(step) > 0.0
+
+
+def class_order(L):
+    """The class order of the rotated entries, from its definition: by
+    class size, then charge label, then flat index."""
+    labels = emb._charge_labels(L).ravel()
+    return np.lexsort((np.arange(labels.size), labels, np.bincount(labels)[labels]))
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16])
 def test_round_normal_matrix_is_block_diagonal_by_charge(L):
     grid = nr.build_grid(L)
     K = grid.n_coeffs
-    Q = emb._charge_rotation(np.eye(3 * K).reshape(K, 3, 3 * K)).reshape(3 * K, 3 * K)
-    assert np.array_equal(Q, Q.T)
-    assert np.max(np.abs(Q @ Q - np.eye(3 * K))) <= 1e-15
-    c0 = analyze(grid, grid.unit_vectors)
-    J0 = dense_metric_jacobian(grid, grid.dtheta_matrix @ c0, grid.dphi_matrix @ c0)
+    into, out_of, sizes, counts = emb._class_order(L)
+    # the gather into class order is the charge rotation, then the class
+    # permutation; the gather back is its transpose
+    Q = emb._gather(into, np.eye(3 * K))
+    assert np.array_equal(emb._gather(out_of, np.eye(3 * K)), Q.T)
+    assert np.max(np.abs(Q @ Q.T - np.eye(3 * K))) <= 1e-15
+    c0 = analyze(grid, unit_rows(grid))
+    J0 = dense_metric_jacobian(grid, np.stack([(grid.dtheta_matrix @ c0).T, (grid.dphi_matrix @ c0).T]))
     # reorder columns to the row-major (K, 3) flattening the solver uses
     J0 = J0[:, (np.arange(3)[None, :] * K + np.arange(K)[:, None]).ravel()]
     normal = J0.T @ J0
     scale = np.max(np.abs(normal))
-    rotated = Q @ normal @ Q
-    labels = emb._charge_labels(L).ravel()
-    same = labels[:, None] == labels[None, :]
-    assert np.max(np.abs(rotated[~same])) <= 1e-13 * scale
+    rotated = Q @ normal @ Q.T
+    # classes are consecutive runs of their sizes; each run is one label
+    run = np.repeat(np.arange(counts.sum()), np.repeat(sizes, counts))
+    labels = emb._charge_labels(L).ravel()[class_order(L)]
+    assert all(len(set(labels[run == k])) == 1 for k in range(counts.sum()))
+    assert len(set(labels)) == counts.sum()
+    assert np.max(np.abs(rotated[run[:, None] != run[None, :]])) <= 1e-13 * scale
     groups = emb._round_normal_blocks(grid)
-    slots = np.concatenate([idx.ravel() for idx, _ in groups])
-    assert sorted(slots) == list(range(3 * K))
-    assert groups[-1][1].shape[1] == (3 * L) // 2 + 1
-    for idx, blocks in groups:
-        for members, block in zip(idx, blocks):
-            assert len(set(labels[members])) == 1
-            dense = rotated[np.ix_(members, members)]
+    assert [blocks.shape[1] for blocks in groups] == list(sizes)
+    assert groups[-1].shape[1] == (3 * L) // 2 + 1
+    start = 0
+    for blocks in groups:
+        for block in blocks:
+            dense = rotated[start : start + len(block), start : start + len(block)]
             assert np.max(np.abs(block - dense)) <= 1e-13 * scale
+            start += len(block)
     r = np.random.default_rng(L).standard_normal((K, 3))
     z = emb._round_preconditioner(r)
     exact = np.linalg.solve(normal, r.ravel()).reshape(K, 3)
@@ -438,8 +470,8 @@ def test_round_preconditioner_matches_scipy_cholesky(L):
     groups = emb._round_normal_blocks(nr.build_grid(L))
     table = emb._round_inverse_blocks(L)
     eps = np.finfo(float).eps
-    for (idx, blocks), (slots, inverses) in zip(groups, table):
-        assert np.array_equal(idx, slots)
+    for blocks, inverses in zip(groups, table, strict=True):
+        assert blocks.shape == inverses.shape
         eye = np.eye(blocks.shape[1])
         for normal, block in zip(blocks, inverses):
             inverse = cho_solve(cho_factor(normal), eye)
@@ -463,26 +495,36 @@ def pairwise_charge_rotation(v):
 
 @pytest.mark.parametrize("L", [16, 32, 48, 64])
 def test_charge_rotation_is_bitwise_the_pairwise_turn(L):
+    # into class order: the pairwise turn, then the permutation; back: the
+    # inverse permutation, then the turn, bit for bit either way
     K = (L + 1) ** 2
+    into, out_of, _, _ = emb._class_order(L)
+    order = class_order(L)
     rng = np.random.default_rng(L)
-    for shape in ((K, 3), (K, 3, 5)):
-        v = rng.standard_normal(shape)
-        turned = emb._charge_rotation(v)
-        assert turned.shape == shape
-        assert turned.tobytes() == pairwise_charge_rotation(v).tobytes()
+    for tail in ((), (5,)):
+        v = rng.standard_normal((K, 3) + tail)
+        turned = emb._gather(into, v.reshape((3 * K,) + tail))
+        assert turned.tobytes() == pairwise_charge_rotation(v).reshape((3 * K,) + tail)[order].tobytes()
+        w = rng.standard_normal((3 * K,) + tail)
+        placed = np.empty_like(w)
+        placed[order] = w
+        back = emb._gather(out_of, w).reshape(v.shape)
+        assert back.tobytes() == pairwise_charge_rotation(placed.reshape(v.shape)).tobytes()
 
 
 @pytest.mark.parametrize("L", [16, 32])
 def test_round_inverse_blocks_are_stored_at_their_true_sizes(L):
-    # one (slots, inverse) pair per distinct class size, no padding: the
-    # stored inverse entries are the sum of the squared class sizes
+    # one (count, s, s) stack per distinct class size, no padding: the
+    # stored inverse entries are the sum of the squared class sizes, and
+    # the stacks cover the 3 K entries once, in class order
     sizes = np.unique(emb._charge_labels(L), return_counts=True)[1]
     table = emb._round_inverse_blocks(L)
-    assert [inverse.shape[1] for _, inverse in table] == sorted(set(sizes))
-    assert sum(inverse.size for _, inverse in table) == np.sum(sizes**2)
-    assert sum(slots.size for slots, _ in table) == 3 * (L + 1) ** 2
-    for slots, inverse in table:
-        assert inverse.shape == slots.shape + slots.shape[1:]
+    assert [inverse.shape[1] for inverse in table] == sorted(set(sizes))
+    assert sum(inverse.size for inverse in table) == np.sum(sizes**2)
+    assert sum(inverse.shape[0] * inverse.shape[1] for inverse in table) == 3 * (L + 1) ** 2
+    for inverse in table:
+        assert inverse.shape[1] == inverse.shape[2]
+        assert inverse.flags.c_contiguous
 
 
 @pytest.mark.parametrize("L,limit_mb", [(32, 8.0), (48, 24.0)])
@@ -504,10 +546,10 @@ def test_round_preconditioner_build_peak_memory(L, limit_mb):
 @pytest.mark.parametrize("L", [24, 32, 48])
 def test_round_preconditioner_inverts_round_normal_matrix(L):
     grid = nr.build_grid(L)
-    round_tangents = synth_gradient(grid, analyze(grid, grid.unit_vectors))
-    jac, jac_t = emb._metric_linearization(grid, *(d.reshape(-1, 3) for d in round_tangents))
+    round_tangents = synth_gradient(grid, analyze(grid, unit_rows(grid))).reshape(2, 3, -1)
+    normal, _ = emb._metric_linearization(grid, round_tangents)
     r = np.random.default_rng(L).standard_normal((grid.n_coeffs, 3))
-    back = jac_t(jac(emb._round_preconditioner(r)))
+    back = normal(emb._round_preconditioner(r))
     assert np.linalg.norm(back - r) <= 2e-9 * np.linalg.norm(r)
 
 
@@ -526,13 +568,17 @@ def test_band_limit_tables_are_shared_and_read_only():
     assert a == b and a is not b
     for name in ("mu", "theta", "phi", "weights", "unit_vectors"):
         assert getattr(a, name) is getattr(b, name), name
+    into, out_of, sizes, counts = emb._class_order(a.L)
     tables = {
         "unit vectors": (a.unit_vectors,),
         "legendre rows": (sphere._legendre_rows(a.L),),
+        "phi tables": (sphere._phi_table(a.L),),
+        "amplitude layout": sphere._amplitude_layout(a.L, 3),
         "coeff_degrees": coeff_degrees(a.L),
-        "gauge rows": (emb._gauge_rows(a.L),),
+        "gauge rows": emb._gauge_rows(a.L),
         "unit sphere": emb._unit_sphere(a.L),
-        "preconditioner blocks": sum(emb._round_inverse_blocks(a.L), ()),
+        "class order": into + out_of + (sizes, counts),
+        "preconditioner blocks": emb._round_inverse_blocks(a.L),
     }
     assert sphere._legendre_rows(b.L) is tables["legendre rows"][0]
     assert emb._round_inverse_blocks(b.L) is emb._round_inverse_blocks(a.L)
@@ -597,11 +643,14 @@ def test_lumpy_study_conjugate_gradient_work_is_pinned():
     # steps stop their conjugate gradients at eta = min(1e-3, max(rel,
     # 0.1 tol / rel)); at eta = min(1e-3, rel) from the unit sphere the
     # lumpy studies took 6 calls and 24 (m_order 2) and 14 (m_order 3)
-    # applications, and a 1e-12 stop took 58 and 33
+    # applications, and a 1e-12 stop took 58 and 33.  The preconditioner
+    # runs once per record's round first step and once per operator
+    # application, none on a converged residual
     code = (
         "import json, nearlyround as nr\n"
         "from nearlyround import embedding as emb\n"
-        "pcg, axisymmetric, work = emb._pcg, emb.embed_axisymmetric, [0, 0, 0]\n"
+        "pcg, axisymmetric, work = emb._pcg, emb.embed_axisymmetric, [0, 0, 0, 0]\n"
+        "precondition = emb._round_preconditioner\n"
         "def counted(apply, *args):\n"
         "    work[0] += 1\n"
         "    def apply_counted(v):\n"
@@ -611,7 +660,11 @@ def test_lumpy_study_conjugate_gradient_work_is_pinned():
         "def revolution(*args):\n"
         "    work[2] += 1\n"
         "    return axisymmetric(*args)\n"
+        "def preconditioned(r):\n"
+        "    work[3] += 1\n"
+        "    return precondition(r)\n"
         "emb._pcg, emb.embed_axisymmetric = counted, revolution\n"
+        "emb._round_preconditioner = preconditioned\n"
         "schedule = (20.0, 40.0, 80.0)\n"
         "studies = {\n"
         "    m_order: dict(metric='schwarzschild_standard m=1', family='radial-perturbed',\n"
@@ -622,7 +675,7 @@ def test_lumpy_study_conjugate_gradient_work_is_pinned():
         "                       band_limit=24)\n"
         "counts = {}\n"
         "for name, fields in studies.items():\n"
-        "    work[:] = [0, 0, 0]\n"
+        "    work[:] = [0, 0, 0, 0]\n"
         "    rows = nr.run_masses(nr.StudyConfig(schedule=schedule, **fields)).rows\n"
         "    assert all(not row.flags for row in rows)\n"
         "    counts[name] = list(work)\n"
@@ -633,8 +686,11 @@ def test_lumpy_study_conjugate_gradient_work_is_pinned():
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
         )
-        # name: [_pcg calls, operator applications, embed_axisymmetric calls]
-        assert proc.stdout.strip() == '{"2": [3, 18, 0], "3": [3, 9, 0], "kerr": [1, 1, 0]}', threads
+        # name: [_pcg calls, operator applications, embed_axisymmetric calls,
+        # preconditioner applications]
+        assert proc.stdout.strip() == (
+            '{"2": [3, 18, 0, 21], "3": [3, 9, 0, 12], "kerr": [1, 1, 0, 4]}'
+        ), threads
 
 
 def test_solve_embedding_reports_nonconvergence(g16, monkeypatch):
@@ -655,7 +711,7 @@ def test_axisymmetric_round_profiles_give_unit_sphere(L, tol):
     E = np.ones(grid.ntheta)
     G = np.sin(grid.theta) ** 2
     imm = emb.embed_axisymmetric(grid, E, G)
-    assert np.max(np.abs(imm.Y - grid.unit_vectors)) <= tol
+    assert np.max(np.abs(imm.Y - unit_rows(grid))) <= tol
 
 
 def test_axisymmetric_seed_needs_no_harmonic_transform(monkeypatch, g16):
@@ -692,8 +748,7 @@ def test_axisymmetric_oblate_curvature_match(L, k_tol, m_tol):
     h = np.zeros(grid.shape + (2, 2))
     h[..., 0, 0] = E[:, None]
     h[..., 1, 1] = G[:, None]
-    yt, yp = (d.reshape(-1, 3) for d in imm.tangents())
-    assert emb._metric_mismatch(yt, yp, h)[1] <= m_tol
+    assert emb._metric_mismatch(imm.tangents().reshape(2, 3, -1), h)[1] <= m_tol
 
 
 def test_axisymmetric_rejects_nonembeddable_profiles(g16):
@@ -769,12 +824,14 @@ def test_embed_matches_the_surface_of_revolution(kerr, L):
 
 
 def unit_sphere_state(L):
-    """Grid, unit-sphere tangents and solve_embedding residual of the lumpy
-    metric at the unit sphere, where `_round_step` applies."""
+    """Grid, unit-sphere tangent rows, the library's J^T R and the dense
+    solve_embedding residual R of the lumpy metric at the unit sphere,
+    where solve_embedding's first step is one preconditioner application."""
     grid = nr.build_grid(L)
     h = fundamental_forms(lumpy_surface(grid)).induced_metric
-    _, yt, yp = emb._unit_sphere(L)
-    return grid, yt, yp, embedding_state(grid, h, grid.unit_vectors)[2]
+    c, T = emb._unit_sphere(L)
+    gradient = library_gradient(grid, T, emb._metric_mismatch(T, h)[0], c)
+    return grid, T, gradient, embedding_state(grid, h, unit_rows(grid))[3]
 
 
 @pytest.mark.parametrize("L", [8, 16, 24])
@@ -783,9 +840,9 @@ def test_round_step_is_the_conjugate_gradient_solve(L):
     # inverts, so its one application is the step conjugate gradients
     # reach.  (From L = 32 on, a 1e-12 stop runs past the first iterate and
     # both steps move by cond(J^T J) eps, 9e-11 at L = 32.)
-    grid, yt, yp, R = unit_sphere_state(L)
-    step = emb._round_step(grid, R)
-    solved = emb._embedding_step(grid, yt, yp, R, 1e-12)
+    grid, T, gradient, _ = unit_sphere_state(L)
+    step = -emb._round_preconditioner(gradient)
+    solved = emb._embedding_step(grid, T, gradient, 1e-12)
     assert np.max(np.abs(solved)) > 1e-3
     assert np.linalg.norm(step - solved) <= 1e-12 * np.linalg.norm(solved)
 
@@ -794,11 +851,11 @@ def test_round_step_is_the_conjugate_gradient_solve(L):
 def test_round_step_is_the_least_squares_step(L):
     # against a dense least-squares solve the round step keeps the accuracy
     # of a normal-equations solve, cond(J)^2 eps
-    grid, yt, yp, R = unit_sphere_state(L)
-    J = dense_metric_jacobian(grid, yt, yp)
+    grid, T, gradient, R = unit_sphere_state(L)
+    J = dense_metric_jacobian(grid, T)
     sv = np.linalg.svd(J, compute_uv=False)
     exact = np.linalg.lstsq(J, -R, rcond=None)[0].reshape(3, -1).T
-    step = emb._round_step(grid, R)
+    step = -emb._round_preconditioner(gradient)
     bound = (sv[0] / sv[-1]) ** 2 * np.finfo(float).eps
     assert np.linalg.norm(step - exact) <= bound * np.linalg.norm(exact)
 
@@ -816,7 +873,7 @@ def test_matrix_free_steps_off_regime_match_dense_oracle(monkeypatch):
         assert row.flags == ()
         assert row.embed_residual <= cfg.tol
     monkeypatch.setattr(
-        emb, "_embedding_step", lambda grid, yt, yp, R, eta: dense_embedding_step(grid, yt, yp, R)
+        emb, "_embedding_step", lambda grid, T, gradient, eta: dense_embedding_step(grid, T, gradient)
     )
     dense_rows = nr.run_masses(cfg).rows
     for row, dense in zip(rows, dense_rows):
@@ -982,7 +1039,7 @@ def test_rigid_align_recovers_motion(g16):
             [0.0, 0.0, 1.0],
         ]
     )
-    moved = s.Y @ R.T + np.array([0.4, -0.2, 0.7])
+    moved = np.einsum("ij,jtp->itp", R, s.Y) + np.array([0.4, -0.2, 0.7])[:, None, None]
     aligned, rms = rigid_align(g16, moved, s.Y)
     assert rms <= 1e-12
     assert np.max(np.abs(aligned - s.Y)) <= 1e-11

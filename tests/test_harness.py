@@ -163,7 +163,7 @@ def test_family_radial_perturbed_decay():
     assert [r for r, _ in members] == [10.0, 20.0, 40.0]
     # relative radial deviation falls off like r^-decay
     for r, s in members:
-        radial = np.linalg.norm(s.Y, axis=-1)
+        radial = np.linalg.norm(s.Y, axis=0)
         rel = np.max(np.abs(radial - r)) / r
         expected = 0.2 / r * np.max(np.abs(nr.synthesize(grid, _unit_coeff(grid, 2, 0))))
         assert abs(rel - expected) <= 1e-12
@@ -768,6 +768,16 @@ def test_cli_adm(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert abs(payload["value"] - 1.0) <= 1e-4
+    assert payload["known_mass"] == 1.0
+
+
+def test_cli_adm_conformal_perturbation_of_high_degree(capsys):
+    # Y_lm is evaluated on the unit direction, not as r^l Y_lm times
+    # r^-(l + tau), which overflowed at l = 180 and exited 3
+    code = main(["adm", "--metric", "conformal_perturbed m=1 eps=0.1 l=180",
+                 "--schedule", "20,40,80", "--band-limit", "8"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
     assert payload["known_mass"] == 1.0
 
 

@@ -208,7 +208,7 @@ def test_masses_rotation_invariant(g16, metrics):
     rot = np.array(
         [[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]]
     )
-    s_rot = nr.Immersion(grid=g16, Y=s.Y @ rot.T)
+    s_rot = nr.Immersion(grid=g16, Y=np.einsum("ij,jtp->itp", rot, s.Y))
     row = nr.assemble_mass_row(s, metrics["kerr"])
     row_rot = nr.assemble_mass_row(s_rot, metrics["kerr"])
     assert row.flags == () and row_rot.flags == ()

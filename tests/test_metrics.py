@@ -643,7 +643,7 @@ def test_sectional_curvature_matches_rebuilt_tensor(metric, chart):
         grid = build_grid(L)
         for r in (20.0, 1e3, 1e6):
             s = coordinate_sphere(r, grid)
-            X, Y = (t.reshape(-1, 3) for t in s.tangents())
+            X, Y = s.tangents().reshape(2, 3, -1).transpose(0, 2, 1)
             jets = ambient.jets(s.points)
             Gam = connection(jets)
             g, ddg = node_major(jets)[0], full_ddg(jets)

@@ -8,6 +8,7 @@ import pytest
 
 from nearlyround import sphere
 from nearlyround.sphere import (
+    MAX_BAND_LIMIT,
     SphereGrid,
     analyze,
     build_grid,
@@ -248,58 +249,75 @@ def test_roundtrip_random_band_limited():
     c = rng.normal(size=grid.n_coeffs)
     back = analyze(grid, synthesize(grid, c))
     assert np.max(np.abs(back - c)) <= 1e-11
-    # stacked (ntheta, nphi, m) fields and (K, m) coefficients: each
-    # component matches its 1-D transform; trailing axes are kept
+    # stacked (m, ntheta, nphi) fields and (K, m) coefficients: each
+    # component matches its 1-D transform; the stack's axes are kept
     for shape in ((3,), (3, 3)):
         cs = rng.normal(size=(grid.n_coeffs,) + shape)
         fields = synthesize(grid, cs)
         back = analyze(grid, fields)
-        assert fields.shape == grid.shape + shape and back.shape == cs.shape
+        assert fields.shape == shape + grid.shape and back.shape == cs.shape
         assert np.max(np.abs(back - cs)) <= 1e-11
         for k in np.ndindex(shape):
             f_k = synthesize(grid, cs[(slice(None),) + k])
-            assert rel_gap(fields[(...,) + k], f_k) <= 1e-14
+            assert rel_gap(fields[k], f_k) <= 1e-14
             assert rel_gap(back[(slice(None),) + k], analyze(grid, f_k)) <= 1e-14
 
 
-def fft_to_nodes(L, q):
-    """The phi sum of `sphere._to_nodes` by numpy's inverse real FFT: the
-    (m, 2 ncomp, rows) amplitudes as complex Z_m, and sum_m Re(e^{i m phi} Z_m)
-    = irfft of (Z_0, Z_1 / 2, Z_2 / 2, ...) with the forward norm."""
-    q = q.reshape(L + 1, 2, -1, q.shape[-1])
-    z = (q[:, 0] + 1j * q[:, 1]) * np.where(np.arange(L + 1) == 0, 1.0, 0.5)[:, None, None]
-    f = np.fft.irfft(z, n=2 * L + 2, axis=0, norm="forward")  # (nphi, ncomp, rows)
-    return f.transpose(2, 0, 1)
+def fft_to_nodes(L, q, deriv):
+    """The phi sum of `sphere._to_nodes` with `_phi_table(L)[deriv]` by
+    numpy's inverse real FFT: the (2 (L+1), rows) amplitudes as complex
+    Z_m, times i m for the phi derivative, and sum_m Re(e^{i m phi} Z_m) =
+    irfft of (Z_0, Z_1 / 2, Z_2 / 2, ...) with the forward norm."""
+    m = np.arange(L + 1)
+    z = (q[0::2] + 1j * q[1::2]) * (1j * m[:, None]) ** deriv
+    z = z * np.where(m == 0, 1.0, 0.5)[:, None]
+    return np.fft.irfft(z, n=2 * L + 2, axis=0, norm="forward").T  # (rows, nphi)
 
 
-def fft_from_nodes(L, f):
-    """`sphere._from_nodes` by numpy's real FFT: (re, im) of sum_p f e^{-i m phi_p}."""
-    t = np.fft.rfft(f, axis=1)[:, : L + 1]  # (rows, m, ncomp)
-    return np.stack([t.real, t.imag]).transpose(2, 0, 3, 1).reshape(L + 1, -1, len(f))
+def fft_from_nodes(L, f, deriv):
+    """`sphere._from_nodes` with `_phi_table(L)[deriv]` by numpy's real
+    FFT: (re, im) of sum_p f e^{-i m phi_p}, times -i m for the transpose
+    of the phi derivative, as (2 (L+1), rows)."""
+    t = np.fft.rfft(f, axis=1)[:, : L + 1] * (-1j * np.arange(L + 1)) ** deriv  # (rows, m)
+    return np.stack([t.real, t.imag], axis=-1).reshape(len(f), -1).T
 
 
-@pytest.mark.parametrize("L", [1, 2, 16, 33, 64, 96])
+@pytest.mark.parametrize("L", [1, 2, 16, 33, 64, 96, MAX_BAND_LIMIT])
 def test_phi_step_matches_fft_oracle(L):
+    # both tables, on the theta rows of one and of three components, alone
+    # and as the stacked pair synth_gradient and its adjoint pass
     grid = build_grid(L)
+    tables = sphere._phi_table(L)
     rng = np.random.default_rng(L)
-    for ncomp, rows in ((1, grid.ntheta), (3, 2 * grid.ntheta)):
-        q = rng.normal(size=(L + 1, 2 * ncomp, rows))
-        f = rng.normal(size=(rows, grid.nphi, ncomp))
-        assert rel_gap(sphere._to_nodes(grid, q), fft_to_nodes(L, q)) <= 1e-14
-        assert rel_gap(sphere._from_nodes(grid, f), fft_from_nodes(L, f)) <= 1e-14
+    for rows in (grid.ntheta, 3 * grid.ntheta):
+        q = rng.normal(size=(2, 2 * (L + 1), rows))
+        f = rng.normal(size=(2, rows, grid.nphi))
+        to_nodes, from_nodes = sphere._to_nodes(tables, q), sphere._from_nodes(tables, f)
+        for deriv in (0, 1):
+            want_to, want_from = fft_to_nodes(L, q[deriv], deriv), fft_from_nodes(L, f[deriv], deriv)
+            assert rel_gap(sphere._to_nodes(tables[deriv], q[deriv]), want_to) <= 1e-14
+            assert rel_gap(sphere._from_nodes(tables[deriv], f[deriv]), want_from) <= 1e-14
+            assert rel_gap(to_nodes[deriv], want_to) <= 1e-14
+            assert rel_gap(from_nodes[deriv], want_from) <= 1e-14
 
 
 def test_phi_table_is_exactly_symmetric():
     # one quarter wave, mirrored: cos(m (2 pi - phi)) = cos(m phi) and
     # sin(m (2 pi - phi)) = -sin(m phi) bit for bit, and cos(pi/2) is 0
+    # its phi derivative, -m sin(m phi) and -m cos(m phi), mirrors the other
+    # way round and is zero at m = 0
     for L in (1, 2, 16, 33, 64):
-        table = sphere._phi_table(L).reshape(2 * L + 2, L + 1, 2)
+        table, deriv = sphere._phi_table(L).reshape(2, 2 * L + 2, L + 1, 2)
         mirror = table[(-np.arange(2 * L + 2)) % (2 * L + 2)]
         assert np.array_equal(mirror[..., 0], table[..., 0])
         assert np.array_equal(mirror[..., 1], -table[..., 1] + 0.0)
         assert np.all(table[..., 1][:, 0] == 0.0) and np.all(np.abs(table) <= 1.0)
         if (2 * L + 2) % 4 == 0:
             assert table[(2 * L + 2) // 4, 1, 0] == 0.0
+        mirror = deriv[(-np.arange(2 * L + 2)) % (2 * L + 2)]
+        assert np.array_equal(mirror[..., 0], -deriv[..., 0] + 0.0)
+        assert np.array_equal(mirror[..., 1], deriv[..., 1])
+        assert np.all(deriv[:, 0] == 0.0)
 
 
 def test_library_reads_no_fft():
@@ -327,23 +345,39 @@ def test_transforms_match_dense_oracle(L):
     rng = np.random.default_rng(L)
     for tail in ((), (3, 3)):
         c = rng.normal(size=(grid.n_coeffs,) + tail)
-        f, g = rng.normal(size=(2,) + grid.shape + tail)
+        f, g = rng.normal(size=(2,) + tail + grid.shape)
         c2 = c.reshape(grid.n_coeffs, -1)
-        f2, g2 = f.reshape(grid.n_nodes, -1), g.reshape(grid.n_nodes, -1)
+        f2, g2 = f.reshape(-1, grid.n_nodes).T, g.reshape(-1, grid.n_nodes).T
         ft, fp = synth_gradient(grid, c)
-        adjoint = synth_gradient_adjoint(grid, f, g)
-        pairs = [
-            (synthesize(grid, c), S @ c2),
-            (ft, Dt @ c2),
-            (fp, Dp @ c2),
+        adjoint = synth_gradient_adjoint(grid, np.stack([f, g]))
+        fields = [(synthesize(grid, c), S @ c2), (ft, Dt @ c2), (fp, Dp @ c2)]
+        coefficients = [
             (analyze(grid, f), S.T @ (grid.weights.reshape(-1, 1) * f2)),
             (adjoint, Dt.T @ f2 + Dp.T @ g2),
         ]
-        for got, oracle in pairs:
-            assert got.shape[len(got.shape) - len(tail):] == tail
+        for got, oracle in fields:
+            assert got.shape == tail + grid.shape
+            assert rel_gap(got.reshape(-1, grid.n_nodes).T, oracle) <= 1e-13
+        for got, oracle in coefficients:
+            assert got.shape == c.shape
             assert rel_gap(got.reshape(oracle.shape), oracle) <= 1e-13
         # <D v, w> = <v, D^T w> for the pair D = (d/dtheta, d/dphi)
         lhs = np.sum(ft * f) + np.sum(fp * g)
+        assert abs(lhs - np.sum(c * adjoint)) <= 1e-13 * np.sum(np.abs(c * adjoint))
+
+
+@pytest.mark.parametrize("L", [64, MAX_BAND_LIMIT])
+def test_gradient_adjoint_is_the_transpose_at_high_band_limits(L):
+    # <synth_gradient c, (f, g)> = <c, synth_gradient_adjoint (f, g)> for
+    # one, three and six components, where a dense oracle would not fit
+    grid = build_grid(L)
+    rng = np.random.default_rng(L)
+    for tail in ((), (3,), (6,)):
+        c = rng.normal(size=(grid.n_coeffs,) + tail)
+        fg = rng.normal(size=(2,) + tail + grid.shape)
+        adjoint = synth_gradient_adjoint(grid, fg)
+        assert adjoint.shape == c.shape
+        lhs = np.sum(synth_gradient(grid, c) * fg)
         assert abs(lhs - np.sum(c * adjoint)) <= 1e-13 * np.sum(np.abs(c * adjoint))
 
 
@@ -425,11 +459,11 @@ def test_synth_gradient_matches_pointwise_derivatives():
     # a (K, 3) stack: each component matches its 1-D gradient
     cs = rng.normal(size=(grid.n_coeffs, 3))
     fts, fps = synth_gradient(grid, cs)
-    assert fts.shape == fps.shape == grid.shape + (3,)
+    assert fts.shape == fps.shape == (3,) + grid.shape
     for k in range(3):
         ft, fp = synth_gradient(grid, cs[:, k])
-        assert rel_gap(fts[..., k], ft) <= 1e-14
-        assert rel_gap(fps[..., k], fp) <= 1e-14
+        assert rel_gap(fts[k], ft) <= 1e-14
+        assert rel_gap(fps[k], fp) <= 1e-14
 
 
 def test_first_derivatives_match_finite_differences():

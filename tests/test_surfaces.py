@@ -209,10 +209,11 @@ def test_immersion_node_layout(grid16):
     s = surf.coordinate_sphere(3.0, grid16)
     assert s.points.shape == (grid16.n_nodes, 3)
     assert np.allclose(np.linalg.norm(s.points, axis=1), 3.0, atol=1e-14)
+    assert np.array_equal(s.points, np.moveaxis(s.Y, 0, -1).reshape(-1, 3))
     yt, yp = s.tangents()
     # tangents are orthogonal to the position on a centered sphere
-    assert np.abs(np.einsum("ijk,ijk->ij", yt, s.Y)).max() < 1e-10
-    assert np.abs(np.einsum("ijk,ijk->ij", yp, s.Y)).max() < 1e-10
+    assert np.abs(np.einsum("kij,kij->ij", yt, s.Y)).max() < 1e-10
+    assert np.abs(np.einsum("kij,kij->ij", yp, s.Y)).max() < 1e-10
 
 
 def test_shifted_sphere(grid16):
@@ -270,7 +271,7 @@ def test_mean_curvature_integral_round(grid16):
 
 
 def test_degenerate_immersion_raises(grid16):
-    Y = np.ones(grid16.shape + (3,))  # all nodes coincide
+    Y = np.ones((3,) + grid16.shape)  # all nodes coincide
     with pytest.raises(surf.DegenerateInducedMetric):
         surf.fundamental_forms(surf.Immersion(grid16, Y))
 
@@ -279,7 +280,7 @@ def test_nan_immersion_raises(grid16):
     # one NaN node spreads through the transforms to every node; a
     # record of it would carry area nan and a diameter read past the NaN
     Y = surf.coordinate_sphere(10.0, grid16).Y.copy()
-    Y[3, 5] = np.nan
+    Y[:, 3, 5] = np.nan
     with pytest.raises(surf.DegenerateInducedMetric):
         surf.fundamental_forms(surf.Immersion(grid16, Y))
 
@@ -360,9 +361,9 @@ def test_tracefree_gradient_matches_index_contractions(lumpy10, catalog):
     E = np.einsum("nab,nij,nbj->nai", hinv, node_major(fd.jets)[0], T)
     Aring = fd.tracefree_second_form.reshape(N, 2, 2)
     Tamb = np.einsum("nab,nai,nbj->nij", Aring, E, E)
-    dTamb = synth_gradient(grid, analyze(grid, Tamb.reshape(grid.shape + (3, 3))))
+    dTamb = synth_gradient(grid, analyze(grid, Tamb.transpose(1, 2, 0).reshape((3, 3) + grid.shape)))
     covT = (
-        np.stack(dTamb, axis=2).reshape(N, 2, 3, 3)
+        dTamb.reshape(2, 3, 3, N).transpose(3, 0, 1, 2)
         - np.einsum("nlki,nak,nlj->naij", Gam, T, Tamb)
         - np.einsum("nlkj,nak,nil->naij", Gam, T, Tamb)
     )
@@ -622,11 +623,10 @@ def test_distance_hessian_round():
         # closed form: the restricted Hessian is the tangential projector / r
         fd = surf.fundamental_forms(s)
         N = grid.n_nodes
-        nhat = fd.normal.reshape(N, 3)
+        nhat = fd.normal.reshape(3, N).T
         proj = (np.eye(3)[None] - np.einsum("ni,nj->nij", nhat, nhat)) / r
         hinv = fd.induced_metric_inv.reshape(N, 2, 2)
-        yt, yp = s.tangents()
-        T = np.stack([yt.reshape(N, 3), yp.reshape(N, 3)], axis=1)
+        T = s.tangents().reshape(2, 3, N).transpose(2, 0, 1)
         E = np.einsum("nab,nbi->nai", hinv, T)
         A_amb = np.einsum("nab,nai,nbj->nij", fd.second_form.reshape(N, 2, 2), E, E)
         assert np.abs(A_amb - proj).max() < 1e-11
