@@ -23,7 +23,7 @@ r = 20.0
 c = np.zeros(grid.n_coeffs)
 c[nr.coeff_index(2, 0)] = 1.0
 profile = r * (1.0 + 0.1 * (1.0 / r) * nr.synthesize(grid, c))
-s = nr.immerse_radial(None, profile, grid)
+s = nr.immerse_radial(profile, grid)
 fd = nr.fundamental_forms(s, metric)
 
 print(f"surface: perturbed sphere, r = {r:g}, area = {fd.area:.4f}")

@@ -17,7 +17,7 @@ Both Newton iterations are matrix free: each linear step is solved by
 preconditioned conjugate gradients (`_pcg`) on harmonic transforms
 (`synth_gradient` and its transpose `synth_gradient_adjoint`), and no
 Jacobian is formed.  The metric match works on node-last rows throughout:
-tangents are (2, 3, n_nodes), metric gaps (3, n_nodes), and one normal
+tangents are (2, 3, n_nodes), metrics and gaps (3, n_nodes), and one normal
 operator J^T J (`_metric_linearization`) serves conjugate gradients and
 the preconditioner's build alike.  The preconditioners are the
 linearizations about the unit round sphere, which the normalized surfaces
@@ -298,8 +298,8 @@ def _uniformize_step(grid: SphereGrid, f: np.ndarray, rc: np.ndarray) -> np.ndar
 
 
 def _frobenius(h: np.ndarray) -> np.ndarray:
-    """Frobenius size of symmetric 2x2 fields, off-diagonal counted twice."""
-    return np.sqrt(h[..., 0, 0] ** 2 + 2.0 * h[..., 0, 1] ** 2 + h[..., 1, 1] ** 2)
+    """Frobenius size of packed symmetric 2x2 fields, off-diagonal twice."""
+    return np.sqrt(h[0] ** 2 + 2.0 * h[1] ** 2 + h[2] ** 2)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -310,18 +310,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _metric_mismatch(T: np.ndarray, h: np.ndarray):
     """Gap between the metric of node tangents T and the target h.
 
-    T is (2, 3, n_nodes), the theta and phi tangent rows; h is
-    (..., 2, 2) over the same nodes.  Returns the (tt, tp, pp) component
+    T is (2, 3, n_nodes), the theta and phi tangent rows; h is packed,
+    (3, ...) over the same nodes.  Returns the (tt, tp, pp) component
     differences as (3, n_nodes) rows, and the sup over nodes of their
     Frobenius size relative to that of h.
     """
-    h = h.reshape(-1, 2, 2)
+    h = h.reshape(3, -1)
     yt, yp = T
-    gaps = np.stack(
-        [_dot(yt, yt) - h[:, 0, 0], _dot(yt, yp) - h[:, 0, 1], _dot(yp, yp) - h[:, 1, 1]]
-    )
-    mis = np.sqrt(gaps[0] ** 2 + 2.0 * gaps[1] ** 2 + gaps[2] ** 2)
-    return gaps, float(np.max(mis / _frobenius(h)))
+    gaps = np.stack([_dot(yt, yt), _dot(yt, yp), _dot(yp, yp)]) - h
+    return gaps, float(np.max(_frobenius(gaps) / _frobenius(h)))
 
 
 _ROT_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -552,8 +549,8 @@ def solve_embedding(
 ):
     """Match a first fundamental form at the nodes over harmonic coefficients.
 
-    `target_metric` has shape (ntheta, nphi, 2, 2) and should be given on
-    the normalized scale where the surface is close to the unit sphere.
+    `target_metric` is a packed (3, ntheta, nphi) form, given on the
+    normalized scale where the surface is close to the unit sphere.
     Three equations per node (both diagonal components and the mixed one)
     are solved for the coefficients of the three position components by
     Gauss-Newton with a halving line search, at most _EMBED_MAX_ITER
@@ -588,7 +585,7 @@ def solve_embedding(
     star shaped about the pinned centroid.
     """
     h = np.asarray(target_metric, dtype=float)
-    if h.shape != grid.shape + (2, 2):
+    if h.shape != (3,) + grid.shape:
         raise ValueError(
             f"target metric shape {h.shape} does not match grid {grid.shape}"
         )
@@ -735,7 +732,7 @@ class IsometricEmbedding:
     realized metric and the image that radius times the normalized solve.
     image_data holds its Euclidean fundamental forms, support the
     position-normal product X . n0, metric_gap the realized minus the
-    requested first fundamental form (ntheta, nphi, 2, 2) and
+    requested first fundamental form (3, ntheta, nphi), packed, and
     metric_residual its sup Frobenius size relative to the requested one.
     steps counts the Gauss-Newton steps of the metric solve from the unit
     sphere.

@@ -201,7 +201,7 @@ def family_surfaces(config: StudyConfig, grid, metric) -> list:
                 f"exclusion radius {metric.exclusion_radius:.3f} of {config.metric!r}"
             )
         for r, profile in zip(config.schedule, profiles):
-            members.append((r, immerse_radial(None, profile, grid)))
+            members.append((r, immerse_radial(profile, grid)))
     else:
         for r in config.schedule:
             members.append((r, coordinate_sphere(r, grid)))

@@ -32,7 +32,6 @@ from .surfaces import (
     Immersion,
     best_fit_sphere,
     fundamental_forms,
-    symmetric_components,
     trace_pairing,
 )
 from .embedding import IsometricEmbedding, RegimeViolation, embed
@@ -97,11 +96,7 @@ def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
             f"one parametrization"
         )
     # A0^{ab} rho_ab = tr(h^-1 A0 h^-1 rho)
-    gap_term = trace_pairing(
-        symmetric_components(fd.induced_metric_inv),
-        symmetric_components(e.image_data.second_form),
-        symmetric_components(e.metric_gap),
-    )
+    gap_term = trace_pairing(fd.induced_metric_inv, e.image_data.second_form, e.metric_gap)
     return float(fd.integrate(reference - fd.mean_curvature + 0.5 * gap_term) / (8.0 * math.pi))
 
 

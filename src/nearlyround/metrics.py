@@ -33,9 +33,8 @@ generator for E, with the scalar jets S (_Jet, Hessian packed (6, N)).
 unpack turns a packed pair into a full 3x3 pair where a contraction
 needs one.  No second derivative of g is assembled: sectional_curvature
 takes the three it needs from the terms by the product rule.  The
-connection is read as its lowered symbols Gamma_l(U, W) on the vector
-pairs a caller contracts it with; the symbols of the second kind
-(christoffel) are formed only where a reader needs them all.
+connection is read only as its lowered symbols (christoffel_lowered); a
+reader of g^-1 Gamma applies g^-1 to the vector it contracts them with.
 
 adm_mass extrapolates mass fluxes to the total mass.  It reads numbers:
 the flux of a surface is surfaces.mass_flux, over the surface's records.
@@ -323,6 +322,11 @@ def schwarzschild_isotropic(m: float) -> AFMetric:
     return AFMetric("schwarzschild_isotropic", {"m": m}, 1.0, m, jets, m)
 
 
+# the highest perturbation degree, sphere.MAX_BAND_LIMIT: no grid resolves
+# a higher one, and the catalog reads no grid module
+_MAX_DEGREE = 128
+
+
 def conformal_perturbed(
     m: float,
     eps: float,
@@ -339,8 +343,8 @@ def conformal_perturbed(
     """
     if m <= 0:
         raise ConfigError("mass must be positive")
-    if l < 1:
-        raise ConfigError("perturbation degree l must be >= 1")
+    if not 1 <= l <= _MAX_DEGREE:
+        raise ConfigError(f"perturbation degree l must be between 1 and {_MAX_DEGREE}, got {l}")
     if abs(m_order) > l:
         raise ConfigError("|m_order| must be <= l")
     if tau_extra <= 0.5:
@@ -481,12 +485,6 @@ def christoffel_lowered(dg: np.ndarray) -> np.ndarray:
     gam -= d[_GAMMA_ROWS[2]]
     gam *= 0.5
     return gam
-
-
-def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of the second kind, Gamma[k, i, j, n] = Gamma^k_ij,
-    from the packed inverse metric ginv (6, N) and dg (3, 6, N)."""
-    return np.einsum("kln,lijn->kijn", unpack(ginv), christoffel_lowered(dg))
 
 
 def sectional_curvature(

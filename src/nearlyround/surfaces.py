@@ -17,15 +17,16 @@ position Y (3, ntheta, nphi), the tangents (2, 3, N) straight from one
 synth_gradient, the normal (3, N), the packed metric, its inverse and
 derivative, and the lowered Christoffel symbols read on the vector pairs
 the forms contract them with.  The public normal is that (3, ntheta,
-nphi) stack, and the 2x2 forms and scalars keep the grid shape.  Its
+nphi) stack, each 2x2 form the packed (3, ntheta, nphi) stack of its
+(00, 01, 11) components, and the scalars keep the grid shape.  Its
 consumers take the record alone, not the Immersion beside it: the masses
 read H, K and the area, the embedding the induced metric, K and the area,
 best_fit_sphere a flat record and nearly_round_diagnostics a family of
 records in one ambient.  tracefree_gradient(fd) computes grad Aring for
 the roundness diagnostics alone; it and the second-form transform
-residual are the only readers of the full Christoffel symbols, which a
-record forms when they are first read.  The identity residuals read two
-records of one surface, the flat fd_hat and the curved fd:
+residual read the lowered symbols too, with g^-1 applied to the field
+they contract them with.  The identity residuals read two records of one
+surface, the flat fd_hat and the curved fd:
 second_form_transform_residual, mean_curvature_expansion_residual,
 divergence_identity_gap and mean_curvature_integral_residual take
 (fd_hat, fd), and distance_hessian_residual takes fd_hat.  None of them
@@ -126,9 +127,8 @@ class Immersion:
         return synth_gradient(self.grid, self.component_coeffs())
 
 
-def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
-    """Surface y = center + R(omega) * omega; profile scalar or field."""
-    center = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+def immerse_radial(profile, grid: SphereGrid) -> Immersion:
+    """Surface y = R(omega) * omega about the origin; profile scalar or field."""
     R = np.asarray(profile, dtype=float)
     if R.ndim == 0:
         R = np.full(grid.shape, float(R))
@@ -136,13 +136,13 @@ def immerse_radial(center, profile, grid: SphereGrid) -> Immersion:
         raise ValueError("radial profile shape does not match the grid")
     if not (np.all(R > 0) and np.all(np.isfinite(R))):
         raise ConfigError("radial profile must be positive and finite")
-    Y = center[:, None, None] + R * np.moveaxis(grid.unit_vectors, -1, 0)
+    Y = R * np.moveaxis(grid.unit_vectors, -1, 0)
     return Immersion(grid, Y)
 
 
 def coordinate_sphere(radius: float, grid: SphereGrid) -> Immersion:
     """The round coordinate sphere of the given radius about the origin."""
-    return immerse_radial(None, float(radius), grid)
+    return immerse_radial(float(radius), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +154,17 @@ def coordinate_sphere(radius: float, grid: SphereGrid) -> Immersion:
 class FundamentalData:
     """Per-node surface geometry in one ambient metric.
 
-    2x2 tensors are components in the (theta, phi) coordinate frame;
-    scalar fields have the grid shape and the normal is a (3, ntheta,
-    nphi) field stack.  area_jacobian is the ratio of the induced area
-    element to the round-sphere element sin(theta) dtheta dphi, so
-    integrate() multiplies by it under the grid rule.  points (N, 3) are
+    2x2 tensors are components in the (theta, phi) coordinate frame,
+    packed (3, ntheta, nphi) stacks of (00, 01, 11); scalar fields have the
+    grid shape and the normal is a (3, ntheta, nphi) field stack.
+    area_jacobian is the ratio of the induced area element to the
+    round-sphere element sin(theta) dtheta dphi, so integrate()
+    multiplies by it under the grid rule.  points (N, 3) are
     the nodes, a view of the immersion's rows.  The ambient side keeps the
     node axis last: tangents (2, 3, N), the jets (packed rows, see
-    metrics.JetBatch) and the packed inverse ambient metric (6, N).
-    christoffel, the symbols of the second kind (3, 3, 3, N), is formed
-    when first read.  tau is the ambient decay order.  A flat record's
-    jets, inverse metric and Christoffel symbols are read-only constants.
+    metrics.JetBatch) and the packed inverse ambient metric (6, N).  tau
+    is the ambient decay order.  A flat record's jets and inverse metric
+    are read-only constants.
     """
 
     ambient: str
@@ -187,7 +187,6 @@ class FundamentalData:
     r_min: float
     r_max: float
     _diameter: float | None = None
-    _christoffel: np.ndarray | None = None
 
     @property
     def diameter(self) -> float:
@@ -197,16 +196,8 @@ class FundamentalData:
         induced metric, searched once, when first read (_graph_diameter).
         """
         if self._diameter is None:
-            self._diameter = _graph_diameter(self.grid, self.induced_metric.reshape(-1, 2, 2))
+            self._diameter = _graph_diameter(self.grid, self.induced_metric)
         return self._diameter
-
-    @property
-    def christoffel(self) -> np.ndarray:
-        """Gamma^k_ij as [k, i, j, n], formed once, when first read; only the
-        tracefree gradient and the second-form transform residual need it."""
-        if self._christoffel is None:
-            self._christoffel = mcat.christoffel(self.ambient_metric_inv, self.jets.dg)
-        return self._christoffel
 
     def integrate(self, f: np.ndarray) -> float:
         """Surface integral of a node field against this ambient's measure."""
@@ -214,8 +205,7 @@ class FundamentalData:
 
     def second_form_norm(self) -> np.ndarray:
         """Pointwise |A| in the induced metric."""
-        A = symmetric_components(self.second_form)
-        val = trace_pairing(symmetric_components(self.induced_metric_inv), A, A)
+        val = trace_pairing(self.induced_metric_inv, self.second_form, self.second_form)
         return np.sqrt(np.clip(val, 0.0, None))
 
 
@@ -236,8 +226,8 @@ def _flat_ambient(pts: np.ndarray) -> tuple[mcat.JetBatch, np.ndarray]:
 
 
 def _form_rows(form: np.ndarray) -> np.ndarray:
-    """A (ntheta, nphi, 2, 2) field of the record as (2, 2, N) rows."""
-    return np.ascontiguousarray(form.reshape(-1, 2, 2).transpose(1, 2, 0))
+    """A packed (3, ntheta, nphi) form of the record as full (2, 2, N) rows."""
+    return form.reshape(3, -1)[[[0, 1], [1, 2]]]
 
 
 def _extension(E: np.ndarray, form: np.ndarray) -> np.ndarray:
@@ -251,12 +241,7 @@ def _quadratic(S: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("in,in->n", np.einsum("ijn,jn->in", S, u), u)
 
 
-def symmetric_components(form: np.ndarray) -> tuple:
-    """The (00, 01, 11) components of a field of symmetric 2x2 matrices."""
-    return form[..., 0, 0], form[..., 0, 1], form[..., 1, 1]
-
-
-def trace_pairing(hinv: tuple, F: tuple, G: tuple) -> np.ndarray:
+def trace_pairing(hinv, F, G) -> np.ndarray:
     """tr(h^-1 F h^-1 G) = P_ab Q_ba (P = h^-1 F, Q = h^-1 G) of symmetric 2x2
     fields by (00, 01, 11) components, written out as an einsum costs more;
     cross terms first, so G = F gives P00^2 + 2 P01 P10 + P11^2 bit for bit."""
@@ -268,11 +253,6 @@ def trace_pairing(hinv: tuple, F: tuple, G: tuple) -> np.ndarray:
     p00, p01, p10, p11 = P = raised(*F)
     q00, q01, q10, q11 = P if G is F else raised(*G)
     return p00 * q00 + (p01 * q10 + p10 * q01) + p11 * q11
-
-
-def _form(f00: np.ndarray, f01: np.ndarray, f11: np.ndarray, shape: tuple) -> np.ndarray:
-    """A symmetric 2x2 field from its three rows, stacked as (*shape, 2, 2)."""
-    return np.stack([f00, f01, f01, f11], axis=-1).reshape(shape + (2, 2))
 
 
 def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
@@ -289,16 +269,15 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     pair, which reads the jets' closed-form terms and the lowered symbols
     of the three tangent pairs, and forms no curvature tensor.  The
     inverse ambient metric is formed once, for the normal and that term,
-    and kept on the record; the symbols of the second kind are not formed
-    here (FundamentalData.christoffel).
+    and kept on the record.
 
     A Euclidean ambient (None or the ``euclidean`` family) evaluates no
     jets and no Christoffel symbols: h = T T^t, nu = (T0 x T1)/|T0 x T1|,
     and K = det A / det h.  Its record still carries jets (g = delta, zero
-    derivative, no terms), g^-1 = delta and a zero Gamma as read-only
-    constant views, so every consumer reads a flat record like a curved
-    one.  The public 2x2 forms are stacked node-major once, at the end;
-    the normal is its node-last rows.
+    derivative, no terms) and g^-1 = delta as read-only constant views, so
+    every consumer reads a flat record like a curved one.  The public 2x2
+    forms are their (00, 01, 11) rows and the normal its node-last rows,
+    each stacked in the grid shape once, at the end.
     """
     grid = s.grid
     metric, tag = _resolve_ambient(ambient)
@@ -359,6 +338,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     area = grid.integrate(J)
     x, y, z = pts.T
     r2 = (x * x + y * y) + z * z  # summed as np.linalg.norm sums
+    packed = (3,) + shp
 
     return FundamentalData(
         ambient=tag,
@@ -368,19 +348,18 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         jets=jets,
         ambient_metric_inv=ginv,
         tau=metric.tau,
-        induced_metric=_form(h00, h01, h11, shp),
-        induced_metric_inv=_form(i00, i01, i11, shp),
+        induced_metric=np.stack([h00, h01, h11]).reshape(packed),
+        induced_metric_inv=np.stack([i00, i01, i11]).reshape(packed),
         area_jacobian=J,
         normal=normal,
-        second_form=_form(A00, A01, A11, shp),
+        second_form=np.stack([A00, A01, A11]).reshape(packed),
         mean_curvature=H.reshape(shp),
-        tracefree_second_form=_form(R00, R01, R11, shp),
+        tracefree_second_form=np.stack(ring).reshape(packed),
         tracefree_norm=ring_norm.reshape(shp),
         gauss_curvature=K.reshape(shp),
         area=area,
         r_min=float(np.sqrt(r2.min())),
         r_max=float(np.sqrt(r2.max())),
-        _christoffel=np.broadcast_to(0.0, (3, 3, 3, N)) if flat else None,
     )
 
 
@@ -440,8 +419,8 @@ def _pole_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _graph_diameter(grid: SphereGrid, h: np.ndarray) -> float:
     """Intrinsic diameter estimate: longest graph geodesic over grid edges.
 
-    Edge lengths come from the induced metric (trapezoid rule along
-    meridians and parallels); two virtual pole vertices close the mesh.
+    Edge lengths come from the packed induced metric h (trapezoid rule
+    along meridians and parallels); two virtual pole vertices close the mesh.
     The result is the largest Dijkstra distance in this graph of M = N + 2
     vertices, found without searching from every vertex (the pruning of
     Takes & Kosters, 2011, with the poles as the bounding sources):
@@ -476,8 +455,7 @@ def _graph_diameter(grid: SphereGrid, h: np.ndarray) -> float:
     """
     nt, nph = grid.shape
     n = nt * nph
-    sq_t = np.sqrt(h[:, 0, 0]).reshape(nt, nph)
-    sq_p = np.sqrt(h[:, 1, 1]).reshape(nt, nph)
+    sq_t, sq_p = np.sqrt(h[0]), np.sqrt(h[2])
     down = 0.5 * (sq_t[:-1] + sq_t[1:]) * np.diff(grid.theta)[:, None]
     east = 0.5 * (sq_p + np.roll(sq_p, -1, axis=1)) * (2.0 * np.pi / nph)
     caps = np.stack([sq_t[0] * grid.theta[0], sq_t[-1] * (np.pi - grid.theta[-1])])
@@ -556,12 +534,12 @@ _GROWTH_FLOOR = 1e-8
 def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     """Covariant gradient of the tracefree second form, and its norm.
 
-    Returns (nabla, |nabla|) with nabla[..., a, b, c] the derivative along
-    a of the (b, c) component.  Aring is extended to ambient indices by the
-    dual frame, differentiated covariantly along the tangents and
-    contracted back; for tangential tensors this equals the intrinsic
-    covariant derivative.  The extension is symmetric, so its six packed
-    components are transformed.
+    Returns (nabla, |nabla|) with nabla[a, b, c] (2, 2, 2, ntheta, nphi)
+    the derivative along a of the (b, c) component.  Aring is extended to
+    ambient indices by the dual frame, differentiated covariantly along the
+    tangents and contracted back; for tangential tensors this equals the
+    intrinsic covariant derivative.  The extension is symmetric, so its six
+    packed components are transformed.
     """
     grid = fd.grid
     N = grid.n_nodes
@@ -572,9 +550,10 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     Tamb = _extension(E, _form_rows(fd.tracefree_second_form))
     packed = mcat.pack(Tamb).reshape((6,) + grid.shape)
     dTamb = mcat.unpack(synth_gradient(grid, analyze(grid, packed)).reshape(2, 6, N))
-    # GT[a, l, i] = Gamma^l_ki T_a^k, by the symmetry of Gamma in its lower pair
-    GT = np.einsum("lkin,akn->alin", fd.christoffel, T)
-    GTamb = np.einsum("alin,ljn->aijn", GT, Tamb)
+    # Gamma^l_ki T_a^k Aring_lj = GT[a, m, i] (g^-1 Aring)_mj, GT = Gamma_m,ki T_a^k
+    GT = np.einsum("mkin,akn->amin", mcat.christoffel_lowered(fd.jets.dg), T)
+    Tamb_up = np.einsum("mln,ljn->mjn", mcat.unpack(fd.ambient_metric_inv), Tamb)
+    GTamb = np.einsum("amin,mjn->aijn", GT, Tamb_up)
     covT = dTamb - GTamb - GTamb.transpose(0, 2, 1, 3)
     nabla = np.einsum("bin,aicn->abcn", T, np.einsum("aijn,cjn->aicn", covT, T))
     # all three indices raised by h^-1
@@ -583,7 +562,7 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     raised = np.einsum("xan,ayzn->xyzn", hinv, raised)
     grad2 = np.einsum("abcn,abcn->n", nabla, raised)
     norm = np.sqrt(np.clip(grad2, 0.0, None))
-    return nabla.transpose(3, 0, 1, 2).reshape(grid.shape + (2, 2, 2)), norm.reshape(grid.shape)
+    return nabla.reshape((2, 2, 2) + grid.shape), norm.reshape(grid.shape)
 
 
 def nearly_round_diagnostics(records) -> NearlyRoundReport:
@@ -665,9 +644,10 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     """
     T = fd_hat.tangents
     nhat = fd_hat.normal.reshape(3, -1)
-    grad_norm = np.sqrt(_quadratic(mcat.unpack(fd.ambient_metric_inv), nhat))
-    # nhat_k Gamma^k_ij contracted with T_a^i T_b^j
-    nGam = np.einsum("kijn,kn->ijn", fd.christoffel, nhat)
+    nhat_up = np.einsum("ijn,jn->in", mcat.unpack(fd.ambient_metric_inv), nhat)  # g^-1 nhat
+    grad_norm = np.sqrt(np.einsum("in,in->n", nhat_up, nhat))
+    # nhat_k Gamma^k_ij = (g^-1 nhat)^l Gamma_l,ij, contracted with T_a^i T_b^j
+    nGam = np.einsum("lijn,ln->ijn", mcat.christoffel_lowered(fd.jets.dg), nhat_up)
     gamma_term = np.einsum("ain,bin->abn", T, np.einsum("ijn,bjn->bin", nGam, T))
     res = _form_rows(fd_hat.second_form) - grad_norm * _form_rows(fd.second_form) - gamma_term
     scale = np.linalg.norm(T, axis=1)  # (2, N) Euclidean tangent lengths

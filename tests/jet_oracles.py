@@ -149,6 +149,16 @@ def christoffel_node_major(ginv, dg):
     return 0.5 * (ginv @ T.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
 
 
+def node_major_form(form):
+    """A packed (3, ntheta, nphi) 2x2 form of a record as (N, 2, 2) matrices."""
+    return form.reshape(3, -1)[[[0, 1], [1, 2]]].transpose(2, 0, 1)
+
+
+def node_major_gradient(nabla):
+    """The (2, 2, 2, ntheta, nphi) tracefree gradient as (N, 2, 2, 2)."""
+    return nabla.reshape(2, 2, 2, -1).transpose(3, 0, 1, 2)
+
+
 def riemann_contraction(g, ddg, Gam, X, Y):
     """R(X, Y, X, Y) by the coordinate formula (Landau & Lifshitz, section 92)
     on the full second-derivative tensor, all node-major: each d_U d_W g
@@ -176,7 +186,8 @@ def fundamental_forms_oracle(s, ambient=None):
     node-major tensors: LAPACK's g^-1, the full Gamma^k_ij, the covariant
     derivative of the normal d_a nu + Gamma(T_a, nu) lowered by g T, and
     K from the Gauss equation with the full ddg.  Returns a dict keyed by
-    the FundamentalData field names, node-major, with the record's shapes."""
+    the FundamentalData field names, in the record's layout: each 2x2 form
+    its (00, 01, 11) components packed (3, ntheta, nphi)."""
     grid = s.grid
     pts = s.points
     N = len(pts)
@@ -216,11 +227,15 @@ def fundamental_forms_oracle(s, ambient=None):
         K = K + riemann_contraction(g, full_ddg(jets), Gam, T[:, 0], T[:, 1])
     K = K / deth
     J = np.sqrt(deth).reshape(shp) / np.sin(grid.theta)[:, None]
+
+    def packed(F):
+        return np.stack([F[:, 0, 0], F[:, 0, 1], F[:, 1, 1]]).reshape((3,) + shp)
+
     return {
-        "induced_metric": h.reshape(shp + (2, 2)),
-        "induced_metric_inv": hinv.reshape(shp + (2, 2)),
-        "second_form": A.reshape(shp + (2, 2)),
-        "tracefree_second_form": Aring.reshape(shp + (2, 2)),
+        "induced_metric": packed(h),
+        "induced_metric_inv": packed(hinv),
+        "second_form": packed(A),
+        "tracefree_second_form": packed(Aring),
         "mean_curvature": H.reshape(shp),
         "gauss_curvature": K.reshape(shp),
         "normal": nu.T.reshape((3,) + shp),

@@ -302,7 +302,7 @@ def test_scaled_residuals_bounded_and_violator_flagged(capsys, g16, iso, std, ke
         c = np.zeros(g16.n_coeffs)
         c[nr.coeff_index(2, 0)] = 1.0
         prof = r * (1.0 + 0.1 * (1.0 / r) * nr.synthesize(g16, c))
-        return nr.immerse_radial(None, prof, g16)
+        return nr.immerse_radial(prof, g16)
 
     families = {
         "iso spheres": (iso, [(r, nr.coordinate_sphere(r, g16)) for r in (10.0, 20.0, 40.0)]),
@@ -331,7 +331,7 @@ def test_scaled_residuals_bounded_and_violator_flagged(capsys, g16, iso, std, ke
     violators = []
     for r in (10.0, 20.0, 40.0):
         prof = r * (1.0 + 0.3 * nr.synthesize(g16, c))
-        s = nr.immerse_radial(None, prof, g16)
+        s = nr.immerse_radial(prof, g16)
         violators.append(nr.fundamental_forms(s, iso))
     report = surf.nearly_round_diagnostics(violators)
     if "tracefree_constant" not in report.flagged:

@@ -43,6 +43,9 @@ METRIC = (
         "kerr_slice m=1e300 a=0", "conformal_perturbed m=1 eps=0.1 l=0",
         "conformal_perturbed m=1 eps=0.1 l=2 m_order=3",
         "conformal_perturbed m=1 eps=0.1 tau_extra=0.5",
+        # degrees above the largest band limit, which no grid resolves
+        "conformal_perturbed m=1 eps=0.1 l=129",
+        "conformal_perturbed m=1 eps=0.1 l=100000000 m_order=-3",
         # malformed text
         "", "wormhole m=1", "kerr_slice m", "kerr_slice m==1 a=0.5",
         "conformal_perturbed m=1 eps=0.1 l=2.5",

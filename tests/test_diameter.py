@@ -18,14 +18,14 @@ EPS = np.finfo(float).eps
 
 
 def all_pairs_distances(grid, h):
-    """Dijkstra distances between all N + 2 vertices of the diameter graph."""
+    """Dijkstra distances between all N + 2 vertices of the diameter graph
+    of the packed (3, ntheta, nphi) metric h."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
     nt, nph = grid.shape
     n = nt * nph
-    sq_t = np.sqrt(h[:, 0, 0]).reshape(nt, nph)
-    sq_p = np.sqrt(h[:, 1, 1]).reshape(nt, nph)
+    sq_t, sq_p = np.sqrt(h[0]), np.sqrt(h[2])
     theta = grid.theta
     dphi = 2.0 * np.pi / nph
     node = np.arange(n).reshape(nt, nph)
@@ -64,10 +64,6 @@ def all_pairs_diameter(grid, h):
     """The longest graph geodesic, from every vertex's distance row."""
     dist = all_pairs_distances(grid, h)
     return float(dist[np.isfinite(dist)].max())
-
-
-def metric_of(fd):
-    return fd.induced_metric.reshape(fd.grid.n_nodes, 2, 2)
 
 
 FAMILIES = {
@@ -121,7 +117,7 @@ def test_line_scans_equal_dijkstra(name, L, scans):
         scans.clear()
         assert fd.diameter > 0.0
         n = fd.grid.n_nodes
-        dist = all_pairs_distances(fd.grid, metric_of(fd))
+        dist = all_pairs_distances(fd.grid, fd.induced_metric)
         assert scans[0][0] == [n, n + 1]
         for sources, rows in scans:
             assert np.array_equal(rows, dist[sources])
@@ -133,7 +129,7 @@ def test_diameter_certified_against_all_pairs(name, L):
     # returned <= all-pairs <= returned (1 + 4 M eps), M = N + 2 vertices
     for fd in family_records(name, L):
         new = fd.diameter
-        oracle = all_pairs_diameter(fd.grid, metric_of(fd))
+        oracle = all_pairs_diameter(fd.grid, fd.induced_metric)
         assert new <= oracle <= new * (1.0 + 4.0 * (fd.grid.n_nodes + 2) * EPS)
 
 
@@ -161,7 +157,7 @@ def test_pole_bound_dominates_every_eccentricity():
     # the stop rule's premise: no source's eccentricity exceeds its pole
     # bound by more than the roundoff of the path sums
     fd = family_records("kerr-a0.5", 16)[0]
-    dist = all_pairs_distances(fd.grid, metric_of(fd))
+    dist = all_pairs_distances(fd.grid, fd.induced_metric)
     n = fd.grid.n_nodes
     ub = surf._pole_bound(dist[n], dist[n + 1])
     assert np.all(dist.max(axis=1) <= ub * (1.0 + 2.0 * (n + 2) * EPS))

@@ -111,7 +111,7 @@ def lumpy_surface(grid, scale=1.0):
     e31 = np.zeros(grid.n_coeffs)
     e31[coeff_index(3, 1)] = 1.0
     prof = scale * (1.0 + 0.04 * synthesize(grid, e20) + 0.03 * synthesize(grid, e31))
-    return immerse_radial(None, prof, grid)
+    return immerse_radial(prof, grid)
 
 
 def normalized_curvature(fd):
@@ -121,9 +121,10 @@ def normalized_curvature(fd):
 
 
 def round_metric(grid, radius=1.0):
-    h = np.zeros(grid.shape + (2, 2))
-    h[..., 0, 0] = radius**2
-    h[..., 1, 1] = (radius * np.sin(grid.theta)[:, None]) ** 2
+    """The round metric of the given radius, packed (3, ntheta, nphi)."""
+    h = np.zeros((3,) + grid.shape)
+    h[0] = radius**2
+    h[2] = (radius * np.sin(grid.theta)[:, None]) ** 2
     return h
 
 
@@ -336,6 +337,15 @@ def test_solve_embedding_round_identity(g16):
     assert np.max(np.abs(imm.Y - unit_rows(g16))) <= 1e-12
 
 
+def test_solve_embedding_rejects_a_node_major_target(g16):
+    # the target is packed (3, ntheta, nphi) like a record's forms; the
+    # same metric as (ntheta, nphi, 2, 2) matrices is refused
+    matrices = round_metric(g16)[[[0, 1], [1, 2]]].transpose(2, 3, 0, 1)
+    assert matrices.shape == g16.shape + (2, 2)
+    with pytest.raises(ValueError, match="does not match grid"):
+        emb.solve_embedding(g16, matrices)
+
+
 def test_solve_embedding_recovers_band_limited_surface(g16):
     s = lumpy_surface(g16)
     h = fundamental_forms(s).induced_metric
@@ -356,7 +366,7 @@ def test_solve_embedding_rolled_target_gives_the_rolled_image(g16, kerr, k):
     fd = fundamental_forms(s, kerr)
     h = fd.induced_metric / 400.0
     base, _, _ = emb.solve_embedding(g16, h)
-    img, rel, _ = emb.solve_embedding(g16, np.roll(h, k, axis=1))
+    img, rel, _ = emb.solve_embedding(g16, np.roll(h, k, axis=2))
     assert rel <= 1e-8
     _, rms = rigid_align(g16, img.Y, np.roll(base.Y, k, axis=2))
     assert rms <= 1e-10
@@ -745,9 +755,9 @@ def test_axisymmetric_oblate_curvature_match(L, k_tol, m_tol):
     imm = emb.embed_axisymmetric(grid, E, G)
     fd = fundamental_forms(imm)
     assert np.max(np.abs(fd.gauss_curvature - revolution_curvature(grid, E, G))) <= k_tol
-    h = np.zeros(grid.shape + (2, 2))
-    h[..., 0, 0] = E[:, None]
-    h[..., 1, 1] = G[:, None]
+    h = np.zeros((3,) + grid.shape)
+    h[0] = E[:, None]
+    h[2] = G[:, None]
     assert emb._metric_mismatch(imm.tangents().reshape(2, 3, -1), h)[1] <= m_tol
 
 
@@ -818,7 +828,7 @@ def test_embed_matches_the_surface_of_revolution(kerr, L):
         fd = fundamental_forms(coordinate_sphere(r, grid), kerr)
         e = emb.embed(fd, tol=1e-12)
         h = fd.induced_metric / e.radius**2
-        exact = emb.embed_axisymmetric(grid, h[:, 0, 0, 0], h[:, 0, 1, 1])
+        exact = emb.embed_axisymmetric(grid, h[0, :, 0], h[2, :, 0])
         _, rms = rigid_align(grid, e.image.Y, e.radius * exact.Y)
         assert e.steps >= 1 and rms <= 1e-8, (r, rms)
 
@@ -934,7 +944,7 @@ def test_embed_image_carries_the_solve_coefficients_and_tangents(g16, kerr_sweep
 
 def test_embed_requires_nearly_round_curvature(g16):
     prof = np.repeat(1.0 + 0.45 * np.cos(g16.theta)[:, None] ** 2, g16.nphi, axis=1)
-    s = immerse_radial(None, prof, g16)
+    s = immerse_radial(prof, g16)
     with pytest.raises(emb.RegimeViolation):
         emb.embed(fundamental_forms(s))
 

@@ -425,6 +425,7 @@ def test_run_verify_evaluates_the_jets_once_per_member(monkeypatch):
 # share one count
 VERIFY_WORK_NAMES = {
     "fundamental_forms": ("surfaces", ("fundamental_forms",)),
+    "christoffel_lowered": ("metrics", ("christoffel_lowered",)),
     "analyze": ("sphere", ("analyze",)),
     "synth_gradient": ("sphere", ("synth_gradient",)),
     "synthesize": ("sphere", ("synthesize",)),
@@ -445,7 +446,9 @@ VERIFY_WORK_NAMES = {
 def test_verify_study_work_is_pinned(monkeypatch):
     # the calls of one warm Kerr L=16 verify study, each counted in every
     # module that looks the name up; the first study builds the band-limit
-    # tables, which a process builds once
+    # tables, which a process builds once.  Each curved record forms its
+    # lowered symbols three times, building it and in the tracefree
+    # gradient and the transform residual; the flat records form none
     config = nr.StudyConfig(**KERR_L16)
     nr.run_verify(config)
     counts = dict.fromkeys([*VERIFY_WORK_NAMES, "AFMetric.jets"], 0)
@@ -466,8 +469,8 @@ def test_verify_study_work_is_pinned(monkeypatch):
     monkeypatch.setattr(nr.AFMetric, "jets", counted("AFMetric.jets", nr.AFMetric.jets))
     assert nr.run_verify(config).passed
     assert counts == {
-        "fundamental_forms": 9, "analyze": 18, "synth_gradient": 23, "synthesize": 3,
-        "embed": 3, "solve_embedding": 3, "minkowski_residuals": 3,
+        "fundamental_forms": 9, "christoffel_lowered": 9, "analyze": 18, "synth_gradient": 23,
+        "synthesize": 3, "embed": 3, "solve_embedding": 3, "minkowski_residuals": 3,
         "nearly_round_diagnostics": 1, "_graph_diameter": 3, "distance_hessian_residual": 3,
         "adm_mass": 1, "identity residuals": 12, "AFMetric.jets": 3,
     }
@@ -622,6 +625,9 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
         ["embed", "--metric", "kerr_slice m=1 a=0.5", "--radius", "40", "--band-limit", "1"],
         ["adm", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "20,40,80",
          "--band-limit", "7"],
+        # a perturbation degree above the largest band limit, which no grid
+        # resolves, is refused before the time that grows with it is spent
+        ["adm", "--metric", "conformal_perturbed m=1 eps=0.1 l=129", "--schedule", "20,40,80"],
     ],
     ids=[
         "masses-schedule-nan", "masses-metric-nan", "masses-tol-inf",
@@ -629,6 +635,7 @@ def test_cli_exit_code_config_errors(tmp_path, capsys):
         "adm-schedule-unsorted", "adm-metric-abc", "adm-band-limit-huge",
         "masses-band-limit-huge", "masses-perturbed-inside-exclusion",
         "verify-seed-negative", "embed-band-limit-1", "adm-band-limit-7",
+        "adm-perturbation-degree-129",
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, capsys):
@@ -773,9 +780,10 @@ def test_cli_adm(capsys):
 
 def test_cli_adm_conformal_perturbation_of_high_degree(capsys):
     # Y_lm is evaluated on the unit direction, not as r^l Y_lm times
-    # r^-(l + tau), which overflowed at l = 180 and exited 3
-    code = main(["adm", "--metric", "conformal_perturbed m=1 eps=0.1 l=180",
-                 "--schedule", "20,40,80", "--band-limit", "8"])
+    # r^-(l + tau), which overflows at the largest degree, 128, on these
+    # radii (300^128 > 1.8e308) and exited 3
+    code = main(["adm", "--metric", "conformal_perturbed m=1 eps=0.1 l=128",
+                 "--schedule", "300,600,1200", "--band-limit", "8"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["known_mass"] == 1.0
@@ -1048,6 +1056,14 @@ def _attribute_reads(node, strings: bool, own=None) -> set:
     return names - {own}
 
 
+def _outside_attribute_reads(probes: bool) -> set:
+    """Every attribute name _attribute_reads finds in src/, demos/ and
+    benchmarks/."""
+    return set().union(
+        *(_attribute_reads(tree, strings) for _, tree, strings in _readers(probes))
+    )
+
+
 def _unread_members(probes: bool = True) -> list:
     """The same rule for the methods and properties of the src/ classes,
     dunders excluded: a member counts as read where its name is an
@@ -1061,10 +1077,40 @@ def _unread_members(probes: bool = True) -> list:
         for item in cls.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     }
-    read = set().union(
-        *(_attribute_reads(tree, strings) for _, tree, strings in _readers(probes))
-    )
+    read = _outside_attribute_reads(probes)
     return sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+def _unread_fields(probes: bool = True) -> list:
+    """The same rule for the fields of the src/ dataclasses: a field counts
+    as read where its name is an attribute load or part of a dotted-name
+    string; a keyword of the constructor writes it."""
+    defined = {
+        (path.stem, cls.name, item.target.id)
+        for path in PACKAGE
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+    read = _outside_attribute_reads(probes)
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+# the dataclass fields that no code outside tests/ reads by name: what only
+# the probe-only uniformize fills, and the fit records that cli writes
+# whole through asdict; the set may only shrink
+FIELDS_READ_WHOLE = {
+    *(f"embedding.UniformizationDiagnostics.{name}" for name in (
+        "mean_part", "first_harmonic", "higher_norm", "curvature_deviation", "residual",
+        "kernel_defect",
+    )),
+    *(f"harness.RateFit.{name}" for name in (
+        "fittable", "intercept", "m_infinity", "n_points", "residual",
+    )),
+    *(f"metrics.AdmEstimate.{name}" for name in ("coefficient", "fluxes", "radii", "residual")),
+}
 
 
 def test_every_library_name_is_read_outside_the_tests():
@@ -1079,13 +1125,19 @@ def test_every_class_member_is_read_outside_the_tests():
     assert unread == [], f"read by no code outside tests/: {unread}"
 
 
+def test_every_dataclass_field_is_read_outside_the_tests():
+    unread = set(_unread_fields())
+    extra = sorted(unread - FIELDS_READ_WHOLE)
+    assert extra == [], f"read by no code outside tests/: {extra}"
+
+
 def test_no_new_name_is_read_by_a_tracer_probe_alone():
     # a probe string of benchmarks/tracer.py counts as a read above, so dead
     # code could hide behind one; the names and members read by nothing
     # else may only shrink from PROBE_ONLY
-    probe_only = set(_unread_names(probes=False) + _unread_members(probes=False)) - set(
-        _unread_names() + _unread_members()
-    )
+    probe_only = set(
+        _unread_names(probes=False) + _unread_members(probes=False) + _unread_fields(probes=False)
+    ) - set(_unread_names() + _unread_members() + _unread_fields())
     assert probe_only <= PROBE_ONLY, sorted(probe_only - PROBE_ONLY)
 
 

@@ -111,7 +111,7 @@ def test_brown_york_requires_embedding(g16, metrics):
 def test_brown_york_requires_positive_curvature(g16, metrics):
     # deep polar bulge: flat Gauss curvature dips to about -0.4
     profile = 1.0 + 0.7 * np.repeat(np.cos(g16.theta)[:, None] ** 2, g16.nphi, axis=1)
-    fd = nr.fundamental_forms(nr.immerse_radial(None, profile, g16))
+    fd = nr.fundamental_forms(nr.immerse_radial(profile, g16))
     assert fd.gauss_curvature.min() < 0.0
     s = nr.coordinate_sphere(3.0, g16)
     e = nr.embed(nr.fundamental_forms(s, metrics["euclidean"]))
@@ -159,7 +159,7 @@ def test_assemble_row_euclidean_zeroes(g16, metrics):
 
 def test_assemble_row_embedding_failure_marker(g16, metrics):
     profile = 1.0 + 0.45 * np.repeat(np.cos(g16.theta)[:, None] ** 2, g16.nphi, axis=1)
-    s = nr.immerse_radial(None, profile, g16)
+    s = nr.immerse_radial(profile, g16)
     row = nr.assemble_mass_row(s, metrics["euclidean"])
     assert row.brown_york is None
     assert row.embed_residual is None
@@ -203,7 +203,7 @@ def test_masses_rotation_invariant(g16, metrics):
     th = g16.theta[:, None]
     ph = g16.phi[None, :]
     profile = 20.0 * (1.0 + 0.03 * np.sin(th) ** 2 * np.cos(2 * ph) + 0.02 * np.cos(th))
-    s = nr.immerse_radial(None, profile, g16)
+    s = nr.immerse_radial(profile, g16)
     a = 0.7
     rot = np.array(
         [[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]]
@@ -255,7 +255,7 @@ def test_isotropic_and_standard_charts_give_the_same_surface():
             rho = rho0 * (1.0 + 0.1 / rho0 * y32)
             standard = rho * (1.0 + 0.5 / rho) ** 2
             fd_iso, fd_std = (
-                nr.fundamental_forms(nr.immerse_radial(None, profile, grid), metric)
+                nr.fundamental_forms(nr.immerse_radial(profile, grid), metric)
                 for profile, metric in ((rho, iso), (standard, std))
             )
             assert abs(fd_std.area - fd_iso.area) <= 1e-13 * fd_iso.area, (L, rho0)

@@ -21,7 +21,7 @@ from jet_oracles import (
 )
 
 from nearlyround import metrics as M
-from nearlyround.sphere import build_grid, coeff_index, synth_at
+from nearlyround.sphere import MAX_BAND_LIMIT, build_grid, coeff_index, synth_at
 from nearlyround.surfaces import coordinate_sphere, fundamental_forms, mass_flux
 
 
@@ -115,9 +115,22 @@ def sympy_kerr_jets(m, a, points):
 
 
 def connection(jets):
-    """M.christoffel of a JetBatch, through the library's inverse, node-major:
-    Gamma[n, k, i, j] = Gamma^k_ij."""
-    return M.christoffel(M.symmetric_inverse(jets.g), jets.dg).transpose(3, 0, 1, 2)
+    """M.christoffel_lowered of a JetBatch, node-major: Gamma[n, l, i, j] =
+    Gamma_l,ij."""
+    return M.christoffel_lowered(jets.dg).transpose(3, 0, 1, 2)
+
+
+def lowered(g, Gam):
+    """Symbols of the second kind Gam[n, k, i, j] = Gamma^k_ij lowered with
+    the node-major metric g: g_lk Gamma^k_ij."""
+    return np.einsum("nlk,nkij->nlij", g, Gam)
+
+
+def raised_connection(jets):
+    """The library's symbols raised by its own inverse, node-major:
+    Gamma[n, k, i, j] = g^kl Gamma_l,ij = Gamma^k_ij."""
+    ginv = M.unpack(M.symmetric_inverse(jets.g))
+    return np.einsum("kln,lijn->kijn", ginv, M.christoffel_lowered(jets.dg)).transpose(3, 0, 1, 2)
 
 
 def gauss_term(jets, X, Y):
@@ -448,6 +461,12 @@ def test_family_parameter_validation():
         M.kerr_slice(1.0, 1.0)  # extremal spin
     with pytest.raises(ValueError):
         M.conformal_perturbed(1.0, 0.1, l=0)
+    # no grid resolves a degree above the largest band limit, the catalog's
+    # own copy of the grid module's bound
+    assert M._MAX_DEGREE == MAX_BAND_LIMIT
+    M.conformal_perturbed(1.0, 0.1, l=MAX_BAND_LIMIT)
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_BAND_LIMIT}, got 129"):
+        M.conformal_perturbed(1.0, 0.1, l=MAX_BAND_LIMIT + 1)
     with pytest.raises(ValueError):
         M.conformal_perturbed(1.0, 0.1, l=2, m_order=3)
     with pytest.raises(ValueError):
@@ -523,14 +542,16 @@ def test_symmetric_inverse_matches_lapack(metric, radius):
 
 def test_christoffel_isotropic_against_symbolic_oracle():
     point = (5.0, 0.0, 0.0)
-    want = sympy_isotropic_christoffel(1, point)
     jets = M.schwarzschild_isotropic(1.0).jets(np.array([point]))
+    g = node_major(jets)[0]
+    want = lowered(g, sympy_isotropic_christoffel(1, point)[None])[0]
     got = connection(jets)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
-    # frozen spot values: 2 phi_x / phi = -2/55 at this point
-    assert got[0, 0, 0] == pytest.approx(-2.0 / 55.0, abs=1e-14)
-    assert got[0, 1, 1] == pytest.approx(2.0 / 55.0, abs=1e-14)
-    assert got[1, 0, 1] == pytest.approx(-2.0 / 55.0, abs=1e-14)
+    # frozen spot values: Gamma_x,xx = 2 phi^3 phi_x = -2 (1.1)^3 / 50 at
+    # this point, phi^4 times Gamma^x_xx = 2 phi_x / phi = -2/55
+    assert got[0, 0, 0] == pytest.approx(-0.05324, abs=1e-14)
+    assert got[0, 1, 1] == pytest.approx(0.05324, abs=1e-14)
+    assert got[1, 0, 1] == pytest.approx(-0.05324, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -542,7 +563,7 @@ def test_metric_compatibility(metric):
     # covariant derivative of g vanishes identically through the jet
     pts = shell_points(11.0, 20, seed=18)
     jets = metric.jets(pts)
-    Gam = connection(jets)
+    Gam = raised_connection(jets)
     g, dg = node_major(jets)
     nabla = (
         dg
@@ -553,10 +574,15 @@ def test_metric_compatibility(metric):
 
 
 def test_christoffel_derivative_matches_finite_differences():
+    # d_m Gamma_l,ij = d_m g_lk Gamma^k_ij + g_lk d_m Gamma^k_ij, the
+    # oracle's derivative lowered with g, against differences of the
+    # library's lowered symbols
     metric = M.kerr_slice(1.0, 0.5)
     pts = shell_points(10.0, 10, seed=19)
     jets = metric.jets(pts)
-    dGam = christoffel_derivative(*node_major(jets), full_ddg(jets))
+    g, dg = node_major(jets)
+    dGam = np.einsum("nlkm,nkij->nlijm", dg, christoffel_node_major(np.linalg.inv(g), dg))
+    dGam += np.einsum("nlk,nkijm->nlijm", g, christoffel_derivative(g, dg, full_ddg(jets)))
     h = 2e-3
     for m_ax in range(3):
         e = np.zeros(3)
@@ -617,7 +643,7 @@ def test_sectional_curvature_matches_riemann_contraction(metric, radius):
     pts = shell_points(radius, 40, seed=int(radius) + 1)
     X, Y = rng.normal(size=(2, 40, 3))
     jets = metric.jets(pts)
-    R = riemann_lowered(*node_major(jets), full_ddg(jets), connection(jets))
+    R = riemann_lowered(*node_major(jets), full_ddg(jets), raised_connection(jets))
     want = np.einsum("nrsmq,nr,ns,nm,nq->n", R, X, Y, X, Y)
     got = gauss_term(jets, X, Y)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -645,7 +671,7 @@ def test_sectional_curvature_matches_rebuilt_tensor(metric, chart):
             s = coordinate_sphere(r, grid)
             X, Y = s.tangents().reshape(2, 3, -1).transpose(0, 2, 1)
             jets = ambient.jets(s.points)
-            Gam = connection(jets)
+            Gam = raised_connection(jets)
             g, ddg = node_major(jets)[0], full_ddg(jets)
             for U, W in ((X, Y), (X, Y + 0.5 * X)):
                 want = riemann_contraction(g, ddg, Gam, U, W)
