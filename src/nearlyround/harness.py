@@ -313,8 +313,10 @@ def run_masses(config: StudyConfig) -> MassReport:
     metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
     adm_reference = metric.known_mass if metric.known_mass is not None else math.nan
+    members = family_surfaces(config, grid, metric)
     rows = []
-    for r, s in family_surfaces(config, grid, metric):
+    while members:
+        r, s = members.pop(0)  # a done member, with the tangents it keeps, is freed
         try:
             rows.append(
                 assemble_mass_row(

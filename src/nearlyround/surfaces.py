@@ -122,9 +122,9 @@ class Immersion:
 
     def tangents(self) -> np.ndarray:
         """(d y / d theta, d y / d phi) as one (2, 3, ntheta, nphi) array."""
-        if self.node_tangents is not None:
-            return self.node_tangents
-        return synth_gradient(self.grid, self.component_coeffs())
+        if self.node_tangents is None:
+            self.node_tangents = synth_gradient(self.grid, self.component_coeffs())
+        return self.node_tangents
 
 
 def immerse_radial(profile, grid: SphereGrid) -> Immersion:
@@ -371,30 +371,59 @@ def _line_scan_distances(sources, down, east, caps) -> np.ndarray:
 
     down[i, j] joins nodes (i, j) and (i + 1, j), east[i, j] joins (i, j)
     and (i, j + 1 mod nphi), caps the poles to the first and last rows.
-    Gauss-Seidel line scans relax d[v] = min(d[v], d[u] + w), a lap each
-    way round the parallels, then down and up the meridians, until no
-    entry changes.  Rows 0 and nt + 1 hold each pole as nphi copies, joined
-    by zero-length parallel edges, which add exactly.
+    Rows 0 and nt + 1 hold each pole as nphi copies, joined by zero-length
+    parallel edges, which add exactly.  A pole source's rows start as what
+    the scans would write first: 0 on every copy of the source pole, as the
+    laps round its row set them; down each meridian, the running sum of
+    its edges from that pole, caps included, which np.cumsum adds left to
+    right just as the down (or up) scan does; and on every copy of the far
+    pole the least of those sums, as the zero-length laps round that row
+    set them.  Sweeps (_line_scan_sweep) run while some edge relaxes: the
+    test d[v] <= fl(d[u] + w) on every edge, both ways, is the condition
+    that a sweep would change nothing, asked without running one.  On a
+    round sphere the pole rows start settled, and no sweep runs.
     """
     nt, nph = east.shape
     n, S, v = nt * nph, len(sources), np.asarray(sources)
     d = np.full((nph, nt + 2, S), np.inf)
-    col, row = np.where(v < n, v % nph, 0), np.where(v < n, v // nph + 1, (v - n) * (nt + 1))
-    d[col, row, np.arange(S)] = 0.0
-    down = np.concatenate([caps[:1], down, caps[1:]])[..., None]
+    inner = np.flatnonzero(v < n)
+    d[v[inner] % nph, v[inner] // nph + 1, inner] = 0.0
+    down = np.concatenate([caps[:1], down, caps[1:]]).T[..., None]
     east = np.pad(east, ((1, 1), (0, 0))).T[..., None]
-    last = None
-    while last is None or not np.array_equal(d, last):
-        last = d.copy()
-        for j in range(nph):  # d[j + 1 - nph] is column j + 1 mod nphi
-            np.minimum(d[j + 1 - nph], d[j] + east[j], out=d[j + 1 - nph])
-        for j in range(nph - 1, -1, -1):
-            np.minimum(d[j], d[j + 1 - nph] + east[j], out=d[j])
-        for i in range(nt + 1):
-            np.minimum(d[:, i + 1], d[:, i] + down[i], out=d[:, i + 1])
-        for i in range(nt, -1, -1):
-            np.minimum(d[:, i], d[:, i + 1] + down[i], out=d[:, i])
+    for s in np.flatnonzero(v >= n):
+        # the south pole's scan is the north pole's on rows read upwards
+        rows, w = (d[:, :, s], down[..., 0]) if v[s] == n else (d[:, ::-1, s], down[:, ::-1, 0])
+        rows[:, 0] = 0.0
+        np.cumsum(w, axis=1, out=rows[:, 1:])
+        rows[:, -1] = rows[:, -1].min()
+    while True:
+        r = np.roll(d, -1, axis=0)  # r[j] is column j + 1 mod nphi
+        if (
+            (r <= d + east).all() and (d <= r + east).all()
+            and (d[:, 1:] <= d[:, :-1] + down).all() and (d[:, :-1] <= d[:, 1:] + down).all()
+        ):
+            break
+        _line_scan_sweep(d, down, east)
     return np.concatenate([d[:, 1:-1].transpose(2, 1, 0).reshape(S, n), d[0, [0, -1]].T], axis=1)
+
+
+def _line_scan_sweep(d, down, east) -> None:
+    """One Gauss-Seidel sweep in place: d[v] = min(d[v], d[u] + w), a lap
+    each way round the parallels, then down and up the meridians.
+
+    d is (nphi, nt + 2, S) with the pole rows; down (nphi, nt + 1, 1) and
+    east (nphi, nt + 2, 1) hold the edge lengths, caps and zero-length
+    pole-row edges included.
+    """
+    nph, nt2 = d.shape[:2]
+    for j in range(nph):  # d[j + 1 - nph] is column j + 1 mod nphi
+        np.minimum(d[j + 1 - nph], d[j] + east[j], out=d[j + 1 - nph])
+    for j in range(nph - 1, -1, -1):
+        np.minimum(d[j], d[j + 1 - nph] + east[j], out=d[j])
+    for i in range(nt2 - 1):
+        np.minimum(d[:, i + 1], d[:, i] + down[:, i], out=d[:, i + 1])
+    for i in range(nt2 - 2, -1, -1):
+        np.minimum(d[:, i], d[:, i + 1] + down[:, i], out=d[:, i])
 
 
 def _pole_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,11 +464,14 @@ def _graph_diameter(grid: SphereGrid, h: np.ndarray) -> float:
       best takes the maximum of every finished block.
 
     Each search is label-correcting (Bellman, 1958) and returns exactly
-    Dijkstra's float distances D.  An entry of the scans is a float running
-    sum along a walk from the source; as rounding is monotone and D[v] <=
-    fl(D[u] + w) on every edge, induction along the walk gives d >= D.
-    When a sweep changes nothing, d[v] <= fl(d[u] + w) on every edge, and
-    induction down Dijkstra's tree, D[v] = fl(D[parent] + w), gives d <= D.
+    Dijkstra's float distances D.  Every finite entry, seeded or scanned,
+    is a float running sum along a walk from the source: a pole's meridian
+    sums walk down the meridian, and the far pole's least sum continues
+    one of those walks by zero-length edges.  As rounding is monotone and
+    D[v] <= fl(D[u] + w) on every edge, induction along the walk gives
+    d >= D.  The search stops only once d[v] <= fl(d[u] + w) on every edge
+    in both directions, and induction down Dijkstra's tree,
+    D[v] = fl(D[parent] + w), gives d <= D.
 
     The margin is roundoff.  With the unit roundoff e = eps/2, a float
     Dijkstra distance is a running sum of at most M - 1 positive edge

@@ -1,9 +1,10 @@
 """Tests for the intrinsic diameter search.
 
-Oracles: all_pairs_distances, scipy's Dijkstra from every vertex of the
-same graph, whose rows the line scans must reproduce bit for bit and
-whose maximum the pole-bounded search must match to its certified
-roundoff factor; and the brute-force N x N evaluation of the pole bound.
+Oracles: all_pairs_distances, scipy's Dijkstra from every vertex (or
+from the searched ones) of the same graph, whose rows the line scans
+must reproduce bit for bit and whose maximum the pole-bounded search
+must match to its certified roundoff factor; and the brute-force N x N
+evaluation of the pole bound.
 """
 
 import numpy as np
@@ -17,9 +18,10 @@ from nearlyround.metrics import parse_metric
 EPS = np.finfo(float).eps
 
 
-def all_pairs_distances(grid, h):
-    """Dijkstra distances between all N + 2 vertices of the diameter graph
-    of the packed (3, ntheta, nphi) metric h."""
+def all_pairs_distances(grid, h, indices=None):
+    """Dijkstra distances between the N + 2 vertices of the diameter graph
+    of the packed (3, ntheta, nphi) metric h: from every vertex, or only
+    from the vertices listed in indices."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -57,7 +59,7 @@ def all_pairs_distances(grid, h):
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     graph = coo_matrix((vals, (rows, cols)), shape=(n + 2, n + 2))
-    return dijkstra(graph, directed=False)
+    return dijkstra(graph, directed=False, indices=indices)
 
 
 def all_pairs_diameter(grid, h):
@@ -108,8 +110,26 @@ def scans(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("L", [8, 16, 24])
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.fixture
+def sweeps(monkeypatch, scans):
+    """For every line-scan sweep of the test, the index in scans of the
+    search that ran it."""
+    calls = []
+    sweep = surf._line_scan_sweep
+
+    def spy(*args):
+        calls.append(len(scans))  # a search is logged when it returns
+        return sweep(*args)
+
+    monkeypatch.setattr(surf, "_line_scan_sweep", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,L",
+    [(name, L) for name in sorted(FAMILIES) for L in (8, 16, 24)]
+    + [(name, 32) for name in ("iso", "kerr-a0.5", "std")],
+)
 def test_line_scans_equal_dijkstra(name, L, scans):
     # not only the diameter: every distance row searched, the two pole
     # rows first, is Dijkstra's row bit for bit
@@ -117,10 +137,34 @@ def test_line_scans_equal_dijkstra(name, L, scans):
         scans.clear()
         assert fd.diameter > 0.0
         n = fd.grid.n_nodes
-        dist = all_pairs_distances(fd.grid, fd.induced_metric)
         assert scans[0][0] == [n, n + 1]
         for sources, rows in scans:
-            assert np.array_equal(rows, dist[sources])
+            assert np.array_equal(rows, all_pairs_distances(fd.grid, fd.induced_metric, sources))
+
+
+def test_line_scan_sweeps_are_pinned(scans, sweeps):
+    # a round sphere's pole rows start at their fixed point: one search,
+    # no sweep, at every band limit
+    for name in ("iso", "kerr-a0.5", "kerr-a0.9", "std"):
+        for L in (8, 16, 24, 32):
+            for fd in family_records(name, L):
+                scans.clear()
+                sweeps.clear()
+                assert fd.diameter > 0.0
+                assert (len(scans), sweeps) == (1, []), (name, L)
+    # the sweeps of each search, per member at L=16: a block search stops
+    # after the last sweep that relaxes an edge
+    counts = {}
+    for name in ("lumpy-l3", "off-regime-l2", "violator-y40"):
+        counts[name] = []
+        for fd in family_records(name, 16):
+            scans.clear()
+            sweeps.clear()
+            assert fd.diameter > 0.0
+            counts[name].append([sweeps.count(k) for k in range(len(scans))])
+    assert counts == {
+        "lumpy-l3": [[0, 3]] * 3, "off-regime-l2": [[0, 3]] * 3, "violator-y40": [[0]] * 3,
+    }
 
 
 @pytest.mark.parametrize("L", [8, 16, 24])

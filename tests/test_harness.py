@@ -434,6 +434,7 @@ VERIFY_WORK_NAMES = {
     "minkowski_residuals": ("embedding", ("minkowski_residuals",)),
     "nearly_round_diagnostics": ("surfaces", ("nearly_round_diagnostics",)),
     "_graph_diameter": ("surfaces", ("_graph_diameter",)),
+    "_line_scan_sweep": ("surfaces", ("_line_scan_sweep",)),
     "distance_hessian_residual": ("surfaces", ("distance_hessian_residual",)),
     "adm_mass": ("metrics", ("adm_mass",)),
     "identity residuals": ("surfaces", (
@@ -469,9 +470,10 @@ def test_verify_study_work_is_pinned(monkeypatch):
     monkeypatch.setattr(nr.AFMetric, "jets", counted("AFMetric.jets", nr.AFMetric.jets))
     assert nr.run_verify(config).passed
     assert counts == {
-        "fundamental_forms": 9, "christoffel_lowered": 9, "analyze": 18, "synth_gradient": 23,
+        "fundamental_forms": 9, "christoffel_lowered": 9, "analyze": 18, "synth_gradient": 20,
         "synthesize": 3, "embed": 3, "solve_embedding": 3, "minkowski_residuals": 3,
-        "nearly_round_diagnostics": 1, "_graph_diameter": 3, "distance_hessian_residual": 3,
+        "nearly_round_diagnostics": 1, "_graph_diameter": 3, "_line_scan_sweep": 0,
+        "distance_hessian_residual": 3,
         "adm_mass": 1, "identity residuals": 12, "AFMetric.jets": 3,
     }
 
