@@ -29,5 +29,5 @@ for name, column in (("m_H", [r.hawking for r in rows]),
 # the ADM flux through each sphere: its flat record's normal and measure
 # against the metric jets at its nodes
 flat = [nr.fundamental_forms(nr.coordinate_sphere(r, grid)) for r in radii]
-est = nr.adm_mass(radii, [nr.mass_flux(f, kerr.jets(f.points)) for f in flat])
+est = nr.adm_mass(radii, [nr.mass_flux(f, kerr.jets(f.points).dg) for f in flat])
 print(f"ADM flux extrapolation over r in {radii}: {est.value:.6f} (rate {est.rate:.2f})")

@@ -121,7 +121,7 @@ def _cmd_embed(args) -> int:
         "radius": e.radius,
         "steps": e.steps,
         "metric_residual": e.metric_residual,
-        "area": e.area,
+        "area": e.image_data.area,
         "volume": e.volume,
         "volume_cross_check": volume_cross_check(e),
         "h0_deviation": e.h0_deviation,
@@ -137,7 +137,7 @@ def _cmd_adm(args) -> int:
     metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
     records = [fundamental_forms(coordinate_sphere(r, grid)) for r in config.schedule]
-    est = adm_mass(config.schedule, [mass_flux(fh, metric.jets(fh.points)) for fh in records])
+    est = adm_mass(config.schedule, [mass_flux(fh, metric.jets(fh.points).dg) for fh in records])
     sys.stdout.write(json_text({**asdict(est), "known_mass": metric.known_mass}))
     return EXIT_OK
 

@@ -749,18 +749,6 @@ class IsometricEmbedding:
     h0_deviation: float
     support_deviation: float
 
-    @property
-    def grid(self) -> SphereGrid:
-        return self.image.grid
-
-    @property
-    def mean_curvature(self) -> np.ndarray:
-        return self.image_data.mean_curvature
-
-    @property
-    def area(self) -> float:
-        return self.image_data.area
-
 
 def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
     """Embed the induced metric of a surface record isometrically into

@@ -82,9 +82,9 @@ class StudyConfig:
     input rule of the command line, whose study flags are these fields.
 
     The schedule must be strictly increasing with at least three radii,
-    each under check_radii's rule; the band limit at least 8; tol positive
-    and finite.  amplitude/l/m_order/decay shape the radial-perturbed
-    family and are ignored by coordinate-spheres.
+    each under check_radii's rule; the band limit under build_grid's rule
+    and at least 8; tol positive and finite.  amplitude/l/m_order/decay
+    shape the radial-perturbed family and are ignored by coordinate-spheres.
     """
 
     metric: str = "schwarzschild_isotropic m=1"
@@ -109,6 +109,7 @@ class StudyConfig:
             raise ConfigError("schedule needs at least three radii")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
             raise ConfigError(f"schedule must be strictly increasing: {self.schedule}")
+        build_grid(self.band_limit)
         if self.band_limit < 8:
             raise ConfigError(f"band limit must be at least 8, got {self.band_limit}")
         if self.family not in _FAMILIES:
@@ -312,24 +313,15 @@ def run_masses(config: StudyConfig) -> MassReport:
     """
     metric = parse_metric(config.metric)
     grid = build_grid(config.band_limit)
-    adm_reference = metric.known_mass if metric.known_mass is not None else math.nan
     members = family_surfaces(config, grid, metric)
     rows = []
     while members:
         r, s = members.pop(0)  # a done member, with the tangents it keeps, is freed
         try:
-            rows.append(
-                assemble_mass_row(
-                    s,
-                    metric,
-                    r_label=r,
-                    adm_reference=metric.known_mass,
-                    tol=config.tol,
-                )
-            )
+            rows.append(assemble_mass_row(s, metric, r_label=r, tol=config.tol))
         except NearlyRoundError as exc:
             rows.append(RowFailure(r_label=r, error=f"{type(exc).__name__}: {exc}"))
-    return MassReport(config=config, rows=tuple(rows), adm_reference=float(adm_reference))
+    return MassReport(config=config, rows=tuple(rows), adm_reference=float(metric.known_mass))
 
 
 @dataclass(frozen=True)
@@ -514,9 +506,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     known = metric.known_mass
 
     def adm():
-        if known is None:
-            return 0.0, "metric has no mass reference; skipped"
-        est = adm_mass(config.schedule, [mass_flux(fh, fd.jets) for _, fh, fd in family()])
+        est = adm_mass(config.schedule, [mass_flux(fh, fd.ambient_dg) for _, fh, fd in family()])
         rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
         return abs(est.value - known), f"extrapolated {est.value:.6f}{rate}"
 
@@ -533,7 +523,7 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
         ("embedding-residual", config.tol, lambda: embedded()[0]),
         ("minkowski-first", 1e-6, lambda: embedded()[1]),
         ("minkowski-second", 1e-6, lambda: embedded()[2]),
-        ("adm-agreement", 1.0 if known is None else 0.05 * max(1.0, abs(known)), adm),
+        ("adm-agreement", 0.05 * max(1.0, abs(known)), adm),
     ]
     checks = [_verify_check(*entry) for entry in entries]
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
+from .metrics import euclidean
 from .surfaces import (
     FundamentalData,
     Immersion,
@@ -88,7 +89,7 @@ def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
             f"Gauss curvature must be strictly positive for the Brown-York "
             f"functional; minimum over nodes is {k_min:.3e}"
         )
-    reference = e.mean_curvature
+    reference = e.image_data.mean_curvature
     if reference.shape != fd.mean_curvature.shape:
         raise ValueError(
             f"embedding grid {reference.shape} does not match the surface "
@@ -146,9 +147,11 @@ def assemble_mass_row(
     raising, so sweeps can continue past bad radii.  embed refuses any
     record with |K r0^2 - 1| > 1/2, so brown_york_mass finds K > 0.
 
+    ambient None means the flat background, as for fundamental_forms.
     adm_reference defaults to the ambient's known mass; r_label defaults
     to the best-fit sphere radius of the Euclidean shape.
     """
+    ambient = euclidean() if ambient is None else ambient
     fd = fundamental_forms(s, ambient)
     if r_label is None:
         flat = fd if fd.ambient == "euclidean" else fundamental_forms(s)

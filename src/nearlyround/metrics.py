@@ -32,7 +32,8 @@ them, and the closed form itself as its terms: (B, None) for B I and
 generator for E, with the scalar jets S (_Jet, Hessian packed (6, N)).
 unpack turns a packed pair into a full 3x3 pair where a contraction
 needs one.  No second derivative of g is assembled: sectional_curvature
-takes the three it needs from the terms by the product rule.  The
+takes the three it needs from the terms by the product rule, and is the
+terms' only reader; a surface record keeps g and dg alone.  The
 connection is read only as its lowered symbols (christoffel_lowered); a
 reader of g^-1 Gamma applies g^-1 to the vector it contracts them with.
 
@@ -82,11 +83,6 @@ class JetBatch:
     dg: np.ndarray
     terms: tuple
     points: np.ndarray
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """g - delta, packed (6, N)."""
-        return self.g - DELTA
 
 
 class AFMetric:

@@ -11,8 +11,10 @@ the grid's per-m Legendre table (values or theta derivatives), then the
 phi sum as one matrix product with the grid's real DFT table, or with its
 phi derivative for d/dphi, both operands handed to BLAS transposed so the
 node rows come out contiguous; `analyze` and `synth_gradient_adjoint` are
-its transposes.  No step copies or reorders a field.  At these band limits
-(L <= 64) the products beat an FFT, whose cost here is call overhead.
+its transposes.  No step copies or reorders a field.  Through
+MAX_BAND_LIMIT the phi products cost about what an FFT does (faster on
+stacked fields, up to a fifth slower on one field at L >= 64), and at
+most about as much as the per-m Legendre products beside them.
 `synth_at` shares the table layout and Legendre step, with an explicit phi
 sum at scattered points.  SphereGrid's dense matrices are oracles built on
 demand.
@@ -45,6 +47,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +92,8 @@ def normalized_legendre(L: int, mu: np.ndarray) -> np.ndarray:
 
     Normalization: int_{S^2} (Pbar_l^m(cos th) e^{i m phi})^2-type harmonics
     have unit L2 norm; no Condon-Shortley phase.  Entries with m > l are 0.
-    Stable for the band limits used here (L <= 64).
+    Accurate through MAX_BAND_LIMIT: a synthesize/analyze round trip of unit
+    random coefficients is exact to 1.3e-13 at L = 64 and 4.4e-12 at L = 128.
     """
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
@@ -164,6 +168,10 @@ class SphereGrid:
     )
 
     def __post_init__(self):
+        try:
+            operator.index(self.L)
+        except TypeError:
+            raise ConfigError(f"band limit must be an integer, got {self.L!r}") from None
         if not 1 <= self.L <= MAX_BAND_LIMIT:
             raise ConfigError(
                 f"band limit must be between 1 and {MAX_BAND_LIMIT}, got {self.L}"

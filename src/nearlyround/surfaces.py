@@ -9,11 +9,13 @@ components of tangent tensors are assembled pointwise, never
 differentiated, so the poles cost nothing.
 
 fundamental_forms builds the one FundamentalData record of a surface in
-an ambient: its node positions and tangents, the ambient metric jets and
-decay order, the forms, H, K and the area.  The pointwise algebra runs on
-node-last rows, as the metric jets come (metrics) and as the sphere
-module's component-first field stacks reshape without a copy: the
-position Y (3, ntheta, nphi), the tangents (2, 3, N) straight from one
+an ambient, of values alone: its node positions and tangents, the
+ambient metric, its inverse and derivative and decay order, the forms,
+H, K and the area.  The catalog's closed form (the jets' terms) stays
+inside it, for the Gauss term.  The pointwise algebra runs on node-last
+rows, as the metric jets come (metrics) and as the sphere module's
+component-first field stacks reshape without a copy: the position Y
+(3, ntheta, nphi), the tangents (2, 3, N) straight from one
 synth_gradient, the normal (3, N), the packed metric, its inverse and
 derivative, and the lowered Christoffel symbols read on the vector pairs
 the forms contract them with.  The public normal is that (3, ntheta,
@@ -31,7 +33,7 @@ second_form_transform_residual, mean_curvature_expansion_residual,
 divergence_identity_gap and mean_curvature_integral_residual take
 (fd_hat, fd), and distance_hessian_residual takes fd_hat.  None of them
 re-evaluates the metric or transforms a field.  mass_flux reads a flat
-record and the metric jets at its nodes.
+record and the packed metric derivative at its nodes.
 
 Frame conventions: tangent index a in {0, 1} is the (theta, phi)
 coordinate frame; ambient indices i, j, k are Cartesian.  The second
@@ -161,18 +163,19 @@ class FundamentalData:
     round-sphere element sin(theta) dtheta dphi, so integrate()
     multiplies by it under the grid rule.  points (N, 3) are
     the nodes, a view of the immersion's rows.  The ambient side keeps the
-    node axis last: tangents (2, 3, N), the jets (packed rows, see
-    metrics.JetBatch) and the packed inverse ambient metric (6, N).  tau
-    is the ambient decay order.  A flat record's jets and inverse metric
-    are read-only constants.
+    node axis last and packs each symmetric pair (metrics.pack): tangents
+    (2, 3, N), the ambient metric g and its inverse (6, N) and its
+    derivative dg (3, 6, N), dg[k] = d_k g.  tau is the ambient decay
+    order.  A flat record's g, g^-1 and dg are read-only constants.
     """
 
     ambient: str
     grid: SphereGrid
     points: np.ndarray
     tangents: np.ndarray
-    jets: mcat.JetBatch
+    ambient_metric: np.ndarray
     ambient_metric_inv: np.ndarray
+    ambient_dg: np.ndarray
     tau: float
     induced_metric: np.ndarray
     induced_metric_inv: np.ndarray
@@ -207,22 +210,6 @@ class FundamentalData:
         """Pointwise |A| in the induced metric."""
         val = trace_pairing(self.induced_metric_inv, self.second_form, self.second_form)
         return np.sqrt(np.clip(val, 0.0, None))
-
-
-def _resolve_ambient(ambient):
-    if ambient is None:
-        return mcat.euclidean(), "euclidean"
-    metric = ambient
-    tag = "euclidean" if metric.family == "euclidean" else metric.spec()
-    return metric, tag
-
-
-def _flat_ambient(pts: np.ndarray) -> tuple[mcat.JetBatch, np.ndarray]:
-    """The Euclidean jets and packed inverse metric at the nodes, as
-    read-only constant views: g = delta with no terms, and dg zero."""
-    n = len(pts)
-    delta = np.broadcast_to(mcat.DELTA, (6, n))
-    return mcat.JetBatch(delta, np.broadcast_to(0.0, (3, 6, n)), (), pts), delta
 
 
 def _form_rows(form: np.ndarray) -> np.ndarray:
@@ -269,30 +256,32 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     pair, which reads the jets' closed-form terms and the lowered symbols
     of the three tangent pairs, and forms no curvature tensor.  The
     inverse ambient metric is formed once, for the normal and that term,
-    and kept on the record.
+    and kept on the record with g and dg; the jets themselves are not.
 
     A Euclidean ambient (None or the ``euclidean`` family) evaluates no
     jets and no Christoffel symbols: h = T T^t, nu = (T0 x T1)/|T0 x T1|,
-    and K = det A / det h.  Its record still carries jets (g = delta, zero
-    derivative, no terms) and g^-1 = delta as read-only constant views, so
-    every consumer reads a flat record like a curved one.  The public 2x2
-    forms are their (00, 01, 11) rows and the normal its node-last rows,
-    each stacked in the grid shape once, at the end.
+    and K = det A / det h.  Its record still carries g = g^-1 = delta and
+    dg = 0 as read-only constant views, so every consumer reads a flat
+    record like a curved one.  The public 2x2 forms are their (00, 01, 11)
+    rows and the normal its node-last rows, each stacked in the grid shape
+    once, at the end.
     """
     grid = s.grid
-    metric, tag = _resolve_ambient(ambient)
-    flat = tag == "euclidean"
+    metric = mcat.euclidean() if ambient is None else ambient
+    flat = metric.family == "euclidean"
     pts = s.points
     N = len(pts)
     shp = grid.shape
     T = s.tangents().reshape(2, 3, N)
     if flat:
-        jets, ginv = _flat_ambient(pts)
+        g = ginv = np.broadcast_to(mcat.DELTA, (6, N))
+        dg = np.broadcast_to(0.0, (3, 6, N))
         gT = T
     else:
         jets = metric.jets(pts)
-        ginv = mcat.symmetric_inverse(jets.g)
-        gT = np.einsum("ijn,ajn->ain", mcat.unpack(jets.g), T)  # g T_a
+        g, dg = jets.g, jets.dg
+        ginv = mcat.symmetric_inverse(g)
+        gT = np.einsum("ijn,ajn->ain", mcat.unpack(g), T)  # g T_a
     h = np.einsum("ain,bin->abn", T, gT)
     h00, h01, h11 = h[0, 0], h[0, 1], h[1, 1]
     deth = h00 * h11 - h01**2
@@ -316,7 +305,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     dnu = synth_gradient(grid, analyze(grid, normal)).reshape(2, 3, N)
     A = np.einsum("ain,bin->abn", dnu, gT)
     if not flat:
-        lowered = mcat.christoffel_lowered(jets.dg)
+        lowered = mcat.christoffel_lowered(dg)
         # Gamma_l(T_a, nu) T_b^l
         gam_nu = np.einsum("lin,ain->aln", np.einsum("lijn,jn->lin", lowered, nu), T)
         A += np.einsum("aln,bln->abn", gam_nu, T)
@@ -341,12 +330,13 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     packed = (3,) + shp
 
     return FundamentalData(
-        ambient=tag,
+        ambient=metric.spec(),
         grid=grid,
         points=pts,
         tangents=T,
-        jets=jets,
+        ambient_metric=g,
         ambient_metric_inv=ginv,
+        ambient_dg=dg,
         tau=metric.tau,
         induced_metric=np.stack([h00, h01, h11]).reshape(packed),
         induced_metric_inv=np.stack([i00, i01, i11]).reshape(packed),
@@ -577,13 +567,13 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     N = grid.n_nodes
     T = fd.tangents
     hinv = _form_rows(fd.induced_metric_inv)
-    gT = np.einsum("ijn,bjn->bin", mcat.unpack(fd.jets.g), T)
+    gT = np.einsum("ijn,bjn->bin", mcat.unpack(fd.ambient_metric), T)
     E = np.einsum("abn,bin->ain", hinv, gT)  # dual frame
     Tamb = _extension(E, _form_rows(fd.tracefree_second_form))
     packed = mcat.pack(Tamb).reshape((6,) + grid.shape)
     dTamb = mcat.unpack(synth_gradient(grid, analyze(grid, packed)).reshape(2, 6, N))
     # Gamma^l_ki T_a^k Aring_lj = GT[a, m, i] (g^-1 Aring)_mj, GT = Gamma_m,ki T_a^k
-    GT = np.einsum("mkin,akn->amin", mcat.christoffel_lowered(fd.jets.dg), T)
+    GT = np.einsum("mkin,akn->amin", mcat.christoffel_lowered(fd.ambient_dg), T)
     Tamb_up = np.einsum("mln,ljn->mjn", mcat.unpack(fd.ambient_metric_inv), Tamb)
     GTamb = np.einsum("amin,mjn->aijn", GT, Tamb_up)
     covT = dTamb - GTamb - GTamb.transpose(0, 2, 1, 3)
@@ -679,7 +669,7 @@ def second_form_transform_residual(fd_hat: FundamentalData, fd: FundamentalData)
     nhat_up = np.einsum("ijn,jn->in", mcat.unpack(fd.ambient_metric_inv), nhat)  # g^-1 nhat
     grad_norm = np.sqrt(np.einsum("in,in->n", nhat_up, nhat))
     # nhat_k Gamma^k_ij = (g^-1 nhat)^l Gamma_l,ij, contracted with T_a^i T_b^j
-    nGam = np.einsum("lijn,ln->ijn", mcat.christoffel_lowered(fd.jets.dg), nhat_up)
+    nGam = np.einsum("lijn,ln->ijn", mcat.christoffel_lowered(fd.ambient_dg), nhat_up)
     gamma_term = np.einsum("ain,bin->abn", T, np.einsum("ijn,bjn->bin", nGam, T))
     res = _form_rows(fd_hat.second_form) - grad_norm * _form_rows(fd.second_form) - gamma_term
     scale = np.linalg.norm(T, axis=1)  # (2, N) Euclidean tangent lengths
@@ -750,8 +740,8 @@ def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalDa
     """
     nhat = fd_hat.normal.reshape(3, -1)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = mcat.unpack(fd.jets.sigma)
-    dg = mcat.unpack(fd.jets.dg)  # dg[k, i, j] = d_k g_ij
+    sigma = mcat.unpack(fd.ambient_metric - mcat.DELTA)
+    dg = mcat.unpack(fd.ambient_dg)  # dg[k, i, j] = d_k g_ij
     dgn = np.einsum("kijn,jn->kin", dg, nhat)  # (d_k g) nhat
     H = fd.mean_curvature.reshape(-1)
     Hhat = fd_hat.mean_curvature.reshape(-1)
@@ -774,8 +764,8 @@ def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> flo
     """
     nhat = fd_hat.normal.reshape(3, -1)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = mcat.unpack(fd.jets.sigma)
-    dg = mcat.unpack(fd.jets.dg)  # dg[k, i, j] = d_k g_ij
+    sigma = mcat.unpack(fd.ambient_metric - mcat.DELTA)
+    dg = mcat.unpack(fd.ambient_dg)  # dg[k, i, j] = d_k g_ij
     Hhat = fd_hat.mean_curvature.reshape(-1)
     shp = fd.grid.shape
 
@@ -790,16 +780,17 @@ def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> flo
     return float(abs(i1 - (i2 + i3 + i4)))
 
 
-def mass_flux(fd_hat: FundamentalData, jets: mcat.JetBatch) -> float:
+def mass_flux(fd_hat: FundamentalData, dg: np.ndarray) -> float:
     """ADM mass flux (1/16 pi) oint (d_i g_ij - d_j g_ii) nhat^j dAhat.
 
-    The flat record gives the normal nhat and the measure dAhat, and jets
-    are the metric's at its nodes.  Along any exhausting family of
-    surfaces the flux tends to the ADM mass (Bartnik, CPAM 1986).
+    The flat record gives the normal nhat and the measure dAhat, and dg is
+    the metric's derivative at its nodes, packed (3, 6, N) as a curved
+    record's ambient_dg or a JetBatch's dg.  Along any exhausting family
+    of surfaces the flux tends to the ADM mass (Bartnik, CPAM 1986).
     """
     if fd_hat.ambient != "euclidean":
         raise ValueError("mass flux needs the flat-ambient data")
-    dg = mcat.unpack(jets.dg)  # dg[k, i, j] = d_k g_ij
+    dg = mcat.unpack(dg)  # dg[k, i, j] = d_k g_ij
     div = np.einsum("iijn->jn", dg)  # d_i g_ij
     grad_tr = np.einsum("jiin->jn", dg)  # d_j g_ii
     integrand = np.einsum("jn,jn->n", div - grad_tr, fd_hat.normal.reshape(3, -1))
@@ -815,10 +806,10 @@ def mean_curvature_integral_residual(fd_hat: FundamentalData, fd: FundamentalDat
     |LHS - RHS| * r^(2tau-1).
     """
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = mcat.unpack(fd.jets.sigma)
+    sigma = mcat.unpack(fd.ambient_metric - mcat.DELTA)
     shp = fd.grid.shape
     lhs = fd.integrate(fd.mean_curvature - fd_hat.mean_curvature)
-    rhs = -8.0 * np.pi * mass_flux(fd_hat, fd.jets) - 0.5 * fd_hat.integrate(
+    rhs = -8.0 * np.pi * mass_flux(fd_hat, fd.ambient_dg) - 0.5 * fd_hat.integrate(
         np.einsum("stn,stn->n", sigma, rho_hess).reshape(shp)
     )
     return float(abs(lhs - rhs)) * fd.r_min ** (2.0 * fd.tau - 1.0)

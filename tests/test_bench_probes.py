@@ -4,14 +4,19 @@
 nearlyround by name.  A rename in the package would only surface when
 the traced benchmark runs, so this test installs the tracer on the
 imported package, checks that every target was rebound, and checks that
-uninstalling restores every original binding.
+uninstalling restores every original binding.  A traced Kerr study of
+each kind then runs under the tracer, as `benchmarks/run.py --trace 1`
+does, so a probe that breaks a study or reads nothing shows here too.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
-import nearlyround  # noqa: F401  (the tracer rebinds names in loaded modules)
+import pytest
+
+import nearlyround as nr  # the tracer rebinds names in loaded modules
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -57,3 +62,22 @@ def test_tracer_probes_resolve_and_uninstall_restores():
     after = _package_bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+@pytest.mark.parametrize("study", ["run_masses", "run_verify"])
+def test_traced_study_runs_and_uninstall_restores(study):
+    config = nr.StudyConfig(
+        metric="kerr_slice m=1 a=0.5", schedule=(20.0, 40.0, 80.0), band_limit=8
+    )
+    untraced = getattr(nr, study)(config)
+    before = _package_bindings()
+    with _load_tracer().Tracer() as tracer:
+        traced = getattr(nr, study)(config)
+    assert _package_bindings() == before
+    # the probes only observe: the report is the untraced one
+    render = "render" if study == "run_masses" else "to_table"
+    assert getattr(traced, render)() == getattr(untraced, render)()
+    per_study = tracer.per_study(1)
+    assert {k: v for k, v in per_study.items() if not math.isfinite(v)} == {}
+    assert per_study["harness.study_calls"] == 1
+    assert per_study["surfaces.fundamental_forms_calls"] > 0

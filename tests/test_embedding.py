@@ -788,7 +788,7 @@ def test_embed_schwarzschild_standard_round_data(g16):
     e = emb.embed(fundamental_forms(s, std))
     assert e.steps == 0
     assert e.radius == pytest.approx(10.0, abs=1e-10)
-    assert np.max(np.abs(e.mean_curvature - 0.2)) <= 1e-9
+    assert np.max(np.abs(e.image_data.mean_curvature - 0.2)) <= 1e-9
     assert np.max(np.abs(e.support - 10.0)) <= 1e-9
     assert e.volume == pytest.approx(4000.0 * np.pi / 3.0, rel=1e-10)
     assert e.metric_residual <= 1e-10

@@ -65,6 +65,11 @@ def test_config_schedule_validation():
 def test_config_band_limit_validation():
     with pytest.raises(nr.ConfigError, match="band limit"):
         nr.StudyConfig(band_limit=6)
+    # the grid's rule, at the boundary: a float fails here, not in a study
+    with pytest.raises(nr.ConfigError, match="integer"):
+        nr.StudyConfig(band_limit=16.0)
+    with pytest.raises(nr.ConfigError, match="between 1 and 128"):
+        nr.StudyConfig(band_limit=129)
 
 
 def test_config_family_validation():

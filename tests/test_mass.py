@@ -343,6 +343,16 @@ def test_assemble_row_requires_mass_reference(g16, metrics):
     assert row.adm_reference == 0.0
 
 
+def test_assemble_row_reads_none_as_the_flat_ambient(g16, metrics):
+    # None is fundamental_forms' spelling of the flat ambient, and the row
+    # takes it the same way, with the flat ambient's known mass
+    bump = nr.synthesize(g16, np.eye(g16.n_coeffs)[nr.coeff_index(2, 1)])
+    s = nr.immerse_radial(5.0 * (1.0 + 0.02 * bump), g16)
+    row = nr.assemble_mass_row(s, None)
+    assert row == nr.assemble_mass_row(s, metrics["euclidean"])
+    assert row.brown_york is not None and row.adm_reference == 0.0
+
+
 @pytest.mark.parametrize("family", ["coordinate-spheres", "radial-perturbed"])
 def test_run_masses_row_builds_two_records(monkeypatch, family):
     # one record of the surface in its ambient, one of the embedded image:

@@ -251,7 +251,7 @@ def test_euclidean_jet_is_flat():
     assert np.array_equal(node_major(jet)[0][0], np.eye(3))
     assert np.max(np.abs(jet.dg)) == 0.0
     assert np.max(np.abs(full_ddg(jet))) == 0.0
-    assert np.max(np.abs(jet.sigma)) == 0.0
+    assert np.max(np.abs(jet.g - M.DELTA)) == 0.0
 
 
 def test_isotropic_component_closed_form():
@@ -301,14 +301,14 @@ def test_jet_batch_indexing():
     metric = M.schwarzschild_isotropic(1.0)
     batch = metric.jets(pts)
     one = metric.jets(pts[2][None])
-    for field in ("g", "dg", "sigma"):
+    for field in ("g", "dg"):
         assert np.array_equal(getattr(one, field)[..., 0], getattr(batch, field)[..., 2]), field
     assert np.array_equal(full_ddg(one)[0], full_ddg(batch)[2])
     for (S1, V1), (S, V) in zip(one.terms, batch.terms, strict=True):
         assert V1 is V or np.array_equal(V1, V)
         for a1, a in ((S1.v, S.v), (S1.d, S.d), (S1.h, S.h)):
             assert np.array_equal(a1[..., 0], a[..., 2])
-    assert np.array_equal(M.unpack(batch.sigma)[..., 2], node_major(batch)[0][2] - np.eye(3))
+    assert np.array_equal(M.unpack(batch.g - M.DELTA)[..., 2], node_major(batch)[0][2] - np.eye(3))
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
@@ -381,7 +381,7 @@ def test_kerr_deviation_decay():
     sups = []
     for i, r in enumerate((20.0, 40.0, 80.0)):
         jb = kerr.jets(shell_points(r, 100, seed=5 + i))
-        sups.append(r * np.abs(jb.sigma).max())
+        sups.append(r * np.abs(jb.g - M.DELTA).max())
     assert max(sups) <= 2.5  # frozen: measured 2.22 at the tightest shell
     assert max(sups) / min(sups) <= 1.2
 
@@ -431,7 +431,7 @@ def test_decay_audit(metric):
         d = rng.normal(size=(100, 3))
         d /= np.linalg.norm(d, axis=1)[:, None]
         jb = metric.jets(r * d)
-        assert r**tau * np.abs(jb.sigma).max() <= c0m
+        assert r**tau * np.abs(jb.g - M.DELTA).max() <= c0m
         assert r ** (1 + tau) * np.abs(jb.dg).max() <= c1m
         assert r ** (2 + tau) * np.abs(full_ddg(jb)).max() <= c2m
 
@@ -721,7 +721,7 @@ def test_scalar_curvature_kerr_decay_and_fd_cross_check():
 def sphere_flux(metric, radius, band_limit=16):
     """mass_flux over the coordinate sphere of the given radius."""
     fd_hat = fundamental_forms(coordinate_sphere(radius, build_grid(band_limit)))
-    return mass_flux(fd_hat, metric.jets(fd_hat.points))
+    return mass_flux(fd_hat, metric.jets(fd_hat.points).dg)
 
 
 def sphere_fit(metric, radii, band_limit=16):
@@ -895,7 +895,7 @@ def test_mass_flux_needs_the_flat_record():
     kerr = M.kerr_slice(1.0, 0.5)
     fd = fundamental_forms(coordinate_sphere(20.0, build_grid(8)), kerr)
     with pytest.raises(ValueError, match="flat-ambient"):
-        mass_flux(fd, fd.jets)
+        mass_flux(fd, fd.ambient_dg)
 
 
 def test_metrics_imports_only_errors_from_the_package():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nearlyround import sphere
+from nearlyround.errors import ConfigError
 from nearlyround.sphere import (
     MAX_BAND_LIMIT,
     SphereGrid,
@@ -168,6 +169,13 @@ def test_coeff_degrees_matches_the_loop_over_degrees(L):
 def test_grid_rejects_degenerate_band_limit():
     with pytest.raises(ValueError):
         SphereGrid(0)
+    # a float band limit would pass the range check and fail inside
+    # leggauss on first use; any integer type is taken
+    with pytest.raises(ConfigError, match="integer"):
+        build_grid(16.0)
+    with pytest.raises(ConfigError, match="integer"):
+        SphereGrid("16")
+    assert build_grid(np.int64(16)) == build_grid(16)
 
 
 def test_quadrature_cos_squared_theta():

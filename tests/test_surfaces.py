@@ -9,6 +9,7 @@ constants from refinement and family studies (noted inline where used).
 """
 
 import dataclasses
+import numbers
 import sys
 
 import numpy as np
@@ -364,7 +365,7 @@ def test_tracefree_gradient_matches_index_contractions(lumpy10, catalog):
     # index, with LAPACK's g^-1 and the full Gamma^k_ij of jet_oracles
     fd = surf.fundamental_forms(lumpy10, catalog["kerr"])
     grid, N = fd.grid, fd.grid.n_nodes
-    g, dg = node_major(fd.jets)
+    g, dg = node_major(catalog["kerr"].jets(fd.points))
     T, Gam = fd.tangents.transpose(2, 0, 1), christoffel_node_major(np.linalg.inv(g), dg)
     hinv = node_major_form(fd.induced_metric_inv)
     E = np.einsum("nab,nij,nbj->nai", hinv, g, T)
@@ -768,7 +769,7 @@ def test_verify_computes_christoffel_once_per_record(monkeypatch):
 @pytest.mark.parametrize("ambient", [None, mcat.euclidean()], ids=["none", "euclidean"])
 def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
     # g = delta and dg = 0 are known ahead of time: a flat record calls
-    # neither the jets nor the connection, yet carries the jets for
+    # neither the jets nor the connection, yet carries g, g^-1 and dg for
     # consumers, in the curved record's node-last layout
     calls = []
 
@@ -784,15 +785,32 @@ def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
     fd = surf.fundamental_forms(surf.coordinate_sphere(3.0, build_grid(8)), ambient)
     assert calls == []
     N = fd.grid.n_nodes
-    assert np.array_equal(fd.jets.g, np.broadcast_to(mcat.DELTA, (6, N)))
-    assert fd.jets.dg.shape == (3, 6, N) and not np.any(fd.jets.dg)
-    assert fd.jets.terms == ()
-    assert np.array_equal(fd.ambient_metric_inv, fd.jets.g)
+    assert np.array_equal(fd.ambient_metric, np.broadcast_to(mcat.DELTA, (6, N)))
+    assert fd.ambient_dg.shape == (3, 6, N) and not np.any(fd.ambient_dg)
+    assert np.array_equal(fd.ambient_metric_inv, fd.ambient_metric)
     assert fd.tangents.shape == (2, 3, N)
     monkeypatch.undo()
-    # the tracefree gradient reads the constant jets like a curved record's
+    # the tracefree gradient reads the constant g and dg like a curved record's
     grad = surf.tracefree_gradient(fd)[1]
     assert np.all(np.isfinite(grad)) and grad.max() < 1e-10
+
+
+@pytest.mark.parametrize("ambient", [None, "kerr"])
+def test_records_hold_values(catalog, ambient):
+    # a record keeps what its readers read, as values: arrays, numbers,
+    # the ambient tag and the grid.  The catalog's closed form (a JetBatch
+    # and its scalar _Jet terms) stays inside fundamental_forms
+    s = surf.coordinate_sphere(20.0, build_grid(16))
+    metric = catalog.get(ambient)
+    fd = surf.fundamental_forms(s, metric)
+    kinds = (np.ndarray, numbers.Number, str, sphere.SphereGrid, type(None))
+    values = {f.name: getattr(fd, f.name) for f in dataclasses.fields(fd)}
+    assert {n: type(v).__name__ for n, v in values.items() if not isinstance(v, kinds)} == {}
+    assert all(v.dtype != object for v in values.values() if isinstance(v, np.ndarray))
+    if metric is not None:
+        jets = metric.jets(s.points)
+        assert np.array_equal(fd.ambient_metric, jets.g)
+        assert np.array_equal(fd.ambient_dg, jets.dg)
 
 
 def test_flat_shortcut_matches_the_general_route(lumpy10):
