@@ -529,15 +529,13 @@ def _round_preconditioner(r: np.ndarray) -> np.ndarray:
     return _gather(out_of, z).reshape(r.shape)
 
 
-def _embedding_step(
-    grid: SphereGrid, T: np.ndarray, gradient: np.ndarray, eta: float
-) -> np.ndarray:
-    """Gauss-Newton step of `solve_embedding` at node tangents T: the
-    least-squares solution s of J s = -R as an (n_coeffs, 3) block, by
-    conjugate gradients on J^T J s = -J^T R (gradient = J^T R)
-    preconditioned by the round-sphere normal matrix.  The step is inexact:
-    conjugate gradients stop once |J^T J s + J^T R| is at most eta |J^T R|."""
-    normal, _ = _metric_linearization(grid, T)
+def _embedding_step(normal, gradient: np.ndarray, eta: float) -> np.ndarray:
+    """Gauss-Newton step of `solve_embedding` for the normal operator
+    J^T J of the iterate's `_metric_linearization`: the least-squares
+    solution s of J s = -R as an (n_coeffs, 3) block, by conjugate
+    gradients on J^T J s = -J^T R (gradient = J^T R) preconditioned by the
+    round-sphere normal matrix.  The step is inexact: conjugate gradients
+    stop once |J^T J s + J^T R| is at most eta |J^T R|."""
     return -_pcg(normal, gradient, _round_preconditioner, eta)
 
 
@@ -564,8 +562,10 @@ def solve_embedding(
     normal matrix J0^T J0 of the unit round embedding, which the
     normalized surface approaches; its azimuthal-charge blocks are probed
     through the same normal operator J^T J and factored once per band
-    limit (see `_round_inverse_blocks`).  The first step's normal matrix is
-    J0^T J0 itself, so that step is one preconditioner application.  Every
+    limit (see `_round_inverse_blocks`).  Each iterate is linearized once:
+    the transpose of its `_metric_linearization` gives the right-hand side
+    J^T R and its normal operator serves the step.  The first step's normal
+    matrix is J0^T J0 itself, so that step is one preconditioner application.  Every
     other step solves its normal equations matrix free, by conjugate
     gradients on that operator (`_embedding_step`), to the inexact-Newton
     forcing term
@@ -614,7 +614,8 @@ def solve_embedding(
                 f"(best residual {best:.3g}, target {tol:.3g})",
                 best,
             )
-        gradient = _metric_linearization(grid, T)[1](gaps, c)
+        normal, transpose = _metric_linearization(grid, T)
+        gradient = transpose(gaps, c)
         if steps == 0:
             # at the unit sphere J^T J is the normal matrix the round
             # preconditioner inverts: the exact step, with no iteration
@@ -622,7 +623,7 @@ def solve_embedding(
         else:
             # forcing term: loose far off, tight near the solution, and on
             # the last step no tighter than what lands a tenth under tol
-            step = _embedding_step(grid, T, gradient, min(_FORCING, max(rel, 0.1 * tol / rel)))
+            step = _embedding_step(normal, gradient, min(_FORCING, max(rel, 0.1 * tol / rel)))
         t = 1.0
         for _ in range(15):
             trial = c + t * step

@@ -255,7 +255,8 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class MassReport:
-    """Mass table plus enough metadata to reproduce it."""
+    """Mass table plus enough metadata to reproduce it.  adm_reference is
+    the study's one ADM reference; every row's cell reads it from here."""
 
     config: StudyConfig
     rows: tuple
@@ -276,15 +277,12 @@ class MassReport:
     def _row_values(self, row) -> dict:
         """The cells of one row by column, in CSV_COLUMNS order; flags a list."""
         values = dict.fromkeys(CSV_COLUMNS)
+        values.update(r=row.r_label, adm_reference=self.adm_reference)
         if isinstance(row, RowFailure):
-            values.update(
-                r=row.r_label, adm_reference=self.adm_reference,
-                flags=[f"row-failed:{row.error}"],
-            )
+            values["flags"] = [f"row-failed:{row.error}"]
         else:
             values.update(
-                r=row.r_label, area=row.area, hawking=row.hawking,
-                brown_york=row.brown_york, adm_reference=row.adm_reference,
+                area=row.area, hawking=row.hawking, brown_york=row.brown_york,
                 embed_residual=row.embed_residual, flags=list(row.flags),
             )
         return values
@@ -397,7 +395,8 @@ class VerifyCheck:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    config: StudyConfig
+    """The verify table: its checks in run_verify's order."""
+
     checks: tuple
 
     @property
@@ -536,4 +535,4 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
             note=(victim.note + "; " if victim.note else "") + "injected failure",
         )
 
-    return VerifyReport(config=config, checks=tuple(checks))
+    return VerifyReport(checks=tuple(checks))

@@ -16,7 +16,9 @@ order in it.
 assemble_mass_row degrades a row instead of raising when the embedding
 leg ends in a SolverError (see nearlyround.errors): the Hawking value
 stays, Brown-York is absent and the row is flagged with the error class.
-Bad input (ConfigError) and defects of the program propagate.
+Bad input (ConfigError) and defects of the program propagate.  A row
+holds the masses of its surface alone; the ADM reference they approach
+is the study's, kept once on its report (harness.MassReport).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 from .metrics import euclidean
 from .surfaces import (
     FundamentalData,
@@ -103,7 +105,7 @@ def brown_york_mass(fd: FundamentalData, e: IsometricEmbedding) -> float:
 
 @dataclass(frozen=True)
 class MassValues:
-    """One row of a mass study: a surface, its masses, and the reference.
+    """One row of a mass study: a surface and its masses.
 
     brown_york and embed_residual are None when the embedding step failed;
     the failure kind is then recorded in flags.  area must be positive and
@@ -114,14 +116,13 @@ class MassValues:
     area: float
     hawking: float
     brown_york: float | None
-    adm_reference: float
     embed_residual: float | None = None
     flags: tuple = ()
 
     def __post_init__(self):
         if not (self.area > 0.0):
             raise ValueError(f"area must be positive, got {self.area}")
-        present = [self.r_label, self.area, self.hawking, self.adm_reference]
+        present = [self.r_label, self.area, self.hawking]
         if self.brown_york is not None:
             present.append(self.brown_york)
         if self.embed_residual is not None:
@@ -134,7 +135,6 @@ def assemble_mass_row(
     s: Immersion,
     ambient,
     *,
-    adm_reference: float | None = None,
     r_label: float | None = None,
     tol: float = 1e-8,
 ) -> MassValues:
@@ -148,20 +148,13 @@ def assemble_mass_row(
     record with |K r0^2 - 1| > 1/2, so brown_york_mass finds K > 0.
 
     ambient None means the flat background, as for fundamental_forms.
-    adm_reference defaults to the ambient's known mass; r_label defaults
-    to the best-fit sphere radius of the Euclidean shape.
+    r_label defaults to the best-fit sphere radius of the Euclidean shape.
     """
     ambient = euclidean() if ambient is None else ambient
     fd = fundamental_forms(s, ambient)
     if r_label is None:
         flat = fd if fd.ambient == "euclidean" else fundamental_forms(s)
         r_label = best_fit_sphere(flat).radius
-    if adm_reference is None:
-        if ambient.known_mass is None:
-            raise ConfigError(
-                "ambient metric has no known mass; pass adm_reference explicitly"
-            )
-        adm_reference = float(ambient.known_mass)
 
     hawking = hawking_mass(fd)
 
@@ -181,7 +174,6 @@ def assemble_mass_row(
         area=fd.area,
         hawking=hawking,
         brown_york=brown_york,
-        adm_reference=adm_reference,
         embed_residual=residual,
         flags=flags,
     )

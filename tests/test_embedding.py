@@ -171,6 +171,11 @@ def library_gradient(grid, T, gaps, c):
     return emb._metric_linearization(grid, T)[1](gaps, c)
 
 
+def library_normal(grid, T):
+    """The normal operator J^T J of the library's linearization at T."""
+    return emb._metric_linearization(grid, T)[0]
+
+
 def dense_embedding_step(grid, T, gradient):
     """Gauss-Newton step by Cholesky of the dense J^T J at tangent rows T,
     for the gradient J^T R given as a (K, 3) block."""
@@ -400,7 +405,7 @@ def test_embedding_step_matches_dense_oracle(L, case):
     T, gaps, c, R = embedding_state(grid, h, np.exp(u) * unit_rows(grid))
     J = dense_metric_jacobian(grid, T)
     dense = dense_embedding_step(grid, T, (J.T @ R).reshape(3, -1).T)
-    step = emb._embedding_step(grid, T, library_gradient(grid, T, gaps, c), 1e-12)
+    step = emb._embedding_step(library_normal(grid, T), library_gradient(grid, T, gaps, c), 1e-12)
     assert np.max(np.abs(dense)) > 1e-3
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -420,7 +425,7 @@ def test_inexact_embedding_step_meets_its_forcing_term(L, case):
     gradient = J.T @ R
     library = library_gradient(grid, T, gaps, c).T.ravel()
     assert np.linalg.norm(library - gradient) <= 1e-12 * np.linalg.norm(gradient)
-    step = emb._embedding_step(grid, T, library_gradient(grid, T, gaps, c), eta)
+    step = emb._embedding_step(library_normal(grid, T), library_gradient(grid, T, gaps, c), eta)
     s = step.T.ravel()  # the dense Jacobian's columns are component-major
     assert np.linalg.norm(J.T @ (J @ s) + gradient) <= eta * np.linalg.norm(gradient)
     assert np.linalg.norm(step) > 0.0
@@ -703,6 +708,39 @@ def test_lumpy_study_conjugate_gradient_work_is_pinned():
         ), threads
 
 
+@pytest.mark.parametrize("study", ["lumpy-m2", "lumpy-m3", "kerr"])
+def test_warm_study_linearizes_each_iterate_once(monkeypatch, study):
+    # the benchmark's lumpy L=32 and Kerr L=24 workloads: each Gauss-Newton
+    # iterate builds one _metric_linearization, whose transpose gives the
+    # right-hand side and whose normal operator the step, so a warm study
+    # (the round preconditioner's own build is cached per L) builds as many
+    # as it takes steps.  Building the step's operator again took 9, 9 and 5
+    lumpy = dict(metric="schwarzschild_standard m=1", family="radial-perturbed", l=3,
+                 amplitude=0.1, decay=1.0, band_limit=32)
+    fields = {
+        "lumpy-m2": dict(lumpy, m_order=2),
+        "lumpy-m3": dict(lumpy, m_order=3),
+        "kerr": dict(metric="kerr_slice m=1 a=0.5", family="coordinate-spheres", band_limit=24),
+    }[study]
+    cfg = nr.StudyConfig(schedule=(20.0, 40.0, 80.0), **fields)
+    nr.run_masses(cfg)
+    linearize, embed, builds, steps = emb._metric_linearization, mass.embed, [], []
+
+    def linearization(grid, T):
+        builds.append(grid.L)
+        return linearize(grid, T)
+
+    def counted_embed(fd, **kwargs):
+        e = embed(fd, **kwargs)
+        steps.append(e.steps)
+        return e
+
+    monkeypatch.setattr(emb, "_metric_linearization", linearization)
+    monkeypatch.setattr(mass, "embed", counted_embed)
+    assert all(not row.flags for row in nr.run_masses(cfg).rows)
+    assert len(builds) == sum(steps) == {"lumpy-m2": 6, "lumpy-m3": 6, "kerr": 4}[study]
+
+
 def test_solve_embedding_reports_nonconvergence(g16, monkeypatch):
     monkeypatch.setattr(emb, "_EMBED_MAX_ITER", 0)
     with pytest.raises(emb.EmbeddingError) as info:
@@ -852,7 +890,7 @@ def test_round_step_is_the_conjugate_gradient_solve(L):
     # both steps move by cond(J^T J) eps, 9e-11 at L = 32.)
     grid, T, gradient, _ = unit_sphere_state(L)
     step = -emb._round_preconditioner(gradient)
-    solved = emb._embedding_step(grid, T, gradient, 1e-12)
+    solved = emb._embedding_step(library_normal(grid, T), gradient, 1e-12)
     assert np.max(np.abs(solved)) > 1e-3
     assert np.linalg.norm(step - solved) <= 1e-12 * np.linalg.norm(solved)
 
@@ -882,8 +920,17 @@ def test_matrix_free_steps_off_regime_match_dense_oracle(monkeypatch):
     for row in rows:
         assert row.flags == ()
         assert row.embed_residual <= cfg.tol
+    # the step solves at the iterate last linearized
+    linearize, linearized = emb._metric_linearization, []
+
+    def linearization(grid, T):
+        linearized.append((grid, T))
+        return linearize(grid, T)
+
+    monkeypatch.setattr(emb, "_metric_linearization", linearization)
     monkeypatch.setattr(
-        emb, "_embedding_step", lambda grid, T, gradient, eta: dense_embedding_step(grid, T, gradient)
+        emb, "_embedding_step",
+        lambda normal, gradient, eta: dense_embedding_step(*linearized[-1], gradient),
     )
     dense_rows = nr.run_masses(cfg).rows
     for row, dense in zip(rows, dense_rows):

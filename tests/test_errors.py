@@ -113,13 +113,11 @@ def test_masses_row_keeps_hawking_on_solver_error(monkeypatch):
 
 
 def test_verify_exit_code_prefers_a_measured_failure():
-    cfg = nr.StudyConfig(**SMALL)
-
     def check(passed, computed=True):
         return nr.VerifyCheck("c", 0.0 if passed else np.inf, 1.0, passed, computed=computed)
 
     def code(*checks):
-        return nr.VerifyReport(cfg, checks).exit_code
+        return nr.VerifyReport(checks).exit_code
 
     assert code(check(True), check(True)) == 0
     assert code(check(True), check(False, computed=False)) == 3

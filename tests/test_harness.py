@@ -1218,8 +1218,8 @@ SCALE_CASES = {
 }
 
 
-def scaled_rows(case, lam):
-    """The run_masses rows of a scale case with (m, a, r) -> lam (m, a, r);
+def scaled_report(case, lam):
+    """The run_masses report of a scale case with (m, a, r) -> lam (m, a, r);
     the bump amplitude takes lam^decay, so each surface is the scaled one."""
     spec, bump = SCALE_CASES[case]
     bump = dict(bump, amplitude=bump["amplitude"] * lam ** bump["decay"]) if bump else {}
@@ -1227,7 +1227,7 @@ def scaled_rows(case, lam):
         metric=spec.format(m=1.0 * lam, a=0.5 * lam),
         schedule=tuple(lam * r for r in (20.0, 40.0, 80.0)), band_limit=16, **bump,
     )
-    return cfg.tol, harness.run_masses(cfg).rows
+    return cfg.tol, harness.run_masses(cfg)
 
 
 @pytest.mark.parametrize("case", sorted(SCALE_CASES))
@@ -1238,19 +1238,19 @@ def test_masses_scale_with_the_metric(case):
     # lam = 3 and 0.1 they agree to roundoff.  The embedding residual is
     # the solver's stopping point, not a scaled quantity: off lam = 2 it
     # is only held to the tolerance.
-    tol, base = scaled_rows(case, 1.0)
+    tol, base = scaled_report(case, 1.0)
 
-    def unscaled(row, lam):
+    def unscaled(report, row, lam):
         return (
             row.r_label / lam, row.area / lam**2, row.hawking / lam,
-            row.brown_york / lam, row.adm_reference / lam,
+            row.brown_york / lam, report.adm_reference / lam,
         )
 
     for lam in (2.0, 3.0, 0.1):
-        _, rows = scaled_rows(case, lam)
-        for row, want in zip(rows, base, strict=True):
+        _, report = scaled_report(case, lam)
+        for row, want in zip(report.rows, base.rows, strict=True):
             assert row.flags == want.flags == ()
-            got, exact = unscaled(row, lam), unscaled(want, 1.0)
+            got, exact = unscaled(report, row, lam), unscaled(base, want, 1.0)
             if lam == 2.0:
                 assert got == exact and row.embed_residual == want.embed_residual, row.r_label
             else:

@@ -16,7 +16,6 @@ Closed-form oracles, worked out independently of the implementation:
   m_BY = R - sqrt(R (R - 2m)) = m + m^2 / (2r).
 """
 
-import copy
 import math
 import sys
 
@@ -140,7 +139,6 @@ def test_hawking_kerr_far_sphere(g16, metrics):
 def test_assemble_row_isotropic(g16, metrics):
     row = nr.assemble_mass_row(nr.coordinate_sphere(20.0, g16), metrics["iso"])
     assert row.flags == ()
-    assert row.adm_reference == 1.0
     assert abs(row.hawking - 1.0) <= 1e-12
     assert abs(row.brown_york - isotropic_brown_york(20.0, 1.0)) <= 1e-12
     assert row.embed_residual <= 1e-10
@@ -151,7 +149,6 @@ def test_assemble_row_isotropic(g16, metrics):
 
 def test_assemble_row_euclidean_zeroes(g16, metrics):
     row = nr.assemble_mass_row(nr.coordinate_sphere(3.0, g16), metrics["euclidean"])
-    assert row.adm_reference == 0.0
     assert abs(row.hawking) <= 1e-13
     assert abs(row.brown_york) <= 1e-13
     assert row.flags == ()
@@ -321,36 +318,24 @@ def test_brown_york_error_is_second_order_in_the_embedding_residual(family, L):
 
 def test_mass_values_validation():
     with pytest.raises(ValueError, match="area"):
-        nr.MassValues(r_label=1.0, area=-1.0, hawking=0.0, brown_york=None, adm_reference=0.0)
+        nr.MassValues(r_label=1.0, area=-1.0, hawking=0.0, brown_york=None)
     with pytest.raises(ValueError, match="finite"):
-        nr.MassValues(
-            r_label=1.0, area=1.0, hawking=float("nan"), brown_york=None, adm_reference=0.0
-        )
+        nr.MassValues(r_label=1.0, area=1.0, hawking=float("nan"), brown_york=None)
     row = nr.MassValues(
-        r_label=1.0, area=1.0, hawking=0.0, brown_york=None, adm_reference=0.0,
+        r_label=1.0, area=1.0, hawking=0.0, brown_york=None,
         flags=("embedding-failed:EmbeddingError",),
     )
     assert row.brown_york is None
 
 
-def test_assemble_row_requires_mass_reference(g16, metrics):
-    anonymous = copy.copy(metrics["euclidean"])
-    anonymous.known_mass = None
-    s = nr.coordinate_sphere(3.0, g16)
-    with pytest.raises(ValueError, match="known mass"):
-        nr.assemble_mass_row(s, anonymous)
-    row = nr.assemble_mass_row(s, anonymous, adm_reference=0.0)
-    assert row.adm_reference == 0.0
-
-
 def test_assemble_row_reads_none_as_the_flat_ambient(g16, metrics):
     # None is fundamental_forms' spelling of the flat ambient, and the row
-    # takes it the same way, with the flat ambient's known mass
+    # takes it the same way
     bump = nr.synthesize(g16, np.eye(g16.n_coeffs)[nr.coeff_index(2, 1)])
     s = nr.immerse_radial(5.0 * (1.0 + 0.02 * bump), g16)
     row = nr.assemble_mass_row(s, None)
     assert row == nr.assemble_mass_row(s, metrics["euclidean"])
-    assert row.brown_york is not None and row.adm_reference == 0.0
+    assert row.brown_york is not None
 
 
 @pytest.mark.parametrize("family", ["coordinate-spheres", "radial-perturbed"])
