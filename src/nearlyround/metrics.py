@@ -187,11 +187,12 @@ class _Jet:
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return _Jet(other * self.v, other * self.d, other * self.h)
-        cross = self.d[:, None] * other.d  # [i, j] = d_i self d_j other
+        # the cross term d_i self d_j other + d_j self d_i other, packed
         return _Jet(
             self.v * other.v,
             self.d * other.v + self.v * other.d,
-            self.h * other.v + self.v * other.h + cross[_PI, _PJ] + cross[_PJ, _PI],
+            self.h * other.v + self.v * other.h
+            + self.d[_PI] * other.d[_PJ] + self.d[_PJ] * other.d[_PI],
         )
 
     __rmul__ = __mul__
@@ -412,8 +413,9 @@ def parse_metric(text: str) -> AFMetric:
     """Build a catalog metric from its text form, e.g. ``kerr_slice m=1 a=0.5``.
 
     The family names its constructor in _FACTORIES, whose signature is the
-    grammar: each key is a parameter, converted by its annotation (int or
-    float) and finite; a parameter without a default must be given.
+    grammar: each key is a parameter, given once, converted by its
+    annotation (int or float) and finite; a parameter without a default
+    must be given.
     """
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -430,6 +432,8 @@ def parse_metric(text: str) -> AFMetric:
         key, val = tok.split("=", 1)
         if key not in grammar:
             raise ConfigError(f"unknown parameter {key!r} for family {family!r}")
+        if key in params:
+            raise ConfigError(f"parameter {key!r} given twice")
         try:
             params[key] = int(val) if grammar[key].annotation == "int" else float(val)
         except ValueError as exc:
@@ -578,9 +582,9 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
     """Extrapolate mass fluxes against c0 + c1 r^-p with p fitted.
 
     fluxes[k] is the mass flux through the surface of radius radii[k]
-    (surfaces.mass_flux).  Needs at least three strictly increasing radii,
-    each with a finite square (the flux carries r^2), and one flux per
-    radius; p comes from a golden-section search on [0.25, 4] to 1e-13.  A
+    (surfaces.mass_flux).  Needs at least three strictly increasing positive
+    radii, each with a finite square (the flux carries r^2), and one finite
+    flux per radius; p comes from a golden-section search on [0.25, 4] to 1e-13.  A
     constant flux fits every p, so it has no rate: rate is nan and the
     coefficient 0.  Warns when the flux tail is not settling monotonically.
     """
@@ -590,8 +594,10 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
         raise ConfigError("need at least three radii to fit the flux model")
     if len(fluxes) != len(radii):
         raise ConfigError(f"{len(fluxes)} fluxes for {len(radii)} radii")
-    if not all(np.isfinite(r * r) for r in radii):
-        raise ConfigError(f"radii and their squares must be finite: {radii}")
+    if not all(r > 0.0 and np.isfinite(r * r) for r in radii):
+        raise ConfigError(f"radii must be positive with finite squares: {radii}")
+    if not np.all(np.isfinite(fluxes)):
+        raise ConfigError(f"fluxes must be finite: {fluxes}")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing")
     diffs = np.diff(fluxes)

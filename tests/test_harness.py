@@ -596,6 +596,7 @@ def test_cli_config_file_with_override(tmp_path, capsys):
 
 def test_cli_exit_code_config_errors(tmp_path, capsys):
     assert main(["masses", "--metric", "wormhole m=1"]) == 2
+    assert main(["masses", "--metric", "kerr_slice m=1 a=0.5 a=0.9"]) == 2
     assert main(["masses", "--config", str(tmp_path / "missing.cfg")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus_key = 1\n")

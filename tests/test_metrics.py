@@ -500,6 +500,9 @@ def test_parse_metric_grammar():
         M.parse_metric("conformal_perturbed l=2")
     with pytest.raises(M.ConfigError, match="parameter 'm_order'"):
         M.parse_metric("conformal_perturbed m=1 eps=0.1 m_order=0.5")
+    # a repeated parameter is refused, not read as its last value
+    with pytest.raises(M.ConfigError, match="parameter 'a' given twice"):
+        M.parse_metric("kerr_slice m=1 a=0.5 a=0.9")
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +801,20 @@ def test_adm_mass_constant_flux_has_no_rate(flux):
 def test_adm_mass_rejects_radii_whose_square_overflows():
     with pytest.raises(ValueError):
         M.adm_mass([10.0, 20.0, 1e200], [1.2, 1.1, 1.0])
+
+
+@pytest.mark.parametrize("radii", [(0.0, 1.0, 2.0), (-2.0, 1.0, 2.0), (-3.0, -2.0, -1.0)])
+def test_adm_mass_rejects_radii_that_are_not_positive(radii):
+    # r^-p has no value at r <= 0: refused, not an SVD that does not converge
+    with pytest.raises(M.ConfigError, match="positive"):
+        M.adm_mass(radii, [1.2, 1.1, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adm_mass_rejects_fluxes_that_are_not_finite(bad):
+    # refused, not a nan value at the end of the rate bracket
+    with pytest.raises(M.ConfigError, match="finite"):
+        M.adm_mass([20.0, 40.0, 80.0], [1.2, bad, 1.0])
 
 
 def test_jets_overflow_is_a_solver_error_without_warnings():
