@@ -396,13 +396,17 @@ def test_run_verify_kerr_passes_at_l64():
     [
         ("kerr_slice m=1 a=0.5", 48),
         ("schwarzschild_standard m=1", 48),
+        ("schwarzschild_standard m=1", 56),
         ("schwarzschild_standard m=1", 64),
         ("schwarzschild_isotropic m=1", 48),
+        ("schwarzschild_isotropic m=1", 56),
         ("schwarzschild_isotropic m=1", 64),
     ],
 )
 def test_run_verify_passes_at_high_band_limits(metric, L):
-    # Kerr at L=64 is test_run_verify_kerr_passes_at_l64
+    # Kerr at L=64 is test_run_verify_kerr_passes_at_l64.  With leggauss's
+    # weights both Schwarzschild charts failed at L=56 (roundness-flags:
+    # tracefree_constant)
     cfg = nr.StudyConfig(metric=metric, schedule=(20.0, 40.0, 80.0), band_limit=L)
     report = nr.run_verify(cfg)
     assert [c.name for c in report.checks if not c.passed] == []

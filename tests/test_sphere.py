@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +154,47 @@ def test_grid_shape_and_weight_sum():
     assert grid.shape == (9, 18)
     assert grid.n_nodes == 9 * 18
     assert abs(grid.weights.sum() - 4 * np.pi) <= 1e-13
+
+
+def gauss_legendre_weights(n):
+    """The n Gauss-Legendre weights as mpmath numbers, nodes descending, in
+    the caller's precision: one Newton step on P_n from the float nodes,
+    which are within an ulp, then 2 / ((1 - x^2) P_n'(x)^2).  The rule is
+    symmetric, so the northern half is computed and mirrored."""
+
+    def legendre(x):
+        p, q = mpmath.mpf(1), x
+        for k in range(1, n):
+            p, q = q, ((2 * k + 1) * x * q - k * p) / (k + 1)
+        return q, n * (x * q - p) / (x * x - 1)
+
+    north = []
+    for start in -np.polynomial.legendre.leggauss(n)[0][: (n + 1) // 2]:
+        x = mpmath.mpf(float(start))
+        value, slope = legendre(x)
+        x -= value / slope
+        north.append(2 / ((1 - x * x) * legendre(x)[1] ** 2))
+    return north + north[: n // 2][::-1]
+
+
+def test_gauss_legendre_weights_beat_leggauss():
+    # the grid's weights against a 40-digit rule, worst relative error in
+    # eps, at each band limit against the grid built on leggauss's weights.
+    # Measured: 7 / 73 / 210 / 201 / 71 / 620 / 1,136 eps against
+    # 65 / 207 / 2,545 / 7,212 / 1,227 / 17,439 / 56,894
+    eps = np.finfo(float).eps
+    for L in (16, 32, 48, 56, 64, 96, 128):
+        phi_weight = 2.0 * np.pi / (2 * L + 2)
+        with mpmath.workdps(40):
+            exact = [w * 2 * mpmath.pi / (2 * L + 2) for w in gauss_legendre_weights(L + 1)]
+
+            def error(weights):
+                return float(max(abs(w / e - 1) for w, e in zip(weights, exact))) / eps
+
+            ours = error(build_grid(L).weights[:, 0])
+            theirs = error(np.polynomial.legendre.leggauss(L + 1)[1][::-1] * phi_weight)
+        assert ours < theirs, (L, ours, theirs)
+        assert ours <= 1500.0, (L, ours)
 
 
 @pytest.mark.parametrize("L", [1, 2, 8, 33])
