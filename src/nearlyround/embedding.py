@@ -565,10 +565,10 @@ def solve_embedding(
     limit (see `_round_inverse_blocks`).  Each iterate is linearized once:
     the transpose of its `_metric_linearization` gives the right-hand side
     J^T R and its normal operator serves the step.  The first step's normal
-    matrix is J0^T J0 itself, so that step is one preconditioner application.  Every
-    other step solves its normal equations matrix free, by conjugate
-    gradients on that operator (`_embedding_step`), to the inexact-Newton
-    forcing term
+    matrix is J0^T J0 itself, so that step is one preconditioner
+    application.  Every other step solves its normal equations matrix
+    free, by conjugate gradients on that operator (`_embedding_step`), to
+    the inexact-Newton forcing term
     eta = min(_FORCING, max(rel, 0.1 tol / rel)) relative to the
     right-hand side, where rel is the current metric residual: loose while
     the iterate is far and tight near the solution (Dembo, Eisenstat &

@@ -582,11 +582,12 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
     """Extrapolate mass fluxes against c0 + c1 r^-p with p fitted.
 
     fluxes[k] is the mass flux through the surface of radius radii[k]
-    (surfaces.mass_flux).  Needs at least three strictly increasing positive
-    radii, each with a finite square (the flux carries r^2), and one finite
-    flux per radius; p comes from a golden-section search on [0.25, 4] to 1e-13.  A
-    constant flux fits every p, so it has no rate: rate is nan and the
-    coefficient 0.  Warns when the flux tail is not settling monotonically.
+    (surfaces.mass_flux).  Needs at least three strictly increasing
+    positive radii, each with a finite square (the flux carries r^2), and
+    one finite flux per radius; p comes from a golden-section search on
+    [0.25, 4] to 1e-13.  A constant flux fits every p, so it has no rate:
+    rate is nan and the coefficient 0.  Warns when the flux tail is not
+    settling monotonically.
     """
     radii = tuple(float(r) for r in radii)
     fluxes = tuple(float(f) for f in fluxes)

@@ -714,7 +714,7 @@ def test_warm_study_linearizes_each_iterate_once(monkeypatch, study):
     # iterate builds one _metric_linearization, whose transpose gives the
     # right-hand side and whose normal operator the step, so a warm study
     # (the round preconditioner's own build is cached per L) builds as many
-    # as it takes steps.  Building the step's operator again took 9, 9 and 5
+    # as it takes steps
     lumpy = dict(metric="schwarzschild_standard m=1", family="radial-perturbed", l=3,
                  amplitude=0.1, decay=1.0, band_limit=32)
     fields = {

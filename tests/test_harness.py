@@ -404,9 +404,9 @@ def test_run_verify_kerr_passes_at_l64():
     ],
 )
 def test_run_verify_passes_at_high_band_limits(metric, L):
-    # Kerr at L=64 is test_run_verify_kerr_passes_at_l64.  With leggauss's
-    # weights both Schwarzschild charts failed at L=56 (roundness-flags:
-    # tracefree_constant)
+    # Kerr at L=64 is test_run_verify_kerr_passes_at_l64.  At L=56 the
+    # roundness flag reads the tracefree roundoff, which the Gauss-Legendre
+    # weights' accuracy sets
     cfg = nr.StudyConfig(metric=metric, schedule=(20.0, 40.0, 80.0), band_limit=L)
     report = nr.run_verify(cfg)
     assert [c.name for c in report.checks if not c.passed] == []

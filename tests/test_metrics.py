@@ -500,7 +500,7 @@ def test_parse_metric_grammar():
         M.parse_metric("conformal_perturbed l=2")
     with pytest.raises(M.ConfigError, match="parameter 'm_order'"):
         M.parse_metric("conformal_perturbed m=1 eps=0.1 m_order=0.5")
-    # a repeated parameter is refused, not read as its last value
+    # a repeated parameter is refused
     with pytest.raises(M.ConfigError, match="parameter 'a' given twice"):
         M.parse_metric("kerr_slice m=1 a=0.5 a=0.9")
 
@@ -805,14 +805,13 @@ def test_adm_mass_rejects_radii_whose_square_overflows():
 
 @pytest.mark.parametrize("radii", [(0.0, 1.0, 2.0), (-2.0, 1.0, 2.0), (-3.0, -2.0, -1.0)])
 def test_adm_mass_rejects_radii_that_are_not_positive(radii):
-    # r^-p has no value at r <= 0: refused, not an SVD that does not converge
+    # the model r^-p has no value at r <= 0
     with pytest.raises(M.ConfigError, match="positive"):
         M.adm_mass(radii, [1.2, 1.1, 1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adm_mass_rejects_fluxes_that_are_not_finite(bad):
-    # refused, not a nan value at the end of the rate bracket
     with pytest.raises(M.ConfigError, match="finite"):
         M.adm_mass([20.0, 40.0, 80.0], [1.2, bad, 1.0])
 
