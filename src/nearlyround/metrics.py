@@ -19,8 +19,10 @@ sigma_ij with |sigma| + r|d sigma| + r^2|dd sigma| = O(r^-tau).  Families:
 Every family has the form g = B I + F x (x) x + E w (x) w with w = (-y, x, 0)
 and closed-form scalars B, F, E; their exact jets come from product-rule
 arithmetic, and one assembly turns them into (g, dg) and the closed form's
-terms.  Finite differences and symbolic derivations appear only in the
-test suite as independent oracles.
+terms.  No scalar is formed as a difference of nearly equal terms:
+Kerr's are built from the exact polynomial jets of r^2 and z^2
+(kerr_slice).  Finite differences and symbolic derivations appear only
+in the test suite as independent oracles.
 
 Layout: the node axis is last everywhere, so each per-node product runs
 its inner loop over the nodes, and a symmetric index pair is stored
@@ -90,7 +92,10 @@ class AFMetric:
 
     ``exclusion_radius`` is twice the natural singular radius of the family;
     jet evaluation raises PointInsideExclusionRadius inside it, and
-    NonFiniteJets where an entry overflows (the Kerr jets carry r^6).
+    NonFiniteJets where an entry overflows.  Every family's jets are finite
+    up to the largest radius a study accepts (harness.MAX_RADIUS, about
+    1.16e77); Kerr's, whose highest power of r is r^2, overflow from about
+    r = 1.3e154, where r^2 does.
     """
 
     def __init__(self, family, params, tau, exclusion_radius, jet_fn, known_mass):
@@ -103,7 +108,9 @@ class AFMetric:
 
     def jets(self, points: np.ndarray) -> JetBatch:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        radii = np.linalg.norm(points, axis=1)
+        # hypot scales its arguments: a radius stays finite, with no overflow
+        # warning, where its square overflows
+        radii = np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
         if np.any(radii <= self.exclusion_radius):
             raise PointInsideExclusionRadius(
                 f"{self.family}: point at radius {radii.min():.6g} inside "
@@ -184,6 +191,9 @@ class _Jet:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return other + (-self)
+
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return _Jet(other * self.v, other * self.d, other * self.h)
@@ -206,7 +216,8 @@ class _Jet:
     def __pow__(self, p):
         d1 = p * self.v ** (p - 1.0)
         d2 = p * (p - 1.0) * self.v ** (p - 2.0)
-        # (d2 d_i) d_j, not d2 (d_i d_j): Kerr jets at r >= 1e40 sit near overflow
+        # (d2 d_i) d_j, not d2 (d_i d_j): on a jet of r^2, d_i d_j = 4 x_i x_j
+        # overflows before r^2 does
         return _Jet(self.v**p, d1 * self.d, d1 * self.h + (d2 * self.d)[_PI] * self.d[_PJ])
 
 
@@ -219,6 +230,24 @@ def _coordinates(points):
     r = np.linalg.norm(points, axis=1)
     nhat = np.ascontiguousarray(points.T) / r
     return x, y, z, _Jet(r, nhat, (eye[_PI, _PJ][:, None] - nhat[_PI] * nhat[_PJ]) / r)
+
+
+# the constant Hessians of r^2 and z^2, packed: 2 delta and 2 e_z e_z
+_HESS_R2 = 2.0 * DELTA
+_HESS_Z2 = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [2.0]])
+
+
+def _squares(points):
+    """Jets of r^2 = x.x and of z^2, built exactly as the polynomials they
+    are: gradients 2x and 2z e_z, constant Hessians."""
+    n = len(points)
+    xt = np.ascontiguousarray(points.T)
+    dz2 = np.zeros((3, n))
+    dz2[2] = 2.0 * xt[2]
+    return (
+        _Jet(np.einsum("in,in->n", xt, xt), 2.0 * xt, np.broadcast_to(_HESS_R2, (6, n))),
+        _Jet(xt[2] * xt[2], dz2, np.broadcast_to(_HESS_Z2, (6, n))),
+    )
 
 
 def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
@@ -380,21 +409,28 @@ def kerr_slice(m: float, a: float) -> AFMetric:
     A = Sigma/Delta, B = Sigma/r^2, E = a^2 (Sigma + 2 m r)/(Sigma r^4),
     w = (-y, x, 0); every scalar is smooth away from the excluded ball,
     poles included.
+
+    The jets use forms that cancel nothing and hold no power of r above
+    r^2: with q = 2m/r - a^2/r^2 and D = Delta/r^2 = 1 - q,
+    B = 1 + a^2 z^2/r^4, F = (A - B)/r^2 = B q/(D r^2) and
+    E = a^2 (1 + 2m/(r B))/r^4.
     """
     if m <= 0:
         raise ConfigError("mass must be positive")
     if abs(a) >= m:
         raise ConfigError("need |a| < m for a regular horizon")
     r_plus = m + np.sqrt(m * m - a * a)
+    a2, two_m = a * a, 2.0 * m
 
     def jets(points):
-        x, y, z, r = _coordinates(points)
-        r2 = x * x + y * y + z * z
-        Sigma = r2 + a * a * z * z / r2
-        Delta = r2 - 2.0 * m * r + a * a
-        B = Sigma / r2
-        F = (Sigma / Delta - B) / r2
-        E = a * a * (Sigma + 2.0 * m * r) / (Sigma * r2 * r2)
+        r2, z2 = _squares(points)
+        inv2 = r2**-1.0
+        inv4 = inv2 * inv2
+        inv1 = r2**-0.5
+        B = 1.0 + a2 * (z2 * inv4)
+        q = two_m * inv1 - a2 * inv2
+        F = (B * q) * (1.0 - q) ** -1.0 * inv2
+        E = a2 * ((1.0 + two_m * (inv1 / B)) * inv4)
         return _assemble(points, B, F, E)
 
     return AFMetric("kerr_slice", {"m": m, "a": a}, 1.0, 2.0 * r_plus, jets, m)

@@ -23,7 +23,7 @@ import nearlyround as nr
 from nearlyround import harness
 from nearlyround.cli import main
 from nearlyround.harness import family_surfaces
-from nearlyround.metrics import parse_metric
+from nearlyround.metrics import NonFiniteJets, parse_metric
 
 
 def schwarzschild_brown_york(r, m):
@@ -700,38 +700,57 @@ def test_cli_names_a_missing_metric_parameter(command):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_masses_row_fails_where_metric_jets_overflow():
-    # r = 1e70 passes the radius rule, but the Kerr jets carry r^6: that row
-    # fails by name and the others stand
-    proc = _cli("masses", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e70",
-                "--band-limit", "8")
-    assert proc.returncode == 3, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
+def _jets_overflow_beyond(monkeypatch, radius):
+    """Make every metric's jets raise NonFiniteJets at points beyond
+    `radius`, as jets that overflow a float there would: no catalog family
+    overflows below the largest radius a study accepts."""
+    jets = nr.AFMetric.jets
+
+    def overflowing(self, points):
+        top = float(np.max(np.linalg.norm(np.atleast_2d(points), axis=1)))
+        if top > radius:
+            raise NonFiniteJets(f"{self.family}: metric jets overflow at radius up to {top:.6g}")
+        return jets(self, points)
+
+    monkeypatch.setattr(nr.AFMetric, "jets", overflowing)
+
+
+def test_cli_masses_row_fails_where_metric_jets_overflow(monkeypatch, capsys):
+    # the r = 40 member's jets overflow: that row fails by name and the
+    # others stand
+    _jets_overflow_beyond(monkeypatch, 30.0)
+    code = main(["masses", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,40",
+                 "--band-limit", "8"])
+    out, err = capsys.readouterr()
+    assert code == 3, err
+    rows = out.splitlines()[1:]
     assert [row.split(",")[-1] for row in rows[:2]] == ["", ""]
-    assert rows[2].startswith("1e+70,") and "row-failed:NonFiniteJets" in rows[2]
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert rows[2].startswith("40.0,") and "row-failed:NonFiniteJets" in rows[2]
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
-def test_cli_verify_table_survives_a_member_whose_jets_overflow():
-    # the r = 1e70 member's records fail; every check that reads it fails
+def test_cli_verify_table_survives_a_member_whose_jets_overflow(monkeypatch, capsys):
+    # the r = 40 member's records fail; every check that reads it fails
     # by name, and the table still prints with the solver-failure exit
-    proc = _cli("verify", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e70",
-                "--band-limit", "8")
-    assert proc.returncode == 3, proc.stderr
-    lines = proc.stdout.splitlines()
+    _jets_overflow_beyond(monkeypatch, 30.0)
+    code = main(["verify", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,40",
+                 "--band-limit", "8"])
+    out, err = capsys.readouterr()
+    assert code == 3, err
+    lines = out.splitlines()
     assert lines[0].startswith("check") and lines[-1] == "CHECK FAILURES PRESENT"
     checks = lines[1:-1]
     assert len(checks) == 12
     assert all("computation failed: NonFiniteJets" in line for line in checks)
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_cli_library_warnings_are_log_lines():
     # adm_mass warns of a non-monotone flux tail; the user sees one log line
     # naming the category, not a source location and a line of code
-    proc = _cli("verify", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,20,1e50",
+    proc = _cli("verify", "--metric", "kerr_slice m=1 a=0.5", "--schedule", "10,11,40",
                 "--band-limit", "8")
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         "verification sweep: kerr_slice m=1 a=0.5, coordinate-spheres",
         "warning: NonMonotoneFluxTail: flux values do not approach a limit monotonically",

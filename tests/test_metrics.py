@@ -2,6 +2,7 @@
 spheres, and the ADM extrapolation of fluxes."""
 
 import ast
+import collections
 import functools
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from jet_oracles import (
 )
 
 from nearlyround import metrics as M
+from nearlyround.harness import MAX_RADIUS
 from nearlyround.sphere import MAX_BAND_LIMIT, build_grid, coeff_index, synth_at
 from nearlyround.surfaces import coordinate_sphere, fundamental_forms, mass_flux
 
@@ -111,6 +113,59 @@ def sympy_kerr_jets(m, a, points):
         flat[:, :9].reshape(n, 3, 3),
         flat[:, 9:36].reshape(n, 3, 3, 3),
         flat[:, 36:].reshape(n, 3, 3, 3, 3),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_kerr_lambdified():
+    """The closed form of _sympy_kerr_lambdified, lambdified into mpmath.
+
+    The radius is a symbol s of its own, differentiated by the chain rule
+    d_k s = x_k / s, so every expression stays rational and the
+    derivation takes well under a second.  Returns the six packed
+    components g_ij, i <= j, their gradients (6 ij, 3 k) and their packed
+    Hessians (6 ij, 6 kl), flattened in that order.
+    """
+    import sympy as sp
+
+    x, y, z, m, a = sp.symbols("x y z m a", real=True)
+    s = sp.symbols("s", positive=True)
+    xv = (x, y, z)
+    Sigma = s**2 + a * a * z * z / s**2
+    Delta = s**2 - 2 * m * s + a * a
+    A = Sigma / Delta
+    B = Sigma / s**2
+    E = a * a * (Sigma + 2 * m * s) / (Sigma * s**4)
+    w = (-y, x, 0)
+    pairs = list(zip(M._PI, M._PJ))
+
+    def d(f, k):
+        return sp.diff(f, xv[k]) + sp.diff(f, s) * xv[k] / s
+
+    comps = [B * int(i == j) + (A - B) * xv[i] * xv[j] / s**2 + E * w[i] * w[j] for i, j in pairs]
+    grads = [d(c, k) for c in comps for k in range(3)]
+    hessians = [d(grads[3 * c + k], l) for c in range(6) for k, l in pairs]
+    return sp.lambdify((x, y, z, s, m, a), comps + grads + hessians, modules="mpmath", cse=True)
+
+
+def mpmath_kerr_jets(m, a, points, digits=40):
+    """(g, dg, ddg) of kerr_slice m a, node-major as sympy_kerr_jets gives
+    them, evaluated at `digits` significant digits and rounded once."""
+    import mpmath
+
+    f = _mpmath_kerr_lambdified()
+    with mpmath.workdps(digits):
+        vals = []
+        for p in points:
+            x, y, z = map(mpmath.mpf, p)
+            vals.append([float(v) for v in f(x, y, z, mpmath.sqrt(x * x + y * y + z * z),
+                                             mpmath.mpf(m), mpmath.mpf(a))])
+    vals = np.array(vals)
+    g, dg, hess = vals[:, :6], vals[:, 6:24].reshape(-1, 6, 3), vals[:, 24:].reshape(-1, 6, 6)
+    return (
+        g[:, M._PACK],
+        dg[:, M._PACK],
+        hess[:, M._PACK][:, :, :, M._PACK],
     )
 
 
@@ -397,6 +452,27 @@ def test_kerr_jets_match_symbolic_oracle(a):
         want = sympy_kerr_jets(1.0, a, pts)
         for field, exact in zip((*node_major(got), full_ddg(got)), want):
             assert np.max(np.abs(field - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+# the largest relative errors of g, dg and ddg against the 40-digit oracle
+# at r = 1e4 and 1e6, a = 0.5 and 0.9: about ten times the measured 2.2e-16,
+# 5.9e-16 and 1.25e-15
+KERR_ORACLE_BOUNDS = (2.2e-15, 5.9e-15, 1.3e-14)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_kerr_jets_match_the_mpmath_oracle_far_out(a):
+    # the float64 symbolic oracle itself loses 2e-12 at r = 1e4 and 2-5e-10
+    # at 1e6, so far out only a 40-digit evaluation can judge the jets
+    kerr = M.kerr_slice(1.0, a)
+    s = np.sqrt(0.5)
+    axes = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-s, s, 0]])
+    for r in (1e4, 1e6):
+        pts = np.vstack([shell_points(r, 20, seed=16), r * axes])
+        got = kerr.jets(pts)
+        want = mpmath_kerr_jets(1.0, a, pts)
+        for field, exact, bound in zip((*node_major(got), full_ddg(got)), want, KERR_ORACLE_BOUNDS):
+            assert np.max(np.abs(field - exact)) <= bound * np.max(np.abs(exact)), r
 
 
 def test_catalog_jets_need_no_sympy():
@@ -817,25 +893,91 @@ def test_adm_mass_rejects_fluxes_that_are_not_finite(bad):
 
 
 def test_jets_overflow_is_a_solver_error_without_warnings():
-    # outside the exclusion radius but where the Kerr jets (Sigma r^4 ~ r^6)
-    # overflow a float
+    # outside the exclusion radius but where the Kerr jets (r^2) overflow a
+    # float
     kerr = M.kerr_slice(1.0, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kerr.jets(np.array([[0.0, 0.0, 1e40], [1e40, 0.0, 0.0]]))
+        kerr.jets(np.array([[0.0, 0.0, 1e154], [1e154, 0.0, 0.0]]))
         with pytest.raises(M.NonFiniteJets, match="overflow"):
-            kerr.jets(np.array([[1e70, 0.0, 0.0]]))
+            kerr.jets(np.array([[1e155, 0.0, 0.0]]))
 
 
 def test_kerr_jets_first_overflow_radius():
-    # the terms' scalar jets are checked with g and dg, so NonFiniteJets
-    # fires at the first decade where it fired with the assembled ddg
+    # the terms' scalar jets are checked with g and dg; the highest power
+    # of r in the Kerr jets is r^2, which first overflows at 1e155
     kerr = M.kerr_slice(1.0, 0.5)
     grid = build_grid(8)
-    for k in range(40, 62):
+    for k in range(40, 155):
         kerr.jets(coordinate_sphere(10.0**k, grid).points)
     with pytest.raises(M.NonFiniteJets):
-        kerr.jets(coordinate_sphere(1e62, grid).points)
+        kerr.jets(coordinate_sphere(1e155, grid).points)
+
+
+def test_catalog_jets_are_finite_at_the_largest_study_radius():
+    # r = 1.15e77 lies just under harness.MAX_RADIUS, the largest radius a
+    # study accepts: no family's jets overflow or warn there
+    r = 1.15e77
+    assert r < MAX_RADIUS < 1.16e77
+    points = coordinate_sphere(r, build_grid(8)).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in ALL_FAMILIES:
+            jets = metric.jets(points)
+            arrays = [jets.g, jets.dg] + [a for S, _ in jets.terms for a in (S.v, S.d, S.h)]
+            assert all(np.all(np.isfinite(a)) for a in arrays), metric.family
+
+
+def test_jets_name_a_finite_radius_where_its_square_overflows():
+    # the square of |x| = 1e160 overflows a float; the radius is measured
+    # without a warning, and a family whose jets overflow there names it
+    points = np.array([[1e160, 0.0, 0.0], [0.0, 0.0, -1e160]])
+    raised = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in ALL_FAMILIES:
+            try:
+                metric.jets(points)
+            except M.NonFiniteJets as exc:
+                assert "radius up to 1e+160" in str(exc), exc
+                raised.append(metric.family)
+    assert "kerr_slice" in raised
+
+
+# per jets call: products of two jets, products of a jet with a number, and
+# powers, on every family of ALL_FAMILIES
+JET_WORK = {
+    "euclidean": (0, 0, 0),
+    "schwarzschild_isotropic m=1": (0, 1, 2),
+    "schwarzschild_standard m=1": (2, 1, 1),
+    "kerr_slice a=0.5 m=1": (7, 5, 4),
+    "conformal_perturbed eps=0.1 l=2 m=1 m_order=0 tau_extra=1": (9, 9, 4),
+    "conformal_perturbed eps=0.1 l=2 m=1 m_order=1 tau_extra=0.8": (10, 9, 4),
+}
+
+
+def test_catalog_jet_work_is_pinned(monkeypatch):
+    counts = collections.Counter()
+    product, power = M._Jet.__mul__, M._Jet.__pow__
+
+    def counted_product(self, other):
+        counts["jet" if isinstance(other, M._Jet) else "number"] += 1
+        return product(self, other)
+
+    def counted_power(self, p):
+        counts["power"] += 1
+        return power(self, p)
+
+    monkeypatch.setattr(M._Jet, "__mul__", counted_product)
+    monkeypatch.setattr(M._Jet, "__rmul__", counted_product)
+    monkeypatch.setattr(M._Jet, "__pow__", counted_power)
+    points = shell_points(20.0, 7, seed=23)
+    work = {}
+    for metric in ALL_FAMILIES:
+        counts.clear()
+        metric.jets(points)
+        work[metric.spec()] = (counts["jet"], counts["number"], counts["power"])
+    assert work == JET_WORK
 
 
 def test_jets_peak_memory():
