@@ -148,13 +148,13 @@ def _mpmath_kerr_lambdified():
     return sp.lambdify((x, y, z, s, m, a), comps + grads + hessians, modules="mpmath", cse=True)
 
 
-def mpmath_kerr_jets(m, a, points, digits=40):
+def mpmath_kerr_jets(m, a, points):
     """(g, dg, ddg) of kerr_slice m a, node-major as sympy_kerr_jets gives
-    them, evaluated at `digits` significant digits and rounded once."""
+    them, evaluated at 40 significant digits and rounded once."""
     import mpmath
 
     f = _mpmath_kerr_lambdified()
-    with mpmath.workdps(digits):
+    with mpmath.workdps(40):
         vals = []
         for p in points:
             x, y, z = map(mpmath.mpf, p)
