@@ -146,6 +146,10 @@ def _read_series(path: str, column: str):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
+        def number(cell):  # float(True) is 1.0, but a JSON boolean is no number
+            if isinstance(cell, bool):
+                raise TypeError(f"boolean cell {cell}")
+            return float(cell)
         payload = json.loads(text)
         rows, metadata = payload["rows"], payload["metadata"]
         if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
@@ -153,12 +157,12 @@ def _read_series(path: str, column: str):
         if not isinstance(metadata, dict):
             raise ConfigError(f"report {path!r}: metadata must be an object")
         pairs = [
-            (float(row["r"]), float(row[column]))
+            (number(row["r"]), number(row[column]))
             for row in rows
             if row.get(column) is not None
         ]
         reference = metadata["adm_reference"]
-        return pairs, None if reference is None else float(reference)
+        return pairs, None if reference is None else number(reference)
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise ConfigError(f"report {path!r} has no column {column!r}")

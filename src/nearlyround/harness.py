@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -83,8 +84,9 @@ class StudyConfig:
 
     The schedule must be strictly increasing with at least three radii,
     each under check_radii's rule; the band limit under build_grid's rule
-    and at least 8; tol positive and finite.  amplitude/l/m_order/decay
-    shape the radial-perturbed family and are ignored by coordinate-spheres.
+    (l, m_order and seed under its operator.index) and at least 8; tol
+    positive and finite.  amplitude/l/m_order/decay shape the
+    radial-perturbed family and are ignored by coordinate-spheres.
     """
 
     metric: str = "schwarzschild_isotropic m=1"
@@ -105,6 +107,11 @@ class StudyConfig:
         for name in ("amplitude", "decay", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("l", "m_order", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if len(self.schedule) < 3:
             raise ConfigError("schedule needs at least three radii")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
@@ -176,37 +183,32 @@ def family_surfaces(config: StudyConfig, grid, metric) -> list:
             f"schedule reaches into the exclusion radius "
             f"{metric.exclusion_radius:.3f} of {config.metric!r}"
         )
-    members = []
-    if config.family == "radial-perturbed":
-        if config.l > grid.L:
-            raise ConfigError(
-                f"perturbation degree {config.l} exceeds the band limit {grid.L}"
-            )
-        coeffs = np.zeros(grid.n_coeffs)
-        coeffs[coeff_index(config.l, config.m_order)] = 1.0
-        ylm = synthesize(grid, coeffs)
-        try:
-            profiles = [
-                r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
-                for r in config.schedule
-            ]
-        except OverflowError as exc:
-            raise ConfigError(
-                f"the perturbation r^-decay overflows on the schedule (decay {config.decay:g})"
-            ) from exc
-        # checked before any row runs, so no row fails inside the metric
-        r_min = min(float(np.min(profile)) for profile in profiles)
-        if r_min <= metric.exclusion_radius:
-            raise ConfigError(
-                f"perturbed surfaces reach radius {r_min:.3f}, inside the "
-                f"exclusion radius {metric.exclusion_radius:.3f} of {config.metric!r}"
-            )
-        for r, profile in zip(config.schedule, profiles):
-            members.append((r, immerse_radial(profile, grid)))
-    else:
-        for r in config.schedule:
-            members.append((r, coordinate_sphere(r, grid)))
-    return members
+    if config.family != "radial-perturbed":
+        return [(r, coordinate_sphere(r, grid)) for r in config.schedule]
+    if config.l > grid.L:
+        raise ConfigError(
+            f"perturbation degree {config.l} exceeds the band limit {grid.L}"
+        )
+    coeffs = np.zeros(grid.n_coeffs)
+    coeffs[coeff_index(config.l, config.m_order)] = 1.0
+    ylm = synthesize(grid, coeffs)
+    try:
+        profiles = [
+            r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
+            for r in config.schedule
+        ]
+    except OverflowError as exc:
+        raise ConfigError(
+            f"the perturbation r^-decay overflows on the schedule (decay {config.decay:g})"
+        ) from exc
+    # checked before any row runs, so no row fails inside the metric
+    r_min = min(float(np.min(profile)) for profile in profiles)
+    if r_min <= metric.exclusion_radius:
+        raise ConfigError(
+            f"perturbed surfaces reach radius {r_min:.3f}, inside the "
+            f"exclusion radius {metric.exclusion_radius:.3f} of {config.metric!r}"
+        )
+    return [(r, immerse_radial(profile, grid)) for r, profile in zip(config.schedule, profiles)]
 
 
 @dataclass(frozen=True)

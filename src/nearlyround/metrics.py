@@ -16,26 +16,26 @@ sigma_ij with |sigma| + r|d sigma| + r^2|dd sigma| = O(r^-tau).  Families:
   phi = 1 + m/(2r) + eps * Y_{l,m_order} * r^-tau_extra; the angular
   perturbation leaves the total mass unchanged for l >= 1.
 
-Every family has the form g = B I + F x (x) x + E w (x) w with w = (-y, x, 0)
-and closed-form scalars B, F, E; their exact jets come from product-rule
-arithmetic, and one assembly turns them into (g, dg) and the closed form's
-terms.  No scalar is formed as a difference of nearly equal terms:
-Kerr's are built from the exact polynomial jets of r^2 and z^2
-(kerr_slice).  Finite differences and symbolic derivations appear only
-in the test suite as independent oracles.
+Every family has the form g = delta + sigma with sigma = beta I + F x (x) x
++ E w (x) w, w = (-y, x, 0), and closed-form scalars beta, F, E, built by
+product-rule arithmetic from the exact polynomial jet of r^2 (_squares);
+one assembly turns them into (sigma, dg) and the closed form's terms.
+sigma is never formed as g - delta, nor any scalar as a difference of
+nearly equal terms.  Finite differences and symbolic derivations appear
+only in the test suite as independent oracles.
 
 Layout: the node axis is last everywhere, so each per-node product runs
 its inner loop over the nodes, and a symmetric index pair is stored
 once, packed as the six entries of an upper triangle.  A JetBatch
-carries g as (6, N) and dg as (3, 6, N), with dg[k, a] = d_k g_ij at
+carries sigma (6, N) and dg (3, 6, N), with dg[k, a] = d_k g_ij at
 (i, j) = (_PI[a], _PJ[a]), C-contiguous as the assembly accumulates
-them, and the closed form itself as its terms: (B, None) for B I and
+them, and the closed form as its terms: (beta, None) for beta I and
 (S, V) for each S (V x)(V x)^T, V = I for F and V the rotation
 generator for E, with the scalar jets S (_Jet, Hessian packed (6, N)).
 unpack turns a packed pair into a full 3x3 pair where a contraction
 needs one.  No second derivative of g is assembled: sectional_curvature
 takes the three it needs from the terms by the product rule, and is the
-terms' only reader; a surface record keeps g and dg alone.  The
+terms' only reader; a surface record keeps sigma and dg alone.  The
 connection is read only as its lowered symbols (christoffel_lowered); a
 reader of g^-1 Gamma applies g^-1 to the vector it contracts them with.
 
@@ -72,30 +72,30 @@ class NonMonotoneFluxTail(UserWarning):
 
 @dataclass(frozen=True)
 class JetBatch:
-    """The metric at N points, node axis last and packed: g (6, N) and dg
-    (3, 6, N), dg[k, a] = d_k g_ij at (i, j) = (_PI[a], _PJ[a]); and its
-    closed form.
+    """The metric g = delta + sigma at N points, node axis last and packed:
+    sigma (6, N) and dg (3, 6, N), dg[k, a] = d_k g_ij at (i, j) = (_PI[a],
+    _PJ[a]); and the closed form of sigma.
 
-    terms is the closed form g = sum of its terms: (S, None) stands for
-    S I and (S, V) for S (V x)(V x)^T, with S a scalar _Jet (node axis
+    terms is the closed form sigma = sum of its terms: (S, None) stands
+    for S I and (S, V) for S (V x)(V x)^T, with S a scalar _Jet (node axis
     last) and V a constant (3, 3) matrix; points (N, 3) are the nodes x.
     """
 
-    g: np.ndarray
+    sigma: np.ndarray
     dg: np.ndarray
     terms: tuple
     points: np.ndarray
 
 
 class AFMetric:
-    """Asymptotically flat metric: family tag, parameters, decay order tau.
+    """Asymptotically flat metric g = delta + sigma: family tag, parameters,
+    decay order tau.  jets(points) gives the catalog's sigma and dg.
 
     ``exclusion_radius`` is twice the natural singular radius of the family;
     jet evaluation raises PointInsideExclusionRadius inside it, and
     NonFiniteJets where an entry overflows.  Every family's jets are finite
     up to the largest radius a study accepts (harness.MAX_RADIUS, about
-    1.16e77); Kerr's, whose highest power of r is r^2, overflow from about
-    r = 1.3e154, where r^2 does.
+    1.16e77); Kerr's overflow from about r = 1.3e154, where r^2 does.
     """
 
     def __init__(self, family, params, tau, exclusion_radius, jet_fn, known_mass):
@@ -117,13 +117,13 @@ class AFMetric:
                 f"exclusion radius {self.exclusion_radius:.6g}"
             )
         with np.errstate(all="ignore"):
-            g, dg, terms = self._jet_fn(points)
-        arrays = [g, dg] + [a for S, _ in terms for a in (S.v, S.d, S.h)]
+            sigma, dg, terms = self._jet_fn(points)
+        arrays = [sigma, dg] + [a for S, _ in terms for a in (S.v, S.d, S.h)]
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise NonFiniteJets(
                 f"{self.family}: metric jets overflow at radius up to {radii.max():.6g}"
             )
-        return JetBatch(g, dg, terms, points)
+        return JetBatch(sigma, dg, terms, points)
 
     def __repr__(self):
         return f"AFMetric({self.spec()!r})"
@@ -174,10 +174,6 @@ class _Jet:
     def __init__(self, v, d, h):
         self.v, self.d, self.h = v, d, h
 
-    @classmethod
-    def constant(cls, c, n):
-        return cls(np.full(n, float(c)), np.zeros((3, n)), np.zeros((6, n)))
-
     def __add__(self, other):
         if isinstance(other, _Jet):
             return _Jet(self.v + other.v, self.d + other.d, self.h + other.h)
@@ -222,14 +218,11 @@ class _Jet:
 
 
 def _coordinates(points):
-    """Jets of the Cartesian coordinates x, y, z and of the radius r."""
+    """Jets of the Cartesian coordinates x, y, z."""
     n = len(points)
     eye = np.eye(3)
     zero = np.zeros((6, n))
-    x, y, z = (_Jet(points[:, i], np.broadcast_to(eye[i][:, None], (3, n)), zero) for i in range(3))
-    r = np.linalg.norm(points, axis=1)
-    nhat = np.ascontiguousarray(points.T) / r
-    return x, y, z, _Jet(r, nhat, (eye[_PI, _PJ][:, None] - nhat[_PI] * nhat[_PJ]) / r)
+    return tuple(_Jet(points[:, i], np.broadcast_to(eye[i][:, None], (3, n)), zero) for i in range(3))
 
 
 # the constant Hessians of r^2 and z^2, packed: 2 delta and 2 e_z e_z
@@ -251,7 +244,7 @@ def _squares(points):
 
 
 def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
-    """r^l Y_{l,m} from the coordinate jets x, y, z: a harmonic polynomial.
+    """r^l Y_{l,m} from the jets x, y, z: a harmonic polynomial (Y_00 at l = 0).
 
     These are the recurrences of sphere.normalized_legendre multiplied
     through by r^l: (x + i y)^|m| carries sin^|m| theta times cos or
@@ -260,7 +253,7 @@ def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
     signs match the sphere module (sqrt(2) cos / sin for m > 0 / m < 0).
     """
     am = abs(m)
-    re, im = _Jet.constant(1.0, len(x.v)), 0.0
+    re, im = 1.0, 0.0
     c = np.sqrt(1.0 / (4.0 * np.pi))
     for k in range(1, am + 1):
         re, im = re * x - im * y, re * y + im * x
@@ -296,19 +289,21 @@ def _dvv_table(V):
 _V_TERMS = ((np.eye(3), _dvv_table(np.eye(3))), (_ROTATION, _dvv_table(_ROTATION)))
 
 
-def _assemble(points, B, F=None, E=None):
-    """(g, dg, terms) of g = B I + F x (x) x + E w (x) w from scalar jets.
+def _assemble(points, beta=None, F=None, E=None):
+    """(sigma, dg, terms) of sigma = beta I + F x (x) x + E w (x) w, from jets.
 
-    Every catalog metric has this form; F and E default to zero.  g and
-    dg are accumulated in place, node-last and packed: a symmetric pair
-    (i, j) is stored once, g as (6, N) and dg as (k, 6, N).  terms is the
-    closed form itself, for JetBatch: (B, None), then (F, I) and
-    (E, _ROTATION) where given.
+    Every catalog metric has this form; beta, F and E default to zero.
+    sigma and dg are accumulated in place, node-last and packed: a
+    symmetric pair (i, j) is stored once, sigma as (6, N) and dg as
+    (k, 6, N).  terms is the closed form itself, for JetBatch: (beta, None),
+    (F, I) and (E, _ROTATION), each where given.
     """
     n = len(points)
-    g, dg = np.zeros((6, n)), np.zeros((3, 6, n))
-    g[_DIAG], dg[:, _DIAG] = B.v, B.d[:, None]
-    terms = [(B, None)]
+    sigma, dg = np.zeros((6, n)), np.zeros((3, 6, n))
+    terms = []
+    if beta is not None:
+        sigma[_DIAG], dg[:, _DIAG] = beta.v, beta.d[:, None]
+        terms.append((beta, None))
     for S, (V, (k, a, coef, src)) in zip((F, E), _V_TERMS):
         if S is None:
             continue
@@ -317,12 +312,12 @@ def _assemble(points, B, F=None, E=None):
         # nonzero only at the entries of _dvv_table
         v = V @ points.T
         vv = v[_PI] * v[_PJ]
-        g += S.v * vv
+        sigma += S.v * vv
         t = S.d[:, None] * vv
         t[k, a] += (coef * v[src]) * S.v
         dg += t
         terms.append((S, V))
-    return g, dg, tuple(terms)
+    return sigma, dg, tuple(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def _assemble(points, B, F=None, E=None):
 
 def euclidean() -> AFMetric:
     def jets(points):
-        return _assemble(points, _Jet.constant(1.0, len(points)))
+        return _assemble(points)
 
     return AFMetric("euclidean", {}, 1.0, 0.0, jets, 0.0)
 
@@ -342,8 +337,9 @@ def schwarzschild_isotropic(m: float) -> AFMetric:
         raise ConfigError("mass must be positive")
 
     def jets(points):
-        r = _coordinates(points)[3]
-        return _assemble(points, (1.0 + (m / 2.0) / r) ** 4)
+        u = (m / 2.0) * _squares(points)[0] ** -0.5
+        w = u * (2.0 + u)  # phi^2 - 1, phi = 1 + u
+        return _assemble(points, beta=w * (2.0 + w))
 
     return AFMetric("schwarzschild_isotropic", {"m": m}, 1.0, m, jets, m)
 
@@ -377,11 +373,13 @@ def conformal_perturbed(
         raise ConfigError("tau_extra must exceed 1/2 for a finite mass")
 
     def jets(points):
-        x, y, z, r = _coordinates(points)
-        inv = r**-1.0
+        x, y, z = _coordinates(points)
+        r2 = _squares(points)[0]
+        inv = r2**-0.5
         angular = _solid_harmonic(x * inv, y * inv, z * inv, l, m_order)
-        phi = 1.0 + (m / 2.0) / r + eps * angular * r ** (-tau_extra)
-        return _assemble(points, phi**4)
+        u = (m / 2.0) * inv + eps * angular * r2 ** (-0.5 * tau_extra)
+        w = u * (2.0 + u)  # phi^2 - 1, phi = 1 + u
+        return _assemble(points, beta=w * (2.0 + w))
 
     params = {"m": m, "eps": eps, "l": l, "m_order": m_order, "tau_extra": tau_extra}
     return AFMetric(
@@ -395,9 +393,8 @@ def schwarzschild_standard(m: float) -> AFMetric:
         raise ConfigError("mass must be positive")
 
     def jets(points):
-        r = _coordinates(points)[3]
-        one = _Jet.constant(1.0, len(points))
-        return _assemble(points, one, F=2.0 * m / ((r - 2.0 * m) * r * r))
+        r2 = _squares(points)[0]
+        return _assemble(points, F=2.0 * m / ((r2**0.5 - 2.0 * m) * r2))
 
     return AFMetric("schwarzschild_standard", {"m": m}, 1.0, 4.0 * m, jets, m)
 
@@ -412,7 +409,7 @@ def kerr_slice(m: float, a: float) -> AFMetric:
 
     The jets use forms that cancel nothing and hold no power of r above
     r^2: with q = 2m/r - a^2/r^2 and D = Delta/r^2 = 1 - q,
-    B = 1 + a^2 z^2/r^4, F = (A - B)/r^2 = B q/(D r^2) and
+    beta = B - 1 = a^2 z^2/r^4, F = (A - B)/r^2 = B q/(D r^2) and
     E = a^2 (1 + 2m/(r B))/r^4.
     """
     if m <= 0:
@@ -427,11 +424,12 @@ def kerr_slice(m: float, a: float) -> AFMetric:
         inv2 = r2**-1.0
         inv4 = inv2 * inv2
         inv1 = r2**-0.5
-        B = 1.0 + a2 * (z2 * inv4)
+        beta = a2 * (z2 * inv4)
+        B = 1.0 + beta
         q = two_m * inv1 - a2 * inv2
         F = (B * q) * (1.0 - q) ** -1.0 * inv2
         E = a2 * ((1.0 + two_m * (inv1 / B)) * inv4)
-        return _assemble(points, B, F, E)
+        return _assemble(points, beta, F, E)
 
     return AFMetric("kerr_slice", {"m": m, "a": a}, 1.0, 2.0 * r_plus, jets, m)
 

@@ -9,31 +9,28 @@ components of tangent tensors are assembled pointwise, never
 differentiated, so the poles cost nothing.
 
 fundamental_forms builds the one FundamentalData record of a surface in
-an ambient, of values alone: its node positions and tangents, the
-ambient metric, its inverse and derivative and decay order, the forms,
-H, K and the area.  The catalog's closed form (the jets' terms) stays
-inside it, for the Gauss term.  The pointwise algebra runs on node-last
-rows, as the metric jets come (metrics) and as the sphere module's
-component-first field stacks reshape without a copy: the position Y
-(3, ntheta, nphi), the tangents (2, 3, N) straight from one
-synth_gradient, the normal (3, N), the packed metric, its inverse and
-derivative, and the lowered Christoffel symbols read on the vector pairs
-the forms contract them with.  The public normal is that (3, ntheta,
-nphi) stack, each 2x2 form the packed (3, ntheta, nphi) stack of its
-(00, 01, 11) components, and the scalars keep the grid shape.  Its
-consumers take the record alone, not the Immersion beside it: the masses
-read H, K and the area, the embedding the induced metric, K and the area,
-best_fit_sphere a flat record and nearly_round_diagnostics a family of
-records in one ambient.  tracefree_gradient(fd) computes grad Aring for
-the roundness diagnostics alone; it and the second-form transform
-residual read the lowered symbols too, with g^-1 applied to the field
-they contract them with.  The identity residuals read two records of one
-surface, the flat fd_hat and the curved fd:
-second_form_transform_residual, mean_curvature_expansion_residual,
-divergence_identity_gap and mean_curvature_integral_residual take
-(fd_hat, fd), and distance_hessian_residual takes fd_hat.  None of them
-re-evaluates the metric or transforms a field.  mass_flux reads a flat
-record and the packed metric derivative at its nodes.
+an ambient, of values alone: node positions and tangents, the ambient
+sigma = g - delta, g^-1 and dg, the decay order, the forms, H, K and the
+area.  The catalog's closed form (the jets' terms) stays inside it, for
+the Gauss term; g = delta + sigma is formed only where g is applied.
+The pointwise algebra runs on node-last rows, as the jets come and as
+the sphere module's component-first stacks reshape without a copy: the
+position (3, ntheta, nphi), the tangents (2, 3, N) from one
+synth_gradient, the normal (3, N), the packed sigma, g^-1 and dg, and
+the lowered Christoffel symbols read on the vector pairs the forms
+contract them with; the record's layout is FundamentalData's.  Consumers
+take the record alone: the masses read H, K and the area, the embedding
+the induced metric, K and the area, best_fit_sphere a flat record and
+nearly_round_diagnostics a family of records in one ambient.
+tracefree_gradient(fd), for the roundness diagnostics alone, and the
+second-form transform residual read the lowered symbols too, with g^-1
+applied to the field they contract them with.  The identity residuals
+read sigma and dg from two records of one surface, the flat fd_hat and
+the curved fd: second_form_transform_residual,
+mean_curvature_expansion_residual, divergence_identity_gap and
+mean_curvature_integral_residual take (fd_hat, fd), and
+distance_hessian_residual takes fd_hat; none re-evaluates the metric or
+transforms a field.  mass_flux reads a flat record and dg at its nodes.
 
 Frame conventions: tangent index a in {0, 1} is the (theta, phi)
 coordinate frame; ambient indices i, j, k are Cartesian.  The second
@@ -161,19 +158,18 @@ class FundamentalData:
     grid shape and the normal is a (3, ntheta, nphi) field stack.
     area_jacobian is the ratio of the induced area element to the
     round-sphere element sin(theta) dtheta dphi, so integrate()
-    multiplies by it under the grid rule.  points (N, 3) are
-    the nodes, a view of the immersion's rows.  The ambient side keeps the
-    node axis last and packs each symmetric pair (metrics.pack): tangents
-    (2, 3, N), the ambient metric g and its inverse (6, N) and its
-    derivative dg (3, 6, N), dg[k] = d_k g.  tau is the ambient decay
-    order.  A flat record's g, g^-1 and dg are read-only constants.
+    multiplies by it under the grid rule.  points (N, 3) are the nodes, a
+    view of the immersion's rows.  The ambient side keeps the node axis
+    last and packs each symmetric pair (metrics.pack): tangents (2, 3, N),
+    sigma = g - delta and g^-1 (6, N), dg (3, 6, N), dg[k] = d_k g; tau is
+    the decay order.  A flat record's sigma, g^-1 and dg are read-only.
     """
 
     ambient: str
     grid: SphereGrid
     points: np.ndarray
     tangents: np.ndarray
-    ambient_metric: np.ndarray
+    ambient_sigma: np.ndarray
     ambient_metric_inv: np.ndarray
     ambient_dg: np.ndarray
     tau: float
@@ -256,12 +252,12 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     pair, which reads the jets' closed-form terms and the lowered symbols
     of the three tangent pairs, and forms no curvature tensor.  The
     inverse ambient metric is formed once, for the normal and that term,
-    and kept on the record with g and dg; the jets themselves are not.
+    and kept on the record with sigma and dg; the jets themselves are not.
 
     A Euclidean ambient (None or the ``euclidean`` family) evaluates no
     jets and no Christoffel symbols: h = T T^t, nu = (T0 x T1)/|T0 x T1|,
-    and K = det A / det h.  Its record still carries g = g^-1 = delta and
-    dg = 0 as read-only constant views, so every consumer reads a flat
+    and K = det A / det h.  Its record still carries sigma = dg = 0 and
+    g^-1 = delta as read-only constant views, so every consumer reads a flat
     record like a curved one.  The public 2x2 forms are their (00, 01, 11)
     rows and the normal its node-last rows, each stacked in the grid shape
     once, at the end.
@@ -274,14 +270,14 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
     shp = grid.shape
     T = s.tangents().reshape(2, 3, N)
     if flat:
-        g = ginv = np.broadcast_to(mcat.DELTA, (6, N))
-        dg = np.broadcast_to(0.0, (3, 6, N))
+        sigma, dg = np.broadcast_to(0.0, (6, N)), np.broadcast_to(0.0, (3, 6, N))
+        ginv = np.broadcast_to(mcat.DELTA, (6, N))
         gT = T
     else:
         jets = metric.jets(pts)
-        g, dg = jets.g, jets.dg
-        ginv = mcat.symmetric_inverse(g)
-        gT = np.einsum("ijn,ajn->ain", mcat.unpack(g), T)  # g T_a
+        sigma, dg = jets.sigma, jets.dg
+        ginv = mcat.symmetric_inverse(sigma + mcat.DELTA)
+        gT = T + np.einsum("ijn,ajn->ain", mcat.unpack(sigma), T)  # g T_a
     h = np.einsum("ain,bin->abn", T, gT)
     h00, h01, h11 = h[0, 0], h[0, 1], h[1, 1]
     deth = h00 * h11 - h01**2
@@ -334,7 +330,7 @@ def fundamental_forms(s: Immersion, ambient=None) -> FundamentalData:
         grid=grid,
         points=pts,
         tangents=T,
-        ambient_metric=g,
+        ambient_sigma=sigma,
         ambient_metric_inv=ginv,
         ambient_dg=dg,
         tau=metric.tau,
@@ -567,7 +563,7 @@ def tracefree_gradient(fd: FundamentalData) -> tuple[np.ndarray, np.ndarray]:
     N = grid.n_nodes
     T = fd.tangents
     hinv = _form_rows(fd.induced_metric_inv)
-    gT = np.einsum("ijn,bjn->bin", mcat.unpack(fd.ambient_metric), T)
+    gT = T + np.einsum("ijn,bjn->bin", mcat.unpack(fd.ambient_sigma), T)  # g T_b
     E = np.einsum("abn,bin->ain", hinv, gT)  # dual frame
     Tamb = _extension(E, _form_rows(fd.tracefree_second_form))
     packed = mcat.pack(Tamb).reshape((6,) + grid.shape)
@@ -740,7 +736,7 @@ def mean_curvature_expansion_residual(fd_hat: FundamentalData, fd: FundamentalDa
     """
     nhat = fd_hat.normal.reshape(3, -1)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = mcat.unpack(fd.ambient_metric - mcat.DELTA)
+    sigma = mcat.unpack(fd.ambient_sigma)
     dg = mcat.unpack(fd.ambient_dg)  # dg[k, i, j] = d_k g_ij
     dgn = np.einsum("kijn,jn->kin", dg, nhat)  # (d_k g) nhat
     H = fd.mean_curvature.reshape(-1)
@@ -764,7 +760,7 @@ def divergence_identity_gap(fd_hat: FundamentalData, fd: FundamentalData) -> flo
     """
     nhat = fd_hat.normal.reshape(3, -1)
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = mcat.unpack(fd.ambient_metric - mcat.DELTA)
+    sigma = mcat.unpack(fd.ambient_sigma)
     dg = mcat.unpack(fd.ambient_dg)  # dg[k, i, j] = d_k g_ij
     Hhat = fd_hat.mean_curvature.reshape(-1)
     shp = fd.grid.shape
@@ -806,7 +802,7 @@ def mean_curvature_integral_residual(fd_hat: FundamentalData, fd: FundamentalDat
     |LHS - RHS| * r^(2tau-1).
     """
     rho_hess = _flat_extension(fd_hat, fd_hat.second_form)
-    sigma = mcat.unpack(fd.ambient_metric - mcat.DELTA)
+    sigma = mcat.unpack(fd.ambient_sigma)
     shp = fd.grid.shape
     lhs = fd.integrate(fd.mean_curvature - fd_hat.mean_curvature)
     rhs = -8.0 * np.pi * mass_flux(fd_hat, fd.ambient_dg) - 0.5 * fd_hat.integrate(

@@ -1,15 +1,16 @@
 """Test-side views of the metric jets and an independent route to the
 surface geometry.
 
-The library assembles g and dg only, as packed node-last rows, and keeps
-the closed form g = sum of S I and S (V x)(V x)^T terms.  Here live:
+The library assembles sigma = g - delta and dg only, as packed node-last
+rows, and keeps the closed form sigma = sum of S I and S (V x)(V x)^T
+terms.  Here live:
 
 * node_major and packed_rows, between the library's rows and the
   (N, 3, 3) / (N, 3, 3, 3) node-major tensors the index-notation oracles
-  read;
+  read (node_major forms g = delta + sigma for them);
 * the tensor ddg[n, i, j, k, l] = d_k d_l g_ij rebuilt from the terms,
   which the finite-difference, symbolic, decay and curvature tests
-  compare against, and g and dg rebuilt from them by dense products;
+  compare against, and sigma and dg rebuilt from them by dense products;
 * a rotated chart whose jets rotate those terms;
 * a second route to the surface geometry, by stacked (N, 2|3, 3)
   products on node-major tensors: the full Christoffel symbols, the
@@ -29,18 +30,19 @@ _DDG_UNPACK = (_PACK[:, :, None, None] + 6 * _PACK).ravel()
 
 
 def node_major(jets):
-    """(g (N, 3, 3), dg (N, 3, 3, 3)) of a JetBatch, dg[n, i, j, k] = d_k g_ij."""
+    """(g (N, 3, 3), dg (N, 3, 3, 3)) of a JetBatch, g = delta + sigma and
+    dg[n, i, j, k] = d_k g_ij."""
     return (
-        np.ascontiguousarray(M.unpack(jets.g).transpose(2, 0, 1)),
+        np.ascontiguousarray(M.unpack(jets.sigma + M.DELTA).transpose(2, 0, 1)),
         np.ascontiguousarray(M.unpack(jets.dg).transpose(3, 1, 2, 0)),
     )
 
 
-def packed_rows(g, dg):
-    """The inverse of node_major: node-major g and dg as the packed rows
-    g (6, N) and dg (3, 6, N) of a JetBatch."""
+def packed_rows(sigma, dg):
+    """Node-major sigma and dg as the packed rows sigma (6, N) and dg
+    (3, 6, N) of a JetBatch."""
     return (
-        np.ascontiguousarray(g[:, _PI, _PJ].T),
+        np.ascontiguousarray(sigma[:, _PI, _PJ].T),
         np.ascontiguousarray(dg[:, _PI, _PJ].transpose(2, 1, 0)),
     )
 
@@ -74,24 +76,24 @@ def full_ddg(jets):
     return np.take(ddg.reshape(36, n).T, _DDG_UNPACK, axis=1).reshape(n, 3, 3, 3, 3)
 
 
-def dense_g_dg(jets):
-    """(g, dg) of a JetBatch rebuilt from its terms, packed, with dvv
+def dense_sigma_dg(jets):
+    """(sigma, dg) of a JetBatch rebuilt from its terms, packed, with dvv
     formed in full by products with the 0/+-1 pattern of each V and summed
     as S.d vv + S.v dvv, the arithmetic that the library's table of
     nonzero dvv rows must reproduce bit for bit."""
     points = jets.points
     n = len(points)
-    g, dg = np.zeros((6, n)), np.zeros((3, 6, n))
+    sigma, dg = np.zeros((6, n)), np.zeros((3, 6, n))
     for S, V in jets.terms:
         if V is None:
-            g[_DIAG], dg[:, _DIAG] = S.v, S.d[:, None]
+            sigma[_DIAG], dg[:, _DIAG] = S.v, S.d[:, None]
             continue
         v = V @ points.T
         vv = v[_PI] * v[_PJ]
         dvv = V[_PI].T[:, :, None] * v[_PJ] + v[_PI] * V[_PJ].T[:, :, None]
-        g += S.v * vv
+        sigma += S.v * vv
         dg += S.d[:, None] * vv + S.v * dvv
-    return g, dg
+    return sigma, dg
 
 
 def rotated_jets(base, Q, points):
@@ -101,15 +103,14 @@ def rotated_jets(base, Q, points):
     Each term S (V x)(V x)^T becomes S' (Q V Q^T x)(Q V Q^T x)^T with
     S'(x) = S(Q^T x): grad S' = Q grad S and hess S' = Q hess S Q^T.
     """
-    g, dg = node_major(base)
-    g = np.einsum("ki,lj,nij->nkl", Q, Q, g, optimize=True)
-    dg = np.einsum("ki,lj,mp,nijp->nklm", Q, Q, Q, dg, optimize=True)
+    sigma = np.einsum("ki,lj,ijn->nkl", Q, Q, M.unpack(base.sigma), optimize=True)
+    dg = np.einsum("ki,lj,mp,nijp->nklm", Q, Q, Q, node_major(base)[1], optimize=True)
     terms = []
     for S, V in base.terms:
         hess = np.einsum("ki,ijn,lj->kln", Q, S.h[_PACK], Q, optimize=True)
         S_rotated = M._Jet(S.v, Q @ S.d, hess[_PI, _PJ])
         terms.append((S_rotated, None if V is None else Q @ V @ Q.T))
-    return M.JetBatch(*packed_rows(g, dg), tuple(terms), points)
+    return M.JetBatch(*packed_rows(sigma, dg), tuple(terms), points)
 
 
 class RotatedChart:

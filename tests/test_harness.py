@@ -85,6 +85,11 @@ def test_config_format_validation():
 def test_config_harmonic_validation():
     with pytest.raises(nr.ConfigError, match="order"):
         nr.StudyConfig(l=2, m_order=3)
+    # a non-integral degree, order or seed fails at construction, under the
+    # grid's rule for band limits, not later inside numpy
+    for bad in (dict(l=2.5, family="radial-perturbed"), dict(m_order=0.5), dict(seed=1.5)):
+        with pytest.raises(nr.ConfigError, match=f"{next(iter(bad))} must be an integer"):
+            nr.StudyConfig(**bad)
 
 
 def test_from_mapping_conversions():
@@ -503,6 +508,17 @@ def test_verify_extrapolates_the_adm_subcommand_value_bit_for_bit(monkeypatch, c
     (est,) = estimates
     assert payload["fluxes"] == list(est.fluxes)
     assert payload["value"] == est.value
+
+
+@pytest.mark.parametrize("metric", ["kerr_slice m=1 a=0.5", "schwarzschild_standard m=1"])
+def test_run_verify_divergence_identity_far_out(metric):
+    # the identity reads the catalog's sigma, which keeps its digits far
+    # out: 7.1e-15 on Kerr and 3.6e-15 on the standard chart; sigma read as
+    # g - delta gave 1.5e-8 and 1.15e-8
+    cfg = nr.StudyConfig(metric=metric, schedule=(1e6, 1e7, 1e8), band_limit=16)
+    by_name = {c.name: c for c in nr.run_verify(cfg).checks}
+    assert by_name["divergence-identity"].tolerance == 1e-10
+    assert by_name["divergence-identity"].passed
 
 
 def test_verify_kerr_l16_spectral_resolution_at_roundoff():
@@ -1175,17 +1191,20 @@ def test_no_new_name_is_read_by_a_tracer_probe_alone():
 @pytest.mark.parametrize(
     "row, reference",
     [('{"r": null, "hawking": 1.0}', "1.0"), ('{"r": [1], "hawking": 1.0}', "1.0"),
-     ('{"r": 10.0, "hawking": 1.0}', '"abc"')],
-    ids=["null-radius", "list-radius", "text-reference"],
+     ('{"r": 10.0, "hawking": 1.0}', '"abc"'), ('{"r": true, "hawking": 1.5}', "1.0"),
+     ('{"r": 10.0, "hawking": false}', "1.0"), ('{"r": 10.0, "hawking": 1.5}', "true")],
+    ids=["null-radius", "list-radius", "text-reference", "true-radius", "false-mass",
+         "true-reference"],
 )
 def test_cli_rate_wrong_cell_types(tmp_path, capsys, row, reference):
-    # a JSON report whose cells have the wrong type exits 2, not a traceback
+    # a JSON report whose cells have the wrong type exits 2, not a traceback;
+    # float(True) is 1.0, so a boolean cell is refused, not read as a number
     path = tmp_path / "report.json"
     path.write_text(
         f'{{"rows": [{row}, {row}, {row}], "metadata": {{"adm_reference": {reference}}}}}'
     )
     assert main(["rate", "--input", str(path), "--column", "hawking"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
 
 
 SERIES = [(10.0, 1.5), (20.0, 1.25), (40.0, 1.125)]

@@ -15,7 +15,7 @@ import pytest
 from jet_oracles import (
     RotatedChart,
     christoffel_node_major,
-    dense_g_dg,
+    dense_sigma_dg,
     full_ddg,
     node_major,
     riemann_contraction,
@@ -117,43 +117,55 @@ def sympy_kerr_jets(m, a, points):
 
 
 @functools.lru_cache(maxsize=None)
-def _mpmath_kerr_lambdified():
-    """The closed form of _sympy_kerr_lambdified, lambdified into mpmath.
+def _mpmath_lambdified(family):
+    """sigma = g - delta of a closed form of the catalog, lambdified into
+    mpmath: kerr_slice as _sympy_kerr_lambdified gives it, and the two
+    Schwarzschild charts in their textbook forms, g = (1 + m/(2r))^4 delta
+    and g = delta + 2m/(r - 2m) n (x) n.
 
     The radius is a symbol s of its own, differentiated by the chain rule
     d_k s = x_k / s, so every expression stays rational and the
     derivation takes well under a second.  Returns the six packed
-    components g_ij, i <= j, their gradients (6 ij, 3 k) and their packed
-    Hessians (6 ij, 6 kl), flattened in that order.
+    components sigma_ij, i <= j, their gradients (6 ij, 3 k) and their
+    packed Hessians (6 ij, 6 kl), flattened in that order.
     """
     import sympy as sp
 
     x, y, z, m, a = sp.symbols("x y z m a", real=True)
     s = sp.symbols("s", positive=True)
     xv = (x, y, z)
-    Sigma = s**2 + a * a * z * z / s**2
-    Delta = s**2 - 2 * m * s + a * a
-    A = Sigma / Delta
-    B = Sigma / s**2
-    E = a * a * (Sigma + 2 * m * s) / (Sigma * s**4)
+    B, A, E = 1, 1, 0  # g = B I + (A - B) n (x) n + E w (x) w
+    if family == "kerr_slice":
+        Sigma = s**2 + a * a * z * z / s**2
+        Delta = s**2 - 2 * m * s + a * a
+        A = Sigma / Delta
+        B = Sigma / s**2
+        E = a * a * (Sigma + 2 * m * s) / (Sigma * s**4)
+    elif family == "schwarzschild_standard":
+        A = 1 + 2 * m / (s - 2 * m)
+    else:  # schwarzschild_isotropic
+        A = B = (1 + m / (2 * s)) ** 4
     w = (-y, x, 0)
     pairs = list(zip(M._PI, M._PJ))
 
     def d(f, k):
         return sp.diff(f, xv[k]) + sp.diff(f, s) * xv[k] / s
 
-    comps = [B * int(i == j) + (A - B) * xv[i] * xv[j] / s**2 + E * w[i] * w[j] for i, j in pairs]
+    comps = [(B - 1) * int(i == j) + (A - B) * xv[i] * xv[j] / s**2 + E * w[i] * w[j]
+             for i, j in pairs]
     grads = [d(c, k) for c in comps for k in range(3)]
     hessians = [d(grads[3 * c + k], l) for c in range(6) for k, l in pairs]
     return sp.lambdify((x, y, z, s, m, a), comps + grads + hessians, modules="mpmath", cse=True)
 
 
-def mpmath_kerr_jets(m, a, points):
-    """(g, dg, ddg) of kerr_slice m a, node-major as sympy_kerr_jets gives
-    them, evaluated at 40 significant digits and rounded once."""
+def mpmath_jets(metric, points):
+    """(sigma, dg, ddg) of a kerr_slice or Schwarzschild metric, node-major
+    as sympy_kerr_jets gives them, sigma = g - delta formed at 40
+    significant digits and every entry rounded once."""
     import mpmath
 
-    f = _mpmath_kerr_lambdified()
+    f = _mpmath_lambdified(metric.family)
+    m, a = metric.params["m"], metric.params.get("a", 0.0)
     with mpmath.workdps(40):
         vals = []
         for p in points:
@@ -161,9 +173,9 @@ def mpmath_kerr_jets(m, a, points):
             vals.append([float(v) for v in f(x, y, z, mpmath.sqrt(x * x + y * y + z * z),
                                              mpmath.mpf(m), mpmath.mpf(a))])
     vals = np.array(vals)
-    g, dg, hess = vals[:, :6], vals[:, 6:24].reshape(-1, 6, 3), vals[:, 24:].reshape(-1, 6, 6)
+    sigma, dg, hess = vals[:, :6], vals[:, 6:24].reshape(-1, 6, 3), vals[:, 24:].reshape(-1, 6, 6)
     return (
-        g[:, M._PACK],
+        sigma[:, M._PACK],
         dg[:, M._PACK],
         hess[:, M._PACK][:, :, :, M._PACK],
     )
@@ -184,13 +196,13 @@ def lowered(g, Gam):
 def raised_connection(jets):
     """The library's symbols raised by its own inverse, node-major:
     Gamma[n, k, i, j] = g^kl Gamma_l,ij = Gamma^k_ij."""
-    ginv = M.unpack(M.symmetric_inverse(jets.g))
+    ginv = M.unpack(M.symmetric_inverse(jets.sigma + M.DELTA))
     return np.einsum("kln,lijn->kijn", ginv, M.christoffel_lowered(jets.dg)).transpose(3, 0, 1, 2)
 
 
 def gauss_term(jets, X, Y):
     """M.sectional_curvature on node-major (N, 3) fields X and Y."""
-    ginv = M.symmetric_inverse(jets.g)
+    ginv = M.symmetric_inverse(jets.sigma + M.DELTA)
     return M.sectional_curvature(jets, ginv, M.christoffel_lowered(jets.dg), X.T, Y.T)
 
 
@@ -306,7 +318,7 @@ def test_euclidean_jet_is_flat():
     assert np.array_equal(node_major(jet)[0][0], np.eye(3))
     assert np.max(np.abs(jet.dg)) == 0.0
     assert np.max(np.abs(full_ddg(jet))) == 0.0
-    assert np.max(np.abs(jet.g - M.DELTA)) == 0.0
+    assert np.max(np.abs(jet.sigma)) == 0.0 and jet.terms == ()
 
 
 def test_isotropic_component_closed_form():
@@ -356,31 +368,32 @@ def test_jet_batch_indexing():
     metric = M.schwarzschild_isotropic(1.0)
     batch = metric.jets(pts)
     one = metric.jets(pts[2][None])
-    for field in ("g", "dg"):
+    for field in ("sigma", "dg"):
         assert np.array_equal(getattr(one, field)[..., 0], getattr(batch, field)[..., 2]), field
     assert np.array_equal(full_ddg(one)[0], full_ddg(batch)[2])
     for (S1, V1), (S, V) in zip(one.terms, batch.terms, strict=True):
         assert V1 is V or np.array_equal(V1, V)
         for a1, a in ((S1.v, S.v), (S1.d, S.d), (S1.h, S.h)):
             assert np.array_equal(a1[..., 0], a[..., 2])
-    assert np.array_equal(M.unpack(batch.g - M.DELTA)[..., 2], node_major(batch)[0][2] - np.eye(3))
+    assert np.array_equal(node_major(batch)[0][2], M.unpack(batch.sigma)[..., 2] + np.eye(3))
 
 
 @pytest.mark.parametrize("metric", ALL_FAMILIES, ids=lambda m: m.family)
 def test_jet_batches_are_node_major_and_contiguous(metric):
-    # g and dg are handed out as the assembly built them: packed node-last
-    # rows, C-contiguous, so a reshape of dg to its 18 rows stays a view;
-    # the terms' scalar jets keep the node axis last, and the radius jet's
-    # gradient is C-contiguous, so no scalar jet built from r runs strided
+    # sigma and dg are handed out as the assembly built them: packed
+    # node-last rows, C-contiguous, so a reshape of dg to its 18 rows stays
+    # a view; the terms' scalar jets keep the node axis last, and the r^2
+    # jet's gradient is C-contiguous, so no scalar jet built from r runs
+    # strided
     n = 17
     points = shell_points(7.0, n, seed=21)
     jets = metric.jets(points)
-    for field, shape in (("g", (6, n)), ("dg", (3, 6, n))):
+    for field, shape in (("sigma", (6, n)), ("dg", (3, 6, n))):
         a = getattr(jets, field)
         assert a.shape == shape and a.flags.c_contiguous, field
     assert np.shares_memory(jets.dg.reshape(18, n), jets.dg)
-    assert M._coordinates(points)[3].d.flags.c_contiguous
-    assert jets.terms and jets.terms[0][1] is None
+    assert M._squares(points)[0].d.flags.c_contiguous
+    assert all(V is not None for _, V in jets.terms[1:])  # a beta I term comes first
     for S, V in jets.terms:
         assert (S.v.shape, S.d.shape, S.h.shape) == ((n,), (3, n), (6, n))
         assert V is None or V.shape == (3, 3)
@@ -398,7 +411,7 @@ def test_jets_equal_the_dense_assembly_bit_for_bit(metric):
         for r in (20.0, 1e3, 1e6):
             points = np.vstack([coordinate_sphere(r, grid).points, r * axes])
             jets = metric.jets(points)
-            for got, want in zip((jets.g, jets.dg), dense_g_dg(jets), strict=True):
+            for got, want in zip((jets.sigma, jets.dg), dense_sigma_dg(jets), strict=True):
                 assert np.array_equal(got, want), (L, r)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (L, r)
 
@@ -407,7 +420,7 @@ def test_kerr_zero_spin_limit_is_schwarzschild():
     pts = shell_points(15.0, 25, seed=13)
     jk = M.kerr_slice(1.0, 1e-12).jets(pts)
     js = M.schwarzschild_standard(1.0).jets(pts)
-    assert np.max(np.abs(jk.g - js.g)) <= 1e-12
+    assert np.max(np.abs(jk.sigma - js.sigma)) <= 1e-12
     assert np.max(np.abs(jk.dg - js.dg)) <= 1e-12
     assert np.max(np.abs(full_ddg(jk) - full_ddg(js))) <= 1e-12
 
@@ -436,7 +449,7 @@ def test_kerr_deviation_decay():
     sups = []
     for i, r in enumerate((20.0, 40.0, 80.0)):
         jb = kerr.jets(shell_points(r, 100, seed=5 + i))
-        sups.append(r * np.abs(jb.g - M.DELTA).max())
+        sups.append(r * np.abs(jb.sigma).max())
     assert max(sups) <= 2.5  # frozen: measured 2.22 at the tightest shell
     assert max(sups) / min(sups) <= 1.2
 
@@ -454,25 +467,42 @@ def test_kerr_jets_match_symbolic_oracle(a):
             assert np.max(np.abs(field - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-# the largest relative errors of g, dg and ddg against the 40-digit oracle
-# at r = 1e4 and 1e6, a = 0.5 and 0.9: about ten times the measured 2.2e-16,
-# 5.9e-16 and 1.25e-15
-KERR_ORACLE_BOUNDS = (2.2e-15, 5.9e-15, 1.3e-14)
+# about ten times the largest relative errors against the 40-digit oracle
+# on the shells of ORACLE_RADII, measured for (sigma, dg, ddg): Kerr
+# 4.1e-16, 6.5e-16 and 1.25e-15, dg and ddg keeping the bounds of the
+# shells at 1e4 and 1e6; standard 3.3e-16, 9.8e-16 and 1.5e-15; isotropic
+# 2.1e-16, 4.9e-16 and 6.1e-16.  sigma read as g - delta loses about
+# eps r: 1.4e-10 on Kerr at r = 1e6 and 7-9e-9 at 1e8
+ORACLE_BOUNDS = {
+    "kerr_slice": (4.1e-15, 5.9e-15, 1.3e-14),
+    "schwarzschild_standard": (3.3e-15, 9.8e-15, 1.5e-14),
+    "schwarzschild_isotropic": (2.1e-15, 4.9e-15, 6.1e-15),
+}
+ORACLE_RADII = (20.0, 1e4, 1e6, 1e8)
+
+
+def assert_jets_match_the_mpmath_oracle(metric):
+    s = np.sqrt(0.5)
+    axes = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-s, s, 0]])
+    for r in ORACLE_RADII:
+        pts = np.vstack([shell_points(r, 20, seed=16), r * axes])
+        got = metric.jets(pts)
+        fields = (M.unpack(got.sigma).transpose(2, 0, 1), node_major(got)[1], full_ddg(got))
+        want = mpmath_jets(metric, pts)
+        for field, exact, bound in zip(fields, want, ORACLE_BOUNDS[metric.family]):
+            assert np.max(np.abs(field - exact)) <= bound * np.max(np.abs(exact)), r
 
 
 @pytest.mark.parametrize("a", [0.5, 0.9])
 def test_kerr_jets_match_the_mpmath_oracle_far_out(a):
     # the float64 symbolic oracle itself loses 2e-12 at r = 1e4 and 2-5e-10
     # at 1e6, so far out only a 40-digit evaluation can judge the jets
-    kerr = M.kerr_slice(1.0, a)
-    s = np.sqrt(0.5)
-    axes = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-s, s, 0]])
-    for r in (1e4, 1e6):
-        pts = np.vstack([shell_points(r, 20, seed=16), r * axes])
-        got = kerr.jets(pts)
-        want = mpmath_kerr_jets(1.0, a, pts)
-        for field, exact, bound in zip((*node_major(got), full_ddg(got)), want, KERR_ORACLE_BOUNDS):
-            assert np.max(np.abs(field - exact)) <= bound * np.max(np.abs(exact)), r
+    assert_jets_match_the_mpmath_oracle(M.kerr_slice(1.0, a))
+
+
+@pytest.mark.parametrize("chart", ["standard", "isotropic"])
+def test_schwarzschild_jets_match_the_mpmath_oracle_far_out(chart):
+    assert_jets_match_the_mpmath_oracle(getattr(M, f"schwarzschild_{chart}")(1.0))
 
 
 def test_catalog_jets_need_no_sympy():
@@ -507,7 +537,7 @@ def test_decay_audit(metric):
         d = rng.normal(size=(100, 3))
         d /= np.linalg.norm(d, axis=1)[:, None]
         jb = metric.jets(r * d)
-        assert r**tau * np.abs(jb.g - M.DELTA).max() <= c0m
+        assert r**tau * np.abs(jb.sigma).max() <= c0m
         assert r ** (1 + tau) * np.abs(jb.dg).max() <= c1m
         assert r ** (2 + tau) * np.abs(full_ddg(jb)).max() <= c2m
 
@@ -612,7 +642,7 @@ def test_symmetric_inverse_matches_lapack(metric, radius):
     # conditioning of each matrix
     jets = metric.jets(shell_points(radius, 200, seed=22))
     g = node_major(jets)[0]
-    inv = M.unpack(M.symmetric_inverse(jets.g)).transpose(2, 0, 1)
+    inv = M.unpack(M.symmetric_inverse(jets.sigma + M.DELTA)).transpose(2, 0, 1)
     ref = np.linalg.inv(g)
     cond = np.linalg.cond(g)
     err = np.max(np.abs(inv - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
@@ -924,7 +954,7 @@ def test_catalog_jets_are_finite_at_the_largest_study_radius():
         warnings.simplefilter("error")
         for metric in ALL_FAMILIES:
             jets = metric.jets(points)
-            arrays = [jets.g, jets.dg] + [a for S, _ in jets.terms for a in (S.v, S.d, S.h)]
+            arrays = [jets.sigma, jets.dg] + [a for S, _ in jets.terms for a in (S.v, S.d, S.h)]
             assert all(np.all(np.isfinite(a)) for a in arrays), metric.family
 
 
@@ -944,15 +974,15 @@ def test_jets_name_a_finite_radius_where_its_square_overflows():
     assert "kerr_slice" in raised
 
 
-# per jets call: products of two jets, products of a jet with a number, and
-# powers, on every family of ALL_FAMILIES
+# per jets call: products of two jets, products of a jet with a number,
+# powers, and the closed form's terms, on every family of ALL_FAMILIES
 JET_WORK = {
-    "euclidean": (0, 0, 0),
-    "schwarzschild_isotropic m=1": (0, 1, 2),
-    "schwarzschild_standard m=1": (2, 1, 1),
-    "kerr_slice a=0.5 m=1": (7, 5, 4),
-    "conformal_perturbed eps=0.1 l=2 m=1 m_order=0 tau_extra=1": (9, 9, 4),
-    "conformal_perturbed eps=0.1 l=2 m=1 m_order=1 tau_extra=0.8": (10, 9, 4),
+    "euclidean": (0, 0, 0, 0),
+    "schwarzschild_isotropic m=1": (2, 1, 1, 1),
+    "schwarzschild_standard m=1": (1, 1, 2, 1),
+    "kerr_slice a=0.5 m=1": (7, 5, 4, 3),
+    "conformal_perturbed eps=0.1 l=2 m=1 m_order=0 tau_extra=1": (10, 10, 2, 1),
+    "conformal_perturbed eps=0.1 l=2 m=1 m_order=1 tau_extra=0.8": (10, 11, 2, 1),
 }
 
 
@@ -975,8 +1005,8 @@ def test_catalog_jet_work_is_pinned(monkeypatch):
     work = {}
     for metric in ALL_FAMILIES:
         counts.clear()
-        metric.jets(points)
-        work[metric.spec()] = (counts["jet"], counts["number"], counts["power"])
+        terms = metric.jets(points).terms
+        work[metric.spec()] = (counts["jet"], counts["number"], counts["power"], len(terms))
     assert work == JET_WORK
 
 

@@ -20,9 +20,10 @@ from nearlyround.sphere import build_grid, coeff_index, synthesize
 def solid(points, l, m):
     """r^l Y_lm with value v (N,), gradient d (N, 3) and Hessian h (N, 3, 3);
     the library's jets keep the node axis last and pack the symmetric
-    Hessian as (6, N), so it is unpacked and the node axis moved first here."""
-    x, y, z, _ = M._coordinates(np.atleast_2d(points))
-    S = M._solid_harmonic(x, y, z, l, m)
+    Hessian as (6, N), so it is unpacked and the node axis moved first here.
+    At l = 0 the library returns the number Y_00, taken here as a constant jet."""
+    x, y, z = M._coordinates(np.atleast_2d(points))
+    S = 0.0 * x + M._solid_harmonic(x, y, z, l, m)
     return SimpleNamespace(v=S.v, d=np.moveaxis(S.d, -1, 0), h=np.moveaxis(S.h[M._PACK], -1, 0))
 
 

@@ -768,9 +768,9 @@ def test_verify_computes_christoffel_once_per_record(monkeypatch):
 
 @pytest.mark.parametrize("ambient", [None, mcat.euclidean()], ids=["none", "euclidean"])
 def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
-    # g = delta and dg = 0 are known ahead of time: a flat record calls
-    # neither the jets nor the connection, yet carries g, g^-1 and dg for
-    # consumers, in the curved record's node-last layout
+    # sigma = 0 and dg = 0 are known ahead of time: a flat record calls
+    # neither the jets nor the connection, yet carries sigma, g^-1 and dg
+    # for consumers, read-only, in the curved record's node-last layout
     calls = []
 
     def refuse(name):
@@ -785,12 +785,13 @@ def test_flat_record_evaluates_no_ambient(monkeypatch, ambient):
     fd = surf.fundamental_forms(surf.coordinate_sphere(3.0, build_grid(8)), ambient)
     assert calls == []
     N = fd.grid.n_nodes
-    assert np.array_equal(fd.ambient_metric, np.broadcast_to(mcat.DELTA, (6, N)))
+    assert fd.ambient_sigma.shape == (6, N) and not np.any(fd.ambient_sigma)
+    assert not fd.ambient_sigma.flags.writeable
     assert fd.ambient_dg.shape == (3, 6, N) and not np.any(fd.ambient_dg)
-    assert np.array_equal(fd.ambient_metric_inv, fd.ambient_metric)
+    assert np.array_equal(fd.ambient_metric_inv, np.broadcast_to(mcat.DELTA, (6, N)))
     assert fd.tangents.shape == (2, 3, N)
     monkeypatch.undo()
-    # the tracefree gradient reads the constant g and dg like a curved record's
+    # the tracefree gradient reads the constant sigma and dg like a curved record's
     grad = surf.tracefree_gradient(fd)[1]
     assert np.all(np.isfinite(grad)) and grad.max() < 1e-10
 
@@ -809,7 +810,7 @@ def test_records_hold_values(catalog, ambient):
     assert all(v.dtype != object for v in values.values() if isinstance(v, np.ndarray))
     if metric is not None:
         jets = metric.jets(s.points)
-        assert np.array_equal(fd.ambient_metric, jets.g)
+        assert np.array_equal(fd.ambient_sigma, jets.sigma)
         assert np.array_equal(fd.ambient_dg, jets.dg)
 
 
