@@ -31,14 +31,13 @@ from .errors import ConfigError, NearlyRoundError
 from .harness import (
     RowFailure,
     StudyConfig,
-    check_radii,
     fit_rate,
     json_text,
     load_config,
     run_masses,
     run_verify,
 )
-from .metrics import adm_mass, parse_metric
+from .metrics import adm_mass, check_radii, parse_metric
 from .sphere import build_grid
 from .surfaces import coordinate_sphere, fundamental_forms, mass_flux
 
@@ -186,8 +185,6 @@ def _cmd_rate(args) -> int:
     m_infinity = args.m_inf if args.m_inf is not None else reference
     if m_infinity is None:
         raise ConfigError("no --m-inf given and the report carries no adm_reference")
-    if len(pairs) < 3:
-        raise ConfigError(f"need at least three usable rows, found {len(pairs)}")
     sys.stdout.write(json_text(asdict(fit_rate(pairs, m_infinity))))
     return EXIT_OK
 

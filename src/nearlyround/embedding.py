@@ -784,7 +784,9 @@ def embed(fd: FundamentalData, *, tol: float = 1e-8) -> IsometricEmbedding:
         raise RegimeViolation("embedded image encloses no volume")
 
     gap = image_data.induced_metric - fd.induced_metric
-    metric_residual = float(np.max(_frobenius(gap) / _frobenius(fd.induced_metric)))
+    # scaled by a power of two near 1/r0^2: the ratio stays exact, the squares finite
+    scale = 2.0 ** (-2 * np.frexp(r0)[1])
+    metric_residual = float(np.max(_frobenius(scale * gap) / _frobenius(scale * fd.induced_metric)))
 
     return IsometricEmbedding(
         radius=r0,

@@ -28,7 +28,7 @@ import numpy as np
 from .embedding import embed, minkowski_residuals
 from .errors import ConfigError, NearlyRoundError
 from .mass import MassValues, assemble_mass_row
-from .metrics import adm_mass, parse_metric
+from .metrics import adm_mass, check_radii, check_schedule, parse_metric
 from .sphere import analyze, build_grid, coeff_degrees, coeff_index, synthesize
 from .surfaces import (
     coordinate_sphere,
@@ -58,23 +58,7 @@ __all__ = [
 
 _FAMILIES = ("coordinate-spheres", "radial-perturbed")
 
-# radii at or beyond this have a fourth power that overflows a float, and
-# det h = r^4 sin^2 theta on a coordinate sphere
-MAX_RADIUS = float(np.finfo(float).max) ** 0.25
-
 CSV_COLUMNS = ("r", "area", "hawking", "brown_york", "adm_reference", "embed_residual", "flags")
-
-
-def check_radii(radii) -> tuple:
-    """The radii as floats, each positive and below MAX_RADIUS: the one radius
-    rule of the studies and of the embed and adm subcommands."""
-    radii = tuple(float(r) for r in radii)
-    if not all(0.0 < r < MAX_RADIUS for r in radii):
-        raise ConfigError(
-            f"radii must be positive and below {MAX_RADIUS:.4g}, where their fourth "
-            f"power overflows: {radii}"
-        )
-    return radii
 
 
 @dataclass(frozen=True)
@@ -82,11 +66,10 @@ class StudyConfig:
     """Everything a study run needs, validated at construction: the one
     input rule of the command line, whose study flags are these fields.
 
-    The schedule must be strictly increasing with at least three radii,
-    each under check_radii's rule; the band limit under build_grid's rule
-    (l, m_order and seed under its operator.index) and at least 8; tol
-    positive and finite.  amplitude/l/m_order/decay shape the
-    radial-perturbed family and are ignored by coordinate-spheres.
+    The schedule is under metrics.check_schedule's rule; the band limit
+    under build_grid's rule (l, m_order and seed under its operator.index)
+    and at least 8; tol positive and finite.  amplitude/l/m_order/decay
+    shape the radial-perturbed family and are ignored by coordinate-spheres.
     """
 
     metric: str = "schwarzschild_isotropic m=1"
@@ -103,7 +86,7 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", check_radii(self.schedule))
+        object.__setattr__(self, "schedule", check_schedule(self.schedule))
         for name in ("amplitude", "decay", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -112,10 +95,6 @@ class StudyConfig:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if len(self.schedule) < 3:
-            raise ConfigError("schedule needs at least three radii")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise ConfigError(f"schedule must be strictly increasing: {self.schedule}")
         build_grid(self.band_limit)
         if self.band_limit < 8:
             raise ConfigError(f"band limit must be at least 8, got {self.band_limit}")
@@ -192,17 +171,15 @@ def family_surfaces(config: StudyConfig, grid, metric) -> list:
     coeffs = np.zeros(grid.n_coeffs)
     coeffs[coeff_index(config.l, config.m_order)] = 1.0
     ylm = synthesize(grid, coeffs)
-    try:
+    # an overflow gives inf or nan, which the radius rule refuses; every node
+    # is checked before any row runs, so no row fails inside the metric
+    with np.errstate(over="ignore", invalid="ignore"):
         profiles = [
-            r * (1.0 + config.amplitude * r ** (-config.decay) * ylm)
+            r * (1.0 + config.amplitude * np.float64(r) ** -config.decay * ylm)
             for r in config.schedule
         ]
-    except OverflowError as exc:
-        raise ConfigError(
-            f"the perturbation r^-decay overflows on the schedule (decay {config.decay:g})"
-        ) from exc
-    # checked before any row runs, so no row fails inside the metric
-    r_min = min(float(np.min(profile)) for profile in profiles)
+    node_radii = check_radii(f(profile) for profile in profiles for f in (np.min, np.max))
+    r_min = min(node_radii)
     if r_min <= metric.exclusion_radius:
         raise ConfigError(
             f"perturbed surfaces reach radius {r_min:.3f}, inside the "
@@ -340,18 +317,19 @@ class RateFit:
 def fit_rate(series, m_infinity: float) -> RateFit:
     """Fit the approach rate of a mass series toward its limit.
 
-    series is an iterable of (r, mass) pairs, with finite masses at
-    positive finite radii, and m_infinity is finite.  A flux of size r less
-    its leading part, a mass at radius r carries about eps r of roundoff:
-    gaps below 10 eps max(1, |m_inf|, r) give an explicit not-fittable
-    result.
+    series is an iterable of at least three (r, mass) pairs, with finite
+    masses at radii under metrics.check_radii's rule, and m_infinity is
+    finite.  A flux of size r less its leading part, a mass at radius r
+    carries about eps r of roundoff: gaps below 10 eps max(1, |m_inf|, r)
+    give an explicit not-fittable result.
     """
     pts = [(float(r), float(v)) for r, v in series]
     if len(pts) < 3:
         raise ConfigError("rate fit needs at least three points")
-    bad = [(r, v) for r, v in pts if not (0.0 < r < math.inf and math.isfinite(v))]
+    check_radii(r for r, _ in pts)
+    bad = [(r, v) for r, v in pts if not math.isfinite(v)]
     if bad:
-        raise ConfigError(f"rate fit needs finite masses at positive finite radii, got {bad[0]}")
+        raise ConfigError(f"rate fit needs finite masses, got {bad[0]}")
     m_infinity = float(m_infinity)
     if not math.isfinite(m_infinity):
         raise ConfigError(f"the limit m_inf must be finite, got {m_infinity}")
@@ -430,6 +408,8 @@ class VerifyReport:
 def _curvature_tail(grid, fd) -> float:
     """Energy fraction of the curvature in the top two degree bands."""
     coeffs = analyze(grid, fd.gauss_curvature)
+    # scaled by a power of two near the largest: the fraction stays exact, the squares finite
+    coeffs *= 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1]
     degs, _ = coeff_degrees(grid.L)
     total = float(np.linalg.norm(coeffs))
     if total == 0.0:

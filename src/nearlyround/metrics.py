@@ -70,6 +70,34 @@ class NonMonotoneFluxTail(UserWarning):
     """Mass-flux values do not settle monotonically along the radius schedule."""
 
 
+# the ends of the one radius rule: det h = r^4 sin^2 theta on a coordinate
+# sphere, and r^4 is a normal float strictly between them
+MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
+MAX_RADIUS = float(np.finfo(float).max) ** 0.25
+
+
+def check_radii(radii) -> tuple:
+    """The radii as floats, each strictly between MIN_RADIUS and MAX_RADIUS:
+    the one radius rule of every schedule, fit and surface."""
+    radii = tuple(float(r) for r in radii)
+    if not all(MIN_RADIUS < r < MAX_RADIUS for r in radii):
+        raise ConfigError(
+            f"radii must be positive, above {MIN_RADIUS:.4g}, where their fourth power underflows, "
+            f"and below {MAX_RADIUS:.4g}, where their fourth power overflows: {radii}"
+        )
+    return radii
+
+
+def check_schedule(radii) -> tuple:
+    """check_radii's radii, at least three and strictly increasing: the schedule rule."""
+    radii = check_radii(radii)
+    if len(radii) < 3:
+        raise ConfigError(f"a schedule needs at least three radii, got {radii}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError(f"a schedule must be strictly increasing: {radii}")
+    return radii
+
+
 @dataclass(frozen=True)
 class JetBatch:
     """The metric g = delta + sigma at N points, node axis last and packed:
@@ -94,8 +122,8 @@ class AFMetric:
     ``exclusion_radius`` is twice the natural singular radius of the family;
     jet evaluation raises PointInsideExclusionRadius inside it, and
     NonFiniteJets where an entry overflows.  Every family's jets are finite
-    up to the largest radius a study accepts (harness.MAX_RADIUS, about
-    1.16e77); Kerr's overflow from about r = 1.3e154, where r^2 does.
+    up to the largest radius a study accepts (MAX_RADIUS, about 1.16e77);
+    Kerr's overflow from about r = 1.3e154, where r^2 does.
     """
 
     def __init__(self, family, params, tau, exclusion_radius, jet_fn, known_mass):
@@ -231,16 +259,10 @@ _HESS_Z2 = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [2.0]])
 
 
 def _squares(points):
-    """Jets of r^2 = x.x and of z^2, built exactly as the polynomials they
-    are: gradients 2x and 2z e_z, constant Hessians."""
+    """The jet of r^2 = x.x, exact as the polynomial it is: gradient 2x, constant Hessian."""
     n = len(points)
     xt = np.ascontiguousarray(points.T)
-    dz2 = np.zeros((3, n))
-    dz2[2] = 2.0 * xt[2]
-    return (
-        _Jet(np.einsum("in,in->n", xt, xt), 2.0 * xt, np.broadcast_to(_HESS_R2, (6, n))),
-        _Jet(xt[2] * xt[2], dz2, np.broadcast_to(_HESS_Z2, (6, n))),
-    )
+    return _Jet(np.einsum("in,in->n", xt, xt), 2.0 * xt, np.broadcast_to(_HESS_R2, (6, n)))
 
 
 def _solid_harmonic(x, y, z, l: int, m: int) -> _Jet:
@@ -337,7 +359,7 @@ def schwarzschild_isotropic(m: float) -> AFMetric:
         raise ConfigError("mass must be positive")
 
     def jets(points):
-        u = (m / 2.0) * _squares(points)[0] ** -0.5
+        u = (m / 2.0) * _squares(points) ** -0.5
         w = u * (2.0 + u)  # phi^2 - 1, phi = 1 + u
         return _assemble(points, beta=w * (2.0 + w))
 
@@ -374,7 +396,7 @@ def conformal_perturbed(
 
     def jets(points):
         x, y, z = _coordinates(points)
-        r2 = _squares(points)[0]
+        r2 = _squares(points)
         inv = r2**-0.5
         angular = _solid_harmonic(x * inv, y * inv, z * inv, l, m_order)
         u = (m / 2.0) * inv + eps * angular * r2 ** (-0.5 * tau_extra)
@@ -393,7 +415,7 @@ def schwarzschild_standard(m: float) -> AFMetric:
         raise ConfigError("mass must be positive")
 
     def jets(points):
-        r2 = _squares(points)[0]
+        r2 = _squares(points)
         return _assemble(points, F=2.0 * m / ((r2**0.5 - 2.0 * m) * r2))
 
     return AFMetric("schwarzschild_standard", {"m": m}, 1.0, 4.0 * m, jets, m)
@@ -420,7 +442,12 @@ def kerr_slice(m: float, a: float) -> AFMetric:
     a2, two_m = a * a, 2.0 * m
 
     def jets(points):
-        r2, z2 = _squares(points)
+        # the jet of z^2, exact as _squares builds r^2: gradient 2z e_z
+        z = points[:, 2]
+        dz2 = np.zeros((3, len(points)))
+        dz2[2] = 2.0 * z
+        z2 = _Jet(z * z, dz2, np.broadcast_to(_HESS_Z2, (6, len(points))))
+        r2 = _squares(points)
         inv2 = r2**-1.0
         inv4 = inv2 * inv2
         inv1 = r2**-0.5
@@ -616,25 +643,18 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
     """Extrapolate mass fluxes against c0 + c1 r^-p with p fitted.
 
     fluxes[k] is the mass flux through the surface of radius radii[k]
-    (surfaces.mass_flux).  Needs at least three strictly increasing
-    positive radii, each with a finite square (the flux carries r^2), and
-    one finite flux per radius; p comes from a golden-section search on
-    [0.25, 4] to 1e-13.  A constant flux fits every p, so it has no rate:
-    rate is nan and the coefficient 0.  Warns when the flux tail is not
-    settling monotonically.
+    (surfaces.mass_flux).  The radii are a schedule under check_schedule's
+    rule, the one of the studies, with one finite flux per radius; p comes
+    from a golden-section search on [0.25, 4] to 1e-13.  A constant flux
+    fits every p, so it has no rate: rate is nan and the coefficient 0.
+    Warns when the flux tail is not settling monotonically.
     """
-    radii = tuple(float(r) for r in radii)
+    radii = check_schedule(radii)
     fluxes = tuple(float(f) for f in fluxes)
-    if len(radii) < 3:
-        raise ConfigError("need at least three radii to fit the flux model")
     if len(fluxes) != len(radii):
         raise ConfigError(f"{len(fluxes)} fluxes for {len(radii)} radii")
-    if not all(r > 0.0 and np.isfinite(r * r) for r in radii):
-        raise ConfigError(f"radii must be positive with finite squares: {radii}")
     if not np.all(np.isfinite(fluxes)):
         raise ConfigError(f"fluxes must be finite: {fluxes}")
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ConfigError("radii must be strictly increasing")
     diffs = np.diff(fluxes)
     if len(diffs) >= 2:
         settling = np.all(np.abs(diffs[1:]) <= np.abs(diffs[:-1]) * (1.0 + 1e-12))

@@ -5,9 +5,11 @@ cli.main in-process: catalog metric specs with missing, extra, non-finite
 and out-of-range parameters, malformed schedules, radii, tolerances and
 band limits (1 to 7 among them), and malformed `rate` input files.  Each
 must exit 0, 1, 2 or 3, or be refused by argparse with SystemExit(2);
-anything else, a traceback above all, breaks the contract.  Every band
-limit that can pass the input rules is at most 16, so no case starts a
-large allocation.
+anything else, a traceback above all, breaks the contract, and so does a
+raw RuntimeWarning in the log (the package's named warnings, such as
+NonMonotoneFluxTail, may appear).  Radii, schedules and amplitudes reach
+both ends of the radius rule.  Every band limit that can pass the input
+rules is at most 16, so no case starts a large allocation.
 """
 
 import json
@@ -52,7 +54,8 @@ METRIC = (
     ),
 )
 SCHEDULE = (
-    ("20,40,80", "10,20,40", "40,80,160"),
+    # the last valid schedule ends just under metrics.MAX_RADIUS
+    ("20,40,80", "10,20,40", "40,80,160", "1e76,1.1e77,1.15e77"),
     (None, "1,2,3", "20,40", "80,40,160", "20,20,40", "-10,20,40", "0,20,40",
      "20,40,nan", "20,40,inf", "20,40,1e100", "10,20,1e70", "a,b,c", ""),
 )
@@ -68,7 +71,7 @@ STUDY = {
     "--band-limit": BAND_LIMIT,
     "--tol": TOL,
     "--family": (("coordinate-spheres", "radial-perturbed"), ("cubes",)),
-    "--amplitude": (("0.1", "0.05"), ("0.9", "-0.3", "nan")),
+    "--amplitude": (("0.1", "0.05"), ("0.9", "-0.3", "nan", "1e300")),
     "--l": (("2", "3"), ("0", "20", "-1", "x")),
     "--m-order": (("0", "1", "-2"), ("4", "-9", "0.5")),
     "--decay": (("1", "0.5", "0"), ("-300", "inf")),
@@ -81,7 +84,10 @@ FLAGS = {
     "verify": STUDY,
     "embed": {
         "--metric": METRIC,
-        "--radius": (("20", "40"), (None, "1.5", "0", "-5", "nan", "inf", "1e100", "1e70", "x")),
+        "--radius": (
+            ("20", "40"),
+            (None, "1.5", "0", "-5", "nan", "inf", "1e100", "1e70", "1e-100", "x"),
+        ),
         "--band-limit": BAND_LIMIT,
         "--tol": TOL,
     },
@@ -167,7 +173,7 @@ def _outcome(argv):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_cli_keeps_the_exit_code_contract_on_fuzzed_input(tmp_path, capsys):
+def test_cli_keeps_the_exit_code_contract_on_fuzzed_input(tmp_path, capsys, caplog):
     for name, text in RATE_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8", errors="surrogateescape")
     (tmp_path / "study.cfg").write_text("metric = euclidean\nschedule = 10, 20, 40\n")
@@ -176,8 +182,10 @@ def test_cli_keeps_the_exit_code_contract_on_fuzzed_input(tmp_path, capsys):
     broken = []
     for _ in range(CASES):
         argv = _argv(rng, tmp_path)
+        caplog.clear()
         outcome = _outcome(argv)
         capsys.readouterr()
-        if outcome not in (0, 1, 2, 3, "argparse"):
-            broken.append(f"{argv!r} -> {outcome}")
+        raw = [r.getMessage() for r in caplog.records if "RuntimeWarning" in r.getMessage()]
+        if outcome not in (0, 1, 2, 3, "argparse") or raw:
+            broken.append(f"{argv!r} -> {outcome} {raw}")
     assert broken == [], "\n".join(broken)

@@ -306,6 +306,14 @@ def test_fit_rate_needs_three_points():
         nr.fit_rate([(10.0, 1.1), (20.0, 1.05)], 1.0)
 
 
+@pytest.mark.parametrize("radius", [1e100, 1e-100, 0.0])
+def test_fit_rate_holds_radii_to_the_radius_rule(radius):
+    # the one radius rule of the studies: a fourth power that overflows or
+    # underflows, or no positive radius, is bad input
+    with pytest.raises(nr.ConfigError, match="fourth power overflows"):
+        nr.fit_rate([(10.0, 1.1), (20.0, 1.05), (radius, 1.0)], 1.0)
+
+
 def test_fit_rate_not_fittable_at_noise_floor():
     series = [(r, 1.0) for r in (10.0, 20.0, 40.0)]
     fit = nr.fit_rate(series, 1.0)
@@ -697,13 +705,43 @@ def _cli(*argv):
     )
 
 
-@pytest.mark.parametrize("command", ["masses", "verify", "embed"])
-def test_cli_rejects_radius_whose_fourth_power_overflows(command):
-    # det h = r^4 sin^2 theta on a coordinate sphere overflows at r = 1e100,
-    # where r^2 is still finite; the radius is bad input, not a solver failure
-    where = ["--radius", "1e100"] if command == "embed" else ["--schedule", "10,20,1e100"]
-    proc = _cli(command, "--metric", "kerr_slice m=1 a=0.5", *where)
+_KERR_METRIC = ["--metric", "kerr_slice m=1 a=0.5"]
+_STANDARD_METRIC = ["--metric", "schwarzschild_standard m=1"]
+# an l = 0 bump of amplitude 1e300 puts the surfaces of the default schedule
+# near 5.6e300, though every scheduled radius is in range
+_HUGE_BUMP = [*_STANDARD_METRIC, "--family", "radial-perturbed", "--l", "0", "--m-order", "0",
+              "--amplitude", "1e300", "--decay", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # det h = r^4 sin^2 theta on a coordinate sphere overflows at r = 1e100,
+        # where r^2 is still finite
+        pytest.param(["masses", *_KERR_METRIC, "--schedule", "10,20,1e100"], id="masses"),
+        pytest.param(["verify", *_KERR_METRIC, "--schedule", "10,20,1e100"], id="verify"),
+        pytest.param(["embed", *_KERR_METRIC, "--radius", "1e100"], id="embed"),
+        # the rule holds every node of a perturbed surface
+        pytest.param(["masses", *_HUGE_BUMP], id="masses-perturbed-5.6e300"),
+        pytest.param(["verify", *_HUGE_BUMP], id="verify-perturbed-5.6e300"),
+        # the schedule is in range, but its l = 2 bump reaches about 1.5e77
+        pytest.param(
+            ["masses", *_STANDARD_METRIC, "--schedule", "1e76,1.1e77,1.15e77",
+             "--family", "radial-perturbed", "--l", "2", "--amplitude", "0.5", "--decay", "0"],
+            id="masses-perturbed-past-max",
+        ),
+        # r^4 underflows below the rule's lower end, about 1.22e-77
+        pytest.param(["masses", "--metric", "euclidean", "--schedule", "1e-100,2e-100,4e-100"],
+                     id="masses-underflow"),
+        pytest.param(["embed", "--metric", "euclidean", "--radius", "1e-100"], id="embed-underflow"),
+    ],
+)
+def test_cli_rejects_radius_whose_fourth_power_overflows(argv):
+    # a radius past either end of the rule is bad input, not a solver
+    # failure: refused before any row runs, with the rule's message
+    proc = _cli(*argv)
     assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
     assert "fourth power overflows" in proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 

@@ -22,7 +22,7 @@ from jet_oracles import (
 )
 
 from nearlyround import metrics as M
-from nearlyround.harness import MAX_RADIUS
+from nearlyround.metrics import MAX_RADIUS
 from nearlyround.sphere import MAX_BAND_LIMIT, build_grid, coeff_index, synth_at
 from nearlyround.surfaces import coordinate_sphere, fundamental_forms, mass_flux
 
@@ -392,7 +392,7 @@ def test_jet_batches_are_node_major_and_contiguous(metric):
         a = getattr(jets, field)
         assert a.shape == shape and a.flags.c_contiguous, field
     assert np.shares_memory(jets.dg.reshape(18, n), jets.dg)
-    assert M._squares(points)[0].d.flags.c_contiguous
+    assert M._squares(points).d.flags.c_contiguous
     assert all(V is not None for _, V in jets.terms[1:])  # a beta I term comes first
     for S, V in jets.terms:
         assert (S.v.shape, S.d.shape, S.h.shape) == ((n,), (3, n), (6, n))
@@ -909,6 +909,23 @@ def test_adm_mass_rejects_radii_whose_square_overflows():
         M.adm_mass([10.0, 20.0, 1e200], [1.2, 1.1, 1.0])
 
 
+def test_adm_mass_holds_radii_to_the_radius_rule():
+    # 1e100 has a finite square, but its fourth power overflows: the
+    # schedule rule of the studies refuses it
+    with pytest.raises(M.ConfigError, match="fourth power overflows"):
+        M.adm_mass([10.0, 20.0, 1e100], [1.2, 1.1, 1.0])
+
+
+def test_radius_rule_ends_are_where_the_fourth_power_leaves_the_normal_floats():
+    # every radius strictly between the ends has a normal, finite r^4
+    lo, hi = np.nextafter(M.MIN_RADIUS, np.inf), np.nextafter(M.MAX_RADIUS, 0.0)
+    assert M.check_radii([lo, hi]) == (lo, hi)
+    assert lo**4 >= np.finfo(float).tiny and np.isfinite(hi**4)
+    for r in (M.MIN_RADIUS, M.MAX_RADIUS, 0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(M.ConfigError, match="positive"):
+            M.check_radii([r])
+
+
 @pytest.mark.parametrize("radii", [(0.0, 1.0, 2.0), (-2.0, 1.0, 2.0), (-3.0, -2.0, -1.0)])
 def test_adm_mass_rejects_radii_that_are_not_positive(radii):
     # the model r^-p has no value at r <= 0
@@ -945,7 +962,7 @@ def test_kerr_jets_first_overflow_radius():
 
 
 def test_catalog_jets_are_finite_at_the_largest_study_radius():
-    # r = 1.15e77 lies just under harness.MAX_RADIUS, the largest radius a
+    # r = 1.15e77 lies just under metrics.MAX_RADIUS, the largest radius a
     # study accepts: no family's jets overflow or warn there
     r = 1.15e77
     assert r < MAX_RADIUS < 1.16e77
