@@ -320,7 +320,7 @@ def fit_rate(series, m_infinity: float) -> RateFit:
     series is an iterable of at least three (r, mass) pairs, with finite
     masses at radii under metrics.check_radii's rule, and m_infinity is
     finite.  A flux of size r less its leading part, a mass at radius r
-    carries about eps r of roundoff: gaps below 10 eps max(1, |m_inf|, r)
+    carries about eps r of roundoff: gaps below 10 eps max(|m_inf|, r)
     give an explicit not-fittable result.
     """
     pts = [(float(r), float(v)) for r, v in series]
@@ -335,7 +335,7 @@ def fit_rate(series, m_infinity: float) -> RateFit:
         raise ConfigError(f"the limit m_inf must be finite, got {m_infinity}")
     radii = np.array([r for r, _ in pts])
     gaps = np.array([abs(v - m_infinity) for _, v in pts])
-    floors = 10.0 * np.finfo(float).eps * np.maximum(max(1.0, abs(m_infinity)), radii)
+    floors = 10.0 * np.finfo(float).eps * np.maximum(abs(m_infinity), radii)
     if np.any(gaps <= floors):
         return RateFit(
             slope=math.nan, intercept=math.nan, residual=math.nan,
@@ -462,8 +462,14 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
             raise member_error
         return data
 
-    def over_family(fn):
-        return lambda: (max(fn(fd_hat, fd) for _, fd_hat, fd in family()), "")
+    known = metric.known_mass
+
+    def unit(r):  # the length unit at member r: |m|, or r where the metric has no mass
+        return np.float64(abs(known) or r)
+
+    def over_family(fn, dimension=0):
+        # the sup of a check of length^dimension, in the unit: a pure number
+        return lambda: (max(fn(fd_hat, fd) / unit(r) ** dimension for r, fd_hat, fd in family()), "")
 
     def roundness():
         diag = nearly_round_diagnostics([fd for _, _, fd in family()])
@@ -484,27 +490,25 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
             worst = [max(w, m) for w, m in zip(worst, measured)]
         return [(w, "") for w in worst]
 
-    known = metric.known_mass
-
     def adm():
         est = adm_mass(config.schedule, [mass_flux(fh, fd.ambient_dg) for _, fh, fd in family()])
         rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
-        return abs(est.value - known), f"extrapolated {est.value:.6f}{rate}"
+        return abs(est.value - known) / unit(config.schedule[0]), f"extrapolated {est.value:.6f}{rate}"
 
     entries = [
         ("gauss-bonnet", 1e-8,
          over_family(lambda fh, fd: abs(fd.integrate(fd.gauss_curvature) - 4.0 * math.pi))),
-        ("divergence-identity", 1e-10, over_family(divergence_identity_gap)),
-        ("curvature-transform", 1e-10, over_family(second_form_transform_residual)),
-        ("distance-hessian", 1e-10, over_family(lambda fh, fd: distance_hessian_residual(fh))),
-        ("mean-curvature-expansion", 50.0, over_family(mean_curvature_expansion_residual)),
-        ("mean-curvature-integral", 100.0, over_family(mean_curvature_integral_residual)),
+        ("divergence-identity", 1e-10, over_family(divergence_identity_gap, 1)),
+        ("curvature-transform", 1e-10, over_family(second_form_transform_residual, -1)),
+        ("distance-hessian", 1e-10, over_family(lambda fh, fd: distance_hessian_residual(fh), -1)),
+        ("mean-curvature-expansion", 50.0, over_family(mean_curvature_expansion_residual, 2)),
+        ("mean-curvature-integral", 100.0, over_family(mean_curvature_integral_residual, 2)),
         ("roundness-flags", 0.0, roundness),
         ("spectral-resolution", 1e-10, over_family(lambda fh, fd: _curvature_tail(grid, fd))),
         ("embedding-residual", config.tol, lambda: embedded()[0]),
         ("minkowski-first", 1e-6, lambda: embedded()[1]),
         ("minkowski-second", 1e-6, lambda: embedded()[2]),
-        ("adm-agreement", 0.05 * max(1.0, abs(known)), adm),
+        ("adm-agreement", 0.05, adm),
     ]
     checks = [_verify_check(*entry) for entry in entries]
 

@@ -121,9 +121,9 @@ class AFMetric:
 
     ``exclusion_radius`` is twice the natural singular radius of the family;
     jet evaluation raises PointInsideExclusionRadius inside it, and
-    NonFiniteJets where an entry overflows.  Every family's jets are finite
-    up to the largest radius a study accepts (MAX_RADIUS, about 1.16e77);
-    Kerr's overflow from about r = 1.3e154, where r^2 does.
+    NonFiniteJets where an entry overflows.  The closed forms run at unit
+    scale (jets), so an entry overflows only where its value does, as a
+    term's Hessian (about m / r^5) can near and below MIN_RADIUS.
     """
 
     def __init__(self, family, params, tau, exclusion_radius, jet_fn, known_mass):
@@ -144,14 +144,22 @@ class AFMetric:
                 f"{self.family}: point at radius {radii.min():.6g} inside "
                 f"exclusion radius {self.exclusion_radius:.6g}"
             )
+        # the closed form runs at unit scale: on the points and lengths times s = 2^-e,
+        # e the largest radius's binary exponent; dg and the terms come back by powers of s
+        s = np.ldexp(1.0, -np.frexp(radii.max())[1])
         with np.errstate(all="ignore"):
-            sigma, dg, terms = self._jet_fn(points)
+            sigma, dg, unit_terms = self._jet_fn(points * s, s)
+            dg *= s
+            terms = []
+            for S, V in unit_terms:
+                p = 0 if V is None else 2  # S is a pure number in beta I, a length^-2 otherwise
+                terms.append((_Jet(S.v * s**p, S.d * s ** (p + 1), S.h * s ** (p + 2)), V))
         arrays = [sigma, dg] + [a for S, _ in terms for a in (S.v, S.d, S.h)]
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise NonFiniteJets(
                 f"{self.family}: metric jets overflow at radius up to {radii.max():.6g}"
             )
-        return JetBatch(sigma, dg, terms, points)
+        return JetBatch(sigma, dg, tuple(terms), points)
 
     def __repr__(self):
         return f"AFMetric({self.spec()!r})"
@@ -240,8 +248,7 @@ class _Jet:
     def __pow__(self, p):
         d1 = p * self.v ** (p - 1.0)
         d2 = p * (p - 1.0) * self.v ** (p - 2.0)
-        # (d2 d_i) d_j, not d2 (d_i d_j): on a jet of r^2, d_i d_j = 4 x_i x_j
-        # overflows before r^2 does
+        # (d2 d_i) d_j, not d2 (d_i d_j): the reports' order of rounding
         return _Jet(self.v**p, d1 * self.d, d1 * self.h + (d2 * self.d)[_PI] * self.d[_PJ])
 
 
@@ -348,7 +355,7 @@ def _assemble(points, beta=None, F=None, E=None):
 
 
 def euclidean() -> AFMetric:
-    def jets(points):
+    def jets(points, s):
         return _assemble(points)
 
     return AFMetric("euclidean", {}, 1.0, 0.0, jets, 0.0)
@@ -358,8 +365,8 @@ def schwarzschild_isotropic(m: float) -> AFMetric:
     if m <= 0:
         raise ConfigError("mass must be positive")
 
-    def jets(points):
-        u = (m / 2.0) * _squares(points) ** -0.5
+    def jets(points, s):
+        u = (m * s / 2.0) * _squares(points) ** -0.5
         w = u * (2.0 + u)  # phi^2 - 1, phi = 1 + u
         return _assemble(points, beta=w * (2.0 + w))
 
@@ -394,12 +401,12 @@ def conformal_perturbed(
     if tau_extra <= 0.5:
         raise ConfigError("tau_extra must exceed 1/2 for a finite mass")
 
-    def jets(points):
+    def jets(points, s):
         x, y, z = _coordinates(points)
         r2 = _squares(points)
         inv = r2**-0.5
         angular = _solid_harmonic(x * inv, y * inv, z * inv, l, m_order)
-        u = (m / 2.0) * inv + eps * angular * r2 ** (-0.5 * tau_extra)
+        u = (m * s / 2.0) * inv + eps * s**tau_extra * angular * r2 ** (-0.5 * tau_extra)
         w = u * (2.0 + u)  # phi^2 - 1, phi = 1 + u
         return _assemble(points, beta=w * (2.0 + w))
 
@@ -414,9 +421,9 @@ def schwarzschild_standard(m: float) -> AFMetric:
     if m <= 0:
         raise ConfigError("mass must be positive")
 
-    def jets(points):
+    def jets(points, s):
         r2 = _squares(points)
-        return _assemble(points, F=2.0 * m / ((r2**0.5 - 2.0 * m) * r2))
+        return _assemble(points, F=2.0 * m * s / ((r2**0.5 - 2.0 * m * s) * r2))
 
     return AFMetric("schwarzschild_standard", {"m": m}, 1.0, 4.0 * m, jets, m)
 
@@ -429,19 +436,18 @@ def kerr_slice(m: float, a: float) -> AFMetric:
     w = (-y, x, 0); every scalar is smooth away from the excluded ball,
     poles included.
 
-    The jets use forms that cancel nothing and hold no power of r above
-    r^2: with q = 2m/r - a^2/r^2 and D = Delta/r^2 = 1 - q,
-    beta = B - 1 = a^2 z^2/r^4, F = (A - B)/r^2 = B q/(D r^2) and
-    E = a^2 (1 + 2m/(r B))/r^4.
+    The jets use forms that cancel nothing: with q = 2m/r - a^2/r^2 and
+    D = Delta/r^2 = 1 - q, beta = B - 1 = a^2 z^2/r^4,
+    F = (A - B)/r^2 = B q/(D r^2) and E = a^2 (1 + 2m/(r B))/r^4.
     """
     if m <= 0:
         raise ConfigError("mass must be positive")
     if abs(a) >= m:
         raise ConfigError("need |a| < m for a regular horizon")
     r_plus = m + np.sqrt(m * m - a * a)
-    a2, two_m = a * a, 2.0 * m
 
-    def jets(points):
+    def jets(points, s):
+        a2, two_m = (a * s) * (a * s), 2.0 * (m * s)
         # the jet of z^2, exact as _squares builds r^2: gradient 2z e_z
         z = points[:, 2]
         dz2 = np.zeros((3, len(points)))
@@ -670,7 +676,10 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
             value=float(fluxes[0]), rate=np.nan, coefficient=0.0, residual=0.0,
             radii=radii, fluxes=fluxes,
         )
-    r = np.asarray(radii)
+    # fitted in radii over 2^e, e the binary exponent of the first radius, so
+    # in any unit alike; c1 goes back to the caller's unit (inf past the floats)
+    e = np.frexp(radii[0])[1]
+    r = np.ldexp(radii, -e)
     F = np.asarray(fluxes)
 
     def solve_for(p):
@@ -691,6 +700,8 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
             fb = solve_for(b)[1]
     p = 0.5 * (lo + hi)
     (c0, c1), rss = solve_for(p)
+    with np.errstate(over="ignore"):
+        c1 *= np.exp2(e * p)
     return AdmEstimate(
         value=float(c0),
         rate=p,

@@ -686,7 +686,7 @@ def _signed_distances(s: Immersion, X: np.ndarray, th0, ph0) -> np.ndarray:
     cc = s.component_coeffs()
     th = np.array(th0, dtype=float).copy()
     ph = np.array(ph0, dtype=float).copy()
-    scale = max(1.0, float(np.linalg.norm(X, axis=1).max()))
+    scale = float(np.linalg.norm(X, axis=1).max())
     for _ in range(50):
         y, yt, yp, ytt, ytp, ypp = synth_at(cc, th, ph, nderiv=2)
         d = X - y

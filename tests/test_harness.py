@@ -7,6 +7,7 @@ a contract test: validation, determinism, exit codes, report schema.
 """
 
 import ast
+import functools
 import json
 import math
 import os
@@ -1337,3 +1338,91 @@ def test_masses_scale_with_the_metric(case):
             else:
                 assert np.allclose(got, exact, rtol=1e-13, atol=0.0), (lam, row.r_label)
                 assert row.embed_residual <= tol
+
+
+# The one unit rule: (m, a, r) -> 2^k (m, a, r), with the bump amplitude
+# times 2^(k decay), is the same geometry in another unit and exact in
+# floating point.  conformal_perturbed is left out: its eps carries
+# length^tau_extra, exact under the scaling only for integral tau_extra.
+UNIT_CASES = {
+    **SCALE_CASES,
+    "lumpy-half": (SCALE_CASES["lumpy"][0], dict(SCALE_CASES["lumpy"][1], decay=0.5)),
+    "euclidean": ("euclidean", {}),
+}
+UNIT_EXPONENTS = (-200, -100, -40, 40, 100, 220)
+
+
+@functools.cache
+def unit_study(case, k):
+    """The masses report and verify table of a unit case at scale 2^k, L=16."""
+    spec, bump = UNIT_CASES[case]
+    lam = 2.0**k
+    bump = dict(bump, amplitude=bump["amplitude"] * 2.0 ** (k * bump["decay"])) if bump else {}
+    cfg = nr.StudyConfig(
+        metric=spec.format(m=lam, a=0.5 * lam),
+        schedule=tuple(lam * r for r in (20.0, 40.0, 80.0)), band_limit=16, **bump,
+    )
+    return harness.run_masses(cfg), harness.run_verify(cfg)
+
+
+def unit_free(masses, verify, k):
+    """A study's masses rows and adm reference in units of 2^k (area in 4^k),
+    and its verify table's names, values and verdicts."""
+    rows = [
+        (math.ldexp(row.r_label, -k), math.ldexp(row.area, -2 * k), math.ldexp(row.hawking, -k),
+         math.ldexp(row.brown_york, -k), row.embed_residual, row.flags)
+        for row in masses.rows
+    ]
+    checks = [(c.name, c.value, c.passed) for c in verify.checks]
+    return rows, math.ldexp(masses.adm_reference, -k), checks
+
+
+@pytest.mark.parametrize("k", UNIT_EXPONENTS)
+@pytest.mark.parametrize("case", sorted(UNIT_CASES))
+def test_studies_are_exact_under_a_power_of_two_unit(case, k):
+    # the k = 0 rows carry no flags, so the oracle compares working
+    # studies (the decay-1/2 bump fails roundness-flags and
+    # spectral-resolution at every scale); every number of the scaled study,
+    # read in its unit, equals k = 0 bit for bit.  adm-agreement's note
+    # prints c0 in the caller's unit and is not compared
+    base = unit_free(*unit_study(case, 0), 0)
+    assert all(row[-1] == () for row in base[0])
+    assert unit_free(*unit_study(case, k), k) == base
+
+
+def test_kerr_masses_are_exact_far_out():
+    # m_H and m_BY drifted 1.6% low from r = 1e66 with m proportional to r,
+    # with exit 0, while the jets formed r^-6 at the caller's scale
+    base = unit_free(*unit_study("kerr", 0), 0)
+    assert unit_free(*unit_study("kerr", 215), 215) == base
+
+
+def test_adm_agreement_is_relative_to_the_mass(monkeypatch):
+    # a known mass 10% off fails at any scale; at m = 2^-40 an absolute
+    # bound of 0.05 passed it
+    def off_by_ten_percent(text):
+        metric = parse_metric(text)
+        metric.known_mass *= 1.1
+        return metric
+
+    monkeypatch.setattr(harness, "parse_metric", off_by_ten_percent)
+    for k in (0, -40):
+        _, verify = unit_study.__wrapped__("kerr", k)
+        (adm,) = [c for c in verify.checks if c.name == "adm-agreement"]
+        assert not adm.passed and adm.tolerance == 0.05
+        assert 0.08 < adm.value < 0.1  # |c0 - 1.1 m| / (1.1 m), c0 = 1.0023 m
+
+
+def test_fit_rate_reads_the_same_slope_in_any_unit():
+    # Brown-York rows of Kerr at m = 2^k: the gaps to m are about 1e-20 at
+    # k = -60, far above the roundoff of masses of that size; a floor of
+    # 10 eps max(1, |m|, r) called them noise
+    slopes = []
+    for k in (-100, -60, 0, 60):
+        masses, _ = unit_study("kerr", k)
+        fit = nr.fit_rate([(row.r_label, row.brown_york) for row in masses.rows],
+                          masses.adm_reference)
+        assert fit.fittable, (k, fit.note)
+        slopes.append(fit.slope)
+    assert abs(slopes[2] + 1.0274) <= 1e-4
+    assert max(abs(s / slopes[2] - 1.0) for s in slopes) <= 1e-13

@@ -939,26 +939,32 @@ def test_adm_mass_rejects_fluxes_that_are_not_finite(bad):
         M.adm_mass([20.0, 40.0, 80.0], [1.2, bad, 1.0])
 
 
+# below the radius rule, outside the exclusion radius, where the Hessians of
+# the S (Vx)(Vx)^T terms (about m / r^5) overflow a float
+TINY_MASSES = (M.kerr_slice(1e-300, 5e-301), M.schwarzschild_standard(1e-300))
+
+
 def test_jets_overflow_is_a_solver_error_without_warnings():
-    # outside the exclusion radius but where the Kerr jets (r^2) overflow a
-    # float
-    kerr = M.kerr_slice(1.0, 0.5)
+    # the jets run at unit scale: Kerr's stay finite where r^2 overflows
+    # (1e155), and an entry overflows only where its value does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kerr.jets(np.array([[0.0, 0.0, 1e154], [1e154, 0.0, 0.0]]))
-        with pytest.raises(M.NonFiniteJets, match="overflow"):
-            kerr.jets(np.array([[1e155, 0.0, 0.0]]))
+        M.kerr_slice(1.0, 0.5).jets(np.array([[0.0, 0.0, 1e155], [1e160, 0.0, 0.0]]))
+        for metric in TINY_MASSES:
+            with pytest.raises(M.NonFiniteJets, match="overflow"):
+                metric.jets(np.array([[1e-200, 0.0, 0.0]]))
 
 
 def test_kerr_jets_first_overflow_radius():
-    # the terms' scalar jets are checked with g and dg; the highest power
-    # of r in the Kerr jets is r^2, which first overflows at 1e155
+    # the terms' scalar jets are checked with g and dg.  At unit scale no
+    # power of r leaves the floats: with m = 1 the Kerr jets are finite on
+    # spheres to r = 1e300, and with m = 1e-300 they overflow at r = 1e-200
     kerr = M.kerr_slice(1.0, 0.5)
     grid = build_grid(8)
-    for k in range(40, 155):
+    for k in range(40, 301, 5):
         kerr.jets(coordinate_sphere(10.0**k, grid).points)
     with pytest.raises(M.NonFiniteJets):
-        kerr.jets(coordinate_sphere(1e155, grid).points)
+        TINY_MASSES[0].jets(coordinate_sphere(1e-200, grid).points)
 
 
 def test_catalog_jets_are_finite_at_the_largest_study_radius():
@@ -977,18 +983,15 @@ def test_catalog_jets_are_finite_at_the_largest_study_radius():
 
 def test_jets_name_a_finite_radius_where_its_square_overflows():
     # the square of |x| = 1e160 overflows a float; the radius is measured
-    # without a warning, and a family whose jets overflow there names it
-    points = np.array([[1e160, 0.0, 0.0], [0.0, 0.0, -1e160]])
-    raised = []
+    # without a warning, and no family's jets overflow there.  Where the
+    # square of |x| = 1e-200 underflows, a family whose jets overflow names it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for metric in ALL_FAMILIES:
-            try:
-                metric.jets(points)
-            except M.NonFiniteJets as exc:
-                assert "radius up to 1e+160" in str(exc), exc
-                raised.append(metric.family)
-    assert "kerr_slice" in raised
+            metric.jets(np.array([[1e160, 0.0, 0.0], [0.0, 0.0, -1e155]]))
+        for metric in TINY_MASSES:
+            with pytest.raises(M.NonFiniteJets, match="radius up to 1e-200"):
+                metric.jets(np.array([[1e-200, 0.0, 0.0], [0.0, 0.0, -1e-200]]))
 
 
 # per jets call: products of two jets, products of a jet with a number,
