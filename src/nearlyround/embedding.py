@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
-from numpy.polynomial.legendre import legder, legval, legvander
 
 from .errors import SolverError
 from .sphere import (
@@ -674,6 +672,10 @@ def embed_axisymmetric(
     meridian speed undershoots the parallel slope (E - R'^2 < 0 beyond
     roundoff).
     """
+    # imported on call: no study reaches this function; the benchmark's tracer still probes it
+    from numpy.polynomial.chebyshev import Chebyshev
+    from numpy.polynomial.legendre import legder, legval, legvander
+
     E = np.asarray(meridian_profile, dtype=float)
     G = np.asarray(parallel_profile, dtype=float)
     if E.shape != (grid.ntheta,) or G.shape != (grid.ntheta,):

@@ -28,7 +28,7 @@ import numpy as np
 from .embedding import embed, minkowski_residuals
 from .errors import ConfigError, NearlyRoundError
 from .mass import MassValues, assemble_mass_row
-from .metrics import adm_mass, check_radii, check_schedule, parse_metric
+from .metrics import _line_fit, adm_mass, check_radii, check_schedule, parse_metric
 from .sphere import analyze, build_grid, coeff_degrees, coeff_index, synthesize
 from .surfaces import (
     coordinate_sphere,
@@ -343,11 +343,8 @@ def fit_rate(series, m_infinity: float) -> RateFit:
             note=f"mass differences at the machine noise floor (up to "
             f"{floors.max():.1e}); rate not fittable",
         )
-    logr = np.log(radii)
-    logg = np.log(gaps)
-    X = np.stack([logr, np.ones_like(logr)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(X, logg, rcond=None)
-    residual = float(np.sqrt(np.mean((X @ [slope, intercept] - logg) ** 2)))
+    intercept, slope, rss = _line_fit(np.log(radii), np.log(gaps))
+    residual = math.sqrt(rss / len(pts))
     note = ""
     if residual > 0.1:
         note = f"log-log fit residual {residual:.3f} above 0.1; power-law model questionable"
@@ -464,12 +461,16 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
 
     known = metric.known_mass
 
-    def unit(r):  # the length unit at member r: |m|, or r where the metric has no mass
-        return np.float64(abs(known) or r)
+    def in_unit(value, r, dimension):
+        # value / unit**dimension, the unit |m| (r where the metric has no mass) as
+        # mant * 2**e, so no power of it under- or overflows; a value past the floats is inf
+        mant, e = np.frexp(abs(known) or r)
+        with np.errstate(over="ignore"):
+            return np.ldexp(value / mant**dimension, -dimension * e)
 
     def over_family(fn, dimension=0):
         # the sup of a check of length^dimension, in the unit: a pure number
-        return lambda: (max(fn(fd_hat, fd) / unit(r) ** dimension for r, fd_hat, fd in family()), "")
+        return lambda: (max(in_unit(fn(fd_hat, fd), r, dimension) for r, fd_hat, fd in family()), "")
 
     def roundness():
         diag = nearly_round_diagnostics([fd for _, _, fd in family()])
@@ -493,7 +494,8 @@ def run_verify(config: StudyConfig, *, inject_failure: bool = False) -> VerifyRe
     def adm():
         est = adm_mass(config.schedule, [mass_flux(fh, fd.ambient_dg) for _, fh, fd in family()])
         rate = ", flux constant; no rate" if math.isnan(est.rate) else f" at rate {est.rate:.2f}"
-        return abs(est.value - known) / unit(config.schedule[0]), f"extrapolated {est.value:.6f}{rate}"
+        value = in_unit(abs(est.value - known), config.schedule[0], 1)
+        return value, f"extrapolated {est.value:.6f}{rate}"
 
     entries = [
         ("gauss-bonnet", 1e-8,

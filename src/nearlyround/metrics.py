@@ -645,6 +645,16 @@ class AdmEstimate:
     fluxes: tuple
 
 
+def _line_fit(x, y) -> tuple:
+    """(c0, c1, rss) of the least-squares line y ~ c0 + c1 x, in closed form
+    about the means; flat (c1 = 0) where the x have no spread."""
+    dx = x - x.mean()
+    spread = dx @ dx
+    c1 = dx @ (y - y.mean()) / spread if spread else 0.0
+    c0 = y.mean() - c1 * x.mean()
+    return c0, c1, float(np.sum((c0 + c1 * x - y) ** 2))
+
+
 def adm_mass(radii, fluxes) -> AdmEstimate:
     """Extrapolate mass fluxes against c0 + c1 r^-p with p fitted.
 
@@ -683,23 +693,20 @@ def adm_mass(radii, fluxes) -> AdmEstimate:
     F = np.asarray(fluxes)
 
     def solve_for(p):
-        X = np.stack([np.ones_like(r), r**-p], axis=1)
-        coef, *_ = np.linalg.lstsq(X, F, rcond=None)
-        rss = float(np.sum((X @ coef - F) ** 2))
-        return coef, rss
+        return _line_fit(r**-p, F)
 
     lo, hi, g = 0.25, 4.0, (np.sqrt(5.0) - 1.0) / 2.0  # golden section (Kiefer, 1953)
     a, b = hi - g * (hi - lo), lo + g * (hi - lo)
-    fa, fb = solve_for(a)[1], solve_for(b)[1]
+    fa, fb = solve_for(a)[2], solve_for(b)[2]
     while hi - lo > 1e-13:
         if fa <= fb:  # the minimum lies in [lo, b]
             hi, b, fb, a = b, a, fa, b - g * (b - lo)
-            fa = solve_for(a)[1]
+            fa = solve_for(a)[2]
         else:
             lo, a, fa, b = a, b, fb, a + g * (hi - a)
-            fb = solve_for(b)[1]
+            fb = solve_for(b)[2]
     p = 0.5 * (lo + hi)
-    (c0, c1), rss = solve_for(p)
+    c0, c1, rss = solve_for(p)
     with np.errstate(over="ignore"):
         c1 *= np.exp2(e * p)
     return AdmEstimate(

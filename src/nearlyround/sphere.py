@@ -133,11 +133,13 @@ def _nodes(L: int) -> tuple:
     """(mu, theta, phi, weights, unit_vectors) of the grid at band limit L,
     theta increasing from north to south.
 
-    The Gauss-Legendre nodes are `leggauss`'s, polished by Newton steps on
-    P_n, n = L + 1, and the weights are 2 / ((1 - mu^2) P_n'(mu)^2) at the
-    polished nodes, P_n and P_n' from the three-term recurrence: within
-    1,136 eps of a 40-digit rule at L = 16, 32, 48, 56, 64, 96 and 128,
-    where `leggauss`'s own weights are off by up to 56,894 eps."""
+    The Gauss-Legendre nodes, the roots of P_n, n = L + 1, are three Newton
+    steps from Tricomi's guess (at most 1.3e-3 off, at n = 2) on the northern
+    half, mirrored: the rule is exactly antisymmetric, its middle node 0 for
+    odd n.  The weights are 2 / ((1 - mu^2) P_n'(mu)^2), P_n and P_n' from
+    the three-term recurrence: within 7 / 73 / 210 / 201 / 71 / 620 / 1,136
+    eps of a 40-digit rule at L = 16, 32, 48, 56, 64, 96 and 128, where
+    `leggauss`'s own weights are off by up to 56,894 eps."""
     n = L + 1
 
     def legendre(x):
@@ -146,10 +148,12 @@ def _nodes(L: int) -> tuple:
             p, q = q, ((2 * k + 1) * x * q - k * p) / (k + 1)
         return q, n * (x * q - p) / (x * x - 1.0)
 
-    mu = -np.polynomial.legendre.leggauss(n)[0]  # descending, as theta ascends
-    for _ in range(2):
-        value, slope = legendre(mu)
-        mu = mu - value / slope
+    k = np.arange(1, n // 2 + 1)
+    north = (1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(3):
+        value, slope = legendre(north)
+        north = north - value / slope
+    mu = np.concatenate([north, np.zeros(n % 2), -north[::-1]])  # descending, as theta ascends
     theta = np.arccos(mu)
     phi = 2.0 * np.pi * np.arange(2 * L + 2) / (2 * L + 2)
     w = 2.0 / ((1.0 - mu * mu) * legendre(mu)[1] ** 2) * (2.0 * np.pi / (2 * L + 2))

@@ -8,12 +8,14 @@ a contract test: validation, determinism, exit codes, report schema.
 
 import ast
 import functools
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 import nearlyround as nr
-from nearlyround import harness
+from nearlyround import harness, sphere
 from nearlyround.cli import main
 from nearlyround.harness import family_surfaces
 from nearlyround.metrics import NonFiniteJets, parse_metric
@@ -353,6 +355,14 @@ def test_fit_rate_schwarzschild_series():
     assert abs(fit.slope + 1.0453) <= 1e-3  # measured value of the exact series
 
 
+def test_fit_rate_over_one_radius_reads_a_flat_line():
+    # the log radii have no spread: the closed-form line is flat through
+    # the mean gap, with no 0/0 (the library solver gave a minimum-norm line)
+    fit = nr.fit_rate([(20.0, 1.1), (20.0, 1.2), (20.0, 1.3)], 1.0)
+    assert fit.slope == 0.0
+    assert fit.intercept == pytest.approx(np.mean(np.log([0.1, 0.2, 0.3])), rel=1e-14)
+
+
 def test_fit_rate_json_cleans_nonfinite():
     # json_text is the one JSON rule: a non-finite float is null, at any depth
     fit = nr.fit_rate([(r, 1.0) for r in (10.0, 20.0, 40.0)], 1.0)
@@ -499,6 +509,57 @@ def test_verify_study_work_is_pinned(monkeypatch):
         "distance_hessian_residual": 3,
         "adm_mass": 1, "identity residuals": 12, "AFMetric.jets": 3,
     }
+
+
+def test_studies_call_no_library_eigensolver_or_least_squares(monkeypatch):
+    # the nodes start from an asymptotic guess and both fits are closed
+    # forms, so a Kerr L=16 verify study, a rate fit and a fresh (uncached)
+    # node table run with the eigensolver behind leggauss, leggauss itself
+    # and the least-squares solver refused
+    def refused(*args, **kwargs):
+        raise AssertionError("a study called a library solver")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+    assert nr.run_verify(nr.StudyConfig(**KERR_L16)).passed
+    assert nr.fit_rate([(20.0, 1.1), (40.0, 1.05), (80.0, 1.025)], 1.0).fittable
+    weights = inspect.unwrap(sphere._nodes)(77)[3]
+    assert abs(weights.sum() - 4.0 * math.pi) <= 1e-13
+
+
+def test_studies_load_no_numpy_polynomial():
+    # embed_axisymmetric, which no study reaches, imports numpy.polynomial
+    # when called; importing the package and running a Kerr masses and
+    # verify study load none of it
+    probe = "import sys\n{}print([m for m in sys.modules if m.startswith('numpy.polynomial')])\n"
+    bare = subprocess.run([sys.executable, "-c", probe.format("import numpy\n")],
+                          capture_output=True, text=True, check=True)
+    if bare.stdout.strip() != "[]":
+        pytest.skip("this numpy loads numpy.polynomial on import")
+    study = (
+        "import nearlyround as nr\n"
+        "config = nr.StudyConfig(metric='kerr_slice m=1 a=0.5', schedule=(20.0, 40.0, 80.0),\n"
+        "                        band_limit=8)\n"
+        "assert not any(row.flags for row in nr.run_masses(config).rows)\n"
+        "assert nr.run_verify(config).passed\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe.format(study)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_units_stay_finite_at_a_tiny_mass():
+    # at m = 1e-170 the mean-curvature checks' unit m^2 underflowed to 0,
+    # and both read inf with a RuntimeWarning; the unit is now a power of
+    # two times a mantissa's power, so every check reads a finite number
+    config = nr.StudyConfig(metric="schwarzschild_standard m=1e-170",
+                            schedule=(20.0, 40.0, 80.0), band_limit=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = nr.run_verify(config)
+    assert all(c.computed and math.isfinite(c.value) for c in report.checks)
 
 
 def test_verify_extrapolates_the_adm_subcommand_value_bit_for_bit(monkeypatch, capsys):
@@ -1424,5 +1485,11 @@ def test_fit_rate_reads_the_same_slope_in_any_unit():
                           masses.adm_reference)
         assert fit.fittable, (k, fit.note)
         slopes.append(fit.slope)
+        # the closed-form line against the library's least-squares solver
+        logr = np.log([row.r_label for row in masses.rows])
+        logg = np.log([abs(row.brown_york - masses.adm_reference) for row in masses.rows])
+        X = np.stack([logr, np.ones_like(logr)], axis=1)
+        (oracle, _), *_ = np.linalg.lstsq(X, logg, rcond=None)
+        assert abs(fit.slope / oracle - 1.0) <= 1e-13, k
     assert abs(slopes[2] + 1.0274) <= 1e-4
     assert max(abs(s / slopes[2] - 1.0) for s in slopes) <= 1e-13

@@ -1,6 +1,7 @@
 """Spectral sphere substrate: quadrature, transforms, Mobius maps, gauge."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import mpmath
@@ -177,6 +178,39 @@ def gauss_legendre_weights(n):
     return north + north[: n // 2][::-1]
 
 
+def leggauss_nodes(n):
+    """The nodes of the grid's earlier rule, kept as an oracle: leggauss's,
+    descending, polished by two Newton steps on P_n."""
+
+    def legendre(x):
+        p, q = np.ones_like(x), x
+        for k in range(1, n):
+            p, q = q, ((2 * k + 1) * x * q - k * p) / (k + 1)
+        return q, n * (x * q - p) / (x * x - 1.0)
+
+    mu = -np.polynomial.legendre.leggauss(n)[0]
+    for _ in range(2):
+        value, slope = legendre(mu)
+        mu = mu - value / slope
+    return mu
+
+
+def test_gauss_legendre_nodes_are_antisymmetric_at_every_band_limit():
+    # at every band limit a grid takes: the rule is exactly antisymmetric,
+    # its middle node exactly 0, and each node within 2 ulp of the leggauss
+    # rule (an absolute floor of eps near 0).  Measured: within 1 ulp
+    build = inspect.unwrap(sphere._nodes)  # uncached, so no table is kept
+    eps = np.finfo(float).eps
+    for L in range(1, MAX_BAND_LIMIT + 1):
+        mu = build(L)[0]
+        assert np.array_equal(mu, -mu[::-1]), L
+        if L % 2 == 0:
+            assert mu[L // 2] == 0.0, L
+        oracle = leggauss_nodes(L + 1)
+        ulp = np.maximum(np.spacing(np.abs(oracle)), eps)
+        assert np.all(np.abs(mu - oracle) <= 2.0 * ulp), L
+
+
 def test_gauss_legendre_weights_beat_leggauss():
     # the grid's weights against a 40-digit rule, worst relative error in
     # eps, at each band limit against the grid built on leggauss's weights.
@@ -211,8 +245,9 @@ def test_coeff_degrees_matches_the_loop_over_degrees(L):
 def test_grid_rejects_degenerate_band_limit():
     with pytest.raises(ValueError):
         SphereGrid(0)
-    # a float band limit would pass the range check and fail inside
-    # leggauss on first use; any integer type is taken
+    # a float band limit would pass the range check and fail on first use,
+    # in the three-term recurrence of the nodes' Newton steps; any integer
+    # type is taken
     with pytest.raises(ConfigError, match="integer"):
         build_grid(16.0)
     with pytest.raises(ConfigError, match="integer"):
